@@ -49,7 +49,6 @@ class ExperimentSpec:
     fragments_per_cluster: int | str = "auto"
     repeats: int = 1
     seed: int = 0
-    parallel_clients: bool = False
     out_path: str = "results.json"
     report_path: str | None = None
 
@@ -143,7 +142,6 @@ def _config_for(spec: ExperimentSpec, seed: int) -> FederationConfig:
         k0_fraction=spec.k0_fraction,
         seed=seed,
         fragments_per_cluster=spec.fragments_per_cluster,
-        parallel_clients=spec.parallel_clients,
     )
 
 
@@ -284,7 +282,6 @@ def _spec_from_file(path: str, out_path: str, report_path: str | None) -> Experi
             fragments_per_cluster=obj.get("fragments", "auto"),
             repeats=int(obj.get("repeats", 1)),
             seed=int(obj.get("seed", 0)),
-            parallel_clients=bool(obj.get("parallel_clients", False)),
             out_path=obj.get("out", out_path),
             report_path=obj.get("report", report_path),
         )
@@ -310,7 +307,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_run_flags(p_run, data_required=False)
     p_run.add_argument("--repeats", type=int, default=1)
-    p_run.add_argument("--parallel-clients", action="store_true")
     p_run.add_argument("--out", default="results.json")
     p_run.add_argument(
         "--report", default=None,
@@ -369,7 +365,6 @@ def main(argv: list[str] | None = None) -> int:
                     fragments_per_cluster=fragments,
                     repeats=args.repeats,
                     seed=args.seed,
-                    parallel_clients=args.parallel_clients,
                     out_path=args.out,
                     report_path=args.report,
                 )

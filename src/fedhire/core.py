@@ -117,8 +117,10 @@ class FeatureClusterMatrix:
             raise ValueError("entries must be 2-D")
         if ((self.entries < -1e-12) | (self.entries > 1.0 + 1e-12)).any():
             raise ValueError("entries must lie in [0, 1]")
+        # the accept set of np.allclose(row_sums, 1.0, atol=1e-9), NaN
+        # rejected, without its per-call overhead
         row_sums = self.entries.sum(axis=1)
-        if self.entries.shape[1] and not np.allclose(row_sums, 1.0, atol=1e-9):
+        if self.entries.shape[1] and not np.all(np.abs(row_sums - 1.0) <= 1e-9 + 1e-5):
             raise ValueError("rows must sum to 1")
 
     @classmethod

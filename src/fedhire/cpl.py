@@ -16,6 +16,9 @@ Scoring details, fixed across the package:
 - Scores are ``gamma_j * w_j * exp(-dissimilarity)``. The fairness factor
   ``gamma`` is refreshed once per epoch; clusterlet weights ``w`` update
   live after every presentation.
+- Only active clusterlets are scored. Their similarity columns are built
+  once per epoch, in blocks of objects, so no n x k x d temporary is ever
+  materialised (see ``_dissimilarities``).
 
 This combination is what makes redundant clusterlets die: the per-epoch
 fairness snapshot lets one clusterlet sweep a whole dense region within an
@@ -49,6 +52,9 @@ DEAD_UNIT_EPOCHS = 2
 # exp(-D) underflows to 0.0 for D > ~745; flooring keeps the penalty ratio
 # finite for absurdly distant object/clusterlet pairs
 SIMILARITY_FLOOR = 1e-300
+# element budget of one (objects x clusterlets x features) temporary in
+# ``_dissimilarities``; the object block shrinks as clusterlets x features grows
+SIMILARITY_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -121,6 +127,26 @@ def compute_gamma(win_counts: np.ndarray) -> np.ndarray:
     return 1.0 - win_counts / total
 
 
+def _dissimilarities(
+    values: np.ndarray, centroids: np.ndarray, scaled: np.ndarray
+) -> np.ndarray:
+    """n x k squared relative-weighted distances ``||scaled_j ⊙ (x_i - c_j)||²``.
+
+    ``scaled`` holds the rows ``d * m_j``. The objects are taken in blocks
+    sized so that each temporary stays near SIMILARITY_BLOCK_ELEMENTS; every
+    entry is computed by the same expression whatever the block size.
+    """
+    k, d = centroids.shape
+    out = np.empty((values.shape[0], k))
+    step = max(1, SIMILARITY_BLOCK_ELEMENTS // max(1, k * d))
+    for lo in range(0, values.shape[0], step):
+        diff = scaled[None, :, :] * (
+            values[lo : lo + step, None, :] - centroids[None, :, :]
+        )
+        out[lo : lo + step] = (diff**2).sum(axis=2)
+    return out
+
+
 def competition_similarities(
     x: np.ndarray, centroids: np.ndarray, m_entries: np.ndarray
 ) -> np.ndarray:
@@ -130,8 +156,8 @@ def competition_similarities(
     plain squared Euclidean distance.
     """
     d = centroids.shape[1]
-    diff = (d * m_entries) * (x[None, :] - centroids)
-    return np.maximum(np.exp(-(diff**2).sum(axis=1)), SIMILARITY_FLOOR)
+    dist = _dissimilarities(x[None, :], centroids, d * m_entries)[0]
+    return np.maximum(np.exp(-dist), SIMILARITY_FLOOR)
 
 
 def select_winner_and_rival(
@@ -223,13 +249,16 @@ def run_cpl(
     seed; raw weights start at zero (weights effectively 1), win counts at
     zero, and the feature-cluster matrix uniform. Each epoch presents every
     object in index order, assigns it to the winner, rewards the winner and
-    penalizes the rival. At epoch end the centroids of nonempty active
-    clusterlets are recomputed as member means, weight-collapsed clusterlets
-    and dead units (no members for DEAD_UNIT_EPOCHS consecutive epochs) are
-    deactivated down to a floor of two, orphaned objects are reassigned to
-    the nearest surviving clusterlet, and (with ``weighting`` on) the
-    feature-cluster matrix is refreshed. The loop stops as soon as the
-    affiliation repeats between consecutive epochs.
+    penalizes the rival. Only active clusterlets are scored, and their
+    similarities are computed once per epoch in blocks of objects, so memory
+    stays at n x k plus one bounded block. At epoch end the centroids of
+    nonempty active clusterlets are recomputed as member means,
+    weight-collapsed clusterlets and dead units (no members for
+    DEAD_UNIT_EPOCHS consecutive epochs) are deactivated down to a floor of
+    two, orphaned objects are reassigned to the nearest surviving
+    clusterlet, and (with ``weighting`` on) the feature-cluster matrix is
+    refreshed. The loop stops as soon as the affiliation repeats between
+    consecutive epochs.
 
     The result is compacted: only clusterlets that remain active *and* own
     at least one object are reported, and the affiliation is re-indexed onto
@@ -247,7 +276,6 @@ def run_cpl(
     state = ClusterletState.initial(values[init_idx])
     m = FeatureClusterMatrix.uniform(config.k0, d)
 
-    assignments = np.full(n, -1, dtype=np.int64)
     prev_assignments = None
     empty_streak = np.zeros(config.k0, dtype=np.int64)
     converged = False
@@ -256,32 +284,9 @@ def run_cpl(
     for epoch in range(config.max_epochs):
         epochs_used = epoch + 1
 
-        # Similarities are fixed within an epoch (centroids and M only move
-        # at epoch end), so they are precomputed for all object/clusterlet
-        # pairs; the fairness factor gamma is snapshotted here as well.
-        scaled = d * m.entries
-        diff = scaled[None, :, :] * (values[:, None, :] - state.centroids[None, :, :])
-        sims = np.maximum(np.exp(-(diff**2).sum(axis=2)), SIMILARITY_FLOOR)
-        gamma = compute_gamma(state.win_counts)
-
-        inactive = ~state.active
-        raw = state.raw_weights
-        weights = state.weights
-        win_counts = state.win_counts
-        scores = np.empty(state.k)
-        for i in range(n):
-            np.multiply(gamma, weights, out=scores)
-            scores *= sims[i]
-            scores[inactive] = -np.inf
-            v = int(scores.argmax())
-            assignments[i] = v
-            raw[v] += config.eta
-            weights[v] = _squash_scalar(raw[v])
-            win_counts[v] += 1
-            scores[v] = -np.inf
-            r = int(scores.argmax())
-            raw[r] -= config.eta * sims[i, r] / sims[i, v]
-            weights[r] = _squash_scalar(raw[r])
+        # one presentation per object, scoring active clusterlets only;
+        # similarities and gamma are fixed within the epoch
+        assignments = _presentation_epoch(values, state, m, config.eta)
 
         # batch centroid update: nonempty active clusterlets move to the
         # mean of their members
@@ -299,19 +304,17 @@ def run_cpl(
         orphaned = ~state.active[assignments]
         if orphaned.any():
             active_idx = np.flatnonzero(state.active)
-            scaled = d * m.entries[active_idx]
-            diff = scaled[None, :, :] * (
-                values[orphaned][:, None, :] - state.centroids[active_idx][None, :, :]
+            dist = _dissimilarities(
+                values[orphaned], state.centroids[active_idx], d * m.entries[active_idx]
             )
-            nearest = np.argmin((diff**2).sum(axis=2), axis=1)
-            assignments[orphaned] = active_idx[nearest]
+            assignments[orphaned] = active_idx[np.argmin(dist, axis=1)]
 
         if prev_assignments is not None and np.array_equal(
             assignments, prev_assignments
         ):
             converged = True
             break
-        prev_assignments = assignments.copy()
+        prev_assignments = assignments
 
         if weighting:
             m = _refresh_feature_weights(values, assignments, state, m)
@@ -323,6 +326,51 @@ def run_cpl(
         )
 
     return _compact_result(assignments, state, m, epochs_used, converged)
+
+
+def _presentation_epoch(values, state, m, eta):
+    """Present every object once, in index order; returns each one's winner.
+
+    Only active clusterlets are scored. Their columns are taken in ascending
+    index order, so ``argmax`` still breaks ties toward the lowest index.
+    Similarities and the fairness factor gamma are fixed for the epoch, and
+    ``gw`` holds gamma * weight, refreshed for the winner and the rival after
+    each presentation. Raw weights and weights live in Python lists during
+    the loop; they and the win counts (nothing reads them mid-epoch) are
+    written back to ``state`` at the end.
+    """
+    act = np.flatnonzero(state.active)
+    d = values.shape[1]
+    # exp(-D) floored, in place: one n x k array for the epoch
+    sims = _dissimilarities(values, state.centroids[act], d * m.entries[act])
+    np.negative(sims, out=sims)
+    np.exp(sims, out=sims)
+    np.maximum(sims, SIMILARITY_FLOOR, out=sims)
+    gamma = compute_gamma(state.win_counts)[act]
+    gw = gamma * state.weights[act]
+    gamma = gamma.tolist()
+    raw = state.raw_weights[act].tolist()
+    weights = state.weights[act].tolist()
+    winners = []
+    scores = np.empty(act.size)
+    argmax = scores.argmax
+    for row in sims:
+        np.multiply(gw, row, out=scores)
+        v = int(argmax())
+        scores[v] = -np.inf
+        r = int(argmax())
+        winners.append(v)
+        raw[v] += eta
+        weights[v] = w = _squash_scalar(raw[v])
+        gw[v] = gamma[v] * w
+        raw[r] -= eta * row.item(r) / row.item(v)
+        weights[r] = w = _squash_scalar(raw[r])
+        gw[r] = gamma[r] * w
+    state.raw_weights[act] = raw
+    state.weights[act] = weights
+    winners = act[winners]
+    state.win_counts += np.bincount(winners, minlength=state.k)
+    return winners
 
 
 def _deactivate(state, counts, empty_streak, threshold):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +49,6 @@ class FederationConfig:
     k0_fraction: float = 0.5
     seed: int = 0
     fragments_per_cluster: int | str = "auto"
-    parallel_clients: bool = False
     k0_absolute: int | None = None
     max_epochs: int | None = None
 
@@ -261,8 +259,8 @@ def run_one_shot(
 
     Partitions the data (unless a plan is supplied), runs each client's
     local clustering exactly once, stacks the uploaded centroids and drives
-    the server stages. Client seeds derive from the master seed so results
-    are identical with and without client parallelism.
+    the server stages. Client seeds derive from the master seed, so repeat
+    runs are identical.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -278,8 +276,8 @@ def run_one_shot(
     def one_client(cid: int):
         indices = plan.client_indices[cid]
         if indices.size == 0:
-            return cid, None
-        outcome = run_fcpl(
+            return None
+        return run_fcpl(
             data.subset(indices),
             eta=config.eta,
             k0_fraction=config.k0_fraction,
@@ -288,22 +286,15 @@ def run_one_shot(
             max_epochs=config.max_epochs,
             k0_override=config.k0_absolute,
         )
-        return cid, outcome
 
     t0 = time.perf_counter()
-    ids = list(range(config.client_count))
-    if config.parallel_clients:
-        with ThreadPoolExecutor() as pool:
-            outcomes = dict(pool.map(one_client, ids))
-    else:
-        outcomes = dict(map(one_client, ids))
+    outcomes = [one_client(cid) for cid in range(config.client_count)]
     timings["clients"] = time.perf_counter() - t0
 
     client_results: dict[int, CplResult] = {}
     payloads: list[ClientPayload] = []
     skipped: list[int] = []
-    for cid in ids:
-        outcome = outcomes[cid]
+    for cid, outcome in enumerate(outcomes):
         if outcome is None:
             skipped.append(cid)
             continue

@@ -130,6 +130,18 @@ class TestFeatureClusterMatrix:
         with pytest.raises(ValueError):
             FeatureClusterMatrix(np.array([[1.5, -0.5]]))
 
+    def test_row_sum_tolerance(self):
+        # accepted while |sum - 1| <= 1e-9 + 1e-5, the np.allclose default
+        FeatureClusterMatrix(np.array([[0.5, 0.5], [0.5, 0.5 + 5e-6]]))
+        FeatureClusterMatrix(np.array([[0.5, 0.5 - 5e-6]]))
+        for off in (2e-5, -2e-5):
+            with pytest.raises(ValueError):
+                FeatureClusterMatrix(np.array([[0.5, 0.5], [0.5, 0.5 + off]]))
+
+    def test_rejects_nan_rows(self):
+        with pytest.raises(ValueError):
+            FeatureClusterMatrix(np.array([[0.5, np.nan]]))
+
 
 class TestWeightedDistance:
     def test_single_active_coordinate(self):

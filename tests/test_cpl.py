@@ -5,7 +5,9 @@ import pytest
 
 from fedhire.core import ClusterletState, DataMatrix, FeatureClusterMatrix
 from fedhire.cpl import (
+    SIMILARITY_FLOOR,
     CplConfig,
+    _presentation_epoch,
     compute_gamma,
     competition_similarities,
     eliminate_clusterlets,
@@ -15,6 +17,7 @@ from fedhire.cpl import (
     select_winner_and_rival,
     squash_weight,
 )
+from oracles import presentation_epoch
 
 
 def make_state(centroids, raw=None, wins=None, active=None):
@@ -204,6 +207,66 @@ class TestPresentationBookkeeping:
         # fresh uniform state: the winner is the most similar clusterlet,
         # so the rival's step never exceeds eta
         assert 0 < raw_before[r] - state.raw_weights[r] <= 0.05 + 1e-15
+
+
+def _oracle_case(kind, seed=0):
+    """(values, state, m) for one engine-vs-oracle presentation epoch."""
+    rng = np.random.default_rng(seed)
+    k, d, n = 12, 3, 90
+    centroids = rng.uniform(0, 1, size=(k, d))
+    raw = rng.uniform(-5.5, 0.5, size=k)
+    wins = rng.integers(0, 20, size=k)
+    active = np.ones(k, dtype=bool)
+    values = rng.uniform(0, 1, size=(n, d))
+    entries = rng.uniform(0.1, 1.0, size=(k, d))
+    if kind == "inactive":
+        active[[0, 3, 4, 9, 11]] = False
+    elif kind == "duplicated":
+        # identical centroids, feature rows, weights and wins: exact score ties
+        centroids[6:] = centroids[:6]
+        entries[6:] = entries[:6]
+        raw[6:] = raw[:6]
+        wins[6:] = wins[:6]
+        values[: n // 2] = centroids[rng.integers(0, 6, size=n // 2)]
+        active[1] = False
+    elif kind == "zero_gamma":
+        wins[:] = 0
+        wins[5] = 40  # gamma_5 = 1 - 40/40 = 0
+    elif kind == "floored":
+        values += 100.0  # exp(-D) underflows for every pair
+    m = FeatureClusterMatrix(entries / entries.sum(axis=1, keepdims=True))
+    return values, make_state(centroids, raw=raw, wins=wins, active=active), m
+
+
+class TestPresentationEpochOracle:
+    @pytest.mark.parametrize(
+        "kind", ["random", "inactive", "duplicated", "zero_gamma", "floored"]
+    )
+    def test_matches_full_width_oracle(self, kind):
+        for seed in range(3):
+            values, engine, m = _oracle_case(kind, seed)
+            oracle = engine.copy()
+            # two epochs, so the second one starts from the updated win counts
+            for _ in range(2):
+                got = _presentation_epoch(values, engine, m, eta=0.05)
+                want = presentation_epoch(values, oracle, m, eta=0.05)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(engine.raw_weights, oracle.raw_weights)
+                np.testing.assert_array_equal(engine.weights, oracle.weights)
+                np.testing.assert_array_equal(engine.win_counts, oracle.win_counts)
+                assert engine.active[got].all()
+
+    def test_cases_reach_their_edge(self):
+        values, state, m = _oracle_case("floored")
+        sims = np.array([competition_similarities(x, state.centroids, m.entries)
+                         for x in values])
+        assert (sims == SIMILARITY_FLOOR).all()
+        _, state, _ = _oracle_case("zero_gamma")
+        assert (compute_gamma(state.win_counts) == 0.0).sum() == 1
+        values, state, m = _oracle_case("duplicated")
+        scores = (compute_gamma(state.win_counts) * state.weights
+                  * competition_similarities(values[0], state.centroids, m.entries))
+        assert np.unique(scores[state.active]).size < state.active.sum()
 
 
 class TestEliminateClusterlets:

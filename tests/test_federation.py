@@ -147,16 +147,14 @@ class TestRunOneShot:
         n, d = three_cluster_data.values.shape
         assert 0 < result.communicated_values < n * d
 
-    def test_parallel_matches_serial(self, three_cluster_data):
-        base = dict(client_count=4, k_star=3, seed=3, fragments_per_cluster=2)
-        serial = run_one_shot(
-            three_cluster_data, FederationConfig(parallel_clients=False, **base)
+    def test_serial_rerun_matches(self, three_cluster_data):
+        config = FederationConfig(
+            client_count=4, k_star=3, seed=3, fragments_per_cluster=2
         )
-        parallel = run_one_shot(
-            three_cluster_data, FederationConfig(parallel_clients=True, **base)
-        )
-        np.testing.assert_array_equal(serial.object_labels, parallel.object_labels)
-        assert serial.hierarchy_ks == parallel.hierarchy_ks
+        first = run_one_shot(three_cluster_data, config)
+        second = run_one_shot(three_cluster_data, config)
+        np.testing.assert_array_equal(first.object_labels, second.object_labels)
+        assert first.hierarchy_ks == second.hierarchy_ks
 
     def test_replay_from_saved_plan(self, three_cluster_data, config):
         first = run_one_shot(three_cluster_data, config)
