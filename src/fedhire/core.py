@@ -249,7 +249,8 @@ def feature_cluster_matrix_client(
     if k == 1:
         return FeatureClusterMatrix.uniform(1, d)
 
-    onehot = affiliation.to_onehot().astype(np.float64)
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), affiliation.assignments] = 1.0
     sum1 = onehot.T @ values                      # k x d per-cluster sums
     sum2 = onehot.T @ (values**2)
     total1 = values.sum(axis=0)

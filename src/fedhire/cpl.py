@@ -17,8 +17,16 @@ Scoring details, fixed across the package:
   ``gamma`` is refreshed once per epoch; clusterlet weights ``w`` update
   live after every presentation.
 - Only active clusterlets are scored. Their similarity columns are built
-  once per epoch, in blocks of objects, so no n x k x d temporary is ever
-  materialised (see ``_dissimilarities``).
+  in bounded blocks of objects, so no n x k x d temporary is ever
+  materialised. Each distance adds its per-feature terms in the order
+  numpy's pairwise summation uses for ``sum(axis=-1)`` (in sequence below 8
+  features, eight strided accumulators up to 128, halving above); that is
+  numpy's own reduction order, which is why it equals the plain
+  broadcast-and-sum expression bit for bit (see ``_dissimilarities``).
+- A run keeps one ``_ColumnCache``: a column is recomputed only when its
+  centroid row or M row changed since it was computed. Every entry depends
+  only on its object and those two rows, so a reused column is bitwise the
+  column a recomputation would give.
 
 This combination is what makes redundant clusterlets die: the per-epoch
 fairness snapshot lets one clusterlet sweep a whole dense region within an
@@ -52,9 +60,14 @@ DEAD_UNIT_EPOCHS = 2
 # exp(-D) underflows to 0.0 for D > ~745; flooring keeps the penalty ratio
 # finite for absurdly distant object/clusterlet pairs
 SIMILARITY_FLOOR = 1e-300
-# element budget of one (objects x clusterlets x features) temporary in
+# element budget of the (features x clusterlets x objects) temporary in
 # ``_dissimilarities``; the object block shrinks as clusterlets x features grows
-SIMILARITY_BLOCK_ELEMENTS = 1 << 18
+SIMILARITY_BLOCK_ELEMENTS = 1 << 17
+# numpy's pairwise summation (``pairwise_sum`` in its float add loops): runs
+# shorter than _PAIRWISE_UNROLL add in sequence, runs up to _PAIRWISE_BLOCK use
+# _PAIRWISE_UNROLL strided accumulators, longer runs split in two
+_PAIRWISE_UNROLL = 8
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass
@@ -132,19 +145,116 @@ def _dissimilarities(
 ) -> np.ndarray:
     """n x k squared relative-weighted distances ``||scaled_j ⊙ (x_i - c_j)||²``.
 
-    ``scaled`` holds the rows ``d * m_j``. The objects are taken in blocks
-    sized so that each temporary stays near SIMILARITY_BLOCK_ELEMENTS; every
-    entry is computed by the same expression whatever the block size.
+    ``scaled`` holds the rows ``d * m_j``. The result is bitwise
+    ``((scaled[None] * (values[:, None] - centroids[None]))**2).sum(axis=2)``,
+    the oracle in the tests, without its short inner loops over features.
+    For a block of objects, the term ``(scaled[:, z] * (x[:, z] - c[:, z]))**2``
+    of every feature z is formed with the same operands per element, as a
+    d x k x objects array whose inner loop runs over objects. The d terms are
+    then added slab by slab in numpy's own reduction order (see
+    ``_pairwise_sum``): in sequence below 8 features; from 8 to 128 in eight
+    strided accumulators, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
+    then the remainder in sequence; above 128 split at half the count,
+    rounded down to a multiple of 8. The objects are taken in blocks sized
+    so that the d x k x objects array stays near SIMILARITY_BLOCK_ELEMENTS.
     """
     k, d = centroids.shape
-    out = np.empty((values.shape[0], k))
+    n = values.shape[0]
+    out = np.empty((n, k))
+    by_feature = values.T[:, None, :].copy()
+    centroid_cols = centroids.T[:, :, None].copy()
+    scaled_cols = scaled.T[:, :, None].copy()
     step = max(1, SIMILARITY_BLOCK_ELEMENTS // max(1, k * d))
-    for lo in range(0, values.shape[0], step):
-        diff = scaled[None, :, :] * (
-            values[lo : lo + step, None, :] - centroids[None, :, :]
-        )
-        out[lo : lo + step] = (diff**2).sum(axis=2)
+    for lo in range(0, n, step):
+        terms = by_feature[:, :, lo : lo + step] - centroid_cols
+        terms *= scaled_cols
+        np.square(terms, out=terms)
+        out[lo : lo + step] = _pairwise_sum(terms).T
     return out
+
+
+def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of ``terms`` over axis 0, in numpy's ``pairwise_sum`` order.
+
+    This is the order numpy uses along a contiguous reduction axis, so the
+    sum is bitwise the one ``sum(axis=-1)`` gives with the same terms laid
+    along the last axis; numpy's starting value, the identity 0, changes no
+    bit of a sum of nonnegative terms. Overwrites ``terms`` and returns a
+    view into it.
+    """
+    count = terms.shape[0]
+    if count < _PAIRWISE_UNROLL:
+        acc = terms[0]
+        for z in range(1, count):
+            acc += terms[z]
+        return acc
+    if count <= _PAIRWISE_BLOCK:
+        end = count - count % _PAIRWISE_UNROLL
+        r = terms[:_PAIRWISE_UNROLL]
+        for i in range(_PAIRWISE_UNROLL, end, _PAIRWISE_UNROLL):
+            r += terms[i : i + _PAIRWISE_UNROLL]
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r[0::2] += r[1::2]
+        r[0::4] += r[2::4]
+        acc = r[0]
+        acc += r[4]
+        for z in range(end, count):
+            acc += terms[z]
+        return acc
+    half = count // 2
+    half -= half % _PAIRWISE_UNROLL
+    acc = _pairwise_sum(terms[:half])
+    acc += _pairwise_sum(terms[half:])
+    return acc
+
+
+class _ColumnCache:
+    """The floored similarity columns exp(-D) of one ``run_cpl`` call.
+
+    Column j of ``sims`` holds exp(-D_ij), floored, for every object i, as
+    computed from the centroid row and M row stored for j. Invariant: every
+    entry depends only on its object, that centroid row and that M row, so a
+    column whose stored rows compare equal to the current ones is bitwise the
+    column a recomputation would give (±0.0 compare equal and square to the
+    same terms). The stored rows start as NaN, which compares unequal to
+    everything, so the first call computes every column it is asked for.
+    """
+
+    def __init__(self, values: np.ndarray, k0: int):
+        n, d = values.shape
+        self.values = values
+        self.sims = np.empty((n, k0))
+        self.centroids = np.full((k0, d), np.nan)
+        self.rows = np.full((k0, d), np.nan)
+
+    def columns(self, act, centroids, m_entries):
+        """n x act.size similarities of the columns ``act``, in its order.
+
+        Only the columns of ``act`` whose centroid row or M row changed are
+        recomputed. When ``act`` covers every column the cache array itself is
+        returned; the caller must not write to it.
+        """
+        stale = act[
+            (
+                (self.centroids[act] != centroids[act])
+                | (self.rows[act] != m_entries[act])
+            ).any(axis=1)
+        ]
+        n, d = self.values.shape
+        # a bounded group of columns at a time, so no second n x k0 array
+        step = max(1, SIMILARITY_BLOCK_ELEMENTS // n)
+        for lo in range(0, stale.size, step):
+            cols = stale[lo : lo + step]
+            fresh = _dissimilarities(self.values, centroids[cols], d * m_entries[cols])
+            np.negative(fresh, out=fresh)
+            np.exp(fresh, out=fresh)
+            np.maximum(fresh, SIMILARITY_FLOOR, out=fresh)
+            self.sims[:, cols] = fresh
+        self.centroids[stale] = centroids[stale]
+        self.rows[stale] = m_entries[stale]
+        if act.size == self.sims.shape[1]:
+            return self.sims
+        return self.sims[:, act]
 
 
 def competition_similarities(
@@ -249,16 +359,26 @@ def run_cpl(
     seed; raw weights start at zero (weights effectively 1), win counts at
     zero, and the feature-cluster matrix uniform. Each epoch presents every
     object in index order, assigns it to the winner, rewards the winner and
-    penalizes the rival. Only active clusterlets are scored, and their
-    similarities are computed once per epoch in blocks of objects, so memory
-    stays at n x k plus one bounded block. At epoch end the centroids of
-    nonempty active clusterlets are recomputed as member means,
-    weight-collapsed clusterlets and dead units (no members for
-    DEAD_UNIT_EPOCHS consecutive epochs) are deactivated down to a floor of
-    two, orphaned objects are reassigned to the nearest surviving
-    clusterlet, and (with ``weighting`` on) the feature-cluster matrix is
-    refreshed. The loop stops as soon as the affiliation repeats between
-    consecutive epochs.
+    penalizes the rival. Only active clusterlets are scored.
+
+    Their similarity columns live in one ``_ColumnCache`` for the run. Its
+    invariant: a column is reused only while the centroid row and M row it
+    was computed from compare equal to the current ones, and since every
+    entry depends on nothing else, a reused column is bitwise a recomputed
+    one. Each epoch recomputes only the active columns that fail that test,
+    with distances whose per-feature terms are added in numpy's own
+    ``sum(axis=-1)`` reduction order (see ``_dissimilarities``), so they
+    match the plain broadcast-and-sum bit for bit. Memory stays at the
+    n x k0 cache, a gathered n x k copy once columns are inactive, and
+    bounded blocks.
+
+    At epoch end the centroids of nonempty active clusterlets are
+    recomputed as member means, weight-collapsed clusterlets and dead units
+    (no members for DEAD_UNIT_EPOCHS consecutive epochs) are deactivated
+    down to a floor of two, orphaned objects are reassigned to the nearest
+    surviving clusterlet, and (with ``weighting`` on) the feature-cluster
+    matrix is refreshed. The loop stops as soon as the affiliation repeats
+    between consecutive epochs.
 
     The result is compacted: only clusterlets that remain active *and* own
     at least one object are reported, and the affiliation is re-indexed onto
@@ -275,6 +395,7 @@ def run_cpl(
     init_idx = rng.choice(n, size=config.k0, replace=False)
     state = ClusterletState.initial(values[init_idx])
     m = FeatureClusterMatrix.uniform(config.k0, d)
+    cache = _ColumnCache(values, config.k0)
 
     prev_assignments = None
     empty_streak = np.zeros(config.k0, dtype=np.int64)
@@ -286,7 +407,7 @@ def run_cpl(
 
         # one presentation per object, scoring active clusterlets only;
         # similarities and gamma are fixed within the epoch
-        assignments = _presentation_epoch(values, state, m, config.eta)
+        assignments = _presentation_epoch(cache, state, m, config.eta)
 
         # batch centroid update: nonempty active clusterlets move to the
         # mean of their members
@@ -317,7 +438,7 @@ def run_cpl(
         prev_assignments = assignments
 
         if weighting:
-            m = _refresh_feature_weights(values, assignments, state, m)
+            m = _refresh_feature_weights(data, assignments, state, m)
 
     if not converged:
         logger.info(
@@ -328,24 +449,19 @@ def run_cpl(
     return _compact_result(assignments, state, m, epochs_used, converged)
 
 
-def _presentation_epoch(values, state, m, eta):
+def _presentation_epoch(cache, state, m, eta):
     """Present every object once, in index order; returns each one's winner.
 
-    Only active clusterlets are scored. Their columns are taken in ascending
-    index order, so ``argmax`` still breaks ties toward the lowest index.
-    Similarities and the fairness factor gamma are fixed for the epoch, and
-    ``gw`` holds gamma * weight, refreshed for the winner and the rival after
-    each presentation. Raw weights and weights live in Python lists during
-    the loop; they and the win counts (nothing reads them mid-epoch) are
-    written back to ``state`` at the end.
+    Only active clusterlets are scored. Their columns come from ``cache`` in
+    ascending index order, so ``argmax`` still breaks ties toward the lowest
+    index. Similarities and the fairness factor gamma are fixed for the
+    epoch, and ``gw`` holds gamma * weight, refreshed for the winner and the
+    rival after each presentation. Raw weights and weights live in Python
+    lists during the loop; they and the win counts (nothing reads them
+    mid-epoch) are written back to ``state`` at the end.
     """
     act = np.flatnonzero(state.active)
-    d = values.shape[1]
-    # exp(-D) floored, in place: one n x k array for the epoch
-    sims = _dissimilarities(values, state.centroids[act], d * m.entries[act])
-    np.negative(sims, out=sims)
-    np.exp(sims, out=sims)
-    np.maximum(sims, SIMILARITY_FLOOR, out=sims)
+    sims = cache.columns(act, state.centroids, m.entries)
     gamma = compute_gamma(state.win_counts)[act]
     gw = gamma * state.weights[act]
     gamma = gamma.tolist()
@@ -399,16 +515,18 @@ def _deactivate(state, counts, empty_streak, threshold):
     state.active = survivors
 
 
-def _refresh_feature_weights(values, assignments, state, m):
-    """Recompute M rows for nonempty active clusterlets; others keep theirs."""
+def _refresh_feature_weights(data, assignments, state, m):
+    """Recompute M rows for nonempty active clusterlets; others keep theirs.
+
+    ``data`` is the DataMatrix ``run_cpl`` received: wrapping its values anew
+    would repeat the validation scan over n x d every epoch.
+    """
     counts = np.bincount(assignments, minlength=state.k)
     live = np.flatnonzero((counts > 0) & state.active)
     remap = np.full(state.k, -1, dtype=np.int64)
     remap[live] = np.arange(live.size)
     sub_affil = AffiliationMatrix(remap[assignments], k=live.size)
-    sub_m = feature_cluster_matrix_client(
-        DataMatrix(values), sub_affil, state.centroids[live]
-    )
+    sub_m = feature_cluster_matrix_client(data, sub_affil, state.centroids[live])
     entries = m.entries.copy()
     entries[live] = sub_m.entries
     return FeatureClusterMatrix(entries=entries)

@@ -10,7 +10,6 @@ server partition with each client's local affiliation.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -66,16 +65,6 @@ class Hierarchy:
     def level_ks(self) -> list[int]:
         return [k for k, _ in self.levels]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "levels": [
-                    {"k": k, "assignments": q.assignments.tolist()}
-                    for k, q in self.levels
-                ]
-            }
-        )
-
 
 @dataclass
 class EnhancedRepresentation:
@@ -112,20 +101,6 @@ class GlobalClustering:
     iterations_used: int
     converged: bool
     object_assignments: dict[int, np.ndarray] | None = None
-
-    def to_json(self) -> str:
-        obj = {
-            "server_assignments": self.server_assignments.assignments.tolist(),
-            "k": self.server_assignments.k,
-            "U": self.U.entries.tolist(),
-            "centroid_codes": self.centroid_codes.tolist(),
-        }
-        if self.object_assignments is not None:
-            obj["object_assignments"] = {
-                str(cid): labels.tolist()
-                for cid, labels in sorted(self.object_assignments.items())
-            }
-        return json.dumps(obj)
 
 
 def stack_payloads(

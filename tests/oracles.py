@@ -10,6 +10,15 @@ import numpy as np
 from fedhire.cpl import SIMILARITY_FLOOR, _squash_scalar, compute_gamma
 
 
+def dissimilarities(values, centroids, scaled):
+    """n x k squared relative-weighted distances by one n x k x d broadcast.
+
+    numpy sums the last axis in its own pairwise order; the engine's
+    ``_dissimilarities`` must reproduce that order bit for bit.
+    """
+    return ((scaled[None] * (values[:, None] - centroids[None])) ** 2).sum(axis=2)
+
+
 def presentation_epoch(values, state, m, eta):
     """One epoch of presentations over all k columns; returns the winners.
 
@@ -18,9 +27,8 @@ def presentation_epoch(values, state, m, eta):
     ``state`` like the engine does.
     """
     n, d = values.shape
-    scaled = d * m.entries
-    diff = scaled[None, :, :] * (values[:, None, :] - state.centroids[None, :, :])
-    sims = np.maximum(np.exp(-(diff**2).sum(axis=2)), SIMILARITY_FLOOR)
+    dist = dissimilarities(values, state.centroids, d * m.entries)
+    sims = np.maximum(np.exp(-dist), SIMILARITY_FLOOR)
     gamma = compute_gamma(state.win_counts)
 
     assignments = np.full(n, -1, dtype=np.int64)

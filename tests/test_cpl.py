@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from fedhire import cpl
 from fedhire.core import ClusterletState, DataMatrix, FeatureClusterMatrix
 from fedhire.cpl import (
     SIMILARITY_FLOOR,
     CplConfig,
+    _ColumnCache,
+    _dissimilarities,
     _presentation_epoch,
     compute_gamma,
     competition_similarities,
@@ -17,7 +20,7 @@ from fedhire.cpl import (
     select_winner_and_rival,
     squash_weight,
 )
-from oracles import presentation_epoch
+from oracles import dissimilarities, presentation_epoch
 
 
 def make_state(centroids, raw=None, wins=None, active=None):
@@ -246,9 +249,11 @@ class TestPresentationEpochOracle:
         for seed in range(3):
             values, engine, m = _oracle_case(kind, seed)
             oracle = engine.copy()
-            # two epochs, so the second one starts from the updated win counts
+            # two epochs through one cache: the second starts from the updated
+            # win counts and reads every column from the cache
+            cache = _ColumnCache(values, engine.k)
             for _ in range(2):
-                got = _presentation_epoch(values, engine, m, eta=0.05)
+                got = _presentation_epoch(cache, engine, m, eta=0.05)
                 want = presentation_epoch(values, oracle, m, eta=0.05)
                 np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(engine.raw_weights, oracle.raw_weights)
@@ -267,6 +272,73 @@ class TestPresentationEpochOracle:
         scores = (compute_gamma(state.win_counts) * state.weights
                   * competition_similarities(values[0], state.centroids, m.entries))
         assert np.unique(scores[state.active]).size < state.active.sum()
+
+
+class TestDissimilarities:
+    @pytest.mark.parametrize(
+        "d", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 136, 300]
+    )
+    @pytest.mark.parametrize("k", [1, 2, 37])
+    def test_bitwise_equal_to_broadcast_sum(self, d, k, monkeypatch):
+        # fails by name if numpy changes the order in which sum(axis=2) adds;
+        # blocks of 3 objects, so n = 11 ends on a partial block
+        monkeypatch.setattr(cpl, "SIMILARITY_BLOCK_ELEMENTS", 3 * k * d)
+        rng = np.random.default_rng(1000 * d + k)
+        for n in (1, 11):
+            values = rng.normal(size=(n, d))
+            centroids = rng.normal(size=(k, d))
+            scaled = d * rng.dirichlet(np.ones(d), size=k)
+            np.testing.assert_array_equal(
+                _dissimilarities(values, centroids, scaled),
+                dissimilarities(values, centroids, scaled),
+            )
+
+
+class TestColumnCache:
+    def test_recomputes_only_changed_active_columns(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n, k, d = 40, 9, 3
+        values = rng.normal(size=(n, d))
+        centroids = rng.normal(size=(k, d))
+        entries = rng.dirichlet(np.ones(d), size=k)
+        active = np.ones(k, dtype=bool)
+        computed = []
+
+        def counting(values, centroids, scaled):
+            computed.append(centroids.copy())
+            return _dissimilarities(values, centroids, scaled)
+
+        monkeypatch.setattr(cpl, "_dissimilarities", counting)
+        cache = _ColumnCache(values, k)
+
+        def check(expect_recomputed):
+            computed.clear()
+            act = np.flatnonzero(active)
+            got = cache.columns(act, centroids, entries)
+            want = np.maximum(
+                np.exp(-dissimilarities(values, centroids[act], d * entries[act])),
+                SIMILARITY_FLOOR,
+            )
+            np.testing.assert_array_equal(got, want)
+            done = np.vstack(computed) if computed else np.empty((0, d))
+            np.testing.assert_array_equal(done, centroids[expect_recomputed])
+
+        check(np.arange(k))
+        check([])
+        centroids[[2, 6]] += 0.25
+        check([2, 6])
+        entries[4] = rng.dirichlet(np.ones(d))
+        check([4])
+        active[7] = False
+        check([])
+        # a changed inactive column is left alone
+        centroids[7] += 1.0
+        check([])
+        centroids[0] = 0.0
+        check([0])
+        # -0.0 compares equal to +0.0 and gives the same squared terms
+        centroids[0] = -0.0
+        check([])
 
 
 class TestEliminateClusterlets:
