@@ -6,6 +6,7 @@ re-baselines the digests once and says so in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -104,3 +105,30 @@ def test_run_cpl_digest(case):
 @pytest.mark.parametrize("name", sorted(ONE_SHOT_GOLDEN))
 def test_run_one_shot_digest(name):
     assert one_shot_digest(name) == ONE_SHOT_GOLDEN[name]
+
+
+CLI_SPEC = {
+    "data": "blobs.csv", "labels": "cls", "clients": 3, "k_star": 3,
+    "fragments": 2, "repeats": 2, "seed": 4,
+}
+
+CLI_GOLDEN = "8ea28af884229fa357e2fb052ee78a987df741dfb70d8dcaec08b1018043b4c1"
+
+
+def test_cli_run_determinism_hash(tmp_path, monkeypatch):
+    # the hashed spec block holds the data path, so the CSV is named relative
+    # to a working directory of its own
+    from conftest import blob_data
+    from fedhire.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    data = blob_data([[0.05, 0.05], [0.95, 0.05], [0.5, 0.95]], 40, 0.03, seed=77)
+    with open("blobs.csv", "w") as fh:
+        fh.write("f0,f1,cls\n")
+        for (x, y), label in zip(data.values, data.labels):
+            fh.write(f"{x:.6f},{y:.6f},c{label}\n")
+    with open("spec.json", "w") as fh:
+        json.dump(CLI_SPEC, fh)
+    assert main(["run", "--spec", "spec.json"]) == 0
+    with open("results.json") as fh:
+        assert json.load(fh)["determinism_hash"] == CLI_GOLDEN
