@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -36,25 +36,67 @@ class CliError(RuntimeError):
     """User-facing failure; rendered as an error JSON with a nonzero exit."""
 
 
-@dataclass
-class ExperimentSpec:
-    """One experiment: dataset, federation knobs, repeats, output path."""
+def _as_given(value):
+    return value
 
-    data_path: str
-    label_column: str | int | None
-    clients: int
-    k_star: int
-    eta: float = 0.05
-    k0_fraction: float = 0.5
-    fragments_per_cluster: int | str = "auto"
-    repeats: int = 1
-    seed: int = 0
-    out_path: str = "results.json"
-    report_path: str | None = None
+
+def _fragments(value) -> int | str:
+    return value if value == "auto" else int(value)
+
+
+def _setting(key, default=MISSING, parse=str, config=None, run_only=False,
+             recorded=True, help=None):
+    """One row of the CLI's field table: an ExperimentSpec attribute.
+
+    ``key`` names the setting in a spec file and, with dashes, as a flag;
+    ``parse`` turns a flag or spec-file value into the attribute; ``config``
+    is the FederationConfig field it sets. ``run_only`` settings are not flags
+    of ``partition``. Settings that are not ``recorded`` (output paths) stay
+    out of the results' ``spec`` block.
+    """
+    meta = dict(key=key, parse=parse, config=config, run_only=run_only,
+                recorded=recorded, help=help)
+    return field(default=default, metadata=meta)
+
+
+@dataclass(kw_only=True)
+class ExperimentSpec:
+    """One experiment: dataset, federation knobs, repeats, output paths.
+
+    The class body is the field table that flags, spec-file keys and the
+    FederationConfig of each repeat are built from. Attribute names are the
+    names the results' ``spec`` block records; defaults shared with
+    FederationConfig are read from it.
+    """
+
+    data: str = _setting("data", help="CSV dataset path")
+    label_column: str | int | None = _setting(
+        "labels", None, _as_given, help="label column (name or index)"
+    )
+    clients: int = _setting("clients", 8, int, config="client_count")
+    k_star: int = _setting("k_star", parse=int, config="k_star")
+    eta: float = _setting("eta", FederationConfig.eta, float, config="eta")
+    k0_fraction: float = _setting(
+        "k0_fraction", FederationConfig.k0_fraction, float, config="k0_fraction"
+    )
+    fragments_per_cluster: int | str = _setting(
+        "fragments", FederationConfig.fragments_per_cluster, _fragments,
+        config="fragments_per_cluster", help="fragments per cluster (int or 'auto')",
+    )
+    repeats: int = _setting("repeats", 1, int, run_only=True)
+    seed: int = _setting("seed", FederationConfig.seed, int)
+    out: str = _setting("out", "results.json", run_only=True, recorded=False)
+    report: str | None = _setting(
+        "report", None, run_only=True, recorded=False,
+        help="also write the last run's hierarchy/partition report JSON here",
+    )
 
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+
+
+FIELDS = fields(ExperimentSpec)
 
 
 def _parse_cell(text: str, row: int, col: int) -> float:
@@ -134,15 +176,55 @@ def load_csv(path: str, label_column: str | int | None = None) -> DataMatrix:
     return DataMatrix.ingest(np.asarray(features, dtype=np.float64), labels)
 
 
-def _config_for(spec: ExperimentSpec, seed: int) -> FederationConfig:
-    return FederationConfig(
-        client_count=spec.clients,
-        k_star=spec.k_star,
-        eta=spec.eta,
-        k0_fraction=spec.k0_fraction,
-        seed=seed,
-        fragments_per_cluster=spec.fragments_per_cluster,
-    )
+def _federation_config(spec: ExperimentSpec, seed: int) -> FederationConfig:
+    """The FederationConfig of one run of ``spec`` with ``seed``."""
+    values = {
+        f.metadata["config"]: getattr(spec, f.name)
+        for f in FIELDS
+        if f.metadata["config"]
+    }
+    return FederationConfig(seed=seed, **values)
+
+
+def _resolve_spec(
+    flags: argparse.Namespace, spec_path: str | None = None
+) -> ExperimentSpec:
+    """Build the ExperimentSpec of a command line.
+
+    Each setting takes its spec-file value, else a flag given on the command
+    line, else its default. Flags default to ``argparse.SUPPRESS``, so
+    ``flags`` holds only the ones given. A spec-file key outside the field
+    table is an error.
+    """
+    from_file = {}
+    if spec_path:
+        with open(spec_path) as fh:
+            from_file = json.load(fh)
+        if not isinstance(from_file, dict):
+            raise CliError(f"spec file {spec_path} must hold a JSON object")
+        unknown = sorted(set(from_file) - {f.metadata["key"] for f in FIELDS})
+        if unknown:
+            raise CliError(
+                f"spec file {spec_path} has unknown key(s) {', '.join(unknown)}"
+            )
+    given = vars(flags)
+    values = {}
+    for f in FIELDS:
+        key = f.metadata["key"]
+        if key in from_file:
+            raw = from_file[key]
+            values[f.name] = None if raw is None else f.metadata["parse"](raw)
+        elif key in given:
+            values[f.name] = given[key]
+    missing = [
+        f.metadata["key"] for f in FIELDS if f.name not in values and f.default is MISSING
+    ]
+    if missing:
+        raise CliError(
+            f"missing required setting(s) {', '.join(missing)}: "
+            "give them in the spec file or as flags"
+        )
+    return ExperimentSpec(**values)
 
 
 def _strip_timings(obj):
@@ -162,15 +244,15 @@ def determinism_hash(results: dict) -> str:
 def cmd_run(spec: ExperimentSpec) -> dict:
     """Run the experiment ``repeats`` times (seeds seed..seed+r-1) and
     aggregate the four validity indices."""
-    data = load_csv(spec.data_path, spec.label_column)
+    data = load_csv(spec.data, spec.label_column)
     if data.labels is None:
         raise CliError("the run protocol needs a label column for fragmentation")
     runs = []
     for r in range(spec.repeats):
         seed = spec.seed + r
-        result = run_one_shot(data, _config_for(spec, seed))
-        if spec.report_path and r == spec.repeats - 1:
-            with open(spec.report_path, "w") as fh:
+        result = run_one_shot(data, _federation_config(spec, seed))
+        if spec.report and r == spec.repeats - 1:
+            with open(spec.report, "w") as fh:
                 fh.write(result.report_json())
         mask = result.object_labels >= 0
         predicted = result.object_labels[mask]
@@ -198,15 +280,7 @@ def cmd_run(spec: ExperimentSpec) -> dict:
         aggregate[index] = {"mean": float(values.mean()), "std": std}
     results = {
         "spec": {
-            "data": spec.data_path,
-            "label_column": spec.label_column,
-            "clients": spec.clients,
-            "k_star": spec.k_star,
-            "eta": spec.eta,
-            "k0_fraction": spec.k0_fraction,
-            "fragments_per_cluster": spec.fragments_per_cluster,
-            "repeats": spec.repeats,
-            "seed": spec.seed,
+            f.name: getattr(spec, f.name) for f in FIELDS if f.metadata["recorded"]
         },
         "runs": runs,
         "aggregate": aggregate,
@@ -216,11 +290,7 @@ def cmd_run(spec: ExperimentSpec) -> dict:
 
 
 def cmd_bench(
-    sizes: list[int],
-    dims: list[int],
-    clients: int = 8,
-    seed: int = 0,
-    eta: float = 0.05,
+    sizes: list[int], dims: list[int], clients: int, seed: int
 ) -> list[tuple[int, int, float]]:
     """Wall-clock sweep over dataset size (at the first dim) and dimension
     (at the first size) on synthetic Gaussian mixtures.
@@ -236,10 +306,7 @@ def cmd_bench(
     for n, d in cases:
         data = gaussian_mixture(n, d, BENCH_CLUSTERS, seed=seed)
         config = FederationConfig(
-            client_count=clients,
-            k_star=BENCH_CLUSTERS,
-            eta=eta,
-            seed=seed,
+            client_count=clients, k_star=BENCH_CLUSTERS, seed=seed,
             k0_absolute=BENCH_K0_ABSOLUTE,
         )
         start = time.perf_counter()
@@ -248,45 +315,18 @@ def cmd_bench(
     return table
 
 
-def _emit_error(exc: Exception) -> None:
-    print(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-        file=sys.stderr,
-    )
-
-
-def _add_run_flags(parser: argparse.ArgumentParser, data_required: bool = True) -> None:
-    parser.add_argument("--data", required=data_required, help="CSV dataset path")
-    parser.add_argument("--labels", default=None, help="label column (name or index)")
-    parser.add_argument("--clients", type=int, default=8)
-    parser.add_argument("--k-star", type=int, required=data_required)
-    parser.add_argument("--eta", type=float, default=0.05)
-    parser.add_argument("--k0-fraction", type=float, default=0.5)
-    parser.add_argument(
-        "--fragments", default="auto", help="fragments per cluster (int or 'auto')"
-    )
-    parser.add_argument("--seed", type=int, default=0)
-
-
-def _spec_from_file(path: str, out_path: str, report_path: str | None) -> ExperimentSpec:
-    with open(path) as fh:
-        obj = json.load(fh)
-    try:
-        return ExperimentSpec(
-            data_path=obj["data"],
-            label_column=obj.get("labels"),
-            clients=int(obj.get("clients", 8)),
-            k_star=int(obj["k_star"]),
-            eta=float(obj.get("eta", 0.05)),
-            k0_fraction=float(obj.get("k0_fraction", 0.5)),
-            fragments_per_cluster=obj.get("fragments", "auto"),
-            repeats=int(obj.get("repeats", 1)),
-            seed=int(obj.get("seed", 0)),
-            out_path=obj.get("out", out_path),
-            report_path=obj.get("report", report_path),
+def _add_setting_flags(parser: argparse.ArgumentParser, partition: bool) -> None:
+    for f in FIELDS:
+        meta = f.metadata
+        if partition and meta["run_only"]:
+            continue
+        parser.add_argument(
+            "--" + meta["key"].replace("_", "-"),
+            type=meta["parse"],
+            default=argparse.SUPPRESS,
+            required=partition and f.default is MISSING,
+            help=meta["help"],
         )
-    except KeyError as exc:
-        raise CliError(f"spec file {path} is missing required field {exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -296,28 +336,23 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_part = sub.add_parser("partition", help="emit a fragmentation plan as JSON")
-    _add_run_flags(p_part)
+    _add_setting_flags(p_part, partition=True)
     p_part.add_argument("--out", default="plan.json")
 
     p_run = sub.add_parser("run", help="run one-shot experiments with repeats")
     p_run.add_argument(
         "--spec", default=None,
-        help="experiment spec JSON file (field names match the flags); "
-        "overrides the individual flags",
+        help="experiment spec JSON file; its keys are the flag names with "
+        "underscores for dashes, and any other key is an error. Each setting "
+        "takes the spec-file value, else the flag given here, else its default",
     )
-    _add_run_flags(p_run, data_required=False)
-    p_run.add_argument("--repeats", type=int, default=1)
-    p_run.add_argument("--out", default="results.json")
-    p_run.add_argument(
-        "--report", default=None,
-        help="also write the last run's hierarchy/partition report JSON here",
-    )
+    _add_setting_flags(p_run, partition=False)
 
     p_bench = sub.add_parser("bench", help="wall-clock scaling table (CSV)")
     p_bench.add_argument("--sizes", default="", help="comma-separated object counts")
     p_bench.add_argument("--dims", default="", help="comma-separated feature counts")
-    p_bench.add_argument("--clients", type=int, default=8)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--clients", type=int, default=ExperimentSpec.clients)
+    p_bench.add_argument("--seed", type=int, default=ExperimentSpec.seed)
     p_bench.add_argument("--out", default="bench.csv")
 
     p_inspect = sub.add_parser("inspect", help="pretty-print a JSON artifact")
@@ -334,48 +369,20 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "partition":
-            data = load_csv(args.data, args.labels)
-            fragments = args.fragments if args.fragments == "auto" else int(args.fragments)
-            config = FederationConfig(
-                client_count=args.clients,
-                k_star=args.k_star,
-                eta=args.eta,
-                k0_fraction=args.k0_fraction,
-                seed=args.seed,
-                fragments_per_cluster=fragments,
-            )
-            plan = fragment_partition(data, config)
+            spec = _resolve_spec(args)
+            data = load_csv(spec.data, spec.label_column)
+            plan = fragment_partition(data, _federation_config(spec, spec.seed))
             with open(args.out, "w") as fh:
                 fh.write(plan.to_json())
             print(args.out)
         elif args.command == "run":
-            if args.spec:
-                spec = _spec_from_file(args.spec, args.out, args.report)
-            else:
-                if args.data is None or args.k_star is None:
-                    raise CliError("run needs either --spec or --data and --k-star")
-                fragments = args.fragments if args.fragments == "auto" else int(args.fragments)
-                spec = ExperimentSpec(
-                    data_path=args.data,
-                    label_column=args.labels,
-                    clients=args.clients,
-                    k_star=args.k_star,
-                    eta=args.eta,
-                    k0_fraction=args.k0_fraction,
-                    fragments_per_cluster=fragments,
-                    repeats=args.repeats,
-                    seed=args.seed,
-                    out_path=args.out,
-                    report_path=args.report,
-                )
+            spec = _resolve_spec(args, args.spec)
             results = cmd_run(spec)
-            with open(spec.out_path, "w") as fh:
+            with open(spec.out, "w") as fh:
                 json.dump(results, fh, indent=2)
-            agg = results["aggregate"]
-            for index in ("purity", "ari", "nmi", "acc"):
-                stats = agg[index]
+            for index, stats in results["aggregate"].items():
                 print(f"{index}: {stats['mean']:.3f}±{stats['std']:.2f}")
-            print(spec.out_path)
+            print(spec.out)
         elif args.command == "bench":
             sizes = [int(s) for s in args.sizes.split(",") if s]
             dims = [int(d) for d in args.dims.split(",") if d]
@@ -390,7 +397,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.path) as fh:
                 print(json.dumps(json.load(fh), indent=2))
     except Exception as exc:  # noqa: BLE001 - route everything to the error stream
-        _emit_error(exc)
+        error = {"error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(error), file=sys.stderr)
         return 1
     return 0
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataMatrix
-from .cpl import CplConfig, CplResult, run_cpl
+from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, run_cpl
 
 logger = logging.getLogger(__name__)
 
@@ -21,13 +21,11 @@ MIN_CLIENT_OBJECTS = 4
 class ClientPayload:
     """The one thing a client uploads: its surviving clusterlet centroids.
 
-    Raw objects and affiliation rows never leave the client. Clusterlet
-    sizes are an opt-in extra for ablation studies and excluded by default.
+    Raw objects, affiliation rows and clusterlet sizes never leave the client.
     """
 
     client_id: int
     centroids: np.ndarray
-    clusterlet_sizes: np.ndarray | None = None
 
     def __post_init__(self):
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
@@ -41,24 +39,24 @@ class ClientPayload:
         return self.centroids.shape[0]
 
     def to_json(self) -> str:
-        obj = {"client_id": self.client_id, "centroids": self.centroids.tolist()}
-        if self.clusterlet_sizes is not None:
-            obj["clusterlet_sizes"] = [int(s) for s in self.clusterlet_sizes]
-        return json.dumps(obj)
+        return json.dumps(
+            {"client_id": self.client_id, "centroids": self.centroids.tolist()}
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ClientPayload":
         obj = json.loads(text)
-        sizes = obj.get("clusterlet_sizes")
         return cls(
             client_id=int(obj["client_id"]),
             centroids=np.asarray(obj["centroids"], dtype=np.float64),
-            clusterlet_sizes=None if sizes is None else np.asarray(sizes, np.int64),
         )
 
 
 def fcpl_k0(n: int, k0_fraction: float) -> int:
-    """Initial clusterlet count for a client: max(2, ceil(fraction * n))."""
+    """Initial clusterlet count over n objects: min(n, max(2, ceil(fraction * n))).
+
+    Clients and the first server stage both start from this count.
+    """
     return min(n, max(2, math.ceil(k0_fraction * n)))
 
 
@@ -68,9 +66,8 @@ def run_fcpl(
     k0_fraction: float,
     seed: int,
     client_id: int = 0,
-    max_epochs: int | None = None,
+    max_epochs: int = DEFAULT_MAX_EPOCHS,
     k0_override: int | None = None,
-    include_sizes: bool = False,
 ) -> tuple[CplResult, ClientPayload] | None:
     """Run fine-grained competitive learning on one client's private data.
 
@@ -79,7 +76,7 @@ def run_fcpl(
     case it is skipped with a warning rather than failing the federation.
 
     ``k0_override`` forces an absolute initial clusterlet count (used by
-    the scaling benchmark); otherwise k0 = max(2, ceil(k0_fraction * n)).
+    the scaling benchmark); otherwise k0 = ``fcpl_k0(n, k0_fraction)``.
     """
     n = local_data.object_count
     if n < MIN_CLIENT_OBJECTS:
@@ -91,13 +88,9 @@ def run_fcpl(
         )
         return None
     k0 = min(n, k0_override) if k0_override is not None else fcpl_k0(n, k0_fraction)
-    kwargs = {} if max_epochs is None else {"max_epochs": max_epochs}
-    config = CplConfig(eta=eta, k0=k0, rng_seed=seed, **kwargs)
-    result = run_cpl(local_data, config, weighting=True)
-    sizes = result.affiliation.counts() if include_sizes else None
+    config = CplConfig(eta=eta, k0=k0, max_epochs=max_epochs, rng_seed=seed)
+    result = run_cpl(local_data, config)
     payload = ClientPayload(
-        client_id=client_id,
-        centroids=result.clusterlets.centroids.copy(),
-        clusterlet_sizes=sizes,
+        client_id=client_id, centroids=result.clusterlets.centroids.copy()
     )
     return result, payload

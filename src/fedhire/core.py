@@ -47,19 +47,15 @@ class DataMatrix:
     def object_count(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def feature_count(self) -> int:
-        return self.values.shape[1]
-
     @classmethod
-    def ingest(cls, values, labels=None, normalize: bool = True) -> "DataMatrix":
+    def ingest(cls, values, labels=None) -> "DataMatrix":
         """Build a DataMatrix from a raw feature table.
 
-        When ``normalize`` is set, each feature is min-max rescaled to [0, 1]
-        at ingestion time; constant features map to all-zeros.
+        Each feature is min-max rescaled to [0, 1] at ingestion time;
+        constant features map to all-zeros.
         """
         values = np.asarray(values, dtype=np.float64)
-        if normalize and values.size:
+        if values.size:
             lo = values.min(axis=0)
             span = values.max(axis=0) - lo
             span[span == 0.0] = 1.0
@@ -94,12 +90,6 @@ class AffiliationMatrix:
     @property
     def object_count(self) -> int:
         return self.assignments.shape[0]
-
-    def to_onehot(self) -> np.ndarray:
-        """Dense binary n x k form (used for export and for batch statistics)."""
-        onehot = np.zeros((self.assignments.shape[0], self.k), dtype=np.int64)
-        onehot[np.arange(self.assignments.shape[0]), self.assignments] = 1
-        return onehot
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.assignments, minlength=self.k)
@@ -146,24 +136,20 @@ class ClusterletState:
     @classmethod
     def initial(cls, centroids: np.ndarray) -> "ClusterletState":
         """Fresh state: zero wins, zero raw weights (weights effectively 1)."""
-        from .cpl import squash_weight
+        from .cpl import _squash_scalar
 
         k = centroids.shape[0]
-        raw = np.zeros(k)
         return cls(
             centroids=np.array(centroids, dtype=np.float64),
             win_counts=np.zeros(k, dtype=np.int64),
-            raw_weights=raw,
-            weights=squash_weight(raw),
+            raw_weights=np.zeros(k),
+            weights=np.full(k, _squash_scalar(0.0)),
             active=np.ones(k, dtype=bool),
         )
 
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
-
-    def active_count(self) -> int:
-        return int(self.active.sum())
 
     def copy(self) -> "ClusterletState":
         return ClusterletState(
@@ -175,56 +161,6 @@ class ClusterletState:
         )
 
 
-def weighted_distance(x: np.ndarray, c: np.ndarray, m_row: np.ndarray) -> float:
-    """L2 norm of the feature-weighted difference, ``||m ⊙ (x − c)||₂``."""
-    x = np.asarray(x, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    m_row = np.asarray(m_row, dtype=np.float64)
-    if x.shape != c.shape or x.shape != m_row.shape:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, c {c.shape}, m {m_row.shape}"
-        )
-    return float(np.linalg.norm(m_row * (x - c)))
-
-
-def similarity_from_distance(dist: float) -> float:
-    """Map a nonnegative distance to a similarity in (0, 1] via exp(−dist)."""
-    if dist < 0:
-        raise ValueError(f"distance must be nonnegative, got {dist}")
-    return float(np.exp(-dist))
-
-
-def gaussian_hellinger_alpha(
-    mu: float, sigma2: float, mu_bar: float, sigma2_bar: float
-) -> float:
-    """Hellinger distance between N(mu, sigma2) and N(mu_bar, sigma2_bar).
-
-    Used as the inter-cluster difference of a feature: the two Gaussians
-    model the feature's distribution inside and outside a cluster. Variances
-    below VARIANCE_FLOOR are floored. The result is symmetric and in [0, 1].
-    """
-    if sigma2 < 0 or sigma2_bar < 0:
-        raise ValueError("variances must be nonnegative")
-    v = max(sigma2, VARIANCE_FLOOR)
-    vb = max(sigma2_bar, VARIANCE_FLOOR)
-    overlap = np.sqrt(2.0 * np.sqrt(v) * np.sqrt(vb) / (v + vb)) * np.exp(
-        -((mu - mu_bar) ** 2) / (4.0 * (v + vb))
-    )
-    return float(np.sqrt(max(0.0, 1.0 - overlap)))
-
-
-def beta_intra_client(cluster_rows: np.ndarray, centroid: np.ndarray, z: int) -> float:
-    """Intra-cluster compactness of feature ``z``.
-
-    ``(1/|C|) * sqrt(sum_x exp(-0.5 (x_z - c_z)^2))`` over the cluster members.
-    """
-    cluster_rows = np.asarray(cluster_rows, dtype=np.float64)
-    if cluster_rows.shape[0] == 0:
-        raise EmptyClusterError("beta is undefined for an empty cluster")
-    diffs = cluster_rows[:, z] - centroid[z]
-    return float(np.sqrt(np.exp(-0.5 * diffs**2).sum()) / cluster_rows.shape[0])
-
-
 def feature_cluster_matrix_client(
     data: DataMatrix,
     affiliation: AffiliationMatrix,
@@ -232,8 +168,11 @@ def feature_cluster_matrix_client(
 ) -> FeatureClusterMatrix:
     """Per-cluster feature importances m_jz = α_jz β_jz / Σ_t α_jt β_jt.
 
-    α compares the feature's Gaussian fit inside vs. outside each cluster
-    (Hellinger distance); β measures compactness along the feature. Rows are
+    α_jz is the Hellinger distance between Gaussian fits of feature z inside
+    and outside cluster j, ``sqrt(1 − sqrt(2σσ̄/(σ²+σ̄²)) e^{−(μ−μ̄)²/(4(σ²+σ̄²))})``,
+    with unbiased variances (0 for a singleton) floored at VARIANCE_FLOOR;
+    it is symmetric and in [0, 1]. β_jz is the compactness
+    ``(1/|C_j|) sqrt(Σ_{x∈C_j} e^{−(x_z − c_jz)²/2})``. Rows are
     normalized to sum to 1. With a single cluster the complement is empty and
     the matrix falls back to uniform rows, as does any row whose α·β products
     are all zero.
@@ -261,16 +200,15 @@ def feature_cluster_matrix_client(
     mu = sum1 / counts_col
     mu_bar = (total1[None, :] - sum1) / comp_counts
 
-    def _variance(sq_sum, lin_sum, cnt, mean):
+    def _variance(sq_sum, cnt, mean):
         # unbiased per-cluster variance; singleton clusters get variance 0
         dof = np.maximum(cnt - 1.0, 1.0)
         var = (sq_sum - cnt * mean**2) / dof
         var = np.where(cnt <= 1.0, 0.0, var)
         return np.maximum(var, VARIANCE_FLOOR)
 
-    var = _variance(sum2, sum1, counts_col, mu)
-    var_bar = _variance(total2[None, :] - sum2, total1[None, :] - sum1,
-                        comp_counts, mu_bar)
+    var = _variance(sum2, counts_col, mu)
+    var_bar = _variance(total2[None, :] - sum2, comp_counts, mu_bar)
 
     overlap = np.sqrt(2.0 * np.sqrt(var * var_bar) / (var + var_bar)) * np.exp(
         -((mu - mu_bar) ** 2) / (4.0 * (var + var_bar))

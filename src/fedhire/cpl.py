@@ -54,7 +54,8 @@ from .core import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_EPOCHS = 100
-DEFAULT_ELIMINATION_THRESHOLD = 1e-3
+# weight below which an active clusterlet is eliminated
+ELIMINATION_THRESHOLD = 1e-3
 # consecutive memberless epochs after which an active clusterlet is pruned
 DEAD_UNIT_EPOCHS = 2
 # exp(-D) underflows to 0.0 for D > ~745; flooring keeps the penalty ratio
@@ -77,7 +78,6 @@ class CplConfig:
     eta: float
     k0: int
     max_epochs: int = DEFAULT_MAX_EPOCHS
-    elimination_threshold: float = DEFAULT_ELIMINATION_THRESHOLD
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -87,11 +87,6 @@ class CplConfig:
             raise ValueError(f"k0 must be >= 2, got {self.k0}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0.0 < self.elimination_threshold < 0.5:
-            raise ValueError(
-                f"elimination_threshold must be in (0, 0.5), "
-                f"got {self.elimination_threshold}"
-            )
 
 
 @dataclass
@@ -107,22 +102,16 @@ class CplResult:
 
 
 def _squash_scalar(raw: float) -> float:
-    # numerically stable two-branch sigmoid; the engine loop calls this
-    # directly, so the array form below must route through the same code
+    """Sigmoid squash of a raw weight into (0, 1): 1 / (1 + e^{-10(raw + 5)}).
+
+    Numerically stable two-branch form; ``math.exp`` rather than ``np.exp``,
+    whose results differ in the last bit on some inputs.
+    """
     z = 10.0 * (raw + 5.0)
     if z >= 0.0:
         return 1.0 / (1.0 + math.exp(-z))
     e = math.exp(z)
     return e / (1.0 + e)
-
-
-def squash_weight(raw):
-    """Sigmoid squash of a raw weight into (0, 1): 1 / (1 + e^{-10(raw + 5)})."""
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.float64(_squash_scalar(float(arr)))
-    out = np.array([_squash_scalar(float(v)) for v in arr.ravel()])
-    return out.reshape(arr.shape)
 
 
 def compute_gamma(win_counts: np.ndarray) -> np.ndarray:
@@ -257,99 +246,6 @@ class _ColumnCache:
         return self.sims[:, act]
 
 
-def competition_similarities(
-    x: np.ndarray, centroids: np.ndarray, m_entries: np.ndarray
-) -> np.ndarray:
-    """exp(-D) over clusterlets, D the squared relative-weighted distance.
-
-    ``D_j = ||(d * m_j) ⊙ (x - c_j)||²``; with uniform rows m this is the
-    plain squared Euclidean distance.
-    """
-    d = centroids.shape[1]
-    dist = _dissimilarities(x[None, :], centroids, d * m_entries)[0]
-    return np.maximum(np.exp(-dist), SIMILARITY_FLOOR)
-
-
-def select_winner_and_rival(
-    x: np.ndarray, state: ClusterletState, m: FeatureClusterMatrix
-) -> tuple[int, int]:
-    """Pick the winning clusterlet and its nearest rival for one object.
-
-    Both maximize gamma_j * w_j * sim_j over active clusterlets, the rival
-    excluding the winner. Ties break toward the lowest index.
-    """
-    if state.active_count() < 2:
-        raise RuntimeError("winner/rival selection needs >= 2 active clusterlets")
-    sims = competition_similarities(x, state.centroids, m.entries)
-    scores = compute_gamma(state.win_counts) * state.weights * sims
-    scores[~state.active] = -np.inf
-    v = int(np.argmax(scores))
-    scores[v] = -np.inf
-    r = int(np.argmax(scores))
-    return v, r
-
-
-def reward_winner(state: ClusterletState, v: int, eta: float) -> ClusterletState:
-    """Reward clusterlet ``v``: raw weight up by eta, win count up by one.
-
-    Mutates ``state`` in place and returns it.
-    """
-    if not state.active[v]:
-        raise RuntimeError(f"cannot reward inactive clusterlet {v}")
-    state.raw_weights[v] += eta
-    state.weights[v] = squash_weight(state.raw_weights[v])
-    state.win_counts[v] += 1
-    return state
-
-
-def penalize_rival(
-    state: ClusterletState,
-    v: int,
-    r: int,
-    x: np.ndarray,
-    m: FeatureClusterMatrix,
-    eta: float,
-) -> ClusterletState:
-    """Penalize rival ``r`` by eta times the rival/winner similarity ratio.
-
-    A rival about as similar as the winner takes nearly the full eta step;
-    far rivals are barely touched. Mutates ``state`` in place and returns it.
-    """
-    if v == r:
-        raise RuntimeError("winner and rival must differ")
-    if not (state.active[v] and state.active[r]):
-        raise RuntimeError("winner and rival must both be active")
-    sims = competition_similarities(x, state.centroids, m.entries)
-    state.raw_weights[r] -= eta * sims[r] / sims[v]
-    state.weights[r] = squash_weight(state.raw_weights[r])
-    return state
-
-
-def eliminate_clusterlets(
-    state: ClusterletState, threshold: float
-) -> tuple[ClusterletState, bool]:
-    """Deactivate clusterlets whose weight fell below ``threshold``.
-
-    Never drops below two active clusterlets in one call: if fewer than two
-    would survive, the two highest-weight clusterlets are retained. Returns
-    the state and a flag telling whether any weight fell below the threshold
-    (even when the two-clusterlet floor retained it). Mutates in place.
-    """
-    below = state.active & (state.weights < threshold)
-    if not below.any():
-        return state, False
-    survivors = state.active & ~below
-    if survivors.sum() < 2:
-        active_idx = np.flatnonzero(state.active)
-        # highest weight first, ties toward the lower index
-        order = active_idx[np.lexsort((active_idx, -state.weights[active_idx]))]
-        keep = order[: min(2, order.size)]
-        survivors = np.zeros_like(state.active)
-        survivors[keep] = True
-    state.active = survivors
-    return state, True
-
-
 def run_cpl(
     data: DataMatrix, config: CplConfig, weighting: bool = True
 ) -> CplResult:
@@ -420,7 +316,7 @@ def run_cpl(
 
         empty_streak[counts > 0] = 0
         empty_streak[(counts == 0) & state.active] += 1
-        _deactivate(state, counts, empty_streak, config.elimination_threshold)
+        _deactivate(state, counts, empty_streak)
 
         orphaned = ~state.active[assignments]
         if orphaned.any():
@@ -489,10 +385,10 @@ def _presentation_epoch(cache, state, m, eta):
     return winners
 
 
-def _deactivate(state, counts, empty_streak, threshold):
+def _deactivate(state, counts, empty_streak):
     """Weight-based elimination plus dead-unit pruning, with a 2-active floor."""
     doomed = state.active & (
-        (state.weights < threshold) | (empty_streak >= DEAD_UNIT_EPOCHS)
+        (state.weights < ELIMINATION_THRESHOLD) | (empty_streak >= DEAD_UNIT_EPOCHS)
     )
     if not doomed.any():
         return
@@ -515,17 +411,22 @@ def _deactivate(state, counts, empty_streak, threshold):
     state.active = survivors
 
 
+def _live_affiliation(assignments, state):
+    """Nonempty active clusterlets, and the affiliation re-indexed onto them."""
+    counts = np.bincount(assignments, minlength=state.k)
+    live = np.flatnonzero((counts > 0) & state.active)
+    remap = np.full(state.k, -1, dtype=np.int64)
+    remap[live] = np.arange(live.size)
+    return live, AffiliationMatrix(remap[assignments], k=live.size)
+
+
 def _refresh_feature_weights(data, assignments, state, m):
     """Recompute M rows for nonempty active clusterlets; others keep theirs.
 
     ``data`` is the DataMatrix ``run_cpl`` received: wrapping its values anew
     would repeat the validation scan over n x d every epoch.
     """
-    counts = np.bincount(assignments, minlength=state.k)
-    live = np.flatnonzero((counts > 0) & state.active)
-    remap = np.full(state.k, -1, dtype=np.int64)
-    remap[live] = np.arange(live.size)
-    sub_affil = AffiliationMatrix(remap[assignments], k=live.size)
+    live, sub_affil = _live_affiliation(assignments, state)
     sub_m = feature_cluster_matrix_client(data, sub_affil, state.centroids[live])
     entries = m.entries.copy()
     entries[live] = sub_m.entries
@@ -533,11 +434,7 @@ def _refresh_feature_weights(data, assignments, state, m):
 
 
 def _compact_result(assignments, state, m, epochs_used, converged):
-    counts = np.bincount(assignments, minlength=state.k)
-    survivors = np.flatnonzero((counts > 0) & state.active)
-    remap = np.full(state.k, -1, dtype=np.int64)
-    remap[survivors] = np.arange(survivors.size)
-    affiliation = AffiliationMatrix(remap[assignments], k=survivors.size)
+    survivors, affiliation = _live_affiliation(assignments, state)
     clusterlets = ClusterletState(
         centroids=state.centroids[survivors].copy(),
         win_counts=state.win_counts[survivors].copy(),

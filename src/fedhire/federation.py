@@ -19,7 +19,7 @@ import numpy as np
 
 from .client import ClientPayload, run_fcpl
 from .core import AffiliationMatrix, DataMatrix
-from .cpl import CplResult
+from .cpl import DEFAULT_MAX_EPOCHS, CplResult
 from .server import (
     GlobalClustering,
     Hierarchy,
@@ -33,6 +33,8 @@ from .server import (
 logger = logging.getLogger(__name__)
 
 UNASSIGNED = -1
+# most Lloyd iterations of the fragmentation k-means
+KMEANS_MAX_ITERS = 100
 
 
 class ExperimentError(RuntimeError):
@@ -50,7 +52,7 @@ class FederationConfig:
     seed: int = 0
     fragments_per_cluster: int | str = "auto"
     k0_absolute: int | None = None
-    max_epochs: int | None = None
+    max_epochs: int = DEFAULT_MAX_EPOCHS
 
     def __post_init__(self):
         if self.client_count < 1:
@@ -112,9 +114,7 @@ class PartitionPlan:
         )
 
 
-def kmeans(
-    data: DataMatrix, k: int, seed: int, max_iters: int = 100
-) -> tuple[np.ndarray, AffiliationMatrix]:
+def kmeans(data: DataMatrix, k: int, seed: int) -> tuple[np.ndarray, AffiliationMatrix]:
     """Plain Lloyd k-means with distinct-object initialization.
 
     Empty clusters are re-seeded from the object farthest from its centroid.
@@ -126,7 +126,7 @@ def kmeans(
     rng = np.random.default_rng(seed)
     centroids = values[rng.choice(n, size=k, replace=False)].copy()
     assignments = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dists = ((values[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assignments = np.argmin(dists, axis=1)
         counts = np.bincount(new_assignments, minlength=k)
@@ -273,11 +273,12 @@ def run_one_shot(
         )
     timings["partition"] = time.perf_counter() - t0
 
-    def one_client(cid: int):
-        indices = plan.client_indices[cid]
-        if indices.size == 0:
-            return None
-        return run_fcpl(
+    t0 = time.perf_counter()
+    client_results: dict[int, CplResult] = {}
+    payloads: list[ClientPayload] = []
+    skipped: list[int] = []
+    for cid, indices in enumerate(plan.client_indices):
+        outcome = None if indices.size == 0 else run_fcpl(
             data.subset(indices),
             eta=config.eta,
             k0_fraction=config.k0_fraction,
@@ -286,21 +287,12 @@ def run_one_shot(
             max_epochs=config.max_epochs,
             k0_override=config.k0_absolute,
         )
-
-    t0 = time.perf_counter()
-    outcomes = [one_client(cid) for cid in range(config.client_count)]
-    timings["clients"] = time.perf_counter() - t0
-
-    client_results: dict[int, CplResult] = {}
-    payloads: list[ClientPayload] = []
-    skipped: list[int] = []
-    for cid, outcome in enumerate(outcomes):
         if outcome is None:
             skipped.append(cid)
             continue
-        result, payload = outcome
-        client_results[cid] = result
+        client_results[cid], payload = outcome
         payloads.append(payload)
+    timings["clients"] = time.perf_counter() - t0
     if not payloads:
         raise ExperimentError("all clients were skipped; nothing to aggregate")
     if skipped:

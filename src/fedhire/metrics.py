@@ -81,8 +81,5 @@ def acc(predicted, truth) -> float:
     The matching is solved exactly as an assignment problem, never greedily.
     """
     table = _contingency(predicted, truth)
-    size = max(table.shape)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(-padded)
-    return float(padded[rows, cols].sum() / table.sum())
+    rows, cols = linear_sum_assignment(-table)
+    return float(table[rows, cols].sum() / table.sum())

@@ -12,17 +12,20 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .client import ClientPayload
+from .client import ClientPayload, fcpl_k0
 from .core import AffiliationMatrix, DataMatrix, EmptyClusterError, FeatureClusterMatrix
-from .cpl import CplConfig, CplResult, run_cpl
+from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, run_cpl
 
 logger = logging.getLogger(__name__)
 
+# most competitive-learning stages in one hierarchy
 MCPL_STAGE_CAP = 20
+# most alternating iterations of the final clustering
+FINAL_MAX_ITERS = 100
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -138,13 +141,12 @@ def run_mcpl(
     eta: float,
     k0_fraction: float,
     seed: int,
-    max_epochs: int | None = None,
-    stage_cap: int = MCPL_STAGE_CAP,
+    max_epochs: int = DEFAULT_MAX_EPOCHS,
     min_finest: int | None = None,
 ) -> Hierarchy:
     """Build the multi-granular hierarchy by recursive competitive learning.
 
-    Stage 1 over-provisions with k0 = max(2, ceil(k0_fraction * n)); every
+    Stage 1 over-provisions with k0 = ``fcpl_k0(n, k0_fraction)``; every
     later stage inherits only the converged cluster count as its k0 and
     re-initializes everything else (fresh centroid sample, zeroed win counts
     and weights, uniform feature matrix). Levels are appended while the
@@ -160,14 +162,13 @@ def run_mcpl(
     if n < 2:
         raise ValueError(f"need at least 2 stacked centroids, got {n}")
     levels: list[tuple[int, AffiliationMatrix]] = []
-    k0 = min(n, max(2, math.ceil(k0_fraction * n)))
+    k0 = fcpl_k0(n, k0_fraction)
     prev_k = None
-    kwargs = {} if max_epochs is None else {"max_epochs": max_epochs}
-    for stage in range(stage_cap):
+    for stage in range(MCPL_STAGE_CAP):
         config = CplConfig(
-            eta=eta, k0=k0, rng_seed=mcpl_stage_seed(seed, stage), **kwargs
+            eta=eta, k0=k0, max_epochs=max_epochs, rng_seed=mcpl_stage_seed(seed, stage)
         )
-        result = run_cpl(stacked, config, weighting=True)
+        result = run_cpl(stacked, config)
         k = result.converged_k
         if prev_k is None:
             floor = max(2, min_finest or 2)
@@ -177,20 +178,16 @@ def run_mcpl(
                 logger.info(
                     "finest stage gave k=%d < %d; retrying with k0=%d", k, floor, n
                 )
-                config = CplConfig(
-                    eta=eta, k0=n, rng_seed=mcpl_stage_seed(seed, stage), **kwargs
-                )
-                result = run_cpl(stacked, config, weighting=True)
+                config = replace(config, k0=n)
+                result = run_cpl(stacked, config)
                 k = result.converged_k
             if k < 2:
                 raise EmptyClusterError(
                     "stacked centroids show no multi-cluster structure"
                 )
-            levels.append((k, result.affiliation))
-        else:
-            if k >= prev_k or k < 2:
-                break
-            levels.append((k, result.affiliation))
+        elif k >= prev_k or k < 2:
+            break
+        levels.append((k, result.affiliation))
         prev_k = k
         if k == 2:
             break
@@ -206,18 +203,6 @@ def encode_hierarchy(hierarchy: Hierarchy) -> EnhancedRepresentation:
     return EnhancedRepresentation(
         codes=codes, level_ks=np.array(hierarchy.level_ks, dtype=np.int64)
     )
-
-
-def decode_level(rep: EnhancedRepresentation, delta: int) -> AffiliationMatrix:
-    """Inverse of encoding for one level (codes are 1-based)."""
-    return AffiliationMatrix(
-        rep.codes[:, delta] - 1, k=int(rep.level_ks[delta])
-    )
-
-
-def count_matching(value: int, member_codes: np.ndarray) -> int:
-    """Number of members whose code at the level equals ``value``."""
-    return int((np.asarray(member_codes) == value).sum())
 
 
 def alpha_categorical(
@@ -274,15 +259,13 @@ def feature_cluster_matrix_server(
         if members.shape[0] == 0:
             logger.debug("cluster %d is empty; uniform level weights", j)
             continue
-        product = np.empty(depth)
-        for delta in range(depth):
-            if others.shape[0] == 0:
-                product[delta] = 0.0
-                continue
-            alpha = alpha_categorical(
-                members[:, delta], others[:, delta], int(rep.level_ks[delta])
-            )
-            product[delta] = alpha * beta_matching(members[:, delta])
+        if others.shape[0] == 0:
+            continue
+        product = np.array([
+            alpha_categorical(members[:, delta], others[:, delta], int(level_k))
+            * beta_matching(members[:, delta])
+            for delta, level_k in enumerate(rep.level_ks)
+        ])
         total = product.sum()
         if total > 0.0:
             entries[j] = product / total
@@ -313,19 +296,6 @@ def assign_server(
     matches = rep.codes[:, None, :] == centroid_codes[None, :, :]
     sims = np.sqrt(((u.entries[None, :, :] * matches) ** 2).sum(axis=2))
     return AffiliationMatrix(np.argmax(sims, axis=1), k=centroid_codes.shape[0])
-
-
-def server_objective(
-    rep: EnhancedRepresentation,
-    affiliation: AffiliationMatrix,
-    centroid_codes: np.ndarray,
-    u: FeatureClusterMatrix,
-) -> float:
-    """Total assigned match similarity (the quantity the partition maximizes)."""
-    total = 0.0
-    for i, j in enumerate(affiliation.assignments):
-        total += match_similarity(rep.codes[i], centroid_codes[j], u.entries[j])
-    return total
 
 
 def _mode_codes(rep: EnhancedRepresentation, affiliation: AffiliationMatrix,
@@ -385,7 +355,6 @@ def final_clustering(
     rep: EnhancedRepresentation,
     k_star: int,
     seed: int,
-    max_iters: int = 100,
 ) -> GlobalClustering:
     """Alternating weighted clustering of the encoded hierarchy.
 
@@ -408,7 +377,7 @@ def final_clustering(
 
     converged = False
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, FINAL_MAX_ITERS + 1):
         u = feature_cluster_matrix_server(
             rep, AffiliationMatrix(assignments, k=k_star)
         )
@@ -423,7 +392,9 @@ def final_clustering(
         assignments = new_assignments
 
     if not converged:
-        logger.info("final clustering did not converge within %d iterations", max_iters)
+        logger.info(
+            "final clustering did not converge within %d iterations", FINAL_MAX_ITERS
+        )
     return GlobalClustering(
         server_assignments=AffiliationMatrix(assignments, k=k_star),
         U=u,

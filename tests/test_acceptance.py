@@ -14,11 +14,9 @@ from fedhire.core import (
     AffiliationMatrix,
     DataMatrix,
     FeatureClusterMatrix,
-    beta_intra_client,
     feature_cluster_matrix_client,
-    gaussian_hellinger_alpha,
 )
-from fedhire.cpl import compute_gamma, penalize_rival, reward_winner, squash_weight
+from fedhire.cpl import _squash_scalar, compute_gamma
 from fedhire.federation import FederationConfig, client_seed, run_one_shot
 from fedhire.metrics import acc, ari, nmi, purity
 from fedhire.server import (
@@ -26,7 +24,6 @@ from fedhire.server import (
     Hierarchy,
     alpha_categorical,
     beta_matching,
-    count_matching,
     encode_hierarchy,
     feature_cluster_matrix_server,
     match_similarity,
@@ -34,7 +31,13 @@ from fedhire.server import (
 )
 
 from conftest import blob_data
-from test_cpl import make_state
+from oracles import (
+    feature_weight_ratio,
+    make_state,
+    present_one,
+    scalar_feature_weights,
+    scalar_level_weights,
+)
 from test_metrics import acc_bf, ari_bf, nmi_bf, purity_bf, random_pairs
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
@@ -69,9 +72,9 @@ def test_formula_unit_suite():
     # relative winning possibility
     np.testing.assert_allclose(compute_gamma(np.array([3, 1])), [0.25, 0.75])
 
-    # winner reward
-    state = make_state([[0.0], [1.0]], raw=[-5.0, 0.0], wins=[7, 0])
-    reward_winner(state, 0, eta=0.05)
+    # winner reward, one presentation through the engine's epoch loop
+    state = make_state([[0.0], [10.0]], raw=[-5.0, 0.0], wins=[7, 1])
+    assert present_one([0.0], state, FeatureClusterMatrix.uniform(2, 1)) == 0
     assert state.raw_weights[0] == pytest.approx(-4.95)
     assert state.win_counts[0] == 8
     assert abs(state.weights[0] - 0.62246) <= 1e-5
@@ -80,13 +83,13 @@ def test_formula_unit_suite():
     dv = 0.3
     dr = math.sqrt(dv**2 + math.log(2.0))
     state = make_state([[dv], [dr]])
-    penalize_rival(state, 0, 1, np.array([0.0]), FeatureClusterMatrix.uniform(2, 1), 0.05)
+    assert present_one([0.0], state, FeatureClusterMatrix.uniform(2, 1)) == 0
     assert state.raw_weights[1] == pytest.approx(-0.025, abs=1e-12)
 
     # sigmoid squash
-    assert squash_weight(-5.0) == 0.5
-    assert abs(squash_weight(0.0) - 1.0) <= 1e-15
-    assert squash_weight(-7.0) == pytest.approx(2.0611536181902037e-09, rel=1e-9)
+    assert _squash_scalar(-5.0) == 0.5
+    assert abs(_squash_scalar(0.0) - 1.0) <= 1e-15
+    assert _squash_scalar(-7.0) == pytest.approx(2.0611536181902037e-09, rel=1e-9)
 
     # hierarchy encoding
     levels = [
@@ -109,13 +112,8 @@ def test_formula_unit_suite():
     assert beta_matching(np.array([1, 1, 2, 2])) == pytest.approx(0.5)
     assert beta_matching(np.arange(1, 7)) == pytest.approx(1 / 6)
 
-    # matching count
-    assert count_matching(1, np.array([1, 1, 2])) == 2
-
     # level weights: match the independent scalar oracle, rows sum to one,
     # and the level aligned with the partition dominates the crossed one
-    from test_server import scalar_level_weights
-
     codes = np.array([[1, 1], [1, 2], [1, 1], [2, 2], [2, 1], [2, 2]])
     rep = EnhancedRepresentation(codes=codes, level_ks=[2, 2])
     assignments = np.array([0, 0, 0, 1, 1, 1])
@@ -126,14 +124,23 @@ def test_formula_unit_suite():
     np.testing.assert_allclose(u.entries.sum(axis=1), 1.0, atol=1e-9)
     assert (u.entries[:, 0] > u.entries[:, 1]).all()
 
-    # Gaussian inter-cluster difference via the Hellinger distance
-    assert gaussian_hellinger_alpha(0.0, 1.0, 0.0, 1.0) == 0.0
-    assert abs(gaussian_hellinger_alpha(0.0, 1.0, 2.0, 1.0) - 0.6269) <= 1e-3
+    # Gaussian inter-cluster difference via the Hellinger distance, read off
+    # the client feature weights: feature 1 has the same compactness and,
+    # lying far outside the cluster, alpha 1, so m_00 / m_01 is feature 0's
+    # alpha (unit variances, means 0 inside and 2 or 0 outside)
+    h = math.sqrt(0.5)
+    inside = [[-h, -h], [h, h]]
+    shifted = feature_weight_ratio(inside, [[2 - h, 50 - h], [2 + h, 50 + h]], [0, 0])
+    assert abs(shifted - 0.6269) <= 1e-3
+    same = feature_weight_ratio(inside, [[-h, 50 - h], [h, 50 + h]], [0, 0])
+    assert same == 0.0
 
-    # per-feature compactness
-    assert abs(beta_intra_client(np.array([[0.4], [0.4]]), np.array([0.4]), 0) - 0.70711) <= 1e-5
-    two_offset = beta_intra_client(np.array([[0.0], [2.0]]), np.array([0.0]), 0)
-    assert two_offset == pytest.approx(math.sqrt(1 + math.exp(-2)) / 2, abs=1e-12)
+    # per-feature compactness: with alpha 1 on both features (the complement
+    # far away), m_00 / m_01 is beta_0 / beta_1; two members at the centroid
+    # against two members at 0 and 2 from it
+    far = [[50.0, 50.0], [51.0, 51.0]]
+    ratio = feature_weight_ratio([[0.0, 0.0], [0.0, 2.0]], far, [0.0, 0.0])
+    assert ratio == pytest.approx(math.sqrt(2) / math.sqrt(1 + math.exp(-2)), abs=1e-12)
 
     # client feature-cluster weights: rows normalized, symmetric case uniform
     values = np.array([[0.0, 0.0], [0.2, 0.2], [1.0, 1.0], [0.8, 0.8]])
@@ -146,8 +153,6 @@ def test_formula_unit_suite():
     np.testing.assert_allclose(m.entries.sum(axis=1), 1.0, atol=1e-9)
 
     # separating feature outweighs constant noise (vs. the scalar oracle)
-    from test_core import scalar_feature_weights
-
     values = np.array(
         [[0.0, 0.5], [0.1, 0.5], [0.05, 0.5], [1.0, 0.5], [0.9, 0.5], [0.95, 0.5]]
     )
@@ -268,9 +273,9 @@ def test_one_shot_and_privacy_properties(tmp_path):
         for (x, y), label in zip(data.values, data.labels):
             writer.writerow([f"{x:.9f}", f"{y:.9f}", f"c{label}"])
     spec = dict(
-        data_path=str(csv_path), label_column="cls", clients=4, k_star=3,
+        data=str(csv_path), label_column="cls", clients=4, k_star=3,
         fragments_per_cluster=2, repeats=2, seed=5,
-        out_path=str(tmp_path / "r.json"),
+        out=str(tmp_path / "r.json"),
     )
     serial_a = cmd_run(ExperimentSpec(**spec))
     serial_b = cmd_run(ExperimentSpec(**spec))

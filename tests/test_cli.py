@@ -54,7 +54,7 @@ class TestLoadCsv:
         write_csv(path, [[1, 0], [2, 0], [3, 1]])
         data = load_csv(str(path), label_column=1)
         np.testing.assert_array_equal(data.labels, [0, 0, 1])
-        assert data.feature_count == 1
+        assert data.values.shape[1] == 1
 
     def test_no_label_column(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -102,14 +102,14 @@ class TestLoadCsv:
 class TestCmdRun:
     def spec(self, blob_csv, tmp_path, repeats=2, seed=4):
         return ExperimentSpec(
-            data_path=blob_csv,
+            data=blob_csv,
             label_column="cls",
             clients=3,
             k_star=3,
             fragments_per_cluster=2,
             repeats=repeats,
             seed=seed,
-            out_path=str(tmp_path / "results.json"),
+            out=str(tmp_path / "results.json"),
         )
 
     def test_per_run_records_and_aggregate(self, blob_csv, tmp_path):
@@ -134,8 +134,8 @@ class TestCmdRun:
         path = tmp_path / "unlabeled.csv"
         write_csv(path, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]])
         spec = ExperimentSpec(
-            data_path=str(path), label_column=None, clients=2, k_star=2,
-            out_path=str(tmp_path / "r.json"),
+            data=str(path), label_column=None, clients=2, k_star=2,
+            out=str(tmp_path / "r.json"),
         )
         with pytest.raises(CliError):
             cmd_run(spec)
@@ -153,7 +153,7 @@ class TestCmdRun:
 
 class TestCmdBench:
     def test_empty_sizes_empty_table(self):
-        assert cmd_bench([], [2]) == []
+        assert cmd_bench([], [2], clients=2, seed=0) == []
 
     def test_small_sweep_rows(self):
         table = cmd_bench([120], [2, 3], clients=2, seed=0)
@@ -196,6 +196,37 @@ class TestMainEntry:
     def test_run_without_spec_or_data_fails(self, capsys):
         assert main(["run"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_spec_key_rejected(self, blob_csv, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "data": blob_csv, "labels": "cls", "k_star": 3, "k0_fracton": 0.1,
+            "out": str(tmp_path / "res.json"),
+        }))
+        assert main(["run", "--spec", str(spec_path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "CliError"
+        assert "k0_fracton" in payload["message"]
+        assert not (tmp_path / "res.json").exists()
+
+    def test_spec_file_then_flags_then_defaults(self, blob_csv, tmp_path):
+        # spec-file values win over flags; flags given next to --spec fill
+        # in what the file leaves out; the rest take their defaults
+        spec_path = tmp_path / "spec.json"
+        out = tmp_path / "res.json"
+        spec_path.write_text(json.dumps({
+            "data": blob_csv, "labels": "cls", "k_star": 3, "clients": 3,
+        }))
+        assert main([
+            "run", "--spec", str(spec_path), "--clients", "2", "--seed", "9",
+            "--fragments", "2", "--out", str(out),
+        ]) == 0
+        spec = json.loads(out.read_text())["spec"]
+        assert spec == {
+            "data": blob_csv, "label_column": "cls", "clients": 3, "k_star": 3,
+            "eta": 0.05, "k0_fraction": 0.5, "fragments_per_cluster": 2,
+            "repeats": 1, "seed": 9,
+        }
 
     def test_run_with_report(self, blob_csv, tmp_path):
         out = tmp_path / "res.json"

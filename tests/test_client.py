@@ -32,7 +32,6 @@ class TestClientPayload:
         restored = ClientPayload.from_json(payload.to_json())
         assert restored.client_id == 3
         np.testing.assert_array_equal(restored.centroids, payload.centroids)
-        assert restored.clusterlet_sizes is None
 
     def test_json_shape(self):
         payload = ClientPayload(client_id=0, centroids=np.zeros((1, 2)))
@@ -84,15 +83,6 @@ class TestRunFcpl:
                 np.array_equal(row, c) for c in payload.centroids
             )
             assert json.dumps(row.tolist())[1:-1] not in serialized
-
-    def test_sizes_excluded_by_default_included_on_request(self):
-        data, _, _ = separable_blobs(seed=5)
-        _, default_payload = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0)
-        assert default_payload.clusterlet_sizes is None
-        _, sized_payload = run_fcpl(
-            data, eta=0.05, k0_fraction=0.5, seed=0, include_sizes=True
-        )
-        assert sized_payload.clusterlet_sizes.sum() == data.object_count
 
     def test_k0_override(self):
         data, _, _ = separable_blobs(seed=5)

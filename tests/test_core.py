@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from fedhire.core import (
     AffiliationMatrix,
@@ -12,64 +11,32 @@ from fedhire.core import (
     DataMatrix,
     EmptyClusterError,
     FeatureClusterMatrix,
-    beta_intra_client,
     feature_cluster_matrix_client,
-    gaussian_hellinger_alpha,
-    similarity_from_distance,
-    weighted_distance,
 )
+from fedhire.cpl import _ColumnCache, _dissimilarities
+from oracles import feature_weight_ratio, hellinger_quadrature, scalar_feature_weights
+
+# a complement this far away makes α exactly 1 on every feature
+FAR = 50.0
 
 
-def hellinger_quadrature(mu, var, mu_bar, var_bar):
-    """Independent oracle: numerical integration of the Hellinger distance."""
-    var = max(var, 1e-12)
-    var_bar = max(var_bar, 1e-12)
+def engine_alpha(mu, var, mu_bar, var_bar):
+    """α of one feature as ``feature_cluster_matrix_client`` computes it.
 
-    def sqrt_prod(x):
-        p = math.exp(-((x - mu) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
-        q = math.exp(-((x - mu_bar) ** 2) / (2 * var_bar)) / math.sqrt(
-            2 * math.pi * var_bar
-        )
-        return math.sqrt(p * q)
-
-    lo = min(mu, mu_bar) - 12 * math.sqrt(max(var, var_bar))
-    hi = max(mu, mu_bar) + 12 * math.sqrt(max(var, var_bar))
-    bc, _ = quad(sqrt_prod, lo, hi, limit=200)
-    return math.sqrt(max(0.0, 1.0 - bc))
+    Two objects inside the cluster and two outside give feature 0 the stated
+    means and unbiased variances. Feature 1 repeats feature 0 inside, so both
+    have the same compactness β, and lies FAR away outside, so its α is 1:
+    the weight ratio of the two features is then feature 0's α.
+    """
+    a, b = math.sqrt(var / 2), math.sqrt(var_bar / 2)
+    inside = [[mu - a, mu - a], [mu + a, mu + a]]
+    outside = [[mu_bar - b, FAR - b], [mu_bar + b, FAR + b]]
+    return feature_weight_ratio(inside, outside, [mu, mu])
 
 
-def scalar_feature_weights(values, assignments, centroids, k):
-    """Independent scalar implementation of the client feature weights."""
-    n, d = values.shape
-    out = np.zeros((k, d))
-    for j in range(k):
-        members = values[assignments == j]
-        others = values[assignments != j]
-        products = []
-        for z in range(d):
-            mu = members[:, z].mean()
-            mu_bar = others[:, z].mean()
-            var = members[:, z].var(ddof=1) if members.shape[0] > 1 else 0.0
-            var_bar = others[:, z].var(ddof=1) if others.shape[0] > 1 else 0.0
-            var = max(var, 1e-12)
-            var_bar = max(var_bar, 1e-12)
-            bc = math.sqrt(
-                2 * math.sqrt(var) * math.sqrt(var_bar) / (var + var_bar)
-            ) * math.exp(-((mu - mu_bar) ** 2) / (4 * (var + var_bar)))
-            alpha = math.sqrt(max(0.0, 1 - bc))
-            beta = (
-                math.sqrt(
-                    sum(
-                        math.exp(-0.5 * (x - centroids[j][z]) ** 2)
-                        for x in members[:, z]
-                    )
-                )
-                / members.shape[0]
-            )
-            products.append(alpha * beta)
-        total = sum(products)
-        out[j] = [p / total for p in products] if total > 0 else [1.0 / d] * d
-    return out
+def engine_beta_ratio(inside, centroid):
+    """β of feature 0 over β of feature 1 for a cluster with a FAR complement."""
+    return feature_weight_ratio(inside, [[FAR, FAR], [FAR + 1, FAR + 1]], centroid)
 
 
 class TestDataMatrix:
@@ -106,12 +73,6 @@ class TestAffiliationMatrix:
         with pytest.raises(ValueError):
             AffiliationMatrix(np.array([0, 2]), k=2)
 
-    def test_onehot_round_trip(self):
-        affil = AffiliationMatrix(np.array([0, 2, 1, 2]), k=3)
-        onehot = affil.to_onehot()
-        assert (onehot.sum(axis=1) == 1).all()
-        np.testing.assert_array_equal(np.argmax(onehot, axis=1), affil.assignments)
-
     def test_counts(self):
         affil = AffiliationMatrix(np.array([0, 2, 2]), k=4)
         np.testing.assert_array_equal(affil.counts(), [1, 0, 2, 0])
@@ -144,18 +105,23 @@ class TestFeatureClusterMatrix:
 
 
 class TestWeightedDistance:
+    """The engine's distance ``||d m ⊙ (x − c)||²`` in ``_dissimilarities``."""
+
+    @staticmethod
+    def distance(x, c, m_row):
+        x, c, m_row = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (x, c, m_row))
+        return float(_dissimilarities(x, c, x.shape[1] * m_row)[0, 0])
+
     def test_single_active_coordinate(self):
-        assert weighted_distance([1.0, 0.0], [0.0, 0.0], [1.0, 0.0]) == 1.0
+        # only the weighted coordinate counts, scaled by d = 2
+        assert self.distance([1.0, 0.0], [0.0, 5.0], [1.0, 0.0]) == 4.0
 
     def test_identity(self):
-        assert weighted_distance([0.3, 0.7], [0.3, 0.7], [0.5, 0.5]) == 0.0
+        assert self.distance([0.3, 0.7], [0.3, 0.7], [0.5, 0.5]) == 0.0
 
     def test_plain_euclidean(self):
-        assert weighted_distance([3.0, 4.0], [0.0, 0.0], [1.0, 1.0]) == 5.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_distance([1.0, 2.0], [1.0], [1.0, 1.0])
+        # uniform rows give the plain squared Euclidean distance
+        assert self.distance([3.0, 4.0], [0.0, 0.0], [0.5, 0.5]) == 25.0
 
     @given(
         st.lists(st.floats(-5, 5), min_size=3, max_size=3),
@@ -165,56 +131,59 @@ class TestWeightedDistance:
     )
     def test_triangle_inequality(self, x, y, z, m):
         x, y, z, m = map(np.array, (x, y, z, m))
-        lhs = weighted_distance(x, z, m)
-        rhs = weighted_distance(x, y, m) + weighted_distance(y, z, m)
+        lhs = math.sqrt(self.distance(x, z, m))
+        rhs = math.sqrt(self.distance(x, y, m)) + math.sqrt(self.distance(y, z, m))
         assert lhs <= rhs + 1e-9
 
 
 class TestSimilarityFromDistance:
+    """The similarity exp(−D) that ``_ColumnCache`` holds."""
+
+    @staticmethod
+    def similarities(offsets):
+        # one object per offset from a single centroid at 0, so D = offset²
+        values = np.asarray(offsets, dtype=np.float64)[:, None]
+        cache = _ColumnCache(values, 1)
+        return cache.columns(np.arange(1), np.zeros((1, 1)), np.ones((1, 1)))[:, 0]
+
     def test_zero_distance(self):
-        assert similarity_from_distance(0.0) == 1.0
+        assert self.similarities([0.0])[0] == 1.0
 
     def test_unit_distance(self):
-        assert abs(similarity_from_distance(1.0) - 0.36788) < 1e-5
+        assert abs(self.similarities([1.0])[0] - 0.36788) < 1e-5
 
     def test_asymptotic(self):
-        assert similarity_from_distance(50.0) < 1e-20
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            similarity_from_distance(-0.1)
+        assert self.similarities([math.sqrt(50.0)])[0] < 1e-20
 
     def test_strictly_decreasing(self):
-        dists = np.linspace(0, 5, 50)
-        sims = [similarity_from_distance(d) for d in dists]
-        assert all(a > b for a, b in zip(sims, sims[1:]))
+        sims = self.similarities(np.sqrt(np.linspace(0, 5, 50)))
+        assert (np.diff(sims) < 0).all()
 
 
 class TestGaussianHellingerAlpha:
+    """α, the Hellinger distance of the inside and outside Gaussian fits."""
+
     def test_identical_distributions(self):
-        assert gaussian_hellinger_alpha(0.0, 1.0, 0.0, 1.0) == 0.0
+        assert engine_alpha(0.0, 1.0, 0.0, 1.0) == 0.0
 
     def test_shifted_means_matches_quadrature(self):
-        value = gaussian_hellinger_alpha(0.0, 1.0, 2.0, 1.0)
+        value = engine_alpha(0.0, 1.0, 2.0, 1.0)
         # closed form sqrt(1 - exp(-0.5)); quadrature oracle agrees
         assert abs(value - 0.6272713450233213) < 1e-9
         assert abs(value - hellinger_quadrature(0.0, 1.0, 2.0, 1.0)) < 1e-6
         assert abs(value - 0.6269) < 1e-3
 
     def test_far_apart_distributions(self):
-        assert gaussian_hellinger_alpha(0.0, 1.0, 100.0, 1.0) >= 0.999
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_hellinger_alpha(0.0, -1.0, 0.0, 1.0)
+        assert engine_alpha(0.0, 1.0, 100.0, 1.0) >= 0.999
 
     def test_symmetry(self):
+        # swapping inside and outside is the other cluster's row
         rng = np.random.default_rng(7)
         for _ in range(50):
             mu, mub = rng.normal(size=2)
             v, vb = rng.uniform(0.01, 4.0, size=2)
-            assert gaussian_hellinger_alpha(mu, v, mub, vb) == pytest.approx(
-                gaussian_hellinger_alpha(mub, vb, mu, v), abs=1e-12
+            assert engine_alpha(mu, v, mub, vb) == pytest.approx(
+                engine_alpha(mub, vb, mu, v), abs=1e-9
             )
 
     def test_quadrature_oracle_on_random_draws(self):
@@ -222,34 +191,32 @@ class TestGaussianHellingerAlpha:
         for _ in range(100):
             mu, mub = rng.normal(scale=2.0, size=2)
             v, vb = rng.uniform(0.05, 3.0, size=2)
-            assert gaussian_hellinger_alpha(mu, v, mub, vb) == pytest.approx(
+            assert engine_alpha(mu, v, mub, vb) == pytest.approx(
                 hellinger_quadrature(mu, v, mub, vb), abs=1e-6
             )
 
     def test_degenerate_variances_floored(self):
-        value = gaussian_hellinger_alpha(0.0, 0.0, 0.0, 0.0)
-        assert value == 0.0
+        assert engine_alpha(0.0, 0.0, 0.0, 0.0) == 0.0
 
 
 class TestBetaIntraClient:
+    """β, the compactness (1/|C|) sqrt(Σ e^{−(x_z − c_z)²/2}), as a ratio
+    of two features of one cluster."""
+
     def test_singleton_at_centroid(self):
-        rows = np.array([[0.4, 0.6]])
-        assert beta_intra_client(rows, np.array([0.4, 0.6]), 0) == 1.0
+        # e^0 against e^{-2/2}: sqrt(1) / sqrt(e^{-2})
+        ratio = engine_beta_ratio([[0.4, 2.4]], [0.4, 0.4])
+        assert ratio == pytest.approx(math.e, rel=1e-12)
 
     def test_two_members_at_centroid(self):
-        rows = np.array([[0.4], [0.4]])
-        value = beta_intra_client(rows, np.array([0.4]), 0)
-        assert abs(value - math.sqrt(2) / 2) < 1e-12
+        # sqrt(2) / sqrt(2 e^{-1/2}) against two members offset by ±1
+        ratio = engine_beta_ratio([[0.4, -0.6], [0.4, 1.4]], [0.4, 0.4])
+        assert ratio == pytest.approx(math.exp(0.25), rel=1e-12)
 
     def test_two_members_offset(self):
-        rows = np.array([[0.0], [2.0]])
-        value = beta_intra_client(rows, np.array([0.0]), 0)
-        # direct evaluation of sqrt(1 + e^{-2}) / 2
-        assert abs(value - math.sqrt(1 + math.exp(-2)) / 2) < 1e-12
-
-    def test_empty_cluster_rejected(self):
-        with pytest.raises(EmptyClusterError):
-            beta_intra_client(np.empty((0, 2)), np.zeros(2), 0)
+        # direct evaluation of sqrt(1 + e^{-2}) / sqrt(2)
+        ratio = engine_beta_ratio([[0.0, 0.0], [2.0, 0.0]], [0.0, 0.0])
+        assert ratio == pytest.approx(math.sqrt(1 + math.exp(-2)) / math.sqrt(2), rel=1e-12)
 
 
 class TestFeatureClusterMatrixClient:

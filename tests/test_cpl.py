@@ -4,56 +4,54 @@ import numpy as np
 import pytest
 
 from fedhire import cpl
-from fedhire.core import ClusterletState, DataMatrix, FeatureClusterMatrix
+from fedhire.core import DataMatrix, FeatureClusterMatrix
 from fedhire.cpl import (
     SIMILARITY_FLOOR,
     CplConfig,
     _ColumnCache,
+    _deactivate,
     _dissimilarities,
     _presentation_epoch,
+    _squash_scalar,
     compute_gamma,
-    competition_similarities,
-    eliminate_clusterlets,
-    penalize_rival,
-    reward_winner,
     run_cpl,
-    select_winner_and_rival,
-    squash_weight,
 )
-from oracles import dissimilarities, presentation_epoch
+from oracles import dissimilarities, make_state, present_one, presentation_epoch
 
 
-def make_state(centroids, raw=None, wins=None, active=None):
-    centroids = np.asarray(centroids, dtype=np.float64)
-    state = ClusterletState.initial(centroids)
-    if raw is not None:
-        state.raw_weights = np.asarray(raw, dtype=np.float64)
-        state.weights = squash_weight(state.raw_weights)
-    if wins is not None:
-        state.win_counts = np.asarray(wins, dtype=np.int64)
-    if active is not None:
-        state.active = np.asarray(active, dtype=bool)
-    return state
+def scores_of(x, state, m):
+    """gamma * weight * exp(-D) of one object over every clusterlet."""
+    d = state.centroids.shape[1]
+    dist = dissimilarities(np.atleast_2d(x), state.centroids, d * m.entries)[0]
+    sims = np.maximum(np.exp(-dist), SIMILARITY_FLOOR)
+    return compute_gamma(state.win_counts) * state.weights * sims
+
+
+def present(x, state, m, eta=0.05):
+    """Winner of one presentation and the clusterlets whose raw weight fell."""
+    before = state.raw_weights.copy()
+    v = present_one(x, state, m, eta)
+    return v, np.flatnonzero(state.raw_weights < before).tolist()
 
 
 class TestSquashWeight:
     def test_midpoint(self):
-        assert squash_weight(-5.0) == 0.5
+        assert _squash_scalar(-5.0) == 0.5
 
     def test_at_zero(self):
-        assert abs(squash_weight(0.0) - 1.0) < 1e-15
+        assert abs(_squash_scalar(0.0) - 1.0) < 1e-15
 
     def test_deep_negative(self):
         # direct evaluation of 1 / (1 + e^{20})
-        assert squash_weight(-7.0) == pytest.approx(1 / (1 + math.exp(20)), rel=1e-12)
+        assert _squash_scalar(-7.0) == pytest.approx(1 / (1 + math.exp(20)), rel=1e-12)
 
     def test_monotone_in_raw_weight(self):
         # strictly increasing through the responsive range; the tails
         # saturate to exactly 0/1 in float64, so only non-decrease holds there
-        raws = np.linspace(-7.5, -2.5, 60)
-        ws = squash_weight(raws)
+        ws = [_squash_scalar(r) for r in np.linspace(-7.5, -2.5, 60)]
         assert (np.diff(ws) > 0).all()
-        assert (np.diff(squash_weight(np.linspace(-20, 20, 200))) >= 0).all()
+        tails = [_squash_scalar(r) for r in np.linspace(-20, 20, 200)]
+        assert (np.diff(tails) >= 0).all()
 
 
 class TestComputeGamma:
@@ -84,11 +82,12 @@ class TestComputeGamma:
 
 
 class TestSelectWinnerAndRival:
+    """Winner and rival of one presentation through ``_presentation_epoch``."""
+
     def test_object_at_centroid_wins(self):
         state = make_state([[0.5, 0.5], [0.9, 0.9]])
         m = FeatureClusterMatrix.uniform(2, 2)
-        v, r = select_winner_and_rival(np.array([0.5, 0.5]), state, m)
-        assert (v, r) == (0, 1)
+        assert present([0.5, 0.5], state, m) == (0, [1])
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(11)
@@ -101,11 +100,8 @@ class TestSelectWinnerAndRival:
             )
             m = FeatureClusterMatrix(np.full((k, d), 1.0 / d))
             x = rng.normal(size=d)
-            sims = competition_similarities(x, state.centroids, m.entries)
-            scores = compute_gamma(state.win_counts) * state.weights * sims
-            order = np.argsort(-scores, kind="stable")
-            v, r = select_winner_and_rival(x, state, m)
-            assert v == order[0] and r == order[1]
+            order = np.argsort(-scores_of(x, state, m), kind="stable")
+            assert present(x, state, m) == (order[0], [order[1]])
 
     def test_specific_score_triple(self):
         # weights chosen so the scores come out (0.2, 0.5, 0.4): the 0.5
@@ -115,58 +111,56 @@ class TestSelectWinnerAndRival:
         raw = np.log(target / (1 - target)) / 10.0 - 5.0
         state = make_state([[0.3], [0.3], [0.3]], raw=raw)
         m = FeatureClusterMatrix.uniform(3, 1)
-        v, r = select_winner_and_rival(np.array([0.0]), state, m)
-        assert (v, r) == (1, 2)
+        assert present([0.0], state, m) == (1, [2])
 
     def test_exact_tie_breaks_to_lowest_index(self):
         state = make_state([[0.2, 0.2], [0.9, 0.9], [0.2, 0.2]])
         m = FeatureClusterMatrix.uniform(3, 2)
-        v, r = select_winner_and_rival(np.array([0.2, 0.2]), state, m)
-        assert v == 0 and r == 2
+        assert present([0.2, 0.2], state, m) == (0, [2])
 
     def test_requires_two_active(self):
-        state = make_state([[0.0], [1.0]], active=[True, False])
-        with pytest.raises(RuntimeError):
-            select_winner_and_rival(np.array([0.0]), state, FeatureClusterMatrix.uniform(2, 1))
+        # the two-active floor that selection relies on: when every active
+        # clusterlet is doomed, nonempty ones are kept first, then by weight
+        state = make_state([[0.0], [1.0], [2.0]], raw=[-8.0, -7.5, -7.9])
+        _deactivate(state, np.array([3, 0, 2]), np.zeros(3, np.int64))
+        np.testing.assert_array_equal(state.active, [True, False, True])
 
     def test_inactive_never_selected(self):
         state = make_state(
             [[0.5, 0.5], [0.5, 0.5], [0.9, 0.9]], active=[False, True, True]
         )
-        v, r = select_winner_and_rival(
-            np.array([0.5, 0.5]), state, FeatureClusterMatrix.uniform(3, 2)
-        )
-        assert v == 1 and r == 2
+        assert present([0.5, 0.5], state, FeatureClusterMatrix.uniform(3, 2)) == (1, [2])
 
 
 class TestRewardWinner:
     def test_raw_weight_step(self):
         state = make_state([[0.0], [1.0]])
-        reward_winner(state, 0, eta=0.05)
+        present([0.0], state, FeatureClusterMatrix.uniform(2, 1))
         assert state.raw_weights[0] == 0.05
 
     def test_win_count_increment(self):
-        state = make_state([[0.0], [1.0]], wins=[7, 0])
-        reward_winner(state, 0, eta=0.05)
-        assert state.win_counts[0] == 8
+        state = make_state([[0.0], [10.0]], wins=[7, 1])
+        present([0.0], state, FeatureClusterMatrix.uniform(2, 1))
+        np.testing.assert_array_equal(state.win_counts, [8, 1])
 
     def test_weight_recomputed(self):
-        state = make_state([[0.0], [1.0]], raw=[-5.0, 0.0])
-        reward_winner(state, 0, eta=0.05)
+        state = make_state([[0.0], [10.0]], raw=[-5.0, 0.0])
+        present([0.0], state, FeatureClusterMatrix.uniform(2, 1))
         assert state.weights[0] == pytest.approx(1 / (1 + math.exp(-0.5)), abs=1e-5)
         assert state.weights[0] == pytest.approx(0.62246, abs=1e-5)
 
     def test_inactive_rejected(self):
-        state = make_state([[0.0], [1.0]], active=[False, True])
-        with pytest.raises(RuntimeError):
-            reward_winner(state, 0, eta=0.05)
+        # an inactive clusterlet on top of the object is never rewarded
+        state = make_state([[0.0], [1.0], [2.0]], active=[False, True, True])
+        present([0.0], state, FeatureClusterMatrix.uniform(3, 1))
+        assert state.raw_weights[0] == 0.0 and state.win_counts[0] == 0
+        assert state.win_counts[1] == 1
 
 
 class TestPenalizeRival:
     def test_equal_similarity_full_step(self):
         state = make_state([[0.3, 0.3], [0.3, 0.3]])
-        x = np.array([0.1, 0.2])
-        penalize_rival(state, 0, 1, x, FeatureClusterMatrix.uniform(2, 2), eta=0.05)
+        present([0.1, 0.2], state, FeatureClusterMatrix.uniform(2, 2))
         assert state.raw_weights[1] == pytest.approx(-0.05, abs=1e-15)
 
     def test_half_similarity_ratio(self):
@@ -174,22 +168,19 @@ class TestPenalizeRival:
         dv = 0.3
         dr = math.sqrt(dv**2 + math.log(2.0))
         state = make_state([[dv], [dr]])
-        m = FeatureClusterMatrix.uniform(2, 1)
-        penalize_rival(state, 0, 1, np.array([0.0]), m, eta=0.05)
+        present([0.0], state, FeatureClusterMatrix.uniform(2, 1))
         assert state.raw_weights[1] == pytest.approx(-0.025, abs=1e-12)
 
     def test_far_rival_barely_touched(self):
         state = make_state([[0.0, 0.0], [50.0, 50.0]])
-        penalize_rival(
-            state, 0, 1, np.zeros(2), FeatureClusterMatrix.uniform(2, 2), eta=0.05
-        )
+        present(np.zeros(2), state, FeatureClusterMatrix.uniform(2, 2))
         assert -1e-12 < state.raw_weights[1] <= 0.0
 
     def test_same_index_rejected(self):
-        state = make_state([[0.0], [1.0]])
-        with pytest.raises(RuntimeError):
-            penalize_rival(state, 1, 1, np.array([0.0]),
-                           FeatureClusterMatrix.uniform(2, 1), eta=0.05)
+        # on an exact tie the rival is the other clusterlet, never the winner
+        state = make_state([[0.0], [0.0]])
+        assert present([0.0], state, FeatureClusterMatrix.uniform(2, 1)) == (0, [1])
+        np.testing.assert_array_equal(state.raw_weights, [0.05, -0.05])
 
 
 class TestPresentationBookkeeping:
@@ -200,9 +191,7 @@ class TestPresentationBookkeeping:
         x = rng.normal(size=2)
         g_before = state.win_counts.copy()
         raw_before = state.raw_weights.copy()
-        v, r = select_winner_and_rival(x, state, m)
-        reward_winner(state, v, eta=0.05)
-        penalize_rival(state, v, r, x, m, eta=0.05)
+        v, (r,) = present(x, state, m)
         assert (state.win_counts - g_before).sum() == 1
         changed = np.flatnonzero(state.raw_weights != raw_before)
         np.testing.assert_array_equal(np.sort(changed), np.sort([v, r]))
@@ -263,14 +252,13 @@ class TestPresentationEpochOracle:
 
     def test_cases_reach_their_edge(self):
         values, state, m = _oracle_case("floored")
-        sims = np.array([competition_similarities(x, state.centroids, m.entries)
-                         for x in values])
-        assert (sims == SIMILARITY_FLOOR).all()
+        d = values.shape[1]
+        dist = dissimilarities(values, state.centroids, d * m.entries)
+        assert (np.maximum(np.exp(-dist), SIMILARITY_FLOOR) == SIMILARITY_FLOOR).all()
         _, state, _ = _oracle_case("zero_gamma")
         assert (compute_gamma(state.win_counts) == 0.0).sum() == 1
         values, state, m = _oracle_case("duplicated")
-        scores = (compute_gamma(state.win_counts) * state.weights
-                  * competition_similarities(values[0], state.centroids, m.entries))
+        scores = scores_of(values[0], state, m)
         assert np.unique(scores[state.active]).size < state.active.sum()
 
 
@@ -342,29 +330,28 @@ class TestColumnCache:
 
 
 class TestEliminateClusterlets:
+    """Weight elimination in ``_deactivate``, all clusterlets nonempty."""
+
+    @staticmethod
+    def eliminate(state):
+        _deactivate(state, np.ones(state.k, np.int64), np.zeros(state.k, np.int64))
+        return state.active
+
     def test_floor_retains_two(self):
         state = make_state([[0.0], [1.0]], raw=[0.0, -8.0])
-        state, flagged = eliminate_clusterlets(state, threshold=1e-3)
-        assert flagged
-        np.testing.assert_array_equal(state.active, [True, True])
+        np.testing.assert_array_equal(self.eliminate(state), [True, True])
 
     def test_third_eliminated(self):
         state = make_state([[0.0], [1.0], [2.0]], raw=[0.0, -0.5, -8.0])
-        state, flagged = eliminate_clusterlets(state, threshold=1e-3)
-        assert flagged
-        np.testing.assert_array_equal(state.active, [True, True, False])
+        np.testing.assert_array_equal(self.eliminate(state), [True, True, False])
 
     def test_no_change_when_all_above(self):
         state = make_state([[0.0], [1.0]], raw=[0.0, -0.5])
-        state, flagged = eliminate_clusterlets(state, threshold=1e-3)
-        assert not flagged
-        assert state.active.all()
+        assert self.eliminate(state).all()
 
     def test_floor_keeps_two_highest_weights(self):
         state = make_state([[0.0], [1.0], [2.0]], raw=[-8.0, -7.5, -7.9])
-        state, flagged = eliminate_clusterlets(state, threshold=1e-3)
-        assert flagged
-        np.testing.assert_array_equal(state.active, [False, True, True])
+        np.testing.assert_array_equal(self.eliminate(state), [False, True, True])
 
 
 class TestCplConfig:
@@ -374,8 +361,6 @@ class TestCplConfig:
             {"eta": 0.0, "k0": 5},
             {"eta": 0.05, "k0": 1},
             {"eta": 0.05, "k0": 5, "max_epochs": 0},
-            {"eta": 0.05, "k0": 5, "elimination_threshold": 0.6},
-            {"eta": 0.05, "k0": 5, "elimination_threshold": 0.0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -446,7 +431,7 @@ class TestRunCpl:
         result = run_cpl(four_blob_data, CplConfig(eta=0.05, k0=40, rng_seed=2))
         np.testing.assert_array_equal(
             result.clusterlets.weights,
-            squash_weight(result.clusterlets.raw_weights),
+            [_squash_scalar(r) for r in result.clusterlets.raw_weights],
         )
 
     def test_weighting_off_keeps_uniform_feature_rows(self):

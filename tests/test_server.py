@@ -16,17 +16,15 @@ from fedhire.server import (
     alpha_categorical,
     assign_server,
     beta_matching,
-    count_matching,
-    decode_level,
     encode_hierarchy,
     feature_cluster_matrix_server,
     final_clustering,
     match_similarity,
     propagate_labels,
     run_mcpl,
-    server_objective,
     stack_payloads,
 )
+from oracles import scalar_level_weights
 
 
 def nested_centroids(seed, offset=0.10, sigma=0.005, per_group=20):
@@ -40,32 +38,6 @@ def nested_centroids(seed, offset=0.10, sigma=0.005, per_group=20):
         for o in offs:
             points.append(rng.normal(s + o, sigma, size=(per_group, 2)))
     return DataMatrix(np.vstack(points))
-
-
-def scalar_level_weights(codes, assignments, level_ks, k):
-    """Independent scalar implementation of the level-weight formulas."""
-    n, depth = codes.shape
-    out = np.zeros((k, depth))
-    for j in range(k):
-        members = codes[assignments == j]
-        others = codes[assignments != j]
-        products = []
-        for delta in range(depth):
-            inside = members[:, delta]
-            outside = others[:, delta]
-            total = 0.0
-            for v in range(1, int(level_ks[delta]) + 1):
-                fi = (inside == v).sum() / len(inside)
-                fo = (outside == v).sum() / len(outside)
-                total += (fi - fo) ** 2
-            alpha = math.sqrt(total) / math.sqrt(2)
-            beta = sum(
-                (inside == code).sum() / len(inside) for code in inside
-            ) / len(inside)
-            products.append(alpha * beta)
-        s = sum(products)
-        out[j] = [p / s for p in products] if s > 0 else [1.0 / depth] * depth
-    return out
 
 
 class TestStackPayloads:
@@ -158,22 +130,46 @@ class TestEncodeHierarchy:
         q2 = AffiliationMatrix(rng.integers(0, 3, size=12), k=3)
         hierarchy = Hierarchy(levels=[(5, q1), (3, q2)])
         rep = encode_hierarchy(hierarchy)
+        np.testing.assert_array_equal(rep.level_ks, [5, 3])
         for delta, (_, q) in enumerate(hierarchy.levels):
-            decoded = decode_level(rep, delta)
-            np.testing.assert_array_equal(decoded.assignments, q.assignments)
-            # one-hot form reproduces the level exactly
-            np.testing.assert_array_equal(decoded.to_onehot(), q.to_onehot())
+            np.testing.assert_array_equal(rep.codes[:, delta] - 1, q.assignments)
 
 
 class TestCountMatching:
+    """The matching counts behind the level weights."""
+
     def test_brute_force_count(self):
-        assert count_matching(1, np.array([1, 1, 2])) == 2
+        # mean over members of the share of members holding the same code
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            codes = rng.integers(1, 5, size=rng.integers(1, 12))
+            counts = [(codes == c).sum() for c in codes]
+            assert beta_matching(codes) == pytest.approx(
+                np.mean(counts) / codes.size, abs=1e-12
+            )
 
     def test_absent_value(self):
-        assert count_matching(5, np.array([1, 1, 2])) == 0
+        # a code value no object holds changes no level weight
+        codes = np.array([[1, 1], [1, 2], [2, 2], [2, 1], [1, 1]])
+        affil = AffiliationMatrix(np.array([0, 0, 1, 1, 0]), k=2)
+        tight = feature_cluster_matrix_server(
+            EnhancedRepresentation(codes=codes, level_ks=[2, 2]), affil
+        )
+        wide = feature_cluster_matrix_server(
+            EnhancedRepresentation(codes=codes, level_ks=[5, 2]), affil
+        )
+        np.testing.assert_array_equal(tight.entries, wide.entries)
 
     def test_all_match(self):
-        assert count_matching(3, np.full(7, 3)) == 7
+        # level 0: all members match (β = 1, α = 1); level 1: half split
+        # (β = 1/2) with α = 1/√2, so u_0 / u_1 = 2√2
+        codes = np.array([[1, 1], [1, 1], [1, 2], [1, 2],
+                          [2, 3], [2, 3], [2, 4], [2, 4]])
+        rep = EnhancedRepresentation(codes=codes, level_ks=[2, 4])
+        u = feature_cluster_matrix_server(
+            rep, AffiliationMatrix(np.repeat([0, 1], 4), k=2)
+        )
+        assert u.entries[0, 0] / u.entries[0, 1] == pytest.approx(2 * math.sqrt(2))
 
 
 class TestAlphaCategorical:
@@ -376,9 +372,15 @@ class TestFinalClustering:
             u = FeatureClusterMatrix(raw / raw.sum(axis=1, keepdims=True))
             random_affil = AffiliationMatrix(rng.integers(0, 3, size=12), k=3)
             best = assign_server(rep, centroids, u)
-            assert server_objective(rep, best, centroids, u) >= server_objective(
-                rep, random_affil, centroids, u
-            ) - 1e-12
+
+            def objective(affil):
+                # total assigned match similarity
+                return sum(
+                    match_similarity(rep.codes[i], centroids[j], u.entries[j])
+                    for i, j in enumerate(affil.assignments)
+                )
+
+            assert objective(best) >= objective(random_affil) - 1e-12
 
 
 class TestPropagateLabels:
