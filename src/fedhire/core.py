@@ -169,7 +169,8 @@ def feature_cluster_matrix_client(
     """Per-cluster feature importances m_jz = α_jz β_jz / Σ_t α_jt β_jt.
 
     α_jz is the Hellinger distance between Gaussian fits of feature z inside
-    and outside cluster j, ``sqrt(1 − sqrt(2σσ̄/(σ²+σ̄²)) e^{−(μ−μ̄)²/(4(σ²+σ̄²))})``,
+    and outside cluster j,
+    ``sqrt(1 − sqrt(2σσ̄/(σ²+σ̄²)) e^{−(μ−μ̄)²/(4(σ²+σ̄²))})``,
     with unbiased variances (0 for a singleton) floored at VARIANCE_FLOOR;
     it is symmetric and in [0, 1]. β_jz is the compactness
     ``(1/|C_j|) sqrt(Σ_{x∈C_j} e^{−(x_z − c_jz)²/2})``. Rows are

@@ -11,7 +11,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import blob_data
 from fedhire import FederationConfig, gaussian_mixture, run_cpl, run_one_shot
+from fedhire.cli import main
 from fedhire.client import fcpl_k0
 from fedhire.cpl import CplConfig
 
@@ -118,9 +120,6 @@ CLI_GOLDEN = "8ea28af884229fa357e2fb052ee78a987df741dfb70d8dcaec08b1018043b4c1"
 def test_cli_run_determinism_hash(tmp_path, monkeypatch):
     # the hashed spec block holds the data path, so the CSV is named relative
     # to a working directory of its own
-    from conftest import blob_data
-    from fedhire.cli import main
-
     monkeypatch.chdir(tmp_path)
     data = blob_data([[0.05, 0.05], [0.95, 0.05], [0.5, 0.95]], 40, 0.03, seed=77)
     with open("blobs.csv", "w") as fh:
