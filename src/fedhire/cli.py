@@ -40,8 +40,20 @@ def _as_given(value):
     return value
 
 
+def _integer(value) -> int:
+    """An int setting from a flag's text or a spec-file value.
+
+    A spec-file value must be a JSON integer or a string that ``int()``
+    parses, as a flag would be; a float or a boolean is refused, not
+    truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _fragments(value) -> int | str:
-    return value if value == "auto" else int(value)
+    return value if value == "auto" else _integer(value)
 
 
 def _setting(key, default=MISSING, parse=str, config=None, run_only=False,
@@ -73,8 +85,8 @@ class ExperimentSpec:
     label_column: str | int | None = _setting(
         "labels", None, _as_given, help="label column (name or index)"
     )
-    clients: int = _setting("clients", 8, int, config="client_count")
-    k_star: int = _setting("k_star", parse=int, config="k_star")
+    clients: int = _setting("clients", 8, _integer, config="client_count")
+    k_star: int = _setting("k_star", parse=_integer, config="k_star")
     eta: float = _setting("eta", FederationConfig.eta, float, config="eta")
     k0_fraction: float = _setting(
         "k0_fraction", FederationConfig.k0_fraction, float, config="k0_fraction"
@@ -83,8 +95,8 @@ class ExperimentSpec:
         "fragments", FederationConfig.fragments_per_cluster, _fragments,
         config="fragments_per_cluster", help="fragments per cluster (int or 'auto')",
     )
-    repeats: int = _setting("repeats", 1, int, run_only=True)
-    seed: int = _setting("seed", FederationConfig.seed, int)
+    repeats: int = _setting("repeats", 1, _integer, run_only=True)
+    seed: int = _setting("seed", FederationConfig.seed, _integer)
     out: str = _setting("out", "results.json", run_only=True, recorded=False)
     report: str | None = _setting(
         "report", None, run_only=True, recorded=False,
@@ -213,7 +225,10 @@ def _resolve_spec(
         key = f.metadata["key"]
         if key in from_file:
             raw = from_file[key]
-            values[f.name] = None if raw is None else f.metadata["parse"](raw)
+            try:
+                values[f.name] = None if raw is None else f.metadata["parse"](raw)
+            except (TypeError, ValueError) as exc:
+                raise CliError(f"spec file {spec_path}: {key}: {exc}") from None
         elif key in given:
             values[f.name] = given[key]
     missing = [

@@ -27,6 +27,11 @@ Scoring details, fixed across the package:
   centroid row or M row changed since it was computed. Every entry depends
   only on its object and those two rows, so a reused column is bitwise the
   column a recomputation would give.
+- The per-object presentation loop runs in C: ``_kernel.c``, compiled with
+  the system compiler on first use and cached (see ``_kernel.py``). It does
+  the same double operations in the same order as the Python loop kept as
+  the oracle in ``tests/oracles.py``, on the same libm ``exp``, so its
+  results are that loop's bit for bit.
 
 This combination is what makes redundant clusterlets die: the per-epoch
 fairness snapshot lets one clusterlet sweep a whole dense region within an
@@ -38,11 +43,11 @@ two consecutive epochs) are pruned as dead units.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernel
 from .core import (
     AffiliationMatrix,
     ClusterletState,
@@ -104,14 +109,11 @@ class CplResult:
 def _squash_scalar(raw: float) -> float:
     """Sigmoid squash of a raw weight into (0, 1): 1 / (1 + e^{-10(raw + 5)}).
 
-    Numerically stable two-branch form; ``math.exp`` rather than ``np.exp``,
-    whose results differ in the last bit on some inputs.
+    ``fh_squash`` of ``_kernel.c``, the squash the presentation loop runs: a
+    numerically stable two-branch form on libm's ``exp``, the function
+    ``math.exp`` calls (``np.exp`` differs in the last bit on some inputs).
     """
-    z = 10.0 * (raw + 5.0)
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+    return _kernel.library().fh_squash(raw)
 
 
 def compute_gamma(win_counts: np.ndarray) -> np.ndarray:
@@ -221,7 +223,9 @@ class _ColumnCache:
 
         Only the columns of ``act`` whose centroid row or M row changed are
         recomputed. When ``act`` covers every column the cache array itself is
-        returned; the caller must not write to it.
+        returned; the caller must not write to it. Otherwise the columns are
+        gathered into a C-contiguous copy (``sims[:, act]`` would give a
+        Fortran-ordered one), the layout the kernel reads.
         """
         stale = act[
             (
@@ -243,7 +247,7 @@ class _ColumnCache:
         self.rows[stale] = m_entries[stale]
         if act.size == self.sims.shape[1]:
             return self.sims
-        return self.sims[:, act]
+        return np.take(self.sims, act, axis=1)
 
 
 def run_cpl(
@@ -348,36 +352,29 @@ def run_cpl(
 def _presentation_epoch(cache, state, m, eta):
     """Present every object once, in index order; returns each one's winner.
 
-    Only active clusterlets are scored. Their columns come from ``cache`` in
-    ascending index order, so ``argmax`` still breaks ties toward the lowest
-    index. Similarities and the fairness factor gamma are fixed for the
-    epoch, and ``gw`` holds gamma * weight, refreshed for the winner and the
-    rival after each presentation. Raw weights and weights live in Python
-    lists during the loop; they and the win counts (nothing reads them
-    mid-epoch) are written back to ``state`` at the end.
+    The loop runs in ``fh_presentation_epoch`` of ``_kernel.c``. Only active
+    clusterlets are scored; their columns come from ``cache`` in ascending
+    index order, and the kernel's strict ``>`` scan keeps ``argmax``'s rule of
+    breaking ties toward the lowest index. Similarities and the fairness
+    factor gamma are fixed for the epoch; ``gw`` holds gamma * weight, which
+    the kernel refreshes for the winner and the rival after each presentation
+    together with their raw weights and weights. Those and the win counts
+    (nothing reads them mid-epoch) are written back to ``state`` at the end.
+    The similarity block must be C-contiguous float64: the kernel refuses
+    anything else rather than copy it.
     """
     act = np.flatnonzero(state.active)
     sims = cache.columns(act, state.centroids, m.entries)
+    if sims.shape[1] != act.size:
+        raise ValueError(f"similarity block has {sims.shape[1]} columns, not {act.size}")
     gamma = compute_gamma(state.win_counts)[act]
     gw = gamma * state.weights[act]
-    gamma = gamma.tolist()
-    raw = state.raw_weights[act].tolist()
-    weights = state.weights[act].tolist()
-    winners = []
-    scores = np.empty(act.size)
-    argmax = scores.argmax
-    for row in sims:
-        np.multiply(gw, row, out=scores)
-        v = int(argmax())
-        scores[v] = -np.inf
-        r = int(argmax())
-        winners.append(v)
-        raw[v] += eta
-        weights[v] = w = _squash_scalar(raw[v])
-        gw[v] = gamma[v] * w
-        raw[r] -= eta * row.item(r) / row.item(v)
-        weights[r] = w = _squash_scalar(raw[r])
-        gw[r] = gamma[r] * w
+    raw = state.raw_weights[act]
+    weights = state.weights[act]
+    winners = np.empty(sims.shape[0], dtype=np.int64)
+    _kernel.library().fh_presentation_epoch(
+        sims, sims.shape[0], act.size, gamma, gw, raw, weights, eta, winners
+    )
     state.raw_weights[act] = raw
     state.weights[act] = weights
     winners = act[winners]

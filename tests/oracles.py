@@ -22,9 +22,21 @@ from fedhire.cpl import (
     SIMILARITY_FLOOR,
     _ColumnCache,
     _presentation_epoch,
-    _squash_scalar,
     compute_gamma,
 )
+
+
+def squash(raw):
+    """Sigmoid squash 1 / (1 + e^{-10(raw + 5)}) in pure Python.
+
+    The stable two-branch form on ``math.exp``; the engine's ``fh_squash``
+    must equal it bit for bit.
+    """
+    z = 10.0 * (raw + 5.0)
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
 
 
 def dissimilarities(values, centroids, scaled):
@@ -61,12 +73,12 @@ def presentation_epoch(values, state, m, eta):
         v = int(scores.argmax())
         assignments[i] = v
         raw[v] += eta
-        weights[v] = _squash_scalar(raw[v])
+        weights[v] = squash(raw[v])
         win_counts[v] += 1
         scores[v] = -np.inf
         r = int(scores.argmax())
         raw[r] -= eta * sims[i, r] / sims[i, v]
-        weights[r] = _squash_scalar(raw[r])
+        weights[r] = squash(raw[r])
     return assignments
 
 
@@ -76,7 +88,7 @@ def make_state(centroids, raw=None, wins=None, active=None):
     state = ClusterletState.initial(centroids)
     if raw is not None:
         state.raw_weights = np.asarray(raw, dtype=np.float64)
-        state.weights = np.array([_squash_scalar(r) for r in state.raw_weights])
+        state.weights = np.array([squash(r) for r in state.raw_weights])
     if wins is not None:
         state.win_counts = np.asarray(wins, dtype=np.int64)
     if active is not None:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from fedhire.cli import (
     CliError,
     ExperimentSpec,
+    _resolve_spec,
     cmd_bench,
     cmd_run,
     determinism_hash,
@@ -208,6 +210,37 @@ class TestMainEntry:
         assert payload["error"] == "CliError"
         assert "k0_fracton" in payload["message"]
         assert not (tmp_path / "res.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("clients", 2.9), ("repeats", 1.5), ("seed", True), ("k_star", 3.0),
+         ("fragments", 2.5), ("clients", "2.9"), ("repeats", [1])],
+    )
+    def test_non_integer_spec_value_rejected(self, blob_csv, tmp_path, capsys,
+                                             key, value):
+        # an int setting is never truncated: 2.9 clients is an error, not 2
+        spec_path = tmp_path / "spec.json"
+        spec = {"data": blob_csv, "labels": "cls", "k_star": 3,
+                "out": str(tmp_path / "res.json")}
+        spec[key] = value
+        spec_path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(spec_path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "CliError"
+        assert f": {key}: " in payload["message"]
+        assert not (tmp_path / "res.json").exists()
+
+    def test_integer_spec_values_parse_like_flags(self, blob_csv, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "data": blob_csv, "k_star": 3, "clients": "2", "repeats": 2,
+            "seed": -1, "fragments": "auto",
+        }))
+        spec = _resolve_spec(argparse.Namespace(), str(spec_path))
+        assert (spec.clients, spec.repeats, spec.seed) == (2, 2, -1)
+        assert spec.fragments_per_cluster == "auto"
+        with pytest.raises(SystemExit):
+            main(["run", "--data", blob_csv, "--k-star", "3", "--clients", "2.9"])
 
     def test_spec_file_then_flags_then_defaults(self, blob_csv, tmp_path):
         # spec-file values win over flags; flags given next to --spec fill

@@ -1,7 +1,10 @@
+import ctypes
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedhire import cpl
 from fedhire.core import DataMatrix, FeatureClusterMatrix
@@ -16,7 +19,18 @@ from fedhire.cpl import (
     compute_gamma,
     run_cpl,
 )
-from oracles import dissimilarities, make_state, present_one, presentation_epoch
+from oracles import (
+    dissimilarities,
+    make_state,
+    present_one,
+    presentation_epoch,
+    squash,
+)
+
+
+def bits(values):
+    """The float64 bit patterns of ``values``, for bitwise comparison."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 def scores_of(x, state, m):
@@ -52,6 +66,46 @@ class TestSquashWeight:
         assert (np.diff(ws) > 0).all()
         tails = [_squash_scalar(r) for r in np.linspace(-20, 20, 200)]
         assert (np.diff(tails) >= 0).all()
+
+    @staticmethod
+    def assert_matches_oracle(raws):
+        np.testing.assert_array_equal(
+            bits([_squash_scalar(r) for r in raws]), bits([squash(r) for r in raws])
+        )
+
+    def test_bitwise_equal_to_oracle(self):
+        rng = np.random.default_rng(0)
+        raws = np.concatenate(
+            [np.linspace(-60, 60, 100_001), rng.uniform(-60, 60, size=20_000)]
+        )
+        self.assert_matches_oracle(raws)
+
+    @staticmethod
+    def ulps_around(raw, count=8):
+        """``raw`` and the ``count`` floats on either side of it."""
+        below = [raw]
+        above = [raw]
+        for _ in range(count):
+            below.append(np.nextafter(below[-1], -np.inf))
+            above.append(np.nextafter(above[-1], np.inf))
+        return below[::-1] + above[1:]
+
+    def test_bitwise_equal_at_branch_point(self):
+        # z = 10 (raw + 5) changes sign at raw = -5, where the branch switches
+        raws = self.ulps_around(-5.0)
+        assert 10.0 * (raws[0] + 5.0) < 0.0 <= 10.0 * (raws[-1] + 5.0)
+        self.assert_matches_oracle(raws)
+
+    def test_bitwise_equal_where_weight_first_rounds_to_one(self):
+        # bisect the floats for the least raw weight whose squash is 1.0
+        lo, hi = -2.0, 0.0
+        while np.nextafter(lo, hi) != hi:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if squash(mid) == 1.0 else (mid, hi)
+        assert hi == pytest.approx(-1.33, abs=0.01)
+        assert squash(lo) < 1.0 == squash(hi)
+        raws = self.ulps_around(hi)
+        self.assert_matches_oracle(raws)
 
 
 class TestComputeGamma:
@@ -230,25 +284,116 @@ def _oracle_case(kind, seed=0):
     return values, make_state(centroids, raw=raw, wins=wins, active=active), m
 
 
+def _assert_epochs_match_oracle(values, engine, m, eta=0.05):
+    """Two epochs of the kernel and of the oracle from the same state.
+
+    Both epochs run through one cache: the second starts from the updated
+    win counts and reads every column from the cache. Winners, raw weights,
+    weights and win counts must agree bit for bit.
+    """
+    oracle = engine.copy()
+    cache = _ColumnCache(values, engine.k)
+    for _ in range(2):
+        got = _presentation_epoch(cache, engine, m, eta)
+        want = presentation_epoch(values, oracle, m, eta)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(bits(engine.raw_weights), bits(oracle.raw_weights))
+        np.testing.assert_array_equal(bits(engine.weights), bits(oracle.weights))
+        np.testing.assert_array_equal(engine.win_counts, oracle.win_counts)
+        assert engine.active[got].all()
+
+
+def _random_case(k, n, d, active_count, duplicated, zero_gamma, floored, seed):
+    """(values, state, m) of one random shape with the requested edges."""
+    rng = np.random.default_rng(seed)
+    centroids = rng.uniform(0, 1, size=(k, d))
+    entries = rng.uniform(0.1, 1.0, size=(k, d))
+    # around -5, so raw weights start in both branches of the squash
+    raw = rng.uniform(-7.0, -3.0, size=k)
+    wins = rng.integers(0, 20, size=k)
+    values = rng.uniform(0, 1, size=(n, d))
+    active = np.zeros(k, dtype=bool)
+    active[rng.choice(k, size=active_count, replace=False)] = True
+    if duplicated:
+        # pairs (j, j + k // 2) agree in every input of their scores, and
+        # half the objects sit on a centroid: exact score ties
+        half = k // 2
+        for a in (centroids, entries, raw, wins):
+            a[half : 2 * half] = a[:half]
+        values[: (n + 1) // 2] = centroids[rng.integers(0, k, size=(n + 1) // 2)]
+    if zero_gamma:
+        wins[:] = 0
+        wins[rng.choice(np.flatnonzero(active))] = rng.integers(1, 20)
+    if floored:
+        values += 100.0  # exp(-D) underflows for every pair
+    m = FeatureClusterMatrix(entries / entries.sum(axis=1, keepdims=True))
+    return values, make_state(centroids, raw=raw, wins=wins, active=active), m
+
+
 class TestPresentationEpochOracle:
     @pytest.mark.parametrize(
         "kind", ["random", "inactive", "duplicated", "zero_gamma", "floored"]
     )
     def test_matches_full_width_oracle(self, kind):
         for seed in range(3):
-            values, engine, m = _oracle_case(kind, seed)
-            oracle = engine.copy()
-            # two epochs through one cache: the second starts from the updated
-            # win counts and reads every column from the cache
-            cache = _ColumnCache(values, engine.k)
-            for _ in range(2):
-                got = _presentation_epoch(cache, engine, m, eta=0.05)
-                want = presentation_epoch(values, oracle, m, eta=0.05)
-                np.testing.assert_array_equal(got, want)
-                np.testing.assert_array_equal(engine.raw_weights, oracle.raw_weights)
-                np.testing.assert_array_equal(engine.weights, oracle.weights)
-                np.testing.assert_array_equal(engine.win_counts, oracle.win_counts)
-                assert engine.active[got].all()
+            _assert_epochs_match_oracle(*_oracle_case(kind, seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.integers(2, 9).flatmap(
+            lambda k: st.tuples(st.just(k), st.integers(2, k))
+        ),
+        n=st.integers(1, 40),
+        d=st.integers(1, 5),
+        duplicated=st.booleans(),
+        zero_gamma=st.booleans(),
+        floored=st.booleans(),
+        eta=st.sampled_from([0.05, 0.5, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # k = 2; the two-active floor, through the gathered copy; exact ties in
+    # the full cache array; a zero gamma; fully floored similarities
+    @example((2, 2), 25, 2, False, False, False, 0.05, 0)
+    @example((6, 2), 25, 3, False, False, False, 0.05, 1)
+    @example((8, 8), 30, 2, True, False, False, 0.05, 2)
+    @example((8, 5), 30, 2, True, True, False, 0.05, 3)
+    @example((5, 5), 20, 3, False, False, True, 0.05, 4)
+    def test_matches_oracle_on_random_shapes(
+        self, shape, n, d, duplicated, zero_gamma, floored, eta, seed
+    ):
+        k, active_count = shape
+        values, state, m = _random_case(
+            k, n, d, active_count, duplicated, zero_gamma, floored, seed
+        )
+        # with every column active the kernel reads the cache array itself,
+        # otherwise a gathered copy
+        act = np.flatnonzero(state.active)
+        cache = _ColumnCache(values, k)
+        sims = cache.columns(act, state.centroids, m.entries)
+        assert (sims is cache.sims) == (active_count == k)
+        _assert_epochs_match_oracle(values, state, m, eta)
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
+    def test_kernel_refuses_a_block_it_would_have_to_copy(self, layout):
+        values, state, m = _oracle_case("random")
+        sims = _ColumnCache(values, state.k).columns(
+            np.arange(state.k), state.centroids, m.entries
+        )
+        block = {
+            "fortran": np.asfortranarray(sims),
+            "strided": np.hstack([sims, sims])[:, ::2],
+            "float32": sims.astype(np.float32),
+        }[layout]
+
+        class Cache:
+            def columns(self, act, centroids, m_entries):
+                return block
+
+        before = state.copy()
+        with pytest.raises(ctypes.ArgumentError, match="argument 1"):
+            _presentation_epoch(Cache(), state, m, eta=0.05)
+        np.testing.assert_array_equal(state.raw_weights, before.raw_weights)
+        np.testing.assert_array_equal(state.win_counts, before.win_counts)
 
     def test_cases_reach_their_edge(self):
         values, state, m = _oracle_case("floored")
