@@ -1,4 +1,4 @@
-"""Build and load ``_kernel.c``, the compiled presentation loop.
+"""Build and load ``_kernel.c``, the compiled distances and presentation loop.
 
 The shared library is compiled on first use with the system C compiler and
 cached on disk under a name that hashes the C source, the compiler command
@@ -66,6 +66,10 @@ def load(cache: Path) -> ctypes.CDLL:
         floats, floats, floats, floats, ctypes.c_double, ints,
     ]
     lib.fh_presentation_epoch.restype = None
+    lib.fh_dissimilarities.argtypes = [
+        block, ctypes.c_int64, ctypes.c_int64, block, block, ctypes.c_int64, block,
+    ]
+    lib.fh_dissimilarities.restype = ctypes.c_int
     return lib
 
 

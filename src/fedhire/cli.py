@@ -52,6 +52,17 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A float setting from a flag's text or a spec-file value.
+
+    A spec-file value must be a JSON number or a string that ``float()``
+    parses, as a flag would be; a boolean is refused, not read as 0 or 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _fragments(value) -> int | str:
     return value if value == "auto" else _integer(value)
 
@@ -87,9 +98,9 @@ class ExperimentSpec:
     )
     clients: int = _setting("clients", 8, _integer, config="client_count")
     k_star: int = _setting("k_star", parse=_integer, config="k_star")
-    eta: float = _setting("eta", FederationConfig.eta, float, config="eta")
+    eta: float = _setting("eta", FederationConfig.eta, _real, config="eta")
     k0_fraction: float = _setting(
-        "k0_fraction", FederationConfig.k0_fraction, float, config="k0_fraction"
+        "k0_fraction", FederationConfig.k0_fraction, _real, config="k0_fraction"
     )
     fragments_per_cluster: int | str = _setting(
         "fragments", FederationConfig.fragments_per_cluster, _fragments,

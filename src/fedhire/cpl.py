@@ -16,22 +16,25 @@ Scoring details, fixed across the package:
 - Scores are ``gamma_j * w_j * exp(-dissimilarity)``. The fairness factor
   ``gamma`` is refreshed once per epoch; clusterlet weights ``w`` update
   live after every presentation.
-- Only active clusterlets are scored. Their similarity columns are built
-  in bounded blocks of objects, so no n x k x d temporary is ever
-  materialised. Each distance adds its per-feature terms in the order
-  numpy's pairwise summation uses for ``sum(axis=-1)`` (in sequence below 8
-  features, eight strided accumulators up to 128, halving above); that is
-  numpy's own reduction order, which is why it equals the plain
-  broadcast-and-sum expression bit for bit (see ``_dissimilarities``).
+- Only active clusterlets are scored. Their distances are computed in C
+  (``fh_dissimilarities`` of ``_kernel.c``), a block of objects at a time,
+  so no n x k x d temporary is ever materialised. Each distance adds its
+  per-feature terms in the order numpy's pairwise summation uses for
+  ``sum(axis=-1)`` (in sequence below 8 features, eight strided
+  accumulators up to 128, halving above); that is numpy's own reduction
+  order, which is why it equals the plain broadcast-and-sum expression bit
+  for bit (see ``_dissimilarities``). The exp and the floor of the
+  similarities stay in numpy: ``np.exp`` and libm's ``exp`` differ in the
+  last bit on some inputs.
 - A run keeps one ``_ColumnCache``: a column is recomputed only when its
   centroid row or M row changed since it was computed. Every entry depends
   only on its object and those two rows, so a reused column is bitwise the
   column a recomputation would give.
-- The per-object presentation loop runs in C: ``_kernel.c``, compiled with
-  the system compiler on first use and cached (see ``_kernel.py``). It does
-  the same double operations in the same order as the Python loop kept as
-  the oracle in ``tests/oracles.py``, on the same libm ``exp``, so its
-  results are that loop's bit for bit.
+- The per-object presentation loop runs in C too. ``_kernel.c`` is compiled
+  with the system compiler on first use and cached (see ``_kernel.py``). It
+  does the same double operations in the same order as the numpy and Python
+  forms kept as oracles in ``tests/oracles.py``, the loop on the same libm
+  ``exp``, so its results are theirs bit for bit.
 
 This combination is what makes redundant clusterlets die: the per-epoch
 fairness snapshot lets one clusterlet sweep a whole dense region within an
@@ -66,14 +69,9 @@ DEAD_UNIT_EPOCHS = 2
 # exp(-D) underflows to 0.0 for D > ~745; flooring keeps the penalty ratio
 # finite for absurdly distant object/clusterlet pairs
 SIMILARITY_FLOOR = 1e-300
-# element budget of the (features x clusterlets x objects) temporary in
-# ``_dissimilarities``; the object block shrinks as clusterlets x features grows
+# element budget of the objects x columns block that ``_ColumnCache.columns``
+# computes at a time; the column group shrinks as the object count grows
 SIMILARITY_BLOCK_ELEMENTS = 1 << 17
-# numpy's pairwise summation (``pairwise_sum`` in its float add loops): runs
-# shorter than _PAIRWISE_UNROLL add in sequence, runs up to _PAIRWISE_BLOCK use
-# _PAIRWISE_UNROLL strided accumulators, longer runs split in two
-_PAIRWISE_UNROLL = 8
-_PAIRWISE_BLOCK = 128
 
 
 @dataclass
@@ -132,71 +130,33 @@ def compute_gamma(win_counts: np.ndarray) -> np.ndarray:
 
 
 def _dissimilarities(
-    values: np.ndarray, centroids: np.ndarray, scaled: np.ndarray
+    by_feature: np.ndarray, centroids: np.ndarray, scaled: np.ndarray
 ) -> np.ndarray:
     """n x k squared relative-weighted distances ``||scaled_j ⊙ (x_i - c_j)||²``.
 
-    ``scaled`` holds the rows ``d * m_j``. The result is bitwise
+    ``by_feature`` holds the values feature-major (d x n, C-contiguous) and
+    ``scaled`` the rows ``d * m_j``. ``fh_dissimilarities`` of ``_kernel.c``
+    computes every entry; the result is bitwise
     ``((scaled[None] * (values[:, None] - centroids[None]))**2).sum(axis=2)``,
-    the oracle in the tests, without its short inner loops over features.
-    For a block of objects, the term ``(scaled[:, z] * (x[:, z] - c[:, z]))**2``
-    of every feature z is formed with the same operands per element, as a
-    d x k x objects array whose inner loop runs over objects. The d terms are
-    then added slab by slab in numpy's own reduction order (see
-    ``_pairwise_sum``): in sequence below 8 features; from 8 to 128 in eight
-    strided accumulators, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``,
-    then the remainder in sequence; above 128 split at half the count,
-    rounded down to a multiple of 8. The objects are taken in blocks sized
-    so that the d x k x objects array stays near SIMILARITY_BLOCK_ELEMENTS.
+    the oracle in the tests. Each term ``(s_jz * (x_iz - c_jz))**2`` is the
+    same double operations as there, and an entry adds its d terms in numpy's
+    own reduction order for ``sum(axis=-1)``: in sequence below 8 features;
+    from 8 to 128 in eight strided accumulators, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remainder in sequence;
+    above 128 split at half the count, rounded down to a multiple of 8. The
+    kernel keeps no temporary larger than a block of objects, and refuses an
+    array that is not C-contiguous float64 rather than copy it.
     """
-    k, d = centroids.shape
-    n = values.shape[0]
+    d, n = by_feature.shape
+    k = centroids.shape[0]
+    if centroids.shape != (k, d) or scaled.shape != (k, d):
+        raise ValueError(
+            f"rows {centroids.shape} and {scaled.shape} do not match {d} features"
+        )
     out = np.empty((n, k))
-    by_feature = values.T[:, None, :].copy()
-    centroid_cols = centroids.T[:, :, None].copy()
-    scaled_cols = scaled.T[:, :, None].copy()
-    step = max(1, SIMILARITY_BLOCK_ELEMENTS // max(1, k * d))
-    for lo in range(0, n, step):
-        terms = by_feature[:, :, lo : lo + step] - centroid_cols
-        terms *= scaled_cols
-        np.square(terms, out=terms)
-        out[lo : lo + step] = _pairwise_sum(terms).T
+    if _kernel.library().fh_dissimilarities(by_feature, d, n, centroids, scaled, k, out):
+        raise MemoryError("fh_dissimilarities could not allocate its last block")
     return out
-
-
-def _pairwise_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of ``terms`` over axis 0, in numpy's ``pairwise_sum`` order.
-
-    This is the order numpy uses along a contiguous reduction axis, so the
-    sum is bitwise the one ``sum(axis=-1)`` gives with the same terms laid
-    along the last axis; numpy's starting value, the identity 0, changes no
-    bit of a sum of nonnegative terms. Overwrites ``terms`` and returns a
-    view into it.
-    """
-    count = terms.shape[0]
-    if count < _PAIRWISE_UNROLL:
-        acc = terms[0]
-        for z in range(1, count):
-            acc += terms[z]
-        return acc
-    if count <= _PAIRWISE_BLOCK:
-        end = count - count % _PAIRWISE_UNROLL
-        r = terms[:_PAIRWISE_UNROLL]
-        for i in range(_PAIRWISE_UNROLL, end, _PAIRWISE_UNROLL):
-            r += terms[i : i + _PAIRWISE_UNROLL]
-        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        r[0::2] += r[1::2]
-        r[0::4] += r[2::4]
-        acc = r[0]
-        acc += r[4]
-        for z in range(end, count):
-            acc += terms[z]
-        return acc
-    half = count // 2
-    half -= half % _PAIRWISE_UNROLL
-    acc = _pairwise_sum(terms[:half])
-    acc += _pairwise_sum(terms[half:])
-    return acc
 
 
 class _ColumnCache:
@@ -209,11 +169,14 @@ class _ColumnCache:
     column a recomputation would give (±0.0 compare equal and square to the
     same terms). The stored rows start as NaN, which compares unequal to
     everything, so the first call computes every column it is asked for.
+
+    ``by_feature`` is the feature-major copy of the values (d x n,
+    C-contiguous) that ``_dissimilarities`` reads, made once for the run.
     """
 
     def __init__(self, values: np.ndarray, k0: int):
         n, d = values.shape
-        self.values = values
+        self.by_feature = np.ascontiguousarray(values.T)
         self.sims = np.empty((n, k0))
         self.centroids = np.full((k0, d), np.nan)
         self.rows = np.full((k0, d), np.nan)
@@ -233,12 +196,12 @@ class _ColumnCache:
                 | (self.rows[act] != m_entries[act])
             ).any(axis=1)
         ]
-        n, d = self.values.shape
+        d, n = self.by_feature.shape
         # a bounded group of columns at a time, so no second n x k0 array
         step = max(1, SIMILARITY_BLOCK_ELEMENTS // n)
         for lo in range(0, stale.size, step):
             cols = stale[lo : lo + step]
-            fresh = _dissimilarities(self.values, centroids[cols], d * m_entries[cols])
+            fresh = _dissimilarities(self.by_feature, centroids[cols], d * m_entries[cols])
             np.negative(fresh, out=fresh)
             np.exp(fresh, out=fresh)
             np.maximum(fresh, SIMILARITY_FLOOR, out=fresh)
@@ -269,8 +232,8 @@ def run_cpl(
     with distances whose per-feature terms are added in numpy's own
     ``sum(axis=-1)`` reduction order (see ``_dissimilarities``), so they
     match the plain broadcast-and-sum bit for bit. Memory stays at the
-    n x k0 cache, a gathered n x k copy once columns are inactive, and
-    bounded blocks.
+    n x k0 cache, its feature-major copy of the values, a gathered n x k
+    copy once columns are inactive, and bounded column groups.
 
     At epoch end the centroids of nonempty active clusterlets are
     recomputed as member means, weight-collapsed clusterlets and dead units
@@ -326,7 +289,9 @@ def run_cpl(
         if orphaned.any():
             active_idx = np.flatnonzero(state.active)
             dist = _dissimilarities(
-                values[orphaned], state.centroids[active_idx], d * m.entries[active_idx]
+                np.ascontiguousarray(values[orphaned].T),
+                state.centroids[active_idx],
+                d * m.entries[active_idx],
             )
             assignments[orphaned] = active_idx[np.argmin(dist, axis=1)]
 

@@ -59,6 +59,10 @@ class FederationConfig:
             raise ValueError(f"client_count must be >= 1, got {self.client_count}")
         if self.k_star < 2:
             raise ValueError(f"k_star must be >= 2, got {self.k_star}")
+        if not self.eta > 0:
+            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.k0_fraction <= 1:
+            raise ValueError(f"k0_fraction must be in (0, 1], got {self.k0_fraction}")
         if isinstance(self.fragments_per_cluster, str):
             if self.fragments_per_cluster != "auto":
                 raise ValueError("fragments_per_cluster must be an int or 'auto'")

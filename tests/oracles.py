@@ -43,7 +43,8 @@ def dissimilarities(values, centroids, scaled):
     """n x k squared relative-weighted distances by one n x k x d broadcast.
 
     numpy sums the last axis in its own pairwise order; the engine's
-    ``_dissimilarities`` must reproduce that order bit for bit.
+    ``_dissimilarities``, which runs ``fh_dissimilarities`` of ``_kernel.c``
+    on the feature-major values, must reproduce that order bit for bit.
     """
     return ((scaled[None] * (values[:, None] - centroids[None])) ** 2).sum(axis=2)
 

@@ -230,6 +230,49 @@ class TestMainEntry:
         assert f": {key}: " in payload["message"]
         assert not (tmp_path / "res.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("eta", True), ("k0_fraction", False), ("eta", [0.05]), ("k0_fraction", {}),
+         ("eta", "fast"), ("k0_fraction", "0.5.1")],
+    )
+    def test_non_number_float_spec_value_rejected(self, blob_csv, tmp_path, capsys,
+                                                  key, value):
+        # a JSON boolean is not read as 1.0 or 0.0
+        spec_path = tmp_path / "spec.json"
+        spec = {"data": blob_csv, "labels": "cls", "k_star": 3,
+                "out": str(tmp_path / "res.json")}
+        spec[key] = value
+        spec_path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(spec_path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "CliError"
+        assert f": {key}: " in payload["message"]
+        assert not (tmp_path / "res.json").exists()
+
+    def test_float_spec_values_parse_like_flags(self, blob_csv, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "data": blob_csv, "k_star": 3, "eta": 1, "k0_fraction": "0.25",
+        }))
+        spec = _resolve_spec(argparse.Namespace(), str(spec_path))
+        assert (spec.eta, spec.k0_fraction) == (1.0, 0.25)
+        assert type(spec.eta) is float
+        with pytest.raises(SystemExit):
+            main(["run", "--data", blob_csv, "--k-star", "3", "--eta", "fast"])
+
+    @pytest.mark.parametrize("key, value", [("k0_fraction", 0.0), ("eta", -1.0)])
+    def test_out_of_range_float_setting_fails_the_run(self, blob_csv, tmp_path,
+                                                      capsys, key, value):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "data": blob_csv, "labels": "cls", "k_star": 3, key: value,
+            "out": str(tmp_path / "res.json"),
+        }))
+        assert main(["run", "--spec", str(spec_path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert key in payload["message"]
+        assert not (tmp_path / "res.json").exists()
+
     def test_integer_spec_values_parse_like_flags(self, blob_csv, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({

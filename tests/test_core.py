@@ -110,7 +110,7 @@ class TestWeightedDistance:
     @staticmethod
     def distance(x, c, m_row):
         x, c, m_row = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (x, c, m_row))
-        return float(_dissimilarities(x, c, x.shape[1] * m_row)[0, 0])
+        return float(_dissimilarities(x.T.copy(), c, x.shape[1] * m_row)[0, 0])
 
     def test_single_active_coordinate(self):
         # only the weighted coordinate counts, scaled by d = 2

@@ -1,12 +1,14 @@
 import ctypes
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedhire import cpl
+from fedhire import _kernel, cpl
 from fedhire.core import DataMatrix, FeatureClusterMatrix
 from fedhire.cpl import (
     SIMILARITY_FLOOR,
@@ -407,24 +409,101 @@ class TestPresentationEpochOracle:
         assert np.unique(scores[state.active]).size < state.active.sum()
 
 
+# objects per block of the distance kernel, read from its source
+KERNEL_LANE = int(
+    re.search(r"^#define LANE (\d+)$", _kernel.SOURCE.read_text(), re.M).group(1)
+)
+# feature counts at and around each branch point of numpy's pairwise sum:
+# in sequence below 8, eight accumulators up to 128, halving above
+BRANCH_DIMS = [*range(1, 10), 15, 16, 17, 127, 128, 129, 136, 300]
+
+
+def feature_major(values):
+    return np.ascontiguousarray(values.T)
+
+
+def edge_array(rng, shape, zeros, negatives, huge):
+    """Random entries with signed zeros, negatives and magnitudes near 1e150."""
+    a = rng.uniform(0.1, 2.0, size=shape)
+    if negatives:
+        a[rng.random(shape) < 0.5] *= -1.0
+    if huge:
+        a[rng.random(shape) < 0.3] *= 1e150
+    if zeros:
+        at = rng.random(shape) < 0.2
+        a[at] = np.copysign(0.0, rng.random(at.sum()) - 0.5)
+    return a
+
+
 class TestDissimilarities:
     @pytest.mark.parametrize(
         "d", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129, 136, 300]
     )
     @pytest.mark.parametrize("k", [1, 2, 37])
-    def test_bitwise_equal_to_broadcast_sum(self, d, k, monkeypatch):
+    def test_bitwise_equal_to_broadcast_sum(self, d, k):
         # fails by name if numpy changes the order in which sum(axis=2) adds;
-        # blocks of 3 objects, so n = 11 ends on a partial block
-        monkeypatch.setattr(cpl, "SIMILARITY_BLOCK_ELEMENTS", 3 * k * d)
+        # n = 1 is a single partial block, and n = KERNEL_LANE + 11 ends on
+        # one after a full block
         rng = np.random.default_rng(1000 * d + k)
-        for n in (1, 11):
+        for n in (1, KERNEL_LANE + 11):
             values = rng.normal(size=(n, d))
             centroids = rng.normal(size=(k, d))
             scaled = d * rng.dirichlet(np.ones(d), size=k)
             np.testing.assert_array_equal(
-                _dissimilarities(values, centroids, scaled),
-                dissimilarities(values, centroids, scaled),
+                bits(_dissimilarities(feature_major(values), centroids, scaled)),
+                bits(dissimilarities(values, centroids, scaled)),
             )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.sampled_from(BRANCH_DIMS),
+        k=st.sampled_from([1, 2, 37]),
+        n=st.sampled_from(
+            [KERNEL_LANE - 1, KERNEL_LANE, KERNEL_LANE + 1, 2 * KERNEL_LANE + 3]
+        ),
+        zeros=st.booleans(),
+        negatives=st.booleans(),
+        huge=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_oracle_on_edge_values(
+        self, d, k, n, zeros, negatives, huge, seed
+    ):
+        rng = np.random.default_rng(seed)
+        values = edge_array(rng, (n, d), zeros, negatives, huge)
+        centroids = edge_array(rng, (k, d), zeros, negatives, huge)
+        # a centroid on an object: a row of zero terms
+        centroids[0] = values[rng.integers(n)]
+        scaled = edge_array(rng, (k, d), zeros, negatives, False)
+        np.testing.assert_array_equal(
+            bits(_dissimilarities(feature_major(values), centroids, scaled)),
+            bits(dissimilarities(values, centroids, scaled)),
+        )
+
+    def test_allocates_only_its_output(self):
+        # no d x k x objects temporary: at most the n x k output plus O(n d)
+        n, k, d = 2000, 1000, 16
+        rng = np.random.default_rng(0)
+        by_feature = feature_major(rng.normal(size=(n, d)))
+        centroids = rng.normal(size=(k, d))
+        scaled = d * rng.dirichlet(np.ones(d), size=k)
+        _dissimilarities(by_feature[:, :1].copy(), centroids, scaled)  # loads the kernel
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = _dissimilarities(by_feature, centroids, scaled)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes <= peak <= out.nbytes + 2 * by_feature.nbytes
+
+    def test_rows_must_match_the_feature_count(self):
+        by_feature = np.zeros((3, 5))
+        with pytest.raises(ValueError, match="3 features"):
+            _dissimilarities(by_feature, np.zeros((2, 4)), np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="3 features"):
+            _dissimilarities(by_feature, np.zeros((2, 3)), np.zeros((1, 3)))
 
 
 class TestColumnCache:

@@ -242,3 +242,17 @@ class TestConfigValidation:
     def test_bad_fragments(self):
         with pytest.raises(ValueError):
             FederationConfig(client_count=2, k_star=2, fragments_per_cluster="many")
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5, float("nan"), float("inf")])
+    def test_k0_fraction_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ValueError, match="k0_fraction"):
+            FederationConfig(client_count=2, k_star=2, k0_fraction=value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.05, float("nan")])
+    def test_non_positive_eta_rejected(self, value):
+        with pytest.raises(ValueError, match="eta"):
+            FederationConfig(client_count=2, k_star=2, eta=value)
+
+    def test_edges_of_the_accepted_ranges(self):
+        config = FederationConfig(client_count=2, k_star=2, eta=1e-9, k0_fraction=1.0)
+        assert (config.eta, config.k0_fraction) == (1e-9, 1.0)

@@ -1,9 +1,12 @@
-"""Building, caching and loading the compiled presentation loop."""
+"""Building, caching and loading the compiled kernel, and its array guards."""
+
+import ctypes
 
 import numpy as np
 import pytest
 
 from fedhire import _kernel
+from fedhire.cpl import _dissimilarities
 
 
 def _epoch(lib, seed=0):
@@ -20,6 +23,18 @@ def _epoch(lib, seed=0):
     return winners, gw, raw, weights
 
 
+def _distances(lib, d, seed=0):
+    """One kernel distance call on random rows; n ends on a partial block."""
+    rng = np.random.default_rng(seed)
+    n, k = 131, 9
+    by_feature = rng.normal(size=(d, n))
+    centroids = rng.normal(size=(k, d))
+    scaled = d * rng.dirichlet(np.ones(d), size=k)
+    out = np.empty((n, k))
+    assert lib.fh_dissimilarities(by_feature, d, n, centroids, scaled, k, out) == 0
+    return out
+
+
 def test_fresh_build_loads_and_matches_the_cached_library(tmp_path):
     fresh = _kernel.load(tmp_path)
     cached = _kernel.library()
@@ -33,6 +48,10 @@ def test_fresh_build_loads_and_matches_the_cached_library(tmp_path):
     )
     for got, want in zip(_epoch(fresh), _epoch(cached)):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for d in (4, 16, 300):
+        np.testing.assert_array_equal(
+            _distances(fresh, d).view(np.uint64), _distances(cached, d).view(np.uint64)
+        )
 
 
 def test_a_cached_library_is_loaded_without_compiling(tmp_path, monkeypatch):
@@ -63,3 +82,19 @@ def test_missing_compiler_raises_an_error_naming_the_command(tmp_path, monkeypat
     ):
         _kernel.load(tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argument, position", [(0, 1), (1, 4), (2, 5)])
+@pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
+def test_distances_refuse_an_array_they_would_have_to_copy(argument, position, layout):
+    rng = np.random.default_rng(3)
+    d, n, k = 5, 40, 7
+    arrays = [rng.normal(size=(d, n)), rng.normal(size=(k, d)), rng.normal(size=(k, d))]
+    a = arrays[argument]
+    arrays[argument] = {
+        "fortran": np.asfortranarray(a),
+        "strided": np.hstack([a, a])[:, ::2],
+        "float32": a.astype(np.float32),
+    }[layout]
+    with pytest.raises(ctypes.ArgumentError, match=f"argument {position}"):
+        _dissimilarities(*arrays)
