@@ -1,14 +1,23 @@
 /* The compiled steps of competitive penalized learning: the weighted
- * distances, the presentation loop and the squash.
+ * distances, the squash and the epoch bookkeeping of run_cpl.
+ *
+ * One epoch is four kinds of call on the buffers of struct fh_run, all
+ * allocated by numpy: fh_stale_columns finds the similarity columns to
+ * recompute, fh_negated_distances gives -D for one bounded group of them
+ * (Python takes np.exp of the group in place), fh_floor_scatter floors the
+ * group into the n x k0 cache, and fh_epoch does the rest: gamma, the
+ * presentation loop, the win counts, the centroid means, the empty streaks
+ * and the deactivation. Only np.exp and the feature-weight refresh stay in
+ * numpy, since neither can be repeated here bit for bit.
  *
  * Bit for bit the numpy and Python forms kept as oracles in tests/oracles.py:
  * every operation is the same IEEE double operation in the same order. The
  * distances add their per-feature terms in numpy's pairwise_sum order, the
- * order of sum(axis=-1) in the broadcast-and-sum oracle; exp is the libm exp
- * that Python's math.exp calls; the winner and rival keep numpy argmax's
- * first-index tie rule (strict > comparisons only). Built without
- * -ffast-math and with -ffp-contract=off (see _kernel.py), so no operation
- * is reordered or fused.
+ * order of sum(axis=-1) in the broadcast-and-sum oracle; the centroid sums
+ * add in object order, as np.add.at does; exp is the libm exp that Python's
+ * math.exp calls; the winner and rival keep numpy argmax's first-index tie
+ * rule (strict > comparisons only). Built without -ffast-math and with
+ * -ffp-contract=off (see _kernel.py), so no operation is reordered or fused.
  */
 #include <math.h>
 #include <stdint.h>
@@ -78,12 +87,13 @@ static void pairwise_terms(const double *restrict x, int64_t stride,
 
 /* out[i][j] = sum_z (scaled[j][z] * (x[z][i] - centroids[j][z]))^2, added
  * in pairwise_sum order, for the d x n feature-major values x, the k x d rows
- * centroids and scaled, and the n x k out. The objects go in blocks of LANE;
- * the last, partial block is copied into a zero-padded buffer first. Returns
- * 0, or -1 if that buffer could not be allocated. */
-int fh_dissimilarities(const double *x, int64_t d, int64_t n,
-                       const double *centroids, const double *scaled,
-                       int64_t k, double *out)
+ * centroids and scaled, and the n x k out; negated when negate is set. The
+ * objects go in blocks of LANE; the last, partial block is copied into a
+ * zero-padded buffer first. Returns 0, or -1 if that buffer could not be
+ * allocated. */
+static int distances(const double *x, int64_t d, int64_t n,
+                     const double *centroids, const double *scaled, int64_t k,
+                     double *out, int negate)
 {
     double acc[TILE][LANE], *pad = NULL;
     for (int64_t lo = 0; lo < n; lo += LANE) {
@@ -105,11 +115,19 @@ int fh_dissimilarities(const double *x, int64_t d, int64_t n,
                                scaled + (j0 + t) * d, d, acc[t]);
             for (int64_t b = 0; b < m; b++)
                 for (int64_t t = 0; t < width; t++)
-                    out[(lo + b) * k + j0 + t] = acc[t][b];
+                    out[(lo + b) * k + j0 + t] = negate ? -acc[t][b] : acc[t][b];
         }
     }
     free(pad);
     return 0;
+}
+
+/* The distances alone, for the objects left orphaned by a deactivation. */
+int fh_dissimilarities(const double *x, int64_t d, int64_t n,
+                       const double *centroids, const double *scaled,
+                       int64_t k, double *out)
+{
+    return distances(x, d, n, centroids, scaled, k, out, 0);
 }
 
 /* Sigmoid squash of a raw weight into (0, 1): 1 / (1 + e^{-10(raw + 5)}),
@@ -123,40 +141,213 @@ double fh_squash(double raw)
     return e / (1.0 + e);
 }
 
-/* Present the n rows of the n x k similarity block in order. Row i scores
- * gw[j] * sims[i][j]; the winner v (first index of the maximum) gains eta of
- * raw weight, the rival r (first maximum among the others) loses
- * eta * s_r / s_v. Their weights and gw = gamma * weight are refreshed after
- * each row; winners[i] = v. */
-void fh_presentation_epoch(const double *sims, int64_t n, int64_t k,
-                           const double *gamma, double *gw, double *raw,
-                           double *weights, double eta, int64_t *winners)
+
+/* Every buffer of one run_cpl call, allocated by numpy; the layout of Run in
+ * _kernel.py. All arrays are C-contiguous; k x d arrays hold one row per
+ * clusterlet. */
+struct fh_run {
+    int64_t n, d, k0;
+    int64_t group;              /* columns per group of fresh similarities */
+    double floor;               /* SIMILARITY_FLOOR */
+    double threshold;           /* ELIMINATION_THRESHOLD */
+    int64_t dead_epochs;        /* DEAD_UNIT_EPOCHS */
+    const double *values;       /* n x d */
+    const double *by_feature;   /* d x n */
+    double *sims;               /* n x k0, the floored exp(-D) columns */
+    double *stored_centroids;   /* k0 x d, the rows each column was made from */
+    double *stored_rows;        /* k0 x d */
+    double *centroids;          /* k0 x d, the ClusterletState arrays */
+    int64_t *win_counts;        /* k0 */
+    double *raw_weights;        /* k0 */
+    double *weights;            /* k0 */
+    uint8_t *active;            /* k0, numpy bool */
+    double *rows;               /* k0 x d, the M rows */
+    int64_t *act;               /* k0, the active indices, ascending */
+    int64_t *stale;             /* k0, the stale active indices, ascending */
+    double *fresh;              /* n x group, one group of fresh columns */
+    double *group_centroids;    /* group x d */
+    double *group_scaled;       /* group x d, the rows d * m_j */
+    int64_t *assignments;       /* 2 x n, written alternately */
+    int64_t *counts;            /* k0 */
+    double *sums;               /* k0 x d */
+    int64_t *streaks;           /* k0, consecutive memberless epochs */
+    double *gamma;              /* k0 */
+    double *gw;                 /* k0, gamma * weight of the active, compact */
+};
+
+/* The active columns whose centroid row or M row compares unequal to the
+ * rows it was computed from, ascending, into r->stale; their new rows are
+ * stored. Returns how many. NaN compares unequal to everything, so the NaN
+ * rows stored at the start make every column stale once. */
+int64_t fh_stale_columns(struct fh_run *r)
 {
+    int64_t d = r->d, count = 0;
+    for (int64_t j = 0; j < r->k0; j++) {
+        if (!r->active[j])
+            continue;
+        const double *c = r->centroids + j * d, *m = r->rows + j * d;
+        double *sc = r->stored_centroids + j * d, *sm = r->stored_rows + j * d;
+        int64_t z = 0;
+        while (z < d && sc[z] == c[z] && sm[z] == m[z])
+            z++;
+        if (z == d)
+            continue;
+        r->stale[count++] = j;
+        memcpy(sc, c, (size_t)d * sizeof *sc);
+        memcpy(sm, m, (size_t)d * sizeof *sm);
+    }
+    return count;
+}
+
+/* -D of the stale columns lo .. lo + width - 1 into the n x width group
+ * r->fresh, each distance as fh_dissimilarities gives it. The caller takes
+ * the exp in place. Returns 0, or -1 if a block could not be allocated. */
+int fh_negated_distances(struct fh_run *r, int64_t lo, int64_t width)
+{
+    int64_t d = r->d;
+    for (int64_t t = 0; t < width; t++) {
+        int64_t j = r->stale[lo + t];
+        for (int64_t z = 0; z < d; z++) {
+            r->group_centroids[t * d + z] = r->centroids[j * d + z];
+            r->group_scaled[t * d + z] = (double)d * r->rows[j * d + z];
+        }
+    }
+    return distances(r->by_feature, d, r->n, r->group_centroids,
+                     r->group_scaled, width, r->fresh, 1);
+}
+
+/* Floor the group r->fresh at r->floor, as np.maximum does (NaN stays NaN),
+ * into its columns of r->sims. */
+void fh_floor_scatter(struct fh_run *r, int64_t lo, int64_t width)
+{
+    for (int64_t i = 0; i < r->n; i++) {
+        const double *f = r->fresh + i * width;
+        double *row = r->sims + i * r->k0;
+        for (int64_t t = 0; t < width; t++)
+            row[r->stale[lo + t]] = f[t] < r->floor ? r->floor : f[t];
+    }
+}
+
+/* Whether clusterlet a goes before clusterlet b at the two-active floor,
+ * ignoring their indices: nonempty first, then the higher weight, NaN last
+ * (numpy's lexsort on -weight). */
+static int outranks(const struct fh_run *r, int64_t a, int64_t b)
+{
+    int fa = r->counts[a] > 0, fb = r->counts[b] > 0;
+    double wa = r->weights[a], wb = r->weights[b];
+    if (fa != fb)
+        return fa;
+    if (isnan(wa) || isnan(wb))
+        return !isnan(wa) && isnan(wb);
+    return wa > wb;
+}
+
+/* One epoch after the similarity columns are fresh, into row out of
+ * r->assignments. Returns how many objects were won by a clusterlet that the
+ * epoch then deactivated, or -1 if fewer than two clusterlets are active.
+ *
+ * gamma_j = 1 - g_j / sum_t g_t over every win count (1 while none was won)
+ * is fixed for the epoch. Row i scores gw[t] * sims[i][act[t]] over the
+ * active; the winner v (first index of the maximum) gains eta of raw weight,
+ * the rival r (first maximum among the others) loses eta * s_r / s_v, and
+ * their weights and gw are refreshed after each row. Then the centroids of
+ * nonempty active clusterlets move to the mean of their members, summed in
+ * object order as np.add.at adds; the memberless active count one more empty
+ * epoch; and the active with a weight under the threshold or a streak at the
+ * dead-unit count are deactivated. When that would leave fewer than two, the
+ * two first in floor order (outranks, then the lower index) stay instead. */
+int64_t fh_epoch(struct fh_run *r, double eta, int64_t out)
+{
+    int64_t n = r->n, d = r->d, k0 = r->k0, na = 0, total = 0;
+    int64_t *act = r->act, *assignments = r->assignments + out * n;
+    double *gw = r->gw;
+    for (int64_t j = 0; j < k0; j++) {
+        total += r->win_counts[j];
+        if (r->active[j])
+            act[na++] = j;
+    }
+    if (na < 2)
+        return -1;
+    for (int64_t j = 0; j < k0; j++)
+        r->gamma[j] = total == 0
+                          ? 1.0
+                          : 1.0 - (double)r->win_counts[j] / (double)total;
+    for (int64_t t = 0; t < na; t++)
+        gw[t] = r->gamma[act[t]] * r->weights[act[t]];
+
     for (int64_t i = 0; i < n; i++) {
-        const double *row = sims + i * k;
-        /* one pass for the winner v and the rival r, the first index of
+        const double *row = r->sims + i * k0;
+        /* one pass for the winner v and the rival w, the first index of
          * the maximum among the others: when a score beats the best, the
          * old best becomes the rival */
-        int64_t v = 0, r = 0;
-        double best = gw[0] * row[0], second = -INFINITY;
-        for (int64_t j = 1; j < k; j++) {
-            double s = gw[j] * row[j];
+        int64_t v = 0, w = 0;
+        double best = gw[0] * row[act[0]], second = -INFINITY;
+        for (int64_t t = 1; t < na; t++) {
+            double s = gw[t] * row[act[t]];
             if (s > best) {
                 second = best;
-                r = v;
+                w = v;
                 best = s;
-                v = j;
+                v = t;
             } else if (s > second) {
                 second = s;
-                r = j;
+                w = t;
             }
         }
-        winners[i] = v;
-        raw[v] += eta;
-        weights[v] = fh_squash(raw[v]);
-        gw[v] = gamma[v] * weights[v];
-        raw[r] -= eta * row[r] / row[v];
-        weights[r] = fh_squash(raw[r]);
-        gw[r] = gamma[r] * weights[r];
+        int64_t jv = act[v], jw = act[w];
+        assignments[i] = jv;
+        r->win_counts[jv] += 1;
+        r->raw_weights[jv] += eta;
+        r->weights[jv] = fh_squash(r->raw_weights[jv]);
+        gw[v] = r->gamma[jv] * r->weights[jv];
+        r->raw_weights[jw] -= eta * row[jw] / row[jv];
+        r->weights[jw] = fh_squash(r->raw_weights[jw]);
+        gw[w] = r->gamma[jw] * r->weights[jw];
     }
+
+    memset(r->counts, 0, (size_t)k0 * sizeof *r->counts);
+    for (int64_t i = 0; i < n; i++)
+        r->counts[assignments[i]] += 1;
+    for (int64_t j = 0; j < k0; j++)
+        if (r->counts[j] > 0)
+            memset(r->sums + j * d, 0, (size_t)d * sizeof *r->sums);
+    for (int64_t i = 0; i < n; i++) {
+        double *sum = r->sums + assignments[i] * d;
+        for (int64_t z = 0; z < d; z++)
+            sum[z] += r->values[i * d + z];
+    }
+    for (int64_t j = 0; j < k0; j++) {
+        if (r->counts[j] > 0 && r->active[j])
+            for (int64_t z = 0; z < d; z++)
+                r->centroids[j * d + z] = r->sums[j * d + z] / (double)r->counts[j];
+        if (r->counts[j] > 0)
+            r->streaks[j] = 0;
+        else if (r->active[j])
+            r->streaks[j] += 1;
+    }
+
+    int64_t survivors = 0;
+    for (int64_t t = 0; t < na; t++) {
+        int64_t j = act[t];
+        if (r->weights[j] < r->threshold || r->streaks[j] >= r->dead_epochs)
+            r->active[j] = 0;
+        else
+            survivors++;
+    }
+    if (survivors < 2 && survivors < na) {
+        int64_t first = act[0], second = -1;
+        for (int64_t t = 1; t < na; t++)
+            if (outranks(r, act[t], first))
+                first = act[t];
+        for (int64_t t = 0; t < na; t++)
+            if (act[t] != first && (second < 0 || outranks(r, act[t], second)))
+                second = act[t];
+        for (int64_t t = 0; t < na; t++)
+            r->active[act[t]] = act[t] == first || act[t] == second;
+    }
+
+    int64_t orphans = 0;
+    for (int64_t i = 0; i < n; i++)
+        orphans += !r->active[assignments[i]];
+    return orphans;
 }

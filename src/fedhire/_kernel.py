@@ -1,4 +1,4 @@
-"""Build and load ``_kernel.c``, the compiled distances and presentation loop.
+"""Build and load ``_kernel.c``, the compiled distances and epoch steps.
 
 The shared library is compiled on first use with the system C compiler and
 cached on disk under a name that hashes the C source, the compiler command
@@ -36,6 +36,41 @@ class KernelBuildError(RuntimeError):
     """The C kernel could not be compiled."""
 
 
+class Run(ctypes.Structure):
+    """``struct fh_run`` of ``_kernel.c``: the sizes and constants of one
+    ``run_cpl`` call and the addresses of its numpy buffers, in its order."""
+
+    _fields_ = [
+        *((name, ctypes.c_int64) for name in ("n", "d", "k0", "group")),
+        ("floor", ctypes.c_double),
+        ("threshold", ctypes.c_double),
+        ("dead_epochs", ctypes.c_int64),
+        *(
+            (name, ctypes.c_void_p)
+            for name in (
+                "values", "by_feature", "sims", "stored_centroids", "stored_rows",
+                "centroids", "win_counts", "raw_weights", "weights", "active",
+                "rows", "act", "stale", "fresh", "group_centroids", "group_scaled",
+                "assignments", "counts", "sums", "streaks", "gamma", "gw",
+            )
+        ),
+    ]
+
+
+def address(name: str, array: np.ndarray, dtype, shape: tuple) -> int:
+    """The data address of the buffer ``name``, which must be a C-contiguous
+    ``dtype`` array of ``shape``. Anything else is refused rather than
+    copied, so the kernel always works on the caller's own buffer."""
+    if not isinstance(array, np.ndarray) or array.dtype != dtype or array.shape != shape:
+        raise ValueError(
+            f"{name} must be a {np.dtype(dtype)} array of shape {shape}, got "
+            f"{getattr(array, 'dtype', type(array).__name__)} {getattr(array, 'shape', '')}"
+        )
+    if not array.flags.c_contiguous:
+        raise ValueError(f"{name} must be C-contiguous, got strides {array.strides}")
+    return array.ctypes.data
+
+
 def cache_key(source: bytes) -> str:
     """Hash of what the built library depends on: source, command, ABI tag."""
     digest = hashlib.sha256(source)
@@ -59,17 +94,20 @@ def load(cache: Path) -> ctypes.CDLL:
     lib.fh_squash.restype = ctypes.c_double
     # ndpointer refuses a wrong dtype, rank or layout instead of copying
     block = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    floats = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    ints = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    lib.fh_presentation_epoch.argtypes = [
-        block, ctypes.c_int64, ctypes.c_int64,
-        floats, floats, floats, floats, ctypes.c_double, ints,
-    ]
-    lib.fh_presentation_epoch.restype = None
     lib.fh_dissimilarities.argtypes = [
         block, ctypes.c_int64, ctypes.c_int64, block, block, ctypes.c_int64, block,
     ]
     lib.fh_dissimilarities.restype = ctypes.c_int
+    # the epoch steps take the Run of buffers that ``address`` checked
+    run = ctypes.POINTER(Run)
+    lib.fh_stale_columns.argtypes = [run]
+    lib.fh_stale_columns.restype = ctypes.c_int64
+    lib.fh_negated_distances.argtypes = [run, ctypes.c_int64, ctypes.c_int64]
+    lib.fh_negated_distances.restype = ctypes.c_int
+    lib.fh_floor_scatter.argtypes = [run, ctypes.c_int64, ctypes.c_int64]
+    lib.fh_floor_scatter.restype = None
+    lib.fh_epoch.argtypes = [run, ctypes.c_double, ctypes.c_int64]
+    lib.fh_epoch.restype = ctypes.c_int64
     return lib
 
 

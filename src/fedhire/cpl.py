@@ -17,24 +17,28 @@ Scoring details, fixed across the package:
   ``gamma`` is refreshed once per epoch; clusterlet weights ``w`` update
   live after every presentation.
 - Only active clusterlets are scored. Their distances are computed in C
-  (``fh_dissimilarities`` of ``_kernel.c``), a block of objects at a time,
-  so no n x k x d temporary is ever materialised. Each distance adds its
-  per-feature terms in the order numpy's pairwise summation uses for
-  ``sum(axis=-1)`` (in sequence below 8 features, eight strided
-  accumulators up to 128, halving above); that is numpy's own reduction
-  order, which is why it equals the plain broadcast-and-sum expression bit
-  for bit (see ``_dissimilarities``). The exp and the floor of the
-  similarities stay in numpy: ``np.exp`` and libm's ``exp`` differ in the
-  last bit on some inputs.
-- A run keeps one ``_ColumnCache``: a column is recomputed only when its
-  centroid row or M row changed since it was computed. Every entry depends
-  only on its object and those two rows, so a reused column is bitwise the
-  column a recomputation would give.
-- The per-object presentation loop runs in C too. ``_kernel.c`` is compiled
-  with the system compiler on first use and cached (see ``_kernel.py``). It
-  does the same double operations in the same order as the numpy and Python
-  forms kept as oracles in ``tests/oracles.py``, the loop on the same libm
-  ``exp``, so its results are theirs bit for bit.
+  (``_kernel.c``), a bounded group of columns at a time, so no n x k x d
+  temporary is ever materialised. Each distance adds its per-feature terms
+  in the order numpy's pairwise summation uses for ``sum(axis=-1)`` (in
+  sequence below 8 features, eight strided accumulators up to 128, halving
+  above); that is numpy's own reduction order, which is why it equals the
+  plain broadcast-and-sum expression bit for bit (see ``_dissimilarities``).
+- A run keeps one ``_Run``: every buffer of the call, allocated by numpy and
+  shared with the kernel by address. Its n x k0 similarity cache recomputes
+  a column only when its centroid row or M row changed since it was
+  computed. Every entry depends only on its object and those two rows, so a
+  reused column is bitwise the column a recomputation would give.
+- An epoch is a few kernel calls: the stale-column scan, then for each group
+  of stale columns the negated distances, ``np.exp`` in place and the floor
+  and scatter into the cache, then ``fh_epoch`` for gamma, the presentation
+  loop, the win counts, the centroid means, the empty streaks and the
+  deactivation. Only ``np.exp`` and the feature-weight refresh stay in
+  numpy: ``np.exp`` and libm's ``exp`` differ in the last bit on some
+  inputs, and the refresh's BLAS products are not sequential sums. The
+  kernel is compiled with the system compiler on first use and cached (see
+  ``_kernel.py``). It does the same double operations in the same order as
+  the numpy and Python forms kept as oracles in ``tests/oracles.py``, the
+  loop on the same libm ``exp``, so its results are theirs bit for bit.
 
 This combination is what makes redundant clusterlets die: the per-epoch
 fairness snapshot lets one clusterlet sweep a whole dense region within an
@@ -45,7 +49,10 @@ two consecutive epochs) are pruned as dead units.
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +76,8 @@ DEAD_UNIT_EPOCHS = 2
 # exp(-D) underflows to 0.0 for D > ~745; flooring keeps the penalty ratio
 # finite for absurdly distant object/clusterlet pairs
 SIMILARITY_FLOOR = 1e-300
-# element budget of the objects x columns block that ``_ColumnCache.columns``
-# computes at a time; the column group shrinks as the object count grows
+# element budget of the objects x columns group of fresh similarities that
+# ``_Run`` computes at a time; the group shrinks as the object count grows
 SIMILARITY_BLOCK_ELEMENTS = 1 << 17
 
 
@@ -84,8 +91,12 @@ class CplConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
+        for name in ("k0", "max_epochs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.k0 < 2:
             raise ValueError(f"k0 must be >= 2, got {self.k0}")
         if self.max_epochs < 1:
@@ -112,21 +123,6 @@ def _squash_scalar(raw: float) -> float:
     ``math.exp`` calls (``np.exp`` differs in the last bit on some inputs).
     """
     return _kernel.library().fh_squash(raw)
-
-
-def compute_gamma(win_counts: np.ndarray) -> np.ndarray:
-    """Relative winning possibility, 1 - g_j / sum_t g_t.
-
-    All-ones before any winner has been selected (zero total), so every
-    clusterlet starts with full winning possibility.
-    """
-    win_counts = np.asarray(win_counts)
-    if (win_counts < 0).any():
-        raise ValueError("win counts must be nonnegative")
-    total = win_counts.sum()
-    if total == 0:
-        return np.ones(win_counts.shape[0])
-    return 1.0 - win_counts / total
 
 
 def _dissimilarities(
@@ -159,58 +155,123 @@ def _dissimilarities(
     return out
 
 
-class _ColumnCache:
-    """The floored similarity columns exp(-D) of one ``run_cpl`` call.
+class _Run:
+    """Every buffer of one ``run_cpl`` call, shared with ``_kernel.c``.
+
+    The kernel works in place on numpy arrays (so tracemalloc sees them all),
+    through one ``_kernel.Run`` of their addresses, each checked once by
+    ``_kernel.address``: the values row-major and feature-major; ``sims``,
+    the n x k0 floored similarities exp(-D); the centroid and M rows each
+    column was computed from; the arrays of ``state`` and the M rows
+    ``rows``, updated in place; one group of fresh columns, at most
+    SIMILARITY_BLOCK_ELEMENTS entries, so there is never a second n x k0
+    array; two assignment rows, written alternately, so the previous epoch's
+    stays readable; and the scratch of ``fh_epoch``.
 
     Column j of ``sims`` holds exp(-D_ij), floored, for every object i, as
     computed from the centroid row and M row stored for j. Invariant: every
-    entry depends only on its object, that centroid row and that M row, so a
-    column whose stored rows compare equal to the current ones is bitwise the
-    column a recomputation would give (±0.0 compare equal and square to the
-    same terms). The stored rows start as NaN, which compares unequal to
-    everything, so the first call computes every column it is asked for.
-
-    ``by_feature`` is the feature-major copy of the values (d x n,
-    C-contiguous) that ``_dissimilarities`` reads, made once for the run.
+    entry depends only on its object and those two rows, so a column whose
+    stored rows compare equal to the current ones is bitwise the column a
+    recomputation would give (±0.0 compare equal and square to the same
+    terms). The stored rows start as NaN, which compares unequal to
+    everything, so the first refresh computes every active column.
     """
 
-    def __init__(self, values: np.ndarray, k0: int):
+    def __init__(self, values: np.ndarray, state: ClusterletState, rows: np.ndarray):
         n, d = values.shape
+        k0 = state.k
+        self.lib = _kernel.library()
+        self.state = state
+        self.rows = rows
+        self.values = np.ascontiguousarray(values)
         self.by_feature = np.ascontiguousarray(values.T)
         self.sims = np.empty((n, k0))
-        self.centroids = np.full((k0, d), np.nan)
-        self.rows = np.full((k0, d), np.nan)
+        self.stored_centroids = np.full((k0, d), np.nan)
+        self.stored_rows = np.full((k0, d), np.nan)
+        self.group = min(k0, max(1, SIMILARITY_BLOCK_ELEMENTS // n))
+        self.fresh = np.empty(n * self.group)
+        self.group_centroids = np.empty((self.group, d))
+        self.group_scaled = np.empty((self.group, d))
+        self.act = np.empty(k0, dtype=np.int64)
+        self.stale = np.empty(k0, dtype=np.int64)
+        self.assignments = np.empty((2, n), dtype=np.int64)
+        self.counts = np.empty(k0, dtype=np.int64)
+        self.sums = np.empty((k0, d))
+        self.streaks = np.zeros(k0, dtype=np.int64)
+        self.gamma = np.empty(k0)
+        self.gw = np.empty(k0)
+        self.epochs = 0
+        f8, i8, kd = np.float64, np.int64, (k0, d)
+        # every array the kernel addresses; held here, so that none is freed
+        # while the run lives even if ``state`` gets new arrays
+        self.arrays = {
+            "values": (self.values, f8, (n, d)),
+            "by_feature": (self.by_feature, f8, (d, n)),
+            "sims": (self.sims, f8, (n, k0)),
+            "stored_centroids": (self.stored_centroids, f8, kd),
+            "stored_rows": (self.stored_rows, f8, kd),
+            "centroids": (state.centroids, f8, kd),
+            "win_counts": (state.win_counts, i8, (k0,)),
+            "raw_weights": (state.raw_weights, f8, (k0,)),
+            "weights": (state.weights, f8, (k0,)),
+            "active": (state.active, np.bool_, (k0,)),
+            "rows": (rows, f8, kd),
+            "act": (self.act, i8, (k0,)),
+            "stale": (self.stale, i8, (k0,)),
+            "fresh": (self.fresh, f8, (n * self.group,)),
+            "group_centroids": (self.group_centroids, f8, (self.group, d)),
+            "group_scaled": (self.group_scaled, f8, (self.group, d)),
+            "assignments": (self.assignments, i8, (2, n)),
+            "counts": (self.counts, i8, (k0,)),
+            "sums": (self.sums, f8, kd),
+            "streaks": (self.streaks, i8, (k0,)),
+            "gamma": (self.gamma, f8, (k0,)),
+            "gw": (self.gw, f8, (k0,)),
+        }
+        self.buffers = _kernel.Run(
+            n=n, d=d, k0=k0, group=self.group, floor=SIMILARITY_FLOOR,
+            threshold=ELIMINATION_THRESHOLD, dead_epochs=DEAD_UNIT_EPOCHS,
+            **{name: _kernel.address(name, *spec) for name, spec in self.arrays.items()},
+        )
+        self.ref = ctypes.byref(self.buffers)
 
-    def columns(self, act, centroids, m_entries):
-        """n x act.size similarities of the columns ``act``, in its order.
+    def refresh_columns(self) -> int:
+        """Recompute the active columns whose rows changed; returns how many.
 
-        Only the columns of ``act`` whose centroid row or M row changed are
-        recomputed. When ``act`` covers every column the cache array itself is
-        returned; the caller must not write to it. Otherwise the columns are
-        gathered into a C-contiguous copy (``sims[:, act]`` would give a
-        Fortran-ordered one), the layout the kernel reads.
+        Their indices are left in ``stale``, ascending. Each bounded group of
+        them is computed as -D by the kernel, exponentiated in place by
+        ``np.exp``, then floored into its columns of ``sims``.
         """
-        stale = act[
-            (
-                (self.centroids[act] != centroids[act])
-                | (self.rows[act] != m_entries[act])
-            ).any(axis=1)
-        ]
-        d, n = self.by_feature.shape
-        # a bounded group of columns at a time, so no second n x k0 array
-        step = max(1, SIMILARITY_BLOCK_ELEMENTS // n)
-        for lo in range(0, stale.size, step):
-            cols = stale[lo : lo + step]
-            fresh = _dissimilarities(self.by_feature, centroids[cols], d * m_entries[cols])
-            np.negative(fresh, out=fresh)
+        lib, ref, n = self.lib, self.ref, self.values.shape[0]
+        count = lib.fh_stale_columns(ref)
+        for lo in range(0, count, self.group):
+            width = min(self.group, count - lo)
+            if lib.fh_negated_distances(ref, lo, width):
+                raise MemoryError("fh_negated_distances could not allocate its last block")
+            fresh = self.fresh[: n * width].reshape(n, width)
             np.exp(fresh, out=fresh)
-            np.maximum(fresh, SIMILARITY_FLOOR, out=fresh)
-            self.sims[:, cols] = fresh
-        self.centroids[stale] = centroids[stale]
-        self.rows[stale] = m_entries[stale]
-        if act.size == self.sims.shape[1]:
-            return self.sims
-        return np.take(self.sims, act, axis=1)
+            lib.fh_floor_scatter(ref, lo, width)
+        return count
+
+    def epoch(self, eta: float) -> tuple[np.ndarray, int]:
+        """One epoch on fresh columns: the winners and the orphan count.
+
+        The winners go to the assignment row after the previous epoch's;
+        ``fh_epoch`` updates ``state`` and ``streaks`` in place. Orphans are
+        objects whose winner the epoch deactivated.
+        """
+        self.refresh_columns()
+        out = self.epochs % 2
+        self.epochs += 1
+        orphans = self.lib.fh_epoch(self.ref, eta, out)
+        if orphans < 0:
+            raise ValueError("an epoch needs at least two active clusterlets")
+        return self.assignments[out], orphans
+
+    @property
+    def previous(self) -> np.ndarray:
+        """The assignments of the epoch before the last one."""
+        return self.assignments[self.epochs % 2]
 
 
 def run_cpl(
@@ -224,7 +285,7 @@ def run_cpl(
     object in index order, assigns it to the winner, rewards the winner and
     penalizes the rival. Only active clusterlets are scored.
 
-    Their similarity columns live in one ``_ColumnCache`` for the run. Its
+    Their similarity columns live in one ``_Run`` for the call. Its
     invariant: a column is reused only while the centroid row and M row it
     was computed from compare equal to the current ones, and since every
     entry depends on nothing else, a reused column is bitwise a recomputed
@@ -232,8 +293,8 @@ def run_cpl(
     with distances whose per-feature terms are added in numpy's own
     ``sum(axis=-1)`` reduction order (see ``_dissimilarities``), so they
     match the plain broadcast-and-sum bit for bit. Memory stays at the
-    n x k0 cache, its feature-major copy of the values, a gathered n x k
-    copy once columns are inactive, and bounded column groups.
+    n x k0 cache, one bounded group of fresh columns, and O(n d + k0 d)
+    (see ``_Run``).
 
     At epoch end the centroids of nonempty active clusterlets are
     recomputed as member means, weight-collapsed clusterlets and dead units
@@ -257,53 +318,36 @@ def run_cpl(
     rng = np.random.default_rng(config.rng_seed)
     init_idx = rng.choice(n, size=config.k0, replace=False)
     state = ClusterletState.initial(values[init_idx])
-    m = FeatureClusterMatrix.uniform(config.k0, d)
-    cache = _ColumnCache(values, config.k0)
+    rows = FeatureClusterMatrix.uniform(config.k0, d).entries
+    run = _Run(values, state, rows)
 
-    prev_assignments = None
-    empty_streak = np.zeros(config.k0, dtype=np.int64)
     converged = False
     epochs_used = 0
 
     for epoch in range(config.max_epochs):
         epochs_used = epoch + 1
 
-        # one presentation per object, scoring active clusterlets only;
-        # similarities and gamma are fixed within the epoch
-        assignments = _presentation_epoch(cache, state, m, config.eta)
+        # one presentation per object, scoring active clusterlets only
+        # (similarities and gamma fixed within the epoch), then the centroid
+        # means, the empty streaks and the deactivation, all in the kernel
+        assignments, orphans = run.epoch(config.eta)
 
-        # batch centroid update: nonempty active clusterlets move to the
-        # mean of their members
-        counts = np.bincount(assignments, minlength=state.k)
-        nonempty = (counts > 0) & state.active
-        if nonempty.any():
-            sums = np.zeros_like(state.centroids)
-            np.add.at(sums, assignments, values)
-            state.centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
-
-        empty_streak[counts > 0] = 0
-        empty_streak[(counts == 0) & state.active] += 1
-        _deactivate(state, counts, empty_streak)
-
-        orphaned = ~state.active[assignments]
-        if orphaned.any():
+        if orphans:
+            orphaned = ~state.active[assignments]
             active_idx = np.flatnonzero(state.active)
             dist = _dissimilarities(
                 np.ascontiguousarray(values[orphaned].T),
                 state.centroids[active_idx],
-                d * m.entries[active_idx],
+                d * rows[active_idx],
             )
             assignments[orphaned] = active_idx[np.argmin(dist, axis=1)]
 
-        if prev_assignments is not None and np.array_equal(
-            assignments, prev_assignments
-        ):
+        if epoch and np.array_equal(assignments, run.previous):
             converged = True
             break
-        prev_assignments = assignments
 
         if weighting:
-            m = _refresh_feature_weights(data, assignments, state, m)
+            _refresh_feature_weights(data, assignments, state, rows)
 
     if not converged:
         logger.info(
@@ -311,66 +355,7 @@ def run_cpl(
             config.max_epochs,
         )
 
-    return _compact_result(assignments, state, m, epochs_used, converged)
-
-
-def _presentation_epoch(cache, state, m, eta):
-    """Present every object once, in index order; returns each one's winner.
-
-    The loop runs in ``fh_presentation_epoch`` of ``_kernel.c``. Only active
-    clusterlets are scored; their columns come from ``cache`` in ascending
-    index order, and the kernel's strict ``>`` scan keeps ``argmax``'s rule of
-    breaking ties toward the lowest index. Similarities and the fairness
-    factor gamma are fixed for the epoch; ``gw`` holds gamma * weight, which
-    the kernel refreshes for the winner and the rival after each presentation
-    together with their raw weights and weights. Those and the win counts
-    (nothing reads them mid-epoch) are written back to ``state`` at the end.
-    The similarity block must be C-contiguous float64: the kernel refuses
-    anything else rather than copy it.
-    """
-    act = np.flatnonzero(state.active)
-    sims = cache.columns(act, state.centroids, m.entries)
-    if sims.shape[1] != act.size:
-        raise ValueError(f"similarity block has {sims.shape[1]} columns, not {act.size}")
-    gamma = compute_gamma(state.win_counts)[act]
-    gw = gamma * state.weights[act]
-    raw = state.raw_weights[act]
-    weights = state.weights[act]
-    winners = np.empty(sims.shape[0], dtype=np.int64)
-    _kernel.library().fh_presentation_epoch(
-        sims, sims.shape[0], act.size, gamma, gw, raw, weights, eta, winners
-    )
-    state.raw_weights[act] = raw
-    state.weights[act] = weights
-    winners = act[winners]
-    state.win_counts += np.bincount(winners, minlength=state.k)
-    return winners
-
-
-def _deactivate(state, counts, empty_streak):
-    """Weight-based elimination plus dead-unit pruning, with a 2-active floor."""
-    doomed = state.active & (
-        (state.weights < ELIMINATION_THRESHOLD) | (empty_streak >= DEAD_UNIT_EPOCHS)
-    )
-    if not doomed.any():
-        return
-    survivors = state.active & ~doomed
-    if survivors.sum() < 2:
-        active_idx = np.flatnonzero(state.active)
-        # prefer nonempty clusterlets, then higher weight, then lower index
-        order = active_idx[
-            np.lexsort(
-                (
-                    active_idx,
-                    -state.weights[active_idx],
-                    -(counts[active_idx] > 0).astype(np.int64),
-                )
-            )
-        ]
-        keep = order[: min(2, order.size)]
-        survivors = np.zeros_like(state.active)
-        survivors[keep] = True
-    state.active = survivors
+    return _compact_result(assignments, state, rows, epochs_used, converged)
 
 
 def _live_affiliation(assignments, state):
@@ -382,20 +367,19 @@ def _live_affiliation(assignments, state):
     return live, AffiliationMatrix(remap[assignments], k=live.size)
 
 
-def _refresh_feature_weights(data, assignments, state, m):
-    """Recompute M rows for nonempty active clusterlets; others keep theirs.
+def _refresh_feature_weights(data, assignments, state, rows):
+    """Recompute, in ``rows``, the M rows of nonempty active clusterlets;
+    the others keep theirs.
 
     ``data`` is the DataMatrix ``run_cpl`` received: wrapping its values anew
     would repeat the validation scan over n x d every epoch.
     """
     live, sub_affil = _live_affiliation(assignments, state)
     sub_m = feature_cluster_matrix_client(data, sub_affil, state.centroids[live])
-    entries = m.entries.copy()
-    entries[live] = sub_m.entries
-    return FeatureClusterMatrix(entries=entries)
+    rows[live] = sub_m.entries
 
 
-def _compact_result(assignments, state, m, epochs_used, converged):
+def _compact_result(assignments, state, rows, epochs_used, converged):
     survivors, affiliation = _live_affiliation(assignments, state)
     clusterlets = ClusterletState(
         centroids=state.centroids[survivors].copy(),
@@ -410,5 +394,5 @@ def _compact_result(assignments, state, m, epochs_used, converged):
         converged_k=survivors.size,
         epochs_used=epochs_used,
         converged=converged,
-        feature_weights=FeatureClusterMatrix(entries=m.entries[survivors].copy()),
+        feature_weights=FeatureClusterMatrix(entries=rows[survivors].copy()),
     )

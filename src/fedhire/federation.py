@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -59,8 +60,8 @@ class FederationConfig:
             raise ValueError(f"client_count must be >= 1, got {self.client_count}")
         if self.k_star < 2:
             raise ValueError(f"k_star must be >= 2, got {self.k_star}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
         if not 0 < self.k0_fraction <= 1:
             raise ValueError(f"k0_fraction must be in (0, 1], got {self.k0_fraction}")
         if isinstance(self.fragments_per_cluster, str):

@@ -19,10 +19,10 @@ from fedhire.core import (
     feature_cluster_matrix_client,
 )
 from fedhire.cpl import (
+    DEAD_UNIT_EPOCHS,
+    ELIMINATION_THRESHOLD,
     SIMILARITY_FLOOR,
-    _ColumnCache,
-    _presentation_epoch,
-    compute_gamma,
+    _Run,
 )
 
 
@@ -39,6 +39,22 @@ def squash(raw):
     return e / (1.0 + e)
 
 
+def compute_gamma(win_counts):
+    """Relative winning possibility, 1 - g_j / sum_t g_t.
+
+    All-ones before any winner has been selected (zero total), so every
+    clusterlet starts with full winning possibility. ``fh_epoch`` computes
+    the same over every win count at the start of an epoch.
+    """
+    win_counts = np.asarray(win_counts)
+    if (win_counts < 0).any():
+        raise ValueError("win counts must be nonnegative")
+    total = win_counts.sum()
+    if total == 0:
+        return np.ones(win_counts.shape[0])
+    return 1.0 - win_counts / total
+
+
 def dissimilarities(values, centroids, scaled):
     """n x k squared relative-weighted distances by one n x k x d broadcast.
 
@@ -53,12 +69,11 @@ def presentation_epoch(values, state, m, eta):
     """One epoch of presentations over all k columns; returns the winners.
 
     The n x k x d similarity block covers every clusterlet, inactive ones are
-    masked to -inf per object, and win counts increment live. Mutates
-    ``state`` like the engine does.
+    masked to -inf per object, and win counts increment live. Mutates the
+    raw weights, weights and win counts of ``state`` like the engine does.
     """
-    n, d = values.shape
-    dist = dissimilarities(values, state.centroids, d * m.entries)
-    sims = np.maximum(np.exp(-dist), SIMILARITY_FLOOR)
+    n = values.shape[0]
+    sims = similarity_columns(values, state.centroids, m.entries)
     gamma = compute_gamma(state.win_counts)
 
     assignments = np.full(n, -1, dtype=np.int64)
@@ -83,6 +98,70 @@ def presentation_epoch(values, state, m, eta):
     return assignments
 
 
+def similarity_columns(values, centroids, entries):
+    """The floored exp(-D) of every object against every clusterlet."""
+    d = values.shape[1]
+    dist = dissimilarities(values, centroids, d * entries)
+    return np.maximum(np.exp(-dist), SIMILARITY_FLOOR)
+
+
+def deactivate(state, counts, streaks):
+    """Weight-based elimination plus dead-unit pruning, with a 2-active floor."""
+    doomed = state.active & (
+        (state.weights < ELIMINATION_THRESHOLD) | (streaks >= DEAD_UNIT_EPOCHS)
+    )
+    if not doomed.any():
+        return
+    survivors = state.active & ~doomed
+    if survivors.sum() < 2:
+        active_idx = np.flatnonzero(state.active)
+        # prefer nonempty clusterlets, then higher weight, then lower index
+        order = active_idx[
+            np.lexsort(
+                (
+                    active_idx,
+                    -state.weights[active_idx],
+                    -(counts[active_idx] > 0).astype(np.int64),
+                )
+            )
+        ]
+        keep = order[: min(2, order.size)]
+        survivors = np.zeros_like(state.active)
+        survivors[keep] = True
+    state.active = survivors
+
+
+def epoch(values, state, m, eta, streaks):
+    """One whole epoch: ``presentation_epoch``, then the centroid means by
+    ``np.add.at``, the empty streaks and ``deactivate``.
+
+    Mutates ``state`` and ``streaks``; returns the winners and how many of
+    them the epoch deactivated (the orphans).
+    """
+    winners = presentation_epoch(values, state, m, eta)
+    counts = np.bincount(winners, minlength=state.k)
+    nonempty = (counts > 0) & state.active
+    sums = np.zeros_like(state.centroids)
+    np.add.at(sums, winners, values)
+    state.centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
+    streaks[counts > 0] = 0
+    streaks[(counts == 0) & state.active] += 1
+    deactivate(state, counts, streaks)
+    return winners, int((~state.active[winners]).sum())
+
+
+def engine_epoch(values, state, m, eta=0.05):
+    """One engine epoch of ``_Run`` over ``values``, from ``state`` and ``m``.
+
+    The run works on the arrays of ``state`` and on ``m.entries`` in place;
+    returns the run, whose buffers (``assignments``, ``gamma``, ``sims``,
+    ``streaks``) can be read afterwards, and the orphan count.
+    """
+    run = _Run(np.atleast_2d(np.asarray(values, dtype=np.float64)), state, m.entries)
+    _, orphans = run.epoch(eta)
+    return run, orphans
+
+
 def make_state(centroids, raw=None, wins=None, active=None):
     """A ClusterletState with the given raw weights, win counts and mask."""
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -98,15 +177,17 @@ def make_state(centroids, raw=None, wins=None, active=None):
 
 
 def present_one(x, state, m, eta=0.05):
-    """Present one object through the engine's epoch loop; returns its winner.
+    """Present one object through the engine's epoch; returns its winner.
 
-    Runs ``_presentation_epoch`` on the single object ``x`` and requires the
-    same winner and the same raw weights, weights and win counts as
-    ``presentation_epoch`` gives from a copy of ``state``. Mutates ``state``.
+    Runs one engine epoch on the single object ``x`` and requires the same
+    winner and the same raw weights, weights and win counts as
+    ``presentation_epoch`` gives from a copy of ``state``. Mutates ``state``
+    (the epoch's centroid update and deactivation included).
     """
     values = np.atleast_2d(np.asarray(x, dtype=np.float64))
     oracle = state.copy()
-    (winner,) = _presentation_epoch(_ColumnCache(values, state.k), state, m, eta)
+    run, _ = engine_epoch(values, state, m, eta)
+    (winner,) = run.assignments[0]
     assert winner == presentation_epoch(values, oracle, m, eta)[0]
     np.testing.assert_array_equal(state.raw_weights, oracle.raw_weights)
     np.testing.assert_array_equal(state.weights, oracle.weights)

@@ -16,7 +16,7 @@ from fedhire.core import (
     FeatureClusterMatrix,
     feature_cluster_matrix_client,
 )
-from fedhire.cpl import _squash_scalar, compute_gamma
+from fedhire.cpl import _squash_scalar
 from fedhire.federation import FederationConfig, client_seed, run_one_shot
 from fedhire.metrics import acc, ari, nmi, purity
 from fedhire.server import (
@@ -32,6 +32,7 @@ from fedhire.server import (
 
 from conftest import blob_data
 from oracles import (
+    engine_epoch,
     feature_weight_ratio,
     make_state,
     present_one,
@@ -69,8 +70,10 @@ def test_metrics_match_brute_force_oracles():
 def test_formula_unit_suite():
     start = time.perf_counter()
 
-    # relative winning possibility
-    np.testing.assert_allclose(compute_gamma(np.array([3, 1])), [0.25, 0.75])
+    # relative winning possibility, as the engine's epoch fixes it
+    state = make_state([[0.0], [10.0]], wins=[3, 1])
+    run, _ = engine_epoch([[0.0]], state, FeatureClusterMatrix.uniform(2, 1))
+    np.testing.assert_allclose(run.gamma, [0.25, 0.75])
 
     # winner reward, one presentation through the engine's epoch loop
     state = make_state([[0.0], [10.0]], raw=[-5.0, 0.0], wins=[7, 1])

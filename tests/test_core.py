@@ -13,8 +13,13 @@ from fedhire.core import (
     FeatureClusterMatrix,
     feature_cluster_matrix_client,
 )
-from fedhire.cpl import _ColumnCache, _dissimilarities
-from oracles import feature_weight_ratio, hellinger_quadrature, scalar_feature_weights
+from fedhire.cpl import _dissimilarities, _Run
+from oracles import (
+    feature_weight_ratio,
+    hellinger_quadrature,
+    make_state,
+    scalar_feature_weights,
+)
 
 # a complement this far away makes α exactly 1 on every feature
 FAR = 50.0
@@ -137,14 +142,15 @@ class TestWeightedDistance:
 
 
 class TestSimilarityFromDistance:
-    """The similarity exp(−D) that ``_ColumnCache`` holds."""
+    """The similarity exp(−D) that the similarity cache of ``_Run`` holds."""
 
     @staticmethod
     def similarities(offsets):
         # one object per offset from a single centroid at 0, so D = offset²
         values = np.asarray(offsets, dtype=np.float64)[:, None]
-        cache = _ColumnCache(values, 1)
-        return cache.columns(np.arange(1), np.zeros((1, 1)), np.ones((1, 1)))[:, 0]
+        run = _Run(values, make_state(np.zeros((1, 1))), np.ones((1, 1)))
+        assert run.refresh_columns() == 1
+        return run.sims[:, 0]
 
     def test_zero_distance(self):
         assert self.similarities([0.0])[0] == 1.0

@@ -1,7 +1,7 @@
-import ctypes
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,21 +11,23 @@ from hypothesis import strategies as st
 from fedhire import _kernel, cpl
 from fedhire.core import DataMatrix, FeatureClusterMatrix
 from fedhire.cpl import (
+    ELIMINATION_THRESHOLD,
+    SIMILARITY_BLOCK_ELEMENTS,
     SIMILARITY_FLOOR,
     CplConfig,
-    _ColumnCache,
-    _deactivate,
     _dissimilarities,
-    _presentation_epoch,
+    _Run,
     _squash_scalar,
-    compute_gamma,
     run_cpl,
 )
 from oracles import (
+    compute_gamma,
     dissimilarities,
+    engine_epoch,
+    epoch,
     make_state,
     present_one,
-    presentation_epoch,
+    similarity_columns,
     squash,
 )
 
@@ -110,15 +112,29 @@ class TestSquashWeight:
         self.assert_matches_oracle(raws)
 
 
+def engine_gamma(wins):
+    """gamma of every clusterlet as one engine epoch computes it.
+
+    The epoch presents one object; gamma is fixed before the presentation,
+    so the buffer holds the value for the given win counts. It must equal
+    the oracle ``compute_gamma`` bit for bit.
+    """
+    wins = np.array(wins, dtype=np.int64)
+    state = make_state(100.0 * np.arange(wins.size)[:, None], wins=wins.copy())
+    run, _ = engine_epoch([[0.0]], state, FeatureClusterMatrix.uniform(wins.size, 1))
+    np.testing.assert_array_equal(bits(run.gamma), bits(compute_gamma(wins)))
+    return run.gamma
+
+
 class TestComputeGamma:
     def test_symmetric(self):
-        np.testing.assert_allclose(compute_gamma(np.array([1, 1])), [0.5, 0.5])
+        np.testing.assert_allclose(engine_gamma([1, 1]), [0.5, 0.5])
 
     def test_unbalanced(self):
-        np.testing.assert_allclose(compute_gamma(np.array([3, 1])), [0.25, 0.75])
+        np.testing.assert_allclose(engine_gamma([3, 1]), [0.25, 0.75])
 
     def test_zero_total_convention(self):
-        np.testing.assert_array_equal(compute_gamma(np.zeros(3, np.int64)), 1.0)
+        np.testing.assert_array_equal(engine_gamma(np.zeros(3, np.int64)), 1.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +146,7 @@ class TestComputeGamma:
             g = rng.integers(0, 50, size=8)
             if g.sum() == 0:
                 continue
-            gamma = compute_gamma(g)
+            gamma = engine_gamma(g)
             assert ((gamma >= 0) & (gamma <= 1)).all()
             # only clusterlets that never won keep full possibility
             assert (gamma[g > 0] < 1).all()
@@ -138,7 +154,7 @@ class TestComputeGamma:
 
 
 class TestSelectWinnerAndRival:
-    """Winner and rival of one presentation through ``_presentation_epoch``."""
+    """Winner and rival of one presentation through an engine epoch."""
 
     def test_object_at_centroid_wins(self):
         state = make_state([[0.5, 0.5], [0.9, 0.9]])
@@ -176,9 +192,14 @@ class TestSelectWinnerAndRival:
 
     def test_requires_two_active(self):
         # the two-active floor that selection relies on: when every active
-        # clusterlet is doomed, nonempty ones are kept first, then by weight
-        state = make_state([[0.0], [1.0], [2.0]], raw=[-8.0, -7.5, -7.9])
-        _deactivate(state, np.array([3, 0, 2]), np.zeros(3, np.int64))
+        # clusterlet is doomed, nonempty ones are kept first, then by weight;
+        # the epoch gives the counts [3, 0, 2] and leaves every weight doomed
+        state = make_state([[0.0], [10.0], [20.0]], raw=[-8.0, -7.5, -7.9])
+        values = [[0.0]] * 3 + [[20.0]] * 2
+        run, _ = engine_epoch(values, state, FeatureClusterMatrix.uniform(3, 1))
+        np.testing.assert_array_equal(run.counts, [3, 0, 2])
+        assert (state.weights < ELIMINATION_THRESHOLD).all()
+        assert state.weights[1] > state.weights[2]
         np.testing.assert_array_equal(state.active, [True, False, True])
 
     def test_inactive_never_selected(self):
@@ -286,23 +307,31 @@ def _oracle_case(kind, seed=0):
     return values, make_state(centroids, raw=raw, wins=wins, active=active), m
 
 
-def _assert_epochs_match_oracle(values, engine, m, eta=0.05):
-    """Two epochs of the kernel and of the oracle from the same state.
+def _assert_epochs_match_oracle(values, engine, m, eta=0.05, epochs=2, streaks=None):
+    """Whole epochs of the kernel and of the oracle chain from the same state.
 
-    Both epochs run through one cache: the second starts from the updated
-    win counts and reads every column from the cache. Winners, raw weights,
-    weights and win counts must agree bit for bit.
+    The engine epochs run through one ``_Run``, so each after the first
+    reads the columns it did not recompute from the cache. Winners,
+    centroids, raw weights, weights, win counts, streaks, active flags and
+    orphan counts must agree bit for bit. Returns the run.
     """
     oracle = engine.copy()
-    cache = _ColumnCache(values, engine.k)
-    for _ in range(2):
-        got = _presentation_epoch(cache, engine, m, eta)
-        want = presentation_epoch(values, oracle, m, eta)
+    run = _Run(values, engine, m.entries)
+    if streaks is not None:
+        run.streaks[:] = streaks
+    want_streaks = run.streaks.copy()
+    for _ in range(epochs):
+        got, orphans = run.epoch(eta)
+        want, want_orphans = epoch(values, oracle, m, eta, want_streaks)
         np.testing.assert_array_equal(got, want)
+        assert orphans == want_orphans
+        np.testing.assert_array_equal(bits(engine.centroids), bits(oracle.centroids))
         np.testing.assert_array_equal(bits(engine.raw_weights), bits(oracle.raw_weights))
         np.testing.assert_array_equal(bits(engine.weights), bits(oracle.weights))
         np.testing.assert_array_equal(engine.win_counts, oracle.win_counts)
-        assert engine.active[got].all()
+        np.testing.assert_array_equal(run.streaks, want_streaks)
+        np.testing.assert_array_equal(engine.active, oracle.active)
+    return run
 
 
 def _random_case(k, n, d, active_count, duplicated, zero_gamma, floored, seed):
@@ -367,33 +396,30 @@ class TestPresentationEpochOracle:
         values, state, m = _random_case(
             k, n, d, active_count, duplicated, zero_gamma, floored, seed
         )
-        # with every column active the kernel reads the cache array itself,
-        # otherwise a gathered copy
+        # the kernel reads the active columns in place in the n x k0 cache,
+        # which holds the oracle's similarities there
         act = np.flatnonzero(state.active)
-        cache = _ColumnCache(values, k)
-        sims = cache.columns(act, state.centroids, m.entries)
-        assert (sims is cache.sims) == (active_count == k)
+        run = _Run(values, state.copy(), m.entries.copy())
+        assert run.refresh_columns() == active_count
+        np.testing.assert_array_equal(
+            bits(run.sims[:, act]),
+            bits(similarity_columns(values, state.centroids, m.entries)[:, act]),
+        )
         _assert_epochs_match_oracle(values, state, m, eta)
 
     @pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
     def test_kernel_refuses_a_block_it_would_have_to_copy(self, layout):
         values, state, m = _oracle_case("random")
-        sims = _ColumnCache(values, state.k).columns(
-            np.arange(state.k), state.centroids, m.entries
-        )
         block = {
-            "fortran": np.asfortranarray(sims),
-            "strided": np.hstack([sims, sims])[:, ::2],
-            "float32": sims.astype(np.float32),
+            "fortran": np.asfortranarray(state.centroids),
+            "strided": np.hstack([state.centroids, state.centroids])[:, ::2],
+            "float32": state.centroids.astype(np.float32),
         }[layout]
-
-        class Cache:
-            def columns(self, act, centroids, m_entries):
-                return block
-
         before = state.copy()
-        with pytest.raises(ctypes.ArgumentError, match="argument 1"):
-            _presentation_epoch(Cache(), state, m, eta=0.05)
+        state.centroids = block
+        with pytest.raises(ValueError, match="centroids must be"):
+            _Run(values, state, m.entries)
+        assert state.centroids is block
         np.testing.assert_array_equal(state.raw_weights, before.raw_weights)
         np.testing.assert_array_equal(state.win_counts, before.win_counts)
 
@@ -407,6 +433,154 @@ class TestPresentationEpochOracle:
         values, state, m = _oracle_case("duplicated")
         scores = scores_of(values[0], state, m)
         assert np.unique(scores[state.active]).size < state.active.sum()
+
+
+def _epoch_case(k, n, d, active, raw, streaks, far, tied, seed):
+    """(values, state, m, streaks) of one whole-epoch case.
+
+    ``far`` clusterlets sit 100 away from every object, so they win nothing;
+    ``tied`` ones get raw weight -100, whose weight is exactly 0.0.
+    """
+    rng = np.random.default_rng(seed)
+    centroids = rng.uniform(0, 1, size=(k, d))
+    centroids[far] += 100.0
+    raw = np.array(raw, dtype=np.float64)
+    raw[tied] = -100.0
+    entries = rng.uniform(0.1, 1.0, size=(k, d))
+    m = FeatureClusterMatrix(entries / entries.sum(axis=1, keepdims=True))
+    state = make_state(
+        centroids, raw=raw, wins=rng.integers(0, 20, size=k), active=active
+    )
+    values = rng.uniform(0, 1, size=(n, d))
+    return values, state, m, np.asarray(streaks, dtype=np.int64)
+
+
+def _assert_whole_epochs_match(case, eta=0.05, epochs=2, group=None):
+    """``_assert_epochs_match_oracle`` on ``case``, with ``group`` columns
+    per group of fresh similarities when given."""
+    values, state, m, streaks = case
+    n = values.shape[0]
+    elements = SIMILARITY_BLOCK_ELEMENTS if group is None else group * n
+    with mock.patch.object(cpl, "SIMILARITY_BLOCK_ELEMENTS", elements):
+        return _assert_epochs_match_oracle(values, state, m, eta, epochs, streaks)
+
+
+class TestEpochOracle:
+    """Whole ``fh_epoch`` epochs against the oracle chain in tests/oracles.py:
+    the presentation oracle, the ``np.add.at`` mean, the streaks and
+    ``deactivate``, compared on bit patterns."""
+
+    def test_every_clusterlet_doomed(self):
+        k = 6
+        case = _epoch_case(
+            k, 30, 2, [True] * k, np.linspace(-12.0, -10.0, k), [0] * k, [], [], 0
+        )
+        before = case[1].copy()
+        run = _assert_whole_epochs_match(case, epochs=1)
+        state = case[1]
+        assert (state.weights < ELIMINATION_THRESHOLD).all()
+        assert state.active.sum() == 2
+        # nonempty first (one here), then the higher weight
+        assert (run.counts > 0).sum() == 1
+        nonempty = np.flatnonzero(run.counts > 0)[0]
+        heaviest_empty = np.argmax(np.where(run.counts > 0, -np.inf, state.weights))
+        np.testing.assert_array_equal(
+            np.flatnonzero(state.active), sorted([nonempty, heaviest_empty])
+        )
+        assert before.active.all()
+
+    def test_exact_weight_ties_at_the_two_active_floor(self):
+        # one object on each of three far-apart active centroids, all at raw
+        # weight -8: each wins its own object and ends at the same weight,
+        # under the threshold; the floor keeps the lowest two indices
+        k = 5
+        values, state, m, streaks = _epoch_case(
+            k, 1, 1, [True, False, True, False, True], [-8.0] * k, [0] * k, [], [], 1
+        )
+        state.centroids[:] = 100.0 * np.arange(k)[:, None]
+        values = state.centroids[[0, 2, 4]].copy()
+        m = FeatureClusterMatrix.uniform(k, 1)
+        run = _assert_whole_epochs_match((values, state, m, streaks), epochs=1)
+        np.testing.assert_array_equal(run.counts, [1, 0, 1, 0, 1])
+        assert state.weights[0] == state.weights[2] == state.weights[4]
+        assert state.weights[0] < ELIMINATION_THRESHOLD
+        np.testing.assert_array_equal(state.active, [True, False, True, False, False])
+
+    def test_tied_zero_weights_at_the_floor(self):
+        # every weight exactly 0.0: every score ties, the first active wins
+        # every object and the second active is the rival
+        k = 6
+        active = [False, True, False, True, True, False]
+        case = _epoch_case(k, 20, 3, active, [0.0] * k, [0] * k, [], list(range(k)), 2)
+        run = _assert_whole_epochs_match(case, epochs=2)
+        assert (case[1].weights == 0.0).all()
+        np.testing.assert_array_equal(run.assignments[0], 1)
+
+    def test_inactive_columns_between_active_ones(self):
+        k = 9
+        active = [True, False, True, False, False, True, True, False, True]
+        rng = np.random.default_rng(3)
+        case = _epoch_case(
+            k, 40, 3, active, rng.uniform(-5.5, 0.5, size=k), [0] * k, [], [], 3
+        )
+        inactive = np.flatnonzero(~case[1].active)
+        run = _assert_whole_epochs_match(case, epochs=3)
+        assert not np.isin(run.assignments, inactive).any()
+
+    def test_an_empty_clusterlet(self):
+        # clusterlet 2 wins nothing; one epoch empty before, it is a dead unit
+        k = 5
+        case = _epoch_case(k, 30, 2, [True] * k, [0.0] * k, [0, 0, 1, 0, 0], [2], [], 4)
+        run = _assert_whole_epochs_match(case, epochs=1)
+        assert run.counts[2] == 0 and run.streaks[2] == 2
+        assert not case[1].active[2]
+
+    def test_more_stale_columns_than_one_group_holds(self):
+        k = 9
+        rng = np.random.default_rng(5)
+        case = _epoch_case(
+            k, 33, 4, [True] * k, rng.uniform(-5.5, 0.5, size=k), [0] * k, [], [], 5
+        )
+        run = _assert_whole_epochs_match(case, epochs=3, group=2)
+        assert run.group == 2
+
+    def test_an_epoch_needs_two_active_clusterlets(self):
+        state = make_state([[0.0], [1.0], [2.0]], active=[False, True, False])
+        before = state.copy()
+        with pytest.raises(ValueError, match="at least two active"):
+            engine_epoch([[0.0], [1.0]], state, FeatureClusterMatrix.uniform(3, 1))
+        np.testing.assert_array_equal(state.raw_weights, before.raw_weights)
+        np.testing.assert_array_equal(state.win_counts, before.win_counts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.integers(2, 10).flatmap(
+            lambda k: st.tuples(st.just(k), st.integers(2, k))
+        ),
+        n=st.integers(1, 40),
+        d=st.integers(1, 5),
+        doomed=st.booleans(),
+        empties=st.integers(0, 3),
+        tied=st.integers(0, 3),
+        group=st.sampled_from([None, 1, 2, 3]),
+        eta=st.sampled_from([0.05, 0.5, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle_chain_on_random_shapes(
+        self, shape, n, d, doomed, empties, tied, group, eta, seed
+    ):
+        k, active_count = shape
+        rng = np.random.default_rng(seed)
+        active = np.zeros(k, dtype=bool)
+        active[rng.choice(k, size=active_count, replace=False)] = True
+        # under the threshold before and (mostly) after the epoch's rewards
+        raw = rng.uniform(-9.0, -7.0, size=k) if doomed else rng.uniform(-6.0, 1.0, size=k)
+        case = _epoch_case(
+            k, n, d, active, raw, rng.integers(0, 2, size=k),
+            rng.choice(k, size=min(empties, k), replace=False),
+            rng.choice(k, size=min(tied, k), replace=False), seed,
+        )
+        _assert_whole_epochs_match(case, eta, epochs=3, group=group)
 
 
 # objects per block of the distance kernel, read from its source
@@ -507,33 +681,21 @@ class TestDissimilarities:
 
 
 class TestColumnCache:
-    def test_recomputes_only_changed_active_columns(self, monkeypatch):
+    def test_recomputes_only_changed_active_columns(self):
         rng = np.random.default_rng(5)
         n, k, d = 40, 9, 3
         values = rng.normal(size=(n, d))
-        centroids = rng.normal(size=(k, d))
+        state = make_state(rng.normal(size=(k, d)))
         entries = rng.dirichlet(np.ones(d), size=k)
-        active = np.ones(k, dtype=bool)
-        computed = []
-
-        def counting(values, centroids, scaled):
-            computed.append(centroids.copy())
-            return _dissimilarities(values, centroids, scaled)
-
-        monkeypatch.setattr(cpl, "_dissimilarities", counting)
-        cache = _ColumnCache(values, k)
+        run = _Run(values, state, entries)
+        centroids, active = state.centroids, state.active
 
         def check(expect_recomputed):
-            computed.clear()
+            count = run.refresh_columns()
+            np.testing.assert_array_equal(run.stale[:count], expect_recomputed)
             act = np.flatnonzero(active)
-            got = cache.columns(act, centroids, entries)
-            want = np.maximum(
-                np.exp(-dissimilarities(values, centroids[act], d * entries[act])),
-                SIMILARITY_FLOOR,
-            )
-            np.testing.assert_array_equal(got, want)
-            done = np.vstack(computed) if computed else np.empty((0, d))
-            np.testing.assert_array_equal(done, centroids[expect_recomputed])
+            want = similarity_columns(values, centroids, entries)[:, act]
+            np.testing.assert_array_equal(bits(run.sims[:, act]), bits(want))
 
         check(np.arange(k))
         check([])
@@ -552,30 +714,53 @@ class TestColumnCache:
         centroids[0] = -0.0
         check([])
 
+    def test_more_stale_columns_than_one_group_holds(self):
+        # groups of 2 columns: 9 stale columns take five groups, the last
+        # one partial, each scattered into its own columns
+        rng = np.random.default_rng(6)
+        n, k, d = 30, 9, 4
+        values = rng.normal(size=(n, d))
+        state = make_state(rng.normal(size=(k, d)))
+        entries = rng.dirichlet(np.ones(d), size=k)
+        with mock.patch.object(cpl, "SIMILARITY_BLOCK_ELEMENTS", 2 * n + 1):
+            run = _Run(values, state, entries)
+        assert run.group == 2 and run.fresh.size == 2 * n
+        assert run.refresh_columns() == k
+        np.testing.assert_array_equal(
+            bits(run.sims), bits(similarity_columns(values, state.centroids, entries))
+        )
+
 
 class TestEliminateClusterlets:
-    """Weight elimination in ``_deactivate``, all clusterlets nonempty."""
+    """Weight elimination in an engine epoch, all clusterlets nonempty."""
 
     @staticmethod
-    def eliminate(state):
-        _deactivate(state, np.ones(state.k, np.int64), np.zeros(state.k, np.int64))
+    def eliminate(raw):
+        # one object on each of the far-apart centroids, so each clusterlet
+        # wins its own; eta small enough to leave the raw weights in place
+        k = len(raw)
+        state = make_state(100.0 * np.arange(k)[:, None], raw=raw)
+        run, _ = engine_epoch(
+            state.centroids.copy(), state, FeatureClusterMatrix.uniform(k, 1), eta=1e-9
+        )
+        np.testing.assert_array_equal(run.counts, 1)
         return state.active
 
     def test_floor_retains_two(self):
-        state = make_state([[0.0], [1.0]], raw=[0.0, -8.0])
-        np.testing.assert_array_equal(self.eliminate(state), [True, True])
+        np.testing.assert_array_equal(self.eliminate([0.0, -8.0]), [True, True])
 
     def test_third_eliminated(self):
-        state = make_state([[0.0], [1.0], [2.0]], raw=[0.0, -0.5, -8.0])
-        np.testing.assert_array_equal(self.eliminate(state), [True, True, False])
+        np.testing.assert_array_equal(
+            self.eliminate([0.0, -0.5, -8.0]), [True, True, False]
+        )
 
     def test_no_change_when_all_above(self):
-        state = make_state([[0.0], [1.0]], raw=[0.0, -0.5])
-        assert self.eliminate(state).all()
+        assert self.eliminate([0.0, -0.5]).all()
 
     def test_floor_keeps_two_highest_weights(self):
-        state = make_state([[0.0], [1.0], [2.0]], raw=[-8.0, -7.5, -7.9])
-        np.testing.assert_array_equal(self.eliminate(state), [False, True, True])
+        np.testing.assert_array_equal(
+            self.eliminate([-8.0, -7.5, -7.9]), [False, True, True]
+        )
 
 
 class TestCplConfig:
@@ -585,11 +770,26 @@ class TestCplConfig:
             {"eta": 0.0, "k0": 5},
             {"eta": 0.05, "k0": 1},
             {"eta": 0.05, "k0": 5, "max_epochs": 0},
+            {"eta": float("nan"), "k0": 5},
+            {"eta": float("inf"), "k0": 5},
+            {"eta": -float("inf"), "k0": 5},
+            {"eta": 0.05, "k0": 5.0},
+            {"eta": 0.05, "k0": True},
+            {"eta": 0.05, "k0": 5, "max_epochs": 2.5},
+            {"eta": 0.05, "k0": 5, "max_epochs": "3"},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             CplConfig(**kwargs)
+
+    def test_nan_eta_names_the_setting(self):
+        with pytest.raises(ValueError, match="eta must be finite and positive, got nan"):
+            CplConfig(eta=float("nan"), k0=5)
+
+    def test_numpy_integers_accepted(self):
+        config = CplConfig(eta=1e-9, k0=np.int64(5), max_epochs=np.int32(1))
+        assert (config.k0, config.max_epochs) == (5, 1)
 
 
 class TestRunCpl:
@@ -664,3 +864,23 @@ class TestRunCpl:
             DataMatrix(values), CplConfig(eta=0.05, k0=10, rng_seed=4), weighting=False
         )
         np.testing.assert_allclose(result.feature_weights.entries, 1.0 / 3)
+
+    def test_memory_stays_at_the_cache_one_group_and_linear_terms(self):
+        # the n x k0 similarity cache, one group of fresh columns (at most
+        # SIMILARITY_BLOCK_ELEMENTS entries) and O(n d + k0 d) buffers; a
+        # second n x k0 array would add 16 MB. The feature-weight refresh is
+        # off: its dense n x k one-hot is a cost of its own.
+        n, d, k0 = 2000, 16, 1000
+        data = DataMatrix(np.random.default_rng(0).uniform(size=(n, d)))
+        run_cpl(data, CplConfig(eta=0.05, k0=2, max_epochs=1))  # loads the kernel
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_cpl(data, CplConfig(eta=0.05, k0=k0, max_epochs=3), weighting=False)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        cache = n * k0 * 8
+        group = SIMILARITY_BLOCK_ELEMENTS * 8
+        linear = 8 * (n * d + k0 * d) * 8
+        assert cache < peak <= cache + group + linear

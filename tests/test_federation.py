@@ -253,6 +253,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="eta"):
             FederationConfig(client_count=2, k_star=2, eta=value)
 
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_infinite_eta_rejected(self, value):
+        with pytest.raises(ValueError, match="eta must be finite and positive"):
+            FederationConfig(client_count=2, k_star=2, eta=value)
+
     def test_edges_of_the_accepted_ranges(self):
         config = FederationConfig(client_count=2, k_star=2, eta=1e-9, k0_fraction=1.0)
         assert (config.eta, config.k0_fraction) == (1e-9, 1.0)

@@ -1,26 +1,36 @@
 """Building, caching and loading the compiled kernel, and its array guards."""
 
 import ctypes
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedhire import _kernel
-from fedhire.cpl import _dissimilarities
+from fedhire import _kernel, cpl
+from fedhire.core import ClusterletState
+from fedhire.cpl import _dissimilarities, _Run
 
 
-def _epoch(lib, seed=0):
-    """One kernel epoch on a random block; returns every array it writes."""
+def _epochs(lib, seed=0, epochs=3):
+    """Epochs of a ``_Run`` on random data through ``lib``, with groups of
+    two columns, so every entry point runs; returns every array they write."""
     rng = np.random.default_rng(seed)
-    n, k = 60, 7
-    sims = rng.uniform(1e-3, 1.0, size=(n, k))
-    gamma = rng.uniform(0.0, 1.0, size=k)
-    raw = rng.uniform(-7.0, -3.0, size=k)
-    weights = np.array([lib.fh_squash(r) for r in raw])
-    gw = gamma * weights
-    winners = np.empty(n, dtype=np.int64)
-    lib.fh_presentation_epoch(sims, n, k, gamma, gw, raw, weights, 0.05, winners)
-    return winners, gw, raw, weights
+    n, k, d = 60, 7, 3
+    values = rng.uniform(0.0, 1.0, size=(n, d))
+    state = ClusterletState.initial(values[rng.choice(n, size=k, replace=False)])
+    state.raw_weights[:] = rng.uniform(-7.0, -3.0, size=k)
+    state.weights[:] = [lib.fh_squash(r) for r in state.raw_weights]
+    rows = rng.dirichlet(np.ones(d), size=k)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cpl, "SIMILARITY_BLOCK_ELEMENTS", 2 * n)
+        run = _Run(values, state, rows)
+    run.lib = lib
+    orphans = [run.epoch(0.05)[1] for _ in range(epochs)]
+    return (
+        np.array(orphans), run.sims, run.assignments, run.streaks, run.gamma,
+        state.centroids, state.win_counts, state.raw_weights, state.weights,
+        state.active,
+    )
 
 
 def _distances(lib, d, seed=0):
@@ -46,8 +56,8 @@ def test_fresh_build_loads_and_matches_the_cached_library(tmp_path):
         np.array([fresh.fh_squash(r) for r in raws]).view(np.uint64),
         np.array([cached.fh_squash(r) for r in raws]).view(np.uint64),
     )
-    for got, want in zip(_epoch(fresh), _epoch(cached)):
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for got, want in zip(_epochs(fresh), _epochs(cached)):
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
     for d in (4, 16, 300):
         np.testing.assert_array_equal(
             _distances(fresh, d).view(np.uint64), _distances(cached, d).view(np.uint64)
@@ -98,3 +108,24 @@ def test_distances_refuse_an_array_they_would_have_to_copy(argument, position, l
     }[layout]
     with pytest.raises(ctypes.ArgumentError, match=f"argument {position}"):
         _dissimilarities(*arrays)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided", "float32", "shape"])
+def test_run_buffers_are_refused_rather_than_copied(layout):
+    # 8 MB: a copy would show in the allocation peak
+    a = np.zeros((1000, 1000))
+    bad = {
+        "fortran": np.asfortranarray(a),
+        "strided": np.zeros((1000, 2000))[:, ::2],
+        "float32": a.astype(np.float32),
+        "shape": np.zeros((1000, 999)),
+    }[layout]
+    assert _kernel.address("sims", a, np.float64, (1000, 1000)) == a.ctypes.data
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="sims must be"):
+            _kernel.address("sims", bad, np.float64, (1000, 1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes // 100
