@@ -1,5 +1,6 @@
 /* The compiled steps of competitive penalized learning: the weighted
- * distances, the squash and the epoch bookkeeping of run_cpl.
+ * distances, the squash, the epoch bookkeeping and the feature-weight
+ * refresh of run_cpl.
  *
  * One epoch is four kinds of call on the buffers of struct fh_run, all
  * allocated by numpy: fh_stale_columns finds the similarity columns to
@@ -7,17 +8,20 @@
  * (Python takes np.exp of the group in place), fh_floor_scatter floors the
  * group into the n x k0 cache, and fh_epoch does the rest: gamma, the
  * presentation loop, the win counts, the centroid means, the empty streaks
- * and the deactivation. Only np.exp and the feature-weight refresh stay in
+ * and the deactivation. A feature-weight refresh is three more calls,
+ * fh_refresh_live, fh_refresh_overlap and fh_refresh_rows, with numpy
+ * between them. Only np.exp and the refresh's three BLAS products stay in
  * numpy, since neither can be repeated here bit for bit.
  *
  * Bit for bit the numpy and Python forms kept as oracles in tests/oracles.py:
  * every operation is the same IEEE double operation in the same order. The
  * distances add their per-feature terms in numpy's pairwise_sum order, the
- * order of sum(axis=-1) in the broadcast-and-sum oracle; the centroid sums
- * add in object order, as np.add.at does; exp is the libm exp that Python's
- * math.exp calls; the winner and rival keep numpy argmax's first-index tie
- * rule (strict > comparisons only). Built without -ffast-math and with
- * -ffp-contract=off (see _kernel.py), so no operation is reordered or fused.
+ * order of sum(axis=-1) in the broadcast-and-sum oracle, and so do the row
+ * sums of the refresh; the centroid sums add in object order, as np.add.at
+ * does; exp is the libm exp that Python's math.exp calls; the winner and
+ * rival keep numpy argmax's first-index tie rule (strict > comparisons
+ * only). Built without -ffast-math and with -ffp-contract=off (see
+ * _kernel.py), so no operation is reordered or fused.
  */
 #include <math.h>
 #include <stdint.h>
@@ -151,6 +155,9 @@ struct fh_run {
     double floor;               /* SIMILARITY_FLOOR */
     double threshold;           /* ELIMINATION_THRESHOLD */
     int64_t dead_epochs;        /* DEAD_UNIT_EPOCHS */
+    double variance_floor;      /* VARIANCE_FLOOR */
+    double entry_tolerance;     /* ENTRY_TOLERANCE */
+    double row_sum_tolerance;   /* ROW_SUM_TOLERANCE */
     const double *values;       /* n x d */
     const double *by_feature;   /* d x n */
     double *sims;               /* n x k0, the floored exp(-D) columns */
@@ -173,6 +180,17 @@ struct fh_run {
     int64_t *streaks;           /* k0, consecutive memberless epochs */
     double *gamma;              /* k0 */
     double *gw;                 /* k0, gamma * weight of the active, compact */
+    /* the feature-weight refresh, allocated by its first call; the k x d
+     * buffers hold one row per live clusterlet, in the order of live */
+    const double *totals;       /* 2 x d, the column sums of x and of x^2 */
+    int64_t *members;           /* k0, the objects of each clusterlet */
+    int64_t *live;              /* k0, the live clusterlets, ascending */
+    int64_t *remap;             /* k0, the index in live, or -1 */
+    double *compact;            /* n x d, -(x - c)^2 / 2, then its exp */
+    double *onehot;             /* n x k, one 1.0 per object */
+    double *sum_x;              /* k0 x d, sum x, then scale, then alpha beta */
+    double *sum_xx;             /* k0 x d, sum x^2, then exponent, then rows */
+    double *sum_compact;        /* k0 x d, sum exp(-(x - c)^2 / 2) */
 };
 
 /* The active columns whose centroid row or M row compares unequal to the
@@ -350,4 +368,152 @@ int64_t fh_epoch(struct fh_run *r, double eta, int64_t out)
     for (int64_t i = 0; i < n; i++)
         orphans += !r->active[assignments[i]];
     return orphans;
+}
+
+/* numpy's pairwise_sum of the count doubles at a, the order in which
+ * sum(axis=-1) adds one row: pairwise_terms for a single value. */
+static double pairwise_sum(const double *a, int64_t count)
+{
+    if (count < UNROLL) {
+        double res = 0.0;
+        for (int64_t z = 0; z < count; z++)
+            res += a[z];
+        return res;
+    }
+    if (count <= PAIRWISE_BLOCK) {
+        double r[UNROLL];
+        int64_t end = count - count % UNROLL, z;
+        for (int q = 0; q < UNROLL; q++)
+            r[q] = a[q];
+        for (z = UNROLL; z < end; z += UNROLL)
+            for (int q = 0; q < UNROLL; q++)
+                r[q] += a[z + q];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; z < count; z++)
+            res += a[z];
+        return res;
+    }
+    int64_t half = count / 2;
+    half -= half % UNROLL;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, count - half);
+}
+
+/* Step one of a feature-weight refresh, from the assignments of every object
+ * (after the orphan reassignment). The live clusterlets are those that own
+ * an object: their member counts go to r->members, their indices ascending
+ * to r->live and their positions in it to r->remap. Returns how many are
+ * live, or -1, writing no M row, if an object's clusterlet is inactive or
+ * out of range. One live clusterlet gets the uniform row 1/d and nothing
+ * else is done. Otherwise the first n x k entries of r->onehot become the
+ * object x live one-hot, and r->compact the exponents -0.5 (x - c)^2 of each
+ * object against its own centroid, for Python to exponentiate in place. */
+int64_t fh_refresh_live(struct fh_run *r, const int64_t *assignments)
+{
+    int64_t n = r->n, d = r->d, k0 = r->k0, k = 0;
+    memset(r->members, 0, (size_t)k0 * sizeof *r->members);
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = assignments[i];
+        if (a < 0 || a >= k0 || !r->active[a])
+            return -1;
+        r->members[a] += 1;
+    }
+    for (int64_t j = 0; j < k0; j++) {
+        r->remap[j] = r->members[j] > 0 ? k : -1;
+        if (r->members[j] > 0)
+            r->live[k++] = j;
+    }
+    if (k == 1) {
+        for (int64_t z = 0; z < d; z++)
+            r->rows[r->live[0] * d + z] = 1.0 / (double)d;
+        return 1;
+    }
+    memset(r->onehot, 0, (size_t)(n * k) * sizeof *r->onehot);
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = assignments[i];
+        const double *x = r->values + i * d, *c = r->centroids + a * d;
+        r->onehot[i * k + r->remap[a]] = 1.0;
+        for (int64_t z = 0; z < d; z++) {
+            double t = x[z] - c[z];
+            r->compact[i * d + z] = -0.5 * (t * t);
+        }
+    }
+    return k;
+}
+
+/* Unbiased variance from a sum of squares, a count and a mean; 0 for a
+ * singleton, then floored as np.maximum floors (NaN stays NaN). */
+static double variance(double sq_sum, double count, double mean, double floor)
+{
+    double dof = count - 1.0 > 1.0 ? count - 1.0 : 1.0;
+    double var = count <= 1.0 ? 0.0 : (sq_sum - count * (mean * mean)) / dof;
+    return var < floor ? floor : var;
+}
+
+/* Step two, once Python has put the member sums of x, x^2 and exp(compact)
+ * of the k live clusterlets into r->sum_x, r->sum_xx and r->sum_compact.
+ * With mu, var the mean and floored unbiased variance of a feature inside
+ * the clusterlet and mu_bar, var_bar those outside it, r->sum_x gets the
+ * overlap scale sqrt(2 sqrt(var var_bar) / (var + var_bar)) and r->sum_xx
+ * the exponent -(mu - mu_bar)^2 / (4 (var + var_bar)), for Python to
+ * exponentiate in place. */
+void fh_refresh_overlap(struct fh_run *r, int64_t k)
+{
+    int64_t d = r->d;
+    const double *total_x = r->totals, *total_xx = r->totals + d;
+    for (int64_t t = 0; t < k; t++) {
+        double count = (double)r->members[r->live[t]];
+        double rest = (double)r->n - count;
+        double *s1 = r->sum_x + t * d, *s2 = r->sum_xx + t * d;
+        for (int64_t z = 0; z < d; z++) {
+            double mu = s1[z] / count;
+            double mu_bar = (total_x[z] - s1[z]) / rest;
+            double var = variance(s2[z], count, mu, r->variance_floor);
+            double var_bar = variance(total_xx[z] - s2[z], rest, mu_bar,
+                                      r->variance_floor);
+            double gap = mu - mu_bar;
+            s1[z] = sqrt(2.0 * sqrt(var * var_bar) / (var + var_bar));
+            s2[z] = -(gap * gap) / (4.0 * (var + var_bar));
+        }
+    }
+}
+
+/* Step three, once Python has exponentiated r->sum_xx: alpha =
+ * sqrt(max(1 - scale e, 0)), the Hellinger distance of the two Gaussian
+ * fits, beta = sqrt(sum_compact) / count, and each live row alpha beta over
+ * its sum, or the uniform row 1/d where that sum is <= 0. The rows are
+ * checked as a FeatureClusterMatrix checks them and only then copied into
+ * the M rows of the live clusterlets. Returns how many rows fell back to
+ * uniform, or, writing no M row, -1 if an entry lies outside
+ * [-entry_tolerance, 1 + entry_tolerance] and else -2 if a row sum is
+ * further than row_sum_tolerance from 1 (or NaN). */
+int64_t fh_refresh_rows(struct fh_run *r, int64_t k)
+{
+    int64_t d = r->d, fallbacks = 0;
+    double lo = -r->entry_tolerance, hi = 1.0 + r->entry_tolerance;
+    int out_of_range = 0, off_sum = 0;
+    for (int64_t t = 0; t < k; t++) {
+        double count = (double)r->members[r->live[t]];
+        double *product = r->sum_x + t * d, *row = r->sum_xx + t * d;
+        const double *compact = r->sum_compact + t * d;
+        for (int64_t z = 0; z < d; z++) {
+            double gap = 1.0 - product[z] * row[z];
+            double alpha = sqrt(gap < 0.0 ? 0.0 : gap);
+            product[z] = alpha * (sqrt(compact[z]) / count);
+        }
+        double sum = pairwise_sum(product, d);
+        if (sum <= 0.0)
+            fallbacks++;
+        for (int64_t z = 0; z < d; z++) {
+            row[z] = sum <= 0.0 ? 1.0 / (double)d : product[z] / sum;
+            out_of_range |= row[z] < lo || row[z] > hi;
+        }
+        off_sum |= !(fabs(pairwise_sum(row, d) - 1.0) <= r->row_sum_tolerance);
+    }
+    if (out_of_range)
+        return -1;
+    if (off_sum)
+        return -2;
+    for (int64_t t = 0; t < k; t++)
+        memcpy(r->rows + r->live[t] * d, r->sum_xx + t * d, (size_t)d * sizeof *r->rows);
+    return fallbacks;
 }

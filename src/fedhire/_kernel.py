@@ -1,4 +1,4 @@
-"""Build and load ``_kernel.c``, the compiled distances and epoch steps.
+"""Build and load ``_kernel.c``, the compiled distances, epoch and refresh steps.
 
 The shared library is compiled on first use with the system C compiler and
 cached on disk under a name that hashes the C source, the compiler command
@@ -46,12 +46,18 @@ class Run(ctypes.Structure):
         ("threshold", ctypes.c_double),
         ("dead_epochs", ctypes.c_int64),
         *(
+            (name, ctypes.c_double)
+            for name in ("variance_floor", "entry_tolerance", "row_sum_tolerance")
+        ),
+        *(
             (name, ctypes.c_void_p)
             for name in (
                 "values", "by_feature", "sims", "stored_centroids", "stored_rows",
                 "centroids", "win_counts", "raw_weights", "weights", "active",
                 "rows", "act", "stale", "fresh", "group_centroids", "group_scaled",
                 "assignments", "counts", "sums", "streaks", "gamma", "gw",
+                "totals", "members", "live", "remap", "compact", "onehot", "sum_x",
+                "sum_xx", "sum_compact",
             )
         ),
     ]
@@ -108,6 +114,13 @@ def load(cache: Path) -> ctypes.CDLL:
     lib.fh_floor_scatter.restype = None
     lib.fh_epoch.argtypes = [run, ctypes.c_double, ctypes.c_int64]
     lib.fh_epoch.restype = ctypes.c_int64
+    # the assignments by the address that ``address`` checked
+    lib.fh_refresh_live.argtypes = [run, ctypes.c_void_p]
+    lib.fh_refresh_live.restype = ctypes.c_int64
+    lib.fh_refresh_overlap.argtypes = [run, ctypes.c_int64]
+    lib.fh_refresh_overlap.restype = None
+    lib.fh_refresh_rows.argtypes = [run, ctypes.c_int64]
+    lib.fh_refresh_rows.restype = ctypes.c_int64
     return lib
 
 

@@ -1,17 +1,20 @@
-"""Core data types and distance/weighting primitives shared by clients and server."""
+"""Core data types shared by clients and server, and the feature-weight constants."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 # Degenerate per-feature variances are floored here so the Gaussian overlap
-# term below never divides by zero.
+# term of the feature weights never divides by zero.
 VARIANCE_FLOOR = 1e-12
+# A FeatureClusterMatrix holds entries in [-ENTRY_TOLERANCE, 1 + ENTRY_TOLERANCE]
+# and rows that sum to 1 within ROW_SUM_TOLERANCE: the accept set of
+# np.allclose(row_sums, 1.0, atol=1e-9), NaN rejected. The engine's
+# feature-weight refresh checks its rows against the same constants.
+ENTRY_TOLERANCE = 1e-12
+ROW_SUM_TOLERANCE = 1e-9 + 1e-5
 
 
 class EmptyClusterError(ValueError):
@@ -105,12 +108,12 @@ class FeatureClusterMatrix:
         self.entries = np.asarray(self.entries, dtype=np.float64)
         if self.entries.ndim != 2:
             raise ValueError("entries must be 2-D")
-        if ((self.entries < -1e-12) | (self.entries > 1.0 + 1e-12)).any():
+        if (
+            (self.entries < -ENTRY_TOLERANCE) | (self.entries > 1.0 + ENTRY_TOLERANCE)
+        ).any():
             raise ValueError("entries must lie in [0, 1]")
-        # the accept set of np.allclose(row_sums, 1.0, atol=1e-9), NaN
-        # rejected, without its per-call overhead
         row_sums = self.entries.sum(axis=1)
-        if self.entries.shape[1] and not np.all(np.abs(row_sums - 1.0) <= 1e-9 + 1e-5):
+        if self.entries.shape[1] and not np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOLERANCE):
             raise ValueError("rows must sum to 1")
 
     @classmethod
@@ -159,77 +162,3 @@ class ClusterletState:
             weights=self.weights.copy(),
             active=self.active.copy(),
         )
-
-
-def feature_cluster_matrix_client(
-    data: DataMatrix,
-    affiliation: AffiliationMatrix,
-    centroids: np.ndarray,
-) -> FeatureClusterMatrix:
-    """Per-cluster feature importances m_jz = α_jz β_jz / Σ_t α_jt β_jt.
-
-    α_jz is the Hellinger distance between Gaussian fits of feature z inside
-    and outside cluster j,
-    ``sqrt(1 − sqrt(2σσ̄/(σ²+σ̄²)) e^{−(μ−μ̄)²/(4(σ²+σ̄²))})``,
-    with unbiased variances (0 for a singleton) floored at VARIANCE_FLOOR;
-    it is symmetric and in [0, 1]. β_jz is the compactness
-    ``(1/|C_j|) sqrt(Σ_{x∈C_j} e^{−(x_z − c_jz)²/2})``. Rows are
-    normalized to sum to 1. With a single cluster the complement is empty and
-    the matrix falls back to uniform rows, as does any row whose α·β products
-    are all zero.
-
-    Every cluster index in ``affiliation`` must be nonempty.
-    """
-    values = data.values
-    n, d = values.shape
-    k = affiliation.k
-    counts = affiliation.counts().astype(np.float64)
-    if (counts == 0).any():
-        raise EmptyClusterError("all clusters must be nonempty")
-    if k == 1:
-        return FeatureClusterMatrix.uniform(1, d)
-
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), affiliation.assignments] = 1.0
-    sum1 = onehot.T @ values                      # k x d per-cluster sums
-    sum2 = onehot.T @ (values**2)
-    total1 = values.sum(axis=0)
-    total2 = (values**2).sum(axis=0)
-
-    counts_col = counts[:, None]
-    comp_counts = (n - counts)[:, None]
-    mu = sum1 / counts_col
-    mu_bar = (total1[None, :] - sum1) / comp_counts
-
-    def _variance(sq_sum, cnt, mean):
-        # unbiased per-cluster variance; singleton clusters get variance 0
-        dof = np.maximum(cnt - 1.0, 1.0)
-        var = (sq_sum - cnt * mean**2) / dof
-        var = np.where(cnt <= 1.0, 0.0, var)
-        return np.maximum(var, VARIANCE_FLOOR)
-
-    var = _variance(sum2, counts_col, mu)
-    var_bar = _variance(total2[None, :] - sum2, comp_counts, mu_bar)
-
-    overlap = np.sqrt(2.0 * np.sqrt(var * var_bar) / (var + var_bar)) * np.exp(
-        -((mu - mu_bar) ** 2) / (4.0 * (var + var_bar))
-    )
-    alpha = np.sqrt(np.clip(1.0 - overlap, 0.0, None))
-
-    centroid_of_own = centroids[affiliation.assignments]
-    compact = np.exp(-0.5 * (values - centroid_of_own) ** 2)
-    beta = np.sqrt(onehot.T @ compact) / counts_col
-
-    product = alpha * beta
-    row_sums = product.sum(axis=1)
-    entries = np.empty_like(product)
-    zero_rows = row_sums <= 0.0
-    if zero_rows.any():
-        logger.info(
-            "feature weighting degenerate for %d cluster(s); using uniform rows",
-            int(zero_rows.sum()),
-        )
-        entries[zero_rows] = 1.0 / d
-    nonzero = ~zero_rows
-    entries[nonzero] = product[nonzero] / row_sums[nonzero, None]
-    return FeatureClusterMatrix(entries=entries)

@@ -32,13 +32,15 @@ Scoring details, fixed across the package:
   of stale columns the negated distances, ``np.exp`` in place and the floor
   and scatter into the cache, then ``fh_epoch`` for gamma, the presentation
   loop, the win counts, the centroid means, the empty streaks and the
-  deactivation. Only ``np.exp`` and the feature-weight refresh stay in
-  numpy: ``np.exp`` and libm's ``exp`` differ in the last bit on some
-  inputs, and the refresh's BLAS products are not sequential sums. The
-  kernel is compiled with the system compiler on first use and cached (see
-  ``_kernel.py``). It does the same double operations in the same order as
-  the numpy and Python forms kept as oracles in ``tests/oracles.py``, the
-  loop on the same libm ``exp``, so its results are theirs bit for bit.
+  deactivation. The feature-weight refresh that follows is three more
+  kernel calls around numpy (see ``feature_cluster_matrix_client``). Only
+  ``np.exp`` and the refresh's three BLAS products stay in numpy: ``np.exp``
+  and libm's ``exp`` differ in the last bit on some inputs, and the BLAS
+  products are not sequential sums. The kernel is compiled with the system
+  compiler on first use and cached (see ``_kernel.py``). It does the same
+  double operations in the same order as the numpy and Python forms kept as
+  oracles in ``tests/oracles.py``, the loop on the same libm ``exp``, so its
+  results are theirs bit for bit.
 
 This combination is what makes redundant clusterlets die: the per-epoch
 fairness snapshot lets one clusterlet sweep a whole dense region within an
@@ -59,11 +61,13 @@ import numpy as np
 
 from . import _kernel
 from .core import (
+    ENTRY_TOLERANCE,
+    ROW_SUM_TOLERANCE,
+    VARIANCE_FLOOR,
     AffiliationMatrix,
     ClusterletState,
     DataMatrix,
     FeatureClusterMatrix,
-    feature_cluster_matrix_client,
 )
 
 logger = logging.getLogger(__name__)
@@ -166,7 +170,10 @@ class _Run:
     ``rows``, updated in place; one group of fresh columns, at most
     SIMILARITY_BLOCK_ELEMENTS entries, so there is never a second n x k0
     array; two assignment rows, written alternately, so the previous epoch's
-    stays readable; and the scratch of ``fh_epoch``.
+    stays readable; the scratch of ``fh_epoch``; and the buffers of the
+    feature-weight refresh, allocated by its first call
+    (``refresh_buffers``), so a run without feature weighting never holds
+    them.
 
     Column j of ``sims`` holds exp(-D_ij), floored, for every object i, as
     computed from the centroid row and M row stored for j. Invariant: every
@@ -200,6 +207,7 @@ class _Run:
         self.streaks = np.zeros(k0, dtype=np.int64)
         self.gamma = np.empty(k0)
         self.gw = np.empty(k0)
+        self.onehot = None
         self.epochs = 0
         f8, i8, kd = np.float64, np.int64, (k0, d)
         # every array the kernel addresses; held here, so that none is freed
@@ -231,9 +239,49 @@ class _Run:
         self.buffers = _kernel.Run(
             n=n, d=d, k0=k0, group=self.group, floor=SIMILARITY_FLOOR,
             threshold=ELIMINATION_THRESHOLD, dead_epochs=DEAD_UNIT_EPOCHS,
+            variance_floor=VARIANCE_FLOOR, entry_tolerance=ENTRY_TOLERANCE,
+            row_sum_tolerance=ROW_SUM_TOLERANCE,
             **{name: _kernel.address(name, *spec) for name, spec in self.arrays.items()},
         )
         self.ref = ctypes.byref(self.buffers)
+
+    def refresh_buffers(self) -> None:
+        """Allocate the buffers of the feature-weight refresh, once per run.
+
+        ``squares`` (the values squared) and ``totals`` (the column sums of
+        the values and of their squares) are computed here by the numpy
+        expressions of the numpy form, so they are its bits. The one-hot has
+        room for n x k0 entries, enough for any live count.
+        """
+        if self.onehot is not None:
+            return
+        n, d = self.values.shape
+        k0 = self.sims.shape[1]
+        self.squares = self.values**2
+        self.totals = np.array([self.values.sum(axis=0), self.squares.sum(axis=0)])
+        self.members = np.empty(k0, dtype=np.int64)
+        self.live = np.empty(k0, dtype=np.int64)
+        self.remap = np.empty(k0, dtype=np.int64)
+        self.compact = np.empty((n, d))
+        self.onehot = np.empty(n * k0)
+        self.sum_x = np.empty((k0, d))
+        self.sum_xx = np.empty((k0, d))
+        self.sum_compact = np.empty((k0, d))
+        f8, i8, kd = np.float64, np.int64, (k0, d)
+        arrays = {
+            "totals": (self.totals, f8, (2, d)),
+            "members": (self.members, i8, (k0,)),
+            "live": (self.live, i8, (k0,)),
+            "remap": (self.remap, i8, (k0,)),
+            "compact": (self.compact, f8, (n, d)),
+            "onehot": (self.onehot, f8, (n * k0,)),
+            "sum_x": (self.sum_x, f8, kd),
+            "sum_xx": (self.sum_xx, f8, kd),
+            "sum_compact": (self.sum_compact, f8, kd),
+        }
+        for name, spec in arrays.items():
+            setattr(self.buffers, name, _kernel.address(name, *spec))
+        self.arrays.update(arrays)
 
     def refresh_columns(self) -> int:
         """Recompute the active columns whose rows changed; returns how many.
@@ -347,7 +395,7 @@ def run_cpl(
             break
 
         if weighting:
-            _refresh_feature_weights(data, assignments, state, rows)
+            feature_cluster_matrix_client(run, assignments)
 
     if not converged:
         logger.info(
@@ -358,29 +406,62 @@ def run_cpl(
     return _compact_result(assignments, state, rows, epochs_used, converged)
 
 
-def _live_affiliation(assignments, state):
-    """Nonempty active clusterlets, and the affiliation re-indexed onto them."""
-    counts = np.bincount(assignments, minlength=state.k)
-    live = np.flatnonzero((counts > 0) & state.active)
-    remap = np.full(state.k, -1, dtype=np.int64)
-    remap[live] = np.arange(live.size)
-    return live, AffiliationMatrix(remap[assignments], k=live.size)
+def feature_cluster_matrix_client(run: _Run, assignments: np.ndarray) -> None:
+    """Refresh, in ``run.rows``, the M rows of the live clusterlets: the
+    active ones that own an object of ``assignments``. The others keep theirs.
 
+    Row j is m_jz = α_jz β_jz / Σ_t α_jt β_jt. α_jz is the Hellinger
+    distance between Gaussian fits of feature z inside and outside
+    clusterlet j, ``sqrt(1 − sqrt(2σσ̄/(σ²+σ̄²)) e^{−(μ−μ̄)²/(4(σ²+σ̄²))})``,
+    with unbiased variances (0 for a singleton) floored at VARIANCE_FLOOR;
+    it is symmetric and in [0, 1]. β_jz is the compactness
+    ``(1/|C_j|) sqrt(Σ_{x∈C_j} e^{−(x_z − c_jz)²/2})``. A single live
+    clusterlet has an empty complement and gets the uniform row, as does any
+    row whose α·β products are all zero (those are logged).
 
-def _refresh_feature_weights(data, assignments, state, rows):
-    """Recompute, in ``rows``, the M rows of nonempty active clusterlets;
-    the others keep theirs.
-
-    ``data`` is the DataMatrix ``run_cpl`` received: wrapping its values anew
-    would repeat the validation scan over n x d every epoch.
+    Three kernel steps with numpy between them, on the buffers of ``run``:
+    ``fh_refresh_live`` finds the live set, the n x k one-hot and the
+    compactness exponents; numpy exponentiates those in place and forms
+    ``onehot.T @ x``, ``onehot.T @ x**2`` and ``onehot.T @ exp(...)``, the
+    left operand the transpose of a C-contiguous n x k array, as the numpy
+    form in ``tests/oracles.py`` does, so the BLAS sums are its bits;
+    ``fh_refresh_overlap`` gives the overlap scales and exponents, numpy
+    exponentiates those in place, and ``fh_refresh_rows`` finishes and
+    checks the rows. Raises ValueError, writing no row, if an object's
+    clusterlet is inactive or a new row fails the FeatureClusterMatrix checks.
     """
-    live, sub_affil = _live_affiliation(assignments, state)
-    sub_m = feature_cluster_matrix_client(data, sub_affil, state.centroids[live])
-    rows[live] = sub_m.entries
+    run.refresh_buffers()
+    lib, ref = run.lib, run.ref
+    n = run.values.shape[0]
+    k = lib.fh_refresh_live(ref, _kernel.address("assignments", assignments, np.int64, (n,)))
+    if k < 0:
+        raise ValueError("every object must belong to an active clusterlet")
+    if k == 1:
+        return
+    onehot = run.onehot[: n * k].reshape(n, k).T
+    np.exp(run.compact, out=run.compact)
+    np.matmul(onehot, run.values, out=run.sum_x[:k])
+    np.matmul(onehot, run.squares, out=run.sum_xx[:k])
+    np.matmul(onehot, run.compact, out=run.sum_compact[:k])
+    lib.fh_refresh_overlap(ref, k)
+    np.exp(run.sum_xx[:k], out=run.sum_xx[:k])
+    fallbacks = lib.fh_refresh_rows(ref, k)
+    if fallbacks == -1:
+        raise ValueError("entries must lie in [0, 1]")
+    if fallbacks == -2:
+        raise ValueError("rows must sum to 1")
+    if fallbacks:
+        logger.info(
+            "feature weighting degenerate for %d cluster(s); using uniform rows", fallbacks
+        )
 
 
 def _compact_result(assignments, state, rows, epochs_used, converged):
-    survivors, affiliation = _live_affiliation(assignments, state)
+    """The nonempty active clusterlets, and the affiliation re-indexed onto them."""
+    counts = np.bincount(assignments, minlength=state.k)
+    survivors = np.flatnonzero((counts > 0) & state.active)
+    remap = np.full(state.k, -1, dtype=np.int64)
+    remap[survivors] = np.arange(survivors.size)
     clusterlets = ClusterletState(
         centroids=state.centroids[survivors].copy(),
         win_counts=state.win_counts[survivors].copy(),
@@ -390,7 +471,7 @@ def _compact_result(assignments, state, rows, epochs_used, converged):
     )
     return CplResult(
         clusterlets=clusterlets,
-        affiliation=affiliation,
+        affiliation=AffiliationMatrix(remap[assignments], k=survivors.size),
         converged_k=survivors.size,
         epochs_used=epochs_used,
         converged=converged,

@@ -12,11 +12,14 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from fedhire import cpl
 from fedhire.core import (
+    VARIANCE_FLOOR,
     AffiliationMatrix,
     ClusterletState,
     DataMatrix,
-    feature_cluster_matrix_client,
+    EmptyClusterError,
+    FeatureClusterMatrix,
 )
 from fedhire.cpl import (
     DEAD_UNIT_EPOCHS,
@@ -195,8 +198,100 @@ def present_one(x, state, m, eta=0.05):
     return int(winner)
 
 
+def feature_cluster_matrix_client(data, affiliation, centroids):
+    """The numpy form of the feature weights m_jz = α_jz β_jz / Σ_t α_jt β_jt.
+
+    Whole-array expressions over a dense n x k one-hot; the engine's
+    ``cpl.feature_cluster_matrix_client``, which runs all but the three
+    ``onehot.T @`` products and the two ``np.exp`` in ``_kernel.c``, must
+    give these rows bit for bit. Every cluster index in ``affiliation`` must
+    be nonempty.
+    """
+    values = data.values
+    n, d = values.shape
+    k = affiliation.k
+    counts = affiliation.counts().astype(np.float64)
+    if (counts == 0).any():
+        raise EmptyClusterError("all clusters must be nonempty")
+    if k == 1:
+        return FeatureClusterMatrix.uniform(1, d)
+
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), affiliation.assignments] = 1.0
+    sum1 = onehot.T @ values                      # k x d per-cluster sums
+    sum2 = onehot.T @ (values**2)
+    total1 = values.sum(axis=0)
+    total2 = (values**2).sum(axis=0)
+
+    counts_col = counts[:, None]
+    comp_counts = (n - counts)[:, None]
+    mu = sum1 / counts_col
+    mu_bar = (total1[None, :] - sum1) / comp_counts
+
+    def _variance(sq_sum, cnt, mean):
+        # unbiased per-cluster variance; singleton clusters get variance 0
+        dof = np.maximum(cnt - 1.0, 1.0)
+        var = (sq_sum - cnt * mean**2) / dof
+        var = np.where(cnt <= 1.0, 0.0, var)
+        return np.maximum(var, VARIANCE_FLOOR)
+
+    var = _variance(sum2, counts_col, mu)
+    var_bar = _variance(total2[None, :] - sum2, comp_counts, mu_bar)
+
+    overlap = np.sqrt(2.0 * np.sqrt(var * var_bar) / (var + var_bar)) * np.exp(
+        -((mu - mu_bar) ** 2) / (4.0 * (var + var_bar))
+    )
+    alpha = np.sqrt(np.clip(1.0 - overlap, 0.0, None))
+
+    centroid_of_own = centroids[affiliation.assignments]
+    compact = np.exp(-0.5 * (values - centroid_of_own) ** 2)
+    beta = np.sqrt(onehot.T @ compact) / counts_col
+
+    product = alpha * beta
+    row_sums = product.sum(axis=1)
+    entries = np.empty_like(product)
+    zero_rows = row_sums <= 0.0
+    entries[zero_rows] = 1.0 / d
+    nonzero = ~zero_rows
+    entries[nonzero] = product[nonzero] / row_sums[nonzero, None]
+    return FeatureClusterMatrix(entries=entries)
+
+
+def refresh_feature_weights(values, assignments, state, rows):
+    """The numpy form of one engine refresh, in ``rows``: the rows of the
+    nonempty active clusterlets become ``feature_cluster_matrix_client`` of
+    the affiliation re-indexed onto them; the others keep theirs."""
+    counts = np.bincount(assignments, minlength=state.k)
+    live = np.flatnonzero((counts > 0) & state.active)
+    remap = np.full(state.k, -1, dtype=np.int64)
+    remap[live] = np.arange(live.size)
+    m = feature_cluster_matrix_client(
+        DataMatrix(values), AffiliationMatrix(remap[assignments], k=live.size),
+        state.centroids[live],
+    )
+    rows[live] = m.entries
+
+
+def engine_refresh(values, assignments, state, rows):
+    """One engine refresh of ``rows`` in place, through the module attribute
+    ``cpl.feature_cluster_matrix_client`` that ``run_cpl`` calls, from the
+    centroids and active mask of ``state``; returns the run."""
+    run = _Run(np.asarray(values, dtype=np.float64), state, rows)
+    cpl.feature_cluster_matrix_client(run, np.asarray(assignments, dtype=np.int64))
+    return run
+
+
+def engine_feature_weights(values, assignments, centroids):
+    """The M rows of one engine refresh where cluster j (every one nonempty)
+    holds the objects assigned to it and has centroid ``centroids[j]``."""
+    centroids = np.asarray(centroids, dtype=np.float64)
+    rows = FeatureClusterMatrix.uniform(*centroids.shape).entries
+    engine_refresh(values, assignments, make_state(centroids), rows)
+    return rows
+
+
 def feature_weight_ratio(inside, outside, centroid):
-    """m_00 / m_01 of ``feature_cluster_matrix_client`` over two features.
+    """m_00 / m_01 of the engine's feature weights over two features.
 
     Cluster 0 holds the rows ``inside``, with the given centroid; cluster 1
     holds the rows ``outside``. The ratio is α_00 β_00 / (α_01 β_01): a test
@@ -206,12 +301,8 @@ def feature_weight_ratio(inside, outside, centroid):
     outside = np.asarray(outside, dtype=np.float64)
     assignments = np.repeat([0, 1], [len(inside), len(outside)])
     centroids = np.vstack([centroid, outside.mean(axis=0)])
-    m = feature_cluster_matrix_client(
-        DataMatrix(np.vstack([inside, outside])),
-        AffiliationMatrix(assignments, k=2),
-        centroids,
-    )
-    return m.entries[0, 0] / m.entries[0, 1]
+    m = engine_feature_weights(np.vstack([inside, outside]), assignments, centroids)
+    return m[0, 0] / m[0, 1]
 
 
 def hellinger_quadrature(mu, var, mu_bar, var_bar):

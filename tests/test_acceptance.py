@@ -10,12 +10,7 @@ import pytest
 
 from fedhire.cli import cmd_bench, cmd_run, ExperimentSpec
 from fedhire.client import run_fcpl
-from fedhire.core import (
-    AffiliationMatrix,
-    DataMatrix,
-    FeatureClusterMatrix,
-    feature_cluster_matrix_client,
-)
+from fedhire.core import AffiliationMatrix, DataMatrix, FeatureClusterMatrix
 from fedhire.cpl import _squash_scalar
 from fedhire.federation import FederationConfig, client_seed, run_one_shot
 from fedhire.metrics import acc, ari, nmi, purity
@@ -33,6 +28,7 @@ from fedhire.server import (
 from conftest import blob_data
 from oracles import (
     engine_epoch,
+    engine_feature_weights,
     feature_weight_ratio,
     make_state,
     present_one,
@@ -147,13 +143,9 @@ def test_formula_unit_suite():
 
     # client feature-cluster weights: rows normalized, symmetric case uniform
     values = np.array([[0.0, 0.0], [0.2, 0.2], [1.0, 1.0], [0.8, 0.8]])
-    m = feature_cluster_matrix_client(
-        DataMatrix(values),
-        AffiliationMatrix(np.array([0, 0, 1, 1]), k=2),
-        np.array([[0.1, 0.1], [0.9, 0.9]]),
-    )
-    np.testing.assert_allclose(m.entries, 0.5, atol=1e-12)
-    np.testing.assert_allclose(m.entries.sum(axis=1), 1.0, atol=1e-9)
+    m = engine_feature_weights(values, [0, 0, 1, 1], [[0.1, 0.1], [0.9, 0.9]])
+    np.testing.assert_allclose(m, 0.5, atol=1e-12)
+    np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-9)
 
     # separating feature outweighs constant noise (vs. the scalar oracle)
     values = np.array(
@@ -161,13 +153,11 @@ def test_formula_unit_suite():
     )
     assignments = np.array([0, 0, 0, 1, 1, 1])
     centroids = np.array([[0.05, 0.5], [0.95, 0.5]])
-    m = feature_cluster_matrix_client(
-        DataMatrix(values), AffiliationMatrix(assignments, k=2), centroids
-    )
+    m = engine_feature_weights(values, assignments, centroids)
     np.testing.assert_allclose(
-        m.entries, scalar_feature_weights(values, assignments, centroids, 2), atol=1e-9
+        m, scalar_feature_weights(values, assignments, centroids, 2), atol=1e-9
     )
-    assert (m.entries[:, 0] > m.entries[:, 1]).all()
+    assert (m[:, 0] > m[:, 1]).all()
 
     elapsed = time.perf_counter() - start
     report("formula unit suite (derived examples)", elapsed < 1.0, f"{elapsed:.2f}s")

@@ -11,10 +11,11 @@ from fedhire.core import (
     DataMatrix,
     EmptyClusterError,
     FeatureClusterMatrix,
-    feature_cluster_matrix_client,
 )
 from fedhire.cpl import _dissimilarities, _Run
 from oracles import (
+    engine_feature_weights,
+    feature_cluster_matrix_client,
     feature_weight_ratio,
     hellinger_quadrature,
     make_state,
@@ -26,7 +27,7 @@ FAR = 50.0
 
 
 def engine_alpha(mu, var, mu_bar, var_bar):
-    """α of one feature as ``feature_cluster_matrix_client`` computes it.
+    """α of one feature as the engine's feature-weight refresh computes it.
 
     Two objects inside the cluster and two outside give feature 0 the stated
     means and unbiased variances. Feature 1 repeats feature 0 inside, so both
@@ -226,15 +227,16 @@ class TestBetaIntraClient:
 
 
 class TestFeatureClusterMatrixClient:
+    """The engine's feature-weight refresh, ``cpl.feature_cluster_matrix_client``."""
+
     def test_symmetric_features_give_uniform_row(self):
         # two clusters arranged so both features carry identical geometry
         values = np.array(
             [[0.0, 0.0], [0.2, 0.2], [1.0, 1.0], [0.8, 0.8]], dtype=float
         )
-        affil = AffiliationMatrix(np.array([0, 0, 1, 1]), k=2)
         centroids = np.array([[0.1, 0.1], [0.9, 0.9]])
-        m = feature_cluster_matrix_client(DataMatrix(values), affil, centroids)
-        np.testing.assert_allclose(m.entries, 0.5, atol=1e-12)
+        m = engine_feature_weights(values, [0, 0, 1, 1], centroids)
+        np.testing.assert_allclose(m, 0.5, atol=1e-12)
 
     def test_informative_feature_gets_more_weight(self):
         # feature 0 separates the clusters; feature 1 is constant noise
@@ -250,20 +252,17 @@ class TestFeatureClusterMatrixClient:
         )
         assignments = np.array([0, 0, 0, 1, 1, 1])
         centroids = np.array([[0.05, 0.5], [0.95, 0.5]])
-        m = feature_cluster_matrix_client(
-            DataMatrix(values), AffiliationMatrix(assignments, k=2), centroids
-        )
+        m = engine_feature_weights(values, assignments, centroids)
         oracle = scalar_feature_weights(values, assignments, centroids, 2)
-        np.testing.assert_allclose(m.entries, oracle, atol=1e-9)
-        assert (m.entries[:, 0] > m.entries[:, 1]).all()
+        np.testing.assert_allclose(m, oracle, atol=1e-9)
+        assert (m[:, 0] > m[:, 1]).all()
 
     def test_single_cluster_uniform(self):
         values = np.random.default_rng(0).normal(size=(5, 3))
-        m = feature_cluster_matrix_client(
-            DataMatrix(values), AffiliationMatrix(np.zeros(5, np.int64), k=1),
-            values.mean(axis=0, keepdims=True),
+        m = engine_feature_weights(
+            values, np.zeros(5, np.int64), values.mean(axis=0, keepdims=True)
         )
-        np.testing.assert_allclose(m.entries, 1.0 / 3)
+        np.testing.assert_array_equal(m, 1.0 / 3)
 
     def test_matches_scalar_oracle_on_random_instances(self):
         rng = np.random.default_rng(3)
@@ -276,12 +275,10 @@ class TestFeatureClusterMatrixClient:
             centroids = np.vstack(
                 [values[assignments == j].mean(axis=0) for j in range(k)]
             )
-            m = feature_cluster_matrix_client(
-                DataMatrix(values), AffiliationMatrix(assignments, k=int(k)), centroids
-            )
+            m = engine_feature_weights(values, assignments, centroids)
             oracle = scalar_feature_weights(values, assignments, centroids, int(k))
-            np.testing.assert_allclose(m.entries, oracle, atol=1e-9)
-            np.testing.assert_allclose(m.entries.sum(axis=1), 1.0, atol=1e-9)
+            np.testing.assert_allclose(m, oracle, atol=1e-9)
+            np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-9)
 
     def test_complement_shift_keeps_rows_normalized(self):
         rng = np.random.default_rng(5)
@@ -292,12 +289,12 @@ class TestFeatureClusterMatrixClient:
         centroids = np.vstack(
             [shifted[assignments == j].mean(axis=0) for j in range(2)]
         )
-        m = feature_cluster_matrix_client(
-            DataMatrix(shifted), AffiliationMatrix(assignments, k=2), centroids
-        )
-        np.testing.assert_allclose(m.entries.sum(axis=1), 1.0, atol=1e-9)
+        m = engine_feature_weights(shifted, assignments, centroids)
+        np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-9)
 
     def test_empty_cluster_rejected(self):
+        # the numpy form refuses an empty cluster; the engine refreshes only
+        # the nonempty ones (see test_cpl's TestFeatureWeightRefresh)
         values = np.zeros((4, 2))
         with pytest.raises(EmptyClusterError):
             feature_cluster_matrix_client(
@@ -310,12 +307,8 @@ class TestFeatureClusterMatrixClient:
         # alpha vanishes on every feature: inside and outside distributions
         # coincide, so the zero-product fallback fires
         values = np.full((6, 2), 0.4)
-        m = feature_cluster_matrix_client(
-            DataMatrix(values),
-            AffiliationMatrix(np.array([0, 0, 0, 1, 1, 1]), k=2),
-            np.full((2, 2), 0.4),
-        )
-        np.testing.assert_allclose(m.entries, 0.5)
+        m = engine_feature_weights(values, [0, 0, 0, 1, 1, 1], np.full((2, 2), 0.4))
+        np.testing.assert_array_equal(m, 0.5)
 
 
 class TestClusterletState:

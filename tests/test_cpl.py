@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 import tracemalloc
@@ -24,9 +25,11 @@ from oracles import (
     compute_gamma,
     dissimilarities,
     engine_epoch,
+    engine_refresh,
     epoch,
     make_state,
     present_one,
+    refresh_feature_weights,
     similarity_columns,
     squash,
 )
@@ -884,3 +887,135 @@ class TestRunCpl:
         group = SIMILARITY_BLOCK_ELEMENTS * 8
         linear = 8 * (n * d + k0 * d) * 8
         assert cache < peak <= cache + group + linear
+
+    def test_memory_with_weighting_adds_one_onehot(self):
+        # the same run with the feature-weight refresh on: its n x k0
+        # one-hot, allocated once, on top of the cache, one group of fresh
+        # columns and O(n d + k0 d) buffers
+        n, d, k0 = 2000, 16, 1000
+        data = DataMatrix(np.random.default_rng(0).uniform(size=(n, d)))
+        run_cpl(data, CplConfig(eta=0.05, k0=2, max_epochs=1))  # loads the kernel
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_cpl(data, CplConfig(eta=0.05, k0=k0, max_epochs=3))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        cache = onehot = n * k0 * 8
+        group = SIMILARITY_BLOCK_ELEMENTS * 8
+        linear = 8 * (n * d + k0 * d) * 8
+        assert cache + onehot < peak <= cache + onehot + group + linear
+
+    @pytest.mark.parametrize("weighting", [True, False])
+    @pytest.mark.parametrize("max_epochs", [3, 100])
+    def test_refreshes_once_per_epoch_but_a_converged_last(
+        self, four_blob_data, monkeypatch, weighting, max_epochs
+    ):
+        # perfbench's core.feature_weights layer wraps this module attribute
+        # and counts its calls
+        calls = []
+        refresh = cpl.feature_cluster_matrix_client
+
+        def counting(*args):
+            calls.append(args)
+            return refresh(*args)
+
+        monkeypatch.setattr(cpl, "feature_cluster_matrix_client", counting)
+        config = CplConfig(eta=0.05, k0=40, max_epochs=max_epochs, rng_seed=2)
+        result = run_cpl(four_blob_data, config, weighting=weighting)
+        assert result.converged == (max_epochs == 100)
+        expected = result.epochs_used - int(result.converged) if weighting else 0
+        assert len(calls) == expected
+
+
+# feature counts on each branch of numpy's pairwise sum (in sequence below
+# 8, eight accumulators up to 128, halving above, twice at 300), and d = 1:
+# one-entry rows and column totals over an n x 1 array
+REFRESH_DIMS = [1, 2, 4, 7, 8, 9, 16, 129, 300]
+
+
+def refresh_case(rng, n, d, k0, active_count, live_count, kind):
+    """values, assignments, state and M rows of one refresh.
+
+    ``active_count`` random clusterlets are active and the first
+    ``live_count`` of them, in random order, own the objects, so inactive
+    and memberless active clusterlets fall between live ones. The first
+    objects go one to each live clusterlet, so with n near the live count
+    most of them are singletons. ``kind`` "constant" gives every object the
+    same values, so every α and every α·β product is zero.
+    """
+    active = np.zeros(k0, dtype=bool)
+    order = rng.permutation(k0)
+    active[order[:active_count]] = True
+    live = order[: min(live_count, active_count, n)]
+    assignments = np.concatenate([live, rng.choice(live, size=n - live.size)])
+    if kind == "constant":
+        values = np.full((n, d), rng.normal())
+    else:
+        values = rng.normal(size=(n, d)) * rng.uniform(0.01, 10.0, size=d)
+    state = make_state(rng.normal(size=(k0, d)), active=active)
+    rows = rng.dirichlet(np.ones(d), size=k0)
+    return values, assignments, state, rows
+
+
+class TestFeatureWeightRefresh:
+    """``cpl.feature_cluster_matrix_client``, the feature-weight refresh of
+    ``_kernel.c`` around numpy's BLAS products, against its numpy form."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.sampled_from(REFRESH_DIMS),
+        n=st.integers(1, 40),
+        shape=st.integers(2, 12).flatmap(
+            lambda k0: st.tuples(st.just(k0), st.integers(1, k0), st.integers(1, k0))
+        ),
+        kind=st.sampled_from(["spread", "constant"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(d=4, n=5, shape=(6, 3, 1), kind="spread", seed=0)  # one live
+    @example(d=9, n=4, shape=(8, 5, 4), kind="spread", seed=1)  # all singletons
+    def test_bitwise_equal_to_the_numpy_form(self, d, n, shape, kind, seed):
+        k0, active_count, live_count = shape
+        case = refresh_case(np.random.default_rng(seed), n, d, k0, active_count, live_count, kind)
+        values, assignments, state, rows = case
+        want = rows.copy()
+        refresh_feature_weights(values, assignments, state, want)
+        engine_refresh(values, assignments, state, rows)
+        np.testing.assert_array_equal(bits(rows), bits(want))
+
+    def test_all_zero_products_fall_back_to_uniform_and_are_logged(self, caplog):
+        rng = np.random.default_rng(4)
+        values, assignments, state, rows = refresh_case(rng, 30, 3, 8, 6, 4, "constant")
+        want = rows.copy()
+        refresh_feature_weights(values, assignments, state, want)
+        with caplog.at_level(logging.INFO, logger="fedhire.cpl"):
+            engine_refresh(values, assignments, state, rows)
+        np.testing.assert_array_equal(bits(rows), bits(want))
+        np.testing.assert_array_equal(rows[np.unique(assignments)], 1.0 / 3)
+        assert "feature weighting degenerate for 4 cluster(s)" in caplog.text
+
+    def test_a_row_holding_nan_is_refused_and_no_row_is_written(self):
+        rng = np.random.default_rng(5)
+        values, assignments, state, rows = refresh_case(rng, 30, 3, 8, 6, 4, "spread")
+        # finite, but its square overflows: the variances become inf - inf
+        values[0, 1] = 1e200
+        before = rows.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="rows must sum to 1"):
+                refresh_feature_weights(values, assignments, state, before.copy())
+            with pytest.raises(ValueError, match="rows must sum to 1"):
+                engine_refresh(values, assignments, state, rows)
+        np.testing.assert_array_equal(bits(rows), bits(before))
+
+    @pytest.mark.parametrize("owner", ["inactive", "negative", "past_the_end"])
+    def test_an_object_outside_the_active_clusterlets_is_refused(self, owner):
+        rng = np.random.default_rng(6)
+        values, assignments, state, rows = refresh_case(rng, 30, 3, 8, 6, 4, "spread")
+        assignments[7] = {
+            "inactive": np.flatnonzero(~state.active)[0], "negative": -1, "past_the_end": 8,
+        }[owner]
+        before = rows.copy()
+        with pytest.raises(ValueError, match="active clusterlet"):
+            engine_refresh(values, assignments, state, rows)
+        np.testing.assert_array_equal(bits(rows), bits(before))

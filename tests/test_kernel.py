@@ -1,6 +1,7 @@
 """Building, caching and loading the compiled kernel, and its array guards."""
 
 import ctypes
+import subprocess
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,22 @@ def _epochs(lib, seed=0, epochs=3):
     )
 
 
+def _refresh(lib, seed=0):
+    """One feature-weight refresh of a ``_Run`` through ``lib``, with an
+    inactive and a memberless clusterlet; returns the rows it writes."""
+    rng = np.random.default_rng(seed)
+    n, k, d = 60, 7, 9
+    values = rng.normal(size=(n, d))
+    state = ClusterletState.initial(values[rng.choice(n, size=k, replace=False)])
+    state.active[2] = False
+    rows = rng.dirichlet(np.ones(d), size=k)
+    run = _Run(values, state, rows)
+    run.lib = lib
+    assignments = rng.choice([0, 1, 3, 4, 6], size=n)
+    cpl.feature_cluster_matrix_client(run, assignments)
+    return rows
+
+
 def _distances(lib, d, seed=0):
     """One kernel distance call on random rows; n ends on a partial block."""
     rng = np.random.default_rng(seed)
@@ -58,10 +75,25 @@ def test_fresh_build_loads_and_matches_the_cached_library(tmp_path):
     )
     for got, want in zip(_epochs(fresh), _epochs(cached)):
         np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+    np.testing.assert_array_equal(
+        _refresh(fresh).view(np.uint64), _refresh(cached).view(np.uint64)
+    )
     for d in (4, 16, 300):
         np.testing.assert_array_equal(
             _distances(fresh, d).view(np.uint64), _distances(cached, d).view(np.uint64)
         )
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    # the package's own FLAGS, and so its cache key, stay as they are
+    warnings = ("-Wall", "-Wextra", "-Wconversion", "-Werror")
+    target = tmp_path / "kernel.so"
+    command = [
+        _kernel.COMPILER, *_kernel.FLAGS, *warnings, "-o", str(target),
+        str(_kernel.SOURCE), *_kernel.LIBRARIES,
+    ]
+    built = subprocess.run(command, capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
 
 
 def test_a_cached_library_is_loaded_without_compiling(tmp_path, monkeypatch):
