@@ -1,6 +1,7 @@
 /* The compiled steps of competitive penalized learning: the weighted
  * distances, the squash, the epoch bookkeeping and the feature-weight
- * refresh of run_cpl.
+ * refresh of run_cpl; and fh_kmeans, the whole Lloyd loop of the k-means
+ * that fragments each ground-truth cluster (federation.kmeans).
  *
  * One epoch is four kinds of call on the buffers of struct fh_run, all
  * allocated by numpy: fh_stale_columns finds the similarity columns to
@@ -18,10 +19,11 @@
  * distances add their per-feature terms in numpy's pairwise_sum order, the
  * order of sum(axis=-1) in the broadcast-and-sum oracle, and so do the row
  * sums of the refresh; the centroid sums add in object order, as np.add.at
- * does; exp is the libm exp that Python's math.exp calls; the winner and
- * rival keep numpy argmax's first-index tie rule (strict > comparisons
- * only). Built without -ffast-math and with -ffp-contract=off (see
- * _kernel.py), so no operation is reordered or fused.
+ * does, and the k-means means as numpy's mean(axis=0) does; exp is the libm
+ * exp that Python's math.exp calls; the winner and rival keep numpy argmax's
+ * first-index tie rule (strict > comparisons only), and the k-means argmin
+ * and argmax theirs. Built without -ffast-math and with -ffp-contract=off
+ * (see _kernel.py), so no operation is reordered or fused.
  */
 #include <math.h>
 #include <stdint.h>
@@ -516,4 +518,92 @@ int64_t fh_refresh_rows(struct fh_run *r, int64_t k)
     for (int64_t t = 0; t < k; t++)
         memcpy(r->rows + r->live[t] * d, r->sum_xx + t * d, (size_t)d * sizeof *r->rows);
     return fallbacks;
+}
+
+/* Lloyd k-means of the n x d values from the k x d centroids, updated in
+ * place, for at most max_iters iterations; the final assignments go to
+ * assignments. by_feature holds the values d x n and ones is a k x d block
+ * of 1.0, so each distance is distances() with unit scale, (1.0 * (x - c))^2
+ * = (x - c)^2, in numpy's pairwise order. Each iteration: the first index of
+ * the smallest distance (NaN first, as argmin) into next; each empty cluster,
+ * ascending, takes the first object of the largest own distance, which then
+ * reads -inf (the counts are not updated in between); a stop if next repeats
+ * the assignments; then the mean of each nonempty cluster's members, an
+ * empty one keeping its centroid. A mean adds in object order from 0.0, as
+ * numpy's axis-0 mean of a d >= 2 member block does; at d = 1 numpy reduces
+ * the m members as one contiguous run, so the mean is 0.0 plus pairwise_sum
+ * of them, grouped by cluster into scratch. Returns 0, or -1 if a block of
+ * distances could not be allocated. */
+int fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
+              const double *values, double *centroids, const double *by_feature,
+              const double *ones, double *dists, int64_t *assignments,
+              int64_t *next, int64_t *counts, double *scratch)
+{
+    for (int64_t i = 0; i < n; i++)
+        assignments[i] = -1;
+    for (int64_t iter = 0; iter < max_iters; iter++) {
+        if (distances(by_feature, d, n, centroids, ones, k, dists, 0))
+            return -1;
+        memset(counts, 0, (size_t)k * sizeof *counts);
+        for (int64_t i = 0; i < n; i++) {
+            const double *row = dists + i * k;
+            int64_t best = 0;
+            for (int64_t j = 1; j < k; j++)
+                if (row[j] < row[best] || (isnan(row[j]) && !isnan(row[best])))
+                    best = j;
+            next[i] = best;
+            counts[best] += 1;
+        }
+        int own = 0;
+        for (int64_t j = 0; j < k; j++) {
+            if (counts[j] > 0)
+                continue;
+            if (!own) {
+                for (int64_t i = 0; i < n; i++)
+                    scratch[i] = dists[i * k + next[i]];
+                own = 1;
+            }
+            int64_t far = 0;
+            for (int64_t i = 1; i < n; i++)
+                if (scratch[i] > scratch[far] || (isnan(scratch[i]) && !isnan(scratch[far])))
+                    far = i;
+            next[far] = j;
+            scratch[far] = -INFINITY;
+        }
+        if (memcmp(next, assignments, (size_t)n * sizeof *next) == 0)
+            break;
+        memcpy(assignments, next, (size_t)n * sizeof *next);
+
+        memset(counts, 0, (size_t)k * sizeof *counts);
+        for (int64_t i = 0; i < n; i++)
+            counts[assignments[i]] += 1;
+        if (d == 1) {
+            /* counts become the start of each cluster's run in scratch, and
+             * after the scatter its end */
+            for (int64_t j = 0, start = 0; j < k; j++) {
+                int64_t m = counts[j];
+                counts[j] = start;
+                start += m;
+            }
+            for (int64_t i = 0; i < n; i++)
+                scratch[counts[assignments[i]]++] = values[i];
+            for (int64_t j = 0, start = 0; j < k; start = counts[j++])
+                if (counts[j] > start)
+                    centroids[j] = (0.0 + pairwise_sum(scratch + start, counts[j] - start))
+                                   / (double)(counts[j] - start);
+        } else {
+            for (int64_t j = 0; j < k; j++)
+                if (counts[j] > 0)
+                    memset(centroids + j * d, 0, (size_t)d * sizeof *centroids);
+            for (int64_t i = 0; i < n; i++) {
+                double *sum = centroids + assignments[i] * d;
+                for (int64_t z = 0; z < d; z++)
+                    sum[z] += values[i * d + z];
+            }
+            for (int64_t j = 0; j < k; j++)
+                for (int64_t z = 0; counts[j] > 0 && z < d; z++)
+                    centroids[j * d + z] /= (double)counts[j];
+        }
+    }
+    return 0;
 }

@@ -121,6 +121,9 @@ def load(cache: Path) -> ctypes.CDLL:
     lib.fh_refresh_overlap.restype = None
     lib.fh_refresh_rows.argtypes = [run, ctypes.c_int64]
     lib.fh_refresh_rows.restype = ctypes.c_int64
+    # four sizes, then the buffers by the addresses that ``address`` checked
+    lib.fh_kmeans.argtypes = [*(ctypes.c_int64,) * 4, *(ctypes.c_void_p,) * 9]
+    lib.fh_kmeans.restype = ctypes.c_int
     return lib
 
 

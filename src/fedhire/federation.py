@@ -2,10 +2,13 @@
 
 The fragmentation protocol splits every ground-truth cluster into several
 clusterlets with k-means and scatters them randomly across clients, so each
-client sees incomplete pieces of the global clusters. The orchestrator then
-runs the whole pipeline with exactly one upload per client: local clusterlet
-discovery, centroid stacking, hierarchy construction, encoding, and the
-final weighted partition, with labels propagated back to original objects.
+client sees incomplete pieces of the global clusters. The k-means runs its
+whole Lloyd loop in one call of the C kernel (``_kernel.c``) and gives the
+results of the numpy loop in ``tests/oracles.py`` bit for bit. The
+orchestrator then runs the whole pipeline with exactly one upload per
+client: local clusterlet discovery, centroid stacking, hierarchy
+construction, encoding, and the final weighted partition, with labels
+propagated back to original objects.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .client import ClientPayload, run_fcpl
 from .core import AffiliationMatrix, DataMatrix
 from .cpl import DEFAULT_MAX_EPOCHS, CplResult
@@ -123,33 +127,46 @@ def kmeans(data: DataMatrix, k: int, seed: int) -> tuple[np.ndarray, Affiliation
     """Plain Lloyd k-means with distinct-object initialization.
 
     Empty clusters are re-seeded from the object farthest from its centroid.
+    The Lloyd loop runs in the C kernel (see ``_lloyd``).
     """
-    values = data.values
+    values = np.ascontiguousarray(data.values)
     n = values.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
-    centroids = values[rng.choice(n, size=k, replace=False)].copy()
-    assignments = np.full(n, -1, dtype=np.int64)
-    for _ in range(KMEANS_MAX_ITERS):
-        dists = ((values[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_assignments = np.argmin(dists, axis=1)
-        counts = np.bincount(new_assignments, minlength=k)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size:
-            own = dists[np.arange(n), new_assignments]
-            for j in empties:
-                far = int(np.argmax(own))
-                new_assignments[far] = j
-                own[far] = -np.inf
-        if np.array_equal(new_assignments, assignments):
-            break
-        assignments = new_assignments
-        for j in range(k):
-            members = values[assignments == j]
-            if members.shape[0]:
-                centroids[j] = members.mean(axis=0)
-    return centroids, AffiliationMatrix(assignments, k=k)
+    centroids = values[rng.choice(n, size=k, replace=False)]
+    return centroids, AffiliationMatrix(_lloyd(values, centroids), k=k)
+
+
+def _lloyd(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """The assignments of at most ``KMEANS_MAX_ITERS`` Lloyd iterations.
+
+    ``fh_kmeans`` of ``_kernel.c`` runs the whole loop and moves the k x d
+    ``centroids`` to the final means in place. Its results are bitwise those
+    of the numpy loop kept as ``kmeans`` in ``tests/oracles.py``: the
+    distances of ``((values[:, None] - centroids[None]) ** 2).sum(axis=2)``,
+    argmin's first-index ties, empty clusters re-seeded in ascending order,
+    the stop on repeated assignments before the means move, and the means of
+    ``members.mean(axis=0)``. ``values`` and ``centroids`` must be
+    C-contiguous float64; anything else is refused rather than copied.
+    """
+    n, d = values.shape
+    k = centroids.shape[0]
+    buffers = {
+        "values": (values, np.float64, (n, d)),
+        "centroids": (centroids, np.float64, (k, d)),
+        "by_feature": (np.ascontiguousarray(values.T), np.float64, (d, n)),
+        "ones": (np.ones((k, d)), np.float64, (k, d)),
+        "dists": (np.empty((n, k)), np.float64, (n, k)),
+        "assignments": (np.empty(n, np.int64), np.int64, (n,)),
+        "next": (np.empty(n, np.int64), np.int64, (n,)),
+        "counts": (np.empty(k, np.int64), np.int64, (k,)),
+        "scratch": (np.empty(n), np.float64, (n,)),
+    }
+    addresses = [_kernel.address(name, *spec) for name, spec in buffers.items()]
+    if _kernel.library().fh_kmeans(n, d, k, KMEANS_MAX_ITERS, *addresses):
+        raise MemoryError("fh_kmeans could not allocate its last block")
+    return buffers["assignments"][0]
 
 
 def _auto_fragments(cluster_size: int, client_count: int) -> int:

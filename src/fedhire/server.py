@@ -205,83 +205,44 @@ def encode_hierarchy(hierarchy: Hierarchy) -> EnhancedRepresentation:
     )
 
 
-def alpha_categorical(
-    cluster_codes: np.ndarray, complement_codes: np.ndarray, k_delta: int
-) -> float:
-    """Inter-cluster difference of one level's codes.
-
-    ``(1/√2) * sqrt(Σ_v (freq_in(v) − freq_out(v))²)`` over the k_delta
-    possible code values, frequencies taken inside the cluster and over its
-    complement. Zero when the two distributions coincide; at most 1.
-    """
-    cluster_codes = np.asarray(cluster_codes)
-    complement_codes = np.asarray(complement_codes)
-    if cluster_codes.size == 0 or complement_codes.size == 0:
-        raise EmptyClusterError("cluster and complement must be nonempty")
-    f_in = np.bincount(cluster_codes - 1, minlength=k_delta) / cluster_codes.size
-    f_out = (
-        np.bincount(complement_codes - 1, minlength=k_delta) / complement_codes.size
-    )
-    return float(INV_SQRT2 * np.sqrt(((f_in - f_out) ** 2).sum()))
-
-
-def beta_matching(cluster_codes: np.ndarray) -> float:
-    """Average matching rate of a level's codes within a cluster.
-
-    ``(1/|C|) Σ_x count(code_x)/|C|``; 1 when every member shares one code,
-    1/|C| when all codes are distinct.
-    """
-    cluster_codes = np.asarray(cluster_codes)
-    size = cluster_codes.size
-    if size == 0:
-        raise EmptyClusterError("cluster must be nonempty")
-    counts = np.bincount(cluster_codes - cluster_codes.min())
-    # each member contributes count(its code)/|C|; summing over members
-    # squares the counts
-    return float((counts.astype(np.float64) ** 2).sum() / size**2)
-
-
 def feature_cluster_matrix_server(
     rep: EnhancedRepresentation, affiliation: AffiliationMatrix
 ) -> FeatureClusterMatrix:
     """Per-cluster level weights u = αβ / Σ αβ over hierarchy levels.
 
-    Rows with all-zero products (and rows of empty clusters) fall back to
-    the uniform 1/Δ prior.
+    For cluster j and level δ, α is the inter-cluster difference
+    ``(1/√2) sqrt(Σ_v (f_in(v) − f_out(v))²)`` of the code frequencies inside
+    the cluster and over its complement, and β the matching rate
+    ``Σ_v count(v)² / |C|²``. Rows of empty clusters, of a cluster holding
+    every row, and with all-zero products get the uniform 1/Δ prior. One
+    bincount per level gives every cluster's code counts; each sum runs over
+    one contiguous row, in the order of the loop form kept as an oracle in
+    ``tests/oracles.py``, so the weights are its bits.
     """
     k = affiliation.k
-    depth = rep.depth
-    entries = np.full((k, depth), 1.0 / depth)
+    n, depth = rep.codes.shape
     assignments = affiliation.assignments
-    for j in range(k):
-        members = rep.codes[assignments == j]
-        others = rep.codes[assignments != j]
-        if members.shape[0] == 0:
-            logger.debug("cluster %d is empty; uniform level weights", j)
-            continue
-        if others.shape[0] == 0:
-            continue
-        product = np.array([
-            alpha_categorical(members[:, delta], others[:, delta], int(level_k))
-            * beta_matching(members[:, delta])
-            for delta, level_k in enumerate(rep.level_ks)
-        ])
-        total = product.sum()
-        if total > 0.0:
-            entries[j] = product / total
+    entries = np.full((k, depth), 1.0 / depth)
+    sizes = np.bincount(assignments, minlength=k)
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        logger.debug("clusters %s are empty; uniform level weights", empty.tolist())
+    rows = np.flatnonzero((sizes > 0) & (sizes < n))
+    size, rest = sizes[rows, None], n - sizes[rows, None]
+    product = np.empty((rows.size, depth))
+    for delta, level_k in enumerate(rep.level_ks.tolist()):
+        counts = np.bincount(
+            assignments * level_k + rep.codes[:, delta] - 1, minlength=k * level_k
+        ).reshape(k, level_k)
+        inside = counts[rows]
+        outside = counts.sum(axis=0) - inside
+        alpha = INV_SQRT2 * np.sqrt(((inside / size - outside / rest) ** 2).sum(axis=1))
+        beta = (inside.astype(np.float64) ** 2).sum(axis=1) / size[:, 0] ** 2
+        product[:, delta] = alpha * beta
+    total = product.sum(axis=1)
+    weighted = total > 0.0
+    entries[rows[weighted]] = product[weighted] / total[weighted, None]
     return FeatureClusterMatrix(entries=entries)
-
-
-def match_similarity(
-    x_codes: np.ndarray, centroid_codes: np.ndarray, u_row: np.ndarray
-) -> float:
-    """L2 norm of the level weights restricted to exactly-matching levels."""
-    x_codes = np.asarray(x_codes)
-    centroid_codes = np.asarray(centroid_codes)
-    u_row = np.asarray(u_row, dtype=np.float64)
-    if x_codes.shape != centroid_codes.shape or x_codes.shape != u_row.shape:
-        raise ValueError("codes and weights must have equal length")
-    return float(np.linalg.norm(u_row * (x_codes == centroid_codes)))
 
 
 def assign_server(
@@ -291,6 +252,8 @@ def assign_server(
 ) -> AffiliationMatrix:
     """Assign every row of codes to its best-matching centroid.
 
+    The similarity of a row to a centroid is the L2 norm of the centroid's
+    level weights restricted to the levels where their codes match exactly.
     Ties break toward the lowest cluster index.
     """
     matches = rep.codes[:, None, :] == centroid_codes[None, :, :]
@@ -305,13 +268,14 @@ def _mode_codes(rep: EnhancedRepresentation, affiliation: AffiliationMatrix,
     Empty clusters keep their current centroid codes.
     """
     out = centroid_codes.copy()
-    for j in range(affiliation.k):
-        members = rep.codes[affiliation.assignments == j]
-        if members.shape[0] == 0:
-            continue
-        for delta in range(rep.depth):
-            counts = np.bincount(members[:, delta], minlength=int(rep.level_ks[delta]) + 1)
-            out[j, delta] = int(np.argmax(counts))
+    assignments = affiliation.assignments
+    nonempty = np.bincount(assignments, minlength=affiliation.k) > 0
+    for delta, level_k in enumerate(rep.level_ks.tolist()):
+        counts = np.bincount(
+            assignments * (level_k + 1) + rep.codes[:, delta],
+            minlength=affiliation.k * (level_k + 1),
+        ).reshape(affiliation.k, level_k + 1)
+        out[nonempty, delta] = counts[nonempty].argmax(axis=1)
     return out
 
 
@@ -319,20 +283,18 @@ def _repair_empty_clusters(rep, assignments, centroid_codes, u) -> None:
     """Re-seed each empty cluster from the worst-fitting object.
 
     The chosen object becomes the cluster's centroid and is moved into it,
-    keeping the cluster count exact. Mutates assignments/centroid_codes.
+    keeping the cluster count exact. An object's fit is the similarity of
+    ``assign_server`` to its own centroid, here ``sqrt(w · w)`` of its
+    matched weights ``w``: the bits of ``np.linalg.norm(w)``. Mutates
+    assignments/centroid_codes.
     """
     k = centroid_codes.shape[0]
     counts = np.bincount(assignments, minlength=k)
     empties = np.flatnonzero(counts == 0)
     if empties.size == 0:
         return
-    sims = np.array(
-        [
-            match_similarity(rep.codes[i], centroid_codes[assignments[i]],
-                             u.entries[assignments[i]])
-            for i in range(rep.object_count)
-        ]
-    )
+    matched = u.entries[assignments] * (rep.codes == centroid_codes[assignments])
+    sims = np.sqrt(np.vecdot(matched, matched))
     taken: set[int] = set()
     for j in empties:
         order = np.argsort(sims, kind="stable")

@@ -27,6 +27,8 @@ from fedhire.cpl import (
     SIMILARITY_FLOOR,
     _Run,
 )
+from fedhire.federation import KMEANS_MAX_ITERS
+from fedhire.server import INV_SQRT2
 
 
 def squash(raw):
@@ -381,3 +383,158 @@ def scalar_level_weights(codes, assignments, level_ks, k):
         s = sum(products)
         out[j] = [p / s for p in products] if s > 0 else [1.0 / depth] * depth
     return out
+
+
+def kmeans(data, k, seed, max_iters=KMEANS_MAX_ITERS):
+    """The numpy form of the fragmentation k-means, Lloyd's loop in numpy.
+
+    The engine's ``federation.kmeans``, which runs the loop in ``fh_kmeans``
+    of ``_kernel.c``, must give these centroids and assignments bit for bit.
+    Empty clusters are re-seeded from the object farthest from its centroid.
+    """
+    values = data.values
+    n = values.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    rng = np.random.default_rng(seed)
+    centroids = values[rng.choice(n, size=k, replace=False)].copy()
+    assignments = np.full(n, -1, dtype=np.int64)
+    for _ in range(max_iters):
+        dists = ((values[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        new_assignments = np.argmin(dists, axis=1)
+        counts = np.bincount(new_assignments, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            own = dists[np.arange(n), new_assignments]
+            for j in empties:
+                far = int(np.argmax(own))
+                new_assignments[far] = j
+                own[far] = -np.inf
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+        for j in range(k):
+            members = values[assignments == j]
+            if members.shape[0]:
+                centroids[j] = members.mean(axis=0)
+    return centroids, AffiliationMatrix(assignments, k=k)
+
+
+def alpha_categorical(cluster_codes, complement_codes, k_delta):
+    """Inter-cluster difference of one level's codes.
+
+    ``(1/√2) * sqrt(Σ_v (freq_in(v) − freq_out(v))²)`` over the k_delta
+    possible code values, frequencies taken inside the cluster and over its
+    complement. Zero when the two distributions coincide; at most 1.
+    """
+    cluster_codes = np.asarray(cluster_codes)
+    complement_codes = np.asarray(complement_codes)
+    if cluster_codes.size == 0 or complement_codes.size == 0:
+        raise EmptyClusterError("cluster and complement must be nonempty")
+    f_in = np.bincount(cluster_codes - 1, minlength=k_delta) / cluster_codes.size
+    f_out = (
+        np.bincount(complement_codes - 1, minlength=k_delta) / complement_codes.size
+    )
+    return float(INV_SQRT2 * np.sqrt(((f_in - f_out) ** 2).sum()))
+
+
+def beta_matching(cluster_codes):
+    """Average matching rate of a level's codes within a cluster.
+
+    ``(1/|C|) Σ_x count(code_x)/|C|``; 1 when every member shares one code,
+    1/|C| when all codes are distinct.
+    """
+    cluster_codes = np.asarray(cluster_codes)
+    size = cluster_codes.size
+    if size == 0:
+        raise EmptyClusterError("cluster must be nonempty")
+    counts = np.bincount(cluster_codes - cluster_codes.min())
+    # each member contributes count(its code)/|C|; summing over members
+    # squares the counts
+    return float((counts.astype(np.float64) ** 2).sum() / size**2)
+
+
+def match_similarity(x_codes, centroid_codes, u_row):
+    """L2 norm of the level weights restricted to exactly-matching levels."""
+    x_codes = np.asarray(x_codes)
+    centroid_codes = np.asarray(centroid_codes)
+    u_row = np.asarray(u_row, dtype=np.float64)
+    if x_codes.shape != centroid_codes.shape or x_codes.shape != u_row.shape:
+        raise ValueError("codes and weights must have equal length")
+    return float(np.linalg.norm(u_row * (x_codes == centroid_codes)))
+
+
+def feature_cluster_matrix_server(rep, affiliation):
+    """The loop form of the server level weights u = αβ / Σ αβ, one cluster
+    and one level at a time; the engine's vectorised
+    ``server.feature_cluster_matrix_server`` must give these rows bit for
+    bit. Rows of empty clusters, of a cluster holding every row, and with
+    all-zero products get the uniform 1/Δ."""
+    k = affiliation.k
+    depth = rep.depth
+    entries = np.full((k, depth), 1.0 / depth)
+    assignments = affiliation.assignments
+    for j in range(k):
+        members = rep.codes[assignments == j]
+        others = rep.codes[assignments != j]
+        if members.shape[0] == 0 or others.shape[0] == 0:
+            continue
+        product = np.array([
+            alpha_categorical(members[:, delta], others[:, delta], int(level_k))
+            * beta_matching(members[:, delta])
+            for delta, level_k in enumerate(rep.level_ks)
+        ])
+        total = product.sum()
+        if total > 0.0:
+            entries[j] = product / total
+    return FeatureClusterMatrix(entries=entries)
+
+
+def mode_codes(rep, affiliation, centroid_codes):
+    """The loop form of ``server._mode_codes``: the per-level mode of each
+    cluster's codes, ties toward the smaller code; empty clusters keep their
+    centroid codes."""
+    out = centroid_codes.copy()
+    for j in range(affiliation.k):
+        members = rep.codes[affiliation.assignments == j]
+        if members.shape[0] == 0:
+            continue
+        for delta in range(rep.depth):
+            counts = np.bincount(members[:, delta], minlength=int(rep.level_ks[delta]) + 1)
+            out[j, delta] = int(np.argmax(counts))
+    return out
+
+
+def repair_empty_clusters(rep, assignments, centroid_codes, u):
+    """The loop form of ``server._repair_empty_clusters``, one
+    ``match_similarity`` call per row: each empty cluster, ascending, takes
+    the worst-fitting row of a cluster with more than one, and that row's
+    codes as its centroid. Mutates assignments and centroid_codes."""
+    k = centroid_codes.shape[0]
+    counts = np.bincount(assignments, minlength=k)
+    empties = np.flatnonzero(counts == 0)
+    if empties.size == 0:
+        return
+    sims = np.array(
+        [
+            match_similarity(rep.codes[i], centroid_codes[assignments[i]],
+                             u.entries[assignments[i]])
+            for i in range(rep.object_count)
+        ]
+    )
+    taken: set[int] = set()
+    for j in empties:
+        order = np.argsort(sims, kind="stable")
+        pick = next(
+            (int(i) for i in order
+             if int(i) not in taken and counts[assignments[i]] > 1),
+            None,
+        )
+        if pick is None:
+            break
+        taken.add(pick)
+        counts[assignments[pick]] -= 1
+        assignments[pick] = j
+        counts[j] = 1
+        centroid_codes[j] = rep.codes[pick]
+        sims[pick] = np.inf

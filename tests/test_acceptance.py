@@ -17,20 +17,20 @@ from fedhire.metrics import acc, ari, nmi, purity
 from fedhire.server import (
     EnhancedRepresentation,
     Hierarchy,
-    alpha_categorical,
-    beta_matching,
     encode_hierarchy,
     feature_cluster_matrix_server,
-    match_similarity,
     run_mcpl,
 )
 
 from conftest import blob_data
 from oracles import (
+    alpha_categorical,
+    beta_matching,
     engine_epoch,
     engine_feature_weights,
     feature_weight_ratio,
     make_state,
+    match_similarity,
     present_one,
     scalar_feature_weights,
     scalar_level_weights,

@@ -2,9 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from fedhire import federation
 from fedhire.core import DataMatrix
 from fedhire.federation import (
+    KMEANS_MAX_ITERS,
     ExperimentError,
     FederationConfig,
     PartitionPlan,
@@ -33,11 +38,21 @@ class TestKmeans:
         assert len(set(affil.assignments[:20])) == 1
         assert affil.assignments[0] != affil.assignments[-1]
 
-    def test_k_one_gives_global_mean(self):
-        values = np.random.default_rng(0).normal(size=(15, 3))
+    @staticmethod
+    def check_global_mean(d):
+        values = np.random.default_rng(0).normal(size=(15, d))
         centroids, affil = kmeans(DataMatrix(values), 1, seed=0)
-        np.testing.assert_allclose(centroids[0], values.mean(axis=0))
+        np.testing.assert_array_equal(
+            centroids[0].view(np.uint64), values.mean(axis=0).view(np.uint64)
+        )
         assert set(affil.assignments) == {0}
+
+    def test_k_one_gives_global_mean(self):
+        self.check_global_mean(3)
+
+    def test_k_one_gives_global_mean_at_d1(self):
+        # numpy reduces a one-column block as one pairwise run
+        self.check_global_mean(1)
 
     def test_k_equals_n_zero_inertia(self):
         values = np.random.default_rng(1).normal(size=(6, 2))
@@ -57,6 +72,85 @@ class TestKmeans:
         _, a1 = kmeans(DataMatrix(values), 4, seed=9)
         _, a2 = kmeans(DataMatrix(values), 4, seed=9)
         np.testing.assert_array_equal(a1.assignments, a2.assignments)
+
+
+class TestKmeansOracle:
+    """``kmeans`` runs Lloyd's loop in ``fh_kmeans`` of ``_kernel.c``; its
+    centroids and assignments must be those of the numpy loop, bit for bit."""
+
+    @staticmethod
+    def draw(n, d, kind, data_seed):
+        """n x d values: normal, rounded to one decimal (exact distance ties)
+        or drawn from three distinct rows (duplicates)."""
+        rng = np.random.default_rng(data_seed)
+        values = rng.normal(size=(n, d))
+        if kind == "rounded":
+            values = np.round(values, 1)
+        elif kind == "duplicates":
+            values = values[rng.integers(0, min(n, 3), size=n)]
+        return values
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 24), st.integers(100, 300)),
+        d=st.sampled_from([1, 2, 3, 4, 7, 8, 9, 16, 17, 129]),
+        kind=st.sampled_from(["normal", "rounded", "duplicates"]),
+        k_mode=st.sampled_from(["one", "all", "some"]),
+        negative_zero=st.booleans(),
+        cap=st.sampled_from([1, 2, 3, KMEANS_MAX_ITERS]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # k = n over duplicate rows: every iteration re-seeds empty clusters
+    @example(n=12, d=3, kind="duplicates", k_mode="all", negative_zero=False,
+             cap=KMEANS_MAX_ITERS, data_seed=0, seed=0)
+    # a member column of all -0.0, at d = 1 (pairwise sums) and d = 2
+    @example(n=20, d=1, kind="normal", k_mode="one", negative_zero=True,
+             cap=KMEANS_MAX_ITERS, data_seed=1, seed=1)
+    @example(n=200, d=1, kind="duplicates", k_mode="some", negative_zero=True,
+             cap=KMEANS_MAX_ITERS, data_seed=2, seed=2)
+    @example(n=9, d=2, kind="normal", k_mode="some", negative_zero=True,
+             cap=KMEANS_MAX_ITERS, data_seed=3, seed=3)
+    # stopped at the iteration cap, long before convergence
+    @example(n=300, d=17, kind="normal", k_mode="some", negative_zero=False,
+             cap=2, data_seed=4, seed=4)
+    def test_matches_the_numpy_loop_bit_for_bit(
+        self, n, d, kind, k_mode, negative_zero, cap, data_seed, seed
+    ):
+        values = self.draw(n, d, kind, data_seed)
+        if negative_zero:
+            values[:, -1] = -0.0
+        k = {"one": 1, "all": n}.get(k_mode) or int(
+            np.random.default_rng(seed).integers(1, min(n, 12) + 1)
+        )
+        want_centroids, want = oracles.kmeans(DataMatrix(values), k, seed, max_iters=cap)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "KMEANS_MAX_ITERS", cap)
+            centroids, got = kmeans(DataMatrix(values), k, seed)
+        np.testing.assert_array_equal(got.assignments, want.assignments)
+        np.testing.assert_array_equal(
+            centroids.view(np.uint64), want_centroids.view(np.uint64)
+        )
+
+    def test_duplicates_force_a_re_seed(self):
+        # the first example above really re-seeds: argmin puts equal rows in
+        # one cluster, so only re-seeding fills more clusters than there are
+        # distinct rows
+        values = self.draw(12, 3, "duplicates", 0)
+        distinct = np.unique(values, axis=0).shape[0]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(federation, "KMEANS_MAX_ITERS", 1)
+            _, first = kmeans(DataMatrix(values), 12, seed=0)
+        assert (first.counts() > 0).sum() > distinct
+
+    def test_non_contiguous_values_are_accepted(self):
+        values = np.asfortranarray(np.random.default_rng(5).normal(size=(30, 3)))
+        centroids, affil = kmeans(DataMatrix(values), 4, seed=1)
+        want_centroids, want = oracles.kmeans(DataMatrix(values), 4, seed=1)
+        np.testing.assert_array_equal(affil.assignments, want.assignments)
+        np.testing.assert_array_equal(
+            centroids.view(np.uint64), want_centroids.view(np.uint64)
+        )
 
 
 class TestFragmentPartition:

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedhire import _kernel, cpl
-from fedhire.core import ClusterletState
+from fedhire import _kernel, cpl, federation
+from fedhire.core import ClusterletState, DataMatrix
 from fedhire.cpl import _dissimilarities, _Run
 
 
@@ -62,6 +62,18 @@ def _distances(lib, d, seed=0):
     return out
 
 
+def _kmeans(lib, seed=0):
+    """One fragmentation k-means through ``lib``: 50 clusters over 131 rows
+    with 40 distinct values, so empty clusters are re-seeded and n ends on a
+    partial block; returns the centroids and assignments."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(40, 5))[rng.integers(0, 40, size=131)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "library", lambda: lib)
+        centroids, affil = federation.kmeans(DataMatrix(values), 50, seed)
+    return centroids, affil.assignments
+
+
 def test_fresh_build_loads_and_matches_the_cached_library(tmp_path):
     fresh = _kernel.load(tmp_path)
     cached = _kernel.library()
@@ -82,6 +94,8 @@ def test_fresh_build_loads_and_matches_the_cached_library(tmp_path):
         np.testing.assert_array_equal(
             _distances(fresh, d).view(np.uint64), _distances(cached, d).view(np.uint64)
         )
+    for got, want in zip(_kmeans(fresh), _kmeans(cached)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_source_compiles_without_warnings(tmp_path):
@@ -161,3 +175,29 @@ def test_run_buffers_are_refused_rather_than_copied(layout):
     finally:
         tracemalloc.stop()
     assert peak < a.nbytes // 100
+
+
+@pytest.mark.parametrize("name", ["values", "centroids"])
+@pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
+def test_kmeans_refuses_a_buffer_it_would_have_to_copy(name, layout):
+    rng = np.random.default_rng(4)
+    arrays = {"values": rng.normal(size=(40, 3)), "centroids": rng.normal(size=(5, 3))}
+    a = arrays[name]
+    arrays[name] = {
+        "fortran": np.asfortranarray(a),
+        "strided": np.hstack([a, a])[:, ::2],
+        "float32": a.astype(np.float32),
+    }[layout]
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        federation._lloyd(arrays["values"], arrays["centroids"])
+
+
+def test_kmeans_raises_memory_error_when_a_block_cannot_be_allocated(monkeypatch):
+    class Failing:
+        @staticmethod
+        def fh_kmeans(*args):
+            return -1
+
+    monkeypatch.setattr(_kernel, "library", Failing)
+    with pytest.raises(MemoryError, match="fh_kmeans"):
+        federation.kmeans(DataMatrix(np.zeros((3, 2))), 2, seed=0)

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from fedhire import server
 from fedhire.client import ClientPayload
 from fedhire.core import (
     AffiliationMatrix,
@@ -13,18 +17,20 @@ from fedhire.core import (
 from fedhire.server import (
     EnhancedRepresentation,
     Hierarchy,
-    alpha_categorical,
     assign_server,
-    beta_matching,
     encode_hierarchy,
     feature_cluster_matrix_server,
     final_clustering,
-    match_similarity,
     propagate_labels,
     run_mcpl,
     stack_payloads,
 )
-from oracles import scalar_level_weights
+from oracles import (
+    alpha_categorical,
+    beta_matching,
+    match_similarity,
+    scalar_level_weights,
+)
 
 
 def nested_centroids(seed, offset=0.10, sigma=0.005, per_group=20):
@@ -381,6 +387,102 @@ class TestFinalClustering:
                 )
 
             assert objective(best) >= objective(random_affil) - 1e-12
+
+
+def random_rep(n, level_ks, kind, rng):
+    """Codes for ``level_ks``: uniform, drawn from two distinct rows
+    (duplicates), or one row repeated (a single code pattern)."""
+    codes = np.column_stack([rng.integers(1, lk + 1, size=n) for lk in level_ks])
+    if kind == "duplicates":
+        codes = codes[rng.integers(0, 2, size=n)]
+    elif kind == "constant":
+        codes = codes[np.zeros(n, dtype=np.int64)]
+    return EnhancedRepresentation(codes=codes, level_ks=level_ks)
+
+
+LOOP_FORMS = {
+    "feature_cluster_matrix_server": oracles.feature_cluster_matrix_server,
+    "_mode_codes": oracles.mode_codes,
+    "_repair_empty_clusters": oracles.repair_empty_clusters,
+}
+rep_shapes = dict(
+    n=st.integers(2, 40),
+    level_ks=st.lists(st.integers(1, 24), min_size=1, max_size=10),
+    kind=st.sampled_from(["uniform", "duplicates", "constant"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestFinalClusteringOracle:
+    """The vectorised final-clustering helpers give the bits of their loop
+    forms in tests/oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(**rep_shapes)
+    # depth 1; duplicate rows (repairs every iteration); every row one
+    # pattern, so cluster 0 first owns every row
+    @example(n=12, level_ks=[3], kind="uniform", seed=0)
+    @example(n=20, level_ks=[4, 2, 3], kind="duplicates", seed=1)
+    @example(n=15, level_ks=[5, 2], kind="constant", seed=2)
+    def test_final_clustering_matches_the_loop_forms(self, n, level_ks, kind, seed):
+        rng = np.random.default_rng(seed)
+        rep = random_rep(n, level_ks, kind, rng)
+        k_star = int(rng.integers(2, min(n, 8) + 1))
+        got = final_clustering(rep, k_star, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            for name, loop_form in LOOP_FORMS.items():
+                patch.setattr(server, name, loop_form)
+            want = final_clustering(rep, k_star, seed)
+        np.testing.assert_array_equal(
+            got.server_assignments.assignments, want.server_assignments.assignments
+        )
+        np.testing.assert_array_equal(
+            got.U.entries.view(np.uint64), want.U.entries.view(np.uint64)
+        )
+        np.testing.assert_array_equal(got.centroid_codes, want.centroid_codes)
+        assert (got.iterations_used, got.converged) == (want.iterations_used, want.converged)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**rep_shapes, owner=st.booleans())
+    @example(n=10, level_ks=[3, 2], kind="uniform", seed=3, owner=True)
+    def test_helpers_match_the_loop_forms(self, n, level_ks, kind, seed, owner):
+        # any affiliation, with empty clusters, or one cluster owning every row
+        rng = np.random.default_rng(seed)
+        rep = random_rep(n, level_ks, kind, rng)
+        k = int(rng.integers(1, 9))
+        assignments = (
+            np.full(n, k - 1) if owner else rng.integers(0, k, size=n)
+        ).astype(np.int64)
+        affil = AffiliationMatrix(assignments, k=k)
+        centroid_codes = rep.codes[rng.integers(0, n, size=k)]
+        weights = rng.dirichlet(np.ones(len(level_ks)), size=k)
+        weights[rng.random(k) < 0.3] = np.eye(len(level_ks))[0]
+        u = FeatureClusterMatrix(weights)
+
+        np.testing.assert_array_equal(
+            server.feature_cluster_matrix_server(rep, affil).entries.view(np.uint64),
+            oracles.feature_cluster_matrix_server(rep, affil).entries.view(np.uint64),
+        )
+        np.testing.assert_array_equal(
+            server._mode_codes(rep, affil, centroid_codes),
+            oracles.mode_codes(rep, affil, centroid_codes),
+        )
+        got = assignments.copy(), centroid_codes.copy()
+        want = assignments.copy(), centroid_codes.copy()
+        server._repair_empty_clusters(rep, *got, u)
+        oracles.repair_empty_clusters(rep, *want, u)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_match_norm_is_linalg_norm(self):
+        # the repair's sqrt(w . w) per row is np.linalg.norm of each row
+        rng = np.random.default_rng(7)
+        for depth in (1, 2, 3, 5, 8, 13, 40):
+            w = rng.random((500, depth)) * (rng.random((500, depth)) < 0.7)
+            np.testing.assert_array_equal(
+                np.sqrt(np.vecdot(w, w)).view(np.uint64),
+                np.array([np.linalg.norm(row) for row in w]).view(np.uint64),
+            )
 
 
 class TestPropagateLabels:
