@@ -3,44 +3,36 @@
  * refresh of run_cpl; and fh_kmeans, the whole Lloyd loop of the k-means
  * that fragments each ground-truth cluster (federation.kmeans).
  *
- * One epoch is four kinds of call on the buffers of struct fh_run, all
- * allocated by numpy: fh_stale_columns finds the similarity columns to
- * recompute, fh_negated_distances gives -D for one bounded group of them
- * (Python takes np.exp of the group in place), fh_floor_scatter floors the
- * group into the n x k0 cache, and fh_epoch does the rest: gamma, the
- * presentation loop, the win counts, the centroid means, the empty streaks
- * and the deactivation. A feature-weight refresh is three more calls,
- * fh_refresh_live, fh_refresh_overlap and fh_refresh_rows, with numpy
- * between them. Only np.exp and the refresh's three BLAS products stay in
- * numpy, since neither can be repeated here bit for bit.
+ * One epoch is three kernel calls on the buffers of struct fh_run, all
+ * allocated by numpy: fh_columns recomputes the similarity columns whose
+ * rows changed and writes their floored exp(-D) into the n x k0 cache,
+ * fh_epoch does the rest (gamma, the presentation loop, the win counts, the
+ * centroid means, the empty streaks and the deactivation), and fh_refresh
+ * recomputes the feature weights.
  *
- * Bit for bit the numpy and Python forms kept as oracles in tests/oracles.py:
- * every operation is the same IEEE double operation in the same order. The
- * distances add their per-feature terms in numpy's pairwise_sum order, the
- * order of sum(axis=-1) in the broadcast-and-sum oracle, and so do the row
- * sums of the refresh; the centroid sums add in object order, as np.add.at
- * does, and the k-means means as numpy's mean(axis=0) does; exp is the libm
- * exp that Python's math.exp calls; the winner and rival keep numpy argmax's
- * first-index tie rule (strict > comparisons only), and the k-means argmin
- * and argmax theirs. Built without -ffast-math and with -ffp-contract=off
- * (see _kernel.py), so no operation is reordered or fused.
+ * The arithmetic is fixed, and the scalar forms kept as oracles in
+ * tests/oracles.py repeat it bit for bit: every distance adds its feature
+ * terms (s (x - c))^2 in sequence from 0.0; every exp is libm's exp, the one
+ * Python's math.exp calls; every per-cluster sum and column total adds in
+ * object order from 0.0, and every row sum in feature order from 0.0; the
+ * winner and rival keep numpy argmax's first-index tie rule (strict >
+ * comparisons only), and the k-means argmin and argmax theirs. Built without
+ * -ffast-math and with -ffp-contract=off (see _kernel.py), so no operation
+ * is reordered or fused.
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
-/* Objects per block of fh_dissimilarities. A block's terms are added across
- * a lane of this many objects, one lane entry per object, so the compiler
- * may vectorize over objects without reordering any single entry's sum. */
+/* Objects per block of the distances. A block's terms are added across a
+ * lane of this many objects, one lane entry per object, so the compiler may
+ * vectorize over objects without reordering any single entry's sum. */
 #define LANE 64
-/* Clusterlets per tile: a block's sums for TILE clusterlets are written to
- * out together, TILE adjacent entries of each object's row. */
+/* Rows per tile: a block's distances to TILE rows are computed together. */
 #define TILE 8
-/* numpy's pairwise_sum: runs shorter than UNROLL add in sequence, runs up to
- * PAIRWISE_BLOCK use UNROLL strided accumulators, longer runs split in two */
-#define UNROLL 8
-#define PAIRWISE_BLOCK 128
+/* Objects of a block whose sums are kept in registers at a time. */
+#define CHUNK 8
 
 /* One feature's term of a distance, the oracle's (s * (x - c))**2. */
 static inline double term(double x, double c, double s)
@@ -49,91 +41,72 @@ static inline double term(double x, double c, double s)
     return t * t;
 }
 
-/* acc[b] = the sum of object b's terms over count features, in numpy's
- * pairwise_sum order, for the LANE objects of a block. x holds count rows of
- * LANE objects, stride apart; c and s are one centroid row and one scaled
- * row. */
-static void pairwise_terms(const double *restrict x, int64_t stride,
-                           const double *restrict c, const double *restrict s,
-                           int64_t count, double *restrict acc)
+/* acc[t][b] = the distance of object b of a block to row t of a tile, its d
+ * terms added in sequence from 0.0. x holds d rows of LANE objects, stride
+ * apart; c and s hold the width centroid rows and scaled rows of the tile,
+ * d apart. The sums of CHUNK objects at a time stay in registers. */
+static void tile_terms(const double *restrict x, int64_t stride,
+                       const double *restrict c, const double *restrict s,
+                       int64_t d, int64_t width, double acc[TILE][LANE])
 {
-    if (count < UNROLL) {
-        for (int b = 0; b < LANE; b++)
-            acc[b] = 0.0;
-        for (int64_t z = 0; z < count; z++)
-            for (int b = 0; b < LANE; b++)
-                acc[b] += term(x[z * stride + b], c[z], s[z]);
-    } else if (count <= PAIRWISE_BLOCK) {
-        double r[UNROLL][LANE];
-        int64_t end = count - count % UNROLL, z;
-        for (int q = 0; q < UNROLL; q++)
-            for (int b = 0; b < LANE; b++)
-                r[q][b] = term(x[q * stride + b], c[q], s[q]);
-        for (z = UNROLL; z < end; z += UNROLL)
-            for (int q = 0; q < UNROLL; q++)
-                for (int b = 0; b < LANE; b++)
-                    r[q][b] += term(x[(z + q) * stride + b], c[z + q], s[z + q]);
-        for (int b = 0; b < LANE; b++)
-            acc[b] = ((r[0][b] + r[1][b]) + (r[2][b] + r[3][b]))
-                     + ((r[4][b] + r[5][b]) + (r[6][b] + r[7][b]));
-        for (; z < count; z++)
-            for (int b = 0; b < LANE; b++)
-                acc[b] += term(x[z * stride + b], c[z], s[z]);
-    } else {
-        double rest[LANE];
-        int64_t half = count / 2;
-        half -= half % UNROLL;
-        pairwise_terms(x, stride, c, s, half, acc);
-        pairwise_terms(x + half * stride, stride, c + half, s + half,
-                       count - half, rest);
-        for (int b = 0; b < LANE; b++)
-            acc[b] += rest[b];
-    }
+    for (int64_t t = 0; t < width; t++)
+        for (int b0 = 0; b0 < LANE; b0 += CHUNK) {
+            double sum[CHUNK] = {0.0};
+            for (int64_t z = 0; z < d; z++) {
+                double cz = c[t * d + z], sz = s[t * d + z];
+                const double *xz = x + z * stride + b0;
+/* the CHUNK sums unrolled into registers; the pragma takes no macro */
+#pragma GCC unroll 8
+                for (int b = 0; b < CHUNK; b++)
+                    sum[b] += term(xz[b], cz, sz);
+            }
+            for (int b = 0; b < CHUNK; b++)
+                acc[t][b0 + b] = sum[b];
+        }
 }
 
-/* out[i][j] = sum_z (scaled[j][z] * (x[z][i] - centroids[j][z]))^2, added
- * in pairwise_sum order, for the d x n feature-major values x, the k x d rows
- * centroids and scaled, and the n x k out; negated when negate is set. The
- * objects go in blocks of LANE; the last, partial block is copied into a
- * zero-padded buffer first. Returns 0, or -1 if that buffer could not be
+/* The block of LANE objects from lo of the d x n feature-major x: x itself,
+ * stride n apart, or for the last, partial block its copy into the
+ * zero-padded d x LANE pad, stride LANE apart. */
+static const double *block(const double *x, int64_t d, int64_t n, int64_t lo,
+                           double *pad, int64_t *stride)
+{
+    if (n - lo >= LANE) {
+        *stride = n;
+        return x + lo;
+    }
+    for (int64_t z = 0; z < d; z++)
+        memcpy(pad + z * LANE, x + z * n + lo, (size_t)(n - lo) * sizeof *pad);
+    *stride = LANE;
+    return pad;
+}
+
+/* out[i][j] = sum_z (scaled[j][z] * (x[z][i] - centroids[j][z]))^2 for the
+ * d x n feature-major values x, the k x d rows centroids and scaled, and the
+ * n x k out: the distances of the objects left orphaned by a deactivation,
+ * and of the k-means. Returns 0, or -1 if the padded block could not be
  * allocated. */
-static int distances(const double *x, int64_t d, int64_t n,
-                     const double *centroids, const double *scaled, int64_t k,
-                     double *out, int negate)
-{
-    double acc[TILE][LANE], *pad = NULL;
-    for (int64_t lo = 0; lo < n; lo += LANE) {
-        const double *block = x + lo;
-        int64_t stride = n, m = n - lo < LANE ? n - lo : LANE;
-        if (m < LANE) {
-            pad = calloc((size_t)(d * LANE), sizeof *pad);
-            if (pad == NULL)
-                return -1;
-            for (int64_t z = 0; z < d; z++)
-                memcpy(pad + z * LANE, x + z * n + lo, (size_t)m * sizeof *pad);
-            block = pad;
-            stride = LANE;
-        }
-        for (int64_t j0 = 0; j0 < k; j0 += TILE) {
-            int64_t width = k - j0 < TILE ? k - j0 : TILE;
-            for (int64_t t = 0; t < width; t++)
-                pairwise_terms(block, stride, centroids + (j0 + t) * d,
-                               scaled + (j0 + t) * d, d, acc[t]);
-            for (int64_t b = 0; b < m; b++)
-                for (int64_t t = 0; t < width; t++)
-                    out[(lo + b) * k + j0 + t] = negate ? -acc[t][b] : acc[t][b];
-        }
-    }
-    free(pad);
-    return 0;
-}
-
-/* The distances alone, for the objects left orphaned by a deactivation. */
 int fh_dissimilarities(const double *x, int64_t d, int64_t n,
                        const double *centroids, const double *scaled,
                        int64_t k, double *out)
 {
-    return distances(x, d, n, centroids, scaled, k, out, 0);
+    double acc[TILE][LANE], *pad = calloc((size_t)(d * LANE), sizeof *pad);
+    if (pad == NULL)
+        return -1;
+    for (int64_t lo = 0; lo < n; lo += LANE) {
+        int64_t stride, m = n - lo < LANE ? n - lo : LANE;
+        const double *objects = block(x, d, n, lo, pad, &stride);
+        for (int64_t j0 = 0; j0 < k; j0 += TILE) {
+            int64_t width = k - j0 < TILE ? k - j0 : TILE;
+            tile_terms(objects, stride, centroids + j0 * d, scaled + j0 * d, d,
+                       width, acc);
+            for (int64_t b = 0; b < m; b++)
+                for (int64_t t = 0; t < width; t++)
+                    out[(lo + b) * k + j0 + t] = acc[t][b];
+        }
+    }
+    free(pad);
+    return 0;
 }
 
 /* Sigmoid squash of a raw weight into (0, 1): 1 / (1 + e^{-10(raw + 5)}),
@@ -153,7 +126,6 @@ double fh_squash(double raw)
  * clusterlet. */
 struct fh_run {
     int64_t n, d, k0;
-    int64_t group;              /* columns per group of fresh similarities */
     double floor;               /* SIMILARITY_FLOOR */
     double threshold;           /* ELIMINATION_THRESHOLD */
     int64_t dead_epochs;        /* DEAD_UNIT_EPOCHS */
@@ -173,36 +145,31 @@ struct fh_run {
     double *rows;               /* k0 x d, the M rows */
     int64_t *act;               /* k0, the active indices, ascending */
     int64_t *stale;             /* k0, the stale active indices, ascending */
-    double *fresh;              /* n x group, one group of fresh columns */
-    double *group_centroids;    /* group x d */
-    double *group_scaled;       /* group x d, the rows d * m_j */
     int64_t *assignments;       /* 2 x n, written alternately */
-    int64_t *counts;            /* k0 */
-    double *sums;               /* k0 x d */
+    int64_t *counts;            /* k0, the members of each clusterlet */
+    double *sums;               /* k0 x d, the member sums of x */
     int64_t *streaks;           /* k0, consecutive memberless epochs */
     double *gamma;              /* k0 */
     double *gw;                 /* k0, gamma * weight of the active, compact */
-    /* the feature-weight refresh, allocated by its first call; the k x d
-     * buffers hold one row per live clusterlet, in the order of live */
-    const double *totals;       /* 2 x d, the column sums of x and of x^2 */
-    int64_t *members;           /* k0, the objects of each clusterlet */
-    int64_t *live;              /* k0, the live clusterlets, ascending */
-    int64_t *remap;             /* k0, the index in live, or -1 */
-    double *compact;            /* n x d, -(x - c)^2 / 2, then its exp */
-    double *onehot;             /* n x k, one 1.0 per object */
-    double *sum_x;              /* k0 x d, sum x, then scale, then alpha beta */
-    double *sum_xx;             /* k0 x d, sum x^2, then exponent, then rows */
-    double *sum_compact;        /* k0 x d, sum exp(-(x - c)^2 / 2) */
+    double *totals;             /* 2 x d, the column sums of x and of x^2 */
+    double *sum_xx;             /* k0 x d, the member sums of x^2 */
+    double *sum_compact;        /* k0 x d, the member sums of exp(-(x - c)^2 / 2) */
 };
 
-/* The active columns whose centroid row or M row compares unequal to the
- * rows it was computed from, ascending, into r->stale; their new rows are
- * stored. Returns how many. NaN compares unequal to everything, so the NaN
- * rows stored at the start make every column stale once. */
-int64_t fh_stale_columns(struct fh_run *r)
+/* Recompute the similarity columns whose rows changed: the active columns
+ * whose centroid row or M row compares unequal to the rows stored for them,
+ * ascending, into r->stale. Their new rows are stored, and column j of
+ * r->sims gets exp(-D_ij) floored at r->floor, as np.maximum floors (NaN
+ * stays NaN), where D_ij is the distance of object i to centroid row j with
+ * the scaled row d * m_j. Each tile of stale columns gathers its centroid
+ * rows and scaled rows first. Returns how many columns were recomputed, or
+ * -1 if the blocks could not be allocated. NaN compares unequal to
+ * everything, so the NaN rows stored at the start make every column stale
+ * once. */
+int64_t fh_columns(struct fh_run *r)
 {
-    int64_t d = r->d, count = 0;
-    for (int64_t j = 0; j < r->k0; j++) {
+    int64_t n = r->n, d = r->d, k0 = r->k0, count = 0;
+    for (int64_t j = 0; j < k0; j++) {
         if (!r->active[j])
             continue;
         const double *c = r->centroids + j * d, *m = r->rows + j * d;
@@ -216,36 +183,35 @@ int64_t fh_stale_columns(struct fh_run *r)
         memcpy(sc, c, (size_t)d * sizeof *sc);
         memcpy(sm, m, (size_t)d * sizeof *sm);
     }
-    return count;
-}
-
-/* -D of the stale columns lo .. lo + width - 1 into the n x width group
- * r->fresh, each distance as fh_dissimilarities gives it. The caller takes
- * the exp in place. Returns 0, or -1 if a block could not be allocated. */
-int fh_negated_distances(struct fh_run *r, int64_t lo, int64_t width)
-{
-    int64_t d = r->d;
-    for (int64_t t = 0; t < width; t++) {
-        int64_t j = r->stale[lo + t];
-        for (int64_t z = 0; z < d; z++) {
-            r->group_centroids[t * d + z] = r->centroids[j * d + z];
-            r->group_scaled[t * d + z] = (double)d * r->rows[j * d + z];
+    if (count == 0)
+        return 0;
+    double acc[TILE][LANE], *pad = calloc((size_t)(d * (LANE + 2 * TILE)), sizeof *pad);
+    if (pad == NULL)
+        return -1;
+    double *c = pad + d * LANE, *s = c + d * TILE;
+    for (int64_t j0 = 0; j0 < count; j0 += TILE) {
+        const int64_t *cols = r->stale + j0;
+        int64_t width = count - j0 < TILE ? count - j0 : TILE;
+        for (int64_t t = 0; t < width; t++)
+            for (int64_t z = 0; z < d; z++) {
+                c[t * d + z] = r->centroids[cols[t] * d + z];
+                s[t * d + z] = (double)d * r->rows[cols[t] * d + z];
+            }
+        for (int64_t lo = 0; lo < n; lo += LANE) {
+            int64_t stride, m = n - lo < LANE ? n - lo : LANE;
+            const double *objects = block(r->by_feature, d, n, lo, pad, &stride);
+            tile_terms(objects, stride, c, s, d, width, acc);
+            for (int64_t b = 0; b < m; b++) {
+                double *row = r->sims + (lo + b) * k0;
+                for (int64_t t = 0; t < width; t++) {
+                    double e = exp(-acc[t][b]);
+                    row[cols[t]] = e < r->floor ? r->floor : e;
+                }
+            }
         }
     }
-    return distances(r->by_feature, d, r->n, r->group_centroids,
-                     r->group_scaled, width, r->fresh, 1);
-}
-
-/* Floor the group r->fresh at r->floor, as np.maximum does (NaN stays NaN),
- * into its columns of r->sims. */
-void fh_floor_scatter(struct fh_run *r, int64_t lo, int64_t width)
-{
-    for (int64_t i = 0; i < r->n; i++) {
-        const double *f = r->fresh + i * width;
-        double *row = r->sims + i * r->k0;
-        for (int64_t t = 0; t < width; t++)
-            row[r->stale[lo + t]] = f[t] < r->floor ? r->floor : f[t];
-    }
+    free(pad);
+    return count;
 }
 
 /* Whether clusterlet a goes before clusterlet b at the two-active floor,
@@ -372,76 +338,6 @@ int64_t fh_epoch(struct fh_run *r, double eta, int64_t out)
     return orphans;
 }
 
-/* numpy's pairwise_sum of the count doubles at a, the order in which
- * sum(axis=-1) adds one row: pairwise_terms for a single value. */
-static double pairwise_sum(const double *a, int64_t count)
-{
-    if (count < UNROLL) {
-        double res = 0.0;
-        for (int64_t z = 0; z < count; z++)
-            res += a[z];
-        return res;
-    }
-    if (count <= PAIRWISE_BLOCK) {
-        double r[UNROLL];
-        int64_t end = count - count % UNROLL, z;
-        for (int q = 0; q < UNROLL; q++)
-            r[q] = a[q];
-        for (z = UNROLL; z < end; z += UNROLL)
-            for (int q = 0; q < UNROLL; q++)
-                r[q] += a[z + q];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; z < count; z++)
-            res += a[z];
-        return res;
-    }
-    int64_t half = count / 2;
-    half -= half % UNROLL;
-    return pairwise_sum(a, half) + pairwise_sum(a + half, count - half);
-}
-
-/* Step one of a feature-weight refresh, from the assignments of every object
- * (after the orphan reassignment). The live clusterlets are those that own
- * an object: their member counts go to r->members, their indices ascending
- * to r->live and their positions in it to r->remap. Returns how many are
- * live, or -1, writing no M row, if an object's clusterlet is inactive or
- * out of range. One live clusterlet gets the uniform row 1/d and nothing
- * else is done. Otherwise the first n x k entries of r->onehot become the
- * object x live one-hot, and r->compact the exponents -0.5 (x - c)^2 of each
- * object against its own centroid, for Python to exponentiate in place. */
-int64_t fh_refresh_live(struct fh_run *r, const int64_t *assignments)
-{
-    int64_t n = r->n, d = r->d, k0 = r->k0, k = 0;
-    memset(r->members, 0, (size_t)k0 * sizeof *r->members);
-    for (int64_t i = 0; i < n; i++) {
-        int64_t a = assignments[i];
-        if (a < 0 || a >= k0 || !r->active[a])
-            return -1;
-        r->members[a] += 1;
-    }
-    for (int64_t j = 0; j < k0; j++) {
-        r->remap[j] = r->members[j] > 0 ? k : -1;
-        if (r->members[j] > 0)
-            r->live[k++] = j;
-    }
-    if (k == 1) {
-        for (int64_t z = 0; z < d; z++)
-            r->rows[r->live[0] * d + z] = 1.0 / (double)d;
-        return 1;
-    }
-    memset(r->onehot, 0, (size_t)(n * k) * sizeof *r->onehot);
-    for (int64_t i = 0; i < n; i++) {
-        int64_t a = assignments[i];
-        const double *x = r->values + i * d, *c = r->centroids + a * d;
-        r->onehot[i * k + r->remap[a]] = 1.0;
-        for (int64_t z = 0; z < d; z++) {
-            double t = x[z] - c[z];
-            r->compact[i * d + z] = -0.5 * (t * t);
-        }
-    }
-    return k;
-}
-
 /* Unbiased variance from a sum of squares, a count and a mean; 0 for a
  * singleton, then floored as np.maximum floors (NaN stays NaN). */
 static double variance(double sq_sum, double count, double mean, double floor)
@@ -451,98 +347,127 @@ static double variance(double sq_sum, double count, double mean, double floor)
     return var < floor ? floor : var;
 }
 
-/* Step two, once Python has put the member sums of x, x^2 and exp(compact)
- * of the k live clusterlets into r->sum_x, r->sum_xx and r->sum_compact.
- * With mu, var the mean and floored unbiased variance of a feature inside
- * the clusterlet and mu_bar, var_bar those outside it, r->sum_x gets the
- * overlap scale sqrt(2 sqrt(var var_bar) / (var + var_bar)) and r->sum_xx
- * the exponent -(mu - mu_bar)^2 / (4 (var + var_bar)), for Python to
- * exponentiate in place. */
-void fh_refresh_overlap(struct fh_run *r, int64_t k)
+/* The feature-weight refresh from the assignments of every object (after the
+ * orphan reassignment): the M rows of the live clusterlets, those that own an
+ * object, are recomputed; the others keep theirs. One live clusterlet gets the
+ * uniform row 1/d. Otherwise one pass over the objects forms the member
+ * counts into r->counts, the member sums of x, x^2 and exp(-(x - c)^2 / 2)
+ * against the member's own centroid into r->sums, r->sum_xx and
+ * r->sum_compact, and the column sums of x and x^2 into r->totals. With mu,
+ * var the mean and floored unbiased variance of a feature inside the
+ * clusterlet and mu_bar, var_bar those outside it, alpha = sqrt(max(1 -
+ * sqrt(2 sqrt(var var_bar) / (var + var_bar)) exp(-(mu - mu_bar)^2 / (4 (var
+ * + var_bar))), 0)) is the Hellinger distance of the two Gaussian fits, beta
+ * = sqrt(sum_compact) / count, and each live row is alpha beta over its sum,
+ * or the uniform row 1/d where that sum is <= 0. The rows are checked as a
+ * FeatureClusterMatrix checks them and only then copied into the M rows.
+ * Returns how many rows fell back to uniform, or, writing no M row, -1 if an
+ * object's clusterlet is inactive or out of range, -2 if an entry lies
+ * outside [-entry_tolerance, 1 + entry_tolerance] and else -3 if a row sum is
+ * further than row_sum_tolerance from 1 (or NaN). */
+int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
 {
-    int64_t d = r->d;
-    const double *total_x = r->totals, *total_xx = r->totals + d;
-    for (int64_t t = 0; t < k; t++) {
-        double count = (double)r->members[r->live[t]];
-        double rest = (double)r->n - count;
-        double *s1 = r->sum_x + t * d, *s2 = r->sum_xx + t * d;
-        for (int64_t z = 0; z < d; z++) {
-            double mu = s1[z] / count;
-            double mu_bar = (total_x[z] - s1[z]) / rest;
-            double var = variance(s2[z], count, mu, r->variance_floor);
-            double var_bar = variance(total_xx[z] - s2[z], rest, mu_bar,
-                                      r->variance_floor);
-            double gap = mu - mu_bar;
-            s1[z] = sqrt(2.0 * sqrt(var * var_bar) / (var + var_bar));
-            s2[z] = -(gap * gap) / (4.0 * (var + var_bar));
+    int64_t n = r->n, d = r->d, k0 = r->k0, live = 0, last = 0, fallbacks = 0;
+    double *total_x = r->totals, *total_xx = r->totals + d;
+    memset(r->counts, 0, (size_t)k0 * sizeof *r->counts);
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = assignments[i];
+        if (a < 0 || a >= k0 || !r->active[a])
+            return -1;
+        if (r->counts[a]++ == 0) {
+            live++;
+            last = a;
         }
     }
-}
+    if (live == 1) {
+        for (int64_t z = 0; z < d; z++)
+            r->rows[last * d + z] = 1.0 / (double)d;
+        return 0;
+    }
+    memset(r->totals, 0, (size_t)(2 * d) * sizeof *r->totals);
+    for (int64_t j = 0; j < k0; j++)
+        if (r->counts[j] > 0) {
+            memset(r->sums + j * d, 0, (size_t)d * sizeof *r->sums);
+            memset(r->sum_xx + j * d, 0, (size_t)d * sizeof *r->sum_xx);
+            memset(r->sum_compact + j * d, 0, (size_t)d * sizeof *r->sum_compact);
+        }
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = assignments[i];
+        const double *x = r->values + i * d, *c = r->centroids + a * d;
+        for (int64_t z = 0; z < d; z++) {
+            double t = x[z] - c[z];
+            r->sums[a * d + z] += x[z];
+            r->sum_xx[a * d + z] += x[z] * x[z];
+            r->sum_compact[a * d + z] += exp(-0.5 * (t * t));
+            total_x[z] += x[z];
+            total_xx[z] += x[z] * x[z];
+        }
+    }
 
-/* Step three, once Python has exponentiated r->sum_xx: alpha =
- * sqrt(max(1 - scale e, 0)), the Hellinger distance of the two Gaussian
- * fits, beta = sqrt(sum_compact) / count, and each live row alpha beta over
- * its sum, or the uniform row 1/d where that sum is <= 0. The rows are
- * checked as a FeatureClusterMatrix checks them and only then copied into
- * the M rows of the live clusterlets. Returns how many rows fell back to
- * uniform, or, writing no M row, -1 if an entry lies outside
- * [-entry_tolerance, 1 + entry_tolerance] and else -2 if a row sum is
- * further than row_sum_tolerance from 1 (or NaN). */
-int64_t fh_refresh_rows(struct fh_run *r, int64_t k)
-{
-    int64_t d = r->d, fallbacks = 0;
     double lo = -r->entry_tolerance, hi = 1.0 + r->entry_tolerance;
     int out_of_range = 0, off_sum = 0;
-    for (int64_t t = 0; t < k; t++) {
-        double count = (double)r->members[r->live[t]];
-        double *product = r->sum_x + t * d, *row = r->sum_xx + t * d;
-        const double *compact = r->sum_compact + t * d;
+    for (int64_t j = 0; j < k0; j++) {
+        if (r->counts[j] == 0)
+            continue;
+        double count = (double)r->counts[j], rest = (double)n - count, sum = 0.0;
+        /* the products alpha beta replace the sums of x, the rows those of x^2 */
+        double *product = r->sums + j * d, *row = r->sum_xx + j * d;
+        const double *compact = r->sum_compact + j * d;
         for (int64_t z = 0; z < d; z++) {
-            double gap = 1.0 - product[z] * row[z];
-            double alpha = sqrt(gap < 0.0 ? 0.0 : gap);
-            product[z] = alpha * (sqrt(compact[z]) / count);
+            double mu = product[z] / count;
+            double mu_bar = (total_x[z] - product[z]) / rest;
+            double var = variance(row[z], count, mu, r->variance_floor);
+            double var_bar = variance(total_xx[z] - row[z], rest, mu_bar,
+                                      r->variance_floor);
+            double gap = mu - mu_bar;
+            double overlap = sqrt(2.0 * sqrt(var * var_bar) / (var + var_bar))
+                             * exp(-(gap * gap) / (4.0 * (var + var_bar)));
+            double h = 1.0 - overlap;
+            product[z] = sqrt(h < 0.0 ? 0.0 : h) * (sqrt(compact[z]) / count);
+            sum += product[z];
         }
-        double sum = pairwise_sum(product, d);
         if (sum <= 0.0)
             fallbacks++;
+        double check = 0.0;
         for (int64_t z = 0; z < d; z++) {
             row[z] = sum <= 0.0 ? 1.0 / (double)d : product[z] / sum;
             out_of_range |= row[z] < lo || row[z] > hi;
+            check += row[z];
         }
-        off_sum |= !(fabs(pairwise_sum(row, d) - 1.0) <= r->row_sum_tolerance);
+        off_sum |= !(fabs(check - 1.0) <= r->row_sum_tolerance);
     }
     if (out_of_range)
-        return -1;
-    if (off_sum)
         return -2;
-    for (int64_t t = 0; t < k; t++)
-        memcpy(r->rows + r->live[t] * d, r->sum_xx + t * d, (size_t)d * sizeof *r->rows);
+    if (off_sum)
+        return -3;
+    for (int64_t j = 0; j < k0; j++)
+        if (r->counts[j] > 0)
+            memcpy(r->rows + j * d, r->sum_xx + j * d, (size_t)d * sizeof *r->rows);
     return fallbacks;
 }
 
 /* Lloyd k-means of the n x d values from the k x d centroids, updated in
  * place, for at most max_iters iterations; the final assignments go to
  * assignments. by_feature holds the values d x n and ones is a k x d block
- * of 1.0, so each distance is distances() with unit scale, (1.0 * (x - c))^2
- * = (x - c)^2, in numpy's pairwise order. Each iteration: the first index of
- * the smallest distance (NaN first, as argmin) into next; each empty cluster,
- * ascending, takes the first object of the largest own distance, which then
- * reads -inf (the counts are not updated in between); a stop if next repeats
- * the assignments; then the mean of each nonempty cluster's members, an
- * empty one keeping its centroid. A mean adds in object order from 0.0, as
- * numpy's axis-0 mean of a d >= 2 member block does; at d = 1 numpy reduces
- * the m members as one contiguous run, so the mean is 0.0 plus pairwise_sum
- * of them, grouped by cluster into scratch. Returns 0, or -1 if a block of
- * distances could not be allocated. */
+ * of 1.0, so each distance is fh_dissimilarities with unit scale,
+ * (1.0 * (x - c))^2 = (x - c)^2. Each iteration: the first index of the smallest distance (NaN
+ * first, as argmin) into next; each empty cluster, ascending, takes the
+ * first object of the largest own distance (NaN first, as argmax) among the
+ * clusters with more than one member, and the counts follow the move, so no
+ * cluster is left empty for 1 <= k <= n; a stop if next repeats the
+ * assignments; then each nonempty cluster's mean, its members added in
+ * object order from 0.0 and divided by the count, an empty one keeping its
+ * centroid. Returns 0, or -1 if the padded block of the distances could not
+ * be allocated. */
 int fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
               const double *values, double *centroids, const double *by_feature,
               const double *ones, double *dists, int64_t *assignments,
-              int64_t *next, int64_t *counts, double *scratch)
+              int64_t *next, int64_t *counts, double *own)
 {
     for (int64_t i = 0; i < n; i++)
         assignments[i] = -1;
     for (int64_t iter = 0; iter < max_iters; iter++) {
-        if (distances(by_feature, d, n, centroids, ones, k, dists, 0))
+        if (fh_dissimilarities(by_feature, d, n, centroids, ones, k, dists))
             return -1;
         memset(counts, 0, (size_t)k * sizeof *counts);
         for (int64_t i = 0; i < n; i++) {
@@ -553,57 +478,35 @@ int fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
                     best = j;
             next[i] = best;
             counts[best] += 1;
+            own[i] = row[best];
         }
-        int own = 0;
         for (int64_t j = 0; j < k; j++) {
             if (counts[j] > 0)
                 continue;
-            if (!own) {
-                for (int64_t i = 0; i < n; i++)
-                    scratch[i] = dists[i * k + next[i]];
-                own = 1;
-            }
-            int64_t far = 0;
-            for (int64_t i = 1; i < n; i++)
-                if (scratch[i] > scratch[far] || (isnan(scratch[i]) && !isnan(scratch[far])))
+            int64_t far = -1;
+            for (int64_t i = 0; i < n; i++)
+                if (counts[next[i]] > 1
+                    && (far < 0 || own[i] > own[far] || (isnan(own[i]) && !isnan(own[far]))))
                     far = i;
+            counts[next[far]] -= 1;
+            counts[j] = 1;
             next[far] = j;
-            scratch[far] = -INFINITY;
         }
         if (memcmp(next, assignments, (size_t)n * sizeof *next) == 0)
             break;
         memcpy(assignments, next, (size_t)n * sizeof *next);
 
-        memset(counts, 0, (size_t)k * sizeof *counts);
-        for (int64_t i = 0; i < n; i++)
-            counts[assignments[i]] += 1;
-        if (d == 1) {
-            /* counts become the start of each cluster's run in scratch, and
-             * after the scatter its end */
-            for (int64_t j = 0, start = 0; j < k; j++) {
-                int64_t m = counts[j];
-                counts[j] = start;
-                start += m;
-            }
-            for (int64_t i = 0; i < n; i++)
-                scratch[counts[assignments[i]]++] = values[i];
-            for (int64_t j = 0, start = 0; j < k; start = counts[j++])
-                if (counts[j] > start)
-                    centroids[j] = (0.0 + pairwise_sum(scratch + start, counts[j] - start))
-                                   / (double)(counts[j] - start);
-        } else {
-            for (int64_t j = 0; j < k; j++)
-                if (counts[j] > 0)
-                    memset(centroids + j * d, 0, (size_t)d * sizeof *centroids);
-            for (int64_t i = 0; i < n; i++) {
-                double *sum = centroids + assignments[i] * d;
-                for (int64_t z = 0; z < d; z++)
-                    sum[z] += values[i * d + z];
-            }
-            for (int64_t j = 0; j < k; j++)
-                for (int64_t z = 0; counts[j] > 0 && z < d; z++)
-                    centroids[j * d + z] /= (double)counts[j];
+        for (int64_t j = 0; j < k; j++)
+            if (counts[j] > 0)
+                memset(centroids + j * d, 0, (size_t)d * sizeof *centroids);
+        for (int64_t i = 0; i < n; i++) {
+            double *sum = centroids + assignments[i] * d;
+            for (int64_t z = 0; z < d; z++)
+                sum[z] += values[i * d + z];
         }
+        for (int64_t j = 0; j < k; j++)
+            for (int64_t z = 0; counts[j] > 0 && z < d; z++)
+                centroids[j * d + z] /= (double)counts[j];
     }
     return 0;
 }

@@ -1,4 +1,4 @@
-"""Build and load ``_kernel.c``, the compiled distances, epoch and refresh steps.
+"""Build and load ``_kernel.c``, the compiled distances, epoch, refresh and k-means.
 
 The shared library is compiled on first use with the system C compiler and
 cached on disk under a name that hashes the C source, the compiler command
@@ -26,8 +26,8 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILER = "cc"
 # -ffp-contract=off: no fused multiply-adds, whose single rounding would move
 # bits. Never -ffast-math or -Ofast: they let the compiler reorder and
-# reassociate float operations, so results would no longer equal the numpy
-# and Python expressions the kernel must reproduce bit for bit.
+# reassociate float operations, so results would no longer equal the scalar
+# forms in tests/oracles.py, which repeat the kernel's order bit for bit.
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBRARIES = ("-lm",)
 
@@ -41,7 +41,7 @@ class Run(ctypes.Structure):
     ``run_cpl`` call and the addresses of its numpy buffers, in its order."""
 
     _fields_ = [
-        *((name, ctypes.c_int64) for name in ("n", "d", "k0", "group")),
+        *((name, ctypes.c_int64) for name in ("n", "d", "k0")),
         ("floor", ctypes.c_double),
         ("threshold", ctypes.c_double),
         ("dead_epochs", ctypes.c_int64),
@@ -54,10 +54,8 @@ class Run(ctypes.Structure):
             for name in (
                 "values", "by_feature", "sims", "stored_centroids", "stored_rows",
                 "centroids", "win_counts", "raw_weights", "weights", "active",
-                "rows", "act", "stale", "fresh", "group_centroids", "group_scaled",
-                "assignments", "counts", "sums", "streaks", "gamma", "gw",
-                "totals", "members", "live", "remap", "compact", "onehot", "sum_x",
-                "sum_xx", "sum_compact",
+                "rows", "act", "stale", "assignments", "counts", "sums", "streaks",
+                "gamma", "gw", "totals", "sum_xx", "sum_compact",
             )
         ),
     ]
@@ -106,21 +104,13 @@ def load(cache: Path) -> ctypes.CDLL:
     lib.fh_dissimilarities.restype = ctypes.c_int
     # the epoch steps take the Run of buffers that ``address`` checked
     run = ctypes.POINTER(Run)
-    lib.fh_stale_columns.argtypes = [run]
-    lib.fh_stale_columns.restype = ctypes.c_int64
-    lib.fh_negated_distances.argtypes = [run, ctypes.c_int64, ctypes.c_int64]
-    lib.fh_negated_distances.restype = ctypes.c_int
-    lib.fh_floor_scatter.argtypes = [run, ctypes.c_int64, ctypes.c_int64]
-    lib.fh_floor_scatter.restype = None
+    lib.fh_columns.argtypes = [run]
+    lib.fh_columns.restype = ctypes.c_int64
     lib.fh_epoch.argtypes = [run, ctypes.c_double, ctypes.c_int64]
     lib.fh_epoch.restype = ctypes.c_int64
     # the assignments by the address that ``address`` checked
-    lib.fh_refresh_live.argtypes = [run, ctypes.c_void_p]
-    lib.fh_refresh_live.restype = ctypes.c_int64
-    lib.fh_refresh_overlap.argtypes = [run, ctypes.c_int64]
-    lib.fh_refresh_overlap.restype = None
-    lib.fh_refresh_rows.argtypes = [run, ctypes.c_int64]
-    lib.fh_refresh_rows.restype = ctypes.c_int64
+    lib.fh_refresh.argtypes = [run, ctypes.c_void_p]
+    lib.fh_refresh.restype = ctypes.c_int64
     # four sizes, then the buffers by the addresses that ``address`` checked
     lib.fh_kmeans.argtypes = [*(ctypes.c_int64,) * 4, *(ctypes.c_void_p,) * 9]
     lib.fh_kmeans.restype = ctypes.c_int

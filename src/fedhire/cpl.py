@@ -16,31 +16,26 @@ Scoring details, fixed across the package:
 - Scores are ``gamma_j * w_j * exp(-dissimilarity)``. The fairness factor
   ``gamma`` is refreshed once per epoch; clusterlet weights ``w`` update
   live after every presentation.
-- Only active clusterlets are scored. Their distances are computed in C
-  (``_kernel.c``), a bounded group of columns at a time, so no n x k x d
-  temporary is ever materialised. Each distance adds its per-feature terms
-  in the order numpy's pairwise summation uses for ``sum(axis=-1)`` (in
-  sequence below 8 features, eight strided accumulators up to 128, halving
-  above); that is numpy's own reduction order, which is why it equals the
-  plain broadcast-and-sum expression bit for bit (see ``_dissimilarities``).
+- Only active clusterlets are scored, and everything from the distances
+  to the feature-weight refresh runs in C (``_kernel.c``), compiled with the
+  system compiler on first use and cached (see ``_kernel.py``). Its
+  arithmetic order is fixed: every distance adds its feature terms in
+  sequence from 0.0, every ``exp`` is libm's (the one ``math.exp`` calls),
+  every per-cluster sum and column total adds in object order from 0.0 and
+  every row sum in feature order from 0.0. The scalar forms kept as oracles
+  in ``tests/oracles.py`` repeat that order, so the kernel's results are
+  theirs bit for bit.
 - A run keeps one ``_Run``: every buffer of the call, allocated by numpy and
   shared with the kernel by address. Its n x k0 similarity cache recomputes
   a column only when its centroid row or M row changed since it was
   computed. Every entry depends only on its object and those two rows, so a
   reused column is bitwise the column a recomputation would give.
-- An epoch is a few kernel calls: the stale-column scan, then for each group
-  of stale columns the negated distances, ``np.exp`` in place and the floor
-  and scatter into the cache, then ``fh_epoch`` for gamma, the presentation
-  loop, the win counts, the centroid means, the empty streaks and the
-  deactivation. The feature-weight refresh that follows is three more
-  kernel calls around numpy (see ``feature_cluster_matrix_client``). Only
-  ``np.exp`` and the refresh's three BLAS products stay in numpy: ``np.exp``
-  and libm's ``exp`` differ in the last bit on some inputs, and the BLAS
-  products are not sequential sums. The kernel is compiled with the system
-  compiler on first use and cached (see ``_kernel.py``). It does the same
-  double operations in the same order as the numpy and Python forms kept as
-  oracles in ``tests/oracles.py``, the loop on the same libm ``exp``, so its
-  results are theirs bit for bit.
+- An epoch is two kernel calls: ``fh_columns`` writes the floored
+  ``exp(-D)`` of the changed columns into the cache, and ``fh_epoch`` does
+  gamma, the presentation loop, the win counts, the centroid means, the
+  empty streaks and the deactivation. The feature-weight refresh that
+  follows is one more, ``fh_refresh`` (see
+  ``feature_cluster_matrix_client``).
 
 This combination is what makes redundant clusterlets die: the per-epoch
 fairness snapshot lets one clusterlet sweep a whole dense region within an
@@ -80,9 +75,12 @@ DEAD_UNIT_EPOCHS = 2
 # exp(-D) underflows to 0.0 for D > ~745; flooring keeps the penalty ratio
 # finite for absurdly distant object/clusterlet pairs
 SIMILARITY_FLOOR = 1e-300
-# element budget of the objects x columns group of fresh similarities that
-# ``_Run`` computes at a time; the group shrinks as the object count grows
-SIMILARITY_BLOCK_ELEMENTS = 1 << 17
+# the errors of fh_refresh, by its negative return codes
+REFRESH_ERRORS = {
+    -1: "every object must belong to an active clusterlet",
+    -2: "entries must lie in [0, 1]",
+    -3: "rows must sum to 1",
+}
 
 
 @dataclass
@@ -136,16 +134,10 @@ def _dissimilarities(
 
     ``by_feature`` holds the values feature-major (d x n, C-contiguous) and
     ``scaled`` the rows ``d * m_j``. ``fh_dissimilarities`` of ``_kernel.c``
-    computes every entry; the result is bitwise
-    ``((scaled[None] * (values[:, None] - centroids[None]))**2).sum(axis=2)``,
-    the oracle in the tests. Each term ``(s_jz * (x_iz - c_jz))**2`` is the
-    same double operations as there, and an entry adds its d terms in numpy's
-    own reduction order for ``sum(axis=-1)``: in sequence below 8 features;
-    from 8 to 128 in eight strided accumulators, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remainder in sequence;
-    above 128 split at half the count, rounded down to a multiple of 8. The
-    kernel keeps no temporary larger than a block of objects, and refuses an
-    array that is not C-contiguous float64 rather than copy it.
+    computes every entry, adding its terms ``(s_jz * (x_iz - c_jz))**2`` in
+    sequence from 0.0, as ``dissimilarities`` in ``tests/oracles.py`` does.
+    The kernel keeps no temporary larger than a block of objects, and refuses
+    an array that is not C-contiguous float64 rather than copy it.
     """
     d, n = by_feature.shape
     k = centroids.shape[0]
@@ -167,13 +159,10 @@ class _Run:
     ``_kernel.address``: the values row-major and feature-major; ``sims``,
     the n x k0 floored similarities exp(-D); the centroid and M rows each
     column was computed from; the arrays of ``state`` and the M rows
-    ``rows``, updated in place; one group of fresh columns, at most
-    SIMILARITY_BLOCK_ELEMENTS entries, so there is never a second n x k0
-    array; two assignment rows, written alternately, so the previous epoch's
-    stays readable; the scratch of ``fh_epoch``; and the buffers of the
-    feature-weight refresh, allocated by its first call
-    (``refresh_buffers``), so a run without feature weighting never holds
-    them.
+    ``rows``, updated in place; two assignment rows, written alternately, so
+    the previous epoch's stays readable; the scratch of ``fh_epoch``; and the
+    column totals and k0 x d member sums of the feature-weight refresh.
+    Besides ``sims`` every buffer is O(n d + k0 d).
 
     Column j of ``sims`` holds exp(-D_ij), floored, for every object i, as
     computed from the centroid row and M row stored for j. Invariant: every
@@ -195,10 +184,6 @@ class _Run:
         self.sims = np.empty((n, k0))
         self.stored_centroids = np.full((k0, d), np.nan)
         self.stored_rows = np.full((k0, d), np.nan)
-        self.group = min(k0, max(1, SIMILARITY_BLOCK_ELEMENTS // n))
-        self.fresh = np.empty(n * self.group)
-        self.group_centroids = np.empty((self.group, d))
-        self.group_scaled = np.empty((self.group, d))
         self.act = np.empty(k0, dtype=np.int64)
         self.stale = np.empty(k0, dtype=np.int64)
         self.assignments = np.empty((2, n), dtype=np.int64)
@@ -207,7 +192,9 @@ class _Run:
         self.streaks = np.zeros(k0, dtype=np.int64)
         self.gamma = np.empty(k0)
         self.gw = np.empty(k0)
-        self.onehot = None
+        self.totals = np.empty((2, d))
+        self.sum_xx = np.empty((k0, d))
+        self.sum_compact = np.empty((k0, d))
         self.epochs = 0
         f8, i8, kd = np.float64, np.int64, (k0, d)
         # every array the kernel addresses; held here, so that none is freed
@@ -226,18 +213,18 @@ class _Run:
             "rows": (rows, f8, kd),
             "act": (self.act, i8, (k0,)),
             "stale": (self.stale, i8, (k0,)),
-            "fresh": (self.fresh, f8, (n * self.group,)),
-            "group_centroids": (self.group_centroids, f8, (self.group, d)),
-            "group_scaled": (self.group_scaled, f8, (self.group, d)),
             "assignments": (self.assignments, i8, (2, n)),
             "counts": (self.counts, i8, (k0,)),
             "sums": (self.sums, f8, kd),
             "streaks": (self.streaks, i8, (k0,)),
             "gamma": (self.gamma, f8, (k0,)),
             "gw": (self.gw, f8, (k0,)),
+            "totals": (self.totals, f8, (2, d)),
+            "sum_xx": (self.sum_xx, f8, kd),
+            "sum_compact": (self.sum_compact, f8, kd),
         }
         self.buffers = _kernel.Run(
-            n=n, d=d, k0=k0, group=self.group, floor=SIMILARITY_FLOOR,
+            n=n, d=d, k0=k0, floor=SIMILARITY_FLOOR,
             threshold=ELIMINATION_THRESHOLD, dead_epochs=DEAD_UNIT_EPOCHS,
             variance_floor=VARIANCE_FLOOR, entry_tolerance=ENTRY_TOLERANCE,
             row_sum_tolerance=ROW_SUM_TOLERANCE,
@@ -245,60 +232,14 @@ class _Run:
         )
         self.ref = ctypes.byref(self.buffers)
 
-    def refresh_buffers(self) -> None:
-        """Allocate the buffers of the feature-weight refresh, once per run.
-
-        ``squares`` (the values squared) and ``totals`` (the column sums of
-        the values and of their squares) are computed here by the numpy
-        expressions of the numpy form, so they are its bits. The one-hot has
-        room for n x k0 entries, enough for any live count.
-        """
-        if self.onehot is not None:
-            return
-        n, d = self.values.shape
-        k0 = self.sims.shape[1]
-        self.squares = self.values**2
-        self.totals = np.array([self.values.sum(axis=0), self.squares.sum(axis=0)])
-        self.members = np.empty(k0, dtype=np.int64)
-        self.live = np.empty(k0, dtype=np.int64)
-        self.remap = np.empty(k0, dtype=np.int64)
-        self.compact = np.empty((n, d))
-        self.onehot = np.empty(n * k0)
-        self.sum_x = np.empty((k0, d))
-        self.sum_xx = np.empty((k0, d))
-        self.sum_compact = np.empty((k0, d))
-        f8, i8, kd = np.float64, np.int64, (k0, d)
-        arrays = {
-            "totals": (self.totals, f8, (2, d)),
-            "members": (self.members, i8, (k0,)),
-            "live": (self.live, i8, (k0,)),
-            "remap": (self.remap, i8, (k0,)),
-            "compact": (self.compact, f8, (n, d)),
-            "onehot": (self.onehot, f8, (n * k0,)),
-            "sum_x": (self.sum_x, f8, kd),
-            "sum_xx": (self.sum_xx, f8, kd),
-            "sum_compact": (self.sum_compact, f8, kd),
-        }
-        for name, spec in arrays.items():
-            setattr(self.buffers, name, _kernel.address(name, *spec))
-        self.arrays.update(arrays)
-
     def refresh_columns(self) -> int:
         """Recompute the active columns whose rows changed; returns how many.
 
-        Their indices are left in ``stale``, ascending. Each bounded group of
-        them is computed as -D by the kernel, exponentiated in place by
-        ``np.exp``, then floored into its columns of ``sims``.
+        Their indices are left in ``stale``, ascending.
         """
-        lib, ref, n = self.lib, self.ref, self.values.shape[0]
-        count = lib.fh_stale_columns(ref)
-        for lo in range(0, count, self.group):
-            width = min(self.group, count - lo)
-            if lib.fh_negated_distances(ref, lo, width):
-                raise MemoryError("fh_negated_distances could not allocate its last block")
-            fresh = self.fresh[: n * width].reshape(n, width)
-            np.exp(fresh, out=fresh)
-            lib.fh_floor_scatter(ref, lo, width)
+        count = self.lib.fh_columns(self.ref)
+        if count < 0:
+            raise MemoryError("fh_columns could not allocate its blocks")
         return count
 
     def epoch(self, eta: float) -> tuple[np.ndarray, int]:
@@ -338,11 +279,9 @@ def run_cpl(
     was computed from compare equal to the current ones, and since every
     entry depends on nothing else, a reused column is bitwise a recomputed
     one. Each epoch recomputes only the active columns that fail that test,
-    with distances whose per-feature terms are added in numpy's own
-    ``sum(axis=-1)`` reduction order (see ``_dissimilarities``), so they
-    match the plain broadcast-and-sum bit for bit. Memory stays at the
-    n x k0 cache, one bounded group of fresh columns, and O(n d + k0 d)
-    (see ``_Run``).
+    in one kernel call that writes their floored ``exp(-D)`` straight into
+    the cache. Memory stays at the n x k0 cache and O(n d + k0 d) (see
+    ``_Run``), with the feature-weight refresh on or off.
 
     At epoch end the centroids of nonempty active clusterlets are
     recomputed as member means, weight-collapsed clusterlets and dead units
@@ -419,37 +358,18 @@ def feature_cluster_matrix_client(run: _Run, assignments: np.ndarray) -> None:
     clusterlet has an empty complement and gets the uniform row, as does any
     row whose α·β products are all zero (those are logged).
 
-    Three kernel steps with numpy between them, on the buffers of ``run``:
-    ``fh_refresh_live`` finds the live set, the n x k one-hot and the
-    compactness exponents; numpy exponentiates those in place and forms
-    ``onehot.T @ x``, ``onehot.T @ x**2`` and ``onehot.T @ exp(...)``, the
-    left operand the transpose of a C-contiguous n x k array, as the numpy
-    form in ``tests/oracles.py`` does, so the BLAS sums are its bits;
-    ``fh_refresh_overlap`` gives the overlap scales and exponents, numpy
-    exponentiates those in place, and ``fh_refresh_rows`` finishes and
-    checks the rows. Raises ValueError, writing no row, if an object's
-    clusterlet is inactive or a new row fails the FeatureClusterMatrix checks.
+    One kernel call, ``fh_refresh``: one pass over the objects forms the
+    per-cluster sums of x, x² and the compactness terms and the column
+    totals, in object order; then the rows are finished and checked. Raises
+    ValueError, writing no row, if an object's clusterlet is inactive or a
+    new row fails the FeatureClusterMatrix checks.
     """
-    run.refresh_buffers()
-    lib, ref = run.lib, run.ref
     n = run.values.shape[0]
-    k = lib.fh_refresh_live(ref, _kernel.address("assignments", assignments, np.int64, (n,)))
-    if k < 0:
-        raise ValueError("every object must belong to an active clusterlet")
-    if k == 1:
-        return
-    onehot = run.onehot[: n * k].reshape(n, k).T
-    np.exp(run.compact, out=run.compact)
-    np.matmul(onehot, run.values, out=run.sum_x[:k])
-    np.matmul(onehot, run.squares, out=run.sum_xx[:k])
-    np.matmul(onehot, run.compact, out=run.sum_compact[:k])
-    lib.fh_refresh_overlap(ref, k)
-    np.exp(run.sum_xx[:k], out=run.sum_xx[:k])
-    fallbacks = lib.fh_refresh_rows(ref, k)
-    if fallbacks == -1:
-        raise ValueError("entries must lie in [0, 1]")
-    if fallbacks == -2:
-        raise ValueError("rows must sum to 1")
+    fallbacks = run.lib.fh_refresh(
+        run.ref, _kernel.address("assignments", assignments, np.int64, (n,))
+    )
+    if fallbacks < 0:
+        raise ValueError(REFRESH_ERRORS[fallbacks])
     if fallbacks:
         logger.info(
             "feature weighting degenerate for %d cluster(s); using uniform rows", fallbacks

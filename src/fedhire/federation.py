@@ -126,8 +126,9 @@ class PartitionPlan:
 def kmeans(data: DataMatrix, k: int, seed: int) -> tuple[np.ndarray, AffiliationMatrix]:
     """Plain Lloyd k-means with distinct-object initialization.
 
-    Empty clusters are re-seeded from the object farthest from its centroid.
-    The Lloyd loop runs in the C kernel (see ``_lloyd``).
+    Each empty cluster is re-seeded from the object farthest from its
+    centroid among the clusters with more than one member, so no cluster is
+    returned empty. The Lloyd loop runs in the C kernel (see ``_lloyd``).
     """
     values = np.ascontiguousarray(data.values)
     n = values.shape[0]
@@ -143,12 +144,12 @@ def _lloyd(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     ``fh_kmeans`` of ``_kernel.c`` runs the whole loop and moves the k x d
     ``centroids`` to the final means in place. Its results are bitwise those
-    of the numpy loop kept as ``kmeans`` in ``tests/oracles.py``: the
-    distances of ``((values[:, None] - centroids[None]) ** 2).sum(axis=2)``,
-    argmin's first-index ties, empty clusters re-seeded in ascending order,
-    the stop on repeated assignments before the means move, and the means of
-    ``members.mean(axis=0)``. ``values`` and ``centroids`` must be
-    C-contiguous float64; anything else is refused rather than copied.
+    of the numpy loop kept as ``kmeans`` in ``tests/oracles.py``: distances
+    whose feature terms add in sequence from 0.0, argmin's first-index ties,
+    empty clusters re-seeded in ascending order with the counts updated, the
+    stop on repeated assignments before the means move, and means that add
+    the members in object order from 0.0. ``values`` and ``centroids`` must
+    be C-contiguous float64; anything else is refused rather than copied.
     """
     n, d = values.shape
     k = centroids.shape[0]
@@ -161,11 +162,11 @@ def _lloyd(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         "assignments": (np.empty(n, np.int64), np.int64, (n,)),
         "next": (np.empty(n, np.int64), np.int64, (n,)),
         "counts": (np.empty(k, np.int64), np.int64, (k,)),
-        "scratch": (np.empty(n), np.float64, (n,)),
+        "own": (np.empty(n), np.float64, (n,)),
     }
     addresses = [_kernel.address(name, *spec) for name, spec in buffers.items()]
     if _kernel.library().fh_kmeans(n, d, k, KMEANS_MAX_ITERS, *addresses):
-        raise MemoryError("fh_kmeans could not allocate its last block")
+        raise MemoryError("fh_kmeans could not allocate its padded block")
     return buffers["assignments"][0]
 
 

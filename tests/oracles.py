@@ -60,14 +60,21 @@ def compute_gamma(win_counts):
     return 1.0 - win_counts / total
 
 
-def dissimilarities(values, centroids, scaled):
-    """n x k squared relative-weighted distances by one n x k x d broadcast.
+# libm's exp elementwise, the exp of math.exp and of the kernel
+exp = np.vectorize(math.exp, otypes=[np.float64])
 
-    numpy sums the last axis in its own pairwise order; the engine's
-    ``_dissimilarities``, which runs ``fh_dissimilarities`` of ``_kernel.c``
-    on the feature-major values, must reproduce that order bit for bit.
+
+def dissimilarities(values, centroids, scaled):
+    """n x k squared relative-weighted distances, the feature terms
+    ``(scaled * (x - c))**2`` added in sequence from 0.0 by a loop over the
+    features; the engine's ``_dissimilarities``, which runs
+    ``fh_dissimilarities`` of ``_kernel.c`` on the feature-major values, must
+    give these bit for bit.
     """
-    return ((scaled[None] * (values[:, None] - centroids[None])) ** 2).sum(axis=2)
+    out = np.zeros((values.shape[0], centroids.shape[0]))
+    for z in range(values.shape[1]):
+        out += (scaled[None, :, z] * (values[:, None, z] - centroids[None, :, z])) ** 2
+    return out
 
 
 def presentation_epoch(values, state, m, eta):
@@ -107,7 +114,7 @@ def similarity_columns(values, centroids, entries):
     """The floored exp(-D) of every object against every clusterlet."""
     d = values.shape[1]
     dist = dissimilarities(values, centroids, d * entries)
-    return np.maximum(np.exp(-dist), SIMILARITY_FLOOR)
+    return np.maximum(exp(-dist), SIMILARITY_FLOOR)
 
 
 def deactivate(state, counts, streaks):
@@ -203,11 +210,11 @@ def present_one(x, state, m, eta=0.05):
 def feature_cluster_matrix_client(data, affiliation, centroids):
     """The numpy form of the feature weights m_jz = α_jz β_jz / Σ_t α_jt β_jt.
 
-    Whole-array expressions over a dense n x k one-hot; the engine's
-    ``cpl.feature_cluster_matrix_client``, which runs all but the three
-    ``onehot.T @`` products and the two ``np.exp`` in ``_kernel.c``, must
-    give these rows bit for bit. Every cluster index in ``affiliation`` must
-    be nonempty.
+    Per-cluster sums and column totals by ``np.add.at`` over the objects,
+    ``exp`` elementwise on libm's and row sums by a loop over the features;
+    the engine's ``cpl.feature_cluster_matrix_client``, which runs
+    ``fh_refresh`` of ``_kernel.c``, must give these rows bit for bit. Every
+    cluster index in ``affiliation`` must be nonempty.
     """
     values = data.values
     n, d = values.shape
@@ -218,12 +225,18 @@ def feature_cluster_matrix_client(data, affiliation, centroids):
     if k == 1:
         return FeatureClusterMatrix.uniform(1, d)
 
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), affiliation.assignments] = 1.0
-    sum1 = onehot.T @ values                      # k x d per-cluster sums
-    sum2 = onehot.T @ (values**2)
-    total1 = values.sum(axis=0)
-    total2 = (values**2).sum(axis=0)
+    def object_sums(index, terms, rows):
+        # rows x d sums that add the objects' terms in object order from 0.0
+        out = np.zeros((rows, d))
+        np.add.at(out, index, terms)
+        return out
+
+    assignments = affiliation.assignments
+    sum1 = object_sums(assignments, values, k)
+    sum2 = object_sums(assignments, values**2, k)
+    everyone = np.zeros(n, dtype=np.int64)
+    total1 = object_sums(everyone, values, 1)[0]
+    total2 = object_sums(everyone, values**2, 1)[0]
 
     counts_col = counts[:, None]
     comp_counts = (n - counts)[:, None]
@@ -240,17 +253,18 @@ def feature_cluster_matrix_client(data, affiliation, centroids):
     var = _variance(sum2, counts_col, mu)
     var_bar = _variance(total2[None, :] - sum2, comp_counts, mu_bar)
 
-    overlap = np.sqrt(2.0 * np.sqrt(var * var_bar) / (var + var_bar)) * np.exp(
+    overlap = np.sqrt(2.0 * np.sqrt(var * var_bar) / (var + var_bar)) * exp(
         -((mu - mu_bar) ** 2) / (4.0 * (var + var_bar))
     )
     alpha = np.sqrt(np.clip(1.0 - overlap, 0.0, None))
 
-    centroid_of_own = centroids[affiliation.assignments]
-    compact = np.exp(-0.5 * (values - centroid_of_own) ** 2)
-    beta = np.sqrt(onehot.T @ compact) / counts_col
+    compact = exp(-0.5 * (values - centroids[assignments]) ** 2)
+    beta = np.sqrt(object_sums(assignments, compact, k)) / counts_col
 
     product = alpha * beta
-    row_sums = product.sum(axis=1)
+    row_sums = np.zeros(k)
+    for z in range(d):
+        row_sums += product[:, z]
     entries = np.empty_like(product)
     zero_rows = row_sums <= 0.0
     entries[zero_rows] = 1.0 / d
@@ -389,34 +403,38 @@ def kmeans(data, k, seed, max_iters=KMEANS_MAX_ITERS):
     """The numpy form of the fragmentation k-means, Lloyd's loop in numpy.
 
     The engine's ``federation.kmeans``, which runs the loop in ``fh_kmeans``
-    of ``_kernel.c``, must give these centroids and assignments bit for bit.
-    Empty clusters are re-seeded from the object farthest from its centroid.
+    of ``_kernel.c``, must give these centroids and assignments bit for bit:
+    distance terms added in sequence by a loop over the features, each empty
+    cluster re-seeded from the object farthest from its centroid among the
+    clusters with more than one member, and means that add the members by
+    ``np.add.at`` in object order.
     """
     values = data.values
-    n = values.shape[0]
+    n, d = values.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed)
     centroids = values[rng.choice(n, size=k, replace=False)].copy()
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
-        dists = ((values[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        dists = np.zeros((n, k))
+        for z in range(d):
+            dists += (values[:, None, z] - centroids[None, :, z]) ** 2
         new_assignments = np.argmin(dists, axis=1)
         counts = np.bincount(new_assignments, minlength=k)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size:
-            own = dists[np.arange(n), new_assignments]
-            for j in empties:
-                far = int(np.argmax(own))
-                new_assignments[far] = j
-                own[far] = -np.inf
+        own = dists[np.arange(n), new_assignments]
+        for j in np.flatnonzero(counts == 0):
+            far = int(np.argmax(np.where(counts[new_assignments] > 1, own, -np.inf)))
+            counts[new_assignments[far]] -= 1
+            counts[j] = 1
+            new_assignments[far] = j
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
-        for j in range(k):
-            members = values[assignments == j]
-            if members.shape[0]:
-                centroids[j] = members.mean(axis=0)
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assignments, values)
+        nonempty = counts > 0
+        centroids[nonempty] = sums[nonempty] / counts[nonempty, None]
     return centroids, AffiliationMatrix(assignments, k=k)
 
 

@@ -2,7 +2,6 @@ import logging
 import math
 import re
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from fedhire import _kernel, cpl
 from fedhire.core import DataMatrix, FeatureClusterMatrix
 from fedhire.cpl import (
     ELIMINATION_THRESHOLD,
-    SIMILARITY_BLOCK_ELEMENTS,
     SIMILARITY_FLOOR,
     CplConfig,
     _dissimilarities,
@@ -42,9 +40,7 @@ def bits(values):
 
 def scores_of(x, state, m):
     """gamma * weight * exp(-D) of one object over every clusterlet."""
-    d = state.centroids.shape[1]
-    dist = dissimilarities(np.atleast_2d(x), state.centroids, d * m.entries)[0]
-    sims = np.maximum(np.exp(-dist), SIMILARITY_FLOOR)
+    sims = similarity_columns(np.atleast_2d(x), state.centroids, m.entries)[0]
     return compute_gamma(state.win_counts) * state.weights * sims
 
 
@@ -428,9 +424,8 @@ class TestPresentationEpochOracle:
 
     def test_cases_reach_their_edge(self):
         values, state, m = _oracle_case("floored")
-        d = values.shape[1]
-        dist = dissimilarities(values, state.centroids, d * m.entries)
-        assert (np.maximum(np.exp(-dist), SIMILARITY_FLOOR) == SIMILARITY_FLOOR).all()
+        sims = similarity_columns(values, state.centroids, m.entries)
+        assert (sims == SIMILARITY_FLOOR).all()
         _, state, _ = _oracle_case("zero_gamma")
         assert (compute_gamma(state.win_counts) == 0.0).sum() == 1
         values, state, m = _oracle_case("duplicated")
@@ -458,14 +453,18 @@ def _epoch_case(k, n, d, active, raw, streaks, far, tied, seed):
     return values, state, m, np.asarray(streaks, dtype=np.int64)
 
 
-def _assert_whole_epochs_match(case, eta=0.05, epochs=2, group=None):
-    """``_assert_epochs_match_oracle`` on ``case``, with ``group`` columns
-    per group of fresh similarities when given."""
+def _assert_whole_epochs_match(case, eta=0.05, epochs=2):
+    """``_assert_epochs_match_oracle`` on ``case``."""
     values, state, m, streaks = case
-    n = values.shape[0]
-    elements = SIMILARITY_BLOCK_ELEMENTS if group is None else group * n
-    with mock.patch.object(cpl, "SIMILARITY_BLOCK_ELEMENTS", elements):
-        return _assert_epochs_match_oracle(values, state, m, eta, epochs, streaks)
+    return _assert_epochs_match_oracle(values, state, m, eta, epochs, streaks)
+
+
+# objects per block and columns per tile of the distance kernel, read from
+# its source
+KERNEL_LANE, KERNEL_TILE = (
+    int(re.search(rf"^#define {name} (\d+)$", _kernel.SOURCE.read_text(), re.M).group(1))
+    for name in ("LANE", "TILE")
+)
 
 
 class TestEpochOracle:
@@ -538,14 +537,15 @@ class TestEpochOracle:
         assert run.counts[2] == 0 and run.streaks[2] == 2
         assert not case[1].active[2]
 
-    def test_more_stale_columns_than_one_group_holds(self):
-        k = 9
+    def test_more_stale_columns_than_one_tile(self):
+        # two full tiles and a partial one, over two blocks of objects
+        k = 2 * KERNEL_TILE + 3
         rng = np.random.default_rng(5)
         case = _epoch_case(
-            k, 33, 4, [True] * k, rng.uniform(-5.5, 0.5, size=k), [0] * k, [], [], 5
+            k, KERNEL_LANE + 5, 4, [True] * k, rng.uniform(-5.5, 0.5, size=k), [0] * k,
+            [], [], 5,
         )
-        run = _assert_whole_epochs_match(case, epochs=3, group=2)
-        assert run.group == 2
+        _assert_whole_epochs_match(case, epochs=3)
 
     def test_an_epoch_needs_two_active_clusterlets(self):
         state = make_state([[0.0], [1.0], [2.0]], active=[False, True, False])
@@ -565,12 +565,11 @@ class TestEpochOracle:
         doomed=st.booleans(),
         empties=st.integers(0, 3),
         tied=st.integers(0, 3),
-        group=st.sampled_from([None, 1, 2, 3]),
         eta=st.sampled_from([0.05, 0.5, 3.0]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_oracle_chain_on_random_shapes(
-        self, shape, n, d, doomed, empties, tied, group, eta, seed
+        self, shape, n, d, doomed, empties, tied, eta, seed
     ):
         k, active_count = shape
         rng = np.random.default_rng(seed)
@@ -583,15 +582,11 @@ class TestEpochOracle:
             rng.choice(k, size=min(empties, k), replace=False),
             rng.choice(k, size=min(tied, k), replace=False), seed,
         )
-        _assert_whole_epochs_match(case, eta, epochs=3, group=group)
+        _assert_whole_epochs_match(case, eta, epochs=3)
 
 
-# objects per block of the distance kernel, read from its source
-KERNEL_LANE = int(
-    re.search(r"^#define LANE (\d+)$", _kernel.SOURCE.read_text(), re.M).group(1)
-)
-# feature counts at and around each branch point of numpy's pairwise sum:
-# in sequence below 8, eight accumulators up to 128, halving above
+# feature counts from 1 to 300: every count up to 9, and counts around 16
+# and 128
 BRANCH_DIMS = [*range(1, 10), 15, 16, 17, 127, 128, 129, 136, 300]
 
 
@@ -618,7 +613,6 @@ class TestDissimilarities:
     )
     @pytest.mark.parametrize("k", [1, 2, 37])
     def test_bitwise_equal_to_broadcast_sum(self, d, k):
-        # fails by name if numpy changes the order in which sum(axis=2) adds;
         # n = 1 is a single partial block, and n = KERNEL_LANE + 11 ends on
         # one after a full block
         rng = np.random.default_rng(1000 * d + k)
@@ -717,18 +711,22 @@ class TestColumnCache:
         centroids[0] = -0.0
         check([])
 
-    def test_more_stale_columns_than_one_group_holds(self):
-        # groups of 2 columns: 9 stale columns take five groups, the last
-        # one partial, each scattered into its own columns
+    def test_more_stale_columns_than_one_tile(self):
+        # two full tiles of stale columns and a partial one, each written
+        # into its own columns; then a tile of every other column
         rng = np.random.default_rng(6)
-        n, k, d = 30, 9, 4
+        n, k, d = 30, 2 * KERNEL_TILE + 1, 4
         values = rng.normal(size=(n, d))
         state = make_state(rng.normal(size=(k, d)))
         entries = rng.dirichlet(np.ones(d), size=k)
-        with mock.patch.object(cpl, "SIMILARITY_BLOCK_ELEMENTS", 2 * n + 1):
-            run = _Run(values, state, entries)
-        assert run.group == 2 and run.fresh.size == 2 * n
+        run = _Run(values, state, entries)
         assert run.refresh_columns() == k
+        np.testing.assert_array_equal(
+            bits(run.sims), bits(similarity_columns(values, state.centroids, entries))
+        )
+        state.centroids[::2] += 0.5
+        assert run.refresh_columns() == KERNEL_TILE + 1
+        np.testing.assert_array_equal(run.stale[: KERNEL_TILE + 1], np.arange(0, k, 2))
         np.testing.assert_array_equal(
             bits(run.sims), bits(similarity_columns(values, state.centroids, entries))
         )
@@ -868,44 +866,24 @@ class TestRunCpl:
         )
         np.testing.assert_allclose(result.feature_weights.entries, 1.0 / 3)
 
-    def test_memory_stays_at_the_cache_one_group_and_linear_terms(self):
-        # the n x k0 similarity cache, one group of fresh columns (at most
-        # SIMILARITY_BLOCK_ELEMENTS entries) and O(n d + k0 d) buffers; a
-        # second n x k0 array would add 16 MB. The feature-weight refresh is
-        # off: its dense n x k one-hot is a cost of its own.
+    @pytest.mark.parametrize("weighting", [True, False])
+    def test_memory_stays_at_the_cache_and_linear_terms(self, weighting):
+        # the n x k0 similarity cache and O(n d + k0 d) buffers, with the
+        # feature-weight refresh on or off; a second n x k0 array would add
+        # 16 MB
         n, d, k0 = 2000, 16, 1000
         data = DataMatrix(np.random.default_rng(0).uniform(size=(n, d)))
         run_cpl(data, CplConfig(eta=0.05, k0=2, max_epochs=1))  # loads the kernel
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            run_cpl(data, CplConfig(eta=0.05, k0=k0, max_epochs=3), weighting=False)
+            run_cpl(data, CplConfig(eta=0.05, k0=k0, max_epochs=3), weighting=weighting)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
         cache = n * k0 * 8
-        group = SIMILARITY_BLOCK_ELEMENTS * 8
         linear = 8 * (n * d + k0 * d) * 8
-        assert cache < peak <= cache + group + linear
-
-    def test_memory_with_weighting_adds_one_onehot(self):
-        # the same run with the feature-weight refresh on: its n x k0
-        # one-hot, allocated once, on top of the cache, one group of fresh
-        # columns and O(n d + k0 d) buffers
-        n, d, k0 = 2000, 16, 1000
-        data = DataMatrix(np.random.default_rng(0).uniform(size=(n, d)))
-        run_cpl(data, CplConfig(eta=0.05, k0=2, max_epochs=1))  # loads the kernel
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            run_cpl(data, CplConfig(eta=0.05, k0=k0, max_epochs=3))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        cache = onehot = n * k0 * 8
-        group = SIMILARITY_BLOCK_ELEMENTS * 8
-        linear = 8 * (n * d + k0 * d) * 8
-        assert cache + onehot < peak <= cache + onehot + group + linear
+        assert cache < peak <= cache + linear
 
     @pytest.mark.parametrize("weighting", [True, False])
     @pytest.mark.parametrize("max_epochs", [3, 100])
@@ -929,9 +907,8 @@ class TestRunCpl:
         assert len(calls) == expected
 
 
-# feature counts on each branch of numpy's pairwise sum (in sequence below
-# 8, eight accumulators up to 128, halving above, twice at 300), and d = 1:
-# one-entry rows and column totals over an n x 1 array
+# feature counts from 1 to 300; d = 1 gives one-entry rows and column totals
+# over an n x 1 array
 REFRESH_DIMS = [1, 2, 4, 7, 8, 9, 16, 129, 300]
 
 
@@ -961,7 +938,7 @@ def refresh_case(rng, n, d, k0, active_count, live_count, kind):
 
 class TestFeatureWeightRefresh:
     """``cpl.feature_cluster_matrix_client``, the feature-weight refresh of
-    ``_kernel.c`` around numpy's BLAS products, against its numpy form."""
+    ``_kernel.c``, against its numpy form."""
 
     @settings(max_examples=150, deadline=None)
     @given(

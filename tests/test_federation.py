@@ -40,10 +40,14 @@ class TestKmeans:
 
     @staticmethod
     def check_global_mean(d):
+        # the rows added in object order from 0.0, then divided by the count
         values = np.random.default_rng(0).normal(size=(15, d))
         centroids, affil = kmeans(DataMatrix(values), 1, seed=0)
+        total = np.zeros(d)
+        for row in values:
+            total += row
         np.testing.assert_array_equal(
-            centroids[0].view(np.uint64), values.mean(axis=0).view(np.uint64)
+            centroids[0].view(np.uint64), (total / 15).view(np.uint64)
         )
         assert set(affil.assignments) == {0}
 
@@ -51,7 +55,7 @@ class TestKmeans:
         self.check_global_mean(3)
 
     def test_k_one_gives_global_mean_at_d1(self):
-        # numpy reduces a one-column block as one pairwise run
+        # the mean of one column adds in object order too
         self.check_global_mean(1)
 
     def test_k_equals_n_zero_inertia(self):
@@ -104,7 +108,7 @@ class TestKmeansOracle:
     # k = n over duplicate rows: every iteration re-seeds empty clusters
     @example(n=12, d=3, kind="duplicates", k_mode="all", negative_zero=False,
              cap=KMEANS_MAX_ITERS, data_seed=0, seed=0)
-    # a member column of all -0.0, at d = 1 (pairwise sums) and d = 2
+    # a member column of all -0.0, at d = 1 and d = 2
     @example(n=20, d=1, kind="normal", k_mode="one", negative_zero=True,
              cap=KMEANS_MAX_ITERS, data_seed=1, seed=1)
     @example(n=200, d=1, kind="duplicates", k_mode="some", negative_zero=True,
@@ -131,6 +135,20 @@ class TestKmeansOracle:
         np.testing.assert_array_equal(
             centroids.view(np.uint64), want_centroids.view(np.uint64)
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        d=st.sampled_from([1, 2, 5]),
+        kind=st.sampled_from(["normal", "rounded", "duplicates"]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        k_draw=st.floats(0.0, 1.0),
+    )
+    def test_never_returns_an_empty_cluster(self, n, d, kind, data_seed, seed, k_draw):
+        k = 1 + int(k_draw * (n - 1))
+        _, affil = kmeans(DataMatrix(self.draw(n, d, kind, data_seed)), k, seed)
+        assert (affil.counts() > 0).all()
 
     def test_duplicates_force_a_re_seed(self):
         # the first example above really re-seeds: argmin puts equal rows in
@@ -186,6 +204,19 @@ class TestFragmentPartition:
         plan = fragment_partition(data, config)
         small = [p for p in plan.provenance if p["cluster_label"] == 1]
         assert len(small) == 2  # clipped from 5 to cluster size
+
+    def test_every_fragment_is_nonempty(self):
+        # 12 fragments of 12 objects over 3 distinct rows: re-seeding must
+        # not take the only member of another fragment
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(3, 2))[rng.integers(0, 3, size=12)]
+        data = DataMatrix(values, labels=np.zeros(12, dtype=np.int64))
+        config = FederationConfig(
+            client_count=4, k_star=2, fragments_per_cluster=12, seed=0
+        )
+        plan = fragment_partition(data, config)
+        sizes = [len(record["object_indices"]) for record in plan.provenance]
+        assert sizes == [1] * 12
 
     def test_auto_heuristic(self):
         from fedhire.federation import _auto_fragments

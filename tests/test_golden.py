@@ -68,29 +68,29 @@ def one_shot_digest(name: str) -> str:
 
 CPL_GOLDEN = {
     (2, "fraction", True):
-        "b25b544433ed92d12e9680a0f1fe219978ff96ec15e456bf21efd007c79a7c66",
+        "9842da9c7d74840505a192e0c4240c8477a8a0acbb1b99aab93c45daad0b1628",
     (2, "fraction", False):
-        "5a0cfd2a3c20df612f4dba2e821d44a0b609abc461b7bc8185d35b42dee24970",
+        "a3f1278819e45d0b120935efdd4d7cc5d7a512bd6d1a85efc81157c859e28bf7",
     (2, "absolute", True):
-        "351ec6a0af6d826ad6c23f7a2d64ac689659126ea58fc20542e1bd07448be760",
+        "51d7acada6272f4b02e8cc1c4742ebbcdf5a7222c972bdcf7b5fa7cb1ebb7dc5",
     (2, "absolute", False):
-        "9d13b9b85440662f31d5e0f85825b46f7ce92ce5d4e3d7210fefb50ac5be82ef",
+        "d2674a5b47b480b2c08ae4d5335029fce797ad9ca6f8332363d813aff1e5046f",
     (4, "fraction", True):
-        "3d959c710fe58d45203cecc6a815c171191077f7792ba6c36b5fc0a0b5b6635f",
+        "deede3cde864069adbd1bd60f9cdbecc96004688b15eda845a523731ec0a4a1d",
     (4, "fraction", False):
-        "12b859b6c03892fedfcf526ae60c04d9a7c44f0a2e54eccbb3b40029fd9290ad",
+        "fedfa2672c130b427e06cd77cc193089b459346475677b1e2ffdb19f69930496",
     (4, "absolute", True):
-        "a544339640ef05223c1a9da987768851d5715b783bed15a2185a010fbf691582",
+        "1447b9a83a10f597e2b4c57747e72be6908e6cb3a10862e4756055b7f7c39a85",
     (4, "absolute", False):
-        "24571c70043e6b2de0646f79041427d90a1ade3ae946006987280e2427f2e8ab",
+        "2ebce6ae2b79d9ec11de9cfd44bd4919df996e9fcd88b15eda65da9983b40c31",
     (16, "fraction", True):
-        "72a7e79a97ec28b92403a6ba92d087489fe1074db2de2fee503cfe6ebeb6756f",
+        "68f67c0411ea9eab034b2597a9e9823e15e89514bfadf4471a6868b8bfd32e45",
     (16, "fraction", False):
-        "dca3ad18b4e26a85928131fc792ef5a82c9096f05b7c5a74cc2688015abe59ad",
+        "0f02e538063e488076acc781b655bc6df0b1804fe195fd336c580bc99d616ad5",
     (16, "absolute", True):
-        "07d382b93cddf5bf1c20925cc8e56323c4ee03b1d63f1416c27533f6d67092b8",
+        "afdd2b3fbab0904e95a70fb6307136d3c6745c717eb110de15e66091cf137b5c",
     (16, "absolute", False):
-        "1900e701b22cd17e869eb5414071ff15e004e15e0c46bf8053866602be28acc7",
+        "cef9d619e3b4df94764c6855f0389c9a86904243699345de243d8da0cb0edf78",
 }
 
 ONE_SHOT_GOLDEN = {

@@ -1,30 +1,30 @@
 """Building, caching and loading the compiled kernel, and its array guards."""
 
 import ctypes
+import re
 import subprocess
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedhire import _kernel, cpl, federation
-from fedhire.core import ClusterletState, DataMatrix
+from fedhire.core import ClusterletState, DataMatrix, FeatureClusterMatrix
 from fedhire.cpl import _dissimilarities, _Run
 
 
 def _epochs(lib, seed=0, epochs=3):
-    """Epochs of a ``_Run`` on random data through ``lib``, with groups of
-    two columns, so every entry point runs; returns every array they write."""
+    """Epochs of a ``_Run`` on random data through ``lib``, with more columns
+    than one tile; returns every array they write."""
     rng = np.random.default_rng(seed)
-    n, k, d = 60, 7, 3
+    n, k, d = 60, 11, 3
     values = rng.uniform(0.0, 1.0, size=(n, d))
     state = ClusterletState.initial(values[rng.choice(n, size=k, replace=False)])
     state.raw_weights[:] = rng.uniform(-7.0, -3.0, size=k)
     state.weights[:] = [lib.fh_squash(r) for r in state.raw_weights]
     rows = rng.dirichlet(np.ones(d), size=k)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cpl, "SIMILARITY_BLOCK_ELEMENTS", 2 * n)
-        run = _Run(values, state, rows)
+    run = _Run(values, state, rows)
     run.lib = lib
     orphans = [run.epoch(0.05)[1] for _ in range(epochs)]
     return (
@@ -201,3 +201,59 @@ def test_kmeans_raises_memory_error_when_a_block_cannot_be_allocated(monkeypatch
     monkeypatch.setattr(_kernel, "library", Failing)
     with pytest.raises(MemoryError, match="fh_kmeans"):
         federation.kmeans(DataMatrix(np.zeros((3, 2))), 2, seed=0)
+
+
+def test_columns_raise_memory_error_when_a_block_cannot_be_allocated():
+    class Failing:
+        @staticmethod
+        def fh_columns(ref):
+            return -1
+
+    values = np.random.default_rng(5).normal(size=(10, 2))
+    run = _Run(values, ClusterletState.initial(values[:3]), FeatureClusterMatrix.uniform(3, 2).entries)
+    run.lib = Failing
+    with pytest.raises(MemoryError, match="fh_columns"):
+        run.epoch(0.05)
+
+
+# the ctypes type of each kind of struct member
+KINDS = {"int64_t": ctypes.c_int64, "double": ctypes.c_double, "pointer": ctypes.c_void_p}
+
+
+def struct_members(source: str) -> list[tuple[str, type]]:
+    """The members of ``struct fh_run`` in ``source``, in order, each with the
+    ctypes type of its kind: int64_t, double or a pointer."""
+    body = re.search(r"^struct fh_run \{(.*?)^\};", source, re.M | re.S).group(1)
+    members = []
+    for declaration in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";")[:-1]:
+        ctype, names = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*", declaration, re.S).groups()
+        for name in (name.strip() for name in names.split(",")):
+            kind = "pointer" if name.startswith("*") else ctype
+            members.append((name.lstrip("*"), KINDS[kind]))
+    return members
+
+
+def test_run_fields_match_the_struct_layout():
+    # a member out of place shifts every later one, and the kernel then
+    # reads and writes the wrong buffers
+    members = struct_members(_kernel.SOURCE.read_text())
+    assert len(members) > 20
+    assert _kernel.Run._fields_ == members
+
+
+def test_every_exported_function_is_bound_and_called():
+    exported = set(
+        re.findall(r"^(?!static)\w+\s+(fh_\w+)\(", _kernel.SOURCE.read_text(), re.M)
+    )
+    loader = Path(_kernel.__file__).read_text()
+    assert set(re.findall(r"lib\.(fh_\w+)\.argtypes", loader)) == exported
+    assert set(re.findall(r"lib\.(fh_\w+)\.restype", loader)) == exported
+    callers = [
+        path.read_text() for path in Path(_kernel.__file__).parent.glob("*.py")
+        if path.name != "_kernel.py"
+    ]
+    uncalled = [
+        name for name in sorted(exported)
+        if not any(re.search(rf"\.{name}\(", text) for text in callers)
+    ]
+    assert len(exported) >= 6 and uncalled == []
