@@ -12,13 +12,14 @@
  *
  * The arithmetic is fixed, and the scalar forms kept as oracles in
  * tests/oracles.py repeat it bit for bit: every distance adds its feature
- * terms (s (x - c))^2 in sequence from 0.0; every exp is libm's exp, the one
- * Python's math.exp calls; every per-cluster sum and column total adds in
- * object order from 0.0, and every row sum in feature order from 0.0; the
- * winner and rival keep numpy argmax's first-index tie rule (strict >
- * comparisons only), and the k-means argmin and argmax theirs. Built without
- * -ffast-math and with -ffp-contract=off (see _kernel.py), so no operation
- * is reordered or fused.
+ * terms (s (x - c))^2 in sequence from 0.0; every exp is fexp below, one
+ * fixed sequence of operations on arguments <= 0 that the compiler may run
+ * across a vector of entries without changing any entry's bits; every
+ * per-cluster sum and column total adds in object order from 0.0, and every
+ * row sum in feature order from 0.0; the winner and rival keep numpy
+ * argmax's first-index tie rule (strict > comparisons only), and the k-means
+ * argmin and argmax theirs. Built without -ffast-math and with
+ * -ffp-contract=off (see _kernel.py), so no operation is reordered or fused.
  */
 #include <math.h>
 #include <stdint.h>
@@ -33,6 +34,68 @@
 #define TILE 8
 /* Objects of a block whose sums are kept in registers at a time. */
 #define CHUNK 8
+
+/* The coefficients 1/i! of the degree-13 Taylor polynomial of exp, by
+ * parity: the odd ones from i = 13 down to i = 3, the even ones from i = 12
+ * down to i = 2, each in Horner's order. */
+static const double EXP_ODD[6] = {
+    0x1.6124613a86d09p-33, 0x1.ae64567f544e4p-26, 0x1.71de3a556c734p-19,
+    0x1.a01a01a01a01ap-13, 0x1.1111111111111p-7, 0x1.5555555555555p-3,
+};
+static const double EXP_EVEN[6] = {
+    0x1.1eed8eff8d898p-29, 0x1.27e4fb7789f5cp-22, 0x1.a01a01a01a01ap-16,
+    0x1.6c16c16c16c17p-10, 0x1.5555555555555p-5, 0x1.0p-1,
+};
+
+/* exp(x) for x <= 0 or NaN, within 1 ulp of libm's exp on [-708, 0], the
+ * kernel's only exp. x is clamped at -708 (NaN compares false and stays), so
+ * 2^k below stays a normal number; then k = rint(x / ln 2) by the 1.5 * 2^52
+ * shift, which leaves k in the low bits of the sum; the Cody-Waite
+ * reduction r = x - k ln2hi - k ln2lo, where ln2hi has 32 significant bits
+ * so that k ln2hi is exact; the Taylor polynomial of r as 1 + (r + s (even +
+ * r odd)), s = r^2, with the halves even and odd by Horner's rule in s, two
+ * chains of 5 steps rather than one of 13, as accurate; and the product with
+ * 2^k, built from its exponent bits. No branch and no libm call, so a loop
+ * of fexp can run as vector code. */
+static inline double fexp(double x)
+{
+    x = x < -708.0 ? -708.0 : x;
+    double shifted = x * 0x1.71547652b82fep0 + 0x1.8p52, k = shifted - 0x1.8p52;
+    double r = x - k * 0x1.62e42feep-1 - k * 0x1.a39ef35793c76p-33, s = r * r;
+    double odd = EXP_ODD[0], even = EXP_EVEN[0];
+#pragma GCC unroll 8
+    for (int i = 1; i < 6; i++) {
+        odd = odd * s + EXP_ODD[i];
+        even = even * s + EXP_EVEN[i];
+    }
+    double p = 1.0 + (r + s * (even + r * odd));
+    /* the low 12 bits of shifted's bits hold k mod 4096 */
+    uint64_t bits;
+    memcpy(&bits, &shifted, sizeof bits);
+    bits = (bits + 1023) << 52;
+    double scale;
+    memcpy(&scale, &bits, sizeof scale);
+    return p * scale;
+}
+
+/* One clone of exps per x86-64 level, the best one the CPU runs picked at
+ * load time (by an ifunc, hence glibc). The clones give the same bits: each
+ * runs the same IEEE operations per entry, none fused (-ffp-contract=off). */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define CLONES
+#endif
+
+/* v[i] = fexp(-v[i]) floored at floor for i < m, as np.maximum floors (NaN
+ * stays NaN); the loop the compiler runs as vector code. */
+CLONES static void exps(double *v, int64_t m, double floor)
+{
+    for (int64_t i = 0; i < m; i++) {
+        double e = fexp(-v[i]);
+        v[i] = e < floor ? floor : e;
+    }
+}
 
 /* One feature's term of a distance, the oracle's (s * (x - c))**2. */
 static inline double term(double x, double c, double s)
@@ -110,14 +173,22 @@ int fh_dissimilarities(const double *x, int64_t d, int64_t n,
 }
 
 /* Sigmoid squash of a raw weight into (0, 1): 1 / (1 + e^{-10(raw + 5)}),
- * in the numerically stable two-branch form. */
-double fh_squash(double raw)
+ * in the numerically stable two-branch form; the least weight is exp(-708) /
+ * (1 + exp(-708)), as fexp clamps. Inlined into the presentation loop, where
+ * an exported function would be called through the PLT. */
+static inline double squash(double raw)
 {
     double z = 10.0 * (raw + 5.0);
     if (z >= 0.0)
-        return 1.0 / (1.0 + exp(-z));
-    double e = exp(z);
+        return 1.0 / (1.0 + fexp(-z));
+    double e = fexp(z);
     return e / (1.0 + e);
+}
+
+/* squash, for Python (cpl._squash_scalar). */
+double fh_squash(double raw)
+{
+    return squash(raw);
 }
 
 
@@ -154,6 +225,7 @@ struct fh_run {
     double *totals;             /* 2 x d, the column sums of x and of x^2 */
     double *sum_xx;             /* k0 x d, the member sums of x^2 */
     double *sum_compact;        /* k0 x d, the member sums of exp(-(x - c)^2 / 2) */
+    double *terms;              /* n x d, the objects' exp(-(x - c)^2 / 2) */
 };
 
 /* Recompute the similarity columns whose rows changed: the active columns
@@ -162,10 +234,11 @@ struct fh_run {
  * r->sims gets exp(-D_ij) floored at r->floor, as np.maximum floors (NaN
  * stays NaN), where D_ij is the distance of object i to centroid row j with
  * the scaled row d * m_j. Each tile of stale columns gathers its centroid
- * rows and scaled rows first. Returns how many columns were recomputed, or
- * -1 if the blocks could not be allocated. NaN compares unequal to
- * everything, so the NaN rows stored at the start make every column stale
- * once. */
+ * rows and scaled rows first; the distances of a block of objects to a tile
+ * turn into floored exps in place, one row of LANE at a time. Returns how
+ * many columns were recomputed, or -1 if the blocks could not be allocated.
+ * NaN compares unequal to everything, so the NaN rows stored at the start
+ * make every column stale once. */
 int64_t fh_columns(struct fh_run *r)
 {
     int64_t n = r->n, d = r->d, k0 = r->k0, count = 0;
@@ -201,12 +274,12 @@ int64_t fh_columns(struct fh_run *r)
             int64_t stride, m = n - lo < LANE ? n - lo : LANE;
             const double *objects = block(r->by_feature, d, n, lo, pad, &stride);
             tile_terms(objects, stride, c, s, d, width, acc);
+            for (int64_t t = 0; t < width; t++)
+                exps(acc[t], LANE, r->floor);
             for (int64_t b = 0; b < m; b++) {
                 double *row = r->sims + (lo + b) * k0;
-                for (int64_t t = 0; t < width; t++) {
-                    double e = exp(-acc[t][b]);
-                    row[cols[t]] = e < r->floor ? r->floor : e;
-                }
+                for (int64_t t = 0; t < width; t++)
+                    row[cols[t]] = acc[t][b];
             }
         }
     }
@@ -284,10 +357,10 @@ int64_t fh_epoch(struct fh_run *r, double eta, int64_t out)
         assignments[i] = jv;
         r->win_counts[jv] += 1;
         r->raw_weights[jv] += eta;
-        r->weights[jv] = fh_squash(r->raw_weights[jv]);
+        r->weights[jv] = squash(r->raw_weights[jv]);
         gw[v] = r->gamma[jv] * r->weights[jv];
         r->raw_weights[jw] -= eta * row[jw] / row[jv];
-        r->weights[jw] = fh_squash(r->raw_weights[jw]);
+        r->weights[jw] = squash(r->raw_weights[jw]);
         gw[w] = r->gamma[jw] * r->weights[jw];
     }
 
@@ -351,9 +424,11 @@ static double variance(double sq_sum, double count, double mean, double floor)
  * orphan reassignment): the M rows of the live clusterlets, those that own an
  * object, are recomputed; the others keep theirs. One live clusterlet gets the
  * uniform row 1/d. Otherwise one pass over the objects forms the member
- * counts into r->counts, the member sums of x, x^2 and exp(-(x - c)^2 / 2)
- * against the member's own centroid into r->sums, r->sum_xx and
- * r->sum_compact, and the column sums of x and x^2 into r->totals. With mu,
+ * counts into r->counts, the member sums of x and x^2 into r->sums and
+ * r->sum_xx, the column sums of x and x^2 into r->totals and the halved
+ * squares (x - c)^2 / 2 against the member's own centroid into r->terms;
+ * one call of exps turns all n d of those into compactness terms, and a
+ * second pass adds them into r->sum_compact, in object order. With mu,
  * var the mean and floored unbiased variance of a feature inside the
  * clusterlet and mu_bar, var_bar those outside it, alpha = sqrt(max(1 -
  * sqrt(2 sqrt(var var_bar) / (var + var_bar)) exp(-(mu - mu_bar)^2 / (4 (var
@@ -396,13 +471,17 @@ int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
         const double *x = r->values + i * d, *c = r->centroids + a * d;
         for (int64_t z = 0; z < d; z++) {
             double t = x[z] - c[z];
+            r->terms[i * d + z] = 0.5 * (t * t);
             r->sums[a * d + z] += x[z];
             r->sum_xx[a * d + z] += x[z] * x[z];
-            r->sum_compact[a * d + z] += exp(-0.5 * (t * t));
             total_x[z] += x[z];
             total_xx[z] += x[z] * x[z];
         }
     }
+    exps(r->terms, n * d, 0.0);
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t z = 0; z < d; z++)
+            r->sum_compact[assignments[i] * d + z] += r->terms[i * d + z];
 
     double lo = -r->entry_tolerance, hi = 1.0 + r->entry_tolerance;
     int out_of_range = 0, off_sum = 0;
@@ -421,7 +500,7 @@ int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
                                       r->variance_floor);
             double gap = mu - mu_bar;
             double overlap = sqrt(2.0 * sqrt(var * var_bar) / (var + var_bar))
-                             * exp(-(gap * gap) / (4.0 * (var + var_bar)));
+                             * fexp(-(gap * gap) / (4.0 * (var + var_bar)));
             double h = 1.0 - overlap;
             product[z] = sqrt(h < 0.0 ? 0.0 : h) * (sqrt(compact[z]) / count);
             sum += product[z];

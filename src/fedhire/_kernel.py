@@ -5,8 +5,8 @@ cached on disk under a name that hashes the C source, the compiler command
 and the interpreter's ``EXT_SUFFIX``. The cache is the package's
 ``__pycache__/`` directory, or a fresh temporary directory when that is not
 writable. A build writes to a temporary name and then renames it into place,
-so concurrent first uses never load a half-written file. Once cached, loading
-compiles nothing.
+so concurrent first uses never load a half-written file, and then deletes
+the cached builds of other sources. Once cached, loading compiles nothing.
 """
 
 from __future__ import annotations
@@ -25,10 +25,16 @@ import numpy as np
 SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILER = "cc"
 # -ffp-contract=off: no fused multiply-adds, whose single rounding would move
-# bits. Never -ffast-math or -Ofast: they let the compiler reorder and
-# reassociate float operations, so results would no longer equal the scalar
-# forms in tests/oracles.py, which repeat the kernel's order bit for bit.
-FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+# bits. -fno-trapping-math and -fvect-cost-model=cheap let GCC run the exp
+# loop as vector code (without them its comparisons count as control flow);
+# neither changes a result. Never -ffast-math, -Ofast or -march=native: the
+# first two reorder and reassociate float operations, so results would no
+# longer equal the scalar forms in tests/oracles.py, which repeat the
+# kernel's order bit for bit, and the cache key does not record the CPU.
+FLAGS = (
+    "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-fno-trapping-math",
+    "-fvect-cost-model=cheap",
+)
 LIBRARIES = ("-lm",)
 
 
@@ -55,7 +61,7 @@ class Run(ctypes.Structure):
                 "values", "by_feature", "sims", "stored_centroids", "stored_rows",
                 "centroids", "win_counts", "raw_weights", "weights", "active",
                 "rows", "act", "stale", "assignments", "counts", "sums", "streaks",
-                "gamma", "gw", "totals", "sum_xx", "sum_compact",
+                "gamma", "gw", "totals", "sum_xx", "sum_compact", "terms",
             )
         ),
     ]
@@ -132,6 +138,11 @@ def _build(target: Path) -> None:
             f"building the fedhire kernel failed: {' '.join(command)}\n{exc.stderr}"
         ) from None
     os.replace(partial, target)
+    # the builds of earlier sources are never loaded again; partial builds
+    # (".tmp") of other processes end in another suffix and stay
+    for stale in target.parent.glob(f"_kernel-*{sysconfig.get_config_var('EXT_SUFFIX')}"):
+        if stale != target:
+            stale.unlink(missing_ok=True)
 
 
 @functools.cache

@@ -20,8 +20,10 @@ Scoring details, fixed across the package:
   to the feature-weight refresh runs in C (``_kernel.c``), compiled with the
   system compiler on first use and cached (see ``_kernel.py``). Its
   arithmetic order is fixed: every distance adds its feature terms in
-  sequence from 0.0, every ``exp`` is libm's (the one ``math.exp`` calls),
-  every per-cluster sum and column total adds in object order from 0.0 and
+  sequence from 0.0, every ``exp`` is the kernel's own ``fexp`` (one fixed
+  sequence of float operations, within one unit in the last place of libm's
+  ``exp`` on [-708, 0], which vectorizes over blocks of entries), every
+  per-cluster sum and column total adds in object order from 0.0 and
   every row sum in feature order from 0.0. The scalar forms kept as oracles
   in ``tests/oracles.py`` repeat that order, so the kernel's results are
   theirs bit for bit.
@@ -72,8 +74,9 @@ DEFAULT_MAX_EPOCHS = 100
 ELIMINATION_THRESHOLD = 1e-3
 # consecutive memberless epochs after which an active clusterlet is pruned
 DEAD_UNIT_EPOCHS = 2
-# exp(-D) underflows to 0.0 for D > ~745; flooring keeps the penalty ratio
-# finite for absurdly distant object/clusterlet pairs
+# exp(-D) falls below this for D > ~691 (and the kernel's exp stops at
+# exp(-708)); flooring keeps the penalty ratio finite for absurdly distant
+# object/clusterlet pairs
 SIMILARITY_FLOOR = 1e-300
 # the errors of fh_refresh, by its negative return codes
 REFRESH_ERRORS = {
@@ -121,8 +124,9 @@ def _squash_scalar(raw: float) -> float:
     """Sigmoid squash of a raw weight into (0, 1): 1 / (1 + e^{-10(raw + 5)}).
 
     ``fh_squash`` of ``_kernel.c``, the squash the presentation loop runs: a
-    numerically stable two-branch form on libm's ``exp``, the function
-    ``math.exp`` calls (``np.exp`` differs in the last bit on some inputs).
+    numerically stable two-branch form on the kernel's ``fexp``, whose
+    argument is never positive. It clamps that argument at -708, so the
+    least weight is exp(-708) / (1 + exp(-708)), about 3.3e-308, not 0.
     """
     return _kernel.library().fh_squash(raw)
 
@@ -161,7 +165,8 @@ class _Run:
     column was computed from; the arrays of ``state`` and the M rows
     ``rows``, updated in place; two assignment rows, written alternately, so
     the previous epoch's stays readable; the scratch of ``fh_epoch``; and the
-    column totals and k0 x d member sums of the feature-weight refresh.
+    column totals, k0 x d member sums and n x d compactness terms of the
+    feature-weight refresh.
     Besides ``sims`` every buffer is O(n d + k0 d).
 
     Column j of ``sims`` holds exp(-D_ij), floored, for every object i, as
@@ -195,6 +200,7 @@ class _Run:
         self.totals = np.empty((2, d))
         self.sum_xx = np.empty((k0, d))
         self.sum_compact = np.empty((k0, d))
+        self.terms = np.empty((n, d))
         self.epochs = 0
         f8, i8, kd = np.float64, np.int64, (k0, d)
         # every array the kernel addresses; held here, so that none is freed
@@ -222,6 +228,7 @@ class _Run:
             "totals": (self.totals, f8, (2, d)),
             "sum_xx": (self.sum_xx, f8, kd),
             "sum_compact": (self.sum_compact, f8, kd),
+            "terms": (self.terms, f8, (n, d)),
         }
         self.buffers = _kernel.Run(
             n=n, d=d, k0=k0, floor=SIMILARITY_FLOOR,

@@ -7,7 +7,6 @@ and ACC live in [0, 1]; ARI in [-1, 1].
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def _contingency(predicted, truth) -> np.ndarray:
@@ -79,7 +78,11 @@ def acc(predicted, truth) -> float:
     """Clustering accuracy under the best one-to-one cluster-class matching.
 
     The matching is solved exactly as an assignment problem, never greedily.
+    scipy is imported here, on first use: it is most of the import time of
+    the package, and nothing else needs it.
     """
+    from scipy.optimize import linear_sum_assignment
+
     table = _contingency(predicted, truth)
     rows, cols = linear_sum_assignment(-table)
     return float(table[rows, cols].sum() / table.sum())

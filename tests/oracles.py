@@ -31,16 +31,52 @@ from fedhire.federation import KMEANS_MAX_ITERS
 from fedhire.server import INV_SQRT2
 
 
-def squash(raw):
-    """Sigmoid squash 1 / (1 + e^{-10(raw + 5)}) in pure Python.
+# the coefficients 1/i! of exp's degree-13 Taylor polynomial by parity, odd
+# i = 13 down to 3 and even i = 12 down to 2, as EXP_ODD and EXP_EVEN of
+# _kernel.c
+EXP_ODD = [1.0 / math.factorial(i) for i in range(13, 2, -2)]
+EXP_EVEN = [1.0 / math.factorial(i) for i in range(12, 1, -2)]
+SHIFT = float.fromhex("0x1.8p52")
+LOG2E = float.fromhex("0x1.71547652b82fep0")
+LN2_HI = float.fromhex("0x1.62e42feep-1")
+LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
 
-    The stable two-branch form on ``math.exp``; the engine's ``fh_squash``
+
+def exp(x):
+    """The kernel's ``fexp`` elementwise, operation for operation, for
+    arguments <= 0 or NaN: the clamp at -708 that keeps NaN; k = rint(x /
+    ln 2) by the 1.5 * 2^52 shift; r = x - k ln2hi - k ln2lo; the Taylor
+    polynomial as 1 + (r + s (even + r odd)), s = r^2, its halves by Horner's
+    rule in s; and the product with 2^k built from the exponent bits. Every
+    step is one correctly rounded float64 operation, so the kernel's results
+    are these bit for bit; ``math.exp`` is only the reference of its
+    accuracy."""
+    x = np.asarray(x, dtype=np.float64)
+    x = np.where(x < -708.0, -708.0, x)
+    shifted = x * LOG2E + SHIFT
+    k = shifted - SHIFT
+    r = x - k * LN2_HI - k * LN2_LO
+    s = r * r
+    odd = np.full_like(x, EXP_ODD[0])
+    even = np.full_like(x, EXP_EVEN[0])
+    for c_odd, c_even in zip(EXP_ODD[1:], EXP_EVEN[1:]):
+        odd = odd * s + c_odd
+        even = even * s + c_even
+    p = 1.0 + (r + s * (even + r * odd))
+    scale = ((shifted.view(np.uint64) + np.uint64(1023)) << np.uint64(52)).view(np.float64)
+    return p * scale
+
+
+def squash(raw):
+    """Sigmoid squash 1 / (1 + e^{-10(raw + 5)}) of one raw weight.
+
+    The stable two-branch form on ``exp`` above; the engine's ``fh_squash``
     must equal it bit for bit.
     """
     z = 10.0 * (raw + 5.0)
     if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
+        return 1.0 / (1.0 + float(exp(-z)))
+    e = float(exp(z))
     return e / (1.0 + e)
 
 
@@ -58,10 +94,6 @@ def compute_gamma(win_counts):
     if total == 0:
         return np.ones(win_counts.shape[0])
     return 1.0 - win_counts / total
-
-
-# libm's exp elementwise, the exp of math.exp and of the kernel
-exp = np.vectorize(math.exp, otypes=[np.float64])
 
 
 def dissimilarities(values, centroids, scaled):
@@ -211,7 +243,7 @@ def feature_cluster_matrix_client(data, affiliation, centroids):
     """The numpy form of the feature weights m_jz = α_jz β_jz / Σ_t α_jt β_jt.
 
     Per-cluster sums and column totals by ``np.add.at`` over the objects,
-    ``exp`` elementwise on libm's and row sums by a loop over the features;
+    ``exp`` the kernel's elementwise and row sums by a loop over the features;
     the engine's ``cpl.feature_cluster_matrix_client``, which runs
     ``fh_refresh`` of ``_kernel.c``, must give these rows bit for bit. Every
     cluster index in ``affiliation`` must be nonempty.

@@ -64,7 +64,8 @@ class TestSquashWeight:
 
     def test_monotone_in_raw_weight(self):
         # strictly increasing through the responsive range; the tails
-        # saturate to exactly 0/1 in float64, so only non-decrease holds there
+        # saturate in float64 (at 1, and at the least weight exp(-708) /
+        # (1 + exp(-708)) below), so only non-decrease holds there
         ws = [_squash_scalar(r) for r in np.linspace(-7.5, -2.5, 60)]
         assert (np.diff(ws) > 0).all()
         tails = [_squash_scalar(r) for r in np.linspace(-20, 20, 200)]
@@ -77,9 +78,11 @@ class TestSquashWeight:
         )
 
     def test_bitwise_equal_to_oracle(self):
+        # past raw -75.8 the exp's argument is clamped at -708
         rng = np.random.default_rng(0)
         raws = np.concatenate(
-            [np.linspace(-60, 60, 100_001), rng.uniform(-60, 60, size=20_000)]
+            [np.linspace(-60, 60, 100_001), rng.uniform(-60, 60, size=20_000),
+             np.linspace(-80, -70, 1_001), [-1e300, -np.inf, np.inf, np.nan]]
         )
         self.assert_matches_oracle(raws)
 
@@ -301,7 +304,7 @@ def _oracle_case(kind, seed=0):
         wins[:] = 0
         wins[5] = 40  # gamma_5 = 1 - 40/40 = 0
     elif kind == "floored":
-        values += 100.0  # exp(-D) underflows for every pair
+        values += 100.0  # exp(-D) falls below the floor for every pair
     m = FeatureClusterMatrix(entries / entries.sum(axis=1, keepdims=True))
     return values, make_state(centroids, raw=raw, wins=wins, active=active), m
 
@@ -355,7 +358,7 @@ def _random_case(k, n, d, active_count, duplicated, zero_gamma, floored, seed):
         wins[:] = 0
         wins[rng.choice(np.flatnonzero(active))] = rng.integers(1, 20)
     if floored:
-        values += 100.0  # exp(-D) underflows for every pair
+        values += 100.0  # exp(-D) falls below the floor for every pair
     m = FeatureClusterMatrix(entries / entries.sum(axis=1, keepdims=True))
     return values, make_state(centroids, raw=raw, wins=wins, active=active), m
 
@@ -437,7 +440,8 @@ def _epoch_case(k, n, d, active, raw, streaks, far, tied, seed):
     """(values, state, m, streaks) of one whole-epoch case.
 
     ``far`` clusterlets sit 100 away from every object, so they win nothing;
-    ``tied`` ones get raw weight -100, whose weight is exactly 0.0.
+    ``tied`` ones get raw weight -100, whose weight is the squash's least,
+    exp(-708) / (1 + exp(-708)): the exp's argument is clamped at -708.
     """
     rng = np.random.default_rng(seed)
     centroids = rng.uniform(0, 1, size=(k, d))
@@ -508,14 +512,22 @@ class TestEpochOracle:
         assert state.weights[0] < ELIMINATION_THRESHOLD
         np.testing.assert_array_equal(state.active, [True, False, True, False, False])
 
-    def test_tied_zero_weights_at_the_floor(self):
-        # every weight exactly 0.0: every score ties, the first active wins
-        # every object and the second active is the rival
+    def test_tied_least_weights_at_the_floor(self):
+        # every weight at the squash's least value, one centroid and M row for
+        # all and no win yet: every score ties, the first active wins every
+        # object and the second active is the rival; the steps of eta stay
+        # below the clamp, so the weights stay tied
         k = 6
         active = [False, True, False, True, True, False]
         case = _epoch_case(k, 20, 3, active, [0.0] * k, [0] * k, [], list(range(k)), 2)
+        _, state, m, _ = case
+        state.centroids[:] = state.centroids[0]
+        m.entries[:] = m.entries[0]
+        state.win_counts[:] = 0
         run = _assert_whole_epochs_match(case, epochs=2)
-        assert (case[1].weights == 0.0).all()
+        least = squash(-100.0)
+        assert 0.0 < least < 1e-307
+        assert (state.weights == least).all()
         np.testing.assert_array_equal(run.assignments[0], 1)
 
     def test_inactive_columns_between_active_ones(self):

@@ -68,29 +68,29 @@ def one_shot_digest(name: str) -> str:
 
 CPL_GOLDEN = {
     (2, "fraction", True):
-        "9842da9c7d74840505a192e0c4240c8477a8a0acbb1b99aab93c45daad0b1628",
+        "0468e6e591fd1d2c7c6a4176717bfe834f3a8689999fe73af5df5f4e65e7f7fd",
     (2, "fraction", False):
-        "a3f1278819e45d0b120935efdd4d7cc5d7a512bd6d1a85efc81157c859e28bf7",
+        "74ffce11e6dc2121f6b927d7f5a4c2f3954a05673770eeaabcb318e70f1339ca",
     (2, "absolute", True):
         "51d7acada6272f4b02e8cc1c4742ebbcdf5a7222c972bdcf7b5fa7cb1ebb7dc5",
     (2, "absolute", False):
         "d2674a5b47b480b2c08ae4d5335029fce797ad9ca6f8332363d813aff1e5046f",
     (4, "fraction", True):
-        "deede3cde864069adbd1bd60f9cdbecc96004688b15eda845a523731ec0a4a1d",
+        "d246e7032416436288619a2827c36198d6e1416ae2a55484cde1a27261b32133",
     (4, "fraction", False):
         "fedfa2672c130b427e06cd77cc193089b459346475677b1e2ffdb19f69930496",
     (4, "absolute", True):
-        "1447b9a83a10f597e2b4c57747e72be6908e6cb3a10862e4756055b7f7c39a85",
+        "b7730ccd3d13407a9f31e08b85229220d1c13d260ff26d00c31254fc9753dbfa",
     (4, "absolute", False):
         "2ebce6ae2b79d9ec11de9cfd44bd4919df996e9fcd88b15eda65da9983b40c31",
     (16, "fraction", True):
-        "68f67c0411ea9eab034b2597a9e9823e15e89514bfadf4471a6868b8bfd32e45",
+        "b12c8ca41698efc9e13381c1ca279832813cc06d8f9230fab6403c3add0ed7bf",
     (16, "fraction", False):
-        "0f02e538063e488076acc781b655bc6df0b1804fe195fd336c580bc99d616ad5",
+        "a7f145c570a7390c6a32c995afbbb57da71113977e65483e7fd3cacb1be09842",
     (16, "absolute", True):
-        "afdd2b3fbab0904e95a70fb6307136d3c6745c717eb110de15e66091cf137b5c",
+        "e75464783cbaf8b99ef3e8b032dc72beb633f5ddf5550d901093230b746bcbff",
     (16, "absolute", False):
-        "cef9d619e3b4df94764c6855f0389c9a86904243699345de243d8da0cb0edf78",
+        "a83e48a817ac9419dda1704bbcf5bac965b6a329580290273ddc35ec6729961a",
 }
 
 ONE_SHOT_GOLDEN = {

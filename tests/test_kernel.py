@@ -3,6 +3,7 @@
 import ctypes
 import re
 import subprocess
+import sysconfig
 import tracemalloc
 from pathlib import Path
 
@@ -132,12 +133,28 @@ def test_cache_key_follows_source_and_flags(monkeypatch):
 
 def test_missing_compiler_raises_an_error_naming_the_command(tmp_path, monkeypatch):
     monkeypatch.setattr(_kernel, "COMPILER", "fedhire-no-such-cc")
-    with pytest.raises(
-        _kernel.KernelBuildError,
-        match="fedhire-no-such-cc -O2 -shared -fPIC -ffp-contract=off -o ",
-    ):
+    command = re.escape(" ".join(["fedhire-no-such-cc", *_kernel.FLAGS, "-o", ""]))
+    with pytest.raises(_kernel.KernelBuildError, match=command):
         _kernel.load(tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_build_deletes_the_builds_of_other_sources(tmp_path):
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    target = _kernel._library_path(tmp_path)
+    stale = tmp_path / f"_kernel-0123456789abcdef{suffix}"
+    # partial builds of other processes, of this source and of another; a
+    # build for another interpreter; an unrelated file
+    kept = [
+        target.with_name(f"{target.name}.4242.tmp"),
+        stale.with_name(f"{stale.name}.4243.tmp"),
+        tmp_path / "_kernel-0123456789abcdef.cpython-399-other.so",
+        tmp_path / "other.so",
+    ]
+    for path in (stale, *kept):
+        path.write_bytes(b"")
+    _kernel.load(tmp_path)
+    assert sorted(tmp_path.iterdir()) == sorted([target, *kept])
 
 
 @pytest.mark.parametrize("argument, position", [(0, 1), (1, 4), (2, 5)])

@@ -1,8 +1,14 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedhire
 from fedhire.metrics import acc, ari, nmi, purity
 
 
@@ -156,6 +162,28 @@ class TestAcc:
             assert acc(predicted, truth) == pytest.approx(
                 acc_bf(list(predicted), list(truth)), abs=1e-12
             )
+
+    def test_scipy_is_imported_by_acc_not_by_the_package(self):
+        # scipy.optimize is most of the package's import time; a fresh
+        # interpreter imports it only when acc first runs, with the same values
+        pairs = [(list(map(int, p)), list(map(int, t))) for p, t in random_pairs(20, seed=7)]
+        code = (
+            "import json, sys\n"
+            "import fedhire\n"
+            "before = 'scipy.optimize' in sys.modules\n"
+            "values = [fedhire.acc(p, t) for p, t in json.loads(sys.stdin.read())]\n"
+            "print(json.dumps([before, 'scipy.optimize' in sys.modules, values]))\n"
+        )
+        src = str(Path(fedhire.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=json.dumps(pairs), capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        before, after, values = json.loads(done.stdout)
+        assert not before and after
+        assert values == [acc(p, t) for p, t in pairs]
 
 
 class TestSharedProperties:
