@@ -3,12 +3,14 @@
  * refresh of run_cpl; and fh_kmeans, the whole Lloyd loop of the k-means
  * that fragments each ground-truth cluster (federation.kmeans).
  *
- * One epoch is three kernel calls on the buffers of struct fh_run, all
- * allocated by numpy: fh_columns recomputes the similarity columns whose
- * rows changed and writes their floored exp(-D) into the n x k0 cache,
- * fh_epoch does the rest (gamma, the presentation loop, the win counts, the
- * centroid means, the empty streaks and the deactivation), and fh_refresh
- * recomputes the feature weights.
+ * A run_cpl run is one kernel call, fh_cpl, on the buffers of struct fh_run,
+ * all allocated by numpy. Each epoch, fh_columns recomputes the similarity
+ * columns whose rows changed and writes their floored exp(-D) into the n x k0
+ * cache, fh_epoch does the rest of the epoch (gamma, the presentation loop,
+ * the win counts, the centroid means, the empty streaks and the
+ * deactivation), reassign_orphans moves the objects of deactivated
+ * clusterlets, the assignments are compared with the previous epoch's, and
+ * fh_refresh recomputes the feature weights.
  *
  * The arithmetic is fixed, and the scalar forms kept as oracles in
  * tests/oracles.py repeat it bit for bit: every distance adds its feature
@@ -17,8 +19,8 @@
  * across a vector of entries without changing any entry's bits; every
  * per-cluster sum and column total adds in object order from 0.0, and every
  * row sum in feature order from 0.0; the winner and rival keep numpy
- * argmax's first-index tie rule (strict > comparisons only), and the k-means
- * argmin and argmax theirs. Built without -ffast-math and with
+ * argmax's first-index tie rule (strict > comparisons only), and the orphan
+ * and k-means argmin and the k-means argmax theirs. Built without -ffast-math and with
  * -ffp-contract=off (see _kernel.py), so no operation is reordered or fused.
  */
 #include <math.h>
@@ -146,12 +148,11 @@ static const double *block(const double *x, int64_t d, int64_t n, int64_t lo,
 
 /* out[i][j] = sum_z (scaled[j][z] * (x[z][i] - centroids[j][z]))^2 for the
  * d x n feature-major values x, the k x d rows centroids and scaled, and the
- * n x k out: the distances of the objects left orphaned by a deactivation,
- * and of the k-means. Returns 0, or -1 if the padded block could not be
- * allocated. */
-int fh_dissimilarities(const double *x, int64_t d, int64_t n,
-                       const double *centroids, const double *scaled,
-                       int64_t k, double *out)
+ * n x k out: the distances of the k-means. Returns 0, or -1 if the padded
+ * block could not be allocated. */
+static int fh_dissimilarities(const double *x, int64_t d, int64_t n,
+                              const double *centroids, const double *scaled,
+                              int64_t k, double *out)
 {
     double acc[TILE][LANE], *pad = calloc((size_t)(d * LANE), sizeof *pad);
     if (pad == NULL)
@@ -239,7 +240,7 @@ struct fh_run {
  * many columns were recomputed, or -1 if the blocks could not be allocated.
  * NaN compares unequal to everything, so the NaN rows stored at the start
  * make every column stale once. */
-int64_t fh_columns(struct fh_run *r)
+static int64_t fh_columns(struct fh_run *r)
 {
     int64_t n = r->n, d = r->d, k0 = r->k0, count = 0;
     for (int64_t j = 0; j < k0; j++) {
@@ -315,7 +316,7 @@ static int outranks(const struct fh_run *r, int64_t a, int64_t b)
  * epoch; and the active with a weight under the threshold or a streak at the
  * dead-unit count are deactivated. When that would leave fewer than two, the
  * two first in floor order (outranks, then the lower index) stay instead. */
-int64_t fh_epoch(struct fh_run *r, double eta, int64_t out)
+static int64_t fh_epoch(struct fh_run *r, double eta, int64_t out)
 {
     int64_t n = r->n, d = r->d, k0 = r->k0, na = 0, total = 0;
     int64_t *act = r->act, *assignments = r->assignments + out * n;
@@ -440,7 +441,7 @@ static double variance(double sq_sum, double count, double mean, double floor)
  * object's clusterlet is inactive or out of range, -2 if an entry lies
  * outside [-entry_tolerance, 1 + entry_tolerance] and else -3 if a row sum is
  * further than row_sum_tolerance from 1 (or NaN). */
-int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
+static int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
 {
     int64_t n = r->n, d = r->d, k0 = r->k0, live = 0, last = 0, fallbacks = 0;
     double *total_x = r->totals, *total_xx = r->totals + d;
@@ -489,7 +490,9 @@ int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
         if (r->counts[j] == 0)
             continue;
         double count = (double)r->counts[j], rest = (double)n - count, sum = 0.0;
-        /* the products alpha beta replace the sums of x, the rows those of x^2 */
+        /* the sums of x become the overlaps' scale factors and then the
+         * products alpha beta, the sums of x^2 the exps' arguments and then
+         * the row */
         double *product = r->sums + j * d, *row = r->sum_xx + j * d;
         const double *compact = r->sum_compact + j * d;
         for (int64_t z = 0; z < d; z++) {
@@ -499,9 +502,14 @@ int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
             double var_bar = variance(total_xx[z] - row[z], rest, mu_bar,
                                       r->variance_floor);
             double gap = mu - mu_bar;
-            double overlap = sqrt(2.0 * sqrt(var * var_bar) / (var + var_bar))
-                             * fexp(-(gap * gap) / (4.0 * (var + var_bar)));
-            double h = 1.0 - overlap;
+            product[z] = sqrt(2.0 * sqrt(var * var_bar) / (var + var_bar));
+            row[z] = (gap * gap) / (4.0 * (var + var_bar));
+        }
+        /* fexp(-(a / b)) is fexp(-a / b): IEEE division is sign-symmetric;
+         * no exp is negative, so the floor 0.0 changes nothing */
+        exps(row, d, 0.0);
+        for (int64_t z = 0; z < d; z++) {
+            double h = 1.0 - product[z] * row[z];
             product[z] = sqrt(h < 0.0 ? 0.0 : h) * (sqrt(compact[z]) / count);
             sum += product[z];
         }
@@ -523,6 +531,75 @@ int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
         if (r->counts[j] > 0)
             memcpy(r->rows + j * d, r->sum_xx + j * d, (size_t)d * sizeof *r->rows);
     return fallbacks;
+}
+
+/* Each object of the n assignments whose clusterlet is inactive goes to the
+ * nearest active one, scanned in ascending index: the distance adds the terms
+ * (d m_jz (x_iz - c_jz))^2 in feature order from 0.0, as fh_dissimilarities
+ * does, and the first index of the smallest wins, a NaN first (argmin's
+ * rule). */
+static void reassign_orphans(const struct fh_run *r, int64_t *assignments)
+{
+    int64_t n = r->n, d = r->d, k0 = r->k0;
+    for (int64_t i = 0; i < n; i++) {
+        if (r->active[assignments[i]])
+            continue;
+        const double *x = r->values + i * d;
+        int64_t best = -1;
+        double least = 0.0;
+        for (int64_t j = 0; j < k0; j++) {
+            if (!r->active[j])
+                continue;
+            const double *c = r->centroids + j * d, *m = r->rows + j * d;
+            double dist = 0.0;
+            for (int64_t z = 0; z < d; z++)
+                dist += term(x[z], c[z], (double)d * m[z]);
+            if (best < 0 || dist < least || (isnan(dist) && !isnan(least))) {
+                best = j;
+                least = dist;
+            }
+        }
+        assignments[i] = best;
+    }
+}
+
+/* The whole competitive-learning loop of run_cpl, for at most max_epochs
+ * epochs. Epoch e runs fh_columns and fh_epoch into assignment row e % 2,
+ * reassigns the objects of deactivated clusterlets (reassign_orphans), stops
+ * from epoch 1 on if the row repeats the previous one, and otherwise, with
+ * weighting on, refreshes the feature weights (fh_refresh). info gets the
+ * epochs used, whether the loop converged, the final row and the fallback
+ * rows of every refresh, summed. Returns 0; or, when a step fails, a
+ * negative code: fh_refresh's -1, -2 or -3, -4 if an epoch starts with fewer
+ * than two active clusterlets, -5 if fh_columns could not allocate its
+ * blocks. */
+int64_t fh_cpl(struct fh_run *r, double eta, int64_t max_epochs,
+               int64_t weighting, int64_t *info)
+{
+    int64_t n = r->n, fallbacks = 0, epoch = 0, converged = 0;
+    for (; epoch < max_epochs && !converged; epoch++) {
+        int64_t *row = r->assignments + (epoch % 2) * n;
+        if (fh_columns(r) < 0)
+            return -5;
+        int64_t orphans = fh_epoch(r, eta, epoch % 2);
+        if (orphans < 0)
+            return -4;
+        if (orphans > 0)
+            reassign_orphans(r, row);
+        const int64_t *previous = r->assignments + ((epoch + 1) % 2) * n;
+        converged = epoch > 0 && memcmp(row, previous, (size_t)n * sizeof *row) == 0;
+        if (weighting && !converged) {
+            int64_t count = fh_refresh(r, row);
+            if (count < 0)
+                return count;
+            fallbacks += count;
+        }
+    }
+    info[0] = epoch;
+    info[1] = converged;
+    info[2] = (epoch - 1) % 2;
+    info[3] = fallbacks;
+    return 0;
 }
 
 /* Lloyd k-means of the n x d values from the k x d centroids, updated in

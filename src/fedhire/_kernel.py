@@ -1,4 +1,4 @@
-"""Build and load ``_kernel.c``, the compiled distances, epoch, refresh and k-means.
+"""Build and load ``_kernel.c``, the compiled competitive-learning loop and k-means.
 
 The shared library is compiled on first use with the system C compiler and
 cached on disk under a name that hashes the C source, the compiler command
@@ -102,21 +102,13 @@ def load(cache: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(target))
     lib.fh_squash.argtypes = [ctypes.c_double]
     lib.fh_squash.restype = ctypes.c_double
-    # ndpointer refuses a wrong dtype, rank or layout instead of copying
-    block = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    lib.fh_dissimilarities.argtypes = [
-        block, ctypes.c_int64, ctypes.c_int64, block, block, ctypes.c_int64, block,
+    # the Run of buffers that ``address`` checked, eta, max_epochs,
+    # weighting, and the address of the int64 info array
+    lib.fh_cpl.argtypes = [
+        ctypes.POINTER(Run), ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p,
     ]
-    lib.fh_dissimilarities.restype = ctypes.c_int
-    # the epoch steps take the Run of buffers that ``address`` checked
-    run = ctypes.POINTER(Run)
-    lib.fh_columns.argtypes = [run]
-    lib.fh_columns.restype = ctypes.c_int64
-    lib.fh_epoch.argtypes = [run, ctypes.c_double, ctypes.c_int64]
-    lib.fh_epoch.restype = ctypes.c_int64
-    # the assignments by the address that ``address`` checked
-    lib.fh_refresh.argtypes = [run, ctypes.c_void_p]
-    lib.fh_refresh.restype = ctypes.c_int64
+    lib.fh_cpl.restype = ctypes.c_int64
     # four sizes, then the buffers by the addresses that ``address`` checked
     lib.fh_kmeans.argtypes = [*(ctypes.c_int64,) * 4, *(ctypes.c_void_p,) * 9]
     lib.fh_kmeans.restype = ctypes.c_int

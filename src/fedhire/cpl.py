@@ -32,12 +32,12 @@ Scoring details, fixed across the package:
   a column only when its centroid row or M row changed since it was
   computed. Every entry depends only on its object and those two rows, so a
   reused column is bitwise the column a recomputation would give.
-- An epoch is two kernel calls: ``fh_columns`` writes the floored
-  ``exp(-D)`` of the changed columns into the cache, and ``fh_epoch`` does
-  gamma, the presentation loop, the win counts, the centroid means, the
-  empty streaks and the deactivation. The feature-weight refresh that
-  follows is one more, ``fh_refresh`` (see
-  ``feature_cluster_matrix_client``).
+- A run is one kernel call, ``fh_cpl``, which runs every epoch: the
+  similarity columns (``fh_columns`` writes the floored ``exp(-D)`` of the
+  changed columns into the cache), the epoch itself (``fh_epoch``: gamma,
+  the presentation loop, the win counts, the centroid means, the empty
+  streaks and the deactivation), the reassignment of orphaned objects, the
+  convergence test and the feature-weight refresh (``fh_refresh``).
 
 This combination is what makes redundant clusterlets die: the per-epoch
 fairness snapshot lets one clusterlet sweep a whole dense region within an
@@ -78,11 +78,14 @@ DEAD_UNIT_EPOCHS = 2
 # exp(-708)); flooring keeps the penalty ratio finite for absurdly distant
 # object/clusterlet pairs
 SIMILARITY_FLOOR = 1e-300
-# the errors of fh_refresh, by its negative return codes
-REFRESH_ERRORS = {
-    -1: "every object must belong to an active clusterlet",
-    -2: "entries must lie in [0, 1]",
-    -3: "rows must sum to 1",
+# the errors of fh_cpl, by its negative return codes: those of its
+# feature-weight refresh, of an epoch and of the similarity columns
+CPL_ERRORS = {
+    -1: (ValueError, "every object must belong to an active clusterlet"),
+    -2: (ValueError, "entries must lie in [0, 1]"),
+    -3: (ValueError, "rows must sum to 1"),
+    -4: (ValueError, "an epoch needs at least two active clusterlets"),
+    -5: (MemoryError, "fh_columns could not allocate its blocks"),
 }
 
 
@@ -131,30 +134,6 @@ def _squash_scalar(raw: float) -> float:
     return _kernel.library().fh_squash(raw)
 
 
-def _dissimilarities(
-    by_feature: np.ndarray, centroids: np.ndarray, scaled: np.ndarray
-) -> np.ndarray:
-    """n x k squared relative-weighted distances ``||scaled_j ⊙ (x_i - c_j)||²``.
-
-    ``by_feature`` holds the values feature-major (d x n, C-contiguous) and
-    ``scaled`` the rows ``d * m_j``. ``fh_dissimilarities`` of ``_kernel.c``
-    computes every entry, adding its terms ``(s_jz * (x_iz - c_jz))**2`` in
-    sequence from 0.0, as ``dissimilarities`` in ``tests/oracles.py`` does.
-    The kernel keeps no temporary larger than a block of objects, and refuses
-    an array that is not C-contiguous float64 rather than copy it.
-    """
-    d, n = by_feature.shape
-    k = centroids.shape[0]
-    if centroids.shape != (k, d) or scaled.shape != (k, d):
-        raise ValueError(
-            f"rows {centroids.shape} and {scaled.shape} do not match {d} features"
-        )
-    out = np.empty((n, k))
-    if _kernel.library().fh_dissimilarities(by_feature, d, n, centroids, scaled, k, out):
-        raise MemoryError("fh_dissimilarities could not allocate its last block")
-    return out
-
-
 class _Run:
     """Every buffer of one ``run_cpl`` call, shared with ``_kernel.c``.
 
@@ -164,9 +143,11 @@ class _Run:
     the n x k0 floored similarities exp(-D); the centroid and M rows each
     column was computed from; the arrays of ``state`` and the M rows
     ``rows``, updated in place; two assignment rows, written alternately, so
-    the previous epoch's stays readable; the scratch of ``fh_epoch``; and the
-    column totals, k0 x d member sums and n x d compactness terms of the
-    feature-weight refresh.
+    the previous epoch's stays readable for the convergence test; the scratch
+    of the epoch; and the column totals, k0 x d member sums and n x d
+    compactness terms of the feature-weight refresh. ``info`` receives what
+    ``fh_cpl`` reports: the epochs used, whether the run converged, the final
+    assignment row and the uniform-row fallbacks of every refresh, summed.
     Besides ``sims`` every buffer is O(n d + k0 d).
 
     Column j of ``sims`` holds exp(-D_ij), floored, for every object i, as
@@ -175,13 +156,12 @@ class _Run:
     stored rows compare equal to the current ones is bitwise the column a
     recomputation would give (±0.0 compare equal and square to the same
     terms). The stored rows start as NaN, which compares unequal to
-    everything, so the first refresh computes every active column.
+    everything, so the first epoch computes every active column.
     """
 
     def __init__(self, values: np.ndarray, state: ClusterletState, rows: np.ndarray):
         n, d = values.shape
         k0 = state.k
-        self.lib = _kernel.library()
         self.state = state
         self.rows = rows
         self.values = np.ascontiguousarray(values)
@@ -201,7 +181,7 @@ class _Run:
         self.sum_xx = np.empty((k0, d))
         self.sum_compact = np.empty((k0, d))
         self.terms = np.empty((n, d))
-        self.epochs = 0
+        self.info = np.zeros(4, dtype=np.int64)
         f8, i8, kd = np.float64, np.int64, (k0, d)
         # every array the kernel addresses; held here, so that none is freed
         # while the run lives even if ``state`` gets new arrays
@@ -239,36 +219,6 @@ class _Run:
         )
         self.ref = ctypes.byref(self.buffers)
 
-    def refresh_columns(self) -> int:
-        """Recompute the active columns whose rows changed; returns how many.
-
-        Their indices are left in ``stale``, ascending.
-        """
-        count = self.lib.fh_columns(self.ref)
-        if count < 0:
-            raise MemoryError("fh_columns could not allocate its blocks")
-        return count
-
-    def epoch(self, eta: float) -> tuple[np.ndarray, int]:
-        """One epoch on fresh columns: the winners and the orphan count.
-
-        The winners go to the assignment row after the previous epoch's;
-        ``fh_epoch`` updates ``state`` and ``streaks`` in place. Orphans are
-        objects whose winner the epoch deactivated.
-        """
-        self.refresh_columns()
-        out = self.epochs % 2
-        self.epochs += 1
-        orphans = self.lib.fh_epoch(self.ref, eta, out)
-        if orphans < 0:
-            raise ValueError("an epoch needs at least two active clusterlets")
-        return self.assignments[out], orphans
-
-    @property
-    def previous(self) -> np.ndarray:
-        """The assignments of the epoch before the last one."""
-        return self.assignments[self.epochs % 2]
-
 
 def run_cpl(
     data: DataMatrix, config: CplConfig, weighting: bool = True
@@ -285,18 +235,19 @@ def run_cpl(
     invariant: a column is reused only while the centroid row and M row it
     was computed from compare equal to the current ones, and since every
     entry depends on nothing else, a reused column is bitwise a recomputed
-    one. Each epoch recomputes only the active columns that fail that test,
-    in one kernel call that writes their floored ``exp(-D)`` straight into
-    the cache. Memory stays at the n x k0 cache and O(n d + k0 d) (see
-    ``_Run``), with the feature-weight refresh on or off.
+    one. Each epoch recomputes only the active columns that fail that test
+    and writes their floored ``exp(-D)`` straight into the cache. Memory
+    stays at the n x k0 cache and O(n d + k0 d) (see ``_Run``), with the
+    feature-weight refresh on or off.
 
     At epoch end the centroids of nonempty active clusterlets are
     recomputed as member means, weight-collapsed clusterlets and dead units
     (no members for DEAD_UNIT_EPOCHS consecutive epochs) are deactivated
-    down to a floor of two, orphaned objects are reassigned to the nearest
-    surviving clusterlet, and (with ``weighting`` on) the feature-cluster
-    matrix is refreshed. The loop stops as soon as the affiliation repeats
-    between consecutive epochs.
+    down to a floor of two, and orphaned objects are reassigned to the
+    nearest surviving clusterlet (the first of equal distances). The loop
+    stops as soon as the affiliation repeats between consecutive epochs;
+    otherwise, with ``weighting`` on, the feature-cluster matrix is
+    refreshed. The whole loop is one call of ``fh_cpl`` in ``_kernel.c``.
 
     The result is compacted: only clusterlets that remain active *and* own
     at least one object are reported, and the affiliation is re-indexed onto
@@ -315,72 +266,33 @@ def run_cpl(
     rows = FeatureClusterMatrix.uniform(config.k0, d).entries
     run = _Run(values, state, rows)
 
-    converged = False
-    epochs_used = 0
-
-    for epoch in range(config.max_epochs):
-        epochs_used = epoch + 1
-
-        # one presentation per object, scoring active clusterlets only
-        # (similarities and gamma fixed within the epoch), then the centroid
-        # means, the empty streaks and the deactivation, all in the kernel
-        assignments, orphans = run.epoch(config.eta)
-
-        if orphans:
-            orphaned = ~state.active[assignments]
-            active_idx = np.flatnonzero(state.active)
-            dist = _dissimilarities(
-                np.ascontiguousarray(values[orphaned].T),
-                state.centroids[active_idx],
-                d * rows[active_idx],
-            )
-            assignments[orphaned] = active_idx[np.argmin(dist, axis=1)]
-
-        if epoch and np.array_equal(assignments, run.previous):
-            converged = True
-            break
-
-        if weighting:
-            feature_cluster_matrix_client(run, assignments)
-
+    code = _kernel.library().fh_cpl(
+        run.ref, config.eta, config.max_epochs, weighting, run.info.ctypes.data
+    )
+    if code < 0:
+        error, message = CPL_ERRORS[code]
+        raise error(message)
+    epochs_used, converged, row, fallbacks = run.info.tolist()
     if not converged:
         logger.info(
             "competitive learning did not converge within %d epochs",
             config.max_epochs,
         )
-
-    return _compact_result(assignments, state, rows, epochs_used, converged)
-
-
-def feature_cluster_matrix_client(run: _Run, assignments: np.ndarray) -> None:
-    """Refresh, in ``run.rows``, the M rows of the live clusterlets: the
-    active ones that own an object of ``assignments``. The others keep theirs.
-
-    Row j is m_jz = α_jz β_jz / Σ_t α_jt β_jt. α_jz is the Hellinger
-    distance between Gaussian fits of feature z inside and outside
-    clusterlet j, ``sqrt(1 − sqrt(2σσ̄/(σ²+σ̄²)) e^{−(μ−μ̄)²/(4(σ²+σ̄²))})``,
-    with unbiased variances (0 for a singleton) floored at VARIANCE_FLOOR;
-    it is symmetric and in [0, 1]. β_jz is the compactness
-    ``(1/|C_j|) sqrt(Σ_{x∈C_j} e^{−(x_z − c_jz)²/2})``. A single live
-    clusterlet has an empty complement and gets the uniform row, as does any
-    row whose α·β products are all zero (those are logged).
-
-    One kernel call, ``fh_refresh``: one pass over the objects forms the
-    per-cluster sums of x, x² and the compactness terms and the column
-    totals, in object order; then the rows are finished and checked. Raises
-    ValueError, writing no row, if an object's clusterlet is inactive or a
-    new row fails the FeatureClusterMatrix checks.
-    """
-    n = run.values.shape[0]
-    fallbacks = run.lib.fh_refresh(
-        run.ref, _kernel.address("assignments", assignments, np.int64, (n,))
-    )
-    if fallbacks < 0:
-        raise ValueError(REFRESH_ERRORS[fallbacks])
     if fallbacks:
         logger.info(
-            "feature weighting degenerate for %d cluster(s); using uniform rows", fallbacks
+            "feature weighting degenerate for %d cluster row(s) over %d epoch(s); "
+            "using uniform rows",
+            fallbacks, epochs_used,
         )
+    return _compact_result(
+        run.assignments[row], state, rows, epochs_used, bool(converged)
+    )
+
+
+# perfbench's tracer wraps this name for its core.feature_weights span. The
+# feature-weight refresh runs inside fh_cpl now, so the span records no call;
+# the name goes when the benchmark drops the span.
+feature_cluster_matrix_client = None
 
 
 def _compact_result(assignments, state, rows, epochs_used, converged):

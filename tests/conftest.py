@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from fedhire.core import DataMatrix
+import kernel_steps
+
+
+@pytest.fixture(scope="session", autouse=True)
+def kernel_steps_directory(tmp_path_factory):
+    """Where ``kernel_steps.library`` builds the test shim, on first use."""
+    kernel_steps.factory = tmp_path_factory
 
 
 def blob_data(centers, per_blob, sigma, seed, shuffle=True):

@@ -1,0 +1,28 @@
+/* The steps of one competitive-learning epoch, for the per-step oracle
+ * tests. In the package's kernel they are static: fh_cpl, the whole loop, is
+ * their only caller. This file includes the kernel's source and exports each
+ * step under a step_ name; kernel_steps.py builds it with the package's
+ * compiler and flags, the kernel's directory on the include path. */
+#include "_kernel.c"
+
+int64_t step_columns(struct fh_run *r)
+{
+    return fh_columns(r);
+}
+
+int64_t step_epoch(struct fh_run *r, double eta, int64_t out)
+{
+    return fh_epoch(r, eta, out);
+}
+
+int64_t step_refresh(struct fh_run *r, const int64_t *assignments)
+{
+    return fh_refresh(r, assignments);
+}
+
+int step_dissimilarities(const double *x, int64_t d, int64_t n,
+                         const double *centroids, const double *scaled,
+                         int64_t k, double *out)
+{
+    return fh_dissimilarities(x, d, n, centroids, scaled, k, out);
+}

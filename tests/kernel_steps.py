@@ -1,0 +1,113 @@
+"""The static steps of ``_kernel.c``, one call at a time, for the oracle tests.
+
+``fh_cpl`` runs a whole competitive-learning run in one call; its steps
+(the similarity columns, the epoch, the feature-weight refresh and the
+distances) are static in the kernel. ``kernel_steps.c`` includes the
+kernel's source and exports each of them, and ``library`` builds it once per
+test session with the package's compiler and flags, into a directory of the
+session's ``tmp_path_factory`` (set by ``conftest.py``).
+"""
+
+import ctypes
+import functools
+import subprocess
+from pathlib import Path
+
+import numpy as np
+
+from fedhire import _kernel
+from fedhire.cpl import CPL_ERRORS, _Run
+
+SOURCE = Path(__file__).with_name("kernel_steps.c")
+# the session's tmp_path_factory
+factory = None
+
+
+def build(directory: Path) -> ctypes.CDLL:
+    """The shim compiled into ``directory``, with its steps bound."""
+    target = directory / "kernel_steps.so"
+    command = [
+        _kernel.COMPILER, *_kernel.FLAGS, "-I", str(_kernel.SOURCE.parent),
+        "-o", str(target), str(SOURCE), *_kernel.LIBRARIES,
+    ]
+    built = subprocess.run(command, capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    lib = ctypes.CDLL(str(target))
+    run = ctypes.POINTER(_kernel.Run)
+    lib.step_columns.argtypes = [run]
+    lib.step_columns.restype = ctypes.c_int64
+    lib.step_epoch.argtypes = [run, ctypes.c_double, ctypes.c_int64]
+    lib.step_epoch.restype = ctypes.c_int64
+    lib.step_refresh.argtypes = [run, ctypes.c_void_p]
+    lib.step_refresh.restype = ctypes.c_int64
+    # ndpointer refuses a wrong dtype, rank or layout instead of copying
+    block = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    lib.step_dissimilarities.argtypes = [
+        block, ctypes.c_int64, ctypes.c_int64, block, block, ctypes.c_int64, block,
+    ]
+    lib.step_dissimilarities.restype = ctypes.c_int
+    return lib
+
+
+@functools.cache
+def library() -> ctypes.CDLL:
+    """The session's shim, built on first use."""
+    return build(factory.mktemp("kernel-steps"))
+
+
+def dissimilarities(by_feature, centroids, scaled):
+    """n x k squared relative-weighted distances ``||scaled_j ⊙ (x_i - c_j)||²``
+    by ``fh_dissimilarities``, of the d x n feature-major values and the k x d
+    centroid and scaled rows; each argument must be C-contiguous float64."""
+    d, n = by_feature.shape
+    k = centroids.shape[0]
+    out = np.empty((n, k))
+    if library().step_dissimilarities(by_feature, d, n, centroids, scaled, k, out):
+        raise MemoryError("fh_dissimilarities could not allocate its last block")
+    return out
+
+
+class StepRun(_Run):
+    """A ``_Run`` whose steps are called one at a time, as ``fh_cpl`` calls
+    them, with the engine's errors."""
+
+    def __init__(self, values, state, rows):
+        super().__init__(values, state, rows)
+        self.lib = library()
+        self.epochs = 0
+
+    def refresh_columns(self) -> int:
+        """Recompute the active columns whose rows changed; returns how many.
+
+        Their indices are left in ``stale``, ascending.
+        """
+        count = self.lib.step_columns(self.ref)
+        if count < 0:
+            raise MemoryError(CPL_ERRORS[-5][1])
+        return count
+
+    def epoch(self, eta: float) -> tuple[np.ndarray, int]:
+        """One epoch on fresh columns: the winners and the orphan count.
+
+        The winners go to the assignment row after the previous epoch's;
+        ``fh_epoch`` updates ``state`` and ``streaks`` in place. Orphans are
+        objects whose winner the epoch deactivated; they are not reassigned.
+        """
+        self.refresh_columns()
+        out = self.epochs % 2
+        self.epochs += 1
+        orphans = self.lib.step_epoch(self.ref, eta, out)
+        if orphans < 0:
+            raise ValueError(CPL_ERRORS[-4][1])
+        return self.assignments[out], orphans
+
+    def refresh(self, assignments: np.ndarray) -> int:
+        """``fh_refresh`` of ``rows`` from ``assignments``; returns how many
+        rows fell back to uniform."""
+        n = self.values.shape[0]
+        fallbacks = self.lib.step_refresh(
+            self.ref, _kernel.address("assignments", assignments, np.int64, (n,))
+        )
+        if fallbacks < 0:
+            raise ValueError(CPL_ERRORS[fallbacks][1])
+        return fallbacks

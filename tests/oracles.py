@@ -12,7 +12,6 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from fedhire import cpl
 from fedhire.core import (
     VARIANCE_FLOOR,
     AffiliationMatrix,
@@ -21,14 +20,10 @@ from fedhire.core import (
     EmptyClusterError,
     FeatureClusterMatrix,
 )
-from fedhire.cpl import (
-    DEAD_UNIT_EPOCHS,
-    ELIMINATION_THRESHOLD,
-    SIMILARITY_FLOOR,
-    _Run,
-)
+from fedhire.cpl import DEAD_UNIT_EPOCHS, ELIMINATION_THRESHOLD, SIMILARITY_FLOOR
 from fedhire.federation import KMEANS_MAX_ITERS
 from fedhire.server import INV_SQRT2
+from kernel_steps import StepRun
 
 
 # the coefficients 1/i! of exp's degree-13 Taylor polynomial by parity, odd
@@ -99,9 +94,8 @@ def compute_gamma(win_counts):
 def dissimilarities(values, centroids, scaled):
     """n x k squared relative-weighted distances, the feature terms
     ``(scaled * (x - c))**2`` added in sequence from 0.0 by a loop over the
-    features; the engine's ``_dissimilarities``, which runs
-    ``fh_dissimilarities`` of ``_kernel.c`` on the feature-major values, must
-    give these bit for bit.
+    features; ``fh_dissimilarities`` of ``_kernel.c``, on the feature-major
+    values (``kernel_steps.dissimilarities``), must give these bit for bit.
     """
     out = np.zeros((values.shape[0], centroids.shape[0]))
     for z in range(values.shape[1]):
@@ -195,15 +189,56 @@ def epoch(values, state, m, eta, streaks):
 
 
 def engine_epoch(values, state, m, eta=0.05):
-    """One engine epoch of ``_Run`` over ``values``, from ``state`` and ``m``.
+    """One engine epoch, the kernel's ``fh_columns`` and ``fh_epoch`` through
+    a ``StepRun`` over ``values``, from ``state`` and ``m``.
 
     The run works on the arrays of ``state`` and on ``m.entries`` in place;
     returns the run, whose buffers (``assignments``, ``gamma``, ``sims``,
     ``streaks``) can be read afterwards, and the orphan count.
     """
-    run = _Run(np.atleast_2d(np.asarray(values, dtype=np.float64)), state, m.entries)
+    run = StepRun(np.atleast_2d(np.asarray(values, dtype=np.float64)), state, m.entries)
     _, orphans = run.epoch(eta)
     return run, orphans
+
+
+def run_cpl_loop(values, state, rows, eta, max_epochs, weighting, streaks):
+    """The loop of ``run_cpl`` in numpy, which ``fh_cpl`` must repeat bit for
+    bit: each epoch ``epoch``; the objects of deactivated clusterlets to the
+    nearest active one by ``dissimilarities`` and ``np.argmin`` (the first
+    index of the least, a NaN first); a stop from the second epoch on if
+    ``np.array_equal`` finds the assignments repeated; and otherwise, with
+    ``weighting``, ``refresh_feature_weights``.
+
+    Mutates ``state``, ``rows`` and ``streaks``. Returns the final
+    assignments, the epochs used, whether the loop converged, the last
+    epoch's similarity columns with the mask of the clusterlets active when
+    they were taken, and how many orphans were reassigned.
+    """
+    m = FeatureClusterMatrix(entries=rows)
+    d = values.shape[1]
+    previous = None
+    converged = False
+    orphan_total = 0
+    for e in range(max_epochs):
+        epochs_used = e + 1
+        sims = similarity_columns(values, state.centroids, rows)
+        scored = state.active.copy()
+        assignments, orphans = epoch(values, state, m, eta, streaks)
+        if orphans:
+            orphaned = ~state.active[assignments]
+            active_idx = np.flatnonzero(state.active)
+            dist = dissimilarities(
+                values[orphaned], state.centroids[active_idx], d * rows[active_idx]
+            )
+            assignments[orphaned] = active_idx[np.argmin(dist, axis=1)]
+            orphan_total += orphans
+        if e and np.array_equal(assignments, previous):
+            converged = True
+            break
+        if weighting:
+            refresh_feature_weights(values, assignments, state, rows)
+        previous = assignments
+    return assignments, epochs_used, converged, (sims, scored), orphan_total
 
 
 def make_state(centroids, raw=None, wins=None, active=None):
@@ -244,9 +279,9 @@ def feature_cluster_matrix_client(data, affiliation, centroids):
 
     Per-cluster sums and column totals by ``np.add.at`` over the objects,
     ``exp`` the kernel's elementwise and row sums by a loop over the features;
-    the engine's ``cpl.feature_cluster_matrix_client``, which runs
-    ``fh_refresh`` of ``_kernel.c``, must give these rows bit for bit. Every
-    cluster index in ``affiliation`` must be nonempty.
+    the engine's refresh, ``fh_refresh`` of ``_kernel.c``, must give these
+    rows bit for bit. Every cluster index in ``affiliation`` must be
+    nonempty.
     """
     values = data.values
     n, d = values.shape
@@ -321,12 +356,11 @@ def refresh_feature_weights(values, assignments, state, rows):
 
 
 def engine_refresh(values, assignments, state, rows):
-    """One engine refresh of ``rows`` in place, through the module attribute
-    ``cpl.feature_cluster_matrix_client`` that ``run_cpl`` calls, from the
-    centroids and active mask of ``state``; returns the run."""
-    run = _Run(np.asarray(values, dtype=np.float64), state, rows)
-    cpl.feature_cluster_matrix_client(run, np.asarray(assignments, dtype=np.int64))
-    return run
+    """One engine refresh of ``rows`` in place, the kernel's ``fh_refresh``
+    through a ``StepRun``, from the centroids and active mask of ``state``;
+    returns how many rows fell back to uniform."""
+    run = StepRun(np.asarray(values, dtype=np.float64), state, rows)
+    return run.refresh(np.asarray(assignments, dtype=np.int64))
 
 
 def engine_feature_weights(values, assignments, centroids):

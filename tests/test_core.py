@@ -12,7 +12,7 @@ from fedhire.core import (
     EmptyClusterError,
     FeatureClusterMatrix,
 )
-from fedhire.cpl import _dissimilarities, _Run
+from kernel_steps import StepRun, dissimilarities
 from oracles import (
     engine_feature_weights,
     feature_cluster_matrix_client,
@@ -111,12 +111,12 @@ class TestFeatureClusterMatrix:
 
 
 class TestWeightedDistance:
-    """The engine's distance ``||d m ⊙ (x − c)||²`` in ``_dissimilarities``."""
+    """The engine's distance ``||d m ⊙ (x − c)||²``, by ``fh_dissimilarities``."""
 
     @staticmethod
     def distance(x, c, m_row):
         x, c, m_row = (np.atleast_2d(np.asarray(a, dtype=np.float64)) for a in (x, c, m_row))
-        return float(_dissimilarities(x.T.copy(), c, x.shape[1] * m_row)[0, 0])
+        return float(dissimilarities(x.T.copy(), c, x.shape[1] * m_row)[0, 0])
 
     def test_single_active_coordinate(self):
         # only the weighted coordinate counts, scaled by d = 2
@@ -143,13 +143,13 @@ class TestWeightedDistance:
 
 
 class TestSimilarityFromDistance:
-    """The similarity exp(−D) that the similarity cache of ``_Run`` holds."""
+    """The similarity exp(−D) that the similarity cache of a run holds."""
 
     @staticmethod
     def similarities(offsets):
         # one object per offset from a single centroid at 0, so D = offset²
         values = np.asarray(offsets, dtype=np.float64)[:, None]
-        run = _Run(values, make_state(np.zeros((1, 1))), np.ones((1, 1)))
+        run = StepRun(values, make_state(np.zeros((1, 1))), np.ones((1, 1)))
         assert run.refresh_columns() == 1
         return run.sims[:, 0]
 
@@ -227,7 +227,7 @@ class TestBetaIntraClient:
 
 
 class TestFeatureClusterMatrixClient:
-    """The engine's feature-weight refresh, ``cpl.feature_cluster_matrix_client``."""
+    """The engine's feature-weight refresh, ``fh_refresh``."""
 
     def test_symmetric_features_give_uniform_row(self):
         # two clusters arranged so both features carry identical geometry

@@ -1,3 +1,4 @@
+import ctypes
 import logging
 import math
 import re
@@ -14,11 +15,13 @@ from fedhire.cpl import (
     ELIMINATION_THRESHOLD,
     SIMILARITY_FLOOR,
     CplConfig,
-    _dissimilarities,
     _Run,
     _squash_scalar,
     run_cpl,
 )
+import kernel_steps
+import oracles
+from kernel_steps import StepRun
 from oracles import (
     compute_gamma,
     dissimilarities,
@@ -28,6 +31,7 @@ from oracles import (
     make_state,
     present_one,
     refresh_feature_weights,
+    run_cpl_loop,
     similarity_columns,
     squash,
 )
@@ -312,13 +316,13 @@ def _oracle_case(kind, seed=0):
 def _assert_epochs_match_oracle(values, engine, m, eta=0.05, epochs=2, streaks=None):
     """Whole epochs of the kernel and of the oracle chain from the same state.
 
-    The engine epochs run through one ``_Run``, so each after the first
+    The engine epochs run through one ``StepRun``, so each after the first
     reads the columns it did not recompute from the cache. Winners,
     centroids, raw weights, weights, win counts, streaks, active flags and
     orphan counts must agree bit for bit. Returns the run.
     """
     oracle = engine.copy()
-    run = _Run(values, engine, m.entries)
+    run = StepRun(values, engine, m.entries)
     if streaks is not None:
         run.streaks[:] = streaks
     want_streaks = run.streaks.copy()
@@ -401,7 +405,7 @@ class TestPresentationEpochOracle:
         # the kernel reads the active columns in place in the n x k0 cache,
         # which holds the oracle's similarities there
         act = np.flatnonzero(state.active)
-        run = _Run(values, state.copy(), m.entries.copy())
+        run = StepRun(values, state.copy(), m.entries.copy())
         assert run.refresh_columns() == active_count
         np.testing.assert_array_equal(
             bits(run.sims[:, act]),
@@ -633,7 +637,9 @@ class TestDissimilarities:
             centroids = rng.normal(size=(k, d))
             scaled = d * rng.dirichlet(np.ones(d), size=k)
             np.testing.assert_array_equal(
-                bits(_dissimilarities(feature_major(values), centroids, scaled)),
+                bits(
+                    kernel_steps.dissimilarities(feature_major(values), centroids, scaled)
+                ),
                 bits(dissimilarities(values, centroids, scaled)),
             )
 
@@ -659,34 +665,9 @@ class TestDissimilarities:
         centroids[0] = values[rng.integers(n)]
         scaled = edge_array(rng, (k, d), zeros, negatives, False)
         np.testing.assert_array_equal(
-            bits(_dissimilarities(feature_major(values), centroids, scaled)),
+            bits(kernel_steps.dissimilarities(feature_major(values), centroids, scaled)),
             bits(dissimilarities(values, centroids, scaled)),
         )
-
-    def test_allocates_only_its_output(self):
-        # no d x k x objects temporary: at most the n x k output plus O(n d)
-        n, k, d = 2000, 1000, 16
-        rng = np.random.default_rng(0)
-        by_feature = feature_major(rng.normal(size=(n, d)))
-        centroids = rng.normal(size=(k, d))
-        scaled = d * rng.dirichlet(np.ones(d), size=k)
-        _dissimilarities(by_feature[:, :1].copy(), centroids, scaled)  # loads the kernel
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            out = _dissimilarities(by_feature, centroids, scaled)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert out.nbytes <= peak <= out.nbytes + 2 * by_feature.nbytes
-
-    def test_rows_must_match_the_feature_count(self):
-        by_feature = np.zeros((3, 5))
-        with pytest.raises(ValueError, match="3 features"):
-            _dissimilarities(by_feature, np.zeros((2, 4)), np.zeros((2, 4)))
-        with pytest.raises(ValueError, match="3 features"):
-            _dissimilarities(by_feature, np.zeros((2, 3)), np.zeros((1, 3)))
 
 
 class TestColumnCache:
@@ -696,7 +677,7 @@ class TestColumnCache:
         values = rng.normal(size=(n, d))
         state = make_state(rng.normal(size=(k, d)))
         entries = rng.dirichlet(np.ones(d), size=k)
-        run = _Run(values, state, entries)
+        run = StepRun(values, state, entries)
         centroids, active = state.centroids, state.active
 
         def check(expect_recomputed):
@@ -731,7 +712,7 @@ class TestColumnCache:
         values = rng.normal(size=(n, d))
         state = make_state(rng.normal(size=(k, d)))
         entries = rng.dirichlet(np.ones(d), size=k)
-        run = _Run(values, state, entries)
+        run = StepRun(values, state, entries)
         assert run.refresh_columns() == k
         np.testing.assert_array_equal(
             bits(run.sims), bits(similarity_columns(values, state.centroids, entries))
@@ -902,21 +883,241 @@ class TestRunCpl:
     def test_refreshes_once_per_epoch_but_a_converged_last(
         self, four_blob_data, monkeypatch, weighting, max_epochs
     ):
-        # perfbench's core.feature_weights layer wraps this module attribute
-        # and counts its calls
-        calls = []
-        refresh = cpl.feature_cluster_matrix_client
-
-        def counting(*args):
-            calls.append(args)
-            return refresh(*args)
-
-        monkeypatch.setattr(cpl, "feature_cluster_matrix_client", counting)
+        # run_cpl against the loop oracle from the same starting state; the
+        # oracle refreshes after every epoch but a converged last
         config = CplConfig(eta=0.05, k0=40, max_epochs=max_epochs, rng_seed=2)
         result = run_cpl(four_blob_data, config, weighting=weighting)
         assert result.converged == (max_epochs == 100)
-        expected = result.epochs_used - int(result.converged) if weighting else 0
-        assert len(calls) == expected
+
+        calls = []
+        refresh = oracles.refresh_feature_weights
+        monkeypatch.setattr(
+            oracles, "refresh_feature_weights", lambda *a: calls.append(refresh(*a))
+        )
+        values = four_blob_data.values
+        rng = np.random.default_rng(config.rng_seed)
+        state = make_state(values[rng.choice(len(values), size=config.k0, replace=False)])
+        rows = FeatureClusterMatrix.uniform(config.k0, values.shape[1]).entries
+        streaks = np.zeros(config.k0, dtype=np.int64)
+        assignments, epochs_used, converged, _, _ = run_cpl_loop(
+            values, state, rows, config.eta, max_epochs, weighting, streaks
+        )
+        assert (result.epochs_used, result.converged) == (epochs_used, converged)
+        assert len(calls) == (epochs_used - int(converged) if weighting else 0)
+        survivors = np.flatnonzero(
+            np.bincount(assignments, minlength=config.k0).astype(bool) & state.active
+        )
+        np.testing.assert_array_equal(
+            result.affiliation.assignments, np.searchsorted(survivors, assignments)
+        )
+        np.testing.assert_array_equal(
+            bits(result.clusterlets.centroids), bits(state.centroids[survivors])
+        )
+        np.testing.assert_array_equal(
+            bits(result.feature_weights.entries), bits(rows[survivors])
+        )
+
+    def test_degenerate_feature_weights_are_logged_once_per_run(self, monkeypatch, caplog):
+        # no small run reaches a degenerate refresh, so the kernel's summed
+        # count is set after a real run: one log line carries it
+        real = _kernel.library()
+
+        class Degenerate:
+            fh_squash = real.fh_squash
+
+            @staticmethod
+            def fh_cpl(ref, eta, max_epochs, weighting, info):
+                code = real.fh_cpl(ref, eta, max_epochs, weighting, info)
+                ctypes.c_int64.from_address(info + 3 * 8).value = 7
+                return code
+
+        monkeypatch.setattr(_kernel, "library", Degenerate)
+        values = np.random.default_rng(0).normal(size=(30, 2))
+        with caplog.at_level(logging.INFO, logger="fedhire.cpl"):
+            result = run_cpl(DataMatrix(values), CplConfig(eta=0.05, k0=10, rng_seed=4))
+        degenerate = [
+            r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("feature weighting degenerate")
+        ]
+        assert degenerate == [
+            f"feature weighting degenerate for 7 cluster row(s) over "
+            f"{result.epochs_used} epoch(s); using uniform rows"
+        ]
+
+    @pytest.mark.parametrize(
+        "code, error, message",
+        [
+            (-1, ValueError, "active clusterlet"),
+            (-3, ValueError, "rows must sum to 1"),
+            (-4, ValueError, "at least two active"),
+        ],
+    )
+    def test_kernel_errors_raise_their_exceptions(self, monkeypatch, code, error, message):
+        real = _kernel.library()
+
+        class Failing:
+            fh_squash = real.fh_squash
+
+            @staticmethod
+            def fh_cpl(*args):
+                return code
+
+        monkeypatch.setattr(_kernel, "library", Failing)
+        with pytest.raises(error, match=message):
+            run_cpl(DataMatrix(np.zeros((4, 2))), CplConfig(eta=0.05, k0=2))
+
+
+def kernel_loop(values, state, rows, eta, max_epochs, weighting, streaks):
+    """``fh_cpl`` on the arrays of ``state`` and ``rows`` in place, from the
+    given empty streaks; returns the run, or raises its error."""
+    run = _Run(values, state, rows)
+    run.streaks[:] = streaks
+    code = _kernel.library().fh_cpl(
+        run.ref, eta, max_epochs, weighting, run.info.ctypes.data
+    )
+    if code < 0:
+        error, message = cpl.CPL_ERRORS[code]
+        raise error(message)
+    return run
+
+
+def loop_case(k, active_count, n, d, spread, tied, infinite, seed):
+    """(values, state, rows, streaks) of one whole run.
+
+    Raw weights start near -5.69, where the squash crosses the elimination
+    threshold. Over a ``spread`` of 10 the similarities outweigh the weights,
+    so weak clusterlets win their nearby objects and an epoch can deactivate
+    them with their objects, which leaves orphans. ``tied`` gives pairs of
+    clusterlets the same centroid and M row and puts half the objects on
+    centroids: exact score and orphan distance ties. ``infinite`` puts +inf and -inf into the first feature of
+    two objects: the clusterlet that wins both gets a NaN centroid, so the
+    distances of orphans to it are NaN.
+    """
+    rng = np.random.default_rng(seed)
+    centroids = rng.uniform(0, spread, size=(k, d))
+    rows = rng.dirichlet(np.ones(d), size=k)
+    raw = rng.uniform(-6.5, -5.5, size=k)
+    values = rng.uniform(0, spread, size=(n, d))
+    active = np.zeros(k, dtype=bool)
+    active[rng.choice(k, size=active_count, replace=False)] = True
+    if tied:
+        half = k // 2
+        for a in (centroids, rows, raw):
+            a[half : 2 * half] = a[:half]
+        values[: (n + 1) // 2] = centroids[rng.integers(0, k, size=(n + 1) // 2)]
+    if infinite:
+        values[:2, 0] = [np.inf, -np.inf]
+    state = make_state(centroids, raw=raw, wins=rng.integers(0, 20, size=k), active=active)
+    return values, state, rows, rng.integers(0, 2, size=k)
+
+
+def assert_loops_match(values, state, rows, eta, max_epochs, weighting, streaks):
+    """``fh_cpl`` and ``run_cpl_loop`` from copies of one state: the same
+    error, or bitwise the same assignments, state, M rows, last similarity
+    columns, streaks, epochs used and convergence. Returns the oracle's
+    orphan count."""
+    oracle, oracle_rows, oracle_streaks = state.copy(), rows.copy(), streaks.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            want = run_cpl_loop(
+                values, oracle, oracle_rows, eta, max_epochs, weighting, oracle_streaks
+            )
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                kernel_loop(values, state, rows, eta, max_epochs, weighting, streaks)
+            want = None
+        else:
+            run = kernel_loop(values, state, rows, eta, max_epochs, weighting, streaks)
+    for got_array, want_array in [
+        (state.centroids, oracle.centroids), (state.raw_weights, oracle.raw_weights),
+        (state.weights, oracle.weights), (rows, oracle_rows),
+    ]:
+        np.testing.assert_array_equal(bits(got_array), bits(want_array))
+    np.testing.assert_array_equal(state.win_counts, oracle.win_counts)
+    np.testing.assert_array_equal(state.active, oracle.active)
+    if want is None:
+        return 0
+    assignments, epochs_used, converged, (sims, scored), orphans = want
+    epochs, stopped, row, _ = run.info
+    assert (epochs, bool(stopped)) == (epochs_used, converged)
+    np.testing.assert_array_equal(run.assignments[row], assignments)
+    np.testing.assert_array_equal(run.streaks, oracle_streaks)
+    np.testing.assert_array_equal(bits(run.sims[:, scored]), bits(sims[:, scored]))
+    return orphans
+
+
+class TestCplLoop:
+    """``fh_cpl``, the whole loop of ``run_cpl``, against ``run_cpl_loop`` of
+    tests/oracles.py, which runs the step oracles."""
+
+    def test_matches_the_loop_oracle_with_orphans(self):
+        orphans = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            shape=st.integers(2, 8).flatmap(
+                lambda k: st.tuples(st.just(k), st.integers(2, k))
+            ),
+            n=st.integers(2, 30),
+            d=st.integers(1, 4),
+            max_epochs=st.sampled_from([1, 2, 5, 100]),
+            weighting=st.booleans(),
+            spread=st.sampled_from([1.0, 10.0]),
+            tied=st.booleans(),
+            infinite=st.booleans(),
+            eta=st.sampled_from([0.05, 0.5]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        # orphans: with a refresh, without one, at tied distances and at NaN
+        # distances
+        @example((6, 6), 25, 2, 100, True, 10.0, False, False, 0.05, 0)
+        @example((8, 5), 30, 3, 5, False, 10.0, False, False, 0.05, 0)
+        @example((8, 8), 30, 2, 100, True, 10.0, True, False, 0.05, 0)
+        @example((6, 6), 25, 2, 1, False, 10.0, False, True, 0.05, 0)
+        def check(shape, n, d, max_epochs, weighting, spread, tied, infinite, eta, seed):
+            values, state, rows, streaks = loop_case(
+                *shape, n, d, spread, tied, infinite, seed
+            )
+            if infinite:
+                # one epoch without a refresh: a NaN centroid makes NaN scores
+                # in the next epoch, where the presentation oracle's argmax
+                # and the kernel part ways, and the refresh oracle refuses
+                # infinite values
+                max_epochs, weighting = 1, False
+            counted = assert_loops_match(
+                values, state, rows, eta, max_epochs, weighting, streaks
+            )
+            orphans.append(counted)
+
+        check()
+        assert sum(count > 0 for count in orphans) >= 4
+
+    @pytest.mark.parametrize("weighting", [True, False])
+    def test_orphans_take_the_first_of_tied_nearest_clusterlets(self, weighting):
+        # clusterlet 0 wins the objects at 0 and falls under the threshold;
+        # 1, 2 and 3 sit 10 away on both sides, so every orphan ties
+        state = make_state([[0.0], [-10.0], [10.0], [10.0]], raw=[-9.0, 0.0, 0.0, 0.0])
+        rows = np.ones((4, 1))
+        values = np.zeros((5, 1))
+        orphans = assert_loops_match(
+            values, state, rows, 0.05, 3, weighting, np.zeros(4, np.int64)
+        )
+        assert orphans == 5
+        assert not state.active[0]
+
+    def test_orphans_go_to_a_nan_centroid_first(self):
+        # clusterlet 1 wins +inf and -inf (every similarity is floored) and
+        # its centroid becomes NaN: the orphans at 0 go to it, not to 2
+        state = make_state([[0.0], [-10.0], [10.0]], raw=[-9.0, 0.0, 0.0])
+        rows = np.ones((3, 1))
+        values = np.array([[0.0], [0.0], [np.inf], [-np.inf]])
+        run = kernel_loop(values, state, rows, 0.05, 1, False, np.zeros(3, np.int64))
+        assert np.isnan(state.centroids[1, 0]) and not state.active[0]
+        np.testing.assert_array_equal(run.assignments[0], [1, 1, 1, 1])
+        state = make_state([[0.0], [-10.0], [10.0]], raw=[-9.0, 0.0, 0.0])
+        assert assert_loops_match(
+            values, state, rows, 0.05, 1, False, np.zeros(3, np.int64)
+        ) == 2
 
 
 # feature counts from 1 to 300; d = 1 gives one-entry rows and column totals
@@ -949,8 +1150,8 @@ def refresh_case(rng, n, d, k0, active_count, live_count, kind):
 
 
 class TestFeatureWeightRefresh:
-    """``cpl.feature_cluster_matrix_client``, the feature-weight refresh of
-    ``_kernel.c``, against its numpy form."""
+    """``fh_refresh``, the feature-weight refresh of ``_kernel.c``, through
+    the test shim, against its numpy form."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -973,16 +1174,14 @@ class TestFeatureWeightRefresh:
         engine_refresh(values, assignments, state, rows)
         np.testing.assert_array_equal(bits(rows), bits(want))
 
-    def test_all_zero_products_fall_back_to_uniform_and_are_logged(self, caplog):
+    def test_all_zero_products_fall_back_to_uniform_and_are_counted(self):
         rng = np.random.default_rng(4)
         values, assignments, state, rows = refresh_case(rng, 30, 3, 8, 6, 4, "constant")
         want = rows.copy()
         refresh_feature_weights(values, assignments, state, want)
-        with caplog.at_level(logging.INFO, logger="fedhire.cpl"):
-            engine_refresh(values, assignments, state, rows)
+        assert engine_refresh(values, assignments, state, rows) == 4
         np.testing.assert_array_equal(bits(rows), bits(want))
         np.testing.assert_array_equal(rows[np.unique(assignments)], 1.0 / 3)
-        assert "feature weighting degenerate for 4 cluster(s)" in caplog.text
 
     def test_a_row_holding_nan_is_refused_and_no_row_is_written(self):
         rng = np.random.default_rng(5)

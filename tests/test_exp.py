@@ -1,7 +1,7 @@
 """The kernel's exp (``fexp`` of ``_kernel.c``): its accuracy against libm's,
 and bitwise equality with its numpy transcription ``oracles.exp``.
 
-``fexp`` has no export of its own. The similarity columns of a ``_Run`` reach
+``fexp`` has no export of its own. The similarity columns of a ``StepRun`` reach
 it as the floored exp(-D), with D = x * x on one feature, a centroid at 0.0
 and M row 1. The squash reaches its tail: below z = 10 (raw + 5) = -37 the
 exp e is under 2^-53, so e / (1 + e) is e itself. The feature-weight
@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhire.core import ClusterletState
-from fedhire.cpl import SIMILARITY_FLOOR, _Run, _squash_scalar
+from fedhire.cpl import SIMILARITY_FLOOR, _squash_scalar
+from kernel_steps import StepRun
 from oracles import engine_refresh, exp, refresh_feature_weights, similarity_columns, squash
 from test_cpl import KERNEL_LANE, bits, refresh_case
 
@@ -30,7 +31,7 @@ CLAMP = -708.0
 def column_exps(distances):
     """The columns' floored exp(-D) for each D, and the D the kernel formed."""
     x = np.sqrt(np.asarray(distances, dtype=np.float64))
-    run = _Run(x[:, None], ClusterletState.initial(np.zeros((2, 1))), np.ones((2, 1)))
+    run = StepRun(x[:, None], ClusterletState.initial(np.zeros((2, 1))), np.ones((2, 1)))
     assert run.refresh_columns() == 2
     return x * x, run.sims[:, 0].copy()
 
@@ -114,7 +115,7 @@ class TestBlocks:
         k = 11
         state = ClusterletState.initial(rng.normal(size=(k, d)) * 3.0)
         rows = rng.dirichlet(np.ones(d), size=k)
-        run = _Run(values, state, rows)
+        run = StepRun(values, state, rows)
         assert run.refresh_columns() == k
         np.testing.assert_array_equal(
             bits(run.sims), bits(similarity_columns(values, state.centroids, rows))

@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from fedhire import _kernel, cpl, federation
-from fedhire.core import ClusterletState, DataMatrix, FeatureClusterMatrix
-from fedhire.cpl import _dissimilarities, _Run
+from fedhire.core import ClusterletState, DataMatrix
+from fedhire.cpl import _Run
+import kernel_steps
 
 
-def _epochs(lib, seed=0, epochs=3):
-    """Epochs of a ``_Run`` on random data through ``lib``, with more columns
-    than one tile; returns every array they write."""
+def _run(lib, seed=0, epochs=3):
+    """A run of ``fh_cpl`` through ``lib`` on random data, with more columns
+    than one tile and the feature-weight refresh on; returns every array it
+    writes."""
     rng = np.random.default_rng(seed)
     n, k, d = 60, 11, 3
     values = rng.uniform(0.0, 1.0, size=(n, d))
@@ -26,49 +28,20 @@ def _epochs(lib, seed=0, epochs=3):
     state.weights[:] = [lib.fh_squash(r) for r in state.raw_weights]
     rows = rng.dirichlet(np.ones(d), size=k)
     run = _Run(values, state, rows)
-    run.lib = lib
-    orphans = [run.epoch(0.05)[1] for _ in range(epochs)]
+    assert lib.fh_cpl(run.ref, 0.05, epochs, True, run.info.ctypes.data) == 0
     return (
-        np.array(orphans), run.sims, run.assignments, run.streaks, run.gamma,
+        run.info, run.sims, run.assignments, run.streaks, run.gamma, rows,
         state.centroids, state.win_counts, state.raw_weights, state.weights,
         state.active,
     )
 
 
-def _refresh(lib, seed=0):
-    """One feature-weight refresh of a ``_Run`` through ``lib``, with an
-    inactive and a memberless clusterlet; returns the rows it writes."""
-    rng = np.random.default_rng(seed)
-    n, k, d = 60, 7, 9
-    values = rng.normal(size=(n, d))
-    state = ClusterletState.initial(values[rng.choice(n, size=k, replace=False)])
-    state.active[2] = False
-    rows = rng.dirichlet(np.ones(d), size=k)
-    run = _Run(values, state, rows)
-    run.lib = lib
-    assignments = rng.choice([0, 1, 3, 4, 6], size=n)
-    cpl.feature_cluster_matrix_client(run, assignments)
-    return rows
-
-
-def _distances(lib, d, seed=0):
-    """One kernel distance call on random rows; n ends on a partial block."""
-    rng = np.random.default_rng(seed)
-    n, k = 131, 9
-    by_feature = rng.normal(size=(d, n))
-    centroids = rng.normal(size=(k, d))
-    scaled = d * rng.dirichlet(np.ones(d), size=k)
-    out = np.empty((n, k))
-    assert lib.fh_dissimilarities(by_feature, d, n, centroids, scaled, k, out) == 0
-    return out
-
-
-def _kmeans(lib, seed=0):
+def _kmeans(lib, d=5, seed=0):
     """One fragmentation k-means through ``lib``: 50 clusters over 131 rows
     with 40 distinct values, so empty clusters are re-seeded and n ends on a
-    partial block; returns the centroids and assignments."""
+    partial block of the distances; returns the centroids and assignments."""
     rng = np.random.default_rng(seed)
-    values = rng.normal(size=(40, 5))[rng.integers(0, 40, size=131)]
+    values = rng.normal(size=(40, d))[rng.integers(0, 40, size=131)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "library", lambda: lib)
         centroids, affil = federation.kmeans(DataMatrix(values), 50, seed)
@@ -86,17 +59,11 @@ def test_fresh_build_loads_and_matches_the_cached_library(tmp_path):
         np.array([fresh.fh_squash(r) for r in raws]).view(np.uint64),
         np.array([cached.fh_squash(r) for r in raws]).view(np.uint64),
     )
-    for got, want in zip(_epochs(fresh), _epochs(cached)):
+    for got, want in zip(_run(fresh), _run(cached)):
         np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
-    np.testing.assert_array_equal(
-        _refresh(fresh).view(np.uint64), _refresh(cached).view(np.uint64)
-    )
     for d in (4, 16, 300):
-        np.testing.assert_array_equal(
-            _distances(fresh, d).view(np.uint64), _distances(cached, d).view(np.uint64)
-        )
-    for got, want in zip(_kmeans(fresh), _kmeans(cached)):
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        for got, want in zip(_kmeans(fresh, d), _kmeans(cached, d)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_source_compiles_without_warnings(tmp_path):
@@ -170,7 +137,7 @@ def test_distances_refuse_an_array_they_would_have_to_copy(argument, position, l
         "float32": a.astype(np.float32),
     }[layout]
     with pytest.raises(ctypes.ArgumentError, match=f"argument {position}"):
-        _dissimilarities(*arrays)
+        kernel_steps.dissimilarities(*arrays)
 
 
 @pytest.mark.parametrize("layout", ["fortran", "strided", "float32", "shape"])
@@ -220,17 +187,20 @@ def test_kmeans_raises_memory_error_when_a_block_cannot_be_allocated(monkeypatch
         federation.kmeans(DataMatrix(np.zeros((3, 2))), 2, seed=0)
 
 
-def test_columns_raise_memory_error_when_a_block_cannot_be_allocated():
-    class Failing:
-        @staticmethod
-        def fh_columns(ref):
-            return -1
+def test_columns_raise_memory_error_when_a_block_cannot_be_allocated(monkeypatch):
+    real = _kernel.library()
 
+    class Failing:
+        fh_squash = real.fh_squash
+
+        @staticmethod
+        def fh_cpl(*args):
+            return -5
+
+    monkeypatch.setattr(_kernel, "library", Failing)
     values = np.random.default_rng(5).normal(size=(10, 2))
-    run = _Run(values, ClusterletState.initial(values[:3]), FeatureClusterMatrix.uniform(3, 2).entries)
-    run.lib = Failing
     with pytest.raises(MemoryError, match="fh_columns"):
-        run.epoch(0.05)
+        cpl.run_cpl(DataMatrix(values), cpl.CplConfig(eta=0.05, k0=3))
 
 
 # the ctypes type of each kind of struct member
@@ -273,4 +243,4 @@ def test_every_exported_function_is_bound_and_called():
         name for name in sorted(exported)
         if not any(re.search(rf"\.{name}\(", text) for text in callers)
     ]
-    assert len(exported) >= 6 and uncalled == []
+    assert exported == {"fh_cpl", "fh_kmeans", "fh_squash"} and uncalled == []
