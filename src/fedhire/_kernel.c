@@ -20,8 +20,9 @@
  * per-cluster sum and column total adds in object order from 0.0, and every
  * row sum in feature order from 0.0; the winner and rival keep numpy
  * argmax's first-index tie rule (strict > comparisons only), and the orphan
- * and k-means argmin and the k-means argmax theirs. Built without -ffast-math and with
- * -ffp-contract=off (see _kernel.py), so no operation is reordered or fused.
+ * and k-means argmin and the k-means argmax theirs. Built without
+ * -ffast-math and with -ffp-contract=off (see _kernel.py), so no operation is
+ * reordered or fused.
  */
 #include <math.h>
 #include <stdint.h>
@@ -107,19 +108,19 @@ static inline double term(double x, double c, double s)
 }
 
 /* acc[t][b] = the distance of object b of a block to row t of a tile, its d
- * terms added in sequence from 0.0. x holds d rows of LANE objects, stride
- * apart; c and s hold the width centroid rows and scaled rows of the tile,
- * d apart. The sums of CHUNK objects at a time stay in registers. */
-static void tile_terms(const double *restrict x, int64_t stride,
-                       const double *restrict c, const double *restrict s,
-                       int64_t d, int64_t width, double acc[TILE][LANE])
+ * terms added in sequence from 0.0. x holds d rows of LANE objects; c and s
+ * hold the width centroid rows and scaled rows of the tile, d apart. The
+ * sums of CHUNK objects at a time stay in registers. */
+static void tile_terms(const double *restrict x, const double *restrict c,
+                       const double *restrict s, int64_t d, int64_t width,
+                       double acc[TILE][LANE])
 {
     for (int64_t t = 0; t < width; t++)
         for (int b0 = 0; b0 < LANE; b0 += CHUNK) {
             double sum[CHUNK] = {0.0};
             for (int64_t z = 0; z < d; z++) {
                 double cz = c[t * d + z], sz = s[t * d + z];
-                const double *xz = x + z * stride + b0;
+                const double *xz = x + z * LANE + b0;
 /* the CHUNK sums unrolled into registers; the pragma takes no macro */
 #pragma GCC unroll 8
                 for (int b = 0; b < CHUNK; b++)
@@ -130,40 +131,33 @@ static void tile_terms(const double *restrict x, int64_t stride,
         }
 }
 
-/* The block of LANE objects from lo of the d x n feature-major x: x itself,
- * stride n apart, or for the last, partial block its copy into the
- * zero-padded d x LANE pad, stride LANE apart. */
-static const double *block(const double *x, int64_t d, int64_t n, int64_t lo,
-                           double *pad, int64_t *stride)
+/* The block of the m <= LANE objects from lo of the n x d values x,
+ * transposed into the d x LANE pad; the entries past the m objects are 0.0. */
+static void block(const double *x, int64_t d, int64_t lo, int64_t m,
+                  double *pad)
 {
-    if (n - lo >= LANE) {
-        *stride = n;
-        return x + lo;
-    }
     for (int64_t z = 0; z < d; z++)
-        memcpy(pad + z * LANE, x + z * n + lo, (size_t)(n - lo) * sizeof *pad);
-    *stride = LANE;
-    return pad;
+        for (int64_t b = 0; b < LANE; b++)
+            pad[z * LANE + b] = b < m ? x[(lo + b) * d + z] : 0.0;
 }
 
-/* out[i][j] = sum_z (scaled[j][z] * (x[z][i] - centroids[j][z]))^2 for the
- * d x n feature-major values x, the k x d rows centroids and scaled, and the
- * n x k out: the distances of the k-means. Returns 0, or -1 if the padded
- * block could not be allocated. */
-static int fh_dissimilarities(const double *x, int64_t d, int64_t n,
+/* out[i][j] = sum_z (scaled[j][z] * (x[i][z] - centroids[j][z]))^2 for the
+ * n x d values x, the k x d rows centroids and scaled, and the n x k out: the
+ * distances of the k-means. Returns 0, or -1 if the block could not be
+ * allocated. */
+static int fh_dissimilarities(const double *x, int64_t n, int64_t d,
                               const double *centroids, const double *scaled,
                               int64_t k, double *out)
 {
-    double acc[TILE][LANE], *pad = calloc((size_t)(d * LANE), sizeof *pad);
+    double acc[TILE][LANE], *pad = malloc((size_t)(d * LANE) * sizeof *pad);
     if (pad == NULL)
         return -1;
     for (int64_t lo = 0; lo < n; lo += LANE) {
-        int64_t stride, m = n - lo < LANE ? n - lo : LANE;
-        const double *objects = block(x, d, n, lo, pad, &stride);
+        int64_t m = n - lo < LANE ? n - lo : LANE;
+        block(x, d, lo, m, pad);
         for (int64_t j0 = 0; j0 < k; j0 += TILE) {
             int64_t width = k - j0 < TILE ? k - j0 : TILE;
-            tile_terms(objects, stride, centroids + j0 * d, scaled + j0 * d, d,
-                       width, acc);
+            tile_terms(pad, centroids + j0 * d, scaled + j0 * d, d, width, acc);
             for (int64_t b = 0; b < m; b++)
                 for (int64_t t = 0; t < width; t++)
                     out[(lo + b) * k + j0 + t] = acc[t][b];
@@ -175,8 +169,8 @@ static int fh_dissimilarities(const double *x, int64_t d, int64_t n,
 
 /* Sigmoid squash of a raw weight into (0, 1): 1 / (1 + e^{-10(raw + 5)}),
  * in the numerically stable two-branch form; the least weight is exp(-708) /
- * (1 + exp(-708)), as fexp clamps. Inlined into the presentation loop, where
- * an exported function would be called through the PLT. */
+ * (1 + exp(-708)), as fexp clamps. squash(0.0) is 1.0: 1 + fexp(-50) rounds
+ * to 1. */
 static inline double squash(double raw)
 {
     double z = 10.0 * (raw + 5.0);
@@ -185,13 +179,6 @@ static inline double squash(double raw)
     double e = fexp(z);
     return e / (1.0 + e);
 }
-
-/* squash, for Python (cpl._squash_scalar). */
-double fh_squash(double raw)
-{
-    return squash(raw);
-}
-
 
 /* Every buffer of one run_cpl call, allocated by numpy; the layout of Run in
  * _kernel.py. All arrays are C-contiguous; k x d arrays hold one row per
@@ -205,7 +192,6 @@ struct fh_run {
     double entry_tolerance;     /* ENTRY_TOLERANCE */
     double row_sum_tolerance;   /* ROW_SUM_TOLERANCE */
     const double *values;       /* n x d */
-    const double *by_feature;   /* d x n */
     double *sims;               /* n x k0, the floored exp(-D) columns */
     double *stored_centroids;   /* k0 x d, the rows each column was made from */
     double *stored_rows;        /* k0 x d */
@@ -234,10 +220,11 @@ struct fh_run {
  * ascending, into r->stale. Their new rows are stored, and column j of
  * r->sims gets exp(-D_ij) floored at r->floor, as np.maximum floors (NaN
  * stays NaN), where D_ij is the distance of object i to centroid row j with
- * the scaled row d * m_j. Each tile of stale columns gathers its centroid
- * rows and scaled rows first; the distances of a block of objects to a tile
- * turn into floored exps in place, one row of LANE at a time. Returns how
- * many columns were recomputed, or -1 if the blocks could not be allocated.
+ * the scaled row d * m_j. The centroid rows and scaled rows of the stale
+ * columns are gathered first; then each block of objects is transposed once
+ * and its distances to each tile of those rows turn into floored exps in
+ * place, one row of LANE at a time. Returns how many columns were
+ * recomputed, or -1 if the blocks could not be allocated.
  * NaN compares unequal to everything, so the NaN rows stored at the start
  * make every column stale once. */
 static int64_t fh_columns(struct fh_run *r)
@@ -259,22 +246,23 @@ static int64_t fh_columns(struct fh_run *r)
     }
     if (count == 0)
         return 0;
-    double acc[TILE][LANE], *pad = calloc((size_t)(d * (LANE + 2 * TILE)), sizeof *pad);
+    double acc[TILE][LANE];
+    double *pad = malloc((size_t)(d * (LANE + 2 * count)) * sizeof *pad);
     if (pad == NULL)
         return -1;
-    double *c = pad + d * LANE, *s = c + d * TILE;
-    for (int64_t j0 = 0; j0 < count; j0 += TILE) {
-        const int64_t *cols = r->stale + j0;
-        int64_t width = count - j0 < TILE ? count - j0 : TILE;
-        for (int64_t t = 0; t < width; t++)
-            for (int64_t z = 0; z < d; z++) {
-                c[t * d + z] = r->centroids[cols[t] * d + z];
-                s[t * d + z] = (double)d * r->rows[cols[t] * d + z];
-            }
-        for (int64_t lo = 0; lo < n; lo += LANE) {
-            int64_t stride, m = n - lo < LANE ? n - lo : LANE;
-            const double *objects = block(r->by_feature, d, n, lo, pad, &stride);
-            tile_terms(objects, stride, c, s, d, width, acc);
+    double *c = pad + d * LANE, *s = c + d * count;
+    for (int64_t t = 0; t < count; t++)
+        for (int64_t z = 0; z < d; z++) {
+            c[t * d + z] = r->centroids[r->stale[t] * d + z];
+            s[t * d + z] = (double)d * r->rows[r->stale[t] * d + z];
+        }
+    for (int64_t lo = 0; lo < n; lo += LANE) {
+        int64_t m = n - lo < LANE ? n - lo : LANE;
+        block(r->values, d, lo, m, pad);
+        for (int64_t j0 = 0; j0 < count; j0 += TILE) {
+            const int64_t *cols = r->stale + j0;
+            int64_t width = count - j0 < TILE ? count - j0 : TILE;
+            tile_terms(pad, c + j0 * d, s + j0 * d, d, width, acc);
             for (int64_t t = 0; t < width; t++)
                 exps(acc[t], LANE, r->floor);
             for (int64_t b = 0; b < m; b++) {
@@ -566,15 +554,15 @@ static void reassign_orphans(const struct fh_run *r, int64_t *assignments)
 /* The whole competitive-learning loop of run_cpl, for at most max_epochs
  * epochs. Epoch e runs fh_columns and fh_epoch into assignment row e % 2,
  * reassigns the objects of deactivated clusterlets (reassign_orphans), stops
- * from epoch 1 on if the row repeats the previous one, and otherwise, with
- * weighting on, refreshes the feature weights (fh_refresh). info gets the
- * epochs used, whether the loop converged, the final row and the fallback
- * rows of every refresh, summed. Returns 0; or, when a step fails, a
+ * from epoch 1 on if the row repeats the previous one, and otherwise
+ * refreshes the feature weights (fh_refresh). info gets the epochs used,
+ * whether the loop converged, the final row and the fallback rows of every
+ * refresh, summed. Returns 0; or, when a step fails, a
  * negative code: fh_refresh's -1, -2 or -3, -4 if an epoch starts with fewer
  * than two active clusterlets, -5 if fh_columns could not allocate its
  * blocks. */
 int64_t fh_cpl(struct fh_run *r, double eta, int64_t max_epochs,
-               int64_t weighting, int64_t *info)
+               int64_t *info)
 {
     int64_t n = r->n, fallbacks = 0, epoch = 0, converged = 0;
     for (; epoch < max_epochs && !converged; epoch++) {
@@ -588,7 +576,7 @@ int64_t fh_cpl(struct fh_run *r, double eta, int64_t max_epochs,
             reassign_orphans(r, row);
         const int64_t *previous = r->assignments + ((epoch + 1) % 2) * n;
         converged = epoch > 0 && memcmp(row, previous, (size_t)n * sizeof *row) == 0;
-        if (weighting && !converged) {
+        if (!converged) {
             int64_t count = fh_refresh(r, row);
             if (count < 0)
                 return count;
@@ -604,26 +592,26 @@ int64_t fh_cpl(struct fh_run *r, double eta, int64_t max_epochs,
 
 /* Lloyd k-means of the n x d values from the k x d centroids, updated in
  * place, for at most max_iters iterations; the final assignments go to
- * assignments. by_feature holds the values d x n and ones is a k x d block
- * of 1.0, so each distance is fh_dissimilarities with unit scale,
- * (1.0 * (x - c))^2 = (x - c)^2. Each iteration: the first index of the smallest distance (NaN
- * first, as argmin) into next; each empty cluster, ascending, takes the
+ * assignments. ones is a k x d block of 1.0, so each distance is
+ * fh_dissimilarities with unit scale, (1.0 * (x - c))^2 = (x - c)^2. Each
+ * iteration: the first index of the smallest distance (NaN first, as
+ * argmin) into next; each empty cluster, ascending, takes the
  * first object of the largest own distance (NaN first, as argmax) among the
  * clusters with more than one member, and the counts follow the move, so no
  * cluster is left empty for 1 <= k <= n; a stop if next repeats the
  * assignments; then each nonempty cluster's mean, its members added in
  * object order from 0.0 and divided by the count, an empty one keeping its
- * centroid. Returns 0, or -1 if the padded block of the distances could not
- * be allocated. */
+ * centroid. Returns 0, or -1 if the block of the distances could not be
+ * allocated. */
 int fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
-              const double *values, double *centroids, const double *by_feature,
-              const double *ones, double *dists, int64_t *assignments,
-              int64_t *next, int64_t *counts, double *own)
+              const double *values, double *centroids, const double *ones,
+              double *dists, int64_t *assignments, int64_t *next,
+              int64_t *counts, double *own)
 {
     for (int64_t i = 0; i < n; i++)
         assignments[i] = -1;
     for (int64_t iter = 0; iter < max_iters; iter++) {
-        if (fh_dissimilarities(by_feature, d, n, centroids, ones, k, dists))
+        if (fh_dissimilarities(values, n, d, centroids, ones, k, dists))
             return -1;
         memset(counts, 0, (size_t)k * sizeof *counts);
         for (int64_t i = 0; i < n; i++) {

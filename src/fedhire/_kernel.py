@@ -58,10 +58,10 @@ class Run(ctypes.Structure):
         *(
             (name, ctypes.c_void_p)
             for name in (
-                "values", "by_feature", "sims", "stored_centroids", "stored_rows",
-                "centroids", "win_counts", "raw_weights", "weights", "active",
-                "rows", "act", "stale", "assignments", "counts", "sums", "streaks",
-                "gamma", "gw", "totals", "sum_xx", "sum_compact", "terms",
+                "values", "sims", "stored_centroids", "stored_rows", "centroids",
+                "win_counts", "raw_weights", "weights", "active", "rows", "act",
+                "stale", "assignments", "counts", "sums", "streaks", "gamma", "gw",
+                "totals", "sum_xx", "sum_compact", "terms",
             )
         ),
     ]
@@ -100,17 +100,14 @@ def load(cache: Path) -> ctypes.CDLL:
     if not target.exists():
         _build(target)
     lib = ctypes.CDLL(str(target))
-    lib.fh_squash.argtypes = [ctypes.c_double]
-    lib.fh_squash.restype = ctypes.c_double
-    # the Run of buffers that ``address`` checked, eta, max_epochs,
-    # weighting, and the address of the int64 info array
+    # the Run of buffers that ``address`` checked, eta, max_epochs and the
+    # address of the int64 info array
     lib.fh_cpl.argtypes = [
-        ctypes.POINTER(Run), ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_void_p,
+        ctypes.POINTER(Run), ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
     ]
     lib.fh_cpl.restype = ctypes.c_int64
     # four sizes, then the buffers by the addresses that ``address`` checked
-    lib.fh_kmeans.argtypes = [*(ctypes.c_int64,) * 4, *(ctypes.c_void_p,) * 9]
+    lib.fh_kmeans.argtypes = [*(ctypes.c_int64,) * 4, *(ctypes.c_void_p,) * 8]
     lib.fh_kmeans.restype = ctypes.c_int
     return lib
 

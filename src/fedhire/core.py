@@ -94,9 +94,6 @@ class AffiliationMatrix:
     def object_count(self) -> int:
         return self.assignments.shape[0]
 
-    def counts(self) -> np.ndarray:
-        return np.bincount(self.assignments, minlength=self.k)
-
 
 @dataclass
 class FeatureClusterMatrix:
@@ -138,27 +135,17 @@ class ClusterletState:
 
     @classmethod
     def initial(cls, centroids: np.ndarray) -> "ClusterletState":
-        """Fresh state: zero wins, zero raw weights (weights effectively 1)."""
-        from .cpl import _squash_scalar
-
+        """Fresh state: zero wins, zero raw weights and weights of 1."""
         k = centroids.shape[0]
         return cls(
             centroids=np.array(centroids, dtype=np.float64),
             win_counts=np.zeros(k, dtype=np.int64),
             raw_weights=np.zeros(k),
-            weights=np.full(k, _squash_scalar(0.0)),
+            # the kernel's squash of a raw weight 0.0 is exactly 1.0
+            weights=np.ones(k),
             active=np.ones(k, dtype=bool),
         )
 
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
-
-    def copy(self) -> "ClusterletState":
-        return ClusterletState(
-            centroids=self.centroids.copy(),
-            win_counts=self.win_counts.copy(),
-            raw_weights=self.raw_weights.copy(),
-            weights=self.weights.copy(),
-            active=self.active.copy(),
-        )

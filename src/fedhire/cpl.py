@@ -89,6 +89,15 @@ CPL_ERRORS = {
 }
 
 
+def require_integers(config, *names: str) -> None:
+    """Refuse each field ``names`` of ``config`` that is not an integer: a
+    float, even a whole one, or a bool, which would run as 0 or 1."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class CplConfig:
     """Hyperparameters of a single competitive learning run."""
@@ -101,10 +110,7 @@ class CplConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and positive, got {self.eta}")
-        for name in ("k0", "max_epochs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        require_integers(self, "k0", "max_epochs")
         if self.k0 < 2:
             raise ValueError(f"k0 must be >= 2, got {self.k0}")
         if self.max_epochs < 1:
@@ -123,31 +129,20 @@ class CplResult:
     feature_weights: FeatureClusterMatrix | None = None
 
 
-def _squash_scalar(raw: float) -> float:
-    """Sigmoid squash of a raw weight into (0, 1): 1 / (1 + e^{-10(raw + 5)}).
-
-    ``fh_squash`` of ``_kernel.c``, the squash the presentation loop runs: a
-    numerically stable two-branch form on the kernel's ``fexp``, whose
-    argument is never positive. It clamps that argument at -708, so the
-    least weight is exp(-708) / (1 + exp(-708)), about 3.3e-308, not 0.
-    """
-    return _kernel.library().fh_squash(raw)
-
-
 class _Run:
     """Every buffer of one ``run_cpl`` call, shared with ``_kernel.c``.
 
     The kernel works in place on numpy arrays (so tracemalloc sees them all),
     through one ``_kernel.Run`` of their addresses, each checked once by
-    ``_kernel.address``: the values row-major and feature-major; ``sims``,
-    the n x k0 floored similarities exp(-D); the centroid and M rows each
-    column was computed from; the arrays of ``state`` and the M rows
-    ``rows``, updated in place; two assignment rows, written alternately, so
-    the previous epoch's stays readable for the convergence test; the scratch
-    of the epoch; and the column totals, k0 x d member sums and n x d
-    compactness terms of the feature-weight refresh. ``info`` receives what
-    ``fh_cpl`` reports: the epochs used, whether the run converged, the final
-    assignment row and the uniform-row fallbacks of every refresh, summed.
+    ``_kernel.address``: the n x d values; ``sims``, the n x k0 floored
+    similarities exp(-D); the centroid and M rows each column was computed
+    from; the arrays of ``state`` and the M rows ``rows``, updated in place;
+    two assignment rows, written alternately, so the previous epoch's stays
+    readable for the convergence test; the scratch of the epoch; and the
+    column totals, k0 x d member sums and n x d compactness terms of the
+    feature-weight refresh. ``info`` receives what ``fh_cpl`` reports: the
+    epochs used, whether the run converged, the final assignment row and the
+    uniform-row fallbacks of every refresh, summed.
     Besides ``sims`` every buffer is O(n d + k0 d).
 
     Column j of ``sims`` holds exp(-D_ij), floored, for every object i, as
@@ -165,7 +160,6 @@ class _Run:
         self.state = state
         self.rows = rows
         self.values = np.ascontiguousarray(values)
-        self.by_feature = np.ascontiguousarray(values.T)
         self.sims = np.empty((n, k0))
         self.stored_centroids = np.full((k0, d), np.nan)
         self.stored_rows = np.full((k0, d), np.nan)
@@ -187,7 +181,6 @@ class _Run:
         # while the run lives even if ``state`` gets new arrays
         self.arrays = {
             "values": (self.values, f8, (n, d)),
-            "by_feature": (self.by_feature, f8, (d, n)),
             "sims": (self.sims, f8, (n, k0)),
             "stored_centroids": (self.stored_centroids, f8, kd),
             "stored_rows": (self.stored_rows, f8, kd),
@@ -220,9 +213,7 @@ class _Run:
         self.ref = ctypes.byref(self.buffers)
 
 
-def run_cpl(
-    data: DataMatrix, config: CplConfig, weighting: bool = True
-) -> CplResult:
+def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
     """Run the full competitive penalized learning loop on one dataset.
 
     Centroids start at ``k0`` distinct objects sampled with the configured
@@ -237,8 +228,7 @@ def run_cpl(
     entry depends on nothing else, a reused column is bitwise a recomputed
     one. Each epoch recomputes only the active columns that fail that test
     and writes their floored ``exp(-D)`` straight into the cache. Memory
-    stays at the n x k0 cache and O(n d + k0 d) (see ``_Run``), with the
-    feature-weight refresh on or off.
+    stays at the n x k0 cache and O(n d + k0 d) (see ``_Run``).
 
     At epoch end the centroids of nonempty active clusterlets are
     recomputed as member means, weight-collapsed clusterlets and dead units
@@ -246,8 +236,8 @@ def run_cpl(
     down to a floor of two, and orphaned objects are reassigned to the
     nearest surviving clusterlet (the first of equal distances). The loop
     stops as soon as the affiliation repeats between consecutive epochs;
-    otherwise, with ``weighting`` on, the feature-cluster matrix is
-    refreshed. The whole loop is one call of ``fh_cpl`` in ``_kernel.c``.
+    otherwise the feature-cluster matrix is refreshed. The whole loop is one
+    call of ``fh_cpl`` in ``_kernel.c``.
 
     The result is compacted: only clusterlets that remain active *and* own
     at least one object are reported, and the affiliation is re-indexed onto
@@ -267,7 +257,7 @@ def run_cpl(
     run = _Run(values, state, rows)
 
     code = _kernel.library().fh_cpl(
-        run.ref, config.eta, config.max_epochs, weighting, run.info.ctypes.data
+        run.ref, config.eta, config.max_epochs, run.info.ctypes.data
     )
     if code < 0:
         error, message = CPL_ERRORS[code]

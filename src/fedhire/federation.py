@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernel
 from .client import ClientPayload, run_fcpl
 from .core import AffiliationMatrix, DataMatrix
-from .cpl import DEFAULT_MAX_EPOCHS, CplResult
+from .cpl import DEFAULT_MAX_EPOCHS, CplResult, require_integers
 from .server import (
     GlobalClustering,
     Hierarchy,
@@ -60,6 +60,7 @@ class FederationConfig:
     max_epochs: int = DEFAULT_MAX_EPOCHS
 
     def __post_init__(self):
+        require_integers(self, "client_count", "k_star", "max_epochs")
         if self.client_count < 1:
             raise ValueError(f"client_count must be >= 1, got {self.client_count}")
         if self.k_star < 2:
@@ -71,8 +72,16 @@ class FederationConfig:
         if isinstance(self.fragments_per_cluster, str):
             if self.fragments_per_cluster != "auto":
                 raise ValueError("fragments_per_cluster must be an int or 'auto'")
-        elif self.fragments_per_cluster < 1:
-            raise ValueError("fragments_per_cluster must be positive")
+        else:
+            require_integers(self, "fragments_per_cluster")
+            if self.fragments_per_cluster < 1:
+                raise ValueError("fragments_per_cluster must be positive")
+        if self.k0_absolute is not None:
+            require_integers(self, "k0_absolute")
+            if self.k0_absolute < 2:
+                raise ValueError(f"k0_absolute must be >= 2, got {self.k0_absolute}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
 
 
 @dataclass
@@ -156,7 +165,6 @@ def _lloyd(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     buffers = {
         "values": (values, np.float64, (n, d)),
         "centroids": (centroids, np.float64, (k, d)),
-        "by_feature": (np.ascontiguousarray(values.T), np.float64, (d, n)),
         "ones": (np.ones((k, d)), np.float64, (k, d)),
         "dists": (np.empty((n, k)), np.float64, (n, k)),
         "assignments": (np.empty(n, np.int64), np.int64, (n,)),
@@ -166,7 +174,7 @@ def _lloyd(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     }
     addresses = [_kernel.address(name, *spec) for name, spec in buffers.items()]
     if _kernel.library().fh_kmeans(n, d, k, KMEANS_MAX_ITERS, *addresses):
-        raise MemoryError("fh_kmeans could not allocate its padded block")
+        raise MemoryError("fh_kmeans could not allocate its block")
     return buffers["assignments"][0]
 
 

@@ -5,6 +5,11 @@
  * compiler and flags, the kernel's directory on the include path. */
 #include "_kernel.c"
 
+double step_squash(double raw)
+{
+    return squash(raw);
+}
+
 int64_t step_columns(struct fh_run *r)
 {
     return fh_columns(r);
@@ -15,14 +20,19 @@ int64_t step_epoch(struct fh_run *r, double eta, int64_t out)
     return fh_epoch(r, eta, out);
 }
 
+void step_orphans(const struct fh_run *r, int64_t *assignments)
+{
+    reassign_orphans(r, assignments);
+}
+
 int64_t step_refresh(struct fh_run *r, const int64_t *assignments)
 {
     return fh_refresh(r, assignments);
 }
 
-int step_dissimilarities(const double *x, int64_t d, int64_t n,
+int step_dissimilarities(const double *x, int64_t n, int64_t d,
                          const double *centroids, const double *scaled,
                          int64_t k, double *out)
 {
-    return fh_dissimilarities(x, d, n, centroids, scaled, k, out);
+    return fh_dissimilarities(x, n, d, centroids, scaled, k, out);
 }

@@ -1,11 +1,12 @@
 """The static steps of ``_kernel.c``, one call at a time, for the oracle tests.
 
 ``fh_cpl`` runs a whole competitive-learning run in one call; its steps
-(the similarity columns, the epoch, the feature-weight refresh and the
-distances) are static in the kernel. ``kernel_steps.c`` includes the
-kernel's source and exports each of them, and ``library`` builds it once per
-test session with the package's compiler and flags, into a directory of the
-session's ``tmp_path_factory`` (set by ``conftest.py``).
+(the squash, the similarity columns, the epoch, the orphan reassignment, the
+feature-weight refresh and the distances) are static in the kernel.
+``kernel_steps.c`` includes the kernel's source and exports each of them,
+and ``library`` builds it once per test session with the package's compiler
+and flags, into a directory of the session's ``tmp_path_factory`` (set by
+``conftest.py``).
 """
 
 import ctypes
@@ -34,10 +35,14 @@ def build(directory: Path) -> ctypes.CDLL:
     assert built.returncode == 0, built.stderr
     lib = ctypes.CDLL(str(target))
     run = ctypes.POINTER(_kernel.Run)
+    lib.step_squash.argtypes = [ctypes.c_double]
+    lib.step_squash.restype = ctypes.c_double
     lib.step_columns.argtypes = [run]
     lib.step_columns.restype = ctypes.c_int64
     lib.step_epoch.argtypes = [run, ctypes.c_double, ctypes.c_int64]
     lib.step_epoch.restype = ctypes.c_int64
+    lib.step_orphans.argtypes = [run, ctypes.c_void_p]
+    lib.step_orphans.restype = None
     lib.step_refresh.argtypes = [run, ctypes.c_void_p]
     lib.step_refresh.restype = ctypes.c_int64
     # ndpointer refuses a wrong dtype, rank or layout instead of copying
@@ -55,15 +60,20 @@ def library() -> ctypes.CDLL:
     return build(factory.mktemp("kernel-steps"))
 
 
-def dissimilarities(by_feature, centroids, scaled):
+def step_squash(raw: float) -> float:
+    """The kernel's squash of one raw weight, 1 / (1 + e^{-10(raw + 5)})."""
+    return library().step_squash(raw)
+
+
+def dissimilarities(values, centroids, scaled):
     """n x k squared relative-weighted distances ``||scaled_j ⊙ (x_i - c_j)||²``
-    by ``fh_dissimilarities``, of the d x n feature-major values and the k x d
-    centroid and scaled rows; each argument must be C-contiguous float64."""
-    d, n = by_feature.shape
+    by ``fh_dissimilarities``, of the n x d values and the k x d centroid and
+    scaled rows; each argument must be C-contiguous float64."""
+    n, d = values.shape
     k = centroids.shape[0]
     out = np.empty((n, k))
-    if library().step_dissimilarities(by_feature, d, n, centroids, scaled, k, out):
-        raise MemoryError("fh_dissimilarities could not allocate its last block")
+    if library().step_dissimilarities(values, n, d, centroids, scaled, k, out):
+        raise MemoryError("fh_dissimilarities could not allocate its block")
     return out
 
 
@@ -100,6 +110,14 @@ class StepRun(_Run):
         if orphans < 0:
             raise ValueError(CPL_ERRORS[-4][1])
         return self.assignments[out], orphans
+
+    def reassign_orphans(self, assignments: np.ndarray) -> None:
+        """``reassign_orphans``: each object of ``assignments`` whose
+        clusterlet is inactive goes to the nearest active one, in place."""
+        n = self.values.shape[0]
+        self.lib.step_orphans(
+            self.ref, _kernel.address("assignments", assignments, np.int64, (n,))
+        )
 
     def refresh(self, assignments: np.ndarray) -> int:
         """``fh_refresh`` of ``rows`` from ``assignments``; returns how many

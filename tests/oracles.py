@@ -7,6 +7,7 @@ single presentation or one feature's Hellinger distance, through the engine
 functions that really run it.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -65,8 +66,8 @@ def exp(x):
 def squash(raw):
     """Sigmoid squash 1 / (1 + e^{-10(raw + 5)}) of one raw weight.
 
-    The stable two-branch form on ``exp`` above; the engine's ``fh_squash``
-    must equal it bit for bit.
+    The stable two-branch form on ``exp`` above; the kernel's ``squash``
+    (``kernel_steps.step_squash``) must equal it bit for bit.
     """
     z = 10.0 * (raw + 5.0)
     if z >= 0.0:
@@ -94,8 +95,8 @@ def compute_gamma(win_counts):
 def dissimilarities(values, centroids, scaled):
     """n x k squared relative-weighted distances, the feature terms
     ``(scaled * (x - c))**2`` added in sequence from 0.0 by a loop over the
-    features; ``fh_dissimilarities`` of ``_kernel.c``, on the feature-major
-    values (``kernel_steps.dissimilarities``), must give these bit for bit.
+    features; ``fh_dissimilarities`` of ``_kernel.c``
+    (``kernel_steps.dissimilarities``) must give these bit for bit.
     """
     out = np.zeros((values.shape[0], centroids.shape[0]))
     for z in range(values.shape[1]):
@@ -201,13 +202,25 @@ def engine_epoch(values, state, m, eta=0.05):
     return run, orphans
 
 
-def run_cpl_loop(values, state, rows, eta, max_epochs, weighting, streaks):
+def reassign_orphans(values, assignments, state, rows):
+    """Each object of ``assignments`` whose clusterlet is inactive goes to
+    the nearest active one by ``dissimilarities`` and ``np.argmin`` (the
+    first index of the least, a NaN first), in place; the kernel's
+    ``reassign_orphans`` must do the same."""
+    orphaned = ~state.active[assignments]
+    active_idx = np.flatnonzero(state.active)
+    dist = dissimilarities(
+        values[orphaned], state.centroids[active_idx], values.shape[1] * rows[active_idx]
+    )
+    assignments[orphaned] = active_idx[np.argmin(dist, axis=1)]
+
+
+def run_cpl_loop(values, state, rows, eta, max_epochs, streaks):
     """The loop of ``run_cpl`` in numpy, which ``fh_cpl`` must repeat bit for
-    bit: each epoch ``epoch``; the objects of deactivated clusterlets to the
-    nearest active one by ``dissimilarities`` and ``np.argmin`` (the first
-    index of the least, a NaN first); a stop from the second epoch on if
-    ``np.array_equal`` finds the assignments repeated; and otherwise, with
-    ``weighting``, ``refresh_feature_weights``.
+    bit: each epoch ``epoch``; ``reassign_orphans`` when it deactivated the
+    clusterlet of an object; a stop from the second epoch on if
+    ``np.array_equal`` finds the assignments repeated; and otherwise
+    ``refresh_feature_weights``.
 
     Mutates ``state``, ``rows`` and ``streaks``. Returns the final
     assignments, the epochs used, whether the loop converged, the last
@@ -215,7 +228,6 @@ def run_cpl_loop(values, state, rows, eta, max_epochs, weighting, streaks):
     they were taken, and how many orphans were reassigned.
     """
     m = FeatureClusterMatrix(entries=rows)
-    d = values.shape[1]
     previous = None
     converged = False
     orphan_total = 0
@@ -225,18 +237,12 @@ def run_cpl_loop(values, state, rows, eta, max_epochs, weighting, streaks):
         scored = state.active.copy()
         assignments, orphans = epoch(values, state, m, eta, streaks)
         if orphans:
-            orphaned = ~state.active[assignments]
-            active_idx = np.flatnonzero(state.active)
-            dist = dissimilarities(
-                values[orphaned], state.centroids[active_idx], d * rows[active_idx]
-            )
-            assignments[orphaned] = active_idx[np.argmin(dist, axis=1)]
+            reassign_orphans(values, assignments, state, rows)
             orphan_total += orphans
         if e and np.array_equal(assignments, previous):
             converged = True
             break
-        if weighting:
-            refresh_feature_weights(values, assignments, state, rows)
+        refresh_feature_weights(values, assignments, state, rows)
         previous = assignments
     return assignments, epochs_used, converged, (sims, scored), orphan_total
 
@@ -264,7 +270,7 @@ def present_one(x, state, m, eta=0.05):
     (the epoch's centroid update and deactivation included).
     """
     values = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    oracle = state.copy()
+    oracle = copy.deepcopy(state)
     run, _ = engine_epoch(values, state, m, eta)
     (winner,) = run.assignments[0]
     assert winner == presentation_epoch(values, oracle, m, eta)[0]
@@ -286,7 +292,7 @@ def feature_cluster_matrix_client(data, affiliation, centroids):
     values = data.values
     n, d = values.shape
     k = affiliation.k
-    counts = affiliation.counts().astype(np.float64)
+    counts = np.bincount(affiliation.assignments, minlength=k).astype(np.float64)
     if (counts == 0).any():
         raise EmptyClusterError("all clusters must be nonempty")
     if k == 1:

@@ -11,7 +11,6 @@ import pytest
 from fedhire.cli import cmd_bench, cmd_run, ExperimentSpec
 from fedhire.client import run_fcpl
 from fedhire.core import AffiliationMatrix, DataMatrix, FeatureClusterMatrix
-from fedhire.cpl import _squash_scalar
 from fedhire.federation import FederationConfig, client_seed, run_one_shot
 from fedhire.metrics import acc, ari, nmi, purity
 from fedhire.server import (
@@ -23,6 +22,7 @@ from fedhire.server import (
 )
 
 from conftest import blob_data
+from kernel_steps import step_squash
 from oracles import (
     alpha_categorical,
     beta_matching,
@@ -86,9 +86,9 @@ def test_formula_unit_suite():
     assert state.raw_weights[1] == pytest.approx(-0.025, abs=1e-12)
 
     # sigmoid squash
-    assert _squash_scalar(-5.0) == 0.5
-    assert abs(_squash_scalar(0.0) - 1.0) <= 1e-15
-    assert _squash_scalar(-7.0) == pytest.approx(2.0611536181902037e-09, rel=1e-9)
+    assert step_squash(-5.0) == 0.5
+    assert abs(step_squash(0.0) - 1.0) <= 1e-15
+    assert step_squash(-7.0) == pytest.approx(2.0611536181902037e-09, rel=1e-9)
 
     # hierarchy encoding
     levels = [

@@ -1,3 +1,4 @@
+import copy
 import ctypes
 import logging
 import math
@@ -16,12 +17,11 @@ from fedhire.cpl import (
     SIMILARITY_FLOOR,
     CplConfig,
     _Run,
-    _squash_scalar,
     run_cpl,
 )
 import kernel_steps
 import oracles
-from kernel_steps import StepRun
+from kernel_steps import StepRun, step_squash
 from oracles import (
     compute_gamma,
     dissimilarities,
@@ -57,28 +57,34 @@ def present(x, state, m, eta=0.05):
 
 class TestSquashWeight:
     def test_midpoint(self):
-        assert _squash_scalar(-5.0) == 0.5
+        assert step_squash(-5.0) == 0.5
 
     def test_at_zero(self):
-        assert abs(_squash_scalar(0.0) - 1.0) < 1e-15
+        assert abs(step_squash(0.0) - 1.0) < 1e-15
+
+    def test_initial_weights_are_the_squash_at_zero_bit_for_bit(self):
+        # ClusterletState.initial sets the weights to 1.0 without the kernel
+        state = make_state(np.zeros((3, 1)))
+        assert bits([step_squash(0.0)]) == bits([1.0])
+        np.testing.assert_array_equal(bits(state.weights), bits([step_squash(0.0)] * 3))
 
     def test_deep_negative(self):
         # direct evaluation of 1 / (1 + e^{20})
-        assert _squash_scalar(-7.0) == pytest.approx(1 / (1 + math.exp(20)), rel=1e-12)
+        assert step_squash(-7.0) == pytest.approx(1 / (1 + math.exp(20)), rel=1e-12)
 
     def test_monotone_in_raw_weight(self):
         # strictly increasing through the responsive range; the tails
         # saturate in float64 (at 1, and at the least weight exp(-708) /
         # (1 + exp(-708)) below), so only non-decrease holds there
-        ws = [_squash_scalar(r) for r in np.linspace(-7.5, -2.5, 60)]
+        ws = [step_squash(r) for r in np.linspace(-7.5, -2.5, 60)]
         assert (np.diff(ws) > 0).all()
-        tails = [_squash_scalar(r) for r in np.linspace(-20, 20, 200)]
+        tails = [step_squash(r) for r in np.linspace(-20, 20, 200)]
         assert (np.diff(tails) >= 0).all()
 
     @staticmethod
     def assert_matches_oracle(raws):
         np.testing.assert_array_equal(
-            bits([_squash_scalar(r) for r in raws]), bits([squash(r) for r in raws])
+            bits([step_squash(r) for r in raws]), bits([squash(r) for r in raws])
         )
 
     def test_bitwise_equal_to_oracle(self):
@@ -321,7 +327,7 @@ def _assert_epochs_match_oracle(values, engine, m, eta=0.05, epochs=2, streaks=N
     centroids, raw weights, weights, win counts, streaks, active flags and
     orphan counts must agree bit for bit. Returns the run.
     """
-    oracle = engine.copy()
+    oracle = copy.deepcopy(engine)
     run = StepRun(values, engine, m.entries)
     if streaks is not None:
         run.streaks[:] = streaks
@@ -405,7 +411,7 @@ class TestPresentationEpochOracle:
         # the kernel reads the active columns in place in the n x k0 cache,
         # which holds the oracle's similarities there
         act = np.flatnonzero(state.active)
-        run = StepRun(values, state.copy(), m.entries.copy())
+        run = StepRun(values, copy.deepcopy(state), m.entries.copy())
         assert run.refresh_columns() == active_count
         np.testing.assert_array_equal(
             bits(run.sims[:, act]),
@@ -421,7 +427,7 @@ class TestPresentationEpochOracle:
             "strided": np.hstack([state.centroids, state.centroids])[:, ::2],
             "float32": state.centroids.astype(np.float32),
         }[layout]
-        before = state.copy()
+        before = copy.deepcopy(state)
         state.centroids = block
         with pytest.raises(ValueError, match="centroids must be"):
             _Run(values, state, m.entries)
@@ -485,7 +491,7 @@ class TestEpochOracle:
         case = _epoch_case(
             k, 30, 2, [True] * k, np.linspace(-12.0, -10.0, k), [0] * k, [], [], 0
         )
-        before = case[1].copy()
+        before = copy.deepcopy(case[1])
         run = _assert_whole_epochs_match(case, epochs=1)
         state = case[1]
         assert (state.weights < ELIMINATION_THRESHOLD).all()
@@ -565,7 +571,7 @@ class TestEpochOracle:
 
     def test_an_epoch_needs_two_active_clusterlets(self):
         state = make_state([[0.0], [1.0], [2.0]], active=[False, True, False])
-        before = state.copy()
+        before = copy.deepcopy(state)
         with pytest.raises(ValueError, match="at least two active"):
             engine_epoch([[0.0], [1.0]], state, FeatureClusterMatrix.uniform(3, 1))
         np.testing.assert_array_equal(state.raw_weights, before.raw_weights)
@@ -606,10 +612,6 @@ class TestEpochOracle:
 BRANCH_DIMS = [*range(1, 10), 15, 16, 17, 127, 128, 129, 136, 300]
 
 
-def feature_major(values):
-    return np.ascontiguousarray(values.T)
-
-
 def edge_array(rng, shape, zeros, negatives, huge):
     """Random entries with signed zeros, negatives and magnitudes near 1e150."""
     a = rng.uniform(0.1, 2.0, size=shape)
@@ -637,9 +639,7 @@ class TestDissimilarities:
             centroids = rng.normal(size=(k, d))
             scaled = d * rng.dirichlet(np.ones(d), size=k)
             np.testing.assert_array_equal(
-                bits(
-                    kernel_steps.dissimilarities(feature_major(values), centroids, scaled)
-                ),
+                bits(kernel_steps.dissimilarities(values, centroids, scaled)),
                 bits(dissimilarities(values, centroids, scaled)),
             )
 
@@ -665,7 +665,7 @@ class TestDissimilarities:
         centroids[0] = values[rng.integers(n)]
         scaled = edge_array(rng, (k, d), zeros, negatives, False)
         np.testing.assert_array_equal(
-            bits(kernel_steps.dissimilarities(feature_major(values), centroids, scaled)),
+            bits(kernel_steps.dissimilarities(values, centroids, scaled)),
             bits(dissimilarities(values, centroids, scaled)),
         )
 
@@ -849,28 +849,19 @@ class TestRunCpl:
         result = run_cpl(four_blob_data, CplConfig(eta=0.05, k0=40, rng_seed=2))
         np.testing.assert_array_equal(
             result.clusterlets.weights,
-            [_squash_scalar(r) for r in result.clusterlets.raw_weights],
+            [step_squash(r) for r in result.clusterlets.raw_weights],
         )
 
-    def test_weighting_off_keeps_uniform_feature_rows(self):
-        values = np.random.default_rng(0).normal(size=(30, 3))
-        result = run_cpl(
-            DataMatrix(values), CplConfig(eta=0.05, k0=10, rng_seed=4), weighting=False
-        )
-        np.testing.assert_allclose(result.feature_weights.entries, 1.0 / 3)
-
-    @pytest.mark.parametrize("weighting", [True, False])
-    def test_memory_stays_at_the_cache_and_linear_terms(self, weighting):
-        # the n x k0 similarity cache and O(n d + k0 d) buffers, with the
-        # feature-weight refresh on or off; a second n x k0 array would add
-        # 16 MB
+    def test_memory_stays_at_the_cache_and_linear_terms(self):
+        # the n x k0 similarity cache and O(n d + k0 d) buffers; a second
+        # n x k0 array would add 16 MB
         n, d, k0 = 2000, 16, 1000
         data = DataMatrix(np.random.default_rng(0).uniform(size=(n, d)))
         run_cpl(data, CplConfig(eta=0.05, k0=2, max_epochs=1))  # loads the kernel
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            run_cpl(data, CplConfig(eta=0.05, k0=k0, max_epochs=3), weighting=weighting)
+            run_cpl(data, CplConfig(eta=0.05, k0=k0, max_epochs=3))
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -878,15 +869,14 @@ class TestRunCpl:
         linear = 8 * (n * d + k0 * d) * 8
         assert cache < peak <= cache + linear
 
-    @pytest.mark.parametrize("weighting", [True, False])
     @pytest.mark.parametrize("max_epochs", [3, 100])
     def test_refreshes_once_per_epoch_but_a_converged_last(
-        self, four_blob_data, monkeypatch, weighting, max_epochs
+        self, four_blob_data, monkeypatch, max_epochs
     ):
         # run_cpl against the loop oracle from the same starting state; the
         # oracle refreshes after every epoch but a converged last
         config = CplConfig(eta=0.05, k0=40, max_epochs=max_epochs, rng_seed=2)
-        result = run_cpl(four_blob_data, config, weighting=weighting)
+        result = run_cpl(four_blob_data, config)
         assert result.converged == (max_epochs == 100)
 
         calls = []
@@ -900,10 +890,10 @@ class TestRunCpl:
         rows = FeatureClusterMatrix.uniform(config.k0, values.shape[1]).entries
         streaks = np.zeros(config.k0, dtype=np.int64)
         assignments, epochs_used, converged, _, _ = run_cpl_loop(
-            values, state, rows, config.eta, max_epochs, weighting, streaks
+            values, state, rows, config.eta, max_epochs, streaks
         )
         assert (result.epochs_used, result.converged) == (epochs_used, converged)
-        assert len(calls) == (epochs_used - int(converged) if weighting else 0)
+        assert len(calls) == epochs_used - int(converged)
         survivors = np.flatnonzero(
             np.bincount(assignments, minlength=config.k0).astype(bool) & state.active
         )
@@ -923,11 +913,9 @@ class TestRunCpl:
         real = _kernel.library()
 
         class Degenerate:
-            fh_squash = real.fh_squash
-
             @staticmethod
-            def fh_cpl(ref, eta, max_epochs, weighting, info):
-                code = real.fh_cpl(ref, eta, max_epochs, weighting, info)
+            def fh_cpl(ref, eta, max_epochs, info):
+                code = real.fh_cpl(ref, eta, max_epochs, info)
                 ctypes.c_int64.from_address(info + 3 * 8).value = 7
                 return code
 
@@ -953,11 +941,7 @@ class TestRunCpl:
         ],
     )
     def test_kernel_errors_raise_their_exceptions(self, monkeypatch, code, error, message):
-        real = _kernel.library()
-
         class Failing:
-            fh_squash = real.fh_squash
-
             @staticmethod
             def fh_cpl(*args):
                 return code
@@ -967,14 +951,12 @@ class TestRunCpl:
             run_cpl(DataMatrix(np.zeros((4, 2))), CplConfig(eta=0.05, k0=2))
 
 
-def kernel_loop(values, state, rows, eta, max_epochs, weighting, streaks):
+def kernel_loop(values, state, rows, eta, max_epochs, streaks):
     """``fh_cpl`` on the arrays of ``state`` and ``rows`` in place, from the
     given empty streaks; returns the run, or raises its error."""
     run = _Run(values, state, rows)
     run.streaks[:] = streaks
-    code = _kernel.library().fh_cpl(
-        run.ref, eta, max_epochs, weighting, run.info.ctypes.data
-    )
+    code = _kernel.library().fh_cpl(run.ref, eta, max_epochs, run.info.ctypes.data)
     if code < 0:
         error, message = cpl.CPL_ERRORS[code]
         raise error(message)
@@ -989,9 +971,9 @@ def loop_case(k, active_count, n, d, spread, tied, infinite, seed):
     so weak clusterlets win their nearby objects and an epoch can deactivate
     them with their objects, which leaves orphans. ``tied`` gives pairs of
     clusterlets the same centroid and M row and puts half the objects on
-    centroids: exact score and orphan distance ties. ``infinite`` puts +inf and -inf into the first feature of
-    two objects: the clusterlet that wins both gets a NaN centroid, so the
-    distances of orphans to it are NaN.
+    centroids: exact score and orphan distance ties. ``infinite`` puts +inf
+    and -inf into the first feature of two objects: the clusterlet that wins
+    both gets a NaN centroid, so the distances of orphans to it are NaN.
     """
     rng = np.random.default_rng(seed)
     centroids = rng.uniform(0, spread, size=(k, d))
@@ -1011,23 +993,8 @@ def loop_case(k, active_count, n, d, spread, tied, infinite, seed):
     return values, state, rows, rng.integers(0, 2, size=k)
 
 
-def assert_loops_match(values, state, rows, eta, max_epochs, weighting, streaks):
-    """``fh_cpl`` and ``run_cpl_loop`` from copies of one state: the same
-    error, or bitwise the same assignments, state, M rows, last similarity
-    columns, streaks, epochs used and convergence. Returns the oracle's
-    orphan count."""
-    oracle, oracle_rows, oracle_streaks = state.copy(), rows.copy(), streaks.copy()
-    with np.errstate(invalid="ignore", over="ignore"):
-        try:
-            want = run_cpl_loop(
-                values, oracle, oracle_rows, eta, max_epochs, weighting, oracle_streaks
-            )
-        except ValueError as exc:
-            with pytest.raises(ValueError, match=re.escape(str(exc))):
-                kernel_loop(values, state, rows, eta, max_epochs, weighting, streaks)
-            want = None
-        else:
-            run = kernel_loop(values, state, rows, eta, max_epochs, weighting, streaks)
+def assert_states_equal(state, rows, oracle, oracle_rows):
+    """The kernel's and the oracle's state and M rows, bit for bit."""
     for got_array, want_array in [
         (state.centroids, oracle.centroids), (state.raw_weights, oracle.raw_weights),
         (state.weights, oracle.weights), (rows, oracle_rows),
@@ -1035,6 +1002,26 @@ def assert_loops_match(values, state, rows, eta, max_epochs, weighting, streaks)
         np.testing.assert_array_equal(bits(got_array), bits(want_array))
     np.testing.assert_array_equal(state.win_counts, oracle.win_counts)
     np.testing.assert_array_equal(state.active, oracle.active)
+
+
+def assert_loops_match(values, state, rows, eta, max_epochs, streaks):
+    """``fh_cpl`` and ``run_cpl_loop`` from copies of one state: the same
+    error, or bitwise the same assignments, state, M rows, last similarity
+    columns, streaks, epochs used and convergence. Returns the oracle's
+    orphan count."""
+    oracle, oracle_rows, oracle_streaks = copy.deepcopy(state), rows.copy(), streaks.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            want = run_cpl_loop(
+                values, oracle, oracle_rows, eta, max_epochs, oracle_streaks
+            )
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                kernel_loop(values, state, rows, eta, max_epochs, streaks)
+            want = None
+        else:
+            run = kernel_loop(values, state, rows, eta, max_epochs, streaks)
+    assert_states_equal(state, rows, oracle, oracle_rows)
     if want is None:
         return 0
     assignments, epochs_used, converged, (sims, scored), orphans = want
@@ -1043,6 +1030,28 @@ def assert_loops_match(values, state, rows, eta, max_epochs, weighting, streaks)
     np.testing.assert_array_equal(run.assignments[row], assignments)
     np.testing.assert_array_equal(run.streaks, oracle_streaks)
     np.testing.assert_array_equal(bits(run.sims[:, scored]), bits(sims[:, scored]))
+    return orphans
+
+
+def assert_orphans_match(values, state, rows, eta, streaks):
+    """One epoch and its orphan reassignment step by step: the kernel's
+    ``fh_epoch`` and ``reassign_orphans`` through a ``StepRun`` and the
+    oracles ``epoch`` and ``reassign_orphans`` from copies of one state, bit
+    for bit. Returns the orphan count."""
+    oracle, oracle_streaks = copy.deepcopy(state), streaks.copy()
+    with np.errstate(invalid="ignore", over="ignore"):
+        want, want_orphans = epoch(
+            values, oracle, FeatureClusterMatrix(entries=rows), eta, oracle_streaks
+        )
+        oracles.reassign_orphans(values, want, oracle, rows)
+    run = StepRun(values, state, rows)
+    run.streaks[:] = streaks
+    got, orphans = run.epoch(eta)
+    run.reassign_orphans(got)
+    assert orphans == want_orphans
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(run.streaks, oracle_streaks)
+    assert_states_equal(state, rows, oracle, rows)
     return orphans
 
 
@@ -1061,47 +1070,41 @@ class TestCplLoop:
             n=st.integers(2, 30),
             d=st.integers(1, 4),
             max_epochs=st.sampled_from([1, 2, 5, 100]),
-            weighting=st.booleans(),
             spread=st.sampled_from([1.0, 10.0]),
             tied=st.booleans(),
             infinite=st.booleans(),
             eta=st.sampled_from([0.05, 0.5]),
             seed=st.integers(0, 2**32 - 1),
         )
-        # orphans: with a refresh, without one, at tied distances and at NaN
-        # distances
-        @example((6, 6), 25, 2, 100, True, 10.0, False, False, 0.05, 0)
-        @example((8, 5), 30, 3, 5, False, 10.0, False, False, 0.05, 0)
-        @example((8, 8), 30, 2, 100, True, 10.0, True, False, 0.05, 0)
-        @example((6, 6), 25, 2, 1, False, 10.0, False, True, 0.05, 0)
-        def check(shape, n, d, max_epochs, weighting, spread, tied, infinite, eta, seed):
+        # orphans: at distinct, tied and NaN distances
+        @example((6, 6), 25, 2, 100, 10.0, False, False, 0.05, 0)
+        @example((8, 5), 30, 3, 5, 10.0, False, False, 0.05, 0)
+        @example((8, 8), 30, 2, 100, 10.0, True, False, 0.05, 0)
+        @example((6, 6), 25, 2, 1, 10.0, False, True, 0.05, 0)
+        def check(shape, n, d, max_epochs, spread, tied, infinite, eta, seed):
             values, state, rows, streaks = loop_case(
                 *shape, n, d, spread, tied, infinite, seed
             )
             if infinite:
-                # one epoch without a refresh: a NaN centroid makes NaN scores
-                # in the next epoch, where the presentation oracle's argmax
-                # and the kernel part ways, and the refresh oracle refuses
-                # infinite values
-                max_epochs, weighting = 1, False
-            counted = assert_loops_match(
-                values, state, rows, eta, max_epochs, weighting, streaks
-            )
+                # one epoch step by step: the refresh that fh_cpl runs next
+                # refuses infinite values, as the refresh oracle does, and a
+                # NaN centroid makes NaN scores in a next epoch, where the
+                # presentation oracle's argmax and the kernel part ways
+                counted = assert_orphans_match(values, state, rows, eta, streaks)
+            else:
+                counted = assert_loops_match(values, state, rows, eta, max_epochs, streaks)
             orphans.append(counted)
 
         check()
         assert sum(count > 0 for count in orphans) >= 4
 
-    @pytest.mark.parametrize("weighting", [True, False])
-    def test_orphans_take_the_first_of_tied_nearest_clusterlets(self, weighting):
+    def test_orphans_take_the_first_of_tied_nearest_clusterlets(self):
         # clusterlet 0 wins the objects at 0 and falls under the threshold;
         # 1, 2 and 3 sit 10 away on both sides, so every orphan ties
         state = make_state([[0.0], [-10.0], [10.0], [10.0]], raw=[-9.0, 0.0, 0.0, 0.0])
         rows = np.ones((4, 1))
         values = np.zeros((5, 1))
-        orphans = assert_loops_match(
-            values, state, rows, 0.05, 3, weighting, np.zeros(4, np.int64)
-        )
+        orphans = assert_loops_match(values, state, rows, 0.05, 3, np.zeros(4, np.int64))
         assert orphans == 5
         assert not state.active[0]
 
@@ -1111,12 +1114,14 @@ class TestCplLoop:
         state = make_state([[0.0], [-10.0], [10.0]], raw=[-9.0, 0.0, 0.0])
         rows = np.ones((3, 1))
         values = np.array([[0.0], [0.0], [np.inf], [-np.inf]])
-        run = kernel_loop(values, state, rows, 0.05, 1, False, np.zeros(3, np.int64))
+        run = StepRun(values, state, rows)
+        assignments, _ = run.epoch(0.05)
+        run.reassign_orphans(assignments)
         assert np.isnan(state.centroids[1, 0]) and not state.active[0]
-        np.testing.assert_array_equal(run.assignments[0], [1, 1, 1, 1])
+        np.testing.assert_array_equal(assignments, [1, 1, 1, 1])
         state = make_state([[0.0], [-10.0], [10.0]], raw=[-9.0, 0.0, 0.0])
-        assert assert_loops_match(
-            values, state, rows, 0.05, 1, False, np.zeros(3, np.int64)
+        assert assert_orphans_match(
+            values, state, rows, 0.05, np.zeros(3, np.int64)
         ) == 2
 
 

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhire.core import ClusterletState
-from fedhire.cpl import SIMILARITY_FLOOR, _squash_scalar
-from kernel_steps import StepRun
+from fedhire.cpl import SIMILARITY_FLOOR
+from kernel_steps import StepRun, step_squash
 from oracles import engine_refresh, exp, refresh_feature_weights, similarity_columns, squash
 from test_cpl import KERNEL_LANE, bits, refresh_case
 
@@ -41,7 +41,7 @@ def squash_exps(arguments):
     raws = np.asarray(arguments, dtype=np.float64) / 10.0 - 5.0
     z = 10.0 * (raws + 5.0)
     assert (z < SQUASH_TAIL).all()
-    return z, np.array([_squash_scalar(r) for r in raws])
+    return z, np.array([step_squash(r) for r in raws])
 
 
 def ulps(got, want):
@@ -76,12 +76,12 @@ class TestAccuracy:
         # -0.0 (a zero distance), NaN, and below the clamp the value at -708
         _, got = column_exps([0.0, np.nan])
         assert got[0] == 1.0 and np.isnan(got[1])
-        assert np.isnan(_squash_scalar(np.nan))
-        at_clamp = _squash_scalar(-1000.0)
+        assert np.isnan(step_squash(np.nan))
+        at_clamp = step_squash(-1000.0)
         assert ulps([at_clamp], [math.exp(CLAMP)])[0] <= 1
         for raw in (-75.81, -1e300, -np.inf):
-            assert _squash_scalar(raw) == at_clamp
-        assert _squash_scalar(-75.79) > at_clamp
+            assert step_squash(raw) == at_clamp
+        assert step_squash(-75.79) > at_clamp
         # +0.0 reaches no exp of the kernel; the transcription agrees on it
         assert exp(0.0) == exp(-0.0) == 1.0
 
@@ -97,8 +97,8 @@ class TestTranscription:
     def test_squash_branches_equal_the_numpy_form(self, z):
         # both branches, from subnormal arguments to -inf
         raw = z / 10.0 - 5.0
-        assert bits([_squash_scalar(raw)]) == bits([squash(raw)])
-        assert bits([_squash_scalar(-raw - 10.0)]) == bits([squash(-raw - 10.0)])
+        assert bits([step_squash(raw)]) == bits([squash(raw)])
+        assert bits([step_squash(-raw - 10.0)]) == bits([squash(-raw - 10.0)])
 
 
 # the objects end on a partial block of the columns, and at d = 1, 4 and 17

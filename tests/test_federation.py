@@ -148,7 +148,7 @@ class TestKmeansOracle:
     def test_never_returns_an_empty_cluster(self, n, d, kind, data_seed, seed, k_draw):
         k = 1 + int(k_draw * (n - 1))
         _, affil = kmeans(DataMatrix(self.draw(n, d, kind, data_seed)), k, seed)
-        assert (affil.counts() > 0).all()
+        assert (np.bincount(affil.assignments, minlength=k) > 0).all()
 
     def test_duplicates_force_a_re_seed(self):
         # the first example above really re-seeds: argmin puts equal rows in
@@ -159,7 +159,7 @@ class TestKmeansOracle:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(federation, "KMEANS_MAX_ITERS", 1)
             _, first = kmeans(DataMatrix(values), 12, seed=0)
-        assert (first.counts() > 0).sum() > distinct
+        assert (np.bincount(first.assignments, minlength=12) > 0).sum() > distinct
 
     def test_non_contiguous_values_are_accepted(self):
         values = np.asfortranarray(np.random.default_rng(5).normal(size=(30, 3)))
@@ -386,3 +386,43 @@ class TestConfigValidation:
     def test_edges_of_the_accepted_ranges(self):
         config = FederationConfig(client_count=2, k_star=2, eta=1e-9, k0_fraction=1.0)
         assert (config.eta, config.k0_fraction) == (1e-9, 1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("client_count", 2.5),
+            ("client_count", 2.0),
+            ("client_count", True),
+            ("k_star", 3.0),
+            ("k_star", True),
+            ("fragments_per_cluster", 2.5),
+            ("fragments_per_cluster", True),
+            ("k0_absolute", 24.0),
+            ("k0_absolute", False),
+            ("max_epochs", 10.5),
+            ("max_epochs", True),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, field, value):
+        # a float would be truncated or fail later in range(); a bool would
+        # run as 0 or 1
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            FederationConfig(**{"client_count": 2, "k_star": 2, field: value})
+
+    @pytest.mark.parametrize("value", [1, 0, -3])
+    def test_k0_absolute_below_two_rejected(self, value):
+        with pytest.raises(ValueError, match=f"k0_absolute must be >= 2, got {value}"):
+            FederationConfig(client_count=2, k_star=2, k0_absolute=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_max_epochs_below_one_rejected(self, value):
+        with pytest.raises(ValueError, match=f"max_epochs must be >= 1, got {value}"):
+            FederationConfig(client_count=2, k_star=2, max_epochs=value)
+
+    def test_integer_fields_accept_numpy_integers_and_the_least_values(self):
+        config = FederationConfig(
+            client_count=np.int64(1), k_star=np.int32(2), fragments_per_cluster=np.int64(1),
+            k0_absolute=2, max_epochs=1,
+        )
+        assert (config.client_count, config.k_star, config.fragments_per_cluster) == (1, 2, 1)
+        assert (config.k0_absolute, config.max_epochs) == (2, 1)

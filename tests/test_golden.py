@@ -30,10 +30,10 @@ def digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def cpl_digest(d: int, k0_mode: str, weighting: bool) -> str:
+def cpl_digest(d: int, k0_mode: str) -> str:
     data = gaussian_mixture(GOLDEN_N, d, 6, seed=40 + d)
     k0 = fcpl_k0(GOLDEN_N, 0.5) if k0_mode == "fraction" else 64
-    result = run_cpl(data, CplConfig(eta=0.05, k0=k0, rng_seed=d), weighting=weighting)
+    result = run_cpl(data, CplConfig(eta=0.05, k0=k0, rng_seed=d))
     c = result.clusterlets
     return digest(
         result.affiliation.assignments,
@@ -67,30 +67,12 @@ def one_shot_digest(name: str) -> str:
 
 
 CPL_GOLDEN = {
-    (2, "fraction", True):
-        "0468e6e591fd1d2c7c6a4176717bfe834f3a8689999fe73af5df5f4e65e7f7fd",
-    (2, "fraction", False):
-        "74ffce11e6dc2121f6b927d7f5a4c2f3954a05673770eeaabcb318e70f1339ca",
-    (2, "absolute", True):
-        "51d7acada6272f4b02e8cc1c4742ebbcdf5a7222c972bdcf7b5fa7cb1ebb7dc5",
-    (2, "absolute", False):
-        "d2674a5b47b480b2c08ae4d5335029fce797ad9ca6f8332363d813aff1e5046f",
-    (4, "fraction", True):
-        "d246e7032416436288619a2827c36198d6e1416ae2a55484cde1a27261b32133",
-    (4, "fraction", False):
-        "fedfa2672c130b427e06cd77cc193089b459346475677b1e2ffdb19f69930496",
-    (4, "absolute", True):
-        "b7730ccd3d13407a9f31e08b85229220d1c13d260ff26d00c31254fc9753dbfa",
-    (4, "absolute", False):
-        "2ebce6ae2b79d9ec11de9cfd44bd4919df996e9fcd88b15eda65da9983b40c31",
-    (16, "fraction", True):
-        "b12c8ca41698efc9e13381c1ca279832813cc06d8f9230fab6403c3add0ed7bf",
-    (16, "fraction", False):
-        "a7f145c570a7390c6a32c995afbbb57da71113977e65483e7fd3cacb1be09842",
-    (16, "absolute", True):
-        "e75464783cbaf8b99ef3e8b032dc72beb633f5ddf5550d901093230b746bcbff",
-    (16, "absolute", False):
-        "a83e48a817ac9419dda1704bbcf5bac965b6a329580290273ddc35ec6729961a",
+    (2, "fraction"): "0468e6e591fd1d2c7c6a4176717bfe834f3a8689999fe73af5df5f4e65e7f7fd",
+    (2, "absolute"): "51d7acada6272f4b02e8cc1c4742ebbcdf5a7222c972bdcf7b5fa7cb1ebb7dc5",
+    (4, "fraction"): "d246e7032416436288619a2827c36198d6e1416ae2a55484cde1a27261b32133",
+    (4, "absolute"): "b7730ccd3d13407a9f31e08b85229220d1c13d260ff26d00c31254fc9753dbfa",
+    (16, "fraction"): "b12c8ca41698efc9e13381c1ca279832813cc06d8f9230fab6403c3add0ed7bf",
+    (16, "absolute"): "e75464783cbaf8b99ef3e8b032dc72beb633f5ddf5550d901093230b746bcbff",
 }
 
 ONE_SHOT_GOLDEN = {
