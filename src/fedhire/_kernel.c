@@ -23,10 +23,15 @@
  * and k-means argmin and the k-means argmax theirs. Built without
  * -ffast-math and with -ffp-contract=off (see _kernel.py), so no operation is
  * reordered or fused.
+ *
+ * Two loops are cloned per x86-64 level, each clone picked at load time:
+ * exps for x86-64-v4, v3 and the default level, and the distance tiles
+ * (tile_terms) for v3 and the default level only, since GCC's v4 code for
+ * that loop is slower than its default code. Every clone gives the same
+ * bits. The kernel allocates nothing: its scratch is numpy's too.
  */
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* Objects per block of the distances. A block's terms are added across a
@@ -83,11 +88,14 @@ static inline double fexp(double x)
 
 /* One clone of exps per x86-64 level, the best one the CPU runs picked at
  * load time (by an ifunc, hence glibc). The clones give the same bits: each
- * runs the same IEEE operations per entry, none fused (-ffp-contract=off). */
+ * runs the same IEEE operations per entry, none fused (-ffp-contract=off).
+ * TILE_CLONES, the levels of tile_terms, leaves out x86-64-v4 (see there). */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && defined(__GLIBC__)
 #define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#define TILE_CLONES __attribute__((target_clones("arch=x86-64-v3", "default")))
 #else
 #define CLONES
+#define TILE_CLONES
 #endif
 
 /* v[i] = fexp(-v[i]) floored at floor for i < m, as np.maximum floors (NaN
@@ -110,10 +118,15 @@ static inline double term(double x, double c, double s)
 /* acc[t][b] = the distance of object b of a block to row t of a tile, its d
  * terms added in sequence from 0.0. x holds d rows of LANE objects; c and s
  * hold the width centroid rows and scaled rows of the tile, d apart. The
- * sums of CHUNK objects at a time stay in registers. */
-static void tile_terms(const double *restrict x, const double *restrict c,
-                       const double *restrict s, int64_t d, int64_t width,
-                       double acc[TILE][LANE])
+ * sums of CHUNK objects at a time stay in registers. Cloned for x86-64-v3
+ * and the default level only (TILE_CLONES): at d = 16 the v3 build of this
+ * loop took about half the time per term of the default build, but the v4
+ * build two to three times the default's, and a v4 clone would be the one
+ * every AVX-512 CPU picks. */
+TILE_CLONES static void tile_terms(const double *restrict x,
+                                   const double *restrict c,
+                                   const double *restrict s, int64_t d,
+                                   int64_t width, double acc[TILE][LANE])
 {
     for (int64_t t = 0; t < width; t++)
         for (int b0 = 0; b0 < LANE; b0 += CHUNK) {
@@ -143,15 +156,12 @@ static void block(const double *x, int64_t d, int64_t lo, int64_t m,
 
 /* out[i][j] = sum_z (scaled[j][z] * (x[i][z] - centroids[j][z]))^2 for the
  * n x d values x, the k x d rows centroids and scaled, and the n x k out: the
- * distances of the k-means. Returns 0, or -1 if the block could not be
- * allocated. */
-static int fh_dissimilarities(const double *x, int64_t n, int64_t d,
-                              const double *centroids, const double *scaled,
-                              int64_t k, double *out)
+ * distances of the k-means. pad holds the d x LANE block of objects. */
+static void fh_dissimilarities(const double *x, int64_t n, int64_t d,
+                               const double *centroids, const double *scaled,
+                               int64_t k, double *out, double *pad)
 {
-    double acc[TILE][LANE], *pad = malloc((size_t)(d * LANE) * sizeof *pad);
-    if (pad == NULL)
-        return -1;
+    double acc[TILE][LANE];
     for (int64_t lo = 0; lo < n; lo += LANE) {
         int64_t m = n - lo < LANE ? n - lo : LANE;
         block(x, d, lo, m, pad);
@@ -163,8 +173,6 @@ static int fh_dissimilarities(const double *x, int64_t n, int64_t d,
                     out[(lo + b) * k + j0 + t] = acc[t][b];
         }
     }
-    free(pad);
-    return 0;
 }
 
 /* Sigmoid squash of a raw weight into (0, 1): 1 / (1 + e^{-10(raw + 5)}),
@@ -213,6 +221,7 @@ struct fh_run {
     double *sum_xx;             /* k0 x d, the member sums of x^2 */
     double *sum_compact;        /* k0 x d, the member sums of exp(-(x - c)^2 / 2) */
     double *terms;              /* n x d, the objects' exp(-(x - c)^2 / 2) */
+    double *pad;                /* d (LANE + 2 k0), the columns' scratch */
 };
 
 /* Recompute the similarity columns whose rows changed: the active columns
@@ -221,10 +230,10 @@ struct fh_run {
  * r->sims gets exp(-D_ij) floored at r->floor, as np.maximum floors (NaN
  * stays NaN), where D_ij is the distance of object i to centroid row j with
  * the scaled row d * m_j. The centroid rows and scaled rows of the stale
- * columns are gathered first; then each block of objects is transposed once
- * and its distances to each tile of those rows turn into floored exps in
- * place, one row of LANE at a time. Returns how many columns were
- * recomputed, or -1 if the blocks could not be allocated.
+ * columns are gathered first, into r->pad after its d x LANE block of
+ * objects; then each block of objects is transposed once and its distances
+ * to each tile of those rows turn into floored exps in place, one row of
+ * LANE at a time. Returns how many columns were recomputed.
  * NaN compares unequal to everything, so the NaN rows stored at the start
  * make every column stale once. */
 static int64_t fh_columns(struct fh_run *r)
@@ -246,10 +255,7 @@ static int64_t fh_columns(struct fh_run *r)
     }
     if (count == 0)
         return 0;
-    double acc[TILE][LANE];
-    double *pad = malloc((size_t)(d * (LANE + 2 * count)) * sizeof *pad);
-    if (pad == NULL)
-        return -1;
+    double acc[TILE][LANE], *pad = r->pad;
     double *c = pad + d * LANE, *s = c + d * count;
     for (int64_t t = 0; t < count; t++)
         for (int64_t z = 0; z < d; z++) {
@@ -272,7 +278,6 @@ static int64_t fh_columns(struct fh_run *r)
             }
         }
     }
-    free(pad);
     return count;
 }
 
@@ -558,17 +563,15 @@ static void reassign_orphans(const struct fh_run *r, int64_t *assignments)
  * refreshes the feature weights (fh_refresh). info gets the epochs used,
  * whether the loop converged, the final row and the fallback rows of every
  * refresh, summed. Returns 0; or, when a step fails, a
- * negative code: fh_refresh's -1, -2 or -3, -4 if an epoch starts with fewer
- * than two active clusterlets, -5 if fh_columns could not allocate its
- * blocks. */
+ * negative code: fh_refresh's -1, -2 or -3, or -4 if an epoch starts with
+ * fewer than two active clusterlets. */
 int64_t fh_cpl(struct fh_run *r, double eta, int64_t max_epochs,
                int64_t *info)
 {
     int64_t n = r->n, fallbacks = 0, epoch = 0, converged = 0;
     for (; epoch < max_epochs && !converged; epoch++) {
         int64_t *row = r->assignments + (epoch % 2) * n;
-        if (fh_columns(r) < 0)
-            return -5;
+        fh_columns(r);
         int64_t orphans = fh_epoch(r, eta, epoch % 2);
         if (orphans < 0)
             return -4;
@@ -593,26 +596,24 @@ int64_t fh_cpl(struct fh_run *r, double eta, int64_t max_epochs,
 /* Lloyd k-means of the n x d values from the k x d centroids, updated in
  * place, for at most max_iters iterations; the final assignments go to
  * assignments. ones is a k x d block of 1.0, so each distance is
- * fh_dissimilarities with unit scale, (1.0 * (x - c))^2 = (x - c)^2. Each
- * iteration: the first index of the smallest distance (NaN first, as
- * argmin) into next; each empty cluster, ascending, takes the
- * first object of the largest own distance (NaN first, as argmax) among the
- * clusters with more than one member, and the counts follow the move, so no
- * cluster is left empty for 1 <= k <= n; a stop if next repeats the
- * assignments; then each nonempty cluster's mean, its members added in
- * object order from 0.0 and divided by the count, an empty one keeping its
- * centroid. Returns 0, or -1 if the block of the distances could not be
- * allocated. */
-int fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
-              const double *values, double *centroids, const double *ones,
-              double *dists, int64_t *assignments, int64_t *next,
-              int64_t *counts, double *own)
+ * fh_dissimilarities with unit scale, (1.0 * (x - c))^2 = (x - c)^2, with pad
+ * its d x LANE block of objects. Each iteration: the first index of the
+ * smallest distance (NaN first, as argmin) into next; each empty cluster,
+ * ascending, takes the first object of the largest own distance (NaN first,
+ * as argmax) among the clusters with more than one member, and the counts
+ * follow the move, so no cluster is left empty for 1 <= k <= n; a stop if
+ * next repeats the assignments; then each nonempty cluster's mean, its
+ * members added in object order from 0.0 and divided by the count, an empty
+ * one keeping its centroid. */
+void fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
+               const double *values, double *centroids, const double *ones,
+               double *dists, int64_t *assignments, int64_t *next,
+               int64_t *counts, double *own, double *pad)
 {
     for (int64_t i = 0; i < n; i++)
         assignments[i] = -1;
     for (int64_t iter = 0; iter < max_iters; iter++) {
-        if (fh_dissimilarities(values, n, d, centroids, ones, k, dists))
-            return -1;
+        fh_dissimilarities(values, n, d, centroids, ones, k, dists, pad);
         memset(counts, 0, (size_t)k * sizeof *counts);
         for (int64_t i = 0; i < n; i++) {
             const double *row = dists + i * k;
@@ -652,5 +653,4 @@ int fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
             for (int64_t z = 0; counts[j] > 0 && z < d; z++)
                 centroids[j * d + z] /= (double)counts[j];
     }
-    return 0;
 }

@@ -36,6 +36,9 @@ FLAGS = (
     "-fvect-cost-model=cheap",
 )
 LIBRARIES = ("-lm",)
+# objects per block of the distances, LANE of _kernel.c, which sizes the
+# kernel's scratch pads
+LANE = 64
 
 
 class KernelBuildError(RuntimeError):
@@ -61,7 +64,7 @@ class Run(ctypes.Structure):
                 "values", "sims", "stored_centroids", "stored_rows", "centroids",
                 "win_counts", "raw_weights", "weights", "active", "rows", "act",
                 "stale", "assignments", "counts", "sums", "streaks", "gamma", "gw",
-                "totals", "sum_xx", "sum_compact", "terms",
+                "totals", "sum_xx", "sum_compact", "terms", "pad",
             )
         ),
     ]
@@ -99,7 +102,11 @@ def load(cache: Path) -> ctypes.CDLL:
     target = _library_path(cache)
     if not target.exists():
         _build(target)
-    lib = ctypes.CDLL(str(target))
+    return bind(ctypes.CDLL(str(target)))
+
+
+def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    """``lib`` with the argument and result types of the kernel's exports."""
     # the Run of buffers that ``address`` checked, eta, max_epochs and the
     # address of the int64 info array
     lib.fh_cpl.argtypes = [
@@ -107,8 +114,8 @@ def load(cache: Path) -> ctypes.CDLL:
     ]
     lib.fh_cpl.restype = ctypes.c_int64
     # four sizes, then the buffers by the addresses that ``address`` checked
-    lib.fh_kmeans.argtypes = [*(ctypes.c_int64,) * 4, *(ctypes.c_void_p,) * 8]
-    lib.fh_kmeans.restype = ctypes.c_int
+    lib.fh_kmeans.argtypes = [*(ctypes.c_int64,) * 4, *(ctypes.c_void_p,) * 9]
+    lib.fh_kmeans.restype = None
     return lib
 
 

@@ -79,13 +79,12 @@ DEAD_UNIT_EPOCHS = 2
 # object/clusterlet pairs
 SIMILARITY_FLOOR = 1e-300
 # the errors of fh_cpl, by its negative return codes: those of its
-# feature-weight refresh, of an epoch and of the similarity columns
+# feature-weight refresh and of an epoch
 CPL_ERRORS = {
     -1: (ValueError, "every object must belong to an active clusterlet"),
     -2: (ValueError, "entries must lie in [0, 1]"),
     -3: (ValueError, "rows must sum to 1"),
     -4: (ValueError, "an epoch needs at least two active clusterlets"),
-    -5: (MemoryError, "fh_columns could not allocate its blocks"),
 }
 
 
@@ -138,9 +137,11 @@ class _Run:
     similarities exp(-D); the centroid and M rows each column was computed
     from; the arrays of ``state`` and the M rows ``rows``, updated in place;
     two assignment rows, written alternately, so the previous epoch's stays
-    readable for the convergence test; the scratch of the epoch; and the
-    column totals, k0 x d member sums and n x d compactness terms of the
-    feature-weight refresh. ``info`` receives what ``fh_cpl`` reports: the
+    readable for the convergence test; the scratch of the epoch; the column
+    totals, k0 x d member sums and n x d compactness terms of the
+    feature-weight refresh; and ``pad``, the similarity columns' scratch: a
+    d x LANE block of objects, then the centroid and scaled rows of up to k0
+    stale columns. ``info`` receives what ``fh_cpl`` reports: the
     epochs used, whether the run converged, the final assignment row and the
     uniform-row fallbacks of every refresh, summed.
     Besides ``sims`` every buffer is O(n d + k0 d).
@@ -175,6 +176,7 @@ class _Run:
         self.sum_xx = np.empty((k0, d))
         self.sum_compact = np.empty((k0, d))
         self.terms = np.empty((n, d))
+        self.pad = np.empty(d * (_kernel.LANE + 2 * k0))
         self.info = np.zeros(4, dtype=np.int64)
         f8, i8, kd = np.float64, np.int64, (k0, d)
         # every array the kernel addresses; held here, so that none is freed
@@ -202,6 +204,7 @@ class _Run:
             "sum_xx": (self.sum_xx, f8, kd),
             "sum_compact": (self.sum_compact, f8, kd),
             "terms": (self.terms, f8, (n, d)),
+            "pad": (self.pad, f8, (d * (_kernel.LANE + 2 * k0),)),
         }
         self.buffers = _kernel.Run(
             n=n, d=d, k0=k0, floor=SIMILARITY_FLOOR,

@@ -159,6 +159,7 @@ def _lloyd(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     stop on repeated assignments before the means move, and means that add
     the members in object order from 0.0. ``values`` and ``centroids`` must
     be C-contiguous float64; anything else is refused rather than copied.
+    Every buffer, the distances' d x LANE block of objects too, is numpy's.
     """
     n, d = values.shape
     k = centroids.shape[0]
@@ -171,10 +172,10 @@ def _lloyd(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         "next": (np.empty(n, np.int64), np.int64, (n,)),
         "counts": (np.empty(k, np.int64), np.int64, (k,)),
         "own": (np.empty(n), np.float64, (n,)),
+        "pad": (np.empty(d * _kernel.LANE), np.float64, (d * _kernel.LANE,)),
     }
     addresses = [_kernel.address(name, *spec) for name, spec in buffers.items()]
-    if _kernel.library().fh_kmeans(n, d, k, KMEANS_MAX_ITERS, *addresses):
-        raise MemoryError("fh_kmeans could not allocate its block")
+    _kernel.library().fh_kmeans(n, d, k, KMEANS_MAX_ITERS, *addresses)
     return buffers["assignments"][0]
 
 

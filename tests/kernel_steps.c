@@ -30,9 +30,9 @@ int64_t step_refresh(struct fh_run *r, const int64_t *assignments)
     return fh_refresh(r, assignments);
 }
 
-int step_dissimilarities(const double *x, int64_t n, int64_t d,
-                         const double *centroids, const double *scaled,
-                         int64_t k, double *out)
+void step_dissimilarities(const double *x, int64_t n, int64_t d,
+                          const double *centroids, const double *scaled,
+                          int64_t k, double *out, double *pad)
 {
-    return fh_dissimilarities(x, n, d, centroids, scaled, k, out);
+    fh_dissimilarities(x, n, d, centroids, scaled, k, out, pad);
 }

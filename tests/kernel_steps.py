@@ -6,7 +6,9 @@ feature-weight refresh and the distances) are static in the kernel.
 ``kernel_steps.c`` includes the kernel's source and exports each of them,
 and ``library`` builds it once per test session with the package's compiler
 and flags, into a directory of the session's ``tmp_path_factory`` (set by
-``conftest.py``).
+``conftest.py``). ``kernel_levels.c`` is the same shim with the kernel's
+clone attributes compiled out, for builds at one x86-64 level (``build``
+with ``-march``).
 """
 
 import ctypes
@@ -20,20 +22,22 @@ from fedhire import _kernel
 from fedhire.cpl import CPL_ERRORS, _Run
 
 SOURCE = Path(__file__).with_name("kernel_steps.c")
+LEVELS_SOURCE = Path(__file__).with_name("kernel_levels.c")
 # the session's tmp_path_factory
 factory = None
 
 
-def build(directory: Path) -> ctypes.CDLL:
-    """The shim compiled into ``directory``, with its steps bound."""
-    target = directory / "kernel_steps.so"
+def build(directory: Path, source: Path = SOURCE, flags: tuple = ()) -> ctypes.CDLL:
+    """The shim ``source`` compiled into ``directory`` with the package's
+    flags and then ``flags``, with its steps and the kernel's exports bound."""
+    target = directory / f"{source.stem}.so"
     command = [
-        _kernel.COMPILER, *_kernel.FLAGS, "-I", str(_kernel.SOURCE.parent),
-        "-o", str(target), str(SOURCE), *_kernel.LIBRARIES,
+        _kernel.COMPILER, *_kernel.FLAGS, *flags, "-I", str(_kernel.SOURCE.parent),
+        "-o", str(target), str(source), *_kernel.LIBRARIES,
     ]
     built = subprocess.run(command, capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
-    lib = ctypes.CDLL(str(target))
+    lib = _kernel.bind(ctypes.CDLL(str(target)))
     run = ctypes.POINTER(_kernel.Run)
     lib.step_squash.argtypes = [ctypes.c_double]
     lib.step_squash.restype = ctypes.c_double
@@ -47,10 +51,11 @@ def build(directory: Path) -> ctypes.CDLL:
     lib.step_refresh.restype = ctypes.c_int64
     # ndpointer refuses a wrong dtype, rank or layout instead of copying
     block = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    pad = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     lib.step_dissimilarities.argtypes = [
-        block, ctypes.c_int64, ctypes.c_int64, block, block, ctypes.c_int64, block,
+        block, ctypes.c_int64, ctypes.c_int64, block, block, ctypes.c_int64, block, pad,
     ]
-    lib.step_dissimilarities.restype = ctypes.c_int
+    lib.step_dissimilarities.restype = None
     return lib
 
 
@@ -72,8 +77,8 @@ def dissimilarities(values, centroids, scaled):
     n, d = values.shape
     k = centroids.shape[0]
     out = np.empty((n, k))
-    if library().step_dissimilarities(values, n, d, centroids, scaled, k, out):
-        raise MemoryError("fh_dissimilarities could not allocate its block")
+    pad = np.empty(d * _kernel.LANE)
+    library().step_dissimilarities(values, n, d, centroids, scaled, k, out, pad)
     return out
 
 
@@ -91,10 +96,7 @@ class StepRun(_Run):
 
         Their indices are left in ``stale``, ascending.
         """
-        count = self.lib.step_columns(self.ref)
-        if count < 0:
-            raise MemoryError(CPL_ERRORS[-5][1])
-        return count
+        return self.lib.step_columns(self.ref)
 
     def epoch(self, eta: float) -> tuple[np.ndarray, int]:
         """One epoch on fresh columns: the winners and the orphan count.

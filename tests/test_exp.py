@@ -19,7 +19,7 @@ from fedhire.core import ClusterletState
 from fedhire.cpl import SIMILARITY_FLOOR
 from kernel_steps import StepRun, step_squash
 from oracles import engine_refresh, exp, refresh_feature_weights, similarity_columns, squash
-from test_cpl import KERNEL_LANE, bits, refresh_case
+from test_cpl import KERNEL_LANE, KERNEL_TILE, bits, refresh_case
 
 # the largest D whose exp(-D) is not floored in the columns
 COLUMN_RANGE = -math.log(SIMILARITY_FLOOR)
@@ -102,7 +102,8 @@ class TestTranscription:
 
 
 # the objects end on a partial block of the columns, and at d = 1, 4 and 17
-# their n d compactness terms on a partial vector of the refresh's exps
+# their n d compactness terms on a partial vector of the refresh's exps; the
+# columns' stale counts 1 to TILE + 3 end on a tile of every width 1 to TILE
 BLOCK_OBJECTS = [1, KERNEL_LANE - 1, 2 * KERNEL_LANE + 3, 4 * KERNEL_LANE + 7]
 
 
@@ -112,7 +113,7 @@ class TestBlocks:
     def test_columns(self, d, n):
         rng = np.random.default_rng(100 * d + n)
         values = rng.normal(size=(n, d)) * 3.0
-        k = 11
+        k = KERNEL_TILE + 3
         state = ClusterletState.initial(rng.normal(size=(k, d)) * 3.0)
         rows = rng.dirichlet(np.ones(d), size=k)
         run = StepRun(values, state, rows)
@@ -120,6 +121,14 @@ class TestBlocks:
         np.testing.assert_array_equal(
             bits(run.sims), bits(similarity_columns(values, state.centroids, rows))
         )
+        for count in range(1, k + 1):
+            stale = np.sort(rng.choice(k, size=count, replace=False))
+            state.centroids[stale] += rng.normal(size=(count, d))
+            assert run.refresh_columns() == count
+            np.testing.assert_array_equal(run.stale[:count], stale)
+            np.testing.assert_array_equal(
+                bits(run.sims), bits(similarity_columns(values, state.centroids, rows))
+            )
 
     def test_refresh(self, d, n):
         rng = np.random.default_rng(100 * d + n)

@@ -1,6 +1,7 @@
 """Building, caching and loading the compiled kernel, and its array guards."""
 
 import ctypes
+import platform
 import re
 import subprocess
 import sysconfig
@@ -14,6 +15,9 @@ from fedhire import _kernel, cpl, federation
 from fedhire.core import ClusterletState, DataMatrix
 from fedhire.cpl import _Run
 import kernel_steps
+from kernel_steps import StepRun
+from oracles import engine_refresh
+from test_cpl import KERNEL_LANE, KERNEL_TILE, refresh_case
 
 
 def _run(lib, seed=0, epochs=3):
@@ -61,14 +65,16 @@ def test_fresh_build_loads_and_matches_the_cached_library(tmp_path):
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+WARNINGS = ("-Wall", "-Wextra", "-Wconversion", "-Werror")
+
+
 def test_source_compiles_without_warnings(tmp_path):
     # the package's own FLAGS, and so its cache key, stay as they are; the
     # test shim's exports are held to the kernel's standard
-    warnings = ("-Wall", "-Wextra", "-Wconversion", "-Werror")
     for source in (_kernel.SOURCE, kernel_steps.SOURCE):
         target = tmp_path / f"{source.stem}.so"
         command = [
-            _kernel.COMPILER, *_kernel.FLAGS, *warnings, "-I", str(_kernel.SOURCE.parent),
+            _kernel.COMPILER, *_kernel.FLAGS, *WARNINGS, "-I", str(_kernel.SOURCE.parent),
             "-o", str(target), str(source), *_kernel.LIBRARIES,
         ]
         built = subprocess.run(command, capture_output=True, text=True)
@@ -173,27 +179,35 @@ def test_kmeans_refuses_a_buffer_it_would_have_to_copy(name, layout):
         federation._lloyd(arrays["values"], arrays["centroids"])
 
 
-def test_kmeans_raises_memory_error_when_a_block_cannot_be_allocated(monkeypatch):
-    class Failing:
-        @staticmethod
-        def fh_kmeans(*args):
-            return -1
+def checked_buffers(monkeypatch) -> dict:
+    """The dtype and shape that each ``_kernel.address`` check from now on
+    was given, by buffer name."""
+    checked, address = {}, _kernel.address
 
-    monkeypatch.setattr(_kernel, "library", Failing)
-    with pytest.raises(MemoryError, match="fh_kmeans"):
-        federation.kmeans(DataMatrix(np.zeros((3, 2))), 2, seed=0)
+    def spy(name, array, dtype, shape):
+        checked[name] = (np.dtype(dtype), shape)
+        return address(name, array, dtype, shape)
+
+    monkeypatch.setattr(_kernel, "address", spy)
+    return checked
 
 
-def test_columns_raise_memory_error_when_a_block_cannot_be_allocated(monkeypatch):
-    class Failing:
-        @staticmethod
-        def fh_cpl(*args):
-            return -5
+def test_kmeans_checks_its_pad(monkeypatch):
+    # the distances' d x LANE block of objects is numpy's, not the kernel's;
+    # KERNEL_LANE is read from _kernel.c, so the pad tests pin _kernel.LANE
+    checked = checked_buffers(monkeypatch)
+    values = np.random.default_rng(5).normal(size=(10, 3))
+    federation.kmeans(DataMatrix(values), 2, seed=0)
+    assert checked["pad"] == (np.dtype(np.float64), (3 * KERNEL_LANE,))
 
-    monkeypatch.setattr(_kernel, "library", Failing)
+
+def test_run_checks_its_pad(monkeypatch):
+    # a d x LANE block of objects, then the centroid and scaled rows of up to
+    # k0 stale columns
+    checked = checked_buffers(monkeypatch)
     values = np.random.default_rng(5).normal(size=(10, 2))
-    with pytest.raises(MemoryError, match="fh_columns"):
-        cpl.run_cpl(DataMatrix(values), cpl.CplConfig(eta=0.05, k0=3))
+    cpl.run_cpl(DataMatrix(values), cpl.CplConfig(eta=0.05, k0=3))
+    assert checked["pad"] == (np.dtype(np.float64), (2 * (KERNEL_LANE + 2 * 3),))
 
 
 # the ctypes type of each kind of struct member
@@ -217,7 +231,7 @@ def test_run_fields_match_the_struct_layout():
     # a member out of place shifts every later one, and the kernel then
     # reads and writes the wrong buffers
     members = struct_members(_kernel.SOURCE.read_text())
-    assert len(members) > 20
+    assert len(members) > 20 and members[-1] == ("pad", ctypes.c_void_p)
     assert _kernel.Run._fields_ == members
 
 
@@ -237,3 +251,67 @@ def test_every_exported_function_is_bound_and_called():
         if not any(re.search(rf"\.{name}\(", text) for text in callers)
     ]
     assert exported == {"fh_cpl", "fh_kmeans"} and uncalled == []
+
+
+LEVELS = ["x86-64", "x86-64-v3", "x86-64-v4"]
+x86_64 = pytest.mark.skipif(
+    platform.machine() != "x86_64", reason="the clone levels are x86-64's"
+)
+
+
+def cpu_runs(level: str, directory: Path) -> bool:
+    """Whether this CPU runs code built for the x86-64 ``level``, by GCC's
+    ``__builtin_cpu_supports`` in a probe built at the default level; False
+    where the probe does not build (another compiler or architecture)."""
+    source, probe = directory / "probe.c", directory / "probe"
+    source.write_text(f'int main(void) {{ return !__builtin_cpu_supports("{level}"); }}\n')
+    built = subprocess.run(
+        [_kernel.COMPILER, "-o", str(probe), str(source)], capture_output=True
+    )
+    return built.returncode == 0 and subprocess.run([str(probe)]).returncode == 0
+
+
+def step_outputs():
+    """Every array the kernel's steps write, through ``kernel_steps``: the
+    columns over partial blocks and tiles, the distances and a refresh."""
+    rng = np.random.default_rng(6)
+    outputs = []
+    for d in (1, 4, 16, 17):
+        for n in (1, KERNEL_LANE + 11, 2 * KERNEL_LANE + 3):
+            k = 2 * KERNEL_TILE + 3
+            values = rng.normal(size=(n, d)) * 3.0
+            state = ClusterletState.initial(rng.normal(size=(k, d)) * 3.0)
+            rows = rng.dirichlet(np.ones(d), size=k)
+            run = StepRun(values, state, rows)
+            assert run.refresh_columns() == k
+            outputs.append(run.sims)
+            outputs.append(kernel_steps.dissimilarities(values, state.centroids, rows))
+            values, assignments, state, rows = refresh_case(rng, n, d, 9, 7, 5, "spread")
+            engine_refresh(values, assignments, state, rows)
+            outputs.append(rows)
+    return outputs
+
+
+@x86_64
+@pytest.mark.parametrize("level", LEVELS)
+def test_every_clone_level_gives_the_kernels_bits(level, tmp_path, monkeypatch):
+    # the package picks one clone of exps and of tile_terms per CPU; built
+    # with the clones compiled out at one level, the steps, a whole run and
+    # the k-means give the package's bits. Every level must compile without
+    # warnings, whether or not this CPU runs it.
+    lib = kernel_steps.build(
+        tmp_path, kernel_steps.LEVELS_SOURCE, (f"-march={level}", *WARNINGS)
+    )
+    symbols = subprocess.run(["nm", lib._name], capture_output=True, text=True).stdout
+    assert " i " not in symbols  # no ifunc: one level throughout
+    if not cpu_runs(level, tmp_path):
+        pytest.skip(f"this CPU does not run {level} code")
+    for got, want in zip(_run(lib), _run(_kernel.library())):
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+    for d in (4, 16, 300):
+        for got, want in zip(_kmeans(lib, d), _kmeans(_kernel.library(), d)):
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    want = step_outputs()
+    monkeypatch.setattr(kernel_steps, "library", lambda: lib)
+    for got, expected in zip(step_outputs(), want, strict=True):
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
