@@ -10,7 +10,9 @@
  * the win counts, the centroid means, the empty streaks and the
  * deactivation), reassign_orphans moves the objects of deactivated
  * clusterlets, the assignments are compared with the previous epoch's, and
- * fh_refresh recomputes the feature weights.
+ * fh_refresh recomputes the feature weights of the clusterlets whose members
+ * or centroid changed since the last refresh, from column totals that
+ * column_totals adds once per run.
  *
  * The arithmetic is fixed, and the scalar forms kept as oracles in
  * tests/oracles.py repeat it bit for bit: every distance adds its feature
@@ -222,6 +224,9 @@ struct fh_run {
     double *sum_compact;        /* k0 x d, the member sums of exp(-(x - c)^2 / 2) */
     double *terms;              /* n x d, the objects' exp(-(x - c)^2 / 2) */
     double *pad;                /* d (LANE + 2 k0), the columns' scratch */
+    double *row_centroids;      /* k0 x d, the centroid each M row was made from */
+    uint8_t *fell_back;         /* k0, whether each M row last fell back to 1/d */
+    uint8_t *redo;              /* k0, the refresh's rows to recompute */
 };
 
 /* Recompute the similarity columns whose rows changed: the active columns
@@ -414,31 +419,65 @@ static double variance(double sq_sum, double count, double mean, double floor)
     return var < floor ? floor : var;
 }
 
+/* The column sums of the n x d values x and of x^2 into r->totals, in object
+ * order from 0.0; they hold for the whole run, so fh_cpl adds them once. */
+static void column_totals(struct fh_run *r)
+{
+    int64_t n = r->n, d = r->d;
+    double *total_x = r->totals, *total_xx = r->totals + d;
+    memset(r->totals, 0, (size_t)(2 * d) * sizeof *r->totals);
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t z = 0; z < d; z++) {
+            double x = r->values[i * d + z];
+            total_x[z] += x;
+            total_xx[z] += x * x;
+        }
+}
+
 /* The feature-weight refresh from the assignments of every object (after the
- * orphan reassignment): the M rows of the live clusterlets, those that own an
- * object, are recomputed; the others keep theirs. One live clusterlet gets the
- * uniform row 1/d. Otherwise one pass over the objects forms the member
- * counts into r->counts, the member sums of x and x^2 into r->sums and
- * r->sum_xx, the column sums of x and x^2 into r->totals and the halved
- * squares (x - c)^2 / 2 against the member's own centroid into r->terms;
- * one call of exps turns all n d of those into compactness terms, and a
- * second pass adds them into r->sum_compact, in object order. With mu,
- * var the mean and floored unbiased variance of a feature inside the
- * clusterlet and mu_bar, var_bar those outside it, alpha = sqrt(max(1 -
- * sqrt(2 sqrt(var var_bar) / (var + var_bar)) exp(-(mu - mu_bar)^2 / (4 (var
- * + var_bar))), 0)) is the Hellinger distance of the two Gaussian fits, beta
- * = sqrt(sum_compact) / count, and each live row is alpha beta over its sum,
- * or the uniform row 1/d where that sum is <= 0. The rows are checked as a
- * FeatureClusterMatrix checks them and only then copied into the M rows.
- * Returns how many rows fell back to uniform, or, writing no M row, -1 if an
- * object's clusterlet is inactive or out of range, -2 if an entry lies
- * outside [-entry_tolerance, 1 + entry_tolerance] and else -3 if a row sum is
- * further than row_sum_tolerance from 1 (or NaN). */
-static int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
+ * orphan reassignment), with r->totals made by column_totals: the M rows of the
+ * live clusterlets, those that own an object, are brought up to date; the
+ * others keep theirs. One live clusterlet gets the uniform row 1/d, and its
+ * stored centroid becomes NaN so that its next refresh recomputes it.
+ *
+ * A live row is a function of its members in object order, its centroid and
+ * the run's constants alone. previous holds the assignments of the last
+ * refresh that returned >= 0, or is NULL; a live row is recomputed when
+ * previous is NULL, when an object joined or left the clusterlet since
+ * previous, or when its centroid compares unequal to the one stored in
+ * r->row_centroids when the row was last made (NaN at the start of a run,
+ * unequal to everything, so the first refresh recomputes every row). Any
+ * other live row is kept: it is bitwise the row a recomputation would give
+ * (±0.0 compare equal and square to the same terms), and it counts as a
+ * fallback again when r->fell_back says it was one.
+ *
+ * One pass over every object counts the members into r->counts and marks the
+ * rows to recompute in r->redo. Then one pass over the members of those rows
+ * forms their sums of x and x^2 into r->sums and r->sum_xx and the halved
+ * squares (x - c)^2 / 2 against the member's own centroid into r->terms,
+ * packed in object order; one call of exps turns all of those into
+ * compactness terms, and a second pass adds them into r->sum_compact, in
+ * object order. With mu, var the mean and floored unbiased variance of a
+ * feature inside the clusterlet and mu_bar, var_bar those outside it, alpha =
+ * sqrt(max(1 - sqrt(2 sqrt(var var_bar) / (var + var_bar)) exp(-(mu -
+ * mu_bar)^2 / (4 (var + var_bar))), 0)) is the Hellinger distance of the two
+ * Gaussian fits, beta = sqrt(sum_compact) / count, and each row is alpha beta
+ * over its sum, or the uniform row 1/d where that sum is <= 0. The rows are
+ * checked as a FeatureClusterMatrix checks them and only then copied into the
+ * M rows, with their centroids and fallback flags. Returns how many live rows
+ * are fallbacks, or, writing no M row, -1 if an object's clusterlet is
+ * inactive or out of range, -2 if an entry lies outside [-entry_tolerance, 1
+ * + entry_tolerance] and else -3 if a row sum is further than
+ * row_sum_tolerance from 1 (or NaN). */
+static int64_t fh_refresh(struct fh_run *r, const int64_t *assignments,
+                          const int64_t *previous)
 {
     int64_t n = r->n, d = r->d, k0 = r->k0, live = 0, last = 0, fallbacks = 0;
-    double *total_x = r->totals, *total_xx = r->totals + d;
+    const double *total_x = r->totals, *total_xx = r->totals + d;
+    /* 1 recomputes a row; a recomputed row that fell back becomes 2 */
+    uint8_t *redo = r->redo;
     memset(r->counts, 0, (size_t)k0 * sizeof *r->counts);
+    memset(redo, previous == NULL, (size_t)k0);
     for (int64_t i = 0; i < n; i++) {
         int64_t a = assignments[i];
         if (a < 0 || a >= k0 || !r->active[a])
@@ -447,40 +486,59 @@ static int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
             live++;
             last = a;
         }
+        if (previous != NULL && previous[i] != a)
+            redo[a] = redo[previous[i]] = 1;
     }
     if (live == 1) {
-        for (int64_t z = 0; z < d; z++)
+        for (int64_t z = 0; z < d; z++) {
             r->rows[last * d + z] = 1.0 / (double)d;
+            r->row_centroids[last * d + z] = NAN;
+        }
         return 0;
     }
-    memset(r->totals, 0, (size_t)(2 * d) * sizeof *r->totals);
-    for (int64_t j = 0; j < k0; j++)
-        if (r->counts[j] > 0) {
+    for (int64_t j = 0; j < k0; j++) {
+        if (r->counts[j] == 0)
+            continue;
+        const double *c = r->centroids + j * d, *stored = r->row_centroids + j * d;
+        int64_t z = 0;
+        while (z < d && stored[z] == c[z])
+            z++;
+        redo[j] |= z < d;
+        if (redo[j]) {
             memset(r->sums + j * d, 0, (size_t)d * sizeof *r->sums);
             memset(r->sum_xx + j * d, 0, (size_t)d * sizeof *r->sum_xx);
             memset(r->sum_compact + j * d, 0, (size_t)d * sizeof *r->sum_compact);
         }
+    }
+    int64_t packed = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t a = assignments[i];
+        if (!redo[a])
+            continue;
         const double *x = r->values + i * d, *c = r->centroids + a * d;
+        double *term = r->terms + packed++ * d;
         for (int64_t z = 0; z < d; z++) {
             double t = x[z] - c[z];
-            r->terms[i * d + z] = 0.5 * (t * t);
+            term[z] = 0.5 * (t * t);
             r->sums[a * d + z] += x[z];
             r->sum_xx[a * d + z] += x[z] * x[z];
-            total_x[z] += x[z];
-            total_xx[z] += x[z] * x[z];
         }
     }
-    exps(r->terms, n * d, 0.0);
-    for (int64_t i = 0; i < n; i++)
+    exps(r->terms, packed * d, 0.0);
+    packed = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = assignments[i];
+        if (!redo[a])
+            continue;
+        const double *term = r->terms + packed++ * d;
         for (int64_t z = 0; z < d; z++)
-            r->sum_compact[assignments[i] * d + z] += r->terms[i * d + z];
+            r->sum_compact[a * d + z] += term[z];
+    }
 
     double lo = -r->entry_tolerance, hi = 1.0 + r->entry_tolerance;
     int out_of_range = 0, off_sum = 0;
     for (int64_t j = 0; j < k0; j++) {
-        if (r->counts[j] == 0)
+        if (r->counts[j] == 0 || !redo[j])
             continue;
         double count = (double)r->counts[j], rest = (double)n - count, sum = 0.0;
         /* the sums of x become the overlaps' scale factors and then the
@@ -507,7 +565,7 @@ static int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
             sum += product[z];
         }
         if (sum <= 0.0)
-            fallbacks++;
+            redo[j] = 2;
         double check = 0.0;
         for (int64_t z = 0; z < d; z++) {
             row[z] = sum <= 0.0 ? 1.0 / (double)d : product[z] / sum;
@@ -520,9 +578,17 @@ static int64_t fh_refresh(struct fh_run *r, const int64_t *assignments)
         return -2;
     if (off_sum)
         return -3;
-    for (int64_t j = 0; j < k0; j++)
-        if (r->counts[j] > 0)
+    for (int64_t j = 0; j < k0; j++) {
+        if (r->counts[j] == 0)
+            continue;
+        if (redo[j]) {
             memcpy(r->rows + j * d, r->sum_xx + j * d, (size_t)d * sizeof *r->rows);
+            memcpy(r->row_centroids + j * d, r->centroids + j * d,
+                   (size_t)d * sizeof *r->row_centroids);
+            r->fell_back[j] = redo[j] == 2;
+        }
+        fallbacks += r->fell_back[j];
+    }
     return fallbacks;
 }
 
@@ -557,18 +623,21 @@ static void reassign_orphans(const struct fh_run *r, int64_t *assignments)
 }
 
 /* The whole competitive-learning loop of run_cpl, for at most max_epochs
- * epochs. Epoch e runs fh_columns and fh_epoch into assignment row e % 2,
- * reassigns the objects of deactivated clusterlets (reassign_orphans), stops
- * from epoch 1 on if the row repeats the previous one, and otherwise
- * refreshes the feature weights (fh_refresh). info gets the epochs used,
- * whether the loop converged, the final row and the fallback rows of every
- * refresh, summed. Returns 0; or, when a step fails, a
- * negative code: fh_refresh's -1, -2 or -3, or -4 if an epoch starts with
+ * epochs, after the column totals (column_totals). Epoch e runs fh_columns
+ * and fh_epoch into assignment row e % 2, reassigns the objects of
+ * deactivated clusterlets (reassign_orphans), stops from epoch 1 on if the
+ * row repeats the previous one, and otherwise refreshes the feature weights
+ * (fh_refresh), against the previous row from epoch 1 on: that row is the
+ * last refresh's, since every epoch that does not stop refreshes. info gets
+ * the epochs used, whether the loop converged, the final row and the
+ * fallback rows of every refresh, summed. Returns 0; or, when a step fails,
+ * a negative code: fh_refresh's -1, -2 or -3, or -4 if an epoch starts with
  * fewer than two active clusterlets. */
 int64_t fh_cpl(struct fh_run *r, double eta, int64_t max_epochs,
                int64_t *info)
 {
     int64_t n = r->n, fallbacks = 0, epoch = 0, converged = 0;
+    column_totals(r);
     for (; epoch < max_epochs && !converged; epoch++) {
         int64_t *row = r->assignments + (epoch % 2) * n;
         fh_columns(r);
@@ -580,7 +649,7 @@ int64_t fh_cpl(struct fh_run *r, double eta, int64_t max_epochs,
         const int64_t *previous = r->assignments + ((epoch + 1) % 2) * n;
         converged = epoch > 0 && memcmp(row, previous, (size_t)n * sizeof *row) == 0;
         if (!converged) {
-            int64_t count = fh_refresh(r, row);
+            int64_t count = fh_refresh(r, row, epoch > 0 ? previous : NULL);
             if (count < 0)
                 return count;
             fallbacks += count;

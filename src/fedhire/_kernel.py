@@ -65,6 +65,7 @@ class Run(ctypes.Structure):
                 "win_counts", "raw_weights", "weights", "active", "rows", "act",
                 "stale", "assignments", "counts", "sums", "streaks", "gamma", "gw",
                 "totals", "sum_xx", "sum_compact", "terms", "pad",
+                "row_centroids", "fell_back", "redo",
             )
         ),
     ]

@@ -38,6 +38,13 @@ Scoring details, fixed across the package:
   the presentation loop, the win counts, the centroid means, the empty
   streaks and the deactivation), the reassignment of orphaned objects, the
   convergence test and the feature-weight refresh (``fh_refresh``).
+- A clusterlet's M row depends only on its members in object order, its
+  centroid and the column totals of the values, which ``fh_cpl`` adds once
+  per run. So each refresh after the first recomputes only the rows of the
+  live clusterlets whose members changed since the previous epoch's
+  assignments or whose centroid changed since their row was made (an
+  orphan can move a centroid under the same members), and keeps the others:
+  a kept row is bitwise the row a recomputation would give.
 
 This combination is what makes redundant clusterlets die: the per-epoch
 fairness snapshot lets one clusterlet sweep a whole dense region within an
@@ -137,14 +144,18 @@ class _Run:
     similarities exp(-D); the centroid and M rows each column was computed
     from; the arrays of ``state`` and the M rows ``rows``, updated in place;
     two assignment rows, written alternately, so the previous epoch's stays
-    readable for the convergence test; the scratch of the epoch; the column
-    totals, k0 x d member sums and n x d compactness terms of the
-    feature-weight refresh; and ``pad``, the similarity columns' scratch: a
-    d x LANE block of objects, then the centroid and scaled rows of up to k0
-    stale columns. ``info`` receives what ``fh_cpl`` reports: the
-    epochs used, whether the run converged, the final assignment row and the
-    uniform-row fallbacks of every refresh, summed.
-    Besides ``sims`` every buffer is O(n d + k0 d).
+    readable for the convergence test and as the previous assignments of
+    the refresh; the scratch of the epoch; the column totals, k0 x d member
+    sums and n x d compactness terms of the feature-weight refresh;
+    ``pad``, the similarity columns' scratch: a d x LANE block of objects,
+    then the centroid and scaled rows of up to k0 stale columns; and, for
+    the refresh, ``row_centroids``, the centroid each M row was made from
+    (NaN at the start, so the first refresh recomputes every row),
+    ``fell_back``, whether each row fell back to uniform, which a kept row
+    counts again, and ``redo``, the rows it recomputes. ``info`` receives
+    what ``fh_cpl`` reports: the epochs used, whether the run converged, the
+    final assignment row and the uniform-row fallbacks of every refresh,
+    summed. Besides ``sims`` every buffer is O(n d + k0 d).
 
     Column j of ``sims`` holds exp(-D_ij), floored, for every object i, as
     computed from the centroid row and M row stored for j. Invariant: every
@@ -177,6 +188,9 @@ class _Run:
         self.sum_compact = np.empty((k0, d))
         self.terms = np.empty((n, d))
         self.pad = np.empty(d * (_kernel.LANE + 2 * k0))
+        self.row_centroids = np.full((k0, d), np.nan)
+        self.fell_back = np.zeros(k0, dtype=np.uint8)
+        self.redo = np.empty(k0, dtype=np.uint8)
         self.info = np.zeros(4, dtype=np.int64)
         f8, i8, kd = np.float64, np.int64, (k0, d)
         # every array the kernel addresses; held here, so that none is freed
@@ -205,6 +219,9 @@ class _Run:
             "sum_compact": (self.sum_compact, f8, kd),
             "terms": (self.terms, f8, (n, d)),
             "pad": (self.pad, f8, (d * (_kernel.LANE + 2 * k0),)),
+            "row_centroids": (self.row_centroids, f8, kd),
+            "fell_back": (self.fell_back, np.uint8, (k0,)),
+            "redo": (self.redo, np.uint8, (k0,)),
         }
         self.buffers = _kernel.Run(
             n=n, d=d, k0=k0, floor=SIMILARITY_FLOOR,

@@ -25,9 +25,15 @@ void step_orphans(const struct fh_run *r, int64_t *assignments)
     reassign_orphans(r, assignments);
 }
 
-int64_t step_refresh(struct fh_run *r, const int64_t *assignments)
+void step_totals(struct fh_run *r)
 {
-    return fh_refresh(r, assignments);
+    column_totals(r);
+}
+
+int64_t step_refresh(struct fh_run *r, const int64_t *assignments,
+                     const int64_t *previous)
+{
+    return fh_refresh(r, assignments, previous);
 }
 
 void step_dissimilarities(const double *x, int64_t n, int64_t d,

@@ -2,11 +2,11 @@
 
 ``fh_cpl`` runs a whole competitive-learning run in one call; its steps
 (the squash, the similarity columns, the epoch, the orphan reassignment, the
-feature-weight refresh and the distances) are static in the kernel.
-``kernel_steps.c`` includes the kernel's source and exports each of them,
-and ``library`` builds it once per test session with the package's compiler
-and flags, into a directory of the session's ``tmp_path_factory`` (set by
-``conftest.py``). ``kernel_levels.c`` is the same shim with the kernel's
+column totals, the feature-weight refresh and the distances) are static in
+the kernel. ``kernel_steps.c`` includes the kernel's source and exports each
+of them, and ``library`` builds it once per test session with the package's
+compiler and flags, into a directory of the session's ``tmp_path_factory``
+(set by ``conftest.py``). ``kernel_levels.c`` is the same shim with the kernel's
 clone attributes compiled out, for builds at one x86-64 level (``build``
 with ``-march``).
 """
@@ -47,7 +47,9 @@ def build(directory: Path, source: Path = SOURCE, flags: tuple = ()) -> ctypes.C
     lib.step_epoch.restype = ctypes.c_int64
     lib.step_orphans.argtypes = [run, ctypes.c_void_p]
     lib.step_orphans.restype = None
-    lib.step_refresh.argtypes = [run, ctypes.c_void_p]
+    lib.step_totals.argtypes = [run]
+    lib.step_totals.restype = None
+    lib.step_refresh.argtypes = [run, ctypes.c_void_p, ctypes.c_void_p]
     lib.step_refresh.restype = ctypes.c_int64
     # ndpointer refuses a wrong dtype, rank or layout instead of copying
     block = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
@@ -84,12 +86,14 @@ def dissimilarities(values, centroids, scaled):
 
 class StepRun(_Run):
     """A ``_Run`` whose steps are called one at a time, as ``fh_cpl`` calls
-    them, with the engine's errors."""
+    them, with the engine's errors. The column totals are added once, at
+    construction, as ``fh_cpl`` adds them before its first epoch."""
 
     def __init__(self, values, state, rows):
         super().__init__(values, state, rows)
         self.lib = library()
         self.epochs = 0
+        self.lib.step_totals(self.ref)
 
     def refresh_columns(self) -> int:
         """Recompute the active columns whose rows changed; returns how many.
@@ -121,12 +125,23 @@ class StepRun(_Run):
             self.ref, _kernel.address("assignments", assignments, np.int64, (n,))
         )
 
-    def refresh(self, assignments: np.ndarray) -> int:
+    def refresh(self, assignments: np.ndarray, previous: np.ndarray | None = None) -> int:
         """``fh_refresh`` of ``rows`` from ``assignments``; returns how many
-        rows fell back to uniform."""
-        n = self.values.shape[0]
+        live rows are uniform fallbacks.
+
+        ``previous`` holds the assignments of the last refresh that
+        succeeded; the rows whose members and centroid are unchanged since
+        then are kept. ``None`` recomputes every live row.
+        """
+        n, k0 = self.values.shape[0], self.state.k
+        if previous is not None:
+            # the kernel marks the clusterlet of each previous[i]
+            address = _kernel.address("previous", previous, np.int64, (n,))
+            if ((previous < 0) | (previous >= k0)).any():
+                raise ValueError("previous assignments must lie in [0, k0)")
         fallbacks = self.lib.step_refresh(
-            self.ref, _kernel.address("assignments", assignments, np.int64, (n,))
+            self.ref, _kernel.address("assignments", assignments, np.int64, (n,)),
+            None if previous is None else address,
         )
         if fallbacks < 0:
             raise ValueError(CPL_ERRORS[fallbacks][1])

@@ -1212,3 +1212,117 @@ class TestFeatureWeightRefresh:
         with pytest.raises(ValueError, match="active clusterlet"):
             engine_refresh(values, assignments, state, rows)
         np.testing.assert_array_equal(bits(rows), bits(before))
+
+
+class RefreshSequence:
+    """A ``StepRun`` refreshed again and again, each refresh against the
+    assignments of the one before, as ``fh_cpl`` refreshes; beside it the
+    numpy form refreshes its own rows from scratch."""
+
+    def __init__(self, values, state, rows):
+        self.values, self.state = values, state
+        self.want = rows.copy()
+        self.run = StepRun(values, state, rows)
+        self.previous = None
+
+    def refresh(self, assignments) -> int:
+        """One refresh of both; their M rows must agree bit for bit.
+        Returns the engine's fallback count."""
+        assignments = np.array(assignments, dtype=np.int64)
+        fallbacks = self.run.refresh(assignments, self.previous)
+        refresh_feature_weights(self.values, assignments, self.state, self.want)
+        np.testing.assert_array_equal(bits(self.run.rows), bits(self.want))
+        self.previous = assignments
+        return fallbacks
+
+    def recomputed(self) -> list[int]:
+        """The live clusterlets whose rows the last refresh recomputed."""
+        live = np.bincount(self.previous, minlength=self.state.k) > 0
+        return np.flatnonzero(live & (self.run.redo > 0)).tolist()
+
+
+class TestRefreshKeepsUnchangedRows:
+    """``fh_refresh`` against the previous assignments recomputes only the
+    live rows whose members or centroid changed; after every refresh of a
+    sequence the M rows are those of the numpy form from scratch."""
+
+    def sequence(self, seed, kind="spread"):
+        rng = np.random.default_rng(seed)
+        values, assignments, state, rows = refresh_case(rng, 30, 3, 8, 6, 4, kind)
+        steps = RefreshSequence(values, state, rows)
+        steps.refresh(assignments)
+        assert steps.recomputed() == np.unique(assignments).tolist()
+        return steps, assignments
+
+    def test_an_object_moving_between_live_clusterlets(self):
+        steps, assignments = self.sequence(7)
+        owners = np.unique(assignments)
+        i = int(np.flatnonzero(assignments == owners[0])[-1])
+        assignments[i] = owners[1]
+        steps.refresh(assignments)
+        assert steps.recomputed() == owners[:2].tolist()
+        steps.refresh(assignments)
+        assert steps.recomputed() == []
+
+    def test_a_centroid_moving_under_the_same_members(self):
+        # an orphan moves a centroid while its member set stays the same
+        steps, assignments = self.sequence(8)
+        j = int(np.unique(assignments)[2])
+        steps.state.centroids[j] += 0.25
+        steps.refresh(assignments)
+        assert steps.recomputed() == [j]
+
+    def test_a_clusterlet_losing_its_last_member(self):
+        steps, assignments = self.sequence(9)
+        lone, other = np.unique(assignments)[:2]
+        assignments[assignments == lone] = other
+        assignments[0] = lone
+        steps.refresh(assignments)
+        assignments[0] = other
+        steps.refresh(assignments)
+        assert lone not in steps.recomputed()
+        assignments[0] = lone
+        steps.refresh(assignments)
+        assert steps.recomputed() == sorted([int(lone), int(other)])
+
+    def test_one_live_clusterlet_and_then_several_again(self):
+        steps, assignments = self.sequence(10)
+        first = int(np.unique(assignments)[0])
+        steps.refresh(np.full_like(assignments, first))
+        np.testing.assert_array_equal(steps.run.rows[first], 1.0 / 3)
+        steps.refresh(np.full_like(assignments, first))
+        steps.refresh(assignments)
+        assert steps.recomputed() == np.unique(assignments).tolist()
+        assignments[3] = first
+        steps.refresh(assignments)
+
+    def test_kept_fallback_rows_are_counted_again(self):
+        steps, assignments = self.sequence(4, "constant")
+        assert steps.refresh(assignments) == 4
+        assert steps.recomputed() == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 9]),
+        n=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        moves=st.lists(
+            st.sampled_from(["object", "centroid", "collapse", "none"]),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_random_move_sequences(self, d, n, seed, moves):
+        rng = np.random.default_rng(seed)
+        values, assignments, state, rows = refresh_case(rng, n, d, 9, 6, 4, "spread")
+        steps = RefreshSequence(values, state, rows)
+        steps.refresh(assignments)
+        active = np.flatnonzero(state.active)
+        for move in moves:
+            if move == "object":
+                i = rng.integers(n, size=rng.integers(1, 4))
+                assignments[i] = rng.choice(active, size=i.size)
+            elif move == "centroid":
+                state.centroids[rng.choice(active)] += rng.normal(size=d)
+            elif move == "collapse":
+                assignments[:] = rng.choice(active)
+            steps.refresh(assignments)

@@ -16,7 +16,6 @@ from fedhire.core import ClusterletState, DataMatrix
 from fedhire.cpl import _Run
 import kernel_steps
 from kernel_steps import StepRun
-from oracles import engine_refresh
 from test_cpl import KERNEL_LANE, KERNEL_TILE, refresh_case
 
 
@@ -231,7 +230,7 @@ def test_run_fields_match_the_struct_layout():
     # a member out of place shifts every later one, and the kernel then
     # reads and writes the wrong buffers
     members = struct_members(_kernel.SOURCE.read_text())
-    assert len(members) > 20 and members[-1] == ("pad", ctypes.c_void_p)
+    assert len(members) > 20 and members[-1] == ("redo", ctypes.c_void_p)
     assert _kernel.Run._fields_ == members
 
 
@@ -273,7 +272,8 @@ def cpu_runs(level: str, directory: Path) -> bool:
 
 def step_outputs():
     """Every array the kernel's steps write, through ``kernel_steps``: the
-    columns over partial blocks and tiles, the distances and a refresh."""
+    columns over partial blocks and tiles, the distances and two refreshes,
+    the second against the first's assignments."""
     rng = np.random.default_rng(6)
     outputs = []
     for d in (1, 4, 16, 17):
@@ -287,7 +287,12 @@ def step_outputs():
             outputs.append(run.sims)
             outputs.append(kernel_steps.dissimilarities(values, state.centroids, rows))
             values, assignments, state, rows = refresh_case(rng, n, d, 9, 7, 5, "spread")
-            engine_refresh(values, assignments, state, rows)
+            run = StepRun(values, state, rows)
+            run.refresh(assignments)
+            # then one object moves: a refresh that keeps the other rows
+            moved = assignments.copy()
+            moved[-1] = assignments[0]
+            run.refresh(moved, assignments)
             outputs.append(rows)
     return outputs
 
