@@ -1,9 +1,9 @@
-"""Command-line front end: dataset ingestion, experiment runs, benchmarks.
+"""Command-line front end: dataset ingestion and experiment runs.
 
 Subcommands: ``partition`` (emit a fragmentation plan), ``run`` (one-shot
-experiments with repeats and metric aggregation), ``bench`` (scaling table
-over synthetic data), ``inspect`` (pretty-print a JSON artifact). The
-FED_HIRE_LOG environment variable (error|info|debug) controls verbosity.
+experiments with repeats and metric aggregation), ``inspect`` (pretty-print
+a JSON artifact). The FED_HIRE_LOG environment variable (error|info|debug)
+controls verbosity. ``perfbench/`` is the project's benchmark.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import sys
-import time
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -24,12 +23,8 @@ import numpy as np
 from .core import DataMatrix
 from .federation import FederationConfig, fragment_partition, run_one_shot
 from .metrics import acc, ari, nmi, purity
-from .synth import gaussian_mixture
 
 logger = logging.getLogger(__name__)
-
-BENCH_K0_ABSOLUTE = 64
-BENCH_CLUSTERS = 8
 
 
 class CliError(RuntimeError):
@@ -315,32 +310,6 @@ def cmd_run(spec: ExperimentSpec) -> dict:
     return results
 
 
-def cmd_bench(
-    sizes: list[int], dims: list[int], clients: int, seed: int
-) -> list[tuple[int, int, float]]:
-    """Wall-clock sweep over dataset size (at the first dim) and dimension
-    (at the first size) on synthetic Gaussian mixtures.
-
-    The initial clusterlet count is fixed at an absolute 64 per client so
-    timing growth reflects data scale rather than a size-coupled k0.
-    """
-    cases: list[tuple[int, int]] = []
-    if sizes and dims:
-        cases.extend((n, dims[0]) for n in sizes)
-        cases.extend((sizes[0], d) for d in dims if (sizes[0], d) not in cases)
-    table = []
-    for n, d in cases:
-        data = gaussian_mixture(n, d, BENCH_CLUSTERS, seed=seed)
-        config = FederationConfig(
-            client_count=clients, k_star=BENCH_CLUSTERS, seed=seed,
-            k0_absolute=BENCH_K0_ABSOLUTE,
-        )
-        start = time.perf_counter()
-        run_one_shot(data, config)
-        table.append((n, d, time.perf_counter() - start))
-    return table
-
-
 def _add_setting_flags(parser: argparse.ArgumentParser, partition: bool) -> None:
     for f in FIELDS:
         meta = f.metadata
@@ -374,13 +343,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     _add_setting_flags(p_run, partition=False)
 
-    p_bench = sub.add_parser("bench", help="wall-clock scaling table (CSV)")
-    p_bench.add_argument("--sizes", default="", help="comma-separated object counts")
-    p_bench.add_argument("--dims", default="", help="comma-separated feature counts")
-    p_bench.add_argument("--clients", type=int, default=ExperimentSpec.clients)
-    p_bench.add_argument("--seed", type=int, default=ExperimentSpec.seed)
-    p_bench.add_argument("--out", default="bench.csv")
-
     p_inspect = sub.add_parser("inspect", help="pretty-print a JSON artifact")
     p_inspect.add_argument("path")
 
@@ -409,16 +371,6 @@ def main(argv: list[str] | None = None) -> int:
             for index, stats in results["aggregate"].items():
                 print(f"{index}: {stats['mean']:.3f}±{stats['std']:.2f}")
             print(spec.out)
-        elif args.command == "bench":
-            sizes = [int(s) for s in args.sizes.split(",") if s]
-            dims = [int(d) for d in args.dims.split(",") if d]
-            table = cmd_bench(sizes, dims, clients=args.clients, seed=args.seed)
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["n", "d", "wall_seconds"])
-                for n, d, secs in table:
-                    writer.writerow([n, d, f"{secs:.4f}"])
-            print(args.out)
         elif args.command == "inspect":
             with open(args.path) as fh:
                 print(json.dumps(json.load(fh), indent=2))

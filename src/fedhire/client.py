@@ -76,7 +76,7 @@ def run_fcpl(
     case it is skipped with a warning rather than failing the federation.
 
     ``k0_override`` forces an absolute initial clusterlet count (used by
-    the scaling benchmark); otherwise k0 = ``fcpl_k0(n, k0_fraction)``.
+    perfbench's ``client_loop``); otherwise k0 = ``fcpl_k0(n, k0_fraction)``.
     """
     n = local_data.object_count
     if n < MIN_CLIENT_OBJECTS:

@@ -116,11 +116,13 @@ class CplConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and positive, got {self.eta}")
-        require_integers(self, "k0", "max_epochs")
+        require_integers(self, "k0", "max_epochs", "rng_seed")
         if self.k0 < 2:
             raise ValueError(f"k0 must be >= 2, got {self.k0}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

@@ -60,7 +60,9 @@ class FederationConfig:
     max_epochs: int = DEFAULT_MAX_EPOCHS
 
     def __post_init__(self):
-        require_integers(self, "client_count", "k_star", "max_epochs")
+        require_integers(self, "client_count", "k_star", "max_epochs", "seed")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.client_count < 1:
             raise ValueError(f"client_count must be >= 1, got {self.client_count}")
         if self.k_star < 2:
@@ -303,6 +305,9 @@ def run_one_shot(
             f"plan covers {plan.client_count} clients, config says "
             f"{config.client_count}"
         )
+    n = data.object_count
+    if any(ix.size and not 0 <= ix.min() <= ix.max() < n for ix in plan.client_indices):
+        raise ValueError(f"plan object indices must lie in [0, {n})")
     timings["partition"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

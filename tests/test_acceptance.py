@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from fedhire.cli import cmd_bench, cmd_run, ExperimentSpec
+from fedhire.cli import cmd_run, ExperimentSpec
 from fedhire.client import run_fcpl
 from fedhire.core import AffiliationMatrix, DataMatrix, FeatureClusterMatrix
 from fedhire.federation import FederationConfig, client_seed, run_one_shot
@@ -20,6 +20,7 @@ from fedhire.server import (
     feature_cluster_matrix_server,
     run_mcpl,
 )
+from fedhire.synth import gaussian_mixture
 
 from conftest import blob_data
 from kernel_steps import step_squash
@@ -276,11 +277,20 @@ def test_one_shot_and_privacy_properties(tmp_path):
     report("one-shot count, canary scan, determinism hash", ok)
 
 
+def _timed_one_shot(n: int, d: int) -> float:
+    """Wall time of one run on an 8-blob mixture, k0 fixed at 64 per client
+    so that the time follows the data's size rather than a size-coupled k0."""
+    data = gaussian_mixture(n, d, 8, seed=0)
+    config = FederationConfig(client_count=8, k_star=8, seed=0, k0_absolute=64)
+    start = time.perf_counter()
+    run_one_shot(data, config)
+    return time.perf_counter() - start
+
+
 def test_scaling_is_subquadratic():
     start = time.perf_counter()
-    cmd_bench([400], [4], clients=8, seed=0)  # warmup
-    table = cmd_bench([2000, 4000], [4, 8], clients=8, seed=0)
-    times = {(n, d): t for n, d, t in table}
+    _timed_one_shot(400, 4)  # warmup
+    times = {(n, d): _timed_one_shot(n, d) for n, d in [(2000, 4), (4000, 4), (2000, 8)]}
     n_ratio = times[(4000, 4)] / times[(2000, 4)]
     d_ratio = times[(2000, 8)] / times[(2000, 4)]
     elapsed = time.perf_counter() - start

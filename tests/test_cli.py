@@ -1,6 +1,8 @@
 import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from fedhire.cli import (
     CliError,
     ExperimentSpec,
     _resolve_spec,
-    cmd_bench,
     cmd_run,
     determinism_hash,
     load_csv,
@@ -151,17 +152,6 @@ class TestCmdRun:
         t2 = [run["timings"] for run in r2["runs"]]
         assert determinism_hash(r1) == determinism_hash(r2)
         assert json.dumps(t1) != json.dumps(t2) or t1 == t2
-
-
-class TestCmdBench:
-    def test_empty_sizes_empty_table(self):
-        assert cmd_bench([], [2], clients=2, seed=0) == []
-
-    def test_small_sweep_rows(self):
-        table = cmd_bench([120], [2, 3], clients=2, seed=0)
-        cases = [(n, d) for n, d, _ in table]
-        assert cases == [(120, 2), (120, 3)]
-        assert all(t > 0 for _, _, t in table)
 
 
 class TestMainEntry:
@@ -326,15 +316,6 @@ class TestMainEntry:
         plan = json.loads(out.read_text())
         assert len(plan["clients"]) == 3
 
-    def test_bench_subcommand(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--sizes", "120", "--dims", "2",
-                     "--clients", "2", "--out", str(out)])
-        assert code == 0
-        rows = out.read_text().strip().splitlines()
-        assert rows[0] == "n,d,wall_seconds"
-        assert len(rows) == 2
-
     def test_inspect_subcommand(self, tmp_path, capsys):
         path = tmp_path / "x.json"
         path.write_text('{"a": 1}')
@@ -350,6 +331,15 @@ class TestMainEntry:
         payload = json.loads(err.strip().splitlines()[-1])
         assert "error" in payload and "message" in payload
 
+    def test_negative_seed_names_the_setting(self, blob_csv, tmp_path, capsys):
+        code = main([
+            "run", "--data", blob_csv, "--labels", "cls", "--k-star", "3",
+            "--seed", "-1", "--out", str(tmp_path / "res.json"),
+        ])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["message"] == "seed must be >= 0, got -1"
+
     def test_log_env_var(self, blob_csv, tmp_path, monkeypatch):
         monkeypatch.setenv("FED_HIRE_LOG", "debug")
         out = tmp_path / "res.json"
@@ -358,3 +348,22 @@ class TestMainEntry:
             "--k-star", "3", "--fragments", "2", "--out", str(out),
         ])
         assert code == 0
+
+
+def _help_text(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0, argv
+    return capsys.readouterr().out
+
+
+def test_readme_cli_block_matches_the_parser(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    documented = {
+        line.split()[1] for line in block.splitlines() if line.startswith("fed-hire ")
+    }
+    for sub in sorted(documented):
+        _help_text(capsys, [sub, "--help"])
+    usage = re.search(r"\{([\w,]+)\}", _help_text(capsys, ["--help"]))
+    assert set(usage.group(1).split(",")) <= documented

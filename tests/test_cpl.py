@@ -771,6 +771,8 @@ class TestCplConfig:
             {"eta": 0.05, "k0": True},
             {"eta": 0.05, "k0": 5, "max_epochs": 2.5},
             {"eta": 0.05, "k0": 5, "max_epochs": "3"},
+            {"eta": 0.05, "k0": 5, "rng_seed": 1.5},
+            {"eta": 0.05, "k0": 5, "rng_seed": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -781,9 +783,15 @@ class TestCplConfig:
         with pytest.raises(ValueError, match="eta must be finite and positive, got nan"):
             CplConfig(eta=float("nan"), k0=5)
 
+    def test_negative_rng_seed_names_the_setting(self):
+        with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
+            CplConfig(eta=0.05, k0=5, rng_seed=-1)
+
     def test_numpy_integers_accepted(self):
-        config = CplConfig(eta=1e-9, k0=np.int64(5), max_epochs=np.int32(1))
-        assert (config.k0, config.max_epochs) == (5, 1)
+        config = CplConfig(
+            eta=1e-9, k0=np.int64(5), max_epochs=np.int32(1), rng_seed=np.uint32(0)
+        )
+        assert (config.k0, config.max_epochs, config.rng_seed) == (5, 1, 0)
 
 
 class TestRunCpl:

@@ -29,6 +29,7 @@ from fedhire.server import (
     run_mcpl,
     stack_payloads,
 )
+from fedhire.synth import gaussian_mixture
 
 
 class TestKmeans:
@@ -336,6 +337,24 @@ class TestRunOneShot:
         with pytest.raises(ExperimentError):
             run_one_shot(data, config)
 
+    def _plan_with(self, extra):
+        data = gaussian_mixture(200, 2, 3, seed=0)
+        indices = [np.arange(0, 100), np.concatenate([np.arange(100, 200), [extra]])]
+        return data, PartitionPlan(client_indices=indices)
+
+    def test_negative_plan_index_rejected(self):
+        # -1 is object 199 again, which client 1 already holds
+        data, plan = self._plan_with(-1)
+        config = FederationConfig(client_count=2, k_star=3)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 200\)"):
+            run_one_shot(data, config, plan=plan)
+
+    def test_plan_index_past_the_data_rejected(self):
+        data, plan = self._plan_with(200)
+        config = FederationConfig(client_count=2, k_star=3)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 200\)"):
+            run_one_shot(data, config, plan=plan)
+
     def test_timings_cover_all_phases(self, three_cluster_data, config):
         result = run_one_shot(three_cluster_data, config)
         assert set(result.timings) == {
@@ -401,6 +420,8 @@ class TestConfigValidation:
             ("k0_absolute", False),
             ("max_epochs", 10.5),
             ("max_epochs", True),
+            ("seed", 1.5),
+            ("seed", True),
         ],
     )
     def test_non_integer_fields_rejected(self, field, value):
@@ -419,10 +440,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"max_epochs must be >= 1, got {value}"):
             FederationConfig(client_count=2, k_star=2, max_epochs=value)
 
+    @pytest.mark.parametrize("value", [-1, np.int64(-5)])
+    def test_negative_seed_rejected(self, value):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {value}"):
+            FederationConfig(client_count=2, k_star=2, seed=value)
+
     def test_integer_fields_accept_numpy_integers_and_the_least_values(self):
         config = FederationConfig(
             client_count=np.int64(1), k_star=np.int32(2), fragments_per_cluster=np.int64(1),
-            k0_absolute=2, max_epochs=1,
+            k0_absolute=2, max_epochs=1, seed=np.int64(0),
         )
         assert (config.client_count, config.k_star, config.fragments_per_cluster) == (1, 2, 1)
-        assert (config.k0_absolute, config.max_epochs) == (2, 1)
+        assert (config.k0_absolute, config.max_epochs, config.seed) == (2, 1, 0)
