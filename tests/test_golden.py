@@ -91,6 +91,32 @@ def test_run_one_shot_digest(name):
     assert one_shot_digest(name) == ONE_SHOT_GOLDEN[name]
 
 
+# the report's bytes: hierarchy levels, codes, level weights and both label
+# sets, on the one-shot specs and on a run whose client 8 gets no object
+REPORT_SPECS = {
+    **ONE_SHOT_SPECS,
+    "skipped_client": (
+        dict(n=300, d=2, k=3, seed=5),
+        dict(client_count=12, k_star=3, seed=1),
+    ),
+}
+
+REPORT_GOLDEN = {
+    "d2_fraction": "abab49103b7fc33deadbf6e54271d38d739a8608ae73de331a16c540dc139e08",
+    "d4_absolute": "7582e224b95fd7d57d2155480e627eef6b5e8688ced3221403b8471b0aa412da",
+    "skipped_client": "2b0d9c2caf209cec02e44775acceb25fe3f2976a36ada852a23c9c71937662c6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_report_json_digest(name):
+    data_kwargs, config_kwargs = REPORT_SPECS[name]
+    result = run_one_shot(gaussian_mixture(**data_kwargs), FederationConfig(**config_kwargs))
+    assert result.skipped_clients == ([8] if name == "skipped_client" else [])
+    report = result.report_json().encode()
+    assert hashlib.sha256(report).hexdigest() == REPORT_GOLDEN[name]
+
+
 CLI_SPEC = {
     "data": "blobs.csv", "labels": "cls", "clients": 3, "k_star": 3,
     "fragments": 2, "repeats": 2, "seed": 4,
