@@ -27,11 +27,11 @@ Scoring details, fixed across the package:
   every row sum in feature order from 0.0. The scalar forms kept as oracles
   in ``tests/oracles.py`` repeat that order, so the kernel's results are
   theirs bit for bit.
-- A run keeps one ``_Run``: every buffer of the call, allocated by numpy and
-  shared with the kernel by address. Its n x k0 similarity cache recomputes
-  a column only when its centroid row or M row changed since it was
-  computed. Every entry depends only on its object and those two rows, so a
-  reused column is bitwise the column a recomputation would give.
+- A run keeps one ``_Run``: the call's numpy buffers, shared with the kernel
+  by address (checked where handed in). Its n x k0 similarity cache
+  recomputes a column only when its centroid row or M row changed since it
+  was computed. Every entry depends only on its object and those two rows,
+  so a reused column is bitwise the column a recomputation would give.
 - A run is one kernel call, ``fh_cpl``, which runs every epoch: the
   similarity columns (``fh_columns`` writes the floored ``exp(-D)`` of the
   changed columns into the cache), the epoch itself (``fh_epoch``: gamma,
@@ -95,13 +95,15 @@ CPL_ERRORS = {
 }
 
 
-def require_integers(config, *names: str) -> None:
-    """Refuse each field ``names`` of ``config`` that is not an integer: a
-    float, even a whole one, or a bool, which would run as 0 or 1."""
+def require_numbers(config, kind, *names: str) -> None:
+    """Refuse each field ``names`` of ``config`` that is not a ``kind``
+    (``numbers.Integral`` or ``numbers.Real``), such as a string or, for an
+    integer, a whole float, or is a bool, which would run as 0 or 1."""
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            what = "an integer" if kind is numbers.Integral else "a real number"
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -114,9 +116,10 @@ class CplConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        require_numbers(self, numbers.Real, "eta")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and positive, got {self.eta}")
-        require_integers(self, "k0", "max_epochs", "rng_seed")
+        require_numbers(self, numbers.Integral, "k0", "max_epochs", "rng_seed")
         if self.k0 < 2:
             raise ValueError(f"k0 must be >= 2, got {self.k0}")
         if self.max_epochs < 1:
@@ -141,23 +144,27 @@ class _Run:
     """Every buffer of one ``run_cpl`` call, shared with ``_kernel.c``.
 
     The kernel works in place on numpy arrays (so tracemalloc sees them all),
-    through one ``_kernel.Run`` of their addresses, each checked once by
-    ``_kernel.address``: the n x d values; ``sims``, the n x k0 floored
-    similarities exp(-D); the centroid and M rows each column was computed
-    from; the arrays of ``state`` and the M rows ``rows``, updated in place;
-    two assignment rows, written alternately, so the previous epoch's stays
-    readable for the convergence test and as the previous assignments of
-    the refresh; the scratch of the epoch; the column totals, k0 x d member
-    sums and n x d compactness terms of the feature-weight refresh;
-    ``pad``, the similarity columns' scratch: a d x LANE block of objects,
-    then the centroid and scaled rows of up to k0 stale columns; and, for
-    the refresh, ``row_centroids``, the centroid each M row was made from
-    (NaN at the start, so the first refresh recomputes every row),
-    ``fell_back``, whether each row fell back to uniform, which a kept row
-    counts again, and ``redo``, the rows it recomputes. ``info`` receives
-    what ``fh_cpl`` reports: the epochs used, whether the run converged, the
-    final assignment row and the uniform-row fallbacks of every refresh,
-    summed. Besides ``sims`` every buffer is O(n d + k0 d).
+    through one ``_kernel.Run`` of their addresses: the n x d values;
+    ``sims``, the n x k0 floored similarities exp(-D); the centroid and M
+    rows each column was computed from; the arrays of ``state`` and the M
+    rows ``rows``, updated in place; two assignment rows, written
+    alternately, so the previous epoch's stays readable for the convergence
+    test and as the previous assignments of the refresh; the scratch of the
+    epoch; the column totals, k0 x d member sums and n x d compactness terms
+    of the feature-weight refresh; ``pad``, the similarity columns' scratch:
+    a d x LANE block of objects, then the centroid and scaled rows of up to
+    k0 stale columns; and, for the refresh, ``row_centroids``, the centroid
+    each M row was made from (NaN at the start, so the first refresh
+    recomputes every row), ``fell_back``, whether each row fell back to
+    uniform, which a kept row counts again, and ``redo``, the rows it
+    recomputes. ``info`` receives what ``fh_cpl`` reports: the epochs used,
+    whether the run converged, the final assignment row and the uniform-row
+    fallbacks of every refresh, summed. Besides ``sims`` every buffer is
+    O(n d + k0 d).
+
+    Only the seven arrays handed in, whose layout is the caller's, go through
+    ``_kernel.address``: the values (after ``ascontiguousarray``), the five
+    of ``state`` and ``rows``. The rest are made here, named as in ``fh_run``.
 
     Column j of ``sims`` holds exp(-D_ij), floored, for every object i, as
     computed from the centroid row and M row stored for j. Invariant: every
@@ -194,43 +201,28 @@ class _Run:
         self.fell_back = np.zeros(k0, dtype=np.uint8)
         self.redo = np.empty(k0, dtype=np.uint8)
         self.info = np.zeros(4, dtype=np.int64)
-        f8, i8, kd = np.float64, np.int64, (k0, d)
-        # every array the kernel addresses; held here, so that none is freed
-        # while the run lives even if ``state`` gets new arrays
-        self.arrays = {
-            "values": (self.values, f8, (n, d)),
-            "sims": (self.sims, f8, (n, k0)),
-            "stored_centroids": (self.stored_centroids, f8, kd),
-            "stored_rows": (self.stored_rows, f8, kd),
-            "centroids": (state.centroids, f8, kd),
-            "win_counts": (state.win_counts, i8, (k0,)),
-            "raw_weights": (state.raw_weights, f8, (k0,)),
-            "weights": (state.weights, f8, (k0,)),
+        # the arrays handed in, held here so that none is freed while the
+        # run lives even if ``state`` gets new arrays
+        self.handed = {
+            "values": (self.values, np.float64, (n, d)),
+            "centroids": (state.centroids, np.float64, (k0, d)),
+            "win_counts": (state.win_counts, np.int64, (k0,)),
+            "raw_weights": (state.raw_weights, np.float64, (k0,)),
+            "weights": (state.weights, np.float64, (k0,)),
             "active": (state.active, np.bool_, (k0,)),
-            "rows": (rows, f8, kd),
-            "act": (self.act, i8, (k0,)),
-            "stale": (self.stale, i8, (k0,)),
-            "assignments": (self.assignments, i8, (2, n)),
-            "counts": (self.counts, i8, (k0,)),
-            "sums": (self.sums, f8, kd),
-            "streaks": (self.streaks, i8, (k0,)),
-            "gamma": (self.gamma, f8, (k0,)),
-            "gw": (self.gw, f8, (k0,)),
-            "totals": (self.totals, f8, (2, d)),
-            "sum_xx": (self.sum_xx, f8, kd),
-            "sum_compact": (self.sum_compact, f8, kd),
-            "terms": (self.terms, f8, (n, d)),
-            "pad": (self.pad, f8, (d * (_kernel.LANE + 2 * k0),)),
-            "row_centroids": (self.row_centroids, f8, kd),
-            "fell_back": (self.fell_back, np.uint8, (k0,)),
-            "redo": (self.redo, np.uint8, (k0,)),
+            "rows": (rows, np.float64, (k0, d)),
         }
+        checked = {name: _kernel.address(name, *spec) for name, spec in self.handed.items()}
         self.buffers = _kernel.Run(
             n=n, d=d, k0=k0, floor=SIMILARITY_FLOOR,
             threshold=ELIMINATION_THRESHOLD, dead_epochs=DEAD_UNIT_EPOCHS,
             variance_floor=VARIANCE_FLOOR, entry_tolerance=ENTRY_TOLERANCE,
-            row_sum_tolerance=ROW_SUM_TOLERANCE,
-            **{name: _kernel.address(name, *spec) for name, spec in self.arrays.items()},
+            row_sum_tolerance=ROW_SUM_TOLERANCE, **checked,
+            **{
+                name: getattr(self, name).ctypes.data
+                for name, kind in _kernel.Run._fields_
+                if kind is ctypes.c_void_p and name not in checked
+            },
         )
         self.ref = ctypes.byref(self.buffers)
 

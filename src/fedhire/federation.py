@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import _kernel
 from .client import ClientPayload, run_fcpl
 from .core import AffiliationMatrix, DataMatrix
-from .cpl import DEFAULT_MAX_EPOCHS, CplResult, require_integers
+from .cpl import DEFAULT_MAX_EPOCHS, CplResult, require_numbers
 from .server import (
     GlobalClustering,
     Hierarchy,
@@ -60,7 +61,10 @@ class FederationConfig:
     max_epochs: int = DEFAULT_MAX_EPOCHS
 
     def __post_init__(self):
-        require_integers(self, "client_count", "k_star", "max_epochs", "seed")
+        require_numbers(
+            self, numbers.Integral, "client_count", "k_star", "max_epochs", "seed"
+        )
+        require_numbers(self, numbers.Real, "eta", "k0_fraction")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.client_count < 1:
@@ -75,11 +79,11 @@ class FederationConfig:
             if self.fragments_per_cluster != "auto":
                 raise ValueError("fragments_per_cluster must be an int or 'auto'")
         else:
-            require_integers(self, "fragments_per_cluster")
+            require_numbers(self, numbers.Integral, "fragments_per_cluster")
             if self.fragments_per_cluster < 1:
                 raise ValueError("fragments_per_cluster must be positive")
         if self.k0_absolute is not None:
-            require_integers(self, "k0_absolute")
+            require_numbers(self, numbers.Integral, "k0_absolute")
             if self.k0_absolute < 2:
                 raise ValueError(f"k0_absolute must be >= 2, got {self.k0_absolute}")
         if self.max_epochs < 1:
@@ -108,10 +112,6 @@ class PartitionPlan:
     @property
     def client_count(self) -> int:
         return len(self.client_indices)
-
-    @property
-    def object_count(self) -> int:
-        return sum(ix.size for ix in self.client_indices)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -277,8 +277,8 @@ class ExperimentResult:
                 "U": gc.U.entries.tolist(),
                 "server_assignments": gc.server_assignments.assignments.tolist(),
                 "object_assignments": {
-                    str(cid): labels.tolist()
-                    for cid, labels in sorted((gc.object_assignments or {}).items())
+                    str(cid): self.object_labels[self.plan.client_indices[cid]].tolist()
+                    for cid in sorted(self.client_ks)
                 },
             }
         )
@@ -336,7 +336,7 @@ def run_one_shot(
         logger.warning("%d client(s) skipped: %s", len(skipped), skipped)
 
     t0 = time.perf_counter()
-    stacked, provenance = stack_payloads(payloads)
+    stacked = stack_payloads(payloads)
     timings["upload"] = time.perf_counter() - t0
     communicated = sum(p.centroids.size for p in payloads)
 
@@ -367,10 +367,8 @@ def run_one_shot(
     timings["final"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    per_client = propagate_labels(global_clustering, provenance, client_results)
-    global_clustering.object_assignments = per_client
     object_labels = np.full(data.object_count, UNASSIGNED, dtype=np.int64)
-    for cid, labels in per_client.items():
+    for cid, labels in propagate_labels(global_clustering, client_results).items():
         object_labels[plan.client_indices[cid]] = labels
     unassigned = int((object_labels == UNASSIGNED).sum())
     if unassigned:

@@ -61,10 +61,6 @@ class Hierarchy:
         return len(self.levels)
 
     @property
-    def object_count(self) -> int:
-        return self.levels[0][1].object_count
-
-    @property
     def level_ks(self) -> list[int]:
         return [k for k, _ in self.levels]
 
@@ -103,32 +99,26 @@ class GlobalClustering:
     centroid_codes: np.ndarray
     iterations_used: int
     converged: bool
-    object_assignments: dict[int, np.ndarray] | None = None
 
 
-def stack_payloads(
-    payloads: list[ClientPayload],
-) -> tuple[DataMatrix, list[tuple[int, int]]]:
+def stack_payloads(payloads: list[ClientPayload]) -> DataMatrix:
     """Stack client payloads into one centroid matrix.
 
-    Rows are ordered by ascending client id, then clusterlet index; the
-    returned provenance maps each row back to (client_id, clusterlet index).
+    Rows are ordered by ascending client id, then clusterlet index. That
+    order is the rows' provenance: ``propagate_labels`` reads each client's
+    rows back from it.
     """
     if not payloads:
         raise ValueError("need at least one payload")
     ordered = sorted(payloads, key=lambda p: p.client_id)
     d = ordered[0].centroids.shape[1]
-    provenance: list[tuple[int, int]] = []
-    blocks = []
     for p in ordered:
         if p.centroids.shape[1] != d:
             raise ValueError(
                 f"client {p.client_id} has {p.centroids.shape[1]} features, "
                 f"expected {d}"
             )
-        blocks.append(p.centroids)
-        provenance.extend((p.client_id, j) for j in range(p.clusterlet_count))
-    return DataMatrix(np.vstack(blocks)), provenance
+    return DataMatrix(np.vstack([p.centroids for p in ordered]))
 
 
 def mcpl_stage_seed(seed: int, stage: int) -> int:
@@ -368,28 +358,27 @@ def final_clustering(
 
 def propagate_labels(
     global_clustering: GlobalClustering,
-    provenance: list[tuple[int, int]],
     client_results: dict[int, CplResult],
 ) -> dict[int, np.ndarray]:
     """Carry the server partition back to each client's objects.
 
-    An object gets the global label of the clusterlet it belongs to in its
-    client's local affiliation.
+    The server rows are stacked in ascending client id, then clusterlet
+    index (``stack_payloads``), so each client's clusterlets hold the next
+    ``converged_k`` rows in that order. An object gets the global label of
+    the clusterlet it belongs to in its client's local affiliation.
     """
     server_labels = global_clustering.server_assignments.assignments
-    clusterlet_label: dict[int, dict[int, int]] = {}
-    for row, (cid, j) in enumerate(provenance):
-        clusterlet_label.setdefault(cid, {})[j] = int(server_labels[row])
+    total = sum(result.converged_k for result in client_results.values())
+    if total != server_labels.size:
+        raise ValueError(
+            f"the clients have {total} clusterlets, the server labelled "
+            f"{server_labels.size} rows"
+        )
     out: dict[int, np.ndarray] = {}
-    for cid, result in client_results.items():
-        mapping = clusterlet_label.get(cid)
-        if mapping is None:
-            raise ValueError(f"provenance has no rows for client {cid}")
-        if len(mapping) != result.converged_k:
-            raise ValueError(
-                f"client {cid}: provenance covers {len(mapping)} clusterlets, "
-                f"local result has {result.converged_k}"
-            )
-        lut = np.array([mapping[j] for j in range(result.converged_k)], dtype=np.int64)
+    row = 0
+    for cid in sorted(client_results):
+        result = client_results[cid]
+        lut = server_labels[row:row + result.converged_k]
         out[cid] = lut[result.affiliation.assignments]
+        row += result.converged_k
     return out

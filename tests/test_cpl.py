@@ -773,6 +773,8 @@ class TestCplConfig:
             {"eta": 0.05, "k0": 5, "max_epochs": "3"},
             {"eta": 0.05, "k0": 5, "rng_seed": 1.5},
             {"eta": 0.05, "k0": 5, "rng_seed": True},
+            {"eta": True, "k0": 3},
+            {"eta": "0.05", "k0": 5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -301,14 +301,14 @@ class TestRunOneShot:
             client_id=0,
         )
         result, payload = outcome
-        stacked, provenance = stack_payloads([payload])
+        stacked = stack_payloads([payload])
         hierarchy = run_mcpl(
             stacked, eta=config.eta, k0_fraction=config.k0_fraction,
             seed=mcpl_seed(config.seed), min_finest=config.k_star,
         )
         rep = encode_hierarchy(hierarchy)
         partition = final_clustering(rep, config.k_star, seed=final_seed(config.seed))
-        labels = propagate_labels(partition, provenance, {0: result})[0]
+        labels = propagate_labels(partition, {0: result})[0]
         np.testing.assert_array_equal(federated.object_labels, labels)
 
     def test_server_inputs_contain_no_client_rows(self, three_cluster_data, config):
@@ -387,12 +387,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FederationConfig(client_count=2, k_star=2, fragments_per_cluster="many")
 
-    @pytest.mark.parametrize("value", [0.0, -0.1, 1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.1, 1.5, float("nan"), float("inf"), True, "0.5"]
+    )
     def test_k0_fraction_outside_unit_interval_rejected(self, value):
         with pytest.raises(ValueError, match="k0_fraction"):
             FederationConfig(client_count=2, k_star=2, k0_fraction=value)
 
-    @pytest.mark.parametrize("value", [0.0, -0.05, float("nan")])
+    @pytest.mark.parametrize("value", [0.0, -0.05, float("nan"), True, "0.05"])
     def test_non_positive_eta_rejected(self, value):
         with pytest.raises(ValueError, match="eta"):
             FederationConfig(client_count=2, k_star=2, eta=value)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedhire import _kernel, cpl, federation
+from fedhire import _kernel, federation
 from fedhire.core import ClusterletState, DataMatrix
 from fedhire.cpl import _Run
 import kernel_steps
@@ -200,13 +200,64 @@ def test_kmeans_checks_its_pad(monkeypatch):
     assert checked["pad"] == (np.dtype(np.float64), (3 * KERNEL_LANE,))
 
 
-def test_run_checks_its_pad(monkeypatch):
-    # a d x LANE block of objects, then the centroid and scaled rows of up to
-    # k0 stale columns
+def run_layouts(n: int, d: int, k0: int) -> dict:
+    """The dtype and shape of each pointer member of ``struct fh_run``, as its
+    comment in ``_kernel.c`` gives them, for n objects, d features and k0
+    clusterlets."""
+    f8, i8, u1 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint8)
+    return {
+        "values": (f8, (n, d)),
+        "sims": (f8, (n, k0)),
+        "stored_centroids": (f8, (k0, d)),
+        "stored_rows": (f8, (k0, d)),
+        "centroids": (f8, (k0, d)),
+        "win_counts": (i8, (k0,)),
+        "raw_weights": (f8, (k0,)),
+        "weights": (f8, (k0,)),
+        "active": (np.dtype(np.bool_), (k0,)),
+        "rows": (f8, (k0, d)),
+        "act": (i8, (k0,)),
+        "stale": (i8, (k0,)),
+        "assignments": (i8, (2, n)),
+        "counts": (i8, (k0,)),
+        "sums": (f8, (k0, d)),
+        "streaks": (i8, (k0,)),
+        "gamma": (f8, (k0,)),
+        "gw": (f8, (k0,)),
+        "totals": (f8, (2, d)),
+        "sum_xx": (f8, (k0, d)),
+        "sum_compact": (f8, (k0, d)),
+        "terms": (f8, (n, d)),
+        # a d x LANE block of objects, then the centroid and scaled rows of up
+        # to k0 stale columns
+        "pad": (f8, (d * (KERNEL_LANE + 2 * k0),)),
+        "row_centroids": (f8, (k0, d)),
+        "fell_back": (u1, (k0,)),
+        "redo": (u1, (k0,)),
+    }
+
+
+# the arrays a run is handed, whose layout is its caller's
+HANDED = {"values", "centroids", "win_counts", "raw_weights", "weights", "active", "rows"}
+
+
+@pytest.mark.parametrize("n, d, k0", [(10, 2, 3), (70, 5, 11)])
+def test_run_buffers_have_the_struct_layout(monkeypatch, n, d, k0):
+    # only the handed-in arrays are checked; the run makes the rest, so each
+    # of its own must already have its member's layout
     checked = checked_buffers(monkeypatch)
-    values = np.random.default_rng(5).normal(size=(10, 2))
-    cpl.run_cpl(DataMatrix(values), cpl.CplConfig(eta=0.05, k0=3))
-    assert checked["pad"] == (np.dtype(np.float64), (2 * (KERNEL_LANE + 2 * 3),))
+    values = np.random.default_rng(n).normal(size=(n, d))
+    run = _Run(values, ClusterletState.initial(values[:k0]), np.full((k0, d), 1.0 / d))
+    layouts = run_layouts(n, d, k0)
+    arrays = [*vars(run).values(), *(array for array, _, _ in run.handed.values())]
+    held = {a.ctypes.data: a for a in arrays if isinstance(a, np.ndarray)}
+    pointers = [name for name, kind in _kernel.Run._fields_ if kind is ctypes.c_void_p]
+    assert sorted(pointers) == sorted(layouts)
+    for name in pointers:
+        array = held[getattr(run.buffers, name)]
+        assert (array.dtype, array.shape) == layouts[name], name
+        assert array.flags.c_contiguous, name
+    assert checked == {name: layouts[name] for name in HANDED}
 
 
 # the ctypes type of each kind of struct member

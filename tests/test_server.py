@@ -47,19 +47,19 @@ def nested_centroids(seed, offset=0.10, sigma=0.005, per_group=20):
 
 
 class TestStackPayloads:
-    def test_concatenation_with_provenance(self):
+    def test_concatenation_in_client_order(self):
+        # ascending client id, then clusterlet index: the order propagate_labels reads
         p0 = ClientPayload(client_id=0, centroids=np.arange(6.0).reshape(3, 2))
         p1 = ClientPayload(client_id=1, centroids=np.arange(4.0).reshape(2, 2) + 10)
-        stacked, provenance = stack_payloads([p1, p0])
-        assert stacked.values.shape == (5, 2)
-        assert provenance == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
-        np.testing.assert_array_equal(stacked.values[:3], p0.centroids)
+        stacked = stack_payloads([p1, p0])
+        np.testing.assert_array_equal(
+            stacked.values, np.vstack([p0.centroids, p1.centroids])
+        )
 
     def test_single_payload_identity(self):
         p = ClientPayload(client_id=4, centroids=np.ones((2, 3)))
-        stacked, provenance = stack_payloads([p])
+        stacked = stack_payloads([p])
         np.testing.assert_array_equal(stacked.values, p.centroids)
-        assert provenance == [(4, 0), (4, 1)]
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -499,41 +499,42 @@ class TestPropagateLabels:
 
     def test_two_clusterlet_composition(self):
         gc = _fake_global(np.array([0, 1]), k=2)
-        provenance = [(0, 0), (0, 1)]
         result = self._result_with_affiliation([0, 0, 1], k=2)
-        labels = propagate_labels(gc, provenance, {0: result})
+        labels = propagate_labels(gc, {0: result})
         np.testing.assert_array_equal(labels[0], [0, 0, 1])
 
     def test_all_clusterlets_to_one_cluster(self):
         gc = _fake_global(np.array([3, 3]), k=4)
         result = self._result_with_affiliation([0, 1, 0, 1], k=2)
-        labels = propagate_labels(gc, [(0, 0), (0, 1)], {0: result})
+        labels = propagate_labels(gc, {0: result})
         assert set(labels[0].tolist()) == {3}
 
     def test_three_client_brute_force(self):
+        # rows are stacked by ascending client id, whatever the results'
+        # order, and skipped clients (1, 2, 4) hold none
         rng = np.random.default_rng(7)
         server_labels = rng.integers(0, 3, size=7)
         gc = _fake_global(server_labels, k=3)
-        provenance = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
         results = {
+            5: self._result_with_affiliation(rng.integers(0, 2, size=4), k=2),
             0: self._result_with_affiliation(rng.integers(0, 2, size=5), k=2),
-            1: self._result_with_affiliation(rng.integers(0, 3, size=6), k=3),
-            2: self._result_with_affiliation(rng.integers(0, 2, size=4), k=2),
+            3: self._result_with_affiliation(rng.integers(0, 3, size=6), k=3),
         }
-        labels = propagate_labels(gc, provenance, results)
+        labels = propagate_labels(gc, results)
         row = 0
-        for cid in (0, 1, 2):
+        for cid in (0, 3, 5):
             k = results[cid].converged_k
             lut = {j: server_labels[row + j] for j in range(k)}
             expected = [lut[a] for a in results[cid].affiliation.assignments]
             np.testing.assert_array_equal(labels[cid], expected)
             row += k
 
-    def test_mismatched_provenance_rejected(self):
+    def test_mismatched_row_count_rejected(self):
         gc = _fake_global(np.array([0, 1]), k=2)
-        result = self._result_with_affiliation([0, 0, 1], k=2)
-        with pytest.raises(ValueError):
-            propagate_labels(gc, [(0, 0)], {0: result})
+        for k in (1, 3):
+            result = self._result_with_affiliation(np.arange(k), k=k)
+            with pytest.raises(ValueError, match=f"have {k} clusterlets, the server labelled 2"):
+                propagate_labels(gc, {0: result})
 
 
 def _fake_global(server_labels, k):
