@@ -1,68 +1,32 @@
 """fedhire: one-shot hierarchical federated clustering."""
 
-from .client import ClientPayload, run_fcpl
-from .core import (
-    AffiliationMatrix,
-    ClusterletState,
-    DataMatrix,
-    EmptyClusterError,
-    FeatureClusterMatrix,
-)
-from .cpl import CplConfig, CplResult, run_cpl
+from .core import DataMatrix, EmptyClusterError
 from .federation import (
     ExperimentError,
     ExperimentResult,
     FederationConfig,
     PartitionPlan,
     fragment_partition,
-    kmeans,
     run_one_shot,
 )
 from .metrics import acc, ari, nmi, purity
-from .server import (
-    EnhancedRepresentation,
-    GlobalClustering,
-    Hierarchy,
-    encode_hierarchy,
-    final_clustering,
-    propagate_labels,
-    run_mcpl,
-    stack_payloads,
-)
 from .synth import gaussian_mixture
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffiliationMatrix",
-    "ClientPayload",
-    "ClusterletState",
-    "CplConfig",
-    "CplResult",
     "DataMatrix",
     "EmptyClusterError",
-    "EnhancedRepresentation",
     "ExperimentError",
     "ExperimentResult",
-    "FeatureClusterMatrix",
     "FederationConfig",
-    "GlobalClustering",
-    "Hierarchy",
     "PartitionPlan",
     "acc",
     "ari",
-    "encode_hierarchy",
-    "final_clustering",
     "fragment_partition",
     "gaussian_mixture",
-    "kmeans",
     "nmi",
-    "propagate_labels",
     "purity",
-    "run_cpl",
-    "run_fcpl",
-    "run_mcpl",
     "run_one_shot",
-    "stack_payloads",
     "__version__",
 ]

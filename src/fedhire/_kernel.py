@@ -108,8 +108,8 @@ def load(cache: Path) -> ctypes.CDLL:
 
 def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """``lib`` with the argument and result types of the kernel's exports."""
-    # the Run of buffers that ``address`` checked, eta, max_epochs and the
-    # address of the int64 info array
+    # the Run of the call's buffers (only those handed in checked by
+    # ``address``), eta, max_epochs and the address of the int64 info array
     lib.fh_cpl.argtypes = [
         ctypes.POINTER(Run), ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
     ]

@@ -31,8 +31,16 @@ class CliError(RuntimeError):
     """User-facing failure; rendered as an error JSON with a nonzero exit."""
 
 
-def _as_given(value):
+def _text(value) -> str:
+    """A string setting: a flag's text or a spec-file string, nothing else."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
     return value
+
+
+def _label(value) -> str | int:
+    """The label column: a name, or an index that is not a boolean."""
+    return _integer(value) if isinstance(value, int) else _text(value)
 
 
 def _integer(value) -> int:
@@ -62,7 +70,7 @@ def _fragments(value) -> int | str:
     return value if value == "auto" else _integer(value)
 
 
-def _setting(key, default=MISSING, parse=str, config=None, run_only=False,
+def _setting(key, default=MISSING, parse=_text, config=None, run_only=False,
              recorded=True, help=None):
     """One row of the CLI's field table: an ExperimentSpec attribute.
 
@@ -89,7 +97,7 @@ class ExperimentSpec:
 
     data: str = _setting("data", help="CSV dataset path")
     label_column: str | int | None = _setting(
-        "labels", None, _as_given, help="label column (name or index)"
+        "labels", None, _label, help="label column (name or index)"
     )
     clients: int = _setting("clients", 8, _integer, config="client_count")
     k_star: int = _setting("k_star", parse=_integer, config="k_star")
@@ -212,7 +220,7 @@ def _resolve_spec(
     Each setting takes its spec-file value, else a flag given on the command
     line, else its default. Flags default to ``argparse.SUPPRESS``, so
     ``flags`` holds only the ones given. A spec-file key outside the field
-    table is an error.
+    table is an error, as is a ``null`` where the default is not ``None``.
     """
     from_file = {}
     if spec_path:
@@ -231,8 +239,9 @@ def _resolve_spec(
         key = f.metadata["key"]
         if key in from_file:
             raw = from_file[key]
+            nullable = raw is None and f.default is None
             try:
-                values[f.name] = None if raw is None else f.metadata["parse"](raw)
+                values[f.name] = None if nullable else f.metadata["parse"](raw)
             except (TypeError, ValueError) as exc:
                 raise CliError(f"spec file {spec_path}: {key}: {exc}") from None
         elif key in given:

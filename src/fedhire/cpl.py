@@ -106,6 +106,11 @@ def require_numbers(config, kind, *names: str) -> None:
             raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
+def derive_seed(seed: int, key: int) -> int:
+    """The seed of ``SeedSequence(seed)``'s child ``key``; every server seed is one."""
+    return int(np.random.SeedSequence(entropy=seed, spawn_key=(key,)).generate_state(1)[0])
+
+
 @dataclass
 class CplConfig:
     """Hyperparameters of a single competitive learning run."""

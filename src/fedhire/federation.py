@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernel
 from .client import ClientPayload, run_fcpl
 from .core import AffiliationMatrix, DataMatrix
-from .cpl import DEFAULT_MAX_EPOCHS, CplResult, require_numbers
+from .cpl import DEFAULT_MAX_EPOCHS, CplResult, derive_seed, require_numbers
 from .server import (
     GlobalClustering,
     Hierarchy,
@@ -41,6 +41,9 @@ logger = logging.getLogger(__name__)
 UNASSIGNED = -1
 # most Lloyd iterations of the fragmentation k-means
 KMEANS_MAX_ITERS = 100
+# derive_seed keys of the hierarchy's seed (whose stage s spawns key s) and the final's
+MCPL_SEED_KEY = 0x6D63
+FINAL_SEED_KEY = 0xF1A1
 
 
 class ExperimentError(RuntimeError):
@@ -232,18 +235,6 @@ def client_seed(master_seed: int, client_id: int) -> int:
     return master_seed ^ client_id
 
 
-def mcpl_seed(master_seed: int) -> int:
-    return int(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(0x6D63,)).generate_state(1)[0]
-    )
-
-
-def final_seed(master_seed: int) -> int:
-    return int(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(0xF1A1,)).generate_state(1)[0]
-    )
-
-
 @dataclass
 class ExperimentResult:
     """Everything one simulated one-shot run produced."""
@@ -345,7 +336,7 @@ def run_one_shot(
         stacked,
         eta=config.eta,
         k0_fraction=config.k0_fraction,
-        seed=mcpl_seed(config.seed),
+        seed=derive_seed(config.seed, MCPL_SEED_KEY),
         max_epochs=config.max_epochs,
         min_finest=config.k_star,
     )
@@ -362,7 +353,7 @@ def run_one_shot(
         )
     t0 = time.perf_counter()
     global_clustering = final_clustering(
-        rep, k_star=config.k_star, seed=final_seed(config.seed)
+        rep, k_star=config.k_star, seed=derive_seed(config.seed, FINAL_SEED_KEY)
     )
     timings["final"] = time.perf_counter() - t0
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .client import ClientPayload, fcpl_k0
 from .core import AffiliationMatrix, DataMatrix, EmptyClusterError, FeatureClusterMatrix
-from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, run_cpl
+from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, derive_seed, run_cpl
 
 logger = logging.getLogger(__name__)
 
@@ -121,11 +121,6 @@ def stack_payloads(payloads: list[ClientPayload]) -> DataMatrix:
     return DataMatrix(np.vstack([p.centroids for p in ordered]))
 
 
-def mcpl_stage_seed(seed: int, stage: int) -> int:
-    """Deterministic per-stage seed for the hierarchy recursion."""
-    return int(np.random.SeedSequence(entropy=seed, spawn_key=(stage,)).generate_state(1)[0])
-
-
 def run_mcpl(
     stacked: DataMatrix,
     eta: float,
@@ -156,7 +151,7 @@ def run_mcpl(
     prev_k = None
     for stage in range(MCPL_STAGE_CAP):
         config = CplConfig(
-            eta=eta, k0=k0, max_epochs=max_epochs, rng_seed=mcpl_stage_seed(seed, stage)
+            eta=eta, k0=k0, max_epochs=max_epochs, rng_seed=derive_seed(seed, stage)
         )
         result = run_cpl(stacked, config)
         k = result.converged_k

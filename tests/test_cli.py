@@ -275,6 +275,33 @@ class TestMainEntry:
         with pytest.raises(SystemExit):
             main(["run", "--data", blob_csv, "--k-star", "3", "--clients", "2.9"])
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("repeats", None), ("seed", None), ("clients", None), ("data", None),
+         ("out", None), ("data", 5), ("report", 5), ("out", ["res.json"]),
+         ("labels", True), ("labels", False), ("labels", 1.0)],
+    )
+    def test_spec_value_of_the_wrong_json_type_names_the_key(self, blob_csv, tmp_path,
+                                                             key, value):
+        # null stands only for a None default (labels, report); a boolean is
+        # not a label column index, and a path must be a string
+        spec_path = tmp_path / "spec.json"
+        spec = {"data": blob_csv, "labels": "cls", "k_star": 3}
+        spec[key] = value
+        spec_path.write_text(json.dumps(spec))
+        with pytest.raises(CliError, match=f": {key}: "):
+            _resolve_spec(argparse.Namespace(), str(spec_path))
+
+    def test_spec_nulls_and_label_index_where_allowed(self, blob_csv, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "data": blob_csv, "k_star": 3, "labels": None, "report": None,
+        }))
+        spec = _resolve_spec(argparse.Namespace(), str(spec_path))
+        assert (spec.label_column, spec.report) == (None, None)
+        spec_path.write_text(json.dumps({"data": blob_csv, "k_star": 3, "labels": 2}))
+        assert _resolve_spec(argparse.Namespace(), str(spec_path)).label_column == 2
+
     def test_spec_file_then_flags_then_defaults(self, blob_csv, tmp_path):
         # spec-file values win over flags; flags given next to --spec fill
         # in what the file leaves out; the rest take their defaults

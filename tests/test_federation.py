@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 import oracles
 from fedhire import federation
 from fedhire.core import DataMatrix
+from fedhire.cpl import derive_seed
 from fedhire.federation import (
+    FINAL_SEED_KEY,
     KMEANS_MAX_ITERS,
+    MCPL_SEED_KEY,
     ExperimentError,
     FederationConfig,
     PartitionPlan,
     client_seed,
-    final_seed,
     fragment_partition,
     kmeans,
-    mcpl_seed,
     run_one_shot,
 )
 from fedhire.client import run_fcpl
@@ -246,8 +247,8 @@ class TestSeeds:
         assert client_seed(12, 5) == 12 ^ 5
 
     def test_phase_seeds_distinct(self):
-        assert mcpl_seed(7) != final_seed(7)
-        assert mcpl_seed(7) == mcpl_seed(7)
+        assert derive_seed(7, MCPL_SEED_KEY) != derive_seed(7, FINAL_SEED_KEY)
+        assert derive_seed(7, MCPL_SEED_KEY) == derive_seed(7, MCPL_SEED_KEY)
 
 
 class TestRunOneShot:
@@ -304,10 +305,12 @@ class TestRunOneShot:
         stacked = stack_payloads([payload])
         hierarchy = run_mcpl(
             stacked, eta=config.eta, k0_fraction=config.k0_fraction,
-            seed=mcpl_seed(config.seed), min_finest=config.k_star,
+            seed=derive_seed(config.seed, MCPL_SEED_KEY), min_finest=config.k_star,
         )
         rep = encode_hierarchy(hierarchy)
-        partition = final_clustering(rep, config.k_star, seed=final_seed(config.seed))
+        partition = final_clustering(
+            rep, config.k_star, seed=derive_seed(config.seed, FINAL_SEED_KEY)
+        )
         labels = propagate_labels(partition, {0: result})[0]
         np.testing.assert_array_equal(federated.object_labels, labels)
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from conftest import blob_data
-from fedhire import FederationConfig, gaussian_mixture, run_cpl, run_one_shot
+from fedhire import FederationConfig, gaussian_mixture, run_one_shot
 from fedhire.cli import main
 from fedhire.client import fcpl_k0
-from fedhire.cpl import CplConfig
+from fedhire.cpl import CplConfig, run_cpl
 
 GOLDEN_N = 240
 
