@@ -4,9 +4,10 @@ The shared library is compiled on first use with the system C compiler and
 cached on disk under a name that hashes the C source, the compiler command
 and the interpreter's ``EXT_SUFFIX``. The cache is the package's
 ``__pycache__/`` directory, or a fresh temporary directory when that is not
-writable. A build writes to a temporary name and then renames it into place,
-so concurrent first uses never load a half-written file, and then deletes
-the cached builds of other sources. Once cached, loading compiles nothing.
+writable. A build writes to a temporary name of its own process and thread
+and then renames it into place, so concurrent first uses never load a
+half-written file, and then deletes the cached builds of other sources.
+Once cached, loading compiles nothing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 import subprocess
 import sysconfig
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +123,8 @@ def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
 
 
 def _build(target: Path) -> None:
-    partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    # named by process and thread, so concurrent builds never share a file
+    partial = target.with_name(f"{target.name}.{os.getpid()}.{threading.get_native_id()}.tmp")
     command = [COMPILER, *FLAGS, "-o", str(partial), str(SOURCE), *LIBRARIES]
     try:
         subprocess.run(command, check=True, capture_output=True, text=True)
@@ -136,7 +139,7 @@ def _build(target: Path) -> None:
         ) from None
     os.replace(partial, target)
     # the builds of earlier sources are never loaded again; partial builds
-    # (".tmp") of other processes end in another suffix and stay
+    # (".tmp") of other processes and threads end in another suffix and stay
     for stale in target.parent.glob(f"_kernel-*{sysconfig.get_config_var('EXT_SUFFIX')}"):
         if stale != target:
             stale.unlink(missing_ok=True)

@@ -41,7 +41,8 @@ logger = logging.getLogger(__name__)
 UNASSIGNED = -1
 # most Lloyd iterations of the fragmentation k-means
 KMEANS_MAX_ITERS = 100
-# derive_seed keys of the hierarchy's seed (whose stage s spawns key s) and the final's
+# derive_seed keys of the hierarchy's seed (whose stage s spawns key s) and of the
+# final clustering's random start, drawn only when no level has k* clusters
 MCPL_SEED_KEY = 0x6D63
 FINAL_SEED_KEY = 0xF1A1
 

@@ -22,8 +22,6 @@ from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, derive_seed, run_cpl
 
 logger = logging.getLogger(__name__)
 
-# most competitive-learning stages in one hierarchy
-MCPL_STAGE_CAP = 20
 # most alternating iterations of the final clustering
 FINAL_MAX_ITERS = 100
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -35,7 +33,9 @@ class Hierarchy:
 
     ``levels`` runs finest to coarsest with strictly decreasing cluster
     counts; single-cluster levels are never stored (a constant level carries
-    no information for the weighted clustering downstream).
+    no information for the weighted clustering downstream). The levels that
+    ``run_mcpl`` builds nest: rows that share a cluster at one level share
+    one at every coarser level.
     """
 
     levels: list[tuple[int, AffiliationMatrix]]
@@ -129,54 +129,56 @@ def run_mcpl(
     max_epochs: int = DEFAULT_MAX_EPOCHS,
     min_finest: int | None = None,
 ) -> Hierarchy:
-    """Build the multi-granular hierarchy by recursive competitive learning.
+    """Build the multi-granular hierarchy by nested competitive learning.
 
-    Stage 1 over-provisions with k0 = ``fcpl_k0(n, k0_fraction)``; every
-    later stage inherits only the converged cluster count as its k0 and
-    re-initializes everything else (fresh centroid sample, zeroed win counts
-    and weights, uniform feature matrix). Levels are appended while the
-    cluster count strictly decreases and stays >= 2.
+    Stage 0 runs over the stacked centroids with k0 = ``fcpl_k0(n,
+    k0_fraction)``. Each later stage s runs over the k centroids that stage
+    s − 1 kept, with k0 = min(k − 1, max(``fcpl_k0(k, k0_fraction)``, 2,
+    k*)) and seed ``derive_seed(seed, s)``, k* being ``min_finest``. A
+    stacked row's cluster at level s is the stage-s cluster of its level
+    s − 1 cluster, so every level nests in the next. Since k0 < k, the
+    cluster count strictly falls; the loop stops at k = 2 or when a stage
+    collapses below 2 clusters.
 
     ``min_finest`` is the granularity the finest level must be able to
     express (the orchestrator passes the target cluster count): on small
     stacks where ceil(k0_fraction * n) cannot reach it, or when the finest
-    stage collapses to a single cluster, stage 1 is retried once fully
+    stage collapses to a single cluster, stage 0 is retried once fully
     provisioned (k0 = n).
     """
     n = stacked.object_count
     if n < 2:
         raise ValueError(f"need at least 2 stacked centroids, got {n}")
-    levels: list[tuple[int, AffiliationMatrix]] = []
-    k0 = fcpl_k0(n, k0_fraction)
-    prev_k = None
-    for stage in range(MCPL_STAGE_CAP):
-        config = CplConfig(
-            eta=eta, k0=k0, max_epochs=max_epochs, rng_seed=derive_seed(seed, stage)
-        )
-        result = run_cpl(stacked, config)
+    floor = max(2, min_finest or 2)
+    config = CplConfig(
+        eta=eta, k0=fcpl_k0(n, k0_fraction), max_epochs=max_epochs,
+        rng_seed=derive_seed(seed, 0),
+    )
+    result = run_cpl(stacked, config)
+    k = result.converged_k
+    if k < floor and config.k0 < n:
+        # a sparse stack can get swept too coarse (or into one cluster) when
+        # under-provisioned; retry fully provisioned
+        logger.info("finest stage gave k=%d < %d; retrying with k0=%d", k, floor, n)
+        result = run_cpl(stacked, replace(config, k0=n))
         k = result.converged_k
-        if prev_k is None:
-            floor = max(2, min_finest or 2)
-            if k < floor and k0 < n:
-                # a sparse stack can get swept too coarse (or into one
-                # cluster) when under-provisioned; retry fully provisioned
-                logger.info(
-                    "finest stage gave k=%d < %d; retrying with k0=%d", k, floor, n
-                )
-                config = replace(config, k0=n)
-                result = run_cpl(stacked, config)
-                k = result.converged_k
-            if k < 2:
-                raise EmptyClusterError(
-                    "stacked centroids show no multi-cluster structure"
-                )
-        elif k >= prev_k or k < 2:
+    if k < 2:
+        raise EmptyClusterError("stacked centroids show no multi-cluster structure")
+    levels = [(k, result.affiliation)]
+    assignments = result.affiliation.assignments
+    stage = 1
+    while k > 2:
+        config = CplConfig(
+            eta=eta, k0=min(k - 1, max(fcpl_k0(k, k0_fraction), floor)),
+            max_epochs=max_epochs, rng_seed=derive_seed(seed, stage),
+        )
+        result = run_cpl(DataMatrix(result.clusterlets.centroids), config)
+        k = result.converged_k
+        if k < 2:
             break
-        levels.append((k, result.affiliation))
-        prev_k = k
-        if k == 2:
-            break
-        k0 = k
+        assignments = result.affiliation.assignments[assignments]
+        levels.append((k, AffiliationMatrix(assignments, k=k)))
+        stage += 1
     return Hierarchy(levels=levels)
 
 
@@ -298,6 +300,25 @@ def _repair_empty_clusters(rep, assignments, centroid_codes, u) -> None:
         sims[pick] = np.inf
 
 
+def _level_start(rep: EnhancedRepresentation, k_star: int) -> tuple[int, np.ndarray] | None:
+    """The hierarchy's start for the final clustering, with its level's k.
+
+    The start is the per-level mode codes of the k* largest clusters (ties
+    toward the lower cluster index) of the coarsest level with at least k*
+    nonempty clusters; None when no level has that many.
+    """
+    for delta in range(rep.depth - 1, -1, -1):
+        level_k = int(rep.level_ks[delta])
+        clusters = AffiliationMatrix(rep.codes[:, delta] - 1, k=level_k)
+        sizes = np.bincount(clusters.assignments, minlength=level_k)
+        if np.count_nonzero(sizes) < k_star:
+            continue
+        largest = np.argsort(-sizes, kind="stable")[:k_star]
+        modes = _mode_codes(rep, clusters, np.zeros((level_k, rep.depth), np.int64))
+        return level_k, modes[largest]
+    return None
+
+
 def final_clustering(
     rep: EnhancedRepresentation,
     k_star: int,
@@ -305,17 +326,30 @@ def final_clustering(
 ) -> GlobalClustering:
     """Alternating weighted clustering of the encoded hierarchy.
 
-    Starts from k* distinct rows as centroids and uniform level weights,
-    then alternates: update the level weights from the fixed partition,
-    reassign rows under the fixed weights, recompute centroids as per-level
-    modes. Stops when the partition repeats. Empty clusters are re-seeded
-    from the worst-fitting row to keep k* exact.
+    Starts from the per-level mode codes of the k* largest clusters of the
+    coarsest level with at least k* clusters (see ``_level_start``); only
+    when no level has k* clusters does it start from k* distinct rows drawn
+    with ``seed``. Level weights start uniform. It then alternates: update
+    the level weights from the fixed partition, reassign rows under the
+    fixed weights, recompute centroids as per-level modes. Stops when the
+    partition repeats. Empty clusters are re-seeded from the worst-fitting
+    row to keep k* exact. On nested levels, a start from a level of exactly
+    k* clusters returns that level's partition.
     """
     n = rep.object_count
     if not 2 <= k_star <= n:
         raise ValueError(f"k_star must be in [2, {n}], got {k_star}")
-    rng = np.random.default_rng(seed)
-    centroid_codes = rep.codes[rng.choice(n, size=k_star, replace=False)].copy()
+    start = _level_start(rep, k_star)
+    if start is None:
+        logger.info(
+            "final clustering starts from %d random rows: no level has %d clusters",
+            k_star, k_star,
+        )
+        rng = np.random.default_rng(seed)
+        centroid_codes = rep.codes[rng.choice(n, size=k_star, replace=False)].copy()
+    else:
+        level_k, centroid_codes = start
+        logger.info("final clustering starts from the level with k=%d", level_k)
     u = FeatureClusterMatrix.uniform(k_star, rep.depth)
 
     affiliation = assign_server(rep, centroid_codes, u)

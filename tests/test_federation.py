@@ -283,6 +283,16 @@ class TestRunOneShot:
         np.testing.assert_array_equal(first.object_labels, second.object_labels)
         assert first.hierarchy_ks == second.hierarchy_ks
 
+    def test_fully_provisioned_retry_builds_coarser_levels(self):
+        # stage 0 at k0 = ceil(0.1 * 73) = 8 gives fewer than k* = 8 clusters,
+        # so it is retried with every stacked centroid as a clusterlet; the
+        # later stages must still build coarser levels over its survivors
+        data = gaussian_mixture(6000, 4, 8, seed=0)
+        config = FederationConfig(client_count=8, k_star=8, k0_fraction=0.1, seed=0)
+        result = run_one_shot(data, config)
+        assert len(result.hierarchy_ks) >= 2
+        assert ari(result.object_labels, data.labels) >= 0.2
+
     def test_replay_from_saved_plan(self, three_cluster_data, config):
         first = run_one_shot(three_cluster_data, config)
         plan = PartitionPlan.from_json(first.plan.to_json())

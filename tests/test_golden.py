@@ -76,8 +76,8 @@ CPL_GOLDEN = {
 }
 
 ONE_SHOT_GOLDEN = {
-    "d2_fraction": "18733a6c0f12d4db2426bd3bb3ef3d2d8bfc3a3affac228cc341a69f11ebde30",
-    "d4_absolute": "2c65dbd2c829d9bc506710ec0eb3cb3ba4cd500d203ce31ff210146ffafc26ad",
+    "d2_fraction": "41b1b50710bde79df3cf31c84171a7f3ef0923c16bd3f4ad28a5e59a6831b32c",
+    "d4_absolute": "97d2abe75610880239f25cfb5d8d45c56ca741c265ecf6b1c15d4097a268ee2a",
 }
 
 
@@ -102,8 +102,8 @@ REPORT_SPECS = {
 }
 
 REPORT_GOLDEN = {
-    "d2_fraction": "abab49103b7fc33deadbf6e54271d38d739a8608ae73de331a16c540dc139e08",
-    "d4_absolute": "7582e224b95fd7d57d2155480e627eef6b5e8688ced3221403b8471b0aa412da",
+    "d2_fraction": "cb85f0efa10fece272fd2b6b4636792544f8cd817a27a6a72061d5bc0e011252",
+    "d4_absolute": "c5f05c94a4b4f85c296cbb5d6a6e11215ee71d7da802b45f79cbf05fd058e633",
     "skipped_client": "2b0d9c2caf209cec02e44775acceb25fe3f2976a36ada852a23c9c71937662c6",
 }
 
@@ -122,7 +122,7 @@ CLI_SPEC = {
     "fragments": 2, "repeats": 2, "seed": 4,
 }
 
-CLI_GOLDEN = "8ea28af884229fa357e2fb052ee78a987df741dfb70d8dcaec08b1018043b4c1"
+CLI_GOLDEN = "89e7c415677ab54e4f1673480d4f472590e829312d788aed7ee9cc0487ae4b87"
 
 
 def test_cli_run_determinism_hash(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import platform
 import re
 import subprocess
 import sysconfig
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -124,6 +125,41 @@ def test_a_build_deletes_the_builds_of_other_sources(tmp_path):
         path.write_bytes(b"")
     _kernel.load(tmp_path)
     assert sorted(tmp_path.iterdir()) == sorted([target, *kept])
+
+
+def test_two_threads_build_into_one_empty_cache(tmp_path, monkeypatch):
+    # both threads compile before either renames its build into place, so a
+    # partial file named by the process alone would be renamed away under
+    # the second thread
+    compiled = threading.Barrier(2, timeout=120)
+    compile_ = subprocess.run
+
+    def compile_then_wait(*args, **kwargs):
+        done = compile_(*args, **kwargs)
+        compiled.wait()
+        return done
+
+    monkeypatch.setattr(_kernel.subprocess, "run", compile_then_wait)
+    libraries, errors = [], []
+
+    def load():
+        try:
+            libraries.append(_kernel.load(tmp_path))
+        except Exception as exc:  # reported by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=load) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=300)
+        assert not thread.is_alive()
+    assert errors == [] and len(libraries) == 2
+    assert list(tmp_path.iterdir()) == [_kernel._library_path(tmp_path)]
+    want = _kmeans(_kernel.library())
+    for lib in libraries:
+        for got, expected in zip(_kmeans(lib), want):
+            np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("argument, position", [(0, 1), (1, 4), (2, 5)])

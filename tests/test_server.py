@@ -104,6 +104,60 @@ class TestRunMcpl:
             np.testing.assert_array_equal(q1.assignments, q2.assignments)
 
 
+class TestNestedHierarchy:
+    # at k0_fraction 1 a later stage's k0 is capped at k - 1, so k still falls
+    @pytest.mark.parametrize(
+        "seed, min_finest, k0_fraction",
+        [(0, None, 0.5), (1, 4, 0.5), (2, 8, 0.5), (3, 4, 1.0)],
+    )
+    def test_levels_nest(self, seed, min_finest, k0_fraction):
+        hierarchy = run_mcpl(
+            nested_centroids(610 + seed), eta=0.05, k0_fraction=k0_fraction,
+            seed=seed, min_finest=min_finest,
+        )
+        assert hierarchy.depth >= 2
+        for (_, fine), (_, coarse) in zip(hierarchy.levels, hierarchy.levels[1:]):
+            pairs = np.unique(
+                np.column_stack([fine.assignments, coarse.assignments]), axis=0
+            )
+            # every finer cluster is nonempty and lies in exactly one coarser one
+            np.testing.assert_array_equal(pairs[:, 0], np.arange(fine.k))
+
+    def test_final_clustering_returns_a_level_of_k_star_clusters(self):
+        hierarchy = run_mcpl(nested_centroids(600), eta=0.05, k0_fraction=0.5, seed=0)
+        rep = encode_hierarchy(hierarchy)
+        for k, level in hierarchy.levels:
+            got = final_clustering(rep, k_star=k, seed=0).server_assignments
+            pairs = np.unique(np.column_stack([level.assignments, got.assignments]), axis=0)
+            # one to one: the level's partition up to relabelling
+            assert pairs.shape[0] == k
+            assert np.unique(pairs[:, 1]).size == k
+
+    def test_final_clustering_logs_its_start(self, caplog):
+        # nested levels 6 > 3 > 2 over 30 rows; the 3-cluster level starts k* = 3
+        fine = np.random.default_rng(8).permutation(np.arange(30) % 6)
+        codes = np.column_stack([fine, fine // 2, fine // 4]) + 1
+        rep = EnhancedRepresentation(codes=codes, level_ks=[6, 3, 2])
+        with caplog.at_level("INFO", logger="fedhire.server"):
+            result = final_clustering(rep, k_star=3, seed=0)
+            final_clustering(rep, k_star=7, seed=0)
+        assert result.iterations_used == 1
+        np.testing.assert_array_equal(result.server_assignments.assignments, fine // 2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "final clustering starts from the level with k=3",
+            "final clustering starts from 7 random rows: no level has 7 clusters",
+        ]
+
+    def test_a_level_short_of_k_star_nonempty_clusters_is_passed_over(self):
+        # the finest level declares 5 clusters but uses 3 of them
+        codes = np.array([[1, 1], [2, 1], [3, 2], [1, 1], [2, 1], [3, 2]])
+        rep = EnhancedRepresentation(codes=codes, level_ks=[5, 2])
+        assert server._level_start(rep, 4) is None
+        level_k, start = server._level_start(rep, 3)
+        assert level_k == 5
+        np.testing.assert_array_equal(start, [[1, 1], [2, 1], [3, 2]])
+
+
 class TestHierarchyType:
     def test_strictly_decreasing_enforced(self):
         q4 = AffiliationMatrix(np.arange(4) % 4, k=4)
