@@ -3,19 +3,25 @@
 The shared library is compiled on first use with the system C compiler and
 cached on disk under a name that hashes the C source, the compiler command
 and the interpreter's ``EXT_SUFFIX``. The cache is the package's
-``__pycache__/`` directory, or a fresh temporary directory when that is not
-writable. A build writes to a temporary name of its own process and thread
-and then renames it into place, so concurrent first uses never load a
-half-written file, and then deletes the cached builds of other sources.
+``__pycache__/`` directory; when that is not writable, the user's
+``$XDG_CACHE_HOME/fedhire`` (``~/.cache/fedhire``), used only while the user
+owns it and no one else may write to it; and only when neither is usable, a
+fresh temporary directory, deleted at exit. A build writes to a temporary
+name of its own process and thread and then renames it into place, so
+concurrent first uses never load a half-written file, and then deletes the
+cached builds of other sources.
 Once cached, loading compiles nothing.
 """
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import functools
 import hashlib
 import os
+import shutil
+import stat
 import subprocess
 import sysconfig
 import tempfile
@@ -25,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
+PACKAGE_CACHE = SOURCE.parent / "__pycache__"
 COMPILER = "cc"
 # -ffp-contract=off: no fused multiply-adds, whose single rounding would move
 # bits. -fno-trapping-math and -fvect-cost-model=cheap let GCC run the exp
@@ -145,15 +152,45 @@ def _build(target: Path) -> None:
             stale.unlink(missing_ok=True)
 
 
+def _writable(cache: Path) -> bool:
+    try:
+        cache.mkdir(exist_ok=True)
+    except OSError:
+        return False
+    return os.access(cache, os.W_OK)
+
+
+def _user_cache() -> Path | None:
+    """``$XDG_CACHE_HOME/fedhire``, or ``~/.cache/fedhire`` when that variable
+    is unset or relative, made with mode 0700; ``None`` unless it is a real
+    directory of the current user that neither group nor others may write,
+    so a library is never loaded from a path that someone else controls."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = Path(base) / "fedhire"
+    try:
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        info = cache.lstat()
+    except OSError:
+        return None
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != os.getuid()
+        or info.st_mode & (stat.S_IWGRP | stat.S_IWOTH)
+        or not os.access(cache, os.W_OK)
+    ):
+        return None
+    return cache
+
+
 @functools.cache
 def library() -> ctypes.CDLL:
-    """The process's kernel library, from the package cache when writable."""
-    cache = SOURCE.parent / "__pycache__"
-    if not _library_path(cache).exists():
-        try:
-            cache.mkdir(exist_ok=True)
-        except OSError:
-            pass
-        if not os.access(cache, os.W_OK):
-            cache = Path(tempfile.mkdtemp(prefix="fedhire-kernel-"))
+    """The process's kernel library, from the first usable cache."""
+    if _library_path(PACKAGE_CACHE).exists() or _writable(PACKAGE_CACHE):
+        return load(PACKAGE_CACHE)
+    cache = _user_cache()
+    if cache is None:
+        cache = Path(tempfile.mkdtemp(prefix="fedhire-kernel-"))
+        atexit.register(shutil.rmtree, cache, True)
     return load(cache)

@@ -74,15 +74,52 @@ def nmi(predicted, truth) -> float:
     return mi / (0.5 * (h_pred + h_true))
 
 
+def _matched_total(table: np.ndarray) -> int:
+    """The largest total of a one-to-one matching of the rows of the integer
+    ``table`` to its columns: the Hungarian method with row and column
+    potentials (Kuhn 1955), exact in int64, O(r²·c) with r ≤ c."""
+    cost = -np.asarray(table, dtype=np.int64)
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    rows, cols = cost.shape
+    # 1-based rows and columns; column 0 is the free row's virtual start
+    cost = np.pad(cost, ((1, 0), (1, 0)))
+    # the row and column potentials; the reduced cost cost - u - v stays >= 0
+    u = np.zeros(rows + 1, dtype=np.int64)
+    v = np.zeros(cols + 1, dtype=np.int64)
+    owner = np.zeros(cols + 1, dtype=np.intp)  # the row matched to each column
+    way = np.zeros(cols + 1, dtype=np.intp)
+    unset = np.iinfo(np.int64).max
+    for row in range(1, rows + 1):
+        owner[0] = row
+        column = 0
+        slack = np.full(cols + 1, unset, dtype=np.int64)
+        used = np.zeros(cols + 1, dtype=bool)
+        while owner[column]:
+            used[column] = True
+            reduced = cost[owner[column]] - u[owner[column]] - v
+            better = ~used & (reduced < slack)
+            slack[better] = reduced[better]
+            way[better] = column
+            free = np.flatnonzero(~used)
+            column = free[slack[free].argmin()]
+            delta = slack[column]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+        # flip the alternating path back to the virtual start
+        while column:
+            previous = way[column]
+            owner[column] = owner[previous]
+            column = previous
+    matched = np.flatnonzero(owner[1:]) + 1
+    return int(-cost[owner[matched], matched].sum())
+
+
 def acc(predicted, truth) -> float:
     """Clustering accuracy under the best one-to-one cluster-class matching.
 
     The matching is solved exactly as an assignment problem, never greedily.
-    scipy is imported here, on first use: it is most of the import time of
-    the package, and nothing else needs it.
     """
-    from scipy.optimize import linear_sum_assignment
-
     table = _contingency(predicted, truth)
-    rows, cols = linear_sum_assignment(-table)
-    return float(table[rows, cols].sum() / table.sum())
+    return float(_matched_total(table) / table.sum())

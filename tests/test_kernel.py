@@ -1,10 +1,13 @@
 """Building, caching and loading the compiled kernel, and its array guards."""
 
 import ctypes
+import os
 import platform
 import re
+import stat
 import subprocess
 import sysconfig
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -89,6 +92,78 @@ def test_a_cached_library_is_loaded_without_compiling(tmp_path, monkeypatch):
 
     monkeypatch.setattr(_kernel, "_build", no_build)
     _kernel.load(tmp_path)
+
+
+@pytest.fixture
+def unwritable_package_cache(tmp_path, monkeypatch):
+    """A package cache that cannot be made (its parent is a file, which
+    stops even root), a temporary directory of the test's own, and a count
+    of the builds; the cached ``library`` is cleared before and after."""
+    blocker = tmp_path / "package"
+    blocker.write_bytes(b"")
+    monkeypatch.setattr(_kernel, "PACKAGE_CACHE", blocker / "__pycache__")
+    temporary = tmp_path / "tmp"
+    temporary.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temporary))
+    builds = []
+    build = _kernel._build
+
+    def counted(target):
+        builds.append(target)
+        build(target)
+
+    monkeypatch.setattr(_kernel, "_build", counted)
+    _kernel.library.cache_clear()
+    yield builds, temporary
+    _kernel.library.cache_clear()
+
+
+def test_an_unwritable_package_falls_back_to_the_user_cache(
+    tmp_path, monkeypatch, unwritable_package_cache
+):
+    builds, temporary = unwritable_package_cache
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    first = _kernel.library()
+    cache = tmp_path / "xdg" / "fedhire"
+    assert builds == [_kernel._library_path(cache)] and first._name == str(builds[0])
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    _kernel.library.cache_clear()
+    assert _kernel.library()._name == first._name
+    assert len(builds) == 1 and list(temporary.iterdir()) == []
+
+
+def test_the_user_cache_defaults_to_dot_cache_in_home(tmp_path, monkeypatch):
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert _kernel._user_cache() == tmp_path / ".cache" / "fedhire"
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+    assert _kernel._user_cache() == tmp_path / ".cache" / "fedhire"
+
+
+def test_a_user_cache_others_may_write_is_never_used(
+    tmp_path, monkeypatch, unwritable_package_cache
+):
+    builds, temporary = unwritable_package_cache
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    shared = tmp_path / "xdg" / "fedhire"
+    shared.mkdir(parents=True)
+    shared.chmod(0o777)
+    assert _kernel._user_cache() is None
+    _kernel.library()
+    (scratch,) = temporary.iterdir()
+    assert builds == [_kernel._library_path(scratch)]
+    assert list(shared.iterdir()) == []
+    shared.chmod(0o700)
+    assert _kernel._user_cache() == shared
+    if os.geteuid() == 0:  # only root can hand the directory to another user
+        os.chown(shared, os.getuid() + 1, -1)
+        assert _kernel._user_cache() is None
+        os.chown(shared, os.getuid(), -1)
+    link = tmp_path / "xdg-link"
+    link.mkdir()
+    (link / "fedhire").symlink_to(shared)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(link))
+    assert _kernel._user_cache() is None
 
 
 def test_cache_key_follows_source_and_flags(monkeypatch):

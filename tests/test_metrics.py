@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import fedhire
-from fedhire.metrics import acc, ari, nmi, purity
+from conftest import blob_data
+from fedhire import cli
+from fedhire.metrics import _matched_total, acc, ari, nmi, purity
 
 
 def purity_bf(predicted, truth):
@@ -163,27 +166,98 @@ class TestAcc:
                 acc_bf(list(predicted), list(truth)), abs=1e-12
             )
 
-    def test_scipy_is_imported_by_acc_not_by_the_package(self):
-        # scipy.optimize is most of the package's import time; a fresh
-        # interpreter imports it only when acc first runs, with the same values
+    def test_no_scipy_at_run_time(self, tmp_path):
+        # a fresh interpreter that imports the package, scores with acc and
+        # runs the CLI loads no scipy module, and gets the in-process values
         pairs = [(list(map(int, p)), list(map(int, t))) for p, t in random_pairs(20, seed=7)]
+        data = blob_data([[0.05, 0.05], [0.95, 0.05], [0.5, 0.95]], 30, 0.03, seed=77)
+        csv_path = tmp_path / "blobs.csv"
+        csv_path.write_text("".join(
+            f"{x:.6f},{y:.6f},c{label}\n" for (x, y), label in zip(data.values, data.labels)
+        ))
+
+        def run_args(out):
+            return [
+                "run", "--data", str(csv_path), "--labels", "2", "--clients", "3",
+                "--k-star", "3", "--fragments", "2", "--repeats", "1", "--seed", "7",
+                "--out", str(out),
+            ]
+
         code = (
-            "import json, sys\n"
+            "import contextlib, io, json, sys\n"
             "import fedhire\n"
-            "before = 'scipy.optimize' in sys.modules\n"
-            "values = [fedhire.acc(p, t) for p, t in json.loads(sys.stdin.read())]\n"
-            "print(json.dumps([before, 'scipy.optimize' in sys.modules, values]))\n"
+            "from fedhire import cli\n"
+            "pairs, args = json.loads(sys.stdin.read())\n"
+            "values = [fedhire.acc(p, t) for p, t in pairs]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = cli.main(args)\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(json.dumps([loaded, values, status]))\n"
         )
         src = str(Path(fedhire.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        fresh_out = tmp_path / "fresh.json"
         done = subprocess.run(
-            [sys.executable, "-c", code], input=json.dumps(pairs), capture_output=True,
-            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+            [sys.executable, "-c", code], input=json.dumps([pairs, run_args(fresh_out)]),
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        before, after, values = json.loads(done.stdout)
-        assert not before and after
+        loaded, values, status = json.loads(done.stdout)
+        assert loaded == [] and status == 0
         assert values == [acc(p, t) for p, t in pairs]
+        here_out = tmp_path / "here.json"
+        assert cli.main(run_args(here_out)) == 0
+        fresh, here = json.loads(fresh_out.read_text()), json.loads(here_out.read_text())
+        assert fresh["determinism_hash"] == here["determinism_hash"]
+        assert fresh["runs"][0]["acc"] == here["runs"][0]["acc"]
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+class TestMatchedTotal:
+    """``_matched_total`` against scipy's assignment solver, the oracle."""
+
+    @staticmethod
+    def optimum(table):
+        rows, cols = linear_sum_assignment(-table)
+        return int(table[rows, cols].sum())
+
+    def test_random_tables_with_ties(self):
+        rng = np.random.default_rng(11)
+        for cap in (1, 2, 5, 50, 1000):
+            for _ in range(150):
+                r, c = rng.integers(1, 13, size=2)
+                table = rng.integers(0, cap + 1, size=(r, c))
+                assert _matched_total(table) == self.optimum(table), table
+
+    @pytest.mark.parametrize(
+        "shape", [(40, 40), (40, 60), (60, 40), (7, 40), (33, 9)], ids=shape_id
+    )
+    def test_large_square_and_rectangular_tables(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for cap in (3, 500):
+            table = rng.integers(0, cap + 1, size=shape)
+            assert _matched_total(table) == self.optimum(table)
+
+    def test_zero_rows_and_columns(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            r, c = rng.integers(2, 12, size=2)
+            table = rng.integers(0, 6, size=(r, c))
+            table[rng.random(r) < 0.3] = 0
+            table[:, rng.random(c) < 0.3] = 0
+            assert _matched_total(table) == self.optimum(table), table
+        assert _matched_total(np.zeros((3, 5), dtype=np.int64)) == 0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (6, 6), (4, 7)], ids=shape_id)
+    def test_edge_shapes_and_constant_tables(self, shape):
+        rng = np.random.default_rng(13)
+        table = rng.integers(0, 20, size=shape)
+        assert _matched_total(table) == self.optimum(table)
+        assert _matched_total(np.full(shape, 3)) == 3 * min(shape)
 
 
 class TestSharedProperties:
