@@ -21,9 +21,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from fedhire.core import ClusterletState  # noqa: E402
-from fedhire.cpl import _Run  # noqa: E402
 import kernel_steps  # noqa: E402
+from oracles import make_state  # noqa: E402
 
 SHAPES = [(1000, 500, 16), (1000, 500, 4), (250, 64, 4)]
 REPEATS = 25
@@ -33,9 +32,9 @@ def best_ns(lib, n: int, k0: int, d: int) -> float:
     """The best time of ``REPEATS`` full column recomputes, in ns."""
     rng = np.random.default_rng(0)
     values = rng.uniform(size=(n, d))
-    state = ClusterletState.initial(values[rng.choice(n, size=k0, replace=False)])
+    state = make_state(values[rng.choice(n, size=k0, replace=False)])
     rows = rng.dirichlet(np.ones(d), size=k0)
-    run = _Run(values, state, rows)
+    run = kernel_steps.StepRun(values, state, rows, lib)
     best = float("inf")
     for _ in range(REPEATS):
         # NaN stored rows compare unequal to every row: all k0 are stale

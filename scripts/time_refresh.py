@@ -23,9 +23,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from fedhire.core import ClusterletState  # noqa: E402
-from fedhire.cpl import _Run  # noqa: E402
 import kernel_steps  # noqa: E402
+from oracles import make_state  # noqa: E402
 
 SHAPES = [(1000, 500, 16), (1000, 500, 4), (250, 64, 4)]
 REPEATS = 25
@@ -36,10 +35,9 @@ def best_ns(lib, n: int, k0: int, d: int) -> tuple[float, float]:
     refreshes after one object moved, in ns."""
     rng = np.random.default_rng(0)
     values = rng.uniform(size=(n, d))
-    state = ClusterletState.initial(values[rng.choice(n, size=k0, replace=False)])
+    state = make_state(values[rng.choice(n, size=k0, replace=False)])
     rows = rng.dirichlet(np.ones(d), size=k0)
-    run = _Run(values, state, rows)
-    lib.step_totals(run.ref)
+    run = kernel_steps.StepRun(values, state, rows, lib)
     # each object to its nearest centroid among the first k0 - 1; the last
     # clusterlet owns object 0 alone in the previous assignments
     gaps = ((values[:, None, :] - state.centroids[None, :-1, :]) ** 2).sum(axis=2)

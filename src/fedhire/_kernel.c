@@ -3,16 +3,20 @@
  * refresh of run_cpl; and fh_kmeans, the whole Lloyd loop of the k-means
  * that fragments each ground-truth cluster (federation.kmeans).
  *
- * A run_cpl run is one kernel call, fh_cpl, on the buffers of struct fh_run,
- * all allocated by numpy. Each epoch, fh_columns recomputes the similarity
- * columns whose rows changed and writes their floored exp(-D) into the n x k0
- * cache, fh_epoch does the rest of the epoch (gamma, the presentation loop,
- * the win counts, the centroid means, the empty streaks and the
- * deactivation), reassign_orphans moves the objects of deactivated
- * clusterlets, the assignments are compared with the previous epoch's, and
- * fh_refresh recomputes the feature weights of the clusterlets whose members
- * or centroid changed since the last refresh, from column totals that
- * column_totals adds once per run.
+ * A run_cpl run is one kernel call, fh_cpl, on the buffers of struct fh_run:
+ * besides the values, numpy arenas that run_cpl lays out (cpl._Run), one per
+ * dtype and one for the similarity cache. fh_cpl seeds the run's initial state from the indices of its
+ * seed objects (seed_run), adds the column totals once (column_totals), and
+ * runs the epochs. Each epoch, fh_columns recomputes the similarity columns
+ * whose rows changed and writes their floored exp(-D) into the n x k0 cache,
+ * fh_epoch does the rest of the epoch (gamma, the presentation loop, the win
+ * counts, the centroid means, the empty streaks and the deactivation),
+ * reassign_orphans moves the objects of deactivated clusterlets, the
+ * assignments are compared with the previous epoch's, and fh_refresh
+ * recomputes the feature weights of the clusterlets whose members or
+ * centroid changed since the last refresh. Last, compact packs the surviving
+ * clusterlets to the front of the state arrays and remaps the final
+ * assignments onto them, so run_cpl only copies the result out.
  *
  * The arithmetic is fixed, and the scalar forms kept as oracles in
  * tests/oracles.py repeat it bit for bit: every distance adds its feature
@@ -30,7 +34,8 @@
  * exps for x86-64-v4, v3 and the default level, and the distance tiles
  * (tile_terms) for v3 and the default level only, since GCC's v4 code for
  * that loop is slower than its default code. Every clone gives the same
- * bits. The kernel allocates nothing: its scratch is numpy's too.
+ * bits. The kernel allocates nothing: its scratch is numpy's too. The
+ * package calls fh_cpl and fh_kmeans; every other function is static.
  */
 #include <math.h>
 #include <stdint.h>
@@ -192,7 +197,7 @@ static inline double squash(double raw)
 
 /* Every buffer of one run_cpl call, allocated by numpy; the layout of Run in
  * _kernel.py. All arrays are C-contiguous; k x d arrays hold one row per
- * clusterlet. */
+ * clusterlet. Besides the values, run_cpl places them all in its arenas. */
 struct fh_run {
     int64_t n, d, k0;
     double floor;               /* SIMILARITY_FLOOR */
@@ -622,21 +627,87 @@ static void reassign_orphans(const struct fh_run *r, int64_t *assignments)
     }
 }
 
+/* The initial state of a run from the indices of its k0 seed objects:
+ * centroid j is a copy of the values of object seeds[j], with no win, a raw
+ * weight of 0.0 and the weight 1.0 (squash(0.0) is 1.0), active, with the
+ * uniform M row 1/d, no empty epoch and no fallback. The stored rows of the
+ * columns and the centroids of the M rows are NaN, which compares unequal
+ * to everything, so the first epoch computes every column and the first
+ * refresh every live row. */
+static void seed_run(struct fh_run *r, const int64_t *seeds)
+{
+    int64_t d = r->d, k0 = r->k0;
+    for (int64_t j = 0; j < k0; j++) {
+        memcpy(r->centroids + j * d, r->values + seeds[j] * d,
+               (size_t)d * sizeof *r->centroids);
+        r->win_counts[j] = 0;
+        r->raw_weights[j] = 0.0;
+        r->weights[j] = 1.0;
+        r->active[j] = 1;
+        r->streaks[j] = 0;
+        r->fell_back[j] = 0;
+    }
+    for (int64_t i = 0; i < k0 * d; i++) {
+        r->rows[i] = 1.0 / (double)d;
+        r->stored_centroids[i] = r->stored_rows[i] = r->row_centroids[i] = NAN;
+    }
+}
+
+/* The survivors of a run, the active clusterlets that own an object of the
+ * final assignments row, in ascending index: their centroids, win counts,
+ * raw weights, weights and M rows move to the front of those arrays, in that
+ * order, the first of them become active and the rest inactive, and row is
+ * remapped onto them (through r->act). After the orphan reassignment every
+ * object's clusterlet is active, so every object keeps one. Returns how
+ * many survive. */
+static int64_t compact(struct fh_run *r, int64_t *row)
+{
+    int64_t n = r->n, d = r->d, k0 = r->k0, k = 0, *remap = r->act;
+    memset(r->counts, 0, (size_t)k0 * sizeof *r->counts);
+    for (int64_t i = 0; i < n; i++)
+        r->counts[row[i]] += 1;
+    for (int64_t j = 0; j < k0; j++) {
+        remap[j] = -1;
+        if (!r->active[j] || r->counts[j] == 0)
+            continue;
+        if (k < j) {
+            memcpy(r->centroids + k * d, r->centroids + j * d,
+                   (size_t)d * sizeof *r->centroids);
+            memcpy(r->rows + k * d, r->rows + j * d, (size_t)d * sizeof *r->rows);
+            r->win_counts[k] = r->win_counts[j];
+            r->raw_weights[k] = r->raw_weights[j];
+            r->weights[k] = r->weights[j];
+        }
+        remap[j] = k++;
+    }
+    for (int64_t j = 0; j < k0; j++)
+        r->active[j] = j < k;
+    for (int64_t i = 0; i < n; i++)
+        row[i] = remap[row[i]];
+    return k;
+}
+
 /* The whole competitive-learning loop of run_cpl, for at most max_epochs
- * epochs, after the column totals (column_totals). Epoch e runs fh_columns
- * and fh_epoch into assignment row e % 2, reassigns the objects of
- * deactivated clusterlets (reassign_orphans), stops from epoch 1 on if the
- * row repeats the previous one, and otherwise refreshes the feature weights
- * (fh_refresh), against the previous row from epoch 1 on: that row is the
- * last refresh's, since every epoch that does not stop refreshes. info gets
- * the epochs used, whether the loop converged, the final row and the
- * fallback rows of every refresh, summed. Returns 0; or, when a step fails,
- * a negative code: fh_refresh's -1, -2 or -3, or -4 if an epoch starts with
- * fewer than two active clusterlets. */
-int64_t fh_cpl(struct fh_run *r, double eta, int64_t max_epochs,
-               int64_t *info)
+ * epochs (at least one). A run with seeds starts from the state seed_run
+ * makes of them; a run without (NULL) from the state already in its
+ * buffers. Then the column totals (column_totals) and the epochs: epoch e
+ * runs fh_columns and fh_epoch into assignment row e % 2, reassigns the
+ * objects of deactivated clusterlets (reassign_orphans), stops from epoch 1
+ * on if the row repeats the previous one, and otherwise refreshes the
+ * feature weights (fh_refresh), against the previous row from epoch 1 on:
+ * that row is the last refresh's, since every epoch that does not stop
+ * refreshes. Last, the survivors are compacted into the front of the state
+ * (compact). info gets the epochs used, whether the loop converged, the
+ * final row, the fallback rows of every refresh, summed, and the survivor
+ * count. Returns 0; or, when a step fails, a negative code, with nothing
+ * compacted: fh_refresh's -1, -2 or -3, or -4 if an epoch starts with fewer
+ * than two active clusterlets. */
+int64_t fh_cpl(struct fh_run *r, const int64_t *seeds, double eta,
+               int64_t max_epochs, int64_t *info)
 {
     int64_t n = r->n, fallbacks = 0, epoch = 0, converged = 0;
+    if (seeds != NULL)
+        seed_run(r, seeds);
     column_totals(r);
     for (; epoch < max_epochs && !converged; epoch++) {
         int64_t *row = r->assignments + (epoch % 2) * n;
@@ -659,6 +730,7 @@ int64_t fh_cpl(struct fh_run *r, double eta, int64_t max_epochs,
     info[1] = converged;
     info[2] = (epoch - 1) % 2;
     info[3] = fallbacks;
+    info[4] = compact(r, r->assignments + info[2] * n);
     return 0;
 }
 

@@ -56,7 +56,8 @@ class KernelBuildError(RuntimeError):
 
 class Run(ctypes.Structure):
     """``struct fh_run`` of ``_kernel.c``: the sizes and constants of one
-    ``run_cpl`` call and the addresses of its numpy buffers, in its order."""
+    ``run_cpl`` call and the addresses of its numpy buffers, in its order
+    (every buffer but the values lies in an arena of ``cpl._Run``)."""
 
     _fields_ = [
         *((name, ctypes.c_int64) for name in ("n", "d", "k0")),
@@ -117,10 +118,12 @@ def load(cache: Path) -> ctypes.CDLL:
 
 def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     """``lib`` with the argument and result types of the kernel's exports."""
-    # the Run of the call's buffers (only those handed in checked by
-    # ``address``), eta, max_epochs and the address of the int64 info array
+    # the Run of the call's buffers, the address of the k0 seed indices (or
+    # NULL for a run whose state is already in place), eta, max_epochs and
+    # the address of the int64 info array
     lib.fh_cpl.argtypes = [
-        ctypes.POINTER(Run), ctypes.c_double, ctypes.c_int64, ctypes.c_void_p,
+        ctypes.POINTER(Run), ctypes.c_void_p, ctypes.c_double, ctypes.c_int64,
+        ctypes.c_void_p,
     ]
     lib.fh_cpl.restype = ctypes.c_int64
     # four sizes, then the buffers by the addresses that ``address`` checked

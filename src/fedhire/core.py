@@ -86,7 +86,8 @@ class AffiliationMatrix:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.assignments.size and (
-            self.assignments.min() < 0 or self.assignments.max() >= self.k
+            np.minimum.reduce(self.assignments) < 0
+            or np.maximum.reduce(self.assignments) >= self.k
         ):
             raise ValueError("assignment indices out of range [0, k)")
 
@@ -102,15 +103,21 @@ class FeatureClusterMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.float64)
-        if self.entries.ndim != 2:
+        self.entries = entries = np.asarray(self.entries, dtype=np.float64)
+        if entries.ndim != 2:
             raise ValueError("entries must be 2-D")
+        if entries.size == 0:
+            return
+        # the least and greatest entry that is not NaN (fmin and fmax pass
+        # over NaN); a NaN entry makes its row sum NaN, which the largest
+        # deviation then is, and NaN fails the comparison
         if (
-            (self.entries < -ENTRY_TOLERANCE) | (self.entries > 1.0 + ENTRY_TOLERANCE)
-        ).any():
+            np.fmin.reduce(entries, axis=None) < -ENTRY_TOLERANCE
+            or np.fmax.reduce(entries, axis=None) > 1.0 + ENTRY_TOLERANCE
+        ):
             raise ValueError("entries must lie in [0, 1]")
-        row_sums = self.entries.sum(axis=1)
-        if self.entries.shape[1] and not np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOLERANCE):
+        deviations = np.abs(np.add.reduce(entries, axis=1) - 1.0)
+        if not np.maximum.reduce(deviations) <= ROW_SUM_TOLERANCE:
             raise ValueError("rows must sum to 1")
 
     @classmethod
@@ -132,19 +139,6 @@ class ClusterletState:
     raw_weights: np.ndarray
     weights: np.ndarray
     active: np.ndarray
-
-    @classmethod
-    def initial(cls, centroids: np.ndarray) -> "ClusterletState":
-        """Fresh state: zero wins, zero raw weights and weights of 1."""
-        k = centroids.shape[0]
-        return cls(
-            centroids=np.array(centroids, dtype=np.float64),
-            win_counts=np.zeros(k, dtype=np.int64),
-            raw_weights=np.zeros(k),
-            # the kernel's squash of a raw weight 0.0 is exactly 1.0
-            weights=np.ones(k),
-            active=np.ones(k, dtype=bool),
-        )
 
     @property
     def k(self) -> int:

@@ -27,17 +27,22 @@ Scoring details, fixed across the package:
   every row sum in feature order from 0.0. The scalar forms kept as oracles
   in ``tests/oracles.py`` repeat that order, so the kernel's results are
   theirs bit for bit.
-- A run keeps one ``_Run``: the call's numpy buffers, shared with the kernel
-  by address (checked where handed in). Its n x k0 similarity cache
-  recomputes a column only when its centroid row or M row changed since it
-  was computed. Every entry depends only on its object and those two rows,
-  so a reused column is bitwise the column a recomputation would give.
-- A run is one kernel call, ``fh_cpl``, which runs every epoch: the
-  similarity columns (``fh_columns`` writes the floored ``exp(-D)`` of the
-  changed columns into the cache), the epoch itself (``fh_epoch``: gamma,
-  the presentation loop, the win counts, the centroid means, the empty
-  streaks and the deactivation), the reassignment of orphaned objects, the
-  convergence test and the feature-weight refresh (``fh_refresh``).
+- A run keeps one ``_Run``: every buffer of the call but the values, in
+  numpy arenas laid out by one table (``_layout``), shared with the kernel
+  by address (only the values and the seed indices, handed in, are
+  checked). Its n x k0 similarity cache recomputes a column only when its
+  centroid row or M row changed since it was computed. Every entry depends
+  only on its object and those two rows, so a reused column is bitwise the
+  column a recomputation would give.
+- A run is one kernel call, ``fh_cpl``, given the values and the indices of
+  the seed objects. It seeds the initial state in the run's arenas, runs
+  every epoch: the similarity columns (``fh_columns`` writes the floored
+  ``exp(-D)`` of the changed columns into the cache), the epoch itself
+  (``fh_epoch``: gamma, the presentation loop, the win counts, the centroid
+  means, the empty streaks and the deactivation), the reassignment of
+  orphaned objects, the convergence test and the feature-weight refresh
+  (``fh_refresh``); and compacts the survivors to the front of the state,
+  so that ``run_cpl`` only copies the result out.
 - A clusterlet's M row depends only on its members in object order, its
   centroid and the column totals of the values, which ``fh_cpl`` adds once
   per run. So each refresh after the first recomputes only the rows of the
@@ -145,31 +150,89 @@ class CplResult:
     feature_weights: FeatureClusterMatrix | None = None
 
 
+# the arenas of a run: one per dtype, and one of its own for the n x k0
+# similarity cache (in the float64 arena with the small buffers it raised
+# the peak RSS of the wide_d16 benchmark by 0.5 MB)
+F8, I8, U1, SIMS = 0, 1, 2, 3
+ARENA_DTYPES = (
+    np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint8), np.dtype(np.float64),
+)
+# the int64 slots that fh_cpl reports: the epochs used, whether the run
+# converged, the final assignment row, the uniform-row fallbacks of every
+# refresh, summed, and the survivor count
+INFO_SLOTS = 5
+
+
+def _layout(n: int, d: int, k0: int) -> tuple:
+    """Every buffer of a run of n objects, d features and k0 clusterlets but
+    the values: its name, its arena and its shape, in the order of the
+    pointers of ``struct fh_run``, then ``info``, fh_cpl's report."""
+    kd, k = (k0, d), (k0,)
+    return (
+        ("sims", SIMS, (n, k0)),
+        ("stored_centroids", F8, kd),
+        ("stored_rows", F8, kd),
+        ("centroids", F8, kd),
+        ("win_counts", I8, k),
+        ("raw_weights", F8, k),
+        ("weights", F8, k),
+        ("active", U1, k),
+        ("rows", F8, kd),
+        ("act", I8, k),
+        ("stale", I8, k),
+        ("assignments", I8, (2, n)),
+        ("counts", I8, k),
+        ("sums", F8, kd),
+        ("streaks", I8, k),
+        ("gamma", F8, k),
+        ("gw", F8, k),
+        ("totals", F8, (2, d)),
+        ("sum_xx", F8, kd),
+        ("sum_compact", F8, kd),
+        ("terms", F8, (n, d)),
+        # a d x LANE block of objects, then the centroid and scaled rows of
+        # up to k0 stale columns
+        ("pad", F8, (d * (_kernel.LANE + 2 * k0),)),
+        ("row_centroids", F8, kd),
+        ("fell_back", U1, k),
+        ("redo", U1, k),
+        ("info", I8, (INFO_SLOTS,)),
+    )
+
+
+# each buffer's place in _layout and its arena
+_SLOT = {name: slot for slot, (name, _, _) in enumerate(_layout(1, 1, 1))}
+_ARENA = tuple(arena for _, arena, _ in _layout(1, 1, 1))
+_ITEMSIZE = tuple(dtype.itemsize for dtype in ARENA_DTYPES)
+
+
 class _Run:
     """Every buffer of one ``run_cpl`` call, shared with ``_kernel.c``.
 
-    The kernel works in place on numpy arrays (so tracemalloc sees them all),
-    through one ``_kernel.Run`` of their addresses: the n x d values;
-    ``sims``, the n x k0 floored similarities exp(-D); the centroid and M
-    rows each column was computed from; the arrays of ``state`` and the M
-    rows ``rows``, updated in place; two assignment rows, written
-    alternately, so the previous epoch's stays readable for the convergence
-    test and as the previous assignments of the refresh; the scratch of the
-    epoch; the column totals, k0 x d member sums and n x d compactness terms
-    of the feature-weight refresh; ``pad``, the similarity columns' scratch:
-    a d x LANE block of objects, then the centroid and scaled rows of up to
-    k0 stale columns; and, for the refresh, ``row_centroids``, the centroid
-    each M row was made from (NaN at the start, so the first refresh
-    recomputes every row), ``fell_back``, whether each row fell back to
-    uniform, which a kept row counts again, and ``redo``, the rows it
-    recomputes. ``info`` receives what ``fh_cpl`` reports: the epochs used,
-    whether the run converged, the final assignment row and the uniform-row
-    fallbacks of every refresh, summed. Besides ``sims`` every buffer is
-    O(n d + k0 d).
+    Besides the n x d values, every buffer lies in one numpy arena per dtype
+    (float64, int64 and uint8), but ``sims``, which has one of its own
+    (``arenas``; numpy's, so tracemalloc sees them all), in the order of
+    ``_layout``, each on whole 8-byte words. ``buffers``, the ``_kernel.Run``
+    of the call, gets each address by offset arithmetic from its arena's;
+    only the values, handed in (after ``ascontiguousarray``), go through
+    ``_kernel.address``. The arenas are left uninitialised: ``fh_cpl`` seeds
+    the state and the scratch that needs a start from the seed indices.
 
-    Only the seven arrays handed in, whose layout is the caller's, go through
-    ``_kernel.address``: the values (after ``ascontiguousarray``), the five
-    of ``state`` and ``rows``. The rest are made here, named as in ``fh_run``.
+    The buffers, named as in ``fh_run``: ``sims``, the n x k0 floored
+    similarities exp(-D); the centroid and M rows each column was computed
+    from; the clusterlet state (centroids, win counts, raw weights, weights
+    and the active mask, viewed as bool) and the M rows ``rows``; two
+    assignment rows, written alternately, so the previous epoch's stays
+    readable for the convergence test and as the previous assignments of the
+    refresh; the scratch of the epoch; the column totals, k0 x d member sums
+    and n x d compactness terms of the feature-weight refresh; ``pad``, the
+    similarity columns' scratch; and, for the refresh, ``row_centroids``, the
+    centroid each M row was made from, ``fell_back``, whether each row fell
+    back to uniform, which a kept row counts again, and ``redo``, the rows it
+    recomputes. ``info`` receives what ``fh_cpl`` reports (``INFO_SLOTS``).
+    Besides ``sims`` every buffer is O(n d + k0 d). A buffer is viewed by its
+    name (``run.sims``), made anew each time; ``run_cpl`` views only
+    ``info`` and copies out the result (``head``).
 
     Column j of ``sims`` holds exp(-D_ij), floored, for every object i, as
     computed from the centroid row and M row stored for j. Invariant: every
@@ -180,56 +243,54 @@ class _Run:
     everything, so the first epoch computes every active column.
     """
 
-    def __init__(self, values: np.ndarray, state: ClusterletState, rows: np.ndarray):
+    def __init__(self, values: np.ndarray, k0: int):
         n, d = values.shape
-        k0 = state.k
-        self.state = state
-        self.rows = rows
         self.values = np.ascontiguousarray(values)
-        self.sims = np.empty((n, k0))
-        self.stored_centroids = np.full((k0, d), np.nan)
-        self.stored_rows = np.full((k0, d), np.nan)
-        self.act = np.empty(k0, dtype=np.int64)
-        self.stale = np.empty(k0, dtype=np.int64)
-        self.assignments = np.empty((2, n), dtype=np.int64)
-        self.counts = np.empty(k0, dtype=np.int64)
-        self.sums = np.empty((k0, d))
-        self.streaks = np.zeros(k0, dtype=np.int64)
-        self.gamma = np.empty(k0)
-        self.gw = np.empty(k0)
-        self.totals = np.empty((2, d))
-        self.sum_xx = np.empty((k0, d))
-        self.sum_compact = np.empty((k0, d))
-        self.terms = np.empty((n, d))
-        self.pad = np.empty(d * (_kernel.LANE + 2 * k0))
-        self.row_centroids = np.full((k0, d), np.nan)
-        self.fell_back = np.zeros(k0, dtype=np.uint8)
-        self.redo = np.empty(k0, dtype=np.uint8)
-        self.info = np.zeros(4, dtype=np.int64)
-        # the arrays handed in, held here so that none is freed while the
-        # run lives even if ``state`` gets new arrays
-        self.handed = {
-            "values": (self.values, np.float64, (n, d)),
-            "centroids": (state.centroids, np.float64, (k0, d)),
-            "win_counts": (state.win_counts, np.int64, (k0,)),
-            "raw_weights": (state.raw_weights, np.float64, (k0,)),
-            "weights": (state.weights, np.float64, (k0,)),
-            "active": (state.active, np.bool_, (k0,)),
-            "rows": (rows, np.float64, (k0, d)),
-        }
-        checked = {name: _kernel.address(name, *spec) for name, spec in self.handed.items()}
+        address = _kernel.address("values", self.values, np.float64, (n, d))
+        # each buffer's first byte in its arena; every buffer takes whole
+        # 8-byte words, so every one starts aligned
+        ends = [0] * len(ARENA_DTYPES)
+        self.starts = starts = []
+        for _, arena, shape in _layout(n, d, k0):
+            starts.append(ends[arena])
+            ends[arena] += (math.prod(shape) * _ITEMSIZE[arena] + 7) & -8
+        self.arenas = tuple(
+            np.empty(end // size, dtype)
+            for end, size, dtype in zip(ends, _ITEMSIZE, ARENA_DTYPES)
+        )
+        # the arenas' addresses; a ctypes view of each is faster to make
+        # than its ``ctypes`` attribute
+        bases = [ctypes.addressof(ctypes.c_char.from_buffer(arena)) for arena in self.arenas]
+        *addresses, self.info_address = [
+            bases[arena] + start for arena, start in zip(_ARENA, starts)
+        ]
         self.buffers = _kernel.Run(
-            n=n, d=d, k0=k0, floor=SIMILARITY_FLOOR,
-            threshold=ELIMINATION_THRESHOLD, dead_epochs=DEAD_UNIT_EPOCHS,
-            variance_floor=VARIANCE_FLOOR, entry_tolerance=ENTRY_TOLERANCE,
-            row_sum_tolerance=ROW_SUM_TOLERANCE, **checked,
-            **{
-                name: getattr(self, name).ctypes.data
-                for name, kind in _kernel.Run._fields_
-                if kind is ctypes.c_void_p and name not in checked
-            },
+            n, d, k0, SIMILARITY_FLOOR, ELIMINATION_THRESHOLD, DEAD_UNIT_EPOCHS,
+            VARIANCE_FLOOR, ENTRY_TOLERANCE, ROW_SUM_TOLERANCE, address, *addresses,
         )
         self.ref = ctypes.byref(self.buffers)
+        self.info = self._items("info", INFO_SLOTS)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        """The buffer ``name`` of ``_layout``, viewed in its arena."""
+        if name not in _SLOT:
+            raise AttributeError(name)
+        n, d = self.values.shape
+        shape = _layout(n, d, self.buffers.k0)[_SLOT[name]][2]
+        view = self._items(name, math.prod(shape)).reshape(shape)
+        return view.view(np.bool_) if name == "active" else view
+
+    def head(self, name: str, shape: tuple, first: int = 0) -> np.ndarray:
+        """A copy of items of the buffer ``name`` from its item ``first`` on,
+        in ``shape``."""
+        items = self._items(name, math.prod(shape), first)
+        return (items if len(shape) == 1 else items.reshape(shape)).copy()
+
+    def _items(self, name: str, count: int, first: int = 0) -> np.ndarray:
+        slot = _SLOT[name]
+        arena = _ARENA[slot]
+        start = self.starts[slot] // _ITEMSIZE[arena] + first
+        return self.arenas[arena][start : start + count]
 
 
 def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
@@ -256,11 +317,13 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
     nearest surviving clusterlet (the first of equal distances). The loop
     stops as soon as the affiliation repeats between consecutive epochs;
     otherwise the feature-cluster matrix is refreshed. The whole loop is one
-    call of ``fh_cpl`` in ``_kernel.c``.
+    call of ``fh_cpl`` in ``_kernel.c``, which seeds the run from the sampled
+    indices.
 
-    The result is compacted: only clusterlets that remain active *and* own
-    at least one object are reported, and the affiliation is re-indexed onto
-    them.
+    The result is compacted, by ``fh_cpl`` too: only clusterlets that remain
+    active *and* own at least one object are reported, in ascending index,
+    and the affiliation is re-indexed onto them. The result copies them out
+    of the run's buffers.
     """
     values = data.values
     n, d = values.shape
@@ -270,18 +333,16 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
         raise ValueError(f"k0={config.k0} exceeds object count {n}")
 
     rng = np.random.default_rng(config.rng_seed)
-    init_idx = rng.choice(n, size=config.k0, replace=False)
-    state = ClusterletState.initial(values[init_idx])
-    rows = FeatureClusterMatrix.uniform(config.k0, d).entries
-    run = _Run(values, state, rows)
-
+    seeds = rng.choice(n, size=config.k0, replace=False)
+    run = _Run(values, config.k0)
     code = _kernel.library().fh_cpl(
-        run.ref, config.eta, config.max_epochs, run.info.ctypes.data
+        run.ref, _kernel.address("seeds", seeds, np.int64, (config.k0,)),
+        config.eta, config.max_epochs, run.info_address,
     )
     if code < 0:
         error, message = CPL_ERRORS[code]
         raise error(message)
-    epochs_used, converged, row, fallbacks = run.info.tolist()
+    epochs_used, converged, row, fallbacks, k = run.info.tolist()
     if not converged:
         logger.info(
             "competitive learning did not converge within %d epochs",
@@ -293,8 +354,19 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
             "using uniform rows",
             fallbacks, epochs_used,
         )
-    return _compact_result(
-        run.assignments[row], state, rows, epochs_used, bool(converged)
+    return CplResult(
+        clusterlets=ClusterletState(
+            centroids=run.head("centroids", (k, d)),
+            win_counts=run.head("win_counts", (k,)),
+            raw_weights=run.head("raw_weights", (k,)),
+            weights=run.head("weights", (k,)),
+            active=np.ones(k, dtype=bool),
+        ),
+        affiliation=AffiliationMatrix(run.head("assignments", (n,), row * n), k=k),
+        converged_k=k,
+        epochs_used=epochs_used,
+        converged=bool(converged),
+        feature_weights=FeatureClusterMatrix(entries=run.head("rows", (k, d))),
     )
 
 
@@ -303,25 +375,3 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
 # the name goes when the benchmark drops the span.
 feature_cluster_matrix_client = None
 
-
-def _compact_result(assignments, state, rows, epochs_used, converged):
-    """The nonempty active clusterlets, and the affiliation re-indexed onto them."""
-    counts = np.bincount(assignments, minlength=state.k)
-    survivors = np.flatnonzero((counts > 0) & state.active)
-    remap = np.full(state.k, -1, dtype=np.int64)
-    remap[survivors] = np.arange(survivors.size)
-    clusterlets = ClusterletState(
-        centroids=state.centroids[survivors].copy(),
-        win_counts=state.win_counts[survivors].copy(),
-        raw_weights=state.raw_weights[survivors].copy(),
-        weights=state.weights[survivors].copy(),
-        active=np.ones(survivors.size, dtype=bool),
-    )
-    return CplResult(
-        clusterlets=clusterlets,
-        affiliation=AffiliationMatrix(remap[assignments], k=survivors.size),
-        converged_k=survivors.size,
-        epochs_used=epochs_used,
-        converged=converged,
-        feature_weights=FeatureClusterMatrix(entries=rows[survivors].copy()),
-    )

@@ -282,9 +282,10 @@ def _repair_empty_clusters(rep, assignments, centroid_codes, u) -> None:
         return
     matched = u.entries[assignments] * (rep.codes == centroid_codes[assignments])
     sims = np.sqrt(np.vecdot(matched, matched))
+    # one sort serves every empty cluster: a picked row is skipped as taken
+    order = np.argsort(sims, kind="stable")
     taken: set[int] = set()
     for j in empties:
-        order = np.argsort(sims, kind="stable")
         pick = next(
             (int(i) for i in order
              if int(i) not in taken and counts[assignments[i]] > 1),
@@ -297,7 +298,6 @@ def _repair_empty_clusters(rep, assignments, centroid_codes, u) -> None:
         assignments[pick] = j
         counts[j] = 1
         centroid_codes[j] = rep.codes[pick]
-        sims[pick] = np.inf
 
 
 def _level_start(rep: EnhancedRepresentation, k_star: int) -> tuple[int, np.ndarray] | None:

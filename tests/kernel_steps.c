@@ -5,6 +5,11 @@
  * compiler and flags, the kernel's directory on the include path. */
 #include "_kernel.c"
 
+void step_seed(struct fh_run *r, const int64_t *seeds)
+{
+    seed_run(r, seeds);
+}
+
 double step_squash(double raw)
 {
     return squash(raw);

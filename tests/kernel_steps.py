@@ -1,14 +1,14 @@
 """The static steps of ``_kernel.c``, one call at a time, for the oracle tests.
 
 ``fh_cpl`` runs a whole competitive-learning run in one call; its steps
-(the squash, the similarity columns, the epoch, the orphan reassignment, the
-column totals, the feature-weight refresh and the distances) are static in
-the kernel. ``kernel_steps.c`` includes the kernel's source and exports each
-of them, and ``library`` builds it once per test session with the package's
-compiler and flags, into a directory of the session's ``tmp_path_factory``
-(set by ``conftest.py``). ``kernel_levels.c`` is the same shim with the kernel's
-clone attributes compiled out, for builds at one x86-64 level (``build``
-with ``-march``).
+(the seeding, the squash, the similarity columns, the epoch, the orphan
+reassignment, the column totals, the feature-weight refresh and the
+distances) are static in the kernel. ``kernel_steps.c`` includes the
+kernel's source and exports each of them, and ``library`` builds it once per
+test session with the package's compiler and flags, into a directory of the
+session's ``tmp_path_factory`` (set by ``conftest.py``). ``kernel_levels.c``
+is the same shim with the kernel's clone attributes compiled out, for builds
+at one x86-64 level (``build`` with ``-march``).
 """
 
 import ctypes
@@ -39,6 +39,8 @@ def build(directory: Path, source: Path = SOURCE, flags: tuple = ()) -> ctypes.C
     assert built.returncode == 0, built.stderr
     lib = _kernel.bind(ctypes.CDLL(str(target)))
     run = ctypes.POINTER(_kernel.Run)
+    lib.step_seed.argtypes = [run, ctypes.c_void_p]
+    lib.step_seed.restype = None
     lib.step_squash.argtypes = [ctypes.c_double]
     lib.step_squash.restype = ctypes.c_double
     lib.step_columns.argtypes = [run]
@@ -67,6 +69,19 @@ def library() -> ctypes.CDLL:
     return build(factory.mktemp("kernel-steps"))
 
 
+def seeded_run(values: np.ndarray, seeds) -> _Run:
+    """A ``_Run`` over ``values`` with the state ``seed_run`` makes of the
+    indices ``seeds``, as ``fh_cpl`` starts a run of ``run_cpl``. The arenas
+    are filled with 0xAB bytes first, so no buffer the seeding leaves
+    unwritten can pass for a seeded one."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    run = _Run(values, seeds.size)
+    for arena in run.arenas:
+        arena.view(np.uint8).fill(0xAB)
+    library().step_seed(run.ref, _kernel.address("seeds", seeds, np.int64, seeds.shape))
+    return run
+
+
 def step_squash(raw: float) -> float:
     """The kernel's squash of one raw weight, 1 / (1 + e^{-10(raw + 5)})."""
     return library().step_squash(raw)
@@ -85,15 +100,48 @@ def dissimilarities(values, centroids, scaled):
 
 
 class StepRun(_Run):
-    """A ``_Run`` whose steps are called one at a time, as ``fh_cpl`` calls
-    them, with the engine's errors. The column totals are added once, at
-    construction, as ``fh_cpl`` adds them before its first epoch."""
+    """A ``_Run`` on the caller's ``state`` and M ``rows``, whose steps are
+    called one at a time, as ``fh_cpl`` calls them, with the engine's errors.
 
-    def __init__(self, values, state, rows):
-        super().__init__(values, state, rows)
-        self.lib = library()
+    The kernel reads and writes the arrays of ``state`` and ``rows`` in place
+    of the run's own, each checked by ``_kernel.address``; ``fh_cpl`` on the
+    run, given no seeds, starts from them. The rest of the run starts as
+    ``fh_cpl``'s seeding leaves it: NaN stored rows and row centroids, no
+    empty epoch and no fallback. The column totals are added once, at
+    construction, as ``fh_cpl`` adds them before its first epoch. The steps
+    are those of ``lib``, by default the session's shim."""
+
+    def __init__(self, values, state, rows, lib=None):
+        n, d = np.shape(values)
+        k0 = state.k
+        handed = {
+            "centroids": (state.centroids, np.float64, (k0, d)),
+            "win_counts": (state.win_counts, np.int64, (k0,)),
+            "raw_weights": (state.raw_weights, np.float64, (k0,)),
+            "weights": (state.weights, np.float64, (k0,)),
+            "active": (state.active, np.bool_, (k0,)),
+            "rows": (rows, np.float64, (k0, d)),
+        }
+        checked = {name: _kernel.address(name, *spec) for name, spec in handed.items()}
+        super().__init__(values, k0)
+        for name, address in checked.items():
+            setattr(self.buffers, name, address)
+        # held here, so that none is freed while the run lives even if
+        # ``state`` gets new arrays, and read in place of the arena's
+        self.__dict__.update({name: array for name, (array, _, _) in handed.items()})
+        self.state = state
+        for name in ("stored_centroids", "stored_rows", "row_centroids"):
+            getattr(self, name).fill(np.nan)
+        self.streaks.fill(0)
+        self.fell_back.fill(0)
+        self.lib = lib or library()
         self.epochs = 0
         self.lib.step_totals(self.ref)
+
+    def cpl(self, lib, eta: float, max_epochs: int) -> int:
+        """``fh_cpl`` of ``lib`` on the run from its state, without seeds;
+        returns its code."""
+        return lib.fh_cpl(self.ref, None, eta, max_epochs, self.info_address)
 
     def refresh_columns(self) -> int:
         """Recompute the active columns whose rows changed; returns how many.

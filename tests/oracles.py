@@ -9,11 +9,14 @@ functions that really run it.
 
 import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 
 from fedhire.core import (
+    ENTRY_TOLERANCE,
+    ROW_SUM_TOLERANCE,
     VARIANCE_FLOOR,
     AffiliationMatrix,
     ClusterletState,
@@ -215,17 +218,51 @@ def reassign_orphans(values, assignments, state, rows):
     assignments[orphaned] = active_idx[np.argmin(dist, axis=1)]
 
 
+@dataclass
+class Loop:
+    """What ``run_cpl_loop`` returns: the final assignments, remapped onto
+    the survivors; the epochs used; whether the loop converged; the last
+    epoch's similarity columns with the mask of the clusterlets active when
+    they were taken; how many orphans were reassigned; the active mask at
+    the end, before the compaction; and the survivors, by their indices
+    before it."""
+
+    assignments: np.ndarray
+    epochs: int
+    converged: bool
+    sims: np.ndarray
+    scored: np.ndarray
+    orphans: int
+    active: np.ndarray
+    survivors: np.ndarray
+
+
+def compact(state, rows, assignments):
+    """The numpy form of the kernel's ``compact``: the survivors, the active
+    clusterlets that own an object, move to the front of the centroids, win
+    counts, raw weights, weights and M ``rows``, in ascending index; the
+    first of them become active and the rest inactive. Mutates ``state`` and
+    ``rows``; returns the assignments remapped onto the survivors and the
+    survivors' indices before the move."""
+    counts = np.bincount(assignments, minlength=state.k)
+    survivors = np.flatnonzero((counts > 0) & state.active)
+    k = survivors.size
+    for array in (state.centroids, state.win_counts, state.raw_weights, state.weights, rows):
+        array[:k] = array[survivors]
+    state.active[:] = np.arange(state.k) < k
+    remap = np.full(state.k, -1, dtype=np.int64)
+    remap[survivors] = np.arange(k)
+    return remap[assignments], survivors
+
+
 def run_cpl_loop(values, state, rows, eta, max_epochs, streaks):
     """The loop of ``run_cpl`` in numpy, which ``fh_cpl`` must repeat bit for
     bit: each epoch ``epoch``; ``reassign_orphans`` when it deactivated the
     clusterlet of an object; a stop from the second epoch on if
     ``np.array_equal`` finds the assignments repeated; and otherwise
-    ``refresh_feature_weights``.
+    ``refresh_feature_weights``; then ``compact``.
 
-    Mutates ``state``, ``rows`` and ``streaks``. Returns the final
-    assignments, the epochs used, whether the loop converged, the last
-    epoch's similarity columns with the mask of the clusterlets active when
-    they were taken, and how many orphans were reassigned.
+    Mutates ``state``, ``rows`` and ``streaks``; returns a ``Loop``.
     """
     m = FeatureClusterMatrix(entries=rows)
     previous = None
@@ -244,13 +281,27 @@ def run_cpl_loop(values, state, rows, eta, max_epochs, streaks):
             break
         refresh_feature_weights(values, assignments, state, rows)
         previous = assignments
-    return assignments, epochs_used, converged, (sims, scored), orphan_total
+    active = state.active.copy()
+    assignments, survivors = compact(state, rows, assignments)
+    return Loop(
+        assignments, epochs_used, converged, sims, scored, orphan_total, active, survivors
+    )
 
 
 def make_state(centroids, raw=None, wins=None, active=None):
-    """A ClusterletState with the given raw weights, win counts and mask."""
-    centroids = np.asarray(centroids, dtype=np.float64)
-    state = ClusterletState.initial(centroids)
+    """A ClusterletState with the given raw weights, win counts and mask; by
+    default the state the kernel seeds a run with (``seed_run``): no wins,
+    raw weights 0.0, weights 1.0 (the squash of 0.0) and every clusterlet
+    active."""
+    centroids = np.array(centroids, dtype=np.float64)
+    k = centroids.shape[0]
+    state = ClusterletState(
+        centroids=centroids,
+        win_counts=np.zeros(k, dtype=np.int64),
+        raw_weights=np.zeros(k),
+        weights=np.ones(k),
+        active=np.ones(k, dtype=bool),
+    )
     if raw is not None:
         state.raw_weights = np.asarray(raw, dtype=np.float64)
         state.weights = np.array([squash(r) for r in state.raw_weights])
@@ -344,6 +395,19 @@ def feature_cluster_matrix_client(data, affiliation, centroids):
     nonzero = ~zero_rows
     entries[nonzero] = product[nonzero] / row_sums[nonzero, None]
     return FeatureClusterMatrix(entries=entries)
+
+
+def feature_cluster_matrix_error(entries):
+    """The message of the error ``FeatureClusterMatrix`` raises on the 2-D
+    ``entries`` by elementwise comparisons, or None: an entry outside [-ENTRY_TOLERANCE,
+    1 + ENTRY_TOLERANCE] (NaN compares false), else a row sum further than
+    ROW_SUM_TOLERANCE from 1 (NaN included)."""
+    if ((entries < -ENTRY_TOLERANCE) | (entries > 1.0 + ENTRY_TOLERANCE)).any():
+        return "entries must lie in [0, 1]"
+    row_sums = entries.sum(axis=1)
+    if entries.shape[1] and not np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOLERANCE):
+        return "rows must sum to 1"
+    return None
 
 
 def refresh_feature_weights(values, assignments, state, rows):
@@ -599,7 +663,9 @@ def repair_empty_clusters(rep, assignments, centroid_codes, u):
     """The loop form of ``server._repair_empty_clusters``, one
     ``match_similarity`` call per row: each empty cluster, ascending, takes
     the worst-fitting row of a cluster with more than one, and that row's
-    codes as its centroid. Mutates assignments and centroid_codes."""
+    codes as its centroid. A picked row's fit becomes inf and the fits are
+    sorted again for each empty cluster. Mutates assignments and
+    centroid_codes."""
     k = centroid_codes.shape[0]
     counts = np.bincount(assignments, minlength=k)
     empties = np.flatnonzero(counts == 0)

@@ -1,21 +1,22 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedhire.core import (
     AffiliationMatrix,
-    ClusterletState,
     DataMatrix,
     EmptyClusterError,
     FeatureClusterMatrix,
 )
-from kernel_steps import StepRun, dissimilarities
+from kernel_steps import StepRun, dissimilarities, seeded_run
 from oracles import (
     engine_feature_weights,
     feature_cluster_matrix_client,
+    feature_cluster_matrix_error,
     feature_weight_ratio,
     hellinger_quadrature,
     make_state,
@@ -110,6 +111,33 @@ class TestFeatureClusterMatrix:
     def test_rejects_nan_rows(self):
         with pytest.raises(ValueError):
             FeatureClusterMatrix(np.array([[0.5, np.nan]]))
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        special=st.lists(
+            st.sampled_from([np.nan, np.inf, -np.inf, -1e-12, -2e-12, 1.0 + 1e-12, 2.0, 0.0]),
+            max_size=3,
+        ),
+    )
+    def test_checks_as_the_elementwise_form(self, shape, seed, special):
+        # Dirichlet rows, nudged off their sums now and then, with special
+        # entries dropped in: the same error, or none, as the elementwise
+        # comparisons give
+        rng = np.random.default_rng(seed)
+        entries = rng.dirichlet(np.ones(max(shape[1], 1)), size=shape[0])[:, : shape[1]]
+        nudged = rng.random(entries.shape) < 0.2
+        entries += rng.choice([0.0, 1e-5, 2e-5], size=entries.shape) * nudged
+        for value in special:
+            if entries.size:
+                entries.flat[rng.integers(entries.size)] = value
+        want = feature_cluster_matrix_error(entries)
+        if want is None:
+            FeatureClusterMatrix(entries)
+        else:
+            with pytest.raises(ValueError, match=re.escape(want)):
+                FeatureClusterMatrix(entries)
 
 
 class TestWeightedDistance:
@@ -315,9 +343,18 @@ class TestFeatureClusterMatrixClient:
 
 class TestClusterletState:
     def test_initial_state(self):
-        state = ClusterletState.initial(np.zeros((3, 2)))
+        # the kernel seeds a run from its seed objects (seed_run)
+        values = np.arange(18.0).reshape(6, 3)
+        run = seeded_run(values, [4, 0, 2])
+        state = make_state(values[[4, 0, 2]])
         assert state.k == 3
-        np.testing.assert_array_equal(state.win_counts, 0)
-        np.testing.assert_array_equal(state.raw_weights, 0.0)
-        assert (state.weights > 0.999999).all()
-        assert state.active.all()
+        for name in ("centroids", "win_counts", "raw_weights", "weights", "active"):
+            got = getattr(run, name)
+            assert got.dtype == getattr(state, name).dtype, name
+            np.testing.assert_array_equal(got, getattr(state, name), err_msg=name)
+        np.testing.assert_array_equal(run.weights.view(np.uint64), np.ones(3).view(np.uint64))
+        np.testing.assert_array_equal(run.rows, np.full((3, 3), 1.0 / 3))
+        for name in ("stored_centroids", "stored_rows", "row_centroids"):
+            assert np.isnan(getattr(run, name)).all(), name
+        np.testing.assert_array_equal(run.streaks, 0)
+        np.testing.assert_array_equal(run.fell_back, 0)

@@ -16,7 +16,6 @@ from fedhire.cpl import (
     ELIMINATION_THRESHOLD,
     SIMILARITY_FLOOR,
     CplConfig,
-    _Run,
     run_cpl,
 )
 import kernel_steps
@@ -63,7 +62,7 @@ class TestSquashWeight:
         assert abs(step_squash(0.0) - 1.0) < 1e-15
 
     def test_initial_weights_are_the_squash_at_zero_bit_for_bit(self):
-        # ClusterletState.initial sets the weights to 1.0 without the kernel
+        # the kernel seeds the weights with 1.0, not with a squash
         state = make_state(np.zeros((3, 1)))
         assert bits([step_squash(0.0)]) == bits([1.0])
         np.testing.assert_array_equal(bits(state.weights), bits([step_squash(0.0)] * 3))
@@ -430,7 +429,7 @@ class TestPresentationEpochOracle:
         before = copy.deepcopy(state)
         state.centroids = block
         with pytest.raises(ValueError, match="centroids must be"):
-            _Run(values, state, m.entries)
+            StepRun(values, state, m.entries)
         assert state.centroids is block
         np.testing.assert_array_equal(state.raw_weights, before.raw_weights)
         np.testing.assert_array_equal(state.win_counts, before.win_counts)
@@ -894,28 +893,22 @@ class TestRunCpl:
         monkeypatch.setattr(
             oracles, "refresh_feature_weights", lambda *a: calls.append(refresh(*a))
         )
-        values = four_blob_data.values
-        rng = np.random.default_rng(config.rng_seed)
-        state = make_state(values[rng.choice(len(values), size=config.k0, replace=False)])
-        rows = FeatureClusterMatrix.uniform(config.k0, values.shape[1]).entries
-        streaks = np.zeros(config.k0, dtype=np.int64)
-        assignments, epochs_used, converged, _, _ = run_cpl_loop(
-            values, state, rows, config.eta, max_epochs, streaks
-        )
-        assert (result.epochs_used, result.converged) == (epochs_used, converged)
-        assert len(calls) == epochs_used - int(converged)
-        survivors = np.flatnonzero(
-            np.bincount(assignments, minlength=config.k0).astype(bool) & state.active
-        )
-        np.testing.assert_array_equal(
-            result.affiliation.assignments, np.searchsorted(survivors, assignments)
-        )
-        np.testing.assert_array_equal(
-            bits(result.clusterlets.centroids), bits(state.centroids[survivors])
-        )
-        np.testing.assert_array_equal(
-            bits(result.feature_weights.entries), bits(rows[survivors])
-        )
+        loop = assert_run_cpl_matches_the_loop(four_blob_data.values, config, result)
+        assert len(calls) == loop.epochs - int(loop.converged)
+
+    @pytest.mark.parametrize("edge", ["memberless", "deactivated", "every one", "one"])
+    def test_compacts_as_the_loop_oracle_at_the_edges(self, edge):
+        # which clusterlets survive: an active one without members and a
+        # deactivated one drop out, every one survives, or only one does
+        values, config = COMPACTION_EDGES[edge]
+        loop = assert_run_cpl_matches_the_loop(values, config)
+        memberless = loop.active & ~np.isin(np.arange(config.k0), loop.survivors)
+        assert {
+            "memberless": memberless.any(),
+            "deactivated": not loop.active.all(),
+            "every one": loop.survivors.size == config.k0,
+            "one": loop.survivors.size == 1,
+        }[edge]
 
     def test_degenerate_feature_weights_are_logged_once_per_run(self, monkeypatch, caplog):
         # no small run reaches a degenerate refresh, so the kernel's summed
@@ -924,8 +917,8 @@ class TestRunCpl:
 
         class Degenerate:
             @staticmethod
-            def fh_cpl(ref, eta, max_epochs, info):
-                code = real.fh_cpl(ref, eta, max_epochs, info)
+            def fh_cpl(ref, seeds, eta, max_epochs, info):
+                code = real.fh_cpl(ref, seeds, eta, max_epochs, info)
                 ctypes.c_int64.from_address(info + 3 * 8).value = 7
                 return code
 
@@ -961,12 +954,55 @@ class TestRunCpl:
             run_cpl(DataMatrix(np.zeros((4, 2))), CplConfig(eta=0.05, k0=2))
 
 
+def assert_run_cpl_matches_the_loop(values, config, result=None):
+    """``run_cpl`` (or its ``result``, when given) and ``run_cpl_loop`` from
+    the state that ``fh_cpl`` seeds: bitwise the same survivors' state and M
+    rows, the same affiliation, epochs used, convergence and survivor count.
+    Returns the oracle's ``Loop``."""
+    if result is None:
+        result = run_cpl(DataMatrix(values), config)
+    n, d = values.shape
+    seeds = np.random.default_rng(config.rng_seed).choice(n, size=config.k0, replace=False)
+    state, rows = make_state(values[seeds]), np.full((config.k0, d), 1.0 / d)
+    streaks = np.zeros(config.k0, dtype=np.int64)
+    loop = run_cpl_loop(values, state, rows, config.eta, config.max_epochs, streaks)
+    k = loop.survivors.size
+    assert (result.epochs_used, result.converged) == (loop.epochs, loop.converged)
+    assert result.converged_k == result.clusterlets.k == result.affiliation.k == k
+    got = result.clusterlets
+    for name in ("centroids", "raw_weights", "weights"):
+        np.testing.assert_array_equal(bits(getattr(got, name)), bits(getattr(state, name)[:k]))
+    np.testing.assert_array_equal(got.win_counts, state.win_counts[:k])
+    assert got.active.all()
+    np.testing.assert_array_equal(bits(result.feature_weights.entries), bits(rows[:k]))
+    np.testing.assert_array_equal(result.affiliation.assignments, loop.assignments)
+    return loop
+
+
+# (values, config) of runs at the edges of the compaction: pairs of equal
+# objects, whose second seed wins nothing in the one epoch; a large eta,
+# which drives rivals under the elimination threshold; objects 3 apart,
+# each one's own seed winning it; and equal objects, which the first seed
+# wins while the floor keeps the second active
+COMPACTION_EDGES = {
+    "memberless": (
+        np.repeat(np.random.default_rng(1).uniform(size=(5, 2)), 2, axis=0),
+        CplConfig(eta=0.05, k0=10, max_epochs=1),
+    ),
+    "deactivated": (
+        np.random.default_rng(2).uniform(size=(20, 2)), CplConfig(eta=3.0, k0=5, max_epochs=3),
+    ),
+    "every one": (np.arange(6.0)[:, None] * 3.0, CplConfig(eta=0.05, k0=6)),
+    "one": (np.full((4, 3), 0.25), CplConfig(eta=0.05, k0=2)),
+}
+
+
 def kernel_loop(values, state, rows, eta, max_epochs, streaks):
     """``fh_cpl`` on the arrays of ``state`` and ``rows`` in place, from the
     given empty streaks; returns the run, or raises its error."""
-    run = _Run(values, state, rows)
+    run = StepRun(values, state, rows)
     run.streaks[:] = streaks
-    code = _kernel.library().fh_cpl(run.ref, eta, max_epochs, run.info.ctypes.data)
+    code = run.cpl(_kernel.library(), eta, max_epochs)
     if code < 0:
         error, message = cpl.CPL_ERRORS[code]
         raise error(message)
@@ -1016,9 +1052,9 @@ def assert_states_equal(state, rows, oracle, oracle_rows):
 
 def assert_loops_match(values, state, rows, eta, max_epochs, streaks):
     """``fh_cpl`` and ``run_cpl_loop`` from copies of one state: the same
-    error, or bitwise the same assignments, state, M rows, last similarity
-    columns, streaks, epochs used and convergence. Returns the oracle's
-    orphan count."""
+    error, or bitwise the same compacted assignments, state and M rows, the
+    same last similarity columns, streaks, epochs used, convergence and
+    survivor count. Returns the oracle's ``Loop``, or None on an error."""
     oracle, oracle_rows, oracle_streaks = copy.deepcopy(state), rows.copy(), streaks.copy()
     with np.errstate(invalid="ignore", over="ignore"):
         try:
@@ -1033,14 +1069,15 @@ def assert_loops_match(values, state, rows, eta, max_epochs, streaks):
             run = kernel_loop(values, state, rows, eta, max_epochs, streaks)
     assert_states_equal(state, rows, oracle, oracle_rows)
     if want is None:
-        return 0
-    assignments, epochs_used, converged, (sims, scored), orphans = want
-    epochs, stopped, row, _ = run.info
-    assert (epochs, bool(stopped)) == (epochs_used, converged)
-    np.testing.assert_array_equal(run.assignments[row], assignments)
+        return None
+    epochs, stopped, row, _, k = run.info
+    assert (epochs, bool(stopped), k) == (want.epochs, want.converged, want.survivors.size)
+    np.testing.assert_array_equal(run.assignments[row], want.assignments)
     np.testing.assert_array_equal(run.streaks, oracle_streaks)
-    np.testing.assert_array_equal(bits(run.sims[:, scored]), bits(sims[:, scored]))
-    return orphans
+    np.testing.assert_array_equal(
+        bits(run.sims[:, want.scored]), bits(want.sims[:, want.scored])
+    )
+    return want
 
 
 def assert_orphans_match(values, state, rows, eta, streaks):
@@ -1102,7 +1139,8 @@ class TestCplLoop:
                 # presentation oracle's argmax and the kernel part ways
                 counted = assert_orphans_match(values, state, rows, eta, streaks)
             else:
-                counted = assert_loops_match(values, state, rows, eta, max_epochs, streaks)
+                loop = assert_loops_match(values, state, rows, eta, max_epochs, streaks)
+                counted = 0 if loop is None else loop.orphans
             orphans.append(counted)
 
         check()
@@ -1114,9 +1152,10 @@ class TestCplLoop:
         state = make_state([[0.0], [-10.0], [10.0], [10.0]], raw=[-9.0, 0.0, 0.0, 0.0])
         rows = np.ones((4, 1))
         values = np.zeros((5, 1))
-        orphans = assert_loops_match(values, state, rows, 0.05, 3, np.zeros(4, np.int64))
-        assert orphans == 5
-        assert not state.active[0]
+        loop = assert_loops_match(values, state, rows, 0.05, 3, np.zeros(4, np.int64))
+        assert loop.orphans == 5
+        assert not loop.active[0]
+        np.testing.assert_array_equal(loop.survivors, [1])
 
     def test_orphans_go_to_a_nan_centroid_first(self):
         # clusterlet 1 wins +inf and -inf (every similarity is floored) and

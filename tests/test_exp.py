@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedhire.core import ClusterletState
 from fedhire.cpl import SIMILARITY_FLOOR
 from kernel_steps import StepRun, step_squash
-from oracles import engine_refresh, exp, refresh_feature_weights, similarity_columns, squash
+from oracles import (
+    engine_refresh, exp, make_state, refresh_feature_weights, similarity_columns, squash,
+)
 from test_cpl import KERNEL_LANE, KERNEL_TILE, bits, refresh_case
 
 # the largest D whose exp(-D) is not floored in the columns
@@ -31,7 +32,7 @@ CLAMP = -708.0
 def column_exps(distances):
     """The columns' floored exp(-D) for each D, and the D the kernel formed."""
     x = np.sqrt(np.asarray(distances, dtype=np.float64))
-    run = StepRun(x[:, None], ClusterletState.initial(np.zeros((2, 1))), np.ones((2, 1)))
+    run = StepRun(x[:, None], make_state(np.zeros((2, 1))), np.ones((2, 1)))
     assert run.refresh_columns() == 2
     return x * x, run.sims[:, 0].copy()
 
@@ -114,7 +115,7 @@ class TestBlocks:
         rng = np.random.default_rng(100 * d + n)
         values = rng.normal(size=(n, d)) * 3.0
         k = KERNEL_TILE + 3
-        state = ClusterletState.initial(rng.normal(size=(k, d)) * 3.0)
+        state = make_state(rng.normal(size=(k, d)) * 3.0)
         rows = rng.dirichlet(np.ones(d), size=k)
         run = StepRun(values, state, rows)
         assert run.refresh_columns() == k

@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedhire import _kernel, federation
-from fedhire.core import ClusterletState, DataMatrix
+from fedhire import _kernel, cpl, federation
+from fedhire.core import DataMatrix
 from fedhire.cpl import _Run
 import kernel_steps
 from kernel_steps import StepRun
+from oracles import make_state
 from test_cpl import KERNEL_LANE, KERNEL_TILE, refresh_case
 
 
@@ -30,12 +31,12 @@ def _run(lib, seed=0, epochs=3):
     rng = np.random.default_rng(seed)
     n, k, d = 60, 11, 3
     values = rng.uniform(0.0, 1.0, size=(n, d))
-    state = ClusterletState.initial(values[rng.choice(n, size=k, replace=False)])
+    state = make_state(values[rng.choice(n, size=k, replace=False)])
     state.raw_weights[:] = rng.uniform(-7.0, -3.0, size=k)
     state.weights[:] = [kernel_steps.step_squash(r) for r in state.raw_weights]
     rows = rng.dirichlet(np.ones(d), size=k)
-    run = _Run(values, state, rows)
-    assert lib.fh_cpl(run.ref, 0.05, epochs, run.info.ctypes.data) == 0
+    run = StepRun(values, state, rows)
+    assert run.cpl(lib, 0.05, epochs) == 0
     return (
         run.info, run.sims, run.assignments, run.streaks, run.gamma, rows,
         state.centroids, state.win_counts, state.raw_weights, state.weights,
@@ -348,27 +349,57 @@ def run_layouts(n: int, d: int, k0: int) -> dict:
     }
 
 
-# the arrays a run is handed, whose layout is its caller's
+# the arrays a StepRun is handed, whose layout is its caller's
 HANDED = {"values", "centroids", "win_counts", "raw_weights", "weights", "active", "rows"}
 
 
 @pytest.mark.parametrize("n, d, k0", [(10, 2, 3), (70, 5, 11)])
 def test_run_buffers_have_the_struct_layout(monkeypatch, n, d, k0):
-    # only the handed-in arrays are checked; the run makes the rest, so each
-    # of its own must already have its member's layout
+    # only the values are handed in and checked; every other pointer of the
+    # Run lies in an arena of the run, 8-byte aligned, in a region of its
+    # own, and the view of that name is the member's dtype and shape there
     checked = checked_buffers(monkeypatch)
     values = np.random.default_rng(n).normal(size=(n, d))
-    run = _Run(values, ClusterletState.initial(values[:k0]), np.full((k0, d), 1.0 / d))
+    run = _Run(values, k0)
+    assert checked == {"values": (np.dtype(np.float64), (n, d))}
     layouts = run_layouts(n, d, k0)
-    arrays = [*vars(run).values(), *(array for array, _, _ in run.handed.values())]
-    held = {a.ctypes.data: a for a in arrays if isinstance(a, np.ndarray)}
     pointers = [name for name, kind in _kernel.Run._fields_ if kind is ctypes.c_void_p]
     assert sorted(pointers) == sorted(layouts)
-    for name in pointers:
-        array = held[getattr(run.buffers, name)]
-        assert (array.dtype, array.shape) == layouts[name], name
-        assert array.flags.c_contiguous, name
-    assert checked == {name: layouts[name] for name in HANDED}
+    assert run.buffers.values == values.ctypes.data
+    regions = [(run.info_address, run.info_address + run.info.nbytes)]
+    for name in pointers[1:]:
+        address = getattr(run.buffers, name)
+        dtype, shape = layouts[name]
+        end = address + dtype.itemsize * int(np.prod(shape))
+        (arena,) = [
+            arena for arena in run.arenas
+            if arena.ctypes.data <= address and end <= arena.ctypes.data + arena.nbytes
+        ]
+        view = getattr(run, name)
+        assert (view.dtype, view.shape) == (dtype, shape), name
+        assert view.ctypes.data == address and address % 8 == 0, name
+        assert np.shares_memory(view, arena) and view.flags.c_contiguous, name
+        regions.append((address, end))
+    regions.sort()
+    assert all(end <= start for (_, end), (start, _) in zip(regions, regions[1:]))
+    assert (run.info.dtype, run.info.shape) == (np.dtype(np.int64), (cpl.INFO_SLOTS,))
+    assert np.shares_memory(run.info, run.arenas[cpl.I8])
+
+
+def test_run_cpl_checks_the_values_and_the_seeds(monkeypatch):
+    checked = checked_buffers(monkeypatch)
+    cpl.run_cpl(DataMatrix(np.random.default_rng(3).normal(size=(30, 2))), cpl.CplConfig(0.05, 7))
+    assert checked == {
+        "values": (np.dtype(np.float64), (30, 2)), "seeds": (np.dtype(np.int64), (7,)),
+    }
+
+
+def test_a_step_run_checks_every_array_it_is_handed(monkeypatch):
+    checked = checked_buffers(monkeypatch)
+    n, d, k0 = 12, 3, 4
+    values = np.random.default_rng(2).normal(size=(n, d))
+    StepRun(values, make_state(values[:k0]), np.full((k0, d), 1.0 / d))
+    assert checked == {name: run_layouts(n, d, k0)[name] for name in HANDED}
 
 
 # the ctypes type of each kind of struct member
@@ -442,7 +473,7 @@ def step_outputs():
         for n in (1, KERNEL_LANE + 11, 2 * KERNEL_LANE + 3):
             k = 2 * KERNEL_TILE + 3
             values = rng.normal(size=(n, d)) * 3.0
-            state = ClusterletState.initial(rng.normal(size=(k, d)) * 3.0)
+            state = make_state(rng.normal(size=(k, d)) * 3.0)
             rows = rng.dirichlet(np.ones(d), size=k)
             run = StepRun(values, state, rows)
             assert run.refresh_columns() == k

@@ -528,6 +528,30 @@ class TestFinalClusteringOracle:
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
+    def test_repair_of_several_empty_clusters_matches_the_loop_form(self):
+        # the rows go to a few of k clusters, so several are empty and each
+        # repair must skip the rows already picked; duplicate and constant
+        # codes tie the fits, and a cluster with few rows runs out of rows
+        rng = np.random.default_rng(11)
+        several = 0
+        for case in range(400):
+            n = int(rng.integers(2, 30))
+            level_ks = rng.integers(1, 6, size=int(rng.integers(1, 4))).tolist()
+            rep = random_rep(n, level_ks, ["uniform", "duplicates", "constant"][case % 3], rng)
+            k = int(rng.integers(3, 12))
+            owners = rng.choice(k, size=int(rng.integers(1, 3)), replace=False)
+            assignments = rng.choice(owners, size=n).astype(np.int64)
+            centroid_codes = rep.codes[rng.integers(0, n, size=k)]
+            u = FeatureClusterMatrix(rng.dirichlet(np.ones(len(level_ks)), size=k))
+            got = assignments.copy(), centroid_codes.copy()
+            want = assignments.copy(), centroid_codes.copy()
+            server._repair_empty_clusters(rep, *got, u)
+            oracles.repair_empty_clusters(rep, *want, u)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            several += np.unique(got[0]).size - np.unique(assignments).size >= 2
+        assert several >= 100
+
     def test_match_norm_is_linalg_norm(self):
         # the repair's sqrt(w . w) per row is np.linalg.norm of each row
         rng = np.random.default_rng(7)
@@ -541,11 +565,10 @@ class TestFinalClusteringOracle:
 
 class TestPropagateLabels:
     def _result_with_affiliation(self, assignments, k):
-        from fedhire.core import ClusterletState
         from fedhire.cpl import CplResult
 
         return CplResult(
-            clusterlets=ClusterletState.initial(np.zeros((k, 2))),
+            clusterlets=oracles.make_state(np.zeros((k, 2))),
             affiliation=AffiliationMatrix(np.asarray(assignments), k=k),
             converged_k=k,
             epochs_used=1,
