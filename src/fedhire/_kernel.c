@@ -12,11 +12,12 @@
  * fh_epoch does the rest of the epoch (gamma, the presentation loop, the win
  * counts, the centroid means, the empty streaks and the deactivation),
  * reassign_orphans moves the objects of deactivated clusterlets, the
- * assignments are compared with the previous epoch's, and fh_refresh
- * recomputes the feature weights of the clusterlets whose members or
- * centroid changed since the last refresh. Last, compact packs the surviving
- * clusterlets to the front of the state arrays and remaps the final
- * assignments onto them, so run_cpl only copies the result out.
+ * assignments are compared with those of the two epochs before, and unless
+ * they repeat either, fh_refresh recomputes the feature weights of the
+ * clusterlets whose members or centroid changed since the last refresh.
+ * Last, compact packs the surviving clusterlets to the front of the state
+ * arrays and remaps the final assignments onto them, so run_cpl only copies
+ * the result out.
  *
  * The arithmetic is fixed, and the scalar forms kept as oracles in
  * tests/oracles.py repeat it bit for bit: every distance adds its feature
@@ -218,7 +219,7 @@ struct fh_run {
     double *rows;               /* k0 x d, the M rows */
     int64_t *act;               /* k0, the active indices, ascending */
     int64_t *stale;             /* k0, the stale active indices, ascending */
-    int64_t *assignments;       /* 2 x n, written alternately */
+    int64_t *assignments;       /* 3 x n, a ring: epoch e writes row e % 3 */
     int64_t *counts;            /* k0, the members of each clusterlet */
     double *sums;               /* k0 x d, the member sums of x */
     int64_t *streaks;           /* k0, consecutive memberless epochs */
@@ -691,35 +692,44 @@ static int64_t compact(struct fh_run *r, int64_t *row)
  * epochs (at least one). A run with seeds starts from the state seed_run
  * makes of them; a run without (NULL) from the state already in its
  * buffers. Then the column totals (column_totals) and the epochs: epoch e
- * runs fh_columns and fh_epoch into assignment row e % 2, reassigns the
- * objects of deactivated clusterlets (reassign_orphans), stops from epoch 1
- * on if the row repeats the previous one, and otherwise refreshes the
- * feature weights (fh_refresh), against the previous row from epoch 1 on:
- * that row is the last refresh's, since every epoch that does not stop
- * refreshes. Last, the survivors are compacted into the front of the state
- * (compact). info gets the epochs used, whether the loop converged, the
- * final row, the fallback rows of every refresh, summed, and the survivor
- * count. Returns 0; or, when a step fails, a negative code, with nothing
- * compacted: fh_refresh's -1, -2 or -3, or -4 if an epoch starts with fewer
- * than two active clusterlets. */
+ * runs fh_columns and fh_epoch into row e % 3 of the assignment ring,
+ * reassigns the objects of deactivated clusterlets (reassign_orphans), and
+ * stops, without a refresh, from epoch 1 on if the row repeats the previous
+ * one (a fixed point) and from epoch 2 on if it repeats the one of two
+ * epochs before (a two-cycle: the run would only oscillate on to the cap).
+ * Otherwise it refreshes the feature weights (fh_refresh), against the
+ * previous row from epoch 1 on: that row is the last refresh's, since every
+ * epoch that does not stop refreshes. So the M rows at the end are those the
+ * final epoch scored with. Last, the survivors are compacted into the front
+ * of the state (compact). info gets the epochs used, the stop (0 at the cap,
+ * 1 at a fixed point, 2 at a two-cycle), the final row, the fallback rows of
+ * every refresh, summed, and the survivor count. Returns 0; or, when a step
+ * fails, a negative code, with nothing compacted: fh_refresh's -1, -2 or -3,
+ * or -4 if an epoch starts with fewer than two active clusterlets. */
 int64_t fh_cpl(struct fh_run *r, const int64_t *seeds, double eta,
                int64_t max_epochs, int64_t *info)
 {
-    int64_t n = r->n, fallbacks = 0, epoch = 0, converged = 0;
+    int64_t n = r->n, fallbacks = 0, epoch = 0, stop = 0;
+    size_t size = (size_t)n * sizeof *r->assignments;
     if (seeds != NULL)
         seed_run(r, seeds);
     column_totals(r);
-    for (; epoch < max_epochs && !converged; epoch++) {
-        int64_t *row = r->assignments + (epoch % 2) * n;
+    for (; epoch < max_epochs && !stop; epoch++) {
+        int64_t *row = r->assignments + (epoch % 3) * n;
         fh_columns(r);
-        int64_t orphans = fh_epoch(r, eta, epoch % 2);
+        int64_t orphans = fh_epoch(r, eta, epoch % 3);
         if (orphans < 0)
             return -4;
         if (orphans > 0)
             reassign_orphans(r, row);
-        const int64_t *previous = r->assignments + ((epoch + 1) % 2) * n;
-        converged = epoch > 0 && memcmp(row, previous, (size_t)n * sizeof *row) == 0;
-        if (!converged) {
+        /* the rows of epochs e - 1 and e - 2 */
+        const int64_t *previous = r->assignments + ((epoch + 2) % 3) * n;
+        const int64_t *before = r->assignments + ((epoch + 1) % 3) * n;
+        if (epoch > 0 && memcmp(row, previous, size) == 0)
+            stop = 1;
+        else if (epoch > 1 && memcmp(row, before, size) == 0)
+            stop = 2;
+        else {
             int64_t count = fh_refresh(r, row, epoch > 0 ? previous : NULL);
             if (count < 0)
                 return count;
@@ -727,8 +737,8 @@ int64_t fh_cpl(struct fh_run *r, const int64_t *seeds, double eta,
         }
     }
     info[0] = epoch;
-    info[1] = converged;
-    info[2] = (epoch - 1) % 2;
+    info[1] = stop;
+    info[2] = (epoch - 1) % 3;
     info[3] = fallbacks;
     info[4] = compact(r, r->assignments + info[2] * n);
     return 0;

@@ -40,9 +40,12 @@ Scoring details, fixed across the package:
   ``exp(-D)`` of the changed columns into the cache), the epoch itself
   (``fh_epoch``: gamma, the presentation loop, the win counts, the centroid
   means, the empty streaks and the deactivation), the reassignment of
-  orphaned objects, the convergence test and the feature-weight refresh
+  orphaned objects, the stop test and the feature-weight refresh
   (``fh_refresh``); and compacts the survivors to the front of the state,
-  so that ``run_cpl`` only copies the result out.
+  so that ``run_cpl`` only copies the result out. A run stops, without a
+  refresh, when an epoch's assignments repeat those of the previous epoch
+  (a fixed point) or of the epoch before that (a two-cycle, which would
+  otherwise oscillate on to the epoch cap).
 - A clusterlet's M row depends only on its members in object order, its
   centroid and the column totals of the values, which ``fh_cpl`` adds once
   per run. So each refresh after the first recomputes only the rows of the
@@ -140,7 +143,12 @@ class CplConfig:
 
 @dataclass
 class CplResult:
-    """Converged clusterlets (nonempty survivors only) and their affiliation."""
+    """Converged clusterlets (nonempty survivors only) and their affiliation.
+
+    ``converged`` is true when the run stopped before its epoch cap, on a
+    fixed point or on a two-cycle. ``feature_weights`` are the M rows the
+    final epoch scored with: no refresh follows the epoch that stops a run.
+    """
 
     clusterlets: ClusterletState
     affiliation: AffiliationMatrix
@@ -157,10 +165,13 @@ F8, I8, U1, SIMS = 0, 1, 2, 3
 ARENA_DTYPES = (
     np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint8), np.dtype(np.float64),
 )
-# the int64 slots that fh_cpl reports: the epochs used, whether the run
-# converged, the final assignment row, the uniform-row fallbacks of every
-# refresh, summed, and the survivor count
+# the int64 slots that fh_cpl reports: the epochs used, the stop, the final
+# row of the assignment ring, the uniform-row fallbacks of every refresh,
+# summed, and the survivor count
 INFO_SLOTS = 5
+# the stops of fh_cpl (info[1]): at the epoch cap, on assignments that repeat
+# the previous epoch's, or on assignments that repeat those of two epochs before
+CAP, FIXED_POINT, TWO_CYCLE = 0, 1, 2
 
 
 def _layout(n: int, d: int, k0: int) -> tuple:
@@ -180,7 +191,7 @@ def _layout(n: int, d: int, k0: int) -> tuple:
         ("rows", F8, kd),
         ("act", I8, k),
         ("stale", I8, k),
-        ("assignments", I8, (2, n)),
+        ("assignments", I8, (3, n)),
         ("counts", I8, k),
         ("sums", F8, kd),
         ("streaks", I8, k),
@@ -221,15 +232,15 @@ class _Run:
     The buffers, named as in ``fh_run``: ``sims``, the n x k0 floored
     similarities exp(-D); the centroid and M rows each column was computed
     from; the clusterlet state (centroids, win counts, raw weights, weights
-    and the active mask, viewed as bool) and the M rows ``rows``; two
-    assignment rows, written alternately, so the previous epoch's stays
-    readable for the convergence test and as the previous assignments of the
-    refresh; the scratch of the epoch; the column totals, k0 x d member sums
-    and n x d compactness terms of the feature-weight refresh; ``pad``, the
-    similarity columns' scratch; and, for the refresh, ``row_centroids``, the
-    centroid each M row was made from, ``fell_back``, whether each row fell
-    back to uniform, which a kept row counts again, and ``redo``, the rows it
-    recomputes. ``info`` receives what ``fh_cpl`` reports (``INFO_SLOTS``).
+    and the active mask, viewed as bool) and the M rows ``rows``; a ring of
+    three assignment rows, epoch e writing row e % 3, so those of the two
+    epochs before stay readable for the stop test, and the previous epoch's
+    as the previous assignments of the refresh; the scratch of the epoch;
+    the column totals, k0 x d member sums and n x d compactness terms of the
+    feature-weight refresh; ``pad``, the similarity columns' scratch; and,
+    for the refresh, ``row_centroids``, the centroid each M row was made
+    from, ``fell_back``, whether each row fell back to uniform, which a kept
+    row counts again, and ``redo``, the rows it recomputes. ``info`` receives what ``fh_cpl`` reports (``INFO_SLOTS``).
     Besides ``sims`` every buffer is O(n d + k0 d). A buffer is viewed by its
     name (``run.sims``), made anew each time; ``run_cpl`` views only
     ``info`` and copies out the result (``head``).
@@ -315,10 +326,12 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
     (no members for DEAD_UNIT_EPOCHS consecutive epochs) are deactivated
     down to a floor of two, and orphaned objects are reassigned to the
     nearest surviving clusterlet (the first of equal distances). The loop
-    stops as soon as the affiliation repeats between consecutive epochs;
-    otherwise the feature-cluster matrix is refreshed. The whole loop is one
-    call of ``fh_cpl`` in ``_kernel.c``, which seeds the run from the sampled
-    indices.
+    stops as soon as the affiliation repeats that of the previous epoch (a
+    fixed point) or of the epoch before it (a two-cycle, logged at debug
+    level); otherwise the feature-cluster matrix is refreshed. So the
+    result's feature weights are the M rows its final epoch scored with. The
+    whole loop is one call of ``fh_cpl`` in ``_kernel.c``, which seeds the
+    run from the sampled indices.
 
     The result is compacted, by ``fh_cpl`` too: only clusterlets that remain
     active *and* own at least one object are reported, in ascending index,
@@ -342,11 +355,15 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
     if code < 0:
         error, message = CPL_ERRORS[code]
         raise error(message)
-    epochs_used, converged, row, fallbacks, k = run.info.tolist()
-    if not converged:
+    epochs_used, stop, row, fallbacks, k = run.info.tolist()
+    if stop == CAP:
         logger.info(
             "competitive learning did not converge within %d epochs",
             config.max_epochs,
+        )
+    elif stop == TWO_CYCLE:
+        logger.debug(
+            "competitive learning stopped on a two-cycle after %d epochs", epochs_used
         )
     if fallbacks:
         logger.info(
@@ -365,7 +382,7 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
         affiliation=AffiliationMatrix(run.head("assignments", (n,), row * n), k=k),
         converged_k=k,
         epochs_used=epochs_used,
-        converged=bool(converged),
+        converged=stop != CAP,
         feature_weights=FeatureClusterMatrix(entries=run.head("rows", (k, d))),
     )
 

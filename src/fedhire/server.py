@@ -282,21 +282,15 @@ def _repair_empty_clusters(rep, assignments, centroid_codes, u) -> None:
         return
     matched = u.entries[assignments] * (rep.codes == centroid_codes[assignments])
     sims = np.sqrt(np.vecdot(matched, matched))
-    # one sort serves every empty cluster: a picked row is skipped as taken
+    # one sort serves every empty cluster: a picked row moves into a cluster
+    # that holds only it, so the count test skips it from then on
     order = np.argsort(sims, kind="stable")
-    taken: set[int] = set()
     for j in empties:
-        pick = next(
-            (int(i) for i in order
-             if int(i) not in taken and counts[assignments[i]] > 1),
-            None,
-        )
+        pick = next((int(i) for i in order if counts[assignments[i]] > 1), None)
         if pick is None:
             break
-        taken.add(pick)
         counts[assignments[pick]] -= 1
         assignments[pick] = j
-        counts[j] = 1
         centroid_codes[j] = rep.codes[pick]
 
 

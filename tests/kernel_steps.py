@@ -153,12 +153,12 @@ class StepRun(_Run):
     def epoch(self, eta: float) -> tuple[np.ndarray, int]:
         """One epoch on fresh columns: the winners and the orphan count.
 
-        The winners go to the assignment row after the previous epoch's;
+        The winners go to row e % 3 of the assignment ring at epoch e;
         ``fh_epoch`` updates ``state`` and ``streaks`` in place. Orphans are
         objects whose winner the epoch deactivated; they are not reassigned.
         """
         self.refresh_columns()
-        out = self.epochs % 2
+        out = self.epochs % 3
         self.epochs += 1
         orphans = self.lib.step_epoch(self.ref, eta, out)
         if orphans < 0:

@@ -24,7 +24,14 @@ from fedhire.core import (
     EmptyClusterError,
     FeatureClusterMatrix,
 )
-from fedhire.cpl import DEAD_UNIT_EPOCHS, ELIMINATION_THRESHOLD, SIMILARITY_FLOOR
+from fedhire.cpl import (
+    CAP,
+    DEAD_UNIT_EPOCHS,
+    ELIMINATION_THRESHOLD,
+    FIXED_POINT,
+    SIMILARITY_FLOOR,
+    TWO_CYCLE,
+)
 from fedhire.federation import KMEANS_MAX_ITERS
 from fedhire.server import INV_SQRT2
 from kernel_steps import StepRun
@@ -221,20 +228,25 @@ def reassign_orphans(values, assignments, state, rows):
 @dataclass
 class Loop:
     """What ``run_cpl_loop`` returns: the final assignments, remapped onto
-    the survivors; the epochs used; whether the loop converged; the last
-    epoch's similarity columns with the mask of the clusterlets active when
-    they were taken; how many orphans were reassigned; the active mask at
-    the end, before the compaction; and the survivors, by their indices
-    before it."""
+    the survivors; the epochs used; the stop, as ``fh_cpl`` reports it
+    (``cpl.CAP``, ``cpl.FIXED_POINT`` or ``cpl.TWO_CYCLE``); the last epoch's
+    similarity columns with the mask of the clusterlets active when they were
+    taken; how many orphans were reassigned; the active mask at the end,
+    before the compaction; and the survivors, by their indices before it."""
 
     assignments: np.ndarray
     epochs: int
-    converged: bool
+    stop: int
     sims: np.ndarray
     scored: np.ndarray
     orphans: int
     active: np.ndarray
     survivors: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        """Whether the loop stopped before its epoch cap."""
+        return self.stop != CAP
 
 
 def compact(state, rows, assignments):
@@ -259,14 +271,15 @@ def run_cpl_loop(values, state, rows, eta, max_epochs, streaks):
     """The loop of ``run_cpl`` in numpy, which ``fh_cpl`` must repeat bit for
     bit: each epoch ``epoch``; ``reassign_orphans`` when it deactivated the
     clusterlet of an object; a stop from the second epoch on if
-    ``np.array_equal`` finds the assignments repeated; and otherwise
-    ``refresh_feature_weights``; then ``compact``.
+    ``np.array_equal`` finds the previous epoch's assignments repeated, and
+    from the third on if it finds those of two epochs before repeated; and
+    otherwise ``refresh_feature_weights``; then ``compact``.
 
     Mutates ``state``, ``rows`` and ``streaks``; returns a ``Loop``.
     """
     m = FeatureClusterMatrix(entries=rows)
-    previous = None
-    converged = False
+    previous = before = None
+    stop = CAP
     orphan_total = 0
     for e in range(max_epochs):
         epochs_used = e + 1
@@ -277,14 +290,17 @@ def run_cpl_loop(values, state, rows, eta, max_epochs, streaks):
             reassign_orphans(values, assignments, state, rows)
             orphan_total += orphans
         if e and np.array_equal(assignments, previous):
-            converged = True
+            stop = FIXED_POINT
+            break
+        if e > 1 and np.array_equal(assignments, before):
+            stop = TWO_CYCLE
             break
         refresh_feature_weights(values, assignments, state, rows)
-        previous = assignments
+        previous, before = assignments, previous
     active = state.active.copy()
     assignments, survivors = compact(state, rows, assignments)
     return Loop(
-        assignments, epochs_used, converged, sims, scored, orphan_total, active, survivors
+        assignments, epochs_used, stop, sims, scored, orphan_total, active, survivors
     )
 
 
@@ -678,19 +694,12 @@ def repair_empty_clusters(rep, assignments, centroid_codes, u):
             for i in range(rep.object_count)
         ]
     )
-    taken: set[int] = set()
     for j in empties:
         order = np.argsort(sims, kind="stable")
-        pick = next(
-            (int(i) for i in order
-             if int(i) not in taken and counts[assignments[i]] > 1),
-            None,
-        )
+        pick = next((int(i) for i in order if counts[assignments[i]] > 1), None)
         if pick is None:
             break
-        taken.add(pick)
         counts[assignments[pick]] -= 1
         assignments[pick] = j
-        counts[j] = 1
         centroid_codes[j] = rep.codes[pick]
         sims[pick] = np.inf

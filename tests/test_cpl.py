@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 from fedhire import _kernel, cpl
 from fedhire.core import DataMatrix, FeatureClusterMatrix
 from fedhire.cpl import (
+    CAP,
     ELIMINATION_THRESHOLD,
+    FIXED_POINT,
     SIMILARITY_FLOOR,
+    TWO_CYCLE,
     CplConfig,
     run_cpl,
 )
@@ -883,25 +886,34 @@ class TestRunCpl:
         self, four_blob_data, monkeypatch, max_epochs
     ):
         # run_cpl against the loop oracle from the same starting state; the
-        # oracle refreshes after every epoch but a converged last
-        config = CplConfig(eta=0.05, k0=40, max_epochs=max_epochs, rng_seed=2)
-        result = run_cpl(four_blob_data, config)
-        assert result.converged == (max_epochs == 100)
-
+        # oracle refreshes after every epoch but the last of a run that stops
+        # before the cap: at k0 = 10 on a fixed point, at k0 = 40 on a
+        # two-cycle; both run past 3 epochs
         calls = []
         refresh = oracles.refresh_feature_weights
         monkeypatch.setattr(
             oracles, "refresh_feature_weights", lambda *a: calls.append(refresh(*a))
         )
-        loop = assert_run_cpl_matches_the_loop(four_blob_data.values, config, result)
-        assert len(calls) == loop.epochs - int(loop.converged)
+        for k0, stop in [(10, FIXED_POINT), (40, TWO_CYCLE)]:
+            stop = stop if max_epochs == 100 else CAP
+            config = CplConfig(eta=0.05, k0=k0, max_epochs=max_epochs, rng_seed=2)
+            result = run_cpl(four_blob_data, config)
+            assert result.converged is (stop != CAP)
+            calls.clear()
+            loop = assert_run_cpl_matches_the_loop(four_blob_data.values, config, result)
+            assert loop.stop == stop
+            assert len(calls) == loop.epochs - (stop != CAP)
 
     @pytest.mark.parametrize("edge", ["memberless", "deactivated", "every one", "one"])
     def test_compacts_as_the_loop_oracle_at_the_edges(self, edge):
         # which clusterlets survive: an active one without members and a
-        # deactivated one drop out, every one survives, or only one does
+        # deactivated one drop out, every one survives, or only one does;
+        # the last two stop on a fixed point and on a two-cycle
         values, config = COMPACTION_EDGES[edge]
         loop = assert_run_cpl_matches_the_loop(values, config)
+        assert loop.stop == {
+            "memberless": CAP, "deactivated": CAP, "every one": FIXED_POINT, "one": TWO_CYCLE,
+        }[edge]
         memberless = loop.active & ~np.isin(np.arange(config.k0), loop.survivors)
         assert {
             "memberless": memberless.any(),
@@ -909,6 +921,17 @@ class TestRunCpl:
             "every one": loop.survivors.size == config.k0,
             "one": loop.survivors.size == 1,
         }[edge]
+
+    def test_a_two_cycle_ends_a_run_that_would_oscillate_to_the_cap(self, caplog):
+        values, config = TWO_CYCLE_CASE
+        with caplog.at_level(logging.DEBUG, logger="fedhire.cpl"):
+            result = run_cpl(DataMatrix(values), config)
+        loop = assert_run_cpl_matches_the_loop(values, config, result)
+        assert (loop.stop, loop.epochs, result.converged) == (TWO_CYCLE, 3, True)
+        assert [r.getMessage() for r in caplog.records] == [
+            "competitive learning stopped on a two-cycle after 3 epochs"
+        ]
+        assert fixed_point_epochs(values, config) is None
 
     def test_degenerate_feature_weights_are_logged_once_per_run(self, monkeypatch, caplog):
         # no small run reaches a degenerate refresh, so the kernel's summed
@@ -954,6 +977,15 @@ class TestRunCpl:
             run_cpl(DataMatrix(np.zeros((4, 2))), CplConfig(eta=0.05, k0=2))
 
 
+def seeded_state(values, config):
+    """(state, M rows, empty streaks) as ``fh_cpl`` seeds a run of ``run_cpl``
+    over ``values`` with ``config``."""
+    n, d = values.shape
+    seeds = np.random.default_rng(config.rng_seed).choice(n, size=config.k0, replace=False)
+    state, rows = make_state(values[seeds]), np.full((config.k0, d), 1.0 / d)
+    return state, rows, np.zeros(config.k0, dtype=np.int64)
+
+
 def assert_run_cpl_matches_the_loop(values, config, result=None):
     """``run_cpl`` (or its ``result``, when given) and ``run_cpl_loop`` from
     the state that ``fh_cpl`` seeds: bitwise the same survivors' state and M
@@ -961,10 +993,7 @@ def assert_run_cpl_matches_the_loop(values, config, result=None):
     Returns the oracle's ``Loop``."""
     if result is None:
         result = run_cpl(DataMatrix(values), config)
-    n, d = values.shape
-    seeds = np.random.default_rng(config.rng_seed).choice(n, size=config.k0, replace=False)
-    state, rows = make_state(values[seeds]), np.full((config.k0, d), 1.0 / d)
-    streaks = np.zeros(config.k0, dtype=np.int64)
+    state, rows, streaks = seeded_state(values, config)
     loop = run_cpl_loop(values, state, rows, config.eta, config.max_epochs, streaks)
     k = loop.survivors.size
     assert (result.epochs_used, result.converged) == (loop.epochs, loop.converged)
@@ -977,6 +1006,32 @@ def assert_run_cpl_matches_the_loop(values, config, result=None):
     np.testing.assert_array_equal(bits(result.feature_weights.entries), bits(rows[:k]))
     np.testing.assert_array_equal(result.affiliation.assignments, loop.assignments)
     return loop
+
+
+def fixed_point_epochs(values, config):
+    """The epochs ``run_cpl_loop`` would run from the state ``fh_cpl`` seeds if
+    it stopped on a fixed point only, without the two-cycle stop; None when it
+    would run to the epoch cap."""
+    state, rows, streaks = seeded_state(values, config)
+    m = FeatureClusterMatrix(entries=rows)
+    previous = None
+    for e in range(config.max_epochs):
+        assignments, orphans = epoch(values, state, m, config.eta, streaks)
+        if orphans:
+            oracles.reassign_orphans(values, assignments, state, rows)
+        if e and np.array_equal(assignments, previous):
+            return e + 1
+        refresh_feature_weights(values, assignments, state, rows)
+        previous = assignments
+    return None
+
+
+# (values, config) of a run that oscillates: both seeds are objects at 0.5,
+# so the two clusterlets share a centroid and take every object in turns, the
+# fairness factor handing each epoch to the one that won less. A stop on a
+# fixed point alone runs it to the 100-epoch cap; the two-cycle stop ends it
+# at its third epoch, whose assignments repeat the first's
+TWO_CYCLE_CASE = (np.array([[0.0], [0.0], [0.5], [0.5]]), CplConfig(eta=0.05, k0=2))
 
 
 # (values, config) of runs at the edges of the compaction: pairs of equal
@@ -1053,8 +1108,8 @@ def assert_states_equal(state, rows, oracle, oracle_rows):
 def assert_loops_match(values, state, rows, eta, max_epochs, streaks):
     """``fh_cpl`` and ``run_cpl_loop`` from copies of one state: the same
     error, or bitwise the same compacted assignments, state and M rows, the
-    same last similarity columns, streaks, epochs used, convergence and
-    survivor count. Returns the oracle's ``Loop``, or None on an error."""
+    same last similarity columns, streaks, epochs used, stop and survivor
+    count. Returns the oracle's ``Loop``, or None on an error."""
     oracle, oracle_rows, oracle_streaks = copy.deepcopy(state), rows.copy(), streaks.copy()
     with np.errstate(invalid="ignore", over="ignore"):
         try:
@@ -1070,8 +1125,8 @@ def assert_loops_match(values, state, rows, eta, max_epochs, streaks):
     assert_states_equal(state, rows, oracle, oracle_rows)
     if want is None:
         return None
-    epochs, stopped, row, _, k = run.info
-    assert (epochs, bool(stopped), k) == (want.epochs, want.converged, want.survivors.size)
+    epochs, stop, row, _, k = run.info
+    assert (epochs, stop, k) == (want.epochs, want.stop, want.survivors.size)
     np.testing.assert_array_equal(run.assignments[row], want.assignments)
     np.testing.assert_array_equal(run.streaks, oracle_streaks)
     np.testing.assert_array_equal(
@@ -1107,7 +1162,7 @@ class TestCplLoop:
     tests/oracles.py, which runs the step oracles."""
 
     def test_matches_the_loop_oracle_with_orphans(self):
-        orphans = []
+        orphans, stops = [], set()
 
         @settings(max_examples=150, deadline=None)
         @given(
@@ -1128,6 +1183,8 @@ class TestCplLoop:
         @example((8, 5), 30, 3, 5, 10.0, False, False, 0.05, 0)
         @example((8, 8), 30, 2, 100, 10.0, True, False, 0.05, 0)
         @example((6, 6), 25, 2, 1, 10.0, False, True, 0.05, 0)
+        # a two-cycle, with orphans
+        @example((8, 8), 30, 2, 100, 10.0, False, False, 0.05, 132)
         def check(shape, n, d, max_epochs, spread, tied, infinite, eta, seed):
             values, state, rows, streaks = loop_case(
                 *shape, n, d, spread, tied, infinite, seed
@@ -1141,10 +1198,32 @@ class TestCplLoop:
             else:
                 loop = assert_loops_match(values, state, rows, eta, max_epochs, streaks)
                 counted = 0 if loop is None else loop.orphans
+                if loop is not None:
+                    stops.add(loop.stop)
             orphans.append(counted)
 
         check()
         assert sum(count > 0 for count in orphans) >= 4
+        assert stops == {CAP, FIXED_POINT, TWO_CYCLE}
+
+    def test_the_two_back_check_never_fires_at_epoch_1(self):
+        # at epoch 1 the ring's third row holds no epoch yet: a run whose third
+        # row already holds the assignments of its epoch 1 runs on as one
+        # whose row holds the arena's fill
+        values, config = TWO_CYCLE_CASE
+        seeds = np.random.default_rng(config.rng_seed).choice(
+            values.shape[0], size=config.k0, replace=False
+        )
+        runs = [kernel_steps.seeded_run(values, seeds) for _ in range(2)]
+        lib = _kernel.library()
+        assert lib.fh_cpl(runs[0].ref, None, config.eta, 3, runs[0].info_address) == 0
+        # it stopped at epoch 2, so rows 0 and 1 hold epochs 0 and 1 as run
+        assert runs[0].info.tolist()[:3] == [3, TWO_CYCLE, 2]
+        assert not np.array_equal(runs[0].assignments[0], runs[0].assignments[1])
+        runs[1].assignments[2] = runs[0].assignments[1]
+        assert lib.fh_cpl(runs[1].ref, None, config.eta, 3, runs[1].info_address) == 0
+        np.testing.assert_array_equal(runs[1].info, runs[0].info)
+        np.testing.assert_array_equal(runs[1].assignments, runs[0].assignments)
 
     def test_orphans_take_the_first_of_tied_nearest_clusterlets(self):
         # clusterlet 0 wins the objects at 0 and falls under the threshold;

@@ -69,7 +69,7 @@ def one_shot_digest(name: str) -> str:
 CPL_GOLDEN = {
     (2, "fraction"): "0468e6e591fd1d2c7c6a4176717bfe834f3a8689999fe73af5df5f4e65e7f7fd",
     (2, "absolute"): "51d7acada6272f4b02e8cc1c4742ebbcdf5a7222c972bdcf7b5fa7cb1ebb7dc5",
-    (4, "fraction"): "d246e7032416436288619a2827c36198d6e1416ae2a55484cde1a27261b32133",
+    (4, "fraction"): "f6613959cdfff56afc5f1baf6dc4f03a1e2df3337325cd46bb44b37f85dc4e77",
     (4, "absolute"): "b7730ccd3d13407a9f31e08b85229220d1c13d260ff26d00c31254fc9753dbfa",
     (16, "fraction"): "b12c8ca41698efc9e13381c1ca279832813cc06d8f9230fab6403c3add0ed7bf",
     (16, "absolute"): "e75464783cbaf8b99ef3e8b032dc72beb633f5ddf5550d901093230b746bcbff",
@@ -77,7 +77,7 @@ CPL_GOLDEN = {
 
 ONE_SHOT_GOLDEN = {
     "d2_fraction": "41b1b50710bde79df3cf31c84171a7f3ef0923c16bd3f4ad28a5e59a6831b32c",
-    "d4_absolute": "97d2abe75610880239f25cfb5d8d45c56ca741c265ecf6b1c15d4097a268ee2a",
+    "d4_absolute": "4bbc59f4646c7aae4fcf7db840562211f92aa83f7dadcd6600774572fd979312",
 }
 
 
@@ -103,8 +103,8 @@ REPORT_SPECS = {
 
 REPORT_GOLDEN = {
     "d2_fraction": "cb85f0efa10fece272fd2b6b4636792544f8cd817a27a6a72061d5bc0e011252",
-    "d4_absolute": "c5f05c94a4b4f85c296cbb5d6a6e11215ee71d7da802b45f79cbf05fd058e633",
-    "skipped_client": "2b0d9c2caf209cec02e44775acceb25fe3f2976a36ada852a23c9c71937662c6",
+    "d4_absolute": "ebebf8558ec0d6e2a5ac0311426823c8ffc3d45fbaee5629bea8883098fae625",
+    "skipped_client": "e61441afa5f91d496346a7bf03a6cc58752abe86cde431832096679ccdc82b8a",
 }
 
 

@@ -330,7 +330,7 @@ def run_layouts(n: int, d: int, k0: int) -> dict:
         "rows": (f8, (k0, d)),
         "act": (i8, (k0,)),
         "stale": (i8, (k0,)),
-        "assignments": (i8, (2, n)),
+        "assignments": (i8, (3, n)),
         "counts": (i8, (k0,)),
         "sums": (f8, (k0, d)),
         "streaks": (i8, (k0,)),
