@@ -4,8 +4,8 @@
 For each (n, k0, d) below, runs ``run_cpl`` ``REPEATS`` times on one table of
 uniform random values, with the kernel library's ``fh_cpl`` timed around
 each call, and prints the median microseconds of a call outside its
-``fh_cpl`` call: the seed indices, the run's buffers, the address checks,
-the result and its validation. Run from anywhere:
+``fh_cpl`` call: the seed indices (``fh_choice`` included), the run's
+buffers, the address checks, the result and its validation. Run from anywhere:
 
     python3 scripts/time_run_overhead.py
 """
@@ -37,6 +37,8 @@ def overhead_us(n: int, k0: int, d: int) -> float:
 
     class Timed:
         """The kernel library, its ``fh_cpl`` timed."""
+
+        fh_choice = lib.fh_choice
 
         @staticmethod
         def fh_cpl(*args):

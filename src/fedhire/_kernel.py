@@ -129,6 +129,12 @@ def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # four sizes, then the buffers by the addresses that ``address`` checked
     lib.fh_kmeans.argtypes = [*(ctypes.c_int64,) * 4, *(ctypes.c_void_p,) * 9]
     lib.fh_kmeans.restype = None
+    # the seed's little-endian bytes, its count of 32-bit words, n, k, and
+    # the addresses of the k int64 draws and of the int64 scratch
+    lib.fh_choice.argtypes = [
+        ctypes.c_char_p, *(ctypes.c_int64,) * 3, ctypes.c_void_p, ctypes.c_void_p,
+    ]
+    lib.fh_choice.restype = None
     return lib
 
 

@@ -85,9 +85,10 @@ class AffiliationMatrix:
             raise ValueError("assignments must be 1-D")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        # read as unsigned, a negative index is at least 2^63 and a
+        # non-negative one below, so one maximum tests both ends
         if self.assignments.size and (
-            np.minimum.reduce(self.assignments) < 0
-            or np.maximum.reduce(self.assignments) >= self.k
+            np.maximum.reduce(self.assignments.view(np.uint64)) >= min(self.k, 2**63)
         ):
             raise ValueError("assignment indices out of range [0, k)")
 

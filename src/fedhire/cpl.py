@@ -35,8 +35,9 @@ Scoring details, fixed across the package:
   only on its object and those two rows, so a reused column is bitwise the
   column a recomputation would give.
 - A run is one kernel call, ``fh_cpl``, given the values and the indices of
-  the seed objects. It seeds the initial state in the run's arenas, runs
-  every epoch: the similarity columns (``fh_columns`` writes the floored
+  the seed objects, which the kernel's ``fh_choice`` draws as numpy's
+  ``Generator.choice`` would (``draw_distinct``). It seeds the initial state
+  in the run's arenas, runs every epoch: the similarity columns (``fh_columns`` writes the floored
   ``exp(-D)`` of the changed columns into the cache), the epoch itself
   (``fh_epoch``: gamma, the presentation loop, the win counts, the centroid
   means, the empty streaks and the deactivation), the reassignment of
@@ -107,8 +108,13 @@ def require_numbers(config, kind, *names: str) -> None:
     """Refuse each field ``names`` of ``config`` that is not a ``kind``
     (``numbers.Integral`` or ``numbers.Real``), such as a string or, for an
     integer, a whole float, or is a bool, which would run as 0 or 1."""
+    # an int (never a bool) is an Integral and a Real, and a float a Real:
+    # the common cases pass without the slower abstract-class test
+    exact = (int,) if kind is numbers.Integral else (int, float)
     for name in names:
         value = getattr(config, name)
+        if type(value) in exact:
+            continue
         if isinstance(value, bool) or not isinstance(value, kind):
             what = "an integer" if kind is numbers.Integral else "a real number"
             raise ValueError(f"{name} must be {what}, got {value!r}")
@@ -117,6 +123,35 @@ def require_numbers(config, kind, *names: str) -> None:
 def derive_seed(seed: int, key: int) -> int:
     """The seed of ``SeedSequence(seed)``'s child ``key``; every server seed is one."""
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(key,)).generate_state(1)[0])
+
+
+def draw_distinct(seed: int, n: int, k: int) -> np.ndarray:
+    """k distinct indices of range(n), 1 <= k <= n: those of
+    ``np.random.default_rng(seed).choice(n, size=k, replace=False)``, drawn
+    by ``fh_choice`` in the kernel the same way, without numpy's Generator.
+    ``seed`` is refused as numpy refuses it: a negative one with a
+    ValueError, one that is not an integer with a TypeError."""
+    if not 1 <= k <= n:
+        raise ValueError(f"cannot draw {k} distinct indices of {n}")
+    if not isinstance(seed, numbers.Integral):
+        raise TypeError(f"SeedSequence expects int or sequence of ints for entropy not {seed}")
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    seed = int(seed)
+    words = max(1, -(-seed.bit_length() // 32))
+    # numpy shuffles the tail of all n indices when k is a large share of a
+    # large n, and otherwise keeps Floyd's picks in a table of the least
+    # power of two above int(1.2 k) entries
+    tail = n > 10000 and k > n // 50
+    scratch = np.empty(n if tail else 1 << int(1.2 * k).bit_length(), np.int64)
+    out = np.empty(k, np.int64)
+    out_address, scratch_address = (
+        ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (out, scratch)
+    )
+    _kernel.library().fh_choice(
+        seed.to_bytes(4 * words, "little"), words, n, k, out_address, scratch_address
+    )
+    return out
 
 
 @dataclass
@@ -158,13 +193,11 @@ class CplResult:
     feature_weights: FeatureClusterMatrix | None = None
 
 
-# the arenas of a run: one per dtype, and one of its own for the n x k0
-# similarity cache (in the float64 arena with the small buffers it raised
-# the peak RSS of the wide_d16 benchmark by 0.5 MB)
-F8, I8, U1, SIMS = 0, 1, 2, 3
-ARENA_DTYPES = (
-    np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint8), np.dtype(np.float64),
-)
+# the arenas of a run: one of its own for the n x k0 similarity cache (with
+# the small buffers it raised the peak RSS of the wide_d16 benchmark by 0.5
+# MB), and one for every other buffer, of any dtype
+SIMS, SMALL = 0, 1
+F8, I8, U1 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint8)
 # the int64 slots that fh_cpl reports: the epochs used, the stop, the final
 # row of the assignment ring, the uniform-row fallbacks of every refresh,
 # summed, and the survivor count
@@ -176,11 +209,12 @@ CAP, FIXED_POINT, TWO_CYCLE = 0, 1, 2
 
 def _layout(n: int, d: int, k0: int) -> tuple:
     """Every buffer of a run of n objects, d features and k0 clusterlets but
-    the values: its name, its arena and its shape, in the order of the
-    pointers of ``struct fh_run``, then ``info``, fh_cpl's report."""
+    the values: its name, its dtype and its shape, in the order of the
+    pointers of ``struct fh_run``, then ``info``, fh_cpl's report. ``sims``
+    comes first, alone in its arena."""
     kd, k = (k0, d), (k0,)
     return (
-        ("sims", SIMS, (n, k0)),
+        ("sims", F8, (n, k0)),
         ("stored_centroids", F8, kd),
         ("stored_rows", F8, kd),
         ("centroids", F8, kd),
@@ -211,18 +245,17 @@ def _layout(n: int, d: int, k0: int) -> tuple:
     )
 
 
-# each buffer's place in _layout and its arena
+# each buffer's place in _layout and its dtype
 _SLOT = {name: slot for slot, (name, _, _) in enumerate(_layout(1, 1, 1))}
-_ARENA = tuple(arena for _, arena, _ in _layout(1, 1, 1))
-_ITEMSIZE = tuple(dtype.itemsize for dtype in ARENA_DTYPES)
+_DTYPE = tuple(dtype for _, dtype, _ in _layout(1, 1, 1))
 
 
 class _Run:
     """Every buffer of one ``run_cpl`` call, shared with ``_kernel.c``.
 
-    Besides the n x d values, every buffer lies in one numpy arena per dtype
-    (float64, int64 and uint8), but ``sims``, which has one of its own
-    (``arenas``; numpy's, so tracemalloc sees them all), in the order of
+    Besides the n x d values, every buffer lies in one of two numpy byte
+    arenas (``arenas``; numpy's, so tracemalloc sees them): ``sims`` alone in
+    the first, every other buffer in the second, in the order of
     ``_layout``, each on whole 8-byte words. ``buffers``, the ``_kernel.Run``
     of the call, gets each address by offset arithmetic from its arena's;
     only the values, handed in (after ``ascontiguousarray``), go through
@@ -258,26 +291,21 @@ class _Run:
         n, d = values.shape
         self.values = np.ascontiguousarray(values)
         address = _kernel.address("values", self.values, np.float64, (n, d))
-        # each buffer's first byte in its arena; every buffer takes whole
-        # 8-byte words, so every one starts aligned
-        ends = [0] * len(ARENA_DTYPES)
-        self.starts = starts = []
-        for _, arena, shape in _layout(n, d, k0):
-            starts.append(ends[arena])
-            ends[arena] += (math.prod(shape) * _ITEMSIZE[arena] + 7) & -8
-        self.arenas = tuple(
-            np.empty(end // size, dtype)
-            for end, size, dtype in zip(ends, _ITEMSIZE, ARENA_DTYPES)
-        )
+        # each buffer's first byte in its arena: sims alone in the first, and
+        # every other buffer on whole 8-byte words, so every one starts aligned
+        self.starts = starts = [0]
+        end = 0
+        for _, dtype, shape in _layout(n, d, k0)[1:]:
+            starts.append(end)
+            end += (math.prod(shape) * dtype.itemsize + 7) & -8
+        self.arenas = (np.empty(8 * n * k0, np.uint8), np.empty(end, np.uint8))
         # the arenas' addresses; a ctypes view of each is faster to make
         # than its ``ctypes`` attribute
-        bases = [ctypes.addressof(ctypes.c_char.from_buffer(arena)) for arena in self.arenas]
-        *addresses, self.info_address = [
-            bases[arena] + start for arena, start in zip(_ARENA, starts)
-        ]
+        sims, small = (ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in self.arenas)
+        *addresses, self.info_address = [small + start for start in starts[1:]]
         self.buffers = _kernel.Run(
             n, d, k0, SIMILARITY_FLOOR, ELIMINATION_THRESHOLD, DEAD_UNIT_EPOCHS,
-            VARIANCE_FLOOR, ENTRY_TOLERANCE, ROW_SUM_TOLERANCE, address, *addresses,
+            VARIANCE_FLOOR, ENTRY_TOLERANCE, ROW_SUM_TOLERANCE, address, sims, *addresses,
         )
         self.ref = ctypes.byref(self.buffers)
         self.info = self._items("info", INFO_SLOTS)
@@ -299,16 +327,17 @@ class _Run:
 
     def _items(self, name: str, count: int, first: int = 0) -> np.ndarray:
         slot = _SLOT[name]
-        arena = _ARENA[slot]
-        start = self.starts[slot] // _ITEMSIZE[arena] + first
-        return self.arenas[arena][start : start + count]
+        dtype = _DTYPE[slot]
+        start = self.starts[slot] + first * dtype.itemsize
+        arena = self.arenas[SMALL if slot else SIMS]
+        return arena[start : start + count * dtype.itemsize].view(dtype)
 
 
 def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
     """Run the full competitive penalized learning loop on one dataset.
 
-    Centroids start at ``k0`` distinct objects sampled with the configured
-    seed; raw weights start at zero (weights effectively 1), win counts at
+    Centroids start at ``k0`` distinct objects drawn with the configured
+    seed (``draw_distinct``); raw weights start at zero (weights effectively 1), win counts at
     zero, and the feature-cluster matrix uniform. Each epoch presents every
     object in index order, assigns it to the winner, rewards the winner and
     penalizes the rival. Only active clusterlets are scored.
@@ -345,8 +374,7 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
     if config.k0 > n:
         raise ValueError(f"k0={config.k0} exceeds object count {n}")
 
-    rng = np.random.default_rng(config.rng_seed)
-    seeds = rng.choice(n, size=config.k0, replace=False)
+    seeds = draw_distinct(config.rng_seed, n, config.k0)
     run = _Run(values, config.k0)
     code = _kernel.library().fh_cpl(
         run.ref, _kernel.address("seeds", seeds, np.int64, (config.k0,)),

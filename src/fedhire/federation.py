@@ -13,6 +13,7 @@ propagated back to original objects.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import math
@@ -25,7 +26,7 @@ import numpy as np
 from . import _kernel
 from .client import ClientPayload, run_fcpl
 from .core import AffiliationMatrix, DataMatrix
-from .cpl import DEFAULT_MAX_EPOCHS, CplResult, derive_seed, require_numbers
+from .cpl import DEFAULT_MAX_EPOCHS, CplResult, derive_seed, draw_distinct, require_numbers
 from .server import (
     GlobalClustering,
     Hierarchy,
@@ -105,12 +106,9 @@ class PartitionPlan:
         self.client_indices = [
             np.asarray(ix, dtype=np.int64) for ix in self.client_indices
         ]
-        flat = (
-            np.concatenate(self.client_indices)
-            if self.client_indices
-            else np.empty(0, np.int64)
-        )
-        if flat.size != np.unique(flat).size:
+        # sorted, a repeated index sits next to itself
+        flat = np.sort(np.concatenate([np.empty(0, np.int64), *self.client_indices]))
+        if (flat[1:] == flat[:-1]).any():
             raise ValueError("client index lists must be disjoint")
 
     @property
@@ -149,8 +147,7 @@ def kmeans(data: DataMatrix, k: int, seed: int) -> tuple[np.ndarray, Affiliation
     n = values.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.default_rng(seed)
-    centroids = values[rng.choice(n, size=k, replace=False)]
+    centroids = values[draw_distinct(seed, n, k)]
     return centroids, AffiliationMatrix(_lloyd(values, centroids), k=k)
 
 
@@ -169,20 +166,22 @@ def _lloyd(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """
     n, d = values.shape
     k = centroids.shape[0]
-    buffers = {
-        "values": (values, np.float64, (n, d)),
-        "centroids": (centroids, np.float64, (k, d)),
-        "ones": (np.ones((k, d)), np.float64, (k, d)),
-        "dists": (np.empty((n, k)), np.float64, (n, k)),
-        "assignments": (np.empty(n, np.int64), np.int64, (n,)),
-        "next": (np.empty(n, np.int64), np.int64, (n,)),
-        "counts": (np.empty(k, np.int64), np.int64, (k,)),
-        "own": (np.empty(n), np.float64, (n,)),
-        "pad": (np.empty(d * _kernel.LANE), np.float64, (d * _kernel.LANE,)),
-    }
-    addresses = [_kernel.address(name, *spec) for name, spec in buffers.items()]
+    addresses = [
+        _kernel.address("values", values, np.float64, (n, d)),
+        _kernel.address("centroids", centroids, np.float64, (k, d)),
+    ]
+    # the other buffers, in the order of fh_kmeans's arguments: ones, the
+    # n x k distances, the assignments, the next assignments, the counts,
+    # each object's distance to its centroid and the pad, in one float64
+    # and one int64 arena
+    floats = np.empty(k * d + n * k + n + d * _kernel.LANE)
+    floats[: k * d] = 1.0
+    ints = np.empty(2 * n + k, np.int64)
+    pad = _kernel.address("pad", floats[k * d + n * k + n :], np.float64, (d * _kernel.LANE,))
+    f, i = (ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (floats, ints))
+    addresses += [f, f + 8 * k * d, i, i + 8 * n, i + 16 * n, f + 8 * (k * d + n * k), pad]
     _kernel.library().fh_kmeans(n, d, k, KMEANS_MAX_ITERS, *addresses)
-    return buffers["assignments"][0]
+    return ints[:n]
 
 
 def _auto_fragments(cluster_size: int, client_count: int) -> int:
@@ -202,28 +201,40 @@ def fragment_partition(data: DataMatrix, config: FederationConfig) -> PartitionP
     rng = np.random.default_rng(config.seed)
     per_client: list[list[np.ndarray]] = [[] for _ in range(config.client_count)]
     provenance: list[dict] = []
-    for label in np.unique(data.labels):
-        cluster_idx = np.flatnonzero(data.labels == label)
+    # a stable sort lists each cluster's objects in index order, the
+    # clusters in ascending label
+    order = np.argsort(data.labels, kind="stable")
+    ranked = data.labels[order]
+    bounds = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+    starts, ends = [0, *bounds][: order.size], [*bounds, order.size]
+    for label, start, end in zip(ranked[starts].tolist(), starts, ends):
+        cluster_idx = order[start:end]
         if config.fragments_per_cluster == "auto":
             k = _auto_fragments(cluster_idx.size, config.client_count)
         else:
             k = int(config.fragments_per_cluster)
         k = min(k, cluster_idx.size)
         _, affil = kmeans(
-            data.subset(cluster_idx), k, seed=int(rng.integers(2**32))
+            DataMatrix(data.values[cluster_idx]), k, seed=int(rng.integers(2**32))
         )
-        for fragment in range(k):
-            members = cluster_idx[affil.assignments == fragment]
-            client = int(rng.integers(config.client_count))
-            per_client[client].append(members)
+        # each fragment's members, in index order, one after the other, and
+        # its client: k draws at once are the k single draws, in order
+        fragments = cluster_idx[np.argsort(affil.assignments, kind="stable")]
+        listed = fragments.tolist()
+        sizes = np.bincount(affil.assignments, minlength=k).tolist()
+        clients = rng.integers(config.client_count, size=k).tolist()
+        at = 0
+        for fragment, (size, client) in enumerate(zip(sizes, clients)):
+            per_client[client].append(fragments[at : at + size])
             provenance.append(
                 {
-                    "cluster_label": int(label),
+                    "cluster_label": label,
                     "fragment": fragment,
                     "client_id": client,
-                    "object_indices": members.tolist(),
+                    "object_indices": listed[at : at + size],
                 }
             )
+            at += size
     client_indices = [
         np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
         for parts in per_client
@@ -298,7 +309,8 @@ def run_one_shot(
             f"{config.client_count}"
         )
     n = data.object_count
-    if any(ix.size and not 0 <= ix.min() <= ix.max() < n for ix in plan.client_indices):
+    flat = np.concatenate([np.empty(0, np.int64), *plan.client_indices])
+    if flat.size and not 0 <= flat.min() <= flat.max() < n:
         raise ValueError(f"plan object indices must lie in [0, {n})")
     timings["partition"] = time.perf_counter() - t0
 

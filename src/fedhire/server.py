@@ -18,7 +18,7 @@ import numpy as np
 
 from .client import ClientPayload, fcpl_k0
 from .core import AffiliationMatrix, DataMatrix, EmptyClusterError, FeatureClusterMatrix
-from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, derive_seed, run_cpl
+from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, derive_seed, draw_distinct, run_cpl
 
 logger = logging.getLogger(__name__)
 
@@ -78,7 +78,9 @@ class EnhancedRepresentation:
         self.level_ks = np.asarray(self.level_ks, dtype=np.int64)
         if self.codes.ndim != 2 or self.codes.shape[1] != self.level_ks.shape[0]:
             raise ValueError("codes must be n x depth with one k per level")
-        if ((self.codes < 1) | (self.codes > self.level_ks[None, :])).any():
+        if self.codes.size and (
+            (self.codes.min(axis=0) < 1).any() or (self.codes.max(axis=0) > self.level_ks).any()
+        ):
             raise ValueError("codes must lie in [1, k_delta] per level")
 
     @property
@@ -183,12 +185,16 @@ def run_mcpl(
 
 
 def encode_hierarchy(hierarchy: Hierarchy) -> EnhancedRepresentation:
-    """Turn each level's affiliation into a 1-based integer code column."""
-    codes = np.column_stack(
-        [q.assignments + 1 for _, q in hierarchy.levels]
-    ).astype(np.int64)
+    """Turn each level's affiliation into a 1-based integer code column.
+
+    The codes are laid out column by column (Fortran order), so that each
+    level's column, which every step of the final clustering reads, is
+    contiguous.
+    """
+    codes = np.array([q.assignments for _, q in hierarchy.levels], dtype=np.int64)
+    codes += 1
     return EnhancedRepresentation(
-        codes=codes, level_ks=np.array(hierarchy.level_ks, dtype=np.int64)
+        codes=codes.T, level_ks=np.array(hierarchy.level_ks, dtype=np.int64)
     )
 
 
@@ -202,9 +208,10 @@ def feature_cluster_matrix_server(
     the cluster and over its complement, and β the matching rate
     ``Σ_v count(v)² / |C|²``. Rows of empty clusters, of a cluster holding
     every row, and with all-zero products get the uniform 1/Δ prior. One
-    bincount per level gives every cluster's code counts; each sum runs over
-    one contiguous row, in the order of the loop form kept as an oracle in
-    ``tests/oracles.py``, so the weights are its bits.
+    bincount gives every cluster's code counts for as many consecutive
+    levels as fit side by side in n columns; each sum runs over one
+    contiguous row of a level's counts, in the order of the loop form kept
+    as an oracle in ``tests/oracles.py``, so the weights are its bits.
     """
     k = affiliation.k
     n, depth = rep.codes.shape
@@ -216,16 +223,34 @@ def feature_cluster_matrix_server(
         logger.debug("clusters %s are empty; uniform level weights", empty.tolist())
     rows = np.flatnonzero((sizes > 0) & (sizes < n))
     size, rest = sizes[rows, None], n - sizes[rows, None]
-    product = np.empty((rows.size, depth))
-    for delta, level_k in enumerate(rep.level_ks.tolist()):
-        counts = np.bincount(
-            assignments * level_k + rep.codes[:, delta] - 1, minlength=k * level_k
-        ).reshape(k, level_k)
-        inside = counts[rows]
+    # per cluster row and level, the sums under alpha's square root and in
+    # beta's numerator, each over the level's code counts
+    differences = np.empty((rows.size, depth))
+    matching = np.empty((rows.size, depth))
+    level_ks = rep.level_ks.tolist()
+    first = 0
+    while first < depth:
+        # the next levels side by side, as many as fit in n code columns (at
+        # least one): one bincount counts their codes, and the counts take
+        # no more than k x max(n, k_delta)
+        last, width = first + 1, level_ks[first]
+        while last < depth and width + level_ks[last] <= n:
+            width += level_ks[last]
+            last += 1
+        offsets = np.cumsum([0, *level_ks[first:last]])
+        keys = assignments[:, None] * width + (rep.codes[:, first:last] - 1 + offsets[:-1])
+        counts = np.bincount(keys.ravel(), minlength=k * width).reshape(k, width)
+        # whole numbers below 2^53, so their float sums and differences are exact
+        inside = counts[rows].astype(np.float64)
         outside = counts.sum(axis=0) - inside
-        alpha = INV_SQRT2 * np.sqrt(((inside / size - outside / rest) ** 2).sum(axis=1))
-        beta = (inside.astype(np.float64) ** 2).sum(axis=1) / size[:, 0] ** 2
-        product[:, delta] = alpha * beta
+        terms = (inside / size - outside / rest) ** 2
+        squares = np.square(inside)
+        bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
+        for delta, (start, stop) in enumerate(bounds, first):
+            differences[:, delta] = terms[:, start:stop].sum(axis=1)
+            matching[:, delta] = squares[:, start:stop].sum(axis=1)
+        first = last
+    product = INV_SQRT2 * np.sqrt(differences) * (matching / size**2)
     total = product.sum(axis=1)
     weighted = total > 0.0
     entries[rows[weighted]] = product[weighted] / total[weighted, None]
@@ -241,11 +266,57 @@ def assign_server(
 
     The similarity of a row to a centroid is the L2 norm of the centroid's
     level weights restricted to the levels where their codes match exactly.
-    Ties break toward the lowest cluster index.
+    Ties break toward the lowest cluster index. Rows with equal codes get
+    equal labels, so only one row of each run of equal codes is scored: the
+    row a row's finest code first maps to, or the row itself when its codes
+    differ from that row's. On nested levels that is one row per finest
+    cluster. The broadcast over every row is kept in ``tests/oracles.py``.
     """
-    matches = rep.codes[:, None, :] == centroid_codes[None, :, :]
-    sims = np.sqrt(((u.entries[None, :, :] * matches) ** 2).sum(axis=2))
-    return AffiliationMatrix(np.argmax(sims, axis=1), k=centroid_codes.shape[0])
+    codes = rep.codes
+    n, depth = codes.shape
+    finest = codes[:, 0]
+    first = np.empty(int(rep.level_ks[0]) + 1, np.int64)
+    first[finest] = np.arange(n)
+    lead = first[finest]
+    unlike = np.flatnonzero(codes[lead] != codes) // depth
+    lead[unlike] = unlike
+    scored = np.flatnonzero(lead == np.arange(n))
+    # per level, the k x scored block of the matched squared weights
+    matches = codes.T[:, None, scored] == centroid_codes.T[:, :, None]
+    terms = np.where(matches, np.square(u.entries).T[:, :, None], 0.0)
+    labels = np.empty(n, np.int64)
+    labels[scored] = np.sqrt(_row_sum(list(terms))).T.argmax(axis=1)
+    return AffiliationMatrix(labels[lead], k=centroid_codes.shape[0])
+
+
+def _row_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """The elementwise sum of ``terms``, added as numpy adds a row of
+    len(terms) values: 0.0 plus their pairwise sum, which adds fewer than 8
+    terms in sequence from 0.0; up to 128 in 8 running sums of every 8th
+    term, combined as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the
+    terms past the last whole 8 in sequence; and more as two halves, the
+    first rounded down to a multiple of 8. So the sum over the last axis of
+    the terms stacked is these bits (a zero sum is +0.0)."""
+    count = len(terms)
+    if count < 8:
+        total = 0.0
+        for term in terms:
+            total = total + term
+        return total
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    partial = list(terms[:8])
+    whole = count - count % 8
+    for start in range(8, whole, 8):
+        for j in range(8):
+            partial[j] = partial[j] + terms[start + j]
+    total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+        (partial[4] + partial[5]) + (partial[6] + partial[7])
+    )
+    for term in terms[whole:]:
+        total = total + term
+    return 0.0 + total
 
 
 def _mode_codes(rep: EnhancedRepresentation, affiliation: AffiliationMatrix,
@@ -303,13 +374,19 @@ def _level_start(rep: EnhancedRepresentation, k_star: int) -> tuple[int, np.ndar
     """
     for delta in range(rep.depth - 1, -1, -1):
         level_k = int(rep.level_ks[delta])
-        clusters = AffiliationMatrix(rep.codes[:, delta] - 1, k=level_k)
-        sizes = np.bincount(clusters.assignments, minlength=level_k)
+        if level_k < k_star:
+            continue
+        clusters = rep.codes[:, delta] - 1
+        sizes = np.bincount(clusters, minlength=level_k)
         if np.count_nonzero(sizes) < k_star:
             continue
-        largest = np.argsort(-sizes, kind="stable")[:k_star]
-        modes = _mode_codes(rep, clusters, np.zeros((level_k, rep.depth), np.int64))
-        return level_k, modes[largest]
+        # the k* largest clusters become clusters 0..k*-1 and the rest one
+        # more, whose modes are dropped
+        rank = np.full(level_k, k_star)
+        rank[np.argsort(-sizes, kind="stable")[:k_star]] = np.arange(k_star)
+        ranked = AffiliationMatrix(rank[clusters], k=k_star + 1)
+        modes = _mode_codes(rep, ranked, np.zeros((k_star + 1, rep.depth), np.int64))
+        return level_k, modes[:k_star]
     return None
 
 
@@ -339,8 +416,7 @@ def final_clustering(
             "final clustering starts from %d random rows: no level has %d clusters",
             k_star, k_star,
         )
-        rng = np.random.default_rng(seed)
-        centroid_codes = rep.codes[rng.choice(n, size=k_star, replace=False)].copy()
+        centroid_codes = rep.codes[draw_distinct(seed, n, k_star)]
     else:
         level_k, centroid_codes = start
         logger.info("final clustering starts from the level with k=%d", level_k)

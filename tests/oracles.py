@@ -703,3 +703,102 @@ def repair_empty_clusters(rep, assignments, centroid_codes, u):
         assignments[pick] = j
         centroid_codes[j] = rep.codes[pick]
         sims[pick] = np.inf
+
+
+def assign_server(rep, centroid_codes, u):
+    """The broadcast form of ``server.assign_server``: every row against
+    every centroid in one n x k x depth block, each similarity the norm
+    ``sqrt(((u * match) ** 2).sum())`` over the levels, the first best
+    centroid taken. The engine scores one row per run of equal codes and
+    adds the levels of k x rows blocks in numpy's order; its labels must be
+    these."""
+    matches = rep.codes[:, None, :] == centroid_codes[None, :, :]
+    sims = np.sqrt(((u.entries[None, :, :] * matches) ** 2).sum(axis=2))
+    return AffiliationMatrix(np.argmax(sims, axis=1), k=centroid_codes.shape[0])
+
+
+def level_start(rep, k_star):
+    """The first form of ``server._level_start``: from the coarsest level
+    on, the first with at least k* nonempty clusters, every level's clusters
+    checked as an affiliation, the mode codes of all its clusters (the loop
+    form ``mode_codes``), then those of the k* largest (ties toward the lower
+    index). None when no level has k* nonempty clusters."""
+    for delta in range(rep.depth - 1, -1, -1):
+        level_k = int(rep.level_ks[delta])
+        clusters = AffiliationMatrix(rep.codes[:, delta] - 1, k=level_k)
+        sizes = np.bincount(clusters.assignments, minlength=level_k)
+        if np.count_nonzero(sizes) < k_star:
+            continue
+        largest = np.argsort(-sizes, kind="stable")[:k_star]
+        modes = mode_codes(rep, clusters, np.zeros((level_k, rep.depth), np.int64))
+        return level_k, modes[largest]
+    return None
+
+
+def codes_in_range(codes, level_ks):
+    """The first accept test of ``EnhancedRepresentation``: every code of
+    level delta in [1, level_ks[delta]]."""
+    return not ((codes < 1) | (codes > level_ks[None, :])).any()
+
+
+def disjoint(client_indices):
+    """The first disjointness test of ``PartitionPlan``: as many distinct
+    indices as indices, by ``np.unique``."""
+    flat = np.concatenate(client_indices) if client_indices else np.empty(0, np.int64)
+    return flat.size == np.unique(flat).size
+
+
+def plan_in_range(client_indices, n):
+    """The first range test of ``run_one_shot``: each client's indices, when
+    it has any, between 0 and n - 1."""
+    return not any(ix.size and not 0 <= ix.min() <= ix.max() < n for ix in client_indices)
+
+
+def is_number(value, kind):
+    """The first accept test of ``cpl.require_numbers``: a ``kind``
+    (``numbers.Integral`` or ``numbers.Real``) that is not a bool."""
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
+def fragment_groups(data, config, kmeans):
+    """The first form of ``federation.fragment_partition``'s grouping, with
+    ``kmeans`` the fragmentation k-means: each label of ``np.unique``, its
+    objects by ``flatnonzero``, each fragment's members by a mask, the same
+    draws in the same order. Returns (client_indices, provenance)."""
+    rng = np.random.default_rng(config.seed)
+    per_client = [[] for _ in range(config.client_count)]
+    provenance = []
+    for label in np.unique(data.labels):
+        cluster_idx = np.flatnonzero(data.labels == label)
+        if config.fragments_per_cluster == "auto":
+            k = max(2, min(config.client_count, cluster_idx.size // 20))
+        else:
+            k = int(config.fragments_per_cluster)
+        k = min(k, cluster_idx.size)
+        _, affil = kmeans(data.subset(cluster_idx), k, seed=int(rng.integers(2**32)))
+        for fragment in range(k):
+            members = cluster_idx[affil.assignments == fragment]
+            client = int(rng.integers(config.client_count))
+            per_client[client].append(members)
+            provenance.append(
+                {
+                    "cluster_label": int(label),
+                    "fragment": fragment,
+                    "client_id": client,
+                    "object_indices": members.tolist(),
+                }
+            )
+    client_indices = [
+        np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+        for parts in per_client
+    ]
+    return client_indices, provenance
+
+
+def affiliation_in_range(assignments, k):
+    """The first range test of ``AffiliationMatrix``: no index below 0 and
+    none at least k."""
+    return not (
+        assignments.size
+        and (np.minimum.reduce(assignments) < 0 or np.maximum.reduce(assignments) >= k)
+    )

@@ -12,6 +12,7 @@ from fedhire.core import (
     EmptyClusterError,
     FeatureClusterMatrix,
 )
+import oracles
 from kernel_steps import StepRun, dissimilarities, seeded_run
 from oracles import (
     engine_feature_weights,
@@ -79,6 +80,21 @@ class TestAffiliationMatrix:
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             AffiliationMatrix(np.array([0, 2]), k=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6),
+        k=st.integers(1, 2**64),
+    )
+    def test_range_keeps_its_accept_set(self, values, k):
+        # one unsigned maximum refuses what the first form's minimum and
+        # maximum refused: any index below 0 or at least k
+        assignments = np.asarray(values, dtype=np.int64)
+        if oracles.affiliation_in_range(assignments, k):
+            AffiliationMatrix(assignments, k=k)
+        else:
+            with pytest.raises(ValueError, match=r"^assignment indices out of range \[0, k\)$"):
+                AffiliationMatrix(assignments, k=k)
 
     def test_counts(self):
         affil = AffiliationMatrix(np.array([0, 2, 2]), k=4)

@@ -1,9 +1,13 @@
 import copy
 import ctypes
+import decimal
+import fractions
 import logging
 import math
+import numbers
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from fedhire.cpl import (
     SIMILARITY_FLOOR,
     TWO_CYCLE,
     CplConfig,
+    require_numbers,
     run_cpl,
 )
 import kernel_steps
@@ -939,6 +944,8 @@ class TestRunCpl:
         real = _kernel.library()
 
         class Degenerate:
+            fh_choice = staticmethod(real.fh_choice)
+
             @staticmethod
             def fh_cpl(ref, seeds, eta, max_epochs, info):
                 code = real.fh_cpl(ref, seeds, eta, max_epochs, info)
@@ -968,6 +975,8 @@ class TestRunCpl:
     )
     def test_kernel_errors_raise_their_exceptions(self, monkeypatch, code, error, message):
         class Failing:
+            fh_choice = staticmethod(_kernel.library().fh_choice)
+
             @staticmethod
             def fh_cpl(*args):
                 return code
@@ -1454,3 +1463,22 @@ class TestRefreshKeepsUnchangedRows:
             elif move == "collapse":
                 assignments[:] = rng.choice(active)
             steps.refresh(assignments)
+
+
+@pytest.mark.parametrize("kind", [numbers.Integral, numbers.Real])
+def test_require_numbers_keeps_its_accept_set(kind):
+    # the exact int and float types pass before the abstract-class test;
+    # everything else meets the first form's test and message
+    values = [
+        0, 7, -2, 2**70, True, False, 1.5, -0.0, math.inf, np.int64(3), np.float64(2.0),
+        np.bool_(True), fractions.Fraction(1, 2), decimal.Decimal("1"), "1", None, 1j,
+    ]
+    what = "an integer" if kind is numbers.Integral else "a real number"
+    for value in values:
+        config = types.SimpleNamespace(field=value)
+        if oracles.is_number(value, kind):
+            require_numbers(config, kind, "field")
+        else:
+            message = f"^field must be {what}, got {re.escape(repr(value))}$"
+            with pytest.raises(ValueError, match=message):
+                require_numbers(config, kind, "field")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fedhire import federation
+from fedhire import cpl, federation
 from fedhire.core import DataMatrix
 from fedhire.cpl import derive_seed
 from fedhire.federation import (
@@ -467,3 +468,93 @@ class TestConfigValidation:
         )
         assert (config.client_count, config.k_star, config.fragments_per_cluster) == (1, 2, 1)
         assert (config.k0_absolute, config.max_epochs, config.seed) == (2, 1, 0)
+
+
+class TestReplacedForms:
+    """The rewritten fragmentation, plan checks and seeded draw give the
+    results, accept sets and messages of the forms they replaced, kept in
+    tests/oracles.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 120), labels=st.integers(1, 6), clients=st.integers(1, 5),
+        fragments=st.sampled_from(["auto", 1, 3, 7]), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, labels=1, clients=1, fragments="auto", seed=0)
+    @example(n=90, labels=3, clients=4, fragments=7, seed=5)
+    def test_fragment_partition_matches_its_first_form(self, n, labels, clients, fragments, seed):
+        # labels drawn anywhere in a wide range, negative ones too
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(n, 2))
+        names = rng.choice(np.arange(-50, 50), size=labels, replace=False)
+        data = DataMatrix(values, names[rng.integers(0, labels, size=n)])
+        config = FederationConfig(
+            client_count=clients, k_star=2, seed=seed % 1000, fragments_per_cluster=fragments
+        )
+        plan = fragment_partition(data, config)
+        want_indices, want_provenance = oracles.fragment_groups(data, config, kmeans)
+        assert len(plan.client_indices) == len(want_indices)
+        for got, want in zip(plan.client_indices, want_indices):
+            np.testing.assert_array_equal(got, want)
+        assert plan.provenance == want_provenance
+
+    def test_fragment_partition_of_no_objects(self):
+        data = DataMatrix(np.empty((0, 2)), np.empty(0, np.int64))
+        plan = fragment_partition(data, FederationConfig(client_count=3, k_star=2))
+        assert [ix.size for ix in plan.client_indices] == [0, 0, 0] and plan.provenance == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lists=st.lists(st.lists(st.integers(-3, 12), max_size=6), max_size=4),
+    )
+    @example(lists=[])
+    @example(lists=[[], []])
+    @example(lists=[[1, 2], [2]])
+    @example(lists=[[-1, 0], [4]])
+    def test_plan_checks_keep_their_accept_sets(self, lists):
+        # duplicates are refused; negative or out-of-range indices pass the
+        # plan and are refused by run_one_shot's range check
+        client_indices = [np.asarray(ix, np.int64) for ix in lists]
+        if not oracles.disjoint(client_indices):
+            with pytest.raises(ValueError, match="^client index lists must be disjoint$"):
+                PartitionPlan(client_indices)
+            return
+        plan = PartitionPlan(client_indices)
+        if not lists:
+            return
+        n = 10
+        data = DataMatrix(np.zeros((n, 2)), np.zeros(n, np.int64))
+        config = FederationConfig(client_count=len(lists), k_star=2)
+        if oracles.plan_in_range(client_indices, n):
+            return
+        with pytest.raises(ValueError, match=rf"^plan object indices must lie in \[0, {n}\)$"):
+            run_one_shot(data, config, plan=plan)
+
+
+# (n, k): below and above numpy's switch to a tail shuffle (n > 10000 and
+# k > n // 50), every k of small n, and draws from beyond 2^32
+CHOICE_GRID = [
+    (1, 1), (2, 2), (5, 1), (5, 3), (5, 5), (64, 32), (250, 125), (998, 499),
+    (2000, 64), (10000, 5000), (10001, 200), (10001, 201), (20000, 300),
+    (20000, 20000), (2**33, 3),
+]
+CHOICE_SEEDS = [0, 1, 7, 4096, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 77]
+
+
+@pytest.mark.parametrize("n, k", CHOICE_GRID)
+def test_draw_distinct_pins_numpys_choice(n, k):
+    for seed in CHOICE_SEEDS:
+        want = np.random.default_rng(seed).choice(n, size=k, replace=False)
+        np.testing.assert_array_equal(cpl.draw_distinct(seed, n, k), want)
+
+
+def test_draw_distinct_refuses_the_seeds_numpy_refuses():
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(Exception) as want:
+            np.random.default_rng(seed)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            cpl.draw_distinct(seed, 4, 2)
+    np.testing.assert_array_equal(cpl.draw_distinct(np.int64(9), 7, 3), cpl.draw_distinct(9, 7, 3))
+    for n, k in ((5, 6), (20000, 20001), (5, 0), (0, 0)):
+        with pytest.raises(ValueError, match=f"^cannot draw {k} distinct indices of {n}$"):
+            cpl.draw_distinct(0, n, k)

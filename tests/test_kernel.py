@@ -383,7 +383,7 @@ def test_run_buffers_have_the_struct_layout(monkeypatch, n, d, k0):
     regions.sort()
     assert all(end <= start for (_, end), (start, _) in zip(regions, regions[1:]))
     assert (run.info.dtype, run.info.shape) == (np.dtype(np.int64), (cpl.INFO_SLOTS,))
-    assert np.shares_memory(run.info, run.arenas[cpl.I8])
+    assert np.shares_memory(run.info, run.arenas[cpl.SMALL])
 
 
 def test_run_cpl_checks_the_values_and_the_seeds(monkeypatch):
@@ -442,7 +442,7 @@ def test_every_exported_function_is_bound_and_called():
         name for name in sorted(exported)
         if not any(re.search(rf"\.{name}\(", text) for text in callers)
     ]
-    assert exported == {"fh_cpl", "fh_kmeans"} and uncalled == []
+    assert exported == {"fh_cpl", "fh_kmeans", "fh_choice"} and uncalled == []
 
 
 LEVELS = ["x86-64", "x86-64-v3", "x86-64-v4"]

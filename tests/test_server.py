@@ -625,3 +625,98 @@ def _fake_global(server_labels, k):
         iterations_used=1,
         converged=True,
     )
+
+
+def nested_rep(n, level_ks, rng):
+    """Codes of nested levels: a random finest clustering, and each coarser
+    level a random map of the clusters of the level below."""
+    clusters = rng.integers(0, level_ks[0], size=n)
+    columns = [clusters]
+    for level_k in level_ks[1:]:
+        clusters = rng.integers(0, level_k, size=max(level_ks) + 1)[clusters]
+        columns.append(clusters)
+    return EnhancedRepresentation(codes=np.column_stack(columns) + 1, level_ks=level_ks)
+
+
+class TestReplacedForms:
+    """The rewritten final-clustering steps give the results of the forms
+    they replaced, kept in tests/oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**rep_shapes, nested=st.booleans(), k=st.integers(1, 9), foreign=st.booleans())
+    # nested levels (one scored row per finest cluster); rows that share a
+    # finest code but not the rest; centroid codes no row has
+    @example(n=30, level_ks=[9, 4, 2], kind="uniform", seed=0, nested=True, k=3, foreign=False)
+    @example(n=12, level_ks=[2, 5, 5], kind="uniform", seed=1, nested=False, k=4, foreign=False)
+    @example(n=8, level_ks=[3, 3], kind="constant", seed=2, nested=False, k=2, foreign=True)
+    def test_assign_server_matches_the_broadcast_form(
+        self, n, level_ks, kind, seed, nested, k, foreign
+    ):
+        rng = np.random.default_rng(seed)
+        rep = nested_rep(n, level_ks, rng) if nested else random_rep(n, level_ks, kind, rng)
+        centroid_codes = rep.codes[rng.integers(0, n, size=k)].copy()
+        if foreign:
+            centroid_codes[rng.random(centroid_codes.shape) < 0.5] = 0
+        weights = rng.dirichlet(np.ones(len(level_ks)), size=k)
+        # equal rows (ties) and one-hot rows
+        weights[rng.random(k) < 0.3] = 1.0 / len(level_ks)
+        weights[rng.random(k) < 0.2] = np.eye(len(level_ks))[0]
+        u = FeatureClusterMatrix(weights)
+        np.testing.assert_array_equal(
+            assign_server(rep, centroid_codes, u).assignments,
+            oracles.assign_server(rep, centroid_codes, u).assignments,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(count=8, seed=0)
+    @example(count=129, seed=1)
+    def test_row_sum_adds_as_numpy_sums_a_row(self, count, seed):
+        rng = np.random.default_rng(seed)
+        terms = [
+            rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-12, 12, size=(3, 4))
+            for _ in range(count)
+        ]
+        # a row of negative zeros, whose sum numpy makes +0.0
+        for term in terms:
+            term[0, 0] = -0.0
+        want = np.stack(terms, axis=-1).sum(axis=-1)
+        np.testing.assert_array_equal(
+            server._row_sum(terms).view(np.uint64), want.view(np.uint64)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(**rep_shapes, nested=st.booleans(), k_star=st.integers(2, 10))
+    @example(n=30, level_ks=[9, 4, 2], kind="uniform", seed=0, nested=True, k_star=3)
+    def test_level_start_matches_its_first_form(self, n, level_ks, kind, seed, nested, k_star):
+        rng = np.random.default_rng(seed)
+        rep = nested_rep(n, level_ks, rng) if nested else random_rep(n, level_ks, kind, rng)
+        got, want = server._level_start(rep, k_star), oracles.level_start(rep, k_star)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 12), level_ks=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1), fortran=st.booleans(),
+    )
+    def test_codes_keep_their_accept_set(self, n, level_ks, seed, fortran):
+        # codes from -1 to k + 1: every level's bounds, crossed or not
+        rng = np.random.default_rng(seed)
+        codes = np.column_stack([rng.integers(-1, k + 2, size=n) for k in level_ks])
+        codes = np.asfortranarray(codes) if fortran else codes
+        if oracles.codes_in_range(codes, np.asarray(level_ks)):
+            EnhancedRepresentation(codes=codes, level_ks=level_ks)
+        else:
+            with pytest.raises(ValueError, match=r"^codes must lie in \[1, k_delta\] per level$"):
+                EnhancedRepresentation(codes=codes, level_ks=level_ks)
+
+    def test_encoded_codes_are_the_levels_column_by_column(self):
+        rng = np.random.default_rng(3)
+        levels = [(k, AffiliationMatrix(rng.integers(0, k, size=20), k=k)) for k in (6, 4, 2)]
+        rep = encode_hierarchy(Hierarchy(levels=levels))
+        want = np.column_stack([q.assignments + 1 for _, q in levels])
+        np.testing.assert_array_equal(rep.codes, want)
+        assert rep.codes.dtype == np.int64 and rep.codes.flags.f_contiguous
