@@ -4,12 +4,12 @@
 For each workload shape below (n objects, d features, the clients' k0: an
 absolute 64 or the default fraction), with 8 clients, k* = 8 and
 ``fedhire.synth`` data, runs ``run_one_shot`` ``REPEATS`` times with the
-kernel library's ``fh_cpl`` and ``fh_kmeans`` timed around each call and the
-layer functions that ``run_one_shot`` looks up timed too. It prints, per
-layer, the median milliseconds per call spent outside the kernel:
-``fragment_partition``, ``run_fcpl`` (every client), ``run_mcpl``,
+kernel library's ``fh_cpl``, ``fh_kmeans`` and ``fh_ward`` timed around each
+call and the layer functions that ``run_one_shot`` looks up timed too. It
+prints, per layer, the median milliseconds per call spent outside the
+kernel: ``fragment_partition``, ``run_fcpl`` (every client), ``run_mcpl``,
 ``final_clustering``, and the rest of the call (the plan's range check,
-stacking, encoding and label propagation). Every name it wraps is put back.
+stacking and label propagation). Every name it wraps is put back.
 Run from anywhere:
 
     python3 scripts/time_outside_kernel.py
@@ -32,12 +32,12 @@ CLIENTS = 8
 K_STAR = 8
 REPEATS = 15
 LAYERS = ("fragment_partition", "run_fcpl", "run_mcpl", "final_clustering")
-KERNELS = ("fh_cpl", "fh_kmeans")
+KERNELS = ("fh_cpl", "fh_kmeans", "fh_ward")
 
 
 def outside_ms(n: int, d: int, k0_absolute: int | None) -> dict[str, float]:
     """Per layer and in total, the median milliseconds of a ``run_one_shot``
-    call spent outside ``fh_cpl`` and ``fh_kmeans``, over ``REPEATS`` calls."""
+    call spent outside the ``KERNELS``, over ``REPEATS`` calls."""
     data = gaussian_mixture(n, d, K_STAR, seed=0)
     config = federation.FederationConfig(
         client_count=CLIENTS, k_star=K_STAR, k0_absolute=k0_absolute,
@@ -72,8 +72,8 @@ def outside_ms(n: int, d: int, k0_absolute: int | None) -> dict[str, float]:
 
         return call
 
-    # the kernel library with fh_cpl and fh_kmeans timed; the seeded draw,
-    # fh_choice, stands in for numpy's and counts as time outside them
+    # the kernel library with the KERNELS timed; the seeded draw, fh_choice,
+    # stands in for numpy's and counts as time outside them
     timed = types.SimpleNamespace(
         fh_choice=lib.fh_choice, **{name: timed_kernel(name) for name in KERNELS}
     )
@@ -105,7 +105,7 @@ def main() -> int:
         ms = outside_ms(n, d, k0)
         print(f"{n:>5} {d:>3} {k0 or 'default':>7}  "
               + " ".join(f"{ms[c]:>18.3f}" for c in columns))
-    print("milliseconds per call outside fh_cpl and fh_kmeans (medians)")
+    print(f"milliseconds per call outside {', '.join(KERNELS)} (medians)")
     return 0
 
 

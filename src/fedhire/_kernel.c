@@ -1,7 +1,8 @@
 /* The compiled steps of competitive penalized learning: the weighted
  * distances, the squash, the epoch bookkeeping and the feature-weight
  * refresh of run_cpl; and fh_kmeans, the whole Lloyd loop of the k-means
- * that fragments each ground-truth cluster (federation.kmeans).
+ * that fragments each ground-truth cluster (federation.kmeans); and fh_ward,
+ * the Ward agglomeration that gives the server's final partition.
  *
  * A run_cpl run is one kernel call, fh_cpl, on the buffers of struct fh_run:
  * besides the values, two numpy arenas that run_cpl lays out (cpl._Run), one
@@ -37,8 +38,8 @@
  * (tile_terms) for v3 and the default level only, since GCC's v4 code for
  * that loop is slower than its default code. Every clone gives the same
  * bits. The kernel allocates nothing: its scratch is numpy's too. The
- * package calls fh_cpl, fh_kmeans and fh_choice, the seeded draw of the
- * objects that start a run or a k-means; every other function is static.
+ * package calls fh_cpl, fh_kmeans, fh_ward and fh_choice, the seeded draw of
+ * the objects that start a run or a k-means; every other function is static.
  */
 #include <math.h>
 #include <stdint.h>
@@ -805,6 +806,79 @@ void fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
         for (int64_t j = 0; j < k; j++)
             for (int64_t z = 0; counts[j] > 0 && z < d; z++)
                 centroids[j * d + z] /= (double)counts[j];
+    }
+}
+
+/* Ward's agglomeration of m >= 1 weighted centres (the m x d centres and
+ * their m weights, each > 0) by the nearest-neighbour chain (Murtagh 1983;
+ * Mullner, arXiv:1109.2378). cost holds the m x m Ward costs w_a w_b / (w_a +
+ * w_b) ||c_a - c_b||^2, the rise in the within-cluster sum of squares if
+ * clusters a and b merge, and inf on the diagonal and towards merged
+ * clusters. The chain grows from its top to the top's nearest cluster: the
+ * first index of the least cost, or the chain's previous element (at first,
+ * the first live cluster) if none costs less. When the top two are each
+ * other's nearest, they merge: the lower index keeps the union, its weight
+ * the sum and its costs the Lance-Williams update, and the higher index's
+ * weight becomes 0 and its costs inf. Writes the m - 1 merges as (kept,
+ * merged) index pairs, with their costs as heights, in the chain's order;
+ * Ward's cost is reducible, so the merges sorted by height are the greedy
+ * order. chain is m entries of scratch, and weights are overwritten. */
+void fh_ward(int64_t m, int64_t d, const double *centres, double *weights,
+             double *cost, int64_t *chain, int64_t *merges, double *heights)
+{
+    for (int64_t a = 0; a < m; a++) {
+        cost[a * m + a] = INFINITY;
+        for (int64_t b = a + 1; b < m; b++) {
+            double sq = 0.0;
+            for (int64_t z = 0; z < d; z++) {
+                double diff = centres[a * d + z] - centres[b * d + z];
+                sq += diff * diff;
+            }
+            cost[a * m + b] = cost[b * m + a] =
+                weights[a] * weights[b] / (weights[a] + weights[b]) * sq;
+        }
+    }
+    int64_t length = 0;
+    for (int64_t step = 0; step + 1 < m; step++) {
+        int64_t a, b;
+        for (;;) {
+            if (length == 0)
+                for (chain[length++] = 0; weights[chain[0]] == 0.0; chain[0]++)
+                    ;
+            a = chain[length - 1];
+            if (length > 1)
+                b = chain[length - 2];
+            else
+                for (b = 0; b == a || weights[b] == 0.0; b++)
+                    ;
+            const double *row = cost + a * m;
+            double least = row[b];
+            for (int64_t x = 0; x < m; x++)
+                if (row[x] < least) {
+                    least = row[x];
+                    b = x;
+                }
+            if (length > 1 && b == chain[length - 2])
+                break;
+            chain[length++] = b;
+        }
+        length -= 2;
+        int64_t lo = a < b ? a : b, hi = a < b ? b : a;
+        double wl = weights[lo], wh = weights[hi], height = cost[lo * m + hi];
+        for (int64_t x = 0; x < m; x++) {
+            double wx = weights[x];
+            cost[x * m + hi] = INFINITY;
+            if (x == lo || x == hi || wx == 0.0)
+                continue;
+            cost[lo * m + x] = cost[x * m + lo] =
+                ((wl + wx) * cost[lo * m + x] + (wh + wx) * cost[hi * m + x] - wx * height)
+                / (wl + wh + wx);
+        }
+        weights[lo] = wl + wh;
+        weights[hi] = 0.0;
+        merges[2 * step] = lo;
+        merges[2 * step + 1] = hi;
+        heights[step] = height;
     }
 }
 

@@ -1,4 +1,4 @@
-"""Build and load ``_kernel.c``, the compiled competitive-learning loop and k-means.
+"""Build and load ``_kernel.c``: the compiled competitive learning, k-means and Ward.
 
 The shared library is compiled on first use with the system C compiler and
 cached on disk under a name that hashes the C source, the compiler command
@@ -129,6 +129,9 @@ def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # four sizes, then the buffers by the addresses that ``address`` checked
     lib.fh_kmeans.argtypes = [*(ctypes.c_int64,) * 4, *(ctypes.c_void_p,) * 9]
     lib.fh_kmeans.restype = None
+    # m and d, then the buffers by the addresses that ``address`` checked
+    lib.fh_ward.argtypes = [*(ctypes.c_int64,) * 2, *(ctypes.c_void_p,) * 6]
+    lib.fh_ward.restype = None
     # the seed's little-endian bytes, its count of 32-bit words, n, k, and
     # the addresses of the k int64 draws and of the int64 scratch
     lib.fh_choice.argtypes = [

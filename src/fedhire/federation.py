@@ -7,8 +7,8 @@ whole Lloyd loop in one call of the C kernel (``_kernel.c``) and gives the
 results of the numpy loop in ``tests/oracles.py`` bit for bit. The
 orchestrator then runs the whole pipeline with exactly one upload per
 client: local clusterlet discovery, centroid stacking, hierarchy
-construction, encoding, and the final weighted partition, with labels
-propagated back to original objects.
+construction, and the final partition, Ward's cut over the hierarchy's
+finest level, with labels propagated back to original objects.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ logger = logging.getLogger(__name__)
 UNASSIGNED = -1
 # most Lloyd iterations of the fragmentation k-means
 KMEANS_MAX_ITERS = 100
-# derive_seed keys of the hierarchy's seed (whose stage s spawns key s) and of the
-# final clustering's random start, drawn only when no level has k* clusters
+# derive_seed key of the hierarchy's seed, whose stage s spawns key s
 MCPL_SEED_KEY = 0x6D63
-FINAL_SEED_KEY = 0xF1A1
 
 
 class ExperimentError(RuntimeError):
@@ -268,17 +266,16 @@ class ExperimentResult:
 
     def report_json(self) -> str:
         """Hierarchy + final partition in one report document."""
-        rep = encode_hierarchy(self.hierarchy)
-        gc = self.global_clustering
         return json.dumps(
             {
                 "levels": [
                     {"k": k, "assignments": q.assignments.tolist()}
                     for k, q in self.hierarchy.levels
                 ],
-                "codes": rep.codes.tolist(),
-                "U": gc.U.entries.tolist(),
-                "server_assignments": gc.server_assignments.assignments.tolist(),
+                "codes": encode_hierarchy(self.hierarchy).tolist(),
+                "server_assignments": (
+                    self.global_clustering.server_assignments.assignments.tolist()
+                ),
                 "object_assignments": {
                     str(cid): self.object_labels[self.plan.client_indices[cid]].tolist()
                     for cid in sorted(self.client_ks)
@@ -355,19 +352,13 @@ def run_one_shot(
     )
     timings["mcpl"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    rep = encode_hierarchy(hierarchy)
-    timings["encode"] = time.perf_counter() - t0
-
-    if config.k_star > rep.object_count:
+    if config.k_star > stacked.object_count:
         raise ExperimentError(
-            f"k_star={config.k_star} exceeds the {rep.object_count} stacked "
+            f"k_star={config.k_star} exceeds the {stacked.object_count} stacked "
             f"clusterlet centroids"
         )
     t0 = time.perf_counter()
-    global_clustering = final_clustering(
-        rep, k_star=config.k_star, seed=derive_seed(config.seed, FINAL_SEED_KEY)
-    )
+    global_clustering = final_clustering(stacked, hierarchy, k_star=config.k_star)
     timings["final"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -1,30 +1,26 @@
-"""Server side: stack payloads, build the multi-granular hierarchy, encode it,
-and produce the final k*-way partition over the stacked clusterlet centroids.
+"""Server side: stack payloads, build the multi-granular hierarchy, and cut
+the final k*-way partition of the stacked clusterlet centroids from Ward's
+dendrogram over the hierarchy's finest level.
 
 The server never sees client objects. Its only inputs are the uploaded
-centroid payloads; everything downstream (hierarchy levels, the enhanced
-integer representation, the weighted categorical clustering) operates on
-those centroids, and object-level labels are recovered by composing the
-server partition with each client's local affiliation.
+centroid payloads; everything downstream (hierarchy levels, the dendrogram,
+its cut) operates on those centroids, and object-level labels are recovered
+by composing the server partition with each client's local affiliation.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernel
 from .client import ClientPayload, fcpl_k0
-from .core import AffiliationMatrix, DataMatrix, EmptyClusterError, FeatureClusterMatrix
-from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, derive_seed, draw_distinct, run_cpl
+from .core import AffiliationMatrix, DataMatrix, EmptyClusterError
+from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, derive_seed, run_cpl
 
 logger = logging.getLogger(__name__)
-
-# most alternating iterations of the final clustering
-FINAL_MAX_ITERS = 100
-INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass
@@ -33,7 +29,7 @@ class Hierarchy:
 
     ``levels`` runs finest to coarsest with strictly decreasing cluster
     counts; single-cluster levels are never stored (a constant level carries
-    no information for the weighted clustering downstream). The levels that
+    no information). The levels that
     ``run_mcpl`` builds nest: rows that share a cluster at one level share
     one at every coarser level.
     """
@@ -66,41 +62,12 @@ class Hierarchy:
 
 
 @dataclass
-class EnhancedRepresentation:
-    """Integer codes: column delta holds each centroid's 1-based cluster
-    index at hierarchy level delta."""
-
-    codes: np.ndarray
-    level_ks: np.ndarray
-
-    def __post_init__(self):
-        self.codes = np.asarray(self.codes, dtype=np.int64)
-        self.level_ks = np.asarray(self.level_ks, dtype=np.int64)
-        if self.codes.ndim != 2 or self.codes.shape[1] != self.level_ks.shape[0]:
-            raise ValueError("codes must be n x depth with one k per level")
-        if self.codes.size and (
-            (self.codes.min(axis=0) < 1).any() or (self.codes.max(axis=0) > self.level_ks).any()
-        ):
-            raise ValueError("codes must lie in [1, k_delta] per level")
-
-    @property
-    def object_count(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def depth(self) -> int:
-        return self.codes.shape[1]
-
-
-@dataclass
 class GlobalClustering:
-    """Final k*-way partition of the stacked centroids plus its weights."""
+    """Final k*-way partition of the stacked centroids, and the number of
+    dendrogram merges its cut applied."""
 
     server_assignments: AffiliationMatrix
-    U: FeatureClusterMatrix
-    centroid_codes: np.ndarray
     iterations_used: int
-    converged: bool
 
 
 def stack_payloads(payloads: list[ClientPayload]) -> DataMatrix:
@@ -184,274 +151,94 @@ def run_mcpl(
     return Hierarchy(levels=levels)
 
 
-def encode_hierarchy(hierarchy: Hierarchy) -> EnhancedRepresentation:
-    """Turn each level's affiliation into a 1-based integer code column.
-
-    The codes are laid out column by column (Fortran order), so that each
-    level's column, which every step of the final clustering reads, is
-    contiguous.
-    """
+def encode_hierarchy(hierarchy: Hierarchy) -> np.ndarray:
+    """The n x depth int64 codes of the hierarchy: column delta holds each
+    stacked row's 1-based cluster index at level delta, laid out column by
+    column (Fortran order)."""
     codes = np.array([q.assignments for _, q in hierarchy.levels], dtype=np.int64)
     codes += 1
-    return EnhancedRepresentation(
-        codes=codes.T, level_ks=np.array(hierarchy.level_ks, dtype=np.int64)
+    return codes.T
+
+
+def ward_merges(centres: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ward's dendrogram of the m weighted ``centres``: its m − 1 merges as
+    (kept, merged) index pairs, the lower index kept, and their heights, the
+    rise in the within-cluster sum of squares, in the order of ``fh_ward``'s
+    nearest-neighbour chain. ``centres`` must be a C-contiguous float64 m x d
+    array and ``weights`` m positive float64s; neither is changed."""
+    m, d = centres.shape
+    weights = weights.copy()
+    cost = np.empty((m, m))
+    chain = np.empty(m, np.int64)
+    merges = np.empty((m - 1, 2), np.int64)
+    heights = np.empty(m - 1)
+    _kernel.library().fh_ward(
+        m, d,
+        _kernel.address("centres", centres, np.float64, (m, d)),
+        _kernel.address("weights", weights, np.float64, (m,)),
+        _kernel.address("cost", cost, np.float64, (m, m)),
+        _kernel.address("chain", chain, np.int64, (m,)),
+        _kernel.address("merges", merges, np.int64, merges.shape),
+        _kernel.address("heights", heights, np.float64, heights.shape),
     )
+    return merges, heights
 
 
-def feature_cluster_matrix_server(
-    rep: EnhancedRepresentation, affiliation: AffiliationMatrix
-) -> FeatureClusterMatrix:
-    """Per-cluster level weights u = αβ / Σ αβ over hierarchy levels.
+def cut(merges: np.ndarray, heights: np.ndarray, k: int) -> np.ndarray:
+    """The k-cluster cut of a dendrogram of m leaves, each leaf's cluster.
 
-    For cluster j and level δ, α is the inter-cluster difference
-    ``(1/√2) sqrt(Σ_v (f_in(v) − f_out(v))²)`` of the code frequencies inside
-    the cluster and over its complement, and β the matching rate
-    ``Σ_v count(v)² / |C|²``. Rows of empty clusters, of a cluster holding
-    every row, and with all-zero products get the uniform 1/Δ prior. One
-    bincount gives every cluster's code counts for as many consecutive
-    levels as fit side by side in n columns; each sum runs over one
-    contiguous row of a level's counts, in the order of the loop form kept
-    as an oracle in ``tests/oracles.py``, so the weights are its bits.
+    The m − k lowest merges apply, ties in the order given; each points its
+    merged index at the kept one, and the roots are resolved by pointer
+    jumping. The kept index is the lower, so a root is its cluster's smallest
+    leaf, and the clusters are numbered in ascending order of it.
     """
-    k = affiliation.k
-    n, depth = rep.codes.shape
-    assignments = affiliation.assignments
-    entries = np.full((k, depth), 1.0 / depth)
-    sizes = np.bincount(assignments, minlength=k)
-    empty = np.flatnonzero(sizes == 0)
-    if empty.size:
-        logger.debug("clusters %s are empty; uniform level weights", empty.tolist())
-    rows = np.flatnonzero((sizes > 0) & (sizes < n))
-    size, rest = sizes[rows, None], n - sizes[rows, None]
-    # per cluster row and level, the sums under alpha's square root and in
-    # beta's numerator, each over the level's code counts
-    differences = np.empty((rows.size, depth))
-    matching = np.empty((rows.size, depth))
-    level_ks = rep.level_ks.tolist()
-    first = 0
-    while first < depth:
-        # the next levels side by side, as many as fit in n code columns (at
-        # least one): one bincount counts their codes, and the counts take
-        # no more than k x max(n, k_delta)
-        last, width = first + 1, level_ks[first]
-        while last < depth and width + level_ks[last] <= n:
-            width += level_ks[last]
-            last += 1
-        offsets = np.cumsum([0, *level_ks[first:last]])
-        keys = assignments[:, None] * width + (rep.codes[:, first:last] - 1 + offsets[:-1])
-        counts = np.bincount(keys.ravel(), minlength=k * width).reshape(k, width)
-        # whole numbers below 2^53, so their float sums and differences are exact
-        inside = counts[rows].astype(np.float64)
-        outside = counts.sum(axis=0) - inside
-        terms = (inside / size - outside / rest) ** 2
-        squares = np.square(inside)
-        bounds = zip(offsets[:-1].tolist(), offsets[1:].tolist())
-        for delta, (start, stop) in enumerate(bounds, first):
-            differences[:, delta] = terms[:, start:stop].sum(axis=1)
-            matching[:, delta] = squares[:, start:stop].sum(axis=1)
-        first = last
-    product = INV_SQRT2 * np.sqrt(differences) * (matching / size**2)
-    total = product.sum(axis=1)
-    weighted = total > 0.0
-    entries[rows[weighted]] = product[weighted] / total[weighted, None]
-    return FeatureClusterMatrix(entries=entries)
-
-
-def assign_server(
-    rep: EnhancedRepresentation,
-    centroid_codes: np.ndarray,
-    u: FeatureClusterMatrix,
-) -> AffiliationMatrix:
-    """Assign every row of codes to its best-matching centroid.
-
-    The similarity of a row to a centroid is the L2 norm of the centroid's
-    level weights restricted to the levels where their codes match exactly.
-    Ties break toward the lowest cluster index. Rows with equal codes get
-    equal labels, so only one row of each run of equal codes is scored: the
-    row a row's finest code first maps to, or the row itself when its codes
-    differ from that row's. On nested levels that is one row per finest
-    cluster. The broadcast over every row is kept in ``tests/oracles.py``.
-    """
-    codes = rep.codes
-    n, depth = codes.shape
-    finest = codes[:, 0]
-    first = np.empty(int(rep.level_ks[0]) + 1, np.int64)
-    first[finest] = np.arange(n)
-    lead = first[finest]
-    unlike = np.flatnonzero(codes[lead] != codes) // depth
-    lead[unlike] = unlike
-    scored = np.flatnonzero(lead == np.arange(n))
-    # per level, the k x scored block of the matched squared weights
-    matches = codes.T[:, None, scored] == centroid_codes.T[:, :, None]
-    terms = np.where(matches, np.square(u.entries).T[:, :, None], 0.0)
-    labels = np.empty(n, np.int64)
-    labels[scored] = np.sqrt(_row_sum(list(terms))).T.argmax(axis=1)
-    return AffiliationMatrix(labels[lead], k=centroid_codes.shape[0])
-
-
-def _row_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """The elementwise sum of ``terms``, added as numpy adds a row of
-    len(terms) values: 0.0 plus their pairwise sum, which adds fewer than 8
-    terms in sequence from 0.0; up to 128 in 8 running sums of every 8th
-    term, combined as ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)), then the
-    terms past the last whole 8 in sequence; and more as two halves, the
-    first rounded down to a multiple of 8. So the sum over the last axis of
-    the terms stacked is these bits (a zero sum is +0.0)."""
-    count = len(terms)
-    if count < 8:
-        total = 0.0
-        for term in terms:
-            total = total + term
-        return total
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return _row_sum(terms[:half]) + _row_sum(terms[half:])
-    partial = list(terms[:8])
-    whole = count - count % 8
-    for start in range(8, whole, 8):
-        for j in range(8):
-            partial[j] = partial[j] + terms[start + j]
-    total = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
-        (partial[4] + partial[5]) + (partial[6] + partial[7])
-    )
-    for term in terms[whole:]:
-        total = total + term
-    return 0.0 + total
-
-
-def _mode_codes(rep: EnhancedRepresentation, affiliation: AffiliationMatrix,
-                centroid_codes: np.ndarray) -> np.ndarray:
-    """Per-level mode of each cluster's codes, ties toward the smaller code.
-
-    Empty clusters keep their current centroid codes.
-    """
-    out = centroid_codes.copy()
-    assignments = affiliation.assignments
-    nonempty = np.bincount(assignments, minlength=affiliation.k) > 0
-    for delta, level_k in enumerate(rep.level_ks.tolist()):
-        counts = np.bincount(
-            assignments * (level_k + 1) + rep.codes[:, delta],
-            minlength=affiliation.k * (level_k + 1),
-        ).reshape(affiliation.k, level_k + 1)
-        out[nonempty, delta] = counts[nonempty].argmax(axis=1)
-    return out
-
-
-def _repair_empty_clusters(rep, assignments, centroid_codes, u) -> None:
-    """Re-seed each empty cluster from the worst-fitting object.
-
-    The chosen object becomes the cluster's centroid and is moved into it,
-    keeping the cluster count exact. An object's fit is the similarity of
-    ``assign_server`` to its own centroid, here ``sqrt(w · w)`` of its
-    matched weights ``w``: the bits of ``np.linalg.norm(w)``. Mutates
-    assignments/centroid_codes.
-    """
-    k = centroid_codes.shape[0]
-    counts = np.bincount(assignments, minlength=k)
-    empties = np.flatnonzero(counts == 0)
-    if empties.size == 0:
-        return
-    matched = u.entries[assignments] * (rep.codes == centroid_codes[assignments])
-    sims = np.sqrt(np.vecdot(matched, matched))
-    # one sort serves every empty cluster: a picked row moves into a cluster
-    # that holds only it, so the count test skips it from then on
-    order = np.argsort(sims, kind="stable")
-    for j in empties:
-        pick = next((int(i) for i in order if counts[assignments[i]] > 1), None)
-        if pick is None:
+    m = merges.shape[0] + 1
+    applied = merges[np.argsort(heights, kind="stable")[: m - k]]
+    root = np.arange(m)
+    root[applied[:, 1]] = applied[:, 0]
+    while True:
+        jumped = root[root]
+        if np.array_equal(jumped, root):
             break
-        counts[assignments[pick]] -= 1
-        assignments[pick] = j
-        centroid_codes[j] = rep.codes[pick]
+        root = jumped
+    rank = np.cumsum(root == np.arange(m)) - 1
+    return rank[root]
 
 
-def _level_start(rep: EnhancedRepresentation, k_star: int) -> tuple[int, np.ndarray] | None:
-    """The hierarchy's start for the final clustering, with its level's k.
+def final_clustering(stacked: DataMatrix, hierarchy: Hierarchy, k_star: int) -> GlobalClustering:
+    """The k*-way cut of Ward's dendrogram over the hierarchy's finest level.
 
-    The start is the per-level mode codes of the k* largest clusters (ties
-    toward the lower cluster index) of the coarsest level with at least k*
-    nonempty clusters; None when no level has that many.
+    The leaves are the finest level's nonempty clusters, each the mean of
+    its stacked rows, weighted by its row count; when that level has fewer
+    than k* nonempty clusters, the leaves are the stacked rows themselves,
+    each of weight 1. A stacked row's label is its leaf's cluster in the
+    ``cut`` of the dendrogram (``ward_merges``) at k*. This replaces the
+    paper's weighted categorical clustering of the encoded levels.
     """
-    for delta in range(rep.depth - 1, -1, -1):
-        level_k = int(rep.level_ks[delta])
-        if level_k < k_star:
-            continue
-        clusters = rep.codes[:, delta] - 1
-        sizes = np.bincount(clusters, minlength=level_k)
-        if np.count_nonzero(sizes) < k_star:
-            continue
-        # the k* largest clusters become clusters 0..k*-1 and the rest one
-        # more, whose modes are dropped
-        rank = np.full(level_k, k_star)
-        rank[np.argsort(-sizes, kind="stable")[:k_star]] = np.arange(k_star)
-        ranked = AffiliationMatrix(rank[clusters], k=k_star + 1)
-        modes = _mode_codes(rep, ranked, np.zeros((k_star + 1, rep.depth), np.int64))
-        return level_k, modes[:k_star]
-    return None
-
-
-def final_clustering(
-    rep: EnhancedRepresentation,
-    k_star: int,
-    seed: int,
-) -> GlobalClustering:
-    """Alternating weighted clustering of the encoded hierarchy.
-
-    Starts from the per-level mode codes of the k* largest clusters of the
-    coarsest level with at least k* clusters (see ``_level_start``); only
-    when no level has k* clusters does it start from k* distinct rows drawn
-    with ``seed``. Level weights start uniform. It then alternates: update
-    the level weights from the fixed partition, reassign rows under the
-    fixed weights, recompute centroids as per-level modes. Stops when the
-    partition repeats. Empty clusters are re-seeded from the worst-fitting
-    row to keep k* exact. On nested levels, a start from a level of exactly
-    k* clusters returns that level's partition.
-    """
-    n = rep.object_count
+    values = stacked.values
+    n = stacked.object_count
     if not 2 <= k_star <= n:
         raise ValueError(f"k_star must be in [2, {n}], got {k_star}")
-    start = _level_start(rep, k_star)
-    if start is None:
+    finest = hierarchy.levels[0][1].assignments
+    if finest.size != n:
+        raise ValueError(f"the hierarchy covers {finest.size} rows, the stack has {n}")
+    clusters, leaf, counts = np.unique(finest, return_inverse=True, return_counts=True)
+    if clusters.size < k_star:
         logger.info(
-            "final clustering starts from %d random rows: no level has %d clusters",
-            k_star, k_star,
+            "final clustering cuts over the %d stacked rows: the finest level has "
+            "%d clusters, fewer than k*=%d", n, clusters.size, k_star,
         )
-        centroid_codes = rep.codes[draw_distinct(seed, n, k_star)]
+        leaf, centres, weights = np.arange(n), values, np.ones(n)
     else:
-        level_k, centroid_codes = start
-        logger.info("final clustering starts from the level with k=%d", level_k)
-    u = FeatureClusterMatrix.uniform(k_star, rep.depth)
-
-    affiliation = assign_server(rep, centroid_codes, u)
-    assignments = affiliation.assignments.copy()
-    _repair_empty_clusters(rep, assignments, centroid_codes, u)
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, FINAL_MAX_ITERS + 1):
-        u = feature_cluster_matrix_server(
-            rep, AffiliationMatrix(assignments, k=k_star)
-        )
-        new_assignments = assign_server(rep, centroid_codes, u).assignments.copy()
-        _repair_empty_clusters(rep, new_assignments, centroid_codes, u)
-        centroid_codes = _mode_codes(
-            rep, AffiliationMatrix(new_assignments, k=k_star), centroid_codes
-        )
-        if np.array_equal(new_assignments, assignments):
-            converged = True
-            break
-        assignments = new_assignments
-
-    if not converged:
-        logger.info(
-            "final clustering did not converge within %d iterations", FINAL_MAX_ITERS
-        )
+        weights = counts.astype(np.float64)
+        centres = np.zeros((clusters.size, values.shape[1]))
+        np.add.at(centres, leaf, values)
+        centres /= weights[:, None]
+    merges, heights = ward_merges(np.ascontiguousarray(centres), weights)
+    labels = cut(merges, heights, k_star)[leaf]
     return GlobalClustering(
-        server_assignments=AffiliationMatrix(assignments, k=k_star),
-        U=u,
-        centroid_codes=centroid_codes,
-        iterations_used=iterations,
-        converged=converged,
+        server_assignments=AffiliationMatrix(labels, k=k_star),
+        iterations_used=centres.shape[0] - k_star,
     )
 
 

@@ -33,7 +33,6 @@ from fedhire.cpl import (
     TWO_CYCLE,
 )
 from fedhire.federation import KMEANS_MAX_ITERS
-from fedhire.server import INV_SQRT2
 from kernel_steps import StepRun
 
 
@@ -525,32 +524,6 @@ def scalar_feature_weights(values, assignments, centroids, k):
     return out
 
 
-def scalar_level_weights(codes, assignments, level_ks, k):
-    """Scalar form of the server level weights u = αβ / Σ αβ."""
-    n, depth = codes.shape
-    out = np.zeros((k, depth))
-    for j in range(k):
-        members = codes[assignments == j]
-        others = codes[assignments != j]
-        products = []
-        for delta in range(depth):
-            inside = members[:, delta]
-            outside = others[:, delta]
-            total = 0.0
-            for v in range(1, int(level_ks[delta]) + 1):
-                fi = (inside == v).sum() / len(inside)
-                fo = (outside == v).sum() / len(outside)
-                total += (fi - fo) ** 2
-            alpha = math.sqrt(total) / math.sqrt(2)
-            beta = sum(
-                (inside == code).sum() / len(inside) for code in inside
-            ) / len(inside)
-            products.append(alpha * beta)
-        s = sum(products)
-        out[j] = [p / s for p in products] if s > 0 else [1.0 / depth] * depth
-    return out
-
-
 def kmeans(data, k, seed, max_iters=KMEANS_MAX_ITERS):
     """The numpy form of the fragmentation k-means, Lloyd's loop in numpy.
 
@@ -590,155 +563,44 @@ def kmeans(data, k, seed, max_iters=KMEANS_MAX_ITERS):
     return centroids, AffiliationMatrix(assignments, k=k)
 
 
-def alpha_categorical(cluster_codes, complement_codes, k_delta):
-    """Inter-cluster difference of one level's codes.
-
-    ``(1/√2) * sqrt(Σ_v (freq_in(v) − freq_out(v))²)`` over the k_delta
-    possible code values, frequencies taken inside the cluster and over its
-    complement. Zero when the two distributions coincide; at most 1.
-    """
-    cluster_codes = np.asarray(cluster_codes)
-    complement_codes = np.asarray(complement_codes)
-    if cluster_codes.size == 0 or complement_codes.size == 0:
-        raise EmptyClusterError("cluster and complement must be nonempty")
-    f_in = np.bincount(cluster_codes - 1, minlength=k_delta) / cluster_codes.size
-    f_out = (
-        np.bincount(complement_codes - 1, minlength=k_delta) / complement_codes.size
-    )
-    return float(INV_SQRT2 * np.sqrt(((f_in - f_out) ** 2).sum()))
-
-
-def beta_matching(cluster_codes):
-    """Average matching rate of a level's codes within a cluster.
-
-    ``(1/|C|) Σ_x count(code_x)/|C|``; 1 when every member shares one code,
-    1/|C| when all codes are distinct.
-    """
-    cluster_codes = np.asarray(cluster_codes)
-    size = cluster_codes.size
-    if size == 0:
-        raise EmptyClusterError("cluster must be nonempty")
-    counts = np.bincount(cluster_codes - cluster_codes.min())
-    # each member contributes count(its code)/|C|; summing over members
-    # squares the counts
-    return float((counts.astype(np.float64) ** 2).sum() / size**2)
-
-
-def match_similarity(x_codes, centroid_codes, u_row):
-    """L2 norm of the level weights restricted to exactly-matching levels."""
-    x_codes = np.asarray(x_codes)
-    centroid_codes = np.asarray(centroid_codes)
-    u_row = np.asarray(u_row, dtype=np.float64)
-    if x_codes.shape != centroid_codes.shape or x_codes.shape != u_row.shape:
-        raise ValueError("codes and weights must have equal length")
-    return float(np.linalg.norm(u_row * (x_codes == centroid_codes)))
-
-
-def feature_cluster_matrix_server(rep, affiliation):
-    """The loop form of the server level weights u = αβ / Σ αβ, one cluster
-    and one level at a time; the engine's vectorised
-    ``server.feature_cluster_matrix_server`` must give these rows bit for
-    bit. Rows of empty clusters, of a cluster holding every row, and with
-    all-zero products get the uniform 1/Δ."""
-    k = affiliation.k
-    depth = rep.depth
-    entries = np.full((k, depth), 1.0 / depth)
-    assignments = affiliation.assignments
-    for j in range(k):
-        members = rep.codes[assignments == j]
-        others = rep.codes[assignments != j]
-        if members.shape[0] == 0 or others.shape[0] == 0:
-            continue
-        product = np.array([
-            alpha_categorical(members[:, delta], others[:, delta], int(level_k))
-            * beta_matching(members[:, delta])
-            for delta, level_k in enumerate(rep.level_ks)
-        ])
-        total = product.sum()
-        if total > 0.0:
-            entries[j] = product / total
-    return FeatureClusterMatrix(entries=entries)
-
-
-def mode_codes(rep, affiliation, centroid_codes):
-    """The loop form of ``server._mode_codes``: the per-level mode of each
-    cluster's codes, ties toward the smaller code; empty clusters keep their
-    centroid codes."""
-    out = centroid_codes.copy()
-    for j in range(affiliation.k):
-        members = rep.codes[affiliation.assignments == j]
-        if members.shape[0] == 0:
-            continue
-        for delta in range(rep.depth):
-            counts = np.bincount(members[:, delta], minlength=int(rep.level_ks[delta]) + 1)
-            out[j, delta] = int(np.argmax(counts))
-    return out
-
-
-def repair_empty_clusters(rep, assignments, centroid_codes, u):
-    """The loop form of ``server._repair_empty_clusters``, one
-    ``match_similarity`` call per row: each empty cluster, ascending, takes
-    the worst-fitting row of a cluster with more than one, and that row's
-    codes as its centroid. A picked row's fit becomes inf and the fits are
-    sorted again for each empty cluster. Mutates assignments and
-    centroid_codes."""
-    k = centroid_codes.shape[0]
-    counts = np.bincount(assignments, minlength=k)
-    empties = np.flatnonzero(counts == 0)
-    if empties.size == 0:
-        return
-    sims = np.array(
-        [
-            match_similarity(rep.codes[i], centroid_codes[assignments[i]],
-                             u.entries[assignments[i]])
-            for i in range(rep.object_count)
-        ]
-    )
-    for j in empties:
-        order = np.argsort(sims, kind="stable")
-        pick = next((int(i) for i in order if counts[assignments[i]] > 1), None)
-        if pick is None:
-            break
-        counts[assignments[pick]] -= 1
-        assignments[pick] = j
-        centroid_codes[j] = rep.codes[pick]
-        sims[pick] = np.inf
-
-
-def assign_server(rep, centroid_codes, u):
-    """The broadcast form of ``server.assign_server``: every row against
-    every centroid in one n x k x depth block, each similarity the norm
-    ``sqrt(((u * match) ** 2).sum())`` over the levels, the first best
-    centroid taken. The engine scores one row per run of equal codes and
-    adds the levels of k x rows blocks in numpy's order; its labels must be
-    these."""
-    matches = rep.codes[:, None, :] == centroid_codes[None, :, :]
-    sims = np.sqrt(((u.entries[None, :, :] * matches) ** 2).sum(axis=2))
-    return AffiliationMatrix(np.argmax(sims, axis=1), k=centroid_codes.shape[0])
-
-
-def level_start(rep, k_star):
-    """The first form of ``server._level_start``: from the coarsest level
-    on, the first with at least k* nonempty clusters, every level's clusters
-    checked as an affiliation, the mode codes of all its clusters (the loop
-    form ``mode_codes``), then those of the k* largest (ties toward the lower
-    index). None when no level has k* nonempty clusters."""
-    for delta in range(rep.depth - 1, -1, -1):
-        level_k = int(rep.level_ks[delta])
-        clusters = AffiliationMatrix(rep.codes[:, delta] - 1, k=level_k)
-        sizes = np.bincount(clusters.assignments, minlength=level_k)
-        if np.count_nonzero(sizes) < k_star:
-            continue
-        largest = np.argsort(-sizes, kind="stable")[:k_star]
-        modes = mode_codes(rep, clusters, np.zeros((level_k, rep.depth), np.int64))
-        return level_k, modes[largest]
-    return None
-
-
-def codes_in_range(codes, level_ks):
-    """The first accept test of ``EnhancedRepresentation``: every code of
-    level delta in [1, level_ks[delta]]."""
-    return not ((codes < 1) | (codes > level_ks[None, :])).any()
+def ward_greedy(centres, weights):
+    """Ward's agglomeration the greedy way, for the chain of ``fh_ward``: at
+    each step the cheapest pair of live clusters merges, the pair with the
+    least Ward cost w_a w_b / (w_a + w_b) ||c_a - c_b||^2 (the first in row
+    order on a tie), the lower index keeping the union, and the merged
+    cluster's costs follow the Lance-Williams update. Returns the m - 1
+    heights in merge order and, for each k from m down to 1, every leaf's
+    cluster numbered in ascending order of the cluster's smallest leaf."""
+    centres = np.asarray(centres, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64).copy()
+    m = weights.size
+    cost = np.full((m, m), np.inf)
+    for a in range(m):
+        for b in range(a + 1, m):
+            sq = float(((centres[a] - centres[b]) ** 2).sum())
+            cost[a, b] = weights[a] * weights[b] / (weights[a] + weights[b]) * sq
+    live = list(range(m))
+    owner = np.arange(m)
+    heights = []
+    partitions = {m: np.arange(m)}
+    while len(live) > 1:
+        pairs = [(a, b) for i, a in enumerate(live) for b in live[i + 1:]]
+        a, b = min(pairs, key=lambda pair: cost[pair])
+        height = cost[a, b]
+        heights.append(height)
+        for x in live:
+            if x in (a, b):
+                continue
+            ax, bx = cost[min(a, x), max(a, x)], cost[min(b, x), max(b, x)]
+            wx = weights[x]
+            cost[min(a, x), max(a, x)] = (
+                (weights[a] + wx) * ax + (weights[b] + wx) * bx - wx * height
+            ) / (weights[a] + weights[b] + wx)
+        weights[a] += weights[b]
+        live.remove(b)
+        owner[owner == b] = a
+        partitions[len(live)] = np.unique(owner, return_inverse=True)[1]
+    return np.array(heights), partitions
 
 
 def disjoint(client_indices):

@@ -13,28 +13,18 @@ from fedhire.client import run_fcpl
 from fedhire.core import AffiliationMatrix, DataMatrix, FeatureClusterMatrix
 from fedhire.federation import FederationConfig, client_seed, run_one_shot
 from fedhire.metrics import acc, ari, nmi, purity
-from fedhire.server import (
-    EnhancedRepresentation,
-    Hierarchy,
-    encode_hierarchy,
-    feature_cluster_matrix_server,
-    run_mcpl,
-)
+from fedhire.server import Hierarchy, encode_hierarchy, run_mcpl, ward_merges
 from fedhire.synth import gaussian_mixture
 
 from conftest import blob_data
 from kernel_steps import step_squash
 from oracles import (
-    alpha_categorical,
-    beta_matching,
     engine_epoch,
     engine_feature_weights,
     feature_weight_ratio,
     make_state,
-    match_similarity,
     present_one,
     scalar_feature_weights,
-    scalar_level_weights,
 )
 from test_metrics import acc_bf, ari_bf, nmi_bf, purity_bf, random_pairs
 
@@ -92,37 +82,18 @@ def test_formula_unit_suite():
     assert step_squash(-7.0) == pytest.approx(2.0611536181902037e-09, rel=1e-9)
 
     # hierarchy encoding
-    levels = [
-        (2, AffiliationMatrix(np.array([0, 1, 1]), k=2)),
-    ]
-    rep2 = encode_hierarchy(
+    codes = encode_hierarchy(
         Hierarchy(levels=[(3, AffiliationMatrix(np.array([0, 1, 1]), k=3)), (2, AffiliationMatrix(np.array([0, 0, 1]), k=2))])
     )
-    np.testing.assert_array_equal(rep2.codes, [[1, 1], [2, 1], [2, 2]])
+    np.testing.assert_array_equal(codes, [[1, 1], [2, 1], [2, 2]])
 
-    # match similarity
-    assert match_similarity(np.array([3, 4]), np.array([3, 9]), np.array([0.6, 0.4])) == pytest.approx(0.6)
-
-    # categorical inter-cluster difference
-    assert alpha_categorical(np.array([1, 1, 1]), np.array([2, 2]), 2) == pytest.approx(1.0, abs=1e-12)
-    same = np.array([1, 1, 2, 2])
-    assert alpha_categorical(same, same.copy(), 2) == 0.0
-
-    # matching rate
-    assert beta_matching(np.array([1, 1, 2, 2])) == pytest.approx(0.5)
-    assert beta_matching(np.arange(1, 7)) == pytest.approx(1 / 6)
-
-    # level weights: match the independent scalar oracle, rows sum to one,
-    # and the level aligned with the partition dominates the crossed one
-    codes = np.array([[1, 1], [1, 2], [1, 1], [2, 2], [2, 1], [2, 2]])
-    rep = EnhancedRepresentation(codes=codes, level_ks=[2, 2])
-    assignments = np.array([0, 0, 0, 1, 1, 1])
-    u = feature_cluster_matrix_server(rep, AffiliationMatrix(assignments, k=2))
-    np.testing.assert_allclose(
-        u.entries, scalar_level_weights(codes, assignments, [2, 2], 2), atol=1e-12
-    )
-    np.testing.assert_allclose(u.entries.sum(axis=1), 1.0, atol=1e-9)
-    assert (u.entries[:, 0] > u.entries[:, 1]).all()
+    # Ward cost: w_a w_b / (w_a + w_b) ||c_a - c_b||^2, the rise in the sum
+    # of squares; merging 0 (weight 1) and 3 (weight 2) costs 2/3 * 9 = 6,
+    # and the Lance-Williams update gives the union's cost to 9 (weight 1):
+    # (3 * 1) / 4 * 7^2 = 36.75, the union's centroid being 2
+    merges, heights = ward_merges(np.array([[0.0], [3.0], [9.0]]), np.array([1.0, 2.0, 1.0]))
+    np.testing.assert_array_equal(merges, [[0, 1], [0, 2]])
+    np.testing.assert_allclose(heights, [6.0, 36.75], rtol=1e-15)
 
     # Gaussian inter-cluster difference via the Hellinger distance, read off
     # the client feature weights: feature 1 has the same compactness and,

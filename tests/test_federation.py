@@ -11,7 +11,6 @@ from fedhire import cpl, federation
 from fedhire.core import DataMatrix
 from fedhire.cpl import derive_seed
 from fedhire.federation import (
-    FINAL_SEED_KEY,
     KMEANS_MAX_ITERS,
     MCPL_SEED_KEY,
     ExperimentError,
@@ -25,7 +24,6 @@ from fedhire.federation import (
 from fedhire.client import run_fcpl
 from fedhire.metrics import ari
 from fedhire.server import (
-    encode_hierarchy,
     final_clustering,
     propagate_labels,
     run_mcpl,
@@ -248,7 +246,8 @@ class TestSeeds:
         assert client_seed(12, 5) == 12 ^ 5
 
     def test_phase_seeds_distinct(self):
-        assert derive_seed(7, MCPL_SEED_KEY) != derive_seed(7, FINAL_SEED_KEY)
+        # the hierarchy's seed is none of the clients'
+        assert derive_seed(7, MCPL_SEED_KEY) not in {client_seed(7, cid) for cid in range(64)}
         assert derive_seed(7, MCPL_SEED_KEY) == derive_seed(7, MCPL_SEED_KEY)
 
 
@@ -318,10 +317,7 @@ class TestRunOneShot:
             stacked, eta=config.eta, k0_fraction=config.k0_fraction,
             seed=derive_seed(config.seed, MCPL_SEED_KEY), min_finest=config.k_star,
         )
-        rep = encode_hierarchy(hierarchy)
-        partition = final_clustering(
-            rep, config.k_star, seed=derive_seed(config.seed, FINAL_SEED_KEY)
-        )
+        partition = final_clustering(stacked, hierarchy, config.k_star)
         labels = propagate_labels(partition, {0: result})[0]
         np.testing.assert_array_equal(federated.object_labels, labels)
 
@@ -372,7 +368,7 @@ class TestRunOneShot:
     def test_timings_cover_all_phases(self, three_cluster_data, config):
         result = run_one_shot(three_cluster_data, config)
         assert set(result.timings) == {
-            "partition", "clients", "upload", "mcpl", "encode", "final", "propagate",
+            "partition", "clients", "upload", "mcpl", "final", "propagate",
         }
         assert all(t >= 0 for t in result.timings.values())
 
@@ -380,7 +376,7 @@ class TestRunOneShot:
         result = run_one_shot(three_cluster_data, config)
         report = json.loads(result.report_json())
         assert set(report) == {
-            "levels", "codes", "U", "server_assignments", "object_assignments",
+            "levels", "codes", "server_assignments", "object_assignments",
         }
         assert len(report["codes"]) == len(report["server_assignments"])
         assert [lvl["k"] for lvl in report["levels"]] == result.hierarchy_ks

@@ -76,8 +76,8 @@ CPL_GOLDEN = {
 }
 
 ONE_SHOT_GOLDEN = {
-    "d2_fraction": "41b1b50710bde79df3cf31c84171a7f3ef0923c16bd3f4ad28a5e59a6831b32c",
-    "d4_absolute": "4bbc59f4646c7aae4fcf7db840562211f92aa83f7dadcd6600774572fd979312",
+    "d2_fraction": "35e95e0d052c828ec947b52f9c2149185e9f558306a767970b8040e3943fdc93",
+    "d4_absolute": "e10ed2f0c38729ac07b867ce32ad0504953a95a2af6b78f9d8159f3a103c46b6",
 }
 
 
@@ -91,8 +91,7 @@ def test_run_one_shot_digest(name):
     assert one_shot_digest(name) == ONE_SHOT_GOLDEN[name]
 
 
-# the report's bytes: hierarchy levels, codes, level weights and both label
-# sets, on the one-shot specs and on a run whose client 8 gets no object
+# the report's bytes: hierarchy levels, codes and both label sets, on the one-shot specs and on a run whose client 8 gets no object
 REPORT_SPECS = {
     **ONE_SHOT_SPECS,
     "skipped_client": (
@@ -102,9 +101,9 @@ REPORT_SPECS = {
 }
 
 REPORT_GOLDEN = {
-    "d2_fraction": "cb85f0efa10fece272fd2b6b4636792544f8cd817a27a6a72061d5bc0e011252",
-    "d4_absolute": "ebebf8558ec0d6e2a5ac0311426823c8ffc3d45fbaee5629bea8883098fae625",
-    "skipped_client": "e61441afa5f91d496346a7bf03a6cc58752abe86cde431832096679ccdc82b8a",
+    "d2_fraction": "caf4d5f7cefdda88c70c46993473217b1efcf47ed70d6763278204725c2fdfc7",
+    "d4_absolute": "1288e7f93282a6c25ca9d37b9c6b09b8127df6aa2ca4cf692937c8b92cbab2e7",
+    "skipped_client": "f0fa47070f6a6a89193913217fd843791c6f6112f0635f2db8551e5ad8618503",
 }
 
 
@@ -122,7 +121,7 @@ CLI_SPEC = {
     "fragments": 2, "repeats": 2, "seed": 4,
 }
 
-CLI_GOLDEN = "89e7c415677ab54e4f1673480d4f472590e829312d788aed7ee9cc0487ae4b87"
+CLI_GOLDEN = "125435ac5b6682064d9db6f20c1a806bf8ed77915ad3dd266c977b319ff81c86"
 
 
 def test_cli_run_determinism_hash(tmp_path, monkeypatch):

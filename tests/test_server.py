@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -6,30 +5,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fedhire import server
 from fedhire.client import ClientPayload
-from fedhire.core import (
-    AffiliationMatrix,
-    DataMatrix,
-    EmptyClusterError,
-    FeatureClusterMatrix,
-)
+from fedhire.core import AffiliationMatrix, DataMatrix, EmptyClusterError
 from fedhire.server import (
-    EnhancedRepresentation,
     Hierarchy,
-    assign_server,
+    cut,
     encode_hierarchy,
-    feature_cluster_matrix_server,
     final_clustering,
     propagate_labels,
     run_mcpl,
     stack_payloads,
-)
-from oracles import (
-    alpha_categorical,
-    beta_matching,
-    match_similarity,
-    scalar_level_weights,
+    ward_merges,
 )
 
 
@@ -124,38 +110,44 @@ class TestNestedHierarchy:
             np.testing.assert_array_equal(pairs[:, 0], np.arange(fine.k))
 
     def test_final_clustering_returns_a_level_of_k_star_clusters(self):
-        hierarchy = run_mcpl(nested_centroids(600), eta=0.05, k0_fraction=0.5, seed=0)
-        rep = encode_hierarchy(hierarchy)
+        # the 8 tight groups in 2 super-groups: Ward's cut at each level's k
+        # is that level
+        stacked = nested_centroids(600)
+        hierarchy = run_mcpl(stacked, eta=0.05, k0_fraction=0.5, seed=0)
         for k, level in hierarchy.levels:
-            got = final_clustering(rep, k_star=k, seed=0).server_assignments
+            got = final_clustering(stacked, hierarchy, k_star=k).server_assignments
             pairs = np.unique(np.column_stack([level.assignments, got.assignments]), axis=0)
             # one to one: the level's partition up to relabelling
             assert pairs.shape[0] == k
             assert np.unique(pairs[:, 1]).size == k
 
     def test_final_clustering_logs_its_start(self, caplog):
-        # nested levels 6 > 3 > 2 over 30 rows; the 3-cluster level starts k* = 3
+        # 6 finest clusters over 30 rows, in 3 pairs of near ones: the cut at
+        # k* = 3 joins each pair; at k* = 7 it starts from the rows
         fine = np.random.default_rng(8).permutation(np.arange(30) % 6)
-        codes = np.column_stack([fine, fine // 2, fine // 4]) + 1
-        rep = EnhancedRepresentation(codes=codes, level_ks=[6, 3, 2])
+        stacked = DataMatrix(np.column_stack([fine // 2 * 10.0 + fine % 2, np.zeros(30)]))
+        hierarchy = Hierarchy(levels=[(6, AffiliationMatrix(fine, k=6))])
         with caplog.at_level("INFO", logger="fedhire.server"):
-            result = final_clustering(rep, k_star=3, seed=0)
-            final_clustering(rep, k_star=7, seed=0)
-        assert result.iterations_used == 1
+            result = final_clustering(stacked, hierarchy, k_star=3)
+            final_clustering(stacked, hierarchy, k_star=7)
+        assert result.iterations_used == 3
         np.testing.assert_array_equal(result.server_assignments.assignments, fine // 2)
         assert [r.getMessage() for r in caplog.records] == [
-            "final clustering starts from the level with k=3",
-            "final clustering starts from 7 random rows: no level has 7 clusters",
+            "final clustering cuts over the 30 stacked rows: the finest level has "
+            "6 clusters, fewer than k*=7",
         ]
 
     def test_a_level_short_of_k_star_nonempty_clusters_is_passed_over(self):
         # the finest level declares 5 clusters but uses 3 of them
-        codes = np.array([[1, 1], [2, 1], [3, 2], [1, 1], [2, 1], [3, 2]])
-        rep = EnhancedRepresentation(codes=codes, level_ks=[5, 2])
-        assert server._level_start(rep, 4) is None
-        level_k, start = server._level_start(rep, 3)
-        assert level_k == 5
-        np.testing.assert_array_equal(start, [[1, 1], [2, 1], [3, 2]])
+        finest = AffiliationMatrix(np.array([0, 1, 3, 0, 1, 3]), k=5)
+        stacked = DataMatrix(np.array([[0.0], [5.0], [9.0], [0.5], [5.5], [9.5]]))
+        hierarchy = Hierarchy(levels=[(5, finest)])
+        at_four = final_clustering(stacked, hierarchy, k_star=4)
+        assert at_four.iterations_used == 2
+        np.testing.assert_array_equal(at_four.server_assignments.assignments, [0, 1, 2, 0, 1, 3])
+        at_three = final_clustering(stacked, hierarchy, k_star=3)
+        assert at_three.iterations_used == 0
+        np.testing.assert_array_equal(at_three.server_assignments.assignments, [0, 1, 2, 0, 1, 2])
 
 
 class TestHierarchyType:
@@ -172,395 +164,151 @@ class TestHierarchyType:
 
 class TestEncodeHierarchy:
     def test_codes_are_one_based_indices(self):
-        q1 = AffiliationMatrix(np.array([0, 1, 1]), k=2)
         q2 = AffiliationMatrix(np.array([0, 0, 1]), k=2)
-        rep = encode_hierarchy(Hierarchy(levels=[(3, AffiliationMatrix(np.array([0, 1, 2]), k=3)), (2, q2)]))
-        np.testing.assert_array_equal(rep.codes, [[1, 1], [2, 1], [3, 2]])
+        codes = encode_hierarchy(Hierarchy(levels=[(3, AffiliationMatrix(np.array([0, 1, 2]), k=3)), (2, q2)]))
+        np.testing.assert_array_equal(codes, [[1, 1], [2, 1], [3, 2]])
 
     def test_spec_example(self):
         levels = [
             (2, AffiliationMatrix(np.array([0, 1, 1]), k=2)),
         ]
-        rep = encode_hierarchy(Hierarchy(levels=levels))
-        np.testing.assert_array_equal(rep.codes, [[1], [2], [2]])
+        np.testing.assert_array_equal(encode_hierarchy(Hierarchy(levels=levels)), [[1], [2], [2]])
 
     def test_decode_round_trip(self):
         rng = np.random.default_rng(1)
         q1 = AffiliationMatrix(rng.integers(0, 5, size=12), k=5)
         q2 = AffiliationMatrix(rng.integers(0, 3, size=12), k=3)
         hierarchy = Hierarchy(levels=[(5, q1), (3, q2)])
-        rep = encode_hierarchy(hierarchy)
-        np.testing.assert_array_equal(rep.level_ks, [5, 3])
+        codes = encode_hierarchy(hierarchy)
         for delta, (_, q) in enumerate(hierarchy.levels):
-            np.testing.assert_array_equal(rep.codes[:, delta] - 1, q.assignments)
+            np.testing.assert_array_equal(codes[:, delta] - 1, q.assignments)
 
 
-class TestCountMatching:
-    """The matching counts behind the level weights."""
-
-    def test_brute_force_count(self):
-        # mean over members of the share of members holding the same code
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            codes = rng.integers(1, 5, size=rng.integers(1, 12))
-            counts = [(codes == c).sum() for c in codes]
-            assert beta_matching(codes) == pytest.approx(
-                np.mean(counts) / codes.size, abs=1e-12
-            )
-
-    def test_absent_value(self):
-        # a code value no object holds changes no level weight
-        codes = np.array([[1, 1], [1, 2], [2, 2], [2, 1], [1, 1]])
-        affil = AffiliationMatrix(np.array([0, 0, 1, 1, 0]), k=2)
-        tight = feature_cluster_matrix_server(
-            EnhancedRepresentation(codes=codes, level_ks=[2, 2]), affil
-        )
-        wide = feature_cluster_matrix_server(
-            EnhancedRepresentation(codes=codes, level_ks=[5, 2]), affil
-        )
-        np.testing.assert_array_equal(tight.entries, wide.entries)
-
-    def test_all_match(self):
-        # level 0: all members match (β = 1, α = 1); level 1: half split
-        # (β = 1/2) with α = 1/√2, so u_0 / u_1 = 2√2
-        codes = np.array([[1, 1], [1, 1], [1, 2], [1, 2],
-                          [2, 3], [2, 3], [2, 4], [2, 4]])
-        rep = EnhancedRepresentation(codes=codes, level_ks=[2, 4])
-        u = feature_cluster_matrix_server(
-            rep, AffiliationMatrix(np.repeat([0, 1], 4), k=2)
-        )
-        assert u.entries[0, 0] / u.entries[0, 1] == pytest.approx(2 * math.sqrt(2))
-
-
-class TestAlphaCategorical:
-    def test_identical_distributions(self):
-        codes = np.array([1, 1, 2, 2])
-        assert alpha_categorical(codes, codes.copy(), 2) == 0.0
-
-    def test_disjoint_codes(self):
-        value = alpha_categorical(np.array([1, 1, 1]), np.array([2, 2]), 2)
-        assert value == pytest.approx(1.0, abs=1e-12)
-
-    def test_bounded_on_random_draws(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            k = int(rng.integers(2, 6))
-            a = rng.integers(1, k + 1, size=rng.integers(1, 12))
-            b = rng.integers(1, k + 1, size=rng.integers(1, 12))
-            value = alpha_categorical(a, b, k)
-            assert 0.0 <= value <= 1.0 + 1e-12
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyClusterError):
-            alpha_categorical(np.array([], dtype=int), np.array([1]), 2)
-
-
-class TestBetaMatching:
-    def test_all_members_share_code(self):
-        assert beta_matching(np.array([4, 4, 4])) == 1.0
-
-    def test_half_split(self):
-        assert beta_matching(np.array([1, 1, 2, 2])) == 0.5
-
-    def test_all_distinct(self):
-        n = 6
-        assert beta_matching(np.arange(1, n + 1)) == pytest.approx(1 / n)
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyClusterError):
-            beta_matching(np.array([], dtype=int))
-
-
-class TestFeatureClusterMatrixServer:
-    def test_symmetric_levels_uniform(self):
-        codes = np.array([[1, 1], [1, 1], [2, 2], [2, 2]])
-        rep = EnhancedRepresentation(codes=codes, level_ks=[2, 2])
-        affil = AffiliationMatrix(np.array([0, 0, 1, 1]), k=2)
-        u = feature_cluster_matrix_server(rep, affil)
-        np.testing.assert_allclose(u.entries, 0.5, atol=1e-12)
-
-    def test_constant_level_gets_zero_weight(self):
-        codes = np.array([[1, 1], [1, 1], [2, 1], [2, 1]])
-        rep = EnhancedRepresentation(codes=codes, level_ks=[2, 1])
-        affil = AffiliationMatrix(np.array([0, 0, 1, 1]), k=2)
-        u = feature_cluster_matrix_server(rep, affil)
-        np.testing.assert_allclose(u.entries[:, 1], 0.0, atol=1e-12)
-        np.testing.assert_allclose(u.entries[:, 0], 1.0, atol=1e-12)
-
-    def test_aligned_level_outweighs_random_level(self):
-        # level 0 matches the partition perfectly; level 1 cuts across it
-        codes = np.array(
-            [[1, 1], [1, 2], [1, 1], [2, 2], [2, 1], [2, 2]]
-        )
-        rep = EnhancedRepresentation(codes=codes, level_ks=[2, 2])
-        assignments = np.array([0, 0, 0, 1, 1, 1])
-        u = feature_cluster_matrix_server(rep, AffiliationMatrix(assignments, k=2))
-        oracle = scalar_level_weights(codes, assignments, [2, 2], 2)
-        np.testing.assert_allclose(u.entries, oracle, atol=1e-12)
-        assert (u.entries[:, 0] > u.entries[:, 1]).all()
-
-    def test_matches_scalar_oracle_on_random_instances(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            n, depth, k = 15, int(rng.integers(1, 4)), int(rng.integers(2, 4))
-            level_ks = rng.integers(2, 5, size=depth)
-            codes = np.column_stack(
-                [rng.integers(1, lk + 1, size=n) for lk in level_ks]
-            )
-            assignments = rng.integers(0, k, size=n)
-            assignments[:k] = np.arange(k)
-            rep = EnhancedRepresentation(codes=codes, level_ks=level_ks)
-            u = feature_cluster_matrix_server(rep, AffiliationMatrix(assignments, k=k))
-            oracle = scalar_level_weights(codes, assignments, level_ks, k)
-            np.testing.assert_allclose(u.entries, oracle, atol=1e-9)
-            np.testing.assert_allclose(u.entries.sum(axis=1), 1.0, atol=1e-9)
-
-
-class TestMatchSimilarity:
-    def test_full_match_is_weight_norm(self):
-        u = np.array([0.3, 0.7])
-        codes = np.array([2, 5])
-        assert match_similarity(codes, codes, u) == pytest.approx(np.linalg.norm(u))
-
-    def test_no_match_is_zero(self):
-        assert match_similarity(np.array([1, 1]), np.array([2, 2]), np.array([0.5, 0.5])) == 0.0
-
-    def test_partial_match(self):
-        value = match_similarity(
-            np.array([3, 4]), np.array([3, 9]), np.array([0.6, 0.4])
-        )
-        assert value == pytest.approx(0.6)
-
-    def test_monotone_in_match_set(self):
-        u = np.array([0.5, 0.3, 0.2])
-        x = np.array([1, 2, 3])
-        partial = match_similarity(x, np.array([1, 9, 9]), u)
-        more = match_similarity(x, np.array([1, 2, 9]), u)
-        full = match_similarity(x, np.array([1, 2, 3]), u)
-        assert partial <= more <= full
-
-
-class TestAssignServer:
-    def test_exact_match_wins(self):
-        codes = np.array([[1, 2], [3, 4]])
-        rep = EnhancedRepresentation(codes=codes, level_ks=[3, 4])
-        centroids = np.array([[3, 4], [1, 2]])
-        u = FeatureClusterMatrix.uniform(2, 2)
-        affil = assign_server(rep, centroids, u)
-        np.testing.assert_array_equal(affil.assignments, [1, 0])
-
-    def test_tie_breaks_to_lowest_index(self):
-        rep = EnhancedRepresentation(codes=np.array([[1, 1]]), level_ks=[2, 2])
-        centroids = np.array([[1, 2], [2, 1]])  # both match one level
-        u = FeatureClusterMatrix.uniform(2, 2)
-        assert assign_server(rep, centroids, u).assignments[0] == 0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(4)
-        level_ks = [3, 4, 2]
-        codes = np.column_stack([rng.integers(1, lk + 1, size=5) for lk in level_ks])
-        centroids = np.column_stack([rng.integers(1, lk + 1, size=3) for lk in level_ks])
-        raw = rng.uniform(0.1, 1.0, size=(3, 3))
-        u = FeatureClusterMatrix(raw / raw.sum(axis=1, keepdims=True))
-        rep = EnhancedRepresentation(codes=codes, level_ks=level_ks)
-        affil = assign_server(rep, centroids, u)
-        for i in range(5):
-            sims = [
-                match_similarity(codes[i], centroids[j], u.entries[j])
-                for j in range(3)
-            ]
-            assert affil.assignments[i] == int(np.argmax(sims))
+def singletons(n):
+    """A hierarchy whose one level puts every row in a cluster of its own."""
+    return Hierarchy(levels=[(n, AffiliationMatrix(np.arange(n), k=n))])
 
 
 class TestFinalClustering:
     def test_single_level_groups_by_code(self):
-        codes = np.array([[1], [2], [3], [1], [2], [3], [1], [2]])
-        rep = EnhancedRepresentation(codes=codes, level_ks=[3])
-        result = final_clustering(rep, k_star=3, seed=0)
-        # oracle: group-by on the single code column
-        labels = result.server_assignments.assignments
-        for value in (1, 2, 3):
-            group = labels[codes[:, 0] == value]
-            assert len(set(group)) == 1
-        assert len(set(labels)) == 3
+        codes = np.array([0, 1, 2, 0, 1, 2, 0, 1])
+        stacked = DataMatrix(np.column_stack([codes * 3.0 + 0.01 * np.arange(8), codes]))
+        hierarchy = Hierarchy(levels=[(3, AffiliationMatrix(codes, k=3))])
+        result = final_clustering(stacked, hierarchy, k_star=3)
+        np.testing.assert_array_equal(result.server_assignments.assignments, codes)
+        assert result.iterations_used == 0
 
     def test_every_object_its_own_cluster(self):
-        codes = np.array([[1, 1], [2, 2], [3, 3], [4, 4]])
-        rep = EnhancedRepresentation(codes=codes, level_ks=[4, 4])
-        result = final_clustering(rep, k_star=4, seed=1)
-        assert len(set(result.server_assignments.assignments)) == 4
+        stacked = DataMatrix(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]]))
+        result = final_clustering(stacked, singletons(4), k_star=4)
+        np.testing.assert_array_equal(result.server_assignments.assignments, np.arange(4))
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
-        codes = np.column_stack([rng.integers(1, 5, size=30), rng.integers(1, 3, size=30)])
-        rep = EnhancedRepresentation(codes=codes, level_ks=[4, 2])
-        r1 = final_clustering(rep, k_star=4, seed=9)
-        r2 = final_clustering(rep, k_star=4, seed=9)
+        stacked = DataMatrix(rng.random((30, 3)))
+        hierarchy = Hierarchy(levels=[(8, AffiliationMatrix(np.arange(30) % 8, k=8))])
+        r1 = final_clustering(stacked, hierarchy, k_star=4)
+        r2 = final_clustering(stacked, hierarchy, k_star=4)
         np.testing.assert_array_equal(
             r1.server_assignments.assignments, r2.server_assignments.assignments
         )
-        np.testing.assert_array_equal(r1.U.entries, r2.U.entries)
 
     def test_k_star_bounds(self):
-        rep = EnhancedRepresentation(codes=np.array([[1], [2]]), level_ks=[2])
-        with pytest.raises(ValueError):
-            final_clustering(rep, k_star=3, seed=0)
-        with pytest.raises(ValueError):
-            final_clustering(rep, k_star=1, seed=0)
+        stacked = DataMatrix(np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError, match=r"k_star must be in \[2, 2\], got 3"):
+            final_clustering(stacked, singletons(2), k_star=3)
+        with pytest.raises(ValueError, match=r"k_star must be in \[2, 2\], got 1"):
+            final_clustering(stacked, singletons(2), k_star=1)
+        with pytest.raises(ValueError, match="the hierarchy covers 3 rows, the stack has 2"):
+            final_clustering(stacked, singletons(3), k_star=2)
 
     def test_no_empty_clusters(self):
         rng = np.random.default_rng(5)
-        codes = np.column_stack([rng.integers(1, 6, size=40), rng.integers(1, 4, size=40)])
-        rep = EnhancedRepresentation(codes=codes, level_ks=[5, 3])
-        result = final_clustering(rep, k_star=5, seed=3)
+        stacked = DataMatrix(rng.random((40, 2)))
+        hierarchy = Hierarchy(levels=[(9, AffiliationMatrix(rng.integers(0, 9, size=40), k=9))])
+        result = final_clustering(stacked, hierarchy, k_star=5)
         counts = np.bincount(result.server_assignments.assignments, minlength=5)
         assert (counts > 0).all()
 
-    def test_assignment_step_never_decreases_objective(self):
-        # argmax assignment is per-object optimal for fixed weights/centroids
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            level_ks = [4, 3]
-            codes = np.column_stack(
-                [rng.integers(1, lk + 1, size=12) for lk in level_ks]
-            )
-            rep = EnhancedRepresentation(codes=codes, level_ks=level_ks)
-            centroids = np.column_stack(
-                [rng.integers(1, lk + 1, size=3) for lk in level_ks]
-            )
-            raw = rng.uniform(0.1, 1.0, size=(3, 2))
-            u = FeatureClusterMatrix(raw / raw.sum(axis=1, keepdims=True))
-            random_affil = AffiliationMatrix(rng.integers(0, 3, size=12), k=3)
-            best = assign_server(rep, centroids, u)
-
-            def objective(affil):
-                # total assigned match similarity
-                return sum(
-                    match_similarity(rep.codes[i], centroids[j], u.entries[j])
-                    for i, j in enumerate(affil.assignments)
-                )
-
-            assert objective(best) >= objective(random_affil) - 1e-12
-
-
-def random_rep(n, level_ks, kind, rng):
-    """Codes for ``level_ks``: uniform, drawn from two distinct rows
-    (duplicates), or one row repeated (a single code pattern)."""
-    codes = np.column_stack([rng.integers(1, lk + 1, size=n) for lk in level_ks])
-    if kind == "duplicates":
-        codes = codes[rng.integers(0, 2, size=n)]
-    elif kind == "constant":
-        codes = codes[np.zeros(n, dtype=np.int64)]
-    return EnhancedRepresentation(codes=codes, level_ks=level_ks)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 40), d=st.integers(1, 6), level_k=st.integers(2, 12),
+        k_star=st.integers(2, 12), duplicates=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    # a finest level short of k* (the cut over the rows), and duplicate rows
+    @example(n=12, d=2, level_k=3, k_star=5, duplicates=False, seed=0)
+    @example(n=20, d=3, level_k=8, k_star=4, duplicates=True, seed=1)
+    def test_cut_keeps_the_finest_clusters_whole(self, n, d, level_k, k_star, duplicates, seed):
+        # exactly k* nonempty clusters; each finest cluster lies inside one;
+        # and the leaves are the finest clusters' weighted means, or the rows
+        # when that level has fewer than k* nonempty clusters
+        rng = np.random.default_rng(seed)
+        k_star = min(k_star, n)
+        values = rng.random((n, d))
+        if duplicates:
+            values = values[rng.integers(0, max(1, n // 3), size=n)]
+        finest = rng.integers(0, min(level_k, n), size=n)
+        hierarchy = Hierarchy(levels=[(level_k, AffiliationMatrix(finest, k=level_k))])
+        got = final_clustering(DataMatrix(values), hierarchy, k_star).server_assignments
+        assert got.k == k_star
+        assert (np.bincount(got.assignments, minlength=k_star) > 0).all()
+        clusters, leaf, counts = np.unique(finest, return_inverse=True, return_counts=True)
+        if clusters.size < k_star:
+            leaf, centres, weights = np.arange(n), values, np.ones(n)
+        else:
+            assert np.unique(np.column_stack([finest, got.assignments]), axis=0).shape[0] == clusters.size
+            weights = counts.astype(np.float64)
+            centres = np.array([values[finest == c].mean(axis=0) for c in clusters])
+        heights, partitions = oracles.ward_greedy(centres, weights)
+        m = weights.size
+        # where the cut does not fall inside a tie, it is the greedy Ward's
+        if k_star == m or not np.isclose(heights[m - k_star - 1], heights[m - k_star], rtol=1e-9, atol=0):
+            np.testing.assert_array_equal(got.assignments, partitions[k_star][leaf])
 
 
-LOOP_FORMS = {
-    "feature_cluster_matrix_server": oracles.feature_cluster_matrix_server,
-    "_mode_codes": oracles.mode_codes,
-    "_repair_empty_clusters": oracles.repair_empty_clusters,
-}
-rep_shapes = dict(
-    n=st.integers(2, 40),
-    level_ks=st.lists(st.integers(1, 24), min_size=1, max_size=10),
-    kind=st.sampled_from(["uniform", "duplicates", "constant"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-
-
-class TestFinalClusteringOracle:
-    """The vectorised final-clustering helpers give the bits of their loop
-    forms in tests/oracles.py."""
+class TestWard:
+    """``fh_ward``'s nearest-neighbour chain against the greedy Ward of
+    tests/oracles.py."""
 
     @settings(max_examples=200, deadline=None)
-    @given(**rep_shapes)
-    # depth 1; duplicate rows (repairs every iteration); every row one
-    # pattern, so cluster 0 first owns every row
-    @example(n=12, level_ks=[3], kind="uniform", seed=0)
-    @example(n=20, level_ks=[4, 2, 3], kind="duplicates", seed=1)
-    @example(n=15, level_ks=[5, 2], kind="constant", seed=2)
-    def test_final_clustering_matches_the_loop_forms(self, n, level_ks, kind, seed):
+    @given(
+        m=st.integers(1, 24), d=st.integers(1, 16), duplicates=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=1, d=3, duplicates=False, seed=0)
+    @example(m=12, d=2, duplicates=True, seed=1)
+    def test_chain_cut_is_the_greedy_partition(self, m, d, duplicates, seed):
         rng = np.random.default_rng(seed)
-        rep = random_rep(n, level_ks, kind, rng)
-        k_star = int(rng.integers(2, min(n, 8) + 1))
-        got = final_clustering(rep, k_star, seed)
-        with pytest.MonkeyPatch.context() as patch:
-            for name, loop_form in LOOP_FORMS.items():
-                patch.setattr(server, name, loop_form)
-            want = final_clustering(rep, k_star, seed)
-        np.testing.assert_array_equal(
-            got.server_assignments.assignments, want.server_assignments.assignments
-        )
-        np.testing.assert_array_equal(
-            got.U.entries.view(np.uint64), want.U.entries.view(np.uint64)
-        )
-        np.testing.assert_array_equal(got.centroid_codes, want.centroid_codes)
-        assert (got.iterations_used, got.converged) == (want.iterations_used, want.converged)
-
-    @settings(max_examples=200, deadline=None)
-    @given(**rep_shapes, owner=st.booleans())
-    @example(n=10, level_ks=[3, 2], kind="uniform", seed=3, owner=True)
-    def test_helpers_match_the_loop_forms(self, n, level_ks, kind, seed, owner):
-        # any affiliation, with empty clusters, or one cluster owning every row
-        rng = np.random.default_rng(seed)
-        rep = random_rep(n, level_ks, kind, rng)
-        k = int(rng.integers(1, 9))
-        assignments = (
-            np.full(n, k - 1) if owner else rng.integers(0, k, size=n)
-        ).astype(np.int64)
-        affil = AffiliationMatrix(assignments, k=k)
-        centroid_codes = rep.codes[rng.integers(0, n, size=k)]
-        weights = rng.dirichlet(np.ones(len(level_ks)), size=k)
-        weights[rng.random(k) < 0.3] = np.eye(len(level_ks))[0]
-        u = FeatureClusterMatrix(weights)
-
-        np.testing.assert_array_equal(
-            server.feature_cluster_matrix_server(rep, affil).entries.view(np.uint64),
-            oracles.feature_cluster_matrix_server(rep, affil).entries.view(np.uint64),
-        )
-        np.testing.assert_array_equal(
-            server._mode_codes(rep, affil, centroid_codes),
-            oracles.mode_codes(rep, affil, centroid_codes),
-        )
-        got = assignments.copy(), centroid_codes.copy()
-        want = assignments.copy(), centroid_codes.copy()
-        server._repair_empty_clusters(rep, *got, u)
-        oracles.repair_empty_clusters(rep, *want, u)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-
-    def test_repair_of_several_empty_clusters_matches_the_loop_form(self):
-        # the rows go to a few of k clusters, so several are empty and each
-        # repair must skip the rows already picked; duplicate and constant
-        # codes tie the fits, and a cluster with few rows runs out of rows
-        rng = np.random.default_rng(11)
-        several = 0
-        for case in range(400):
-            n = int(rng.integers(2, 30))
-            level_ks = rng.integers(1, 6, size=int(rng.integers(1, 4))).tolist()
-            rep = random_rep(n, level_ks, ["uniform", "duplicates", "constant"][case % 3], rng)
-            k = int(rng.integers(3, 12))
-            owners = rng.choice(k, size=int(rng.integers(1, 3)), replace=False)
-            assignments = rng.choice(owners, size=n).astype(np.int64)
-            centroid_codes = rep.codes[rng.integers(0, n, size=k)]
-            u = FeatureClusterMatrix(rng.dirichlet(np.ones(len(level_ks)), size=k))
-            got = assignments.copy(), centroid_codes.copy()
-            want = assignments.copy(), centroid_codes.copy()
-            server._repair_empty_clusters(rep, *got, u)
-            oracles.repair_empty_clusters(rep, *want, u)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-            several += np.unique(got[0]).size - np.unique(assignments).size >= 2
-        assert several >= 100
-
-    def test_match_norm_is_linalg_norm(self):
-        # the repair's sqrt(w . w) per row is np.linalg.norm of each row
-        rng = np.random.default_rng(7)
-        for depth in (1, 2, 3, 5, 8, 13, 40):
-            w = rng.random((500, depth)) * (rng.random((500, depth)) < 0.7)
-            np.testing.assert_array_equal(
-                np.sqrt(np.vecdot(w, w)).view(np.uint64),
-                np.array([np.linalg.norm(row) for row in w]).view(np.uint64),
+        centres = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-3, 4)
+        if duplicates:
+            centres = centres[rng.integers(0, max(1, m // 2), size=m)]
+        weights = rng.integers(1, 20, size=m).astype(np.float64)
+        merges, heights = ward_merges(np.ascontiguousarray(centres), weights)
+        assert (weights >= 1).all()
+        want_heights, partitions = oracles.ward_greedy(centres, weights)
+        assert (merges[:, 0] < merges[:, 1]).all()
+        ordered = np.sort(heights)
+        np.testing.assert_allclose(ordered, want_heights, rtol=1e-12, atol=1e-12 * ordered.max(initial=0.0))
+        for k in range(1, m + 1):
+            got = cut(merges, heights, k)
+            assert np.bincount(got).size == k and (np.bincount(got) > 0).all()
+            # a cut inside a tie (duplicate rows merge at height 0 in any
+            # order) is one of several equal ones
+            tied = 0 < m - k < m - 1 and np.isclose(
+                ordered[m - k - 1], ordered[m - k], rtol=1e-9, atol=0
             )
+            if not tied:
+                np.testing.assert_array_equal(got, partitions[k])
+
+    def test_heights_are_the_rise_in_the_sum_of_squares(self):
+        # each merge adds its height to the within-cluster sum of squares
+        rng = np.random.default_rng(4)
+        values = rng.random((25, 3))
+        merges, heights = ward_merges(values, np.ones(25))
+        for k in range(1, 25):
+            labels = cut(merges, heights, k)
+            sse = sum(((values[labels == j] - values[labels == j].mean(axis=0)) ** 2).sum() for j in range(k))
+            assert sse == pytest.approx(np.sort(heights)[: 25 - k].sum(), rel=1e-9)
 
 
 class TestPropagateLabels:
@@ -617,106 +365,20 @@ class TestPropagateLabels:
 def _fake_global(server_labels, k):
     from fedhire.server import GlobalClustering
 
-    n = len(server_labels)
     return GlobalClustering(
         server_assignments=AffiliationMatrix(np.asarray(server_labels), k=k),
-        U=FeatureClusterMatrix.uniform(k, 1),
-        centroid_codes=np.ones((k, 1), dtype=np.int64),
         iterations_used=1,
-        converged=True,
     )
-
-
-def nested_rep(n, level_ks, rng):
-    """Codes of nested levels: a random finest clustering, and each coarser
-    level a random map of the clusters of the level below."""
-    clusters = rng.integers(0, level_ks[0], size=n)
-    columns = [clusters]
-    for level_k in level_ks[1:]:
-        clusters = rng.integers(0, level_k, size=max(level_ks) + 1)[clusters]
-        columns.append(clusters)
-    return EnhancedRepresentation(codes=np.column_stack(columns) + 1, level_ks=level_ks)
 
 
 class TestReplacedForms:
-    """The rewritten final-clustering steps give the results of the forms
-    they replaced, kept in tests/oracles.py."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(**rep_shapes, nested=st.booleans(), k=st.integers(1, 9), foreign=st.booleans())
-    # nested levels (one scored row per finest cluster); rows that share a
-    # finest code but not the rest; centroid codes no row has
-    @example(n=30, level_ks=[9, 4, 2], kind="uniform", seed=0, nested=True, k=3, foreign=False)
-    @example(n=12, level_ks=[2, 5, 5], kind="uniform", seed=1, nested=False, k=4, foreign=False)
-    @example(n=8, level_ks=[3, 3], kind="constant", seed=2, nested=False, k=2, foreign=True)
-    def test_assign_server_matches_the_broadcast_form(
-        self, n, level_ks, kind, seed, nested, k, foreign
-    ):
-        rng = np.random.default_rng(seed)
-        rep = nested_rep(n, level_ks, rng) if nested else random_rep(n, level_ks, kind, rng)
-        centroid_codes = rep.codes[rng.integers(0, n, size=k)].copy()
-        if foreign:
-            centroid_codes[rng.random(centroid_codes.shape) < 0.5] = 0
-        weights = rng.dirichlet(np.ones(len(level_ks)), size=k)
-        # equal rows (ties) and one-hot rows
-        weights[rng.random(k) < 0.3] = 1.0 / len(level_ks)
-        weights[rng.random(k) < 0.2] = np.eye(len(level_ks))[0]
-        u = FeatureClusterMatrix(weights)
-        np.testing.assert_array_equal(
-            assign_server(rep, centroid_codes, u).assignments,
-            oracles.assign_server(rep, centroid_codes, u).assignments,
-        )
-
-    @settings(max_examples=100, deadline=None)
-    @given(count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
-    @example(count=8, seed=0)
-    @example(count=129, seed=1)
-    def test_row_sum_adds_as_numpy_sums_a_row(self, count, seed):
-        rng = np.random.default_rng(seed)
-        terms = [
-            rng.normal(size=(3, 4)) * 10.0 ** rng.integers(-12, 12, size=(3, 4))
-            for _ in range(count)
-        ]
-        # a row of negative zeros, whose sum numpy makes +0.0
-        for term in terms:
-            term[0, 0] = -0.0
-        want = np.stack(terms, axis=-1).sum(axis=-1)
-        np.testing.assert_array_equal(
-            server._row_sum(terms).view(np.uint64), want.view(np.uint64)
-        )
-
-    @settings(max_examples=200, deadline=None)
-    @given(**rep_shapes, nested=st.booleans(), k_star=st.integers(2, 10))
-    @example(n=30, level_ks=[9, 4, 2], kind="uniform", seed=0, nested=True, k_star=3)
-    def test_level_start_matches_its_first_form(self, n, level_ks, kind, seed, nested, k_star):
-        rng = np.random.default_rng(seed)
-        rep = nested_rep(n, level_ks, rng) if nested else random_rep(n, level_ks, kind, rng)
-        got, want = server._level_start(rep, k_star), oracles.level_start(rep, k_star)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[0] == want[0]
-            np.testing.assert_array_equal(got[1], want[1])
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        n=st.integers(0, 12), level_ks=st.lists(st.integers(1, 6), min_size=1, max_size=5),
-        seed=st.integers(0, 2**32 - 1), fortran=st.booleans(),
-    )
-    def test_codes_keep_their_accept_set(self, n, level_ks, seed, fortran):
-        # codes from -1 to k + 1: every level's bounds, crossed or not
-        rng = np.random.default_rng(seed)
-        codes = np.column_stack([rng.integers(-1, k + 2, size=n) for k in level_ks])
-        codes = np.asfortranarray(codes) if fortran else codes
-        if oracles.codes_in_range(codes, np.asarray(level_ks)):
-            EnhancedRepresentation(codes=codes, level_ks=level_ks)
-        else:
-            with pytest.raises(ValueError, match=r"^codes must lie in \[1, k_delta\] per level$"):
-                EnhancedRepresentation(codes=codes, level_ks=level_ks)
+    """The rewritten server steps give the results of the forms they
+    replaced."""
 
     def test_encoded_codes_are_the_levels_column_by_column(self):
         rng = np.random.default_rng(3)
         levels = [(k, AffiliationMatrix(rng.integers(0, k, size=20), k=k)) for k in (6, 4, 2)]
-        rep = encode_hierarchy(Hierarchy(levels=levels))
+        codes = encode_hierarchy(Hierarchy(levels=levels))
         want = np.column_stack([q.assignments + 1 for _, q in levels])
-        np.testing.assert_array_equal(rep.codes, want)
-        assert rep.codes.dtype == np.int64 and rep.codes.flags.f_contiguous
+        np.testing.assert_array_equal(codes, want)
+        assert codes.dtype == np.int64 and codes.flags.f_contiguous
