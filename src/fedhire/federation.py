@@ -42,8 +42,10 @@ logger = logging.getLogger(__name__)
 UNASSIGNED = -1
 # most Lloyd iterations of the fragmentation k-means
 KMEANS_MAX_ITERS = 100
-# derive_seed key of the hierarchy's seed, whose stage s spawns key s
+# derive_seed key of the hierarchy's seed, whose stage s spawns key s, and
+# the child key whose state words seed the clients (client_seeds)
 MCPL_SEED_KEY = 0x6D63
+CLIENT_SEED_KEY = 0x636C
 
 
 class ExperimentError(RuntimeError):
@@ -240,9 +242,13 @@ def fragment_partition(data: DataMatrix, config: FederationConfig) -> PartitionP
     return PartitionPlan(client_indices=client_indices, provenance=provenance)
 
 
-def client_seed(master_seed: int, client_id: int) -> int:
-    """Per-client seed: master XOR client id (no cross-client state)."""
-    return master_seed ^ client_id
+def client_seeds(master_seed: int, count: int) -> list[int]:
+    """The seeds of clients 0 to count - 1: the first ``count`` 32-bit words
+    of the state of ``SeedSequence(master_seed)``'s child ``CLIENT_SEED_KEY``.
+    Client c's word is the same whatever the count. No other run's clients
+    and not the hierarchy (``MCPL_SEED_KEY``) draw from that child."""
+    sequence = np.random.SeedSequence(master_seed, spawn_key=(CLIENT_SEED_KEY,))
+    return sequence.generate_state(count).tolist()
 
 
 @dataclass
@@ -315,12 +321,13 @@ def run_one_shot(
     client_results: dict[int, CplResult] = {}
     payloads: list[ClientPayload] = []
     skipped: list[int] = []
+    seeds = client_seeds(config.seed, config.client_count)
     for cid, indices in enumerate(plan.client_indices):
         outcome = None if indices.size == 0 else run_fcpl(
             data.subset(indices),
             eta=config.eta,
             k0_fraction=config.k0_fraction,
-            seed=client_seed(config.seed, cid),
+            seed=seeds[cid],
             client_id=cid,
             max_epochs=config.max_epochs,
             k0_override=config.k0_absolute,

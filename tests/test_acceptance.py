@@ -11,7 +11,7 @@ import pytest
 from fedhire.cli import cmd_run, ExperimentSpec
 from fedhire.client import run_fcpl
 from fedhire.core import AffiliationMatrix, DataMatrix, FeatureClusterMatrix
-from fedhire.federation import FederationConfig, client_seed, run_one_shot
+from fedhire.federation import FederationConfig, client_seeds, run_one_shot
 from fedhire.metrics import acc, ari, nmi, purity
 from fedhire.server import Hierarchy, encode_hierarchy, run_mcpl, ward_merges
 from fedhire.synth import gaussian_mixture
@@ -218,7 +218,7 @@ def test_one_shot_and_privacy_properties(tmp_path):
         indices = result.plan.client_indices[cid]
         outcome = run_fcpl(
             data.subset(indices), eta=config.eta, k0_fraction=config.k0_fraction,
-            seed=client_seed(config.seed, cid), client_id=cid,
+            seed=client_seeds(config.seed, config.client_count)[cid], client_id=cid,
         )
         _, payload = outcome
         serialized = payload.to_json()

@@ -16,7 +16,7 @@ from fedhire.federation import (
     ExperimentError,
     FederationConfig,
     PartitionPlan,
-    client_seed,
+    client_seeds,
     fragment_partition,
     kmeans,
     run_one_shot,
@@ -242,12 +242,18 @@ class TestFragmentPartition:
 
 
 class TestSeeds:
-    def test_client_seed_is_xor(self):
-        assert client_seed(12, 5) == 12 ^ 5
+    def test_client_seeds_of_adjacent_runs_never_coincide(self):
+        # under master XOR client, client 1 of run 2s drew client 0 of run
+        # 2s + 1's stream
+        for run in range(64):
+            this = set(client_seeds(run, 32))
+            following = set(client_seeds(run + 1, 32))
+            assert len(this) == 32 and this.isdisjoint(following)
+        assert client_seeds(12, 3) == client_seeds(12, 8)[:3]
 
     def test_phase_seeds_distinct(self):
         # the hierarchy's seed is none of the clients'
-        assert derive_seed(7, MCPL_SEED_KEY) not in {client_seed(7, cid) for cid in range(64)}
+        assert derive_seed(7, MCPL_SEED_KEY) not in client_seeds(7, 64)
         assert derive_seed(7, MCPL_SEED_KEY) == derive_seed(7, MCPL_SEED_KEY)
 
 
@@ -308,7 +314,7 @@ class TestRunOneShot:
             three_cluster_data,
             eta=config.eta,
             k0_fraction=config.k0_fraction,
-            seed=client_seed(config.seed, 0),
+            seed=client_seeds(config.seed, 1)[0],
             client_id=0,
         )
         result, payload = outcome
@@ -331,7 +337,7 @@ class TestRunOneShot:
                 three_cluster_data.subset(indices),
                 eta=config.eta,
                 k0_fraction=config.k0_fraction,
-                seed=client_seed(config.seed, cid),
+                seed=client_seeds(config.seed, config.client_count)[cid],
                 client_id=cid,
             )
             _, payload = outcome

@@ -76,8 +76,8 @@ CPL_GOLDEN = {
 }
 
 ONE_SHOT_GOLDEN = {
-    "d2_fraction": "35e95e0d052c828ec947b52f9c2149185e9f558306a767970b8040e3943fdc93",
-    "d4_absolute": "e10ed2f0c38729ac07b867ce32ad0504953a95a2af6b78f9d8159f3a103c46b6",
+    "d2_fraction": "199913e5ec7f4ec0327850506e0a5158cf694fefd9ea2c9cd2769882176c7dfa",
+    "d4_absolute": "65dae5675a9d0d15179b6f0f0fe952886899a96ed00c64562289050b93b57bb7",
 }
 
 
@@ -101,9 +101,9 @@ REPORT_SPECS = {
 }
 
 REPORT_GOLDEN = {
-    "d2_fraction": "caf4d5f7cefdda88c70c46993473217b1efcf47ed70d6763278204725c2fdfc7",
-    "d4_absolute": "1288e7f93282a6c25ca9d37b9c6b09b8127df6aa2ca4cf692937c8b92cbab2e7",
-    "skipped_client": "f0fa47070f6a6a89193913217fd843791c6f6112f0635f2db8551e5ad8618503",
+    "d2_fraction": "680b7b6176c9a26c7fdf674da73e2a676106a927dac35e9c6a300de0e471cd57",
+    "d4_absolute": "d68264aa6fe776d764527af6a5a481f63330cbeed03151ef91514ba8726b0f34",
+    "skipped_client": "971f104e95a7623cca7edfad3343630ed26ae95a5c596a977d7cb1d700c9086a",
 }
 
 
@@ -121,7 +121,7 @@ CLI_SPEC = {
     "fragments": 2, "repeats": 2, "seed": 4,
 }
 
-CLI_GOLDEN = "125435ac5b6682064d9db6f20c1a806bf8ed77915ad3dd266c977b319ff81c86"
+CLI_GOLDEN = "221fc2fbd3bb0ae1390dbd62132492c3aa326d7ccdc4d7315886df83d0e663b4"
 
 
 def test_cli_run_determinism_hash(tmp_path, monkeypatch):
