@@ -323,7 +323,7 @@ def run_one_shot(
     skipped: list[int] = []
     seeds = client_seeds(config.seed, config.client_count)
     for cid, indices in enumerate(plan.client_indices):
-        outcome = None if indices.size == 0 else run_fcpl(
+        outcome = run_fcpl(
             data.subset(indices),
             eta=config.eta,
             k0_fraction=config.k0_fraction,
@@ -340,8 +340,6 @@ def run_one_shot(
     timings["clients"] = time.perf_counter() - t0
     if not payloads:
         raise ExperimentError("all clients were skipped; nothing to aggregate")
-    if skipped:
-        logger.warning("%d client(s) skipped: %s", len(skipped), skipped)
 
     t0 = time.perf_counter()
     stacked = stack_payloads(payloads)

@@ -353,6 +353,20 @@ class TestRunOneShot:
         with pytest.raises(ExperimentError):
             run_one_shot(data, config)
 
+    def test_each_skipped_client_is_warned_once(self, caplog):
+        # client 1 holds no object and client 2 too few; each is warned about
+        # by the client step, once
+        data = gaussian_mixture(200, 2, 3, seed=0)
+        plan = PartitionPlan(client_indices=[np.arange(197), np.arange(0), np.arange(197, 200)])
+        with caplog.at_level("WARNING"):
+            result = run_one_shot(data, FederationConfig(client_count=3, k_star=3), plan=plan)
+        assert result.skipped_clients == [1, 2]
+        assert [r.getMessage() for r in caplog.records] == [
+            "client 1 skipped: 0 object(s) is below the minimum of 4",
+            "client 2 skipped: 3 object(s) is below the minimum of 4",
+            "3 object(s) unassigned (skipped clients)",
+        ]
+
     def _plan_with(self, extra):
         data = gaussian_mixture(200, 2, 3, seed=0)
         indices = [np.arange(0, 100), np.concatenate([np.arange(100, 200), [extra]])]
