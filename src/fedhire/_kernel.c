@@ -814,9 +814,10 @@ void fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
  * Mullner, arXiv:1109.2378). cost holds the m x m Ward costs w_a w_b / (w_a +
  * w_b) ||c_a - c_b||^2, the rise in the within-cluster sum of squares if
  * clusters a and b merge, and inf on the diagonal and towards merged
- * clusters. The chain grows from its top to the top's nearest cluster: the
- * first index of the least cost, or the chain's previous element (at first,
- * the first live cluster) if none costs less. When the top two are each
+ * clusters. The chain starts from the cluster that the last merge kept (at
+ * first, 0) and grows from its top to the top's nearest cluster: the first
+ * index of the least cost, or the chain's previous element (at first, the
+ * first other live cluster) if none costs less. When the top two are each
  * other's nearest, they merge: the lower index keeps the union, its weight
  * the sum and its costs the Lance-Williams update, and the higher index's
  * weight becomes 0 and its costs inf. Writes the m - 1 merges as (kept,
@@ -830,21 +831,18 @@ void fh_ward(int64_t m, int64_t d, const double *centres, double *weights,
         cost[a * m + a] = INFINITY;
         for (int64_t b = a + 1; b < m; b++) {
             double sq = 0.0;
-            for (int64_t z = 0; z < d; z++) {
-                double diff = centres[a * d + z] - centres[b * d + z];
-                sq += diff * diff;
-            }
+            for (int64_t z = 0; z < d; z++)
+                sq += term(centres[a * d + z], centres[b * d + z], 1.0);
             cost[a * m + b] = cost[b * m + a] =
                 weights[a] * weights[b] / (weights[a] + weights[b]) * sq;
         }
     }
-    int64_t length = 0;
+    int64_t length = 0, lo = 0;
     for (int64_t step = 0; step + 1 < m; step++) {
         int64_t a, b;
+        if (length == 0)
+            chain[length++] = lo;
         for (;;) {
-            if (length == 0)
-                for (chain[length++] = 0; weights[chain[0]] == 0.0; chain[0]++)
-                    ;
             a = chain[length - 1];
             if (length > 1)
                 b = chain[length - 2];
@@ -863,7 +861,8 @@ void fh_ward(int64_t m, int64_t d, const double *centres, double *weights,
             chain[length++] = b;
         }
         length -= 2;
-        int64_t lo = a < b ? a : b, hi = a < b ? b : a;
+        lo = a < b ? a : b;
+        int64_t hi = a < b ? b : a;
         double wl = weights[lo], wh = weights[hi], height = cost[lo * m + hi];
         for (int64_t x = 0; x < m; x++) {
             double wx = weights[x];

@@ -121,10 +121,6 @@ class FeatureClusterMatrix:
         if not np.maximum.reduce(deviations) <= ROW_SUM_TOLERANCE:
             raise ValueError("rows must sum to 1")
 
-    @classmethod
-    def uniform(cls, k: int, d: int) -> "FeatureClusterMatrix":
-        return cls(entries=np.full((k, d), 1.0 / d))
-
 
 @dataclass
 class ClusterletState:

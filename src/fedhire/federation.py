@@ -272,6 +272,7 @@ class ExperimentResult:
 
     def report_json(self) -> str:
         """Hierarchy + final partition in one report document."""
+        gc = self.global_clustering
         return json.dumps(
             {
                 "levels": [
@@ -279,9 +280,7 @@ class ExperimentResult:
                     for k, q in self.hierarchy.levels
                 ],
                 "codes": encode_hierarchy(self.hierarchy).tolist(),
-                "server_assignments": (
-                    self.global_clustering.server_assignments.assignments.tolist()
-                ),
+                "server_assignments": gc.server_assignments.assignments.tolist(),
                 "object_assignments": {
                     str(cid): self.object_labels[self.plan.client_indices[cid]].tolist()
                     for cid in sorted(self.client_ks)

@@ -29,9 +29,8 @@ class Hierarchy:
 
     ``levels`` runs finest to coarsest with strictly decreasing cluster
     counts; single-cluster levels are never stored (a constant level carries
-    no information). The levels that
-    ``run_mcpl`` builds nest: rows that share a cluster at one level share
-    one at every coarser level.
+    no information). The levels that ``run_mcpl`` builds nest: rows that
+    share a cluster at one level share one at every coarser level.
     """
 
     levels: list[tuple[int, AffiliationMatrix]]
@@ -196,10 +195,7 @@ def cut(merges: np.ndarray, heights: np.ndarray, k: int) -> np.ndarray:
     applied = merges[np.argsort(heights, kind="stable")[: m - k]]
     root = np.arange(m)
     root[applied[:, 1]] = applied[:, 0]
-    while True:
-        jumped = root[root]
-        if np.array_equal(jumped, root):
-            break
+    while not np.array_equal(jumped := root[root], root):
         root = jumped
     rank = np.cumsum(root == np.arange(m)) - 1
     return rank[root]

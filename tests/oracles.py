@@ -47,6 +47,11 @@ LN2_HI = float.fromhex("0x1.62e42feep-1")
 LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
 
 
+def uniform_rows(k, d):
+    """A k x d feature-weight matrix of equal rows, 1/d each."""
+    return FeatureClusterMatrix(entries=np.full((k, d), 1.0 / d))
+
+
 def exp(x):
     """The kernel's ``fexp`` elementwise, operation for operation, for
     arguments <= 0 or NaN: the clamp at -708 that keeps NaN; k = rint(x /
@@ -362,7 +367,7 @@ def feature_cluster_matrix_client(data, affiliation, centroids):
     if (counts == 0).any():
         raise EmptyClusterError("all clusters must be nonempty")
     if k == 1:
-        return FeatureClusterMatrix.uniform(1, d)
+        return uniform_rows(1, d)
 
     def object_sums(index, terms, rows):
         # rows x d sums that add the objects' terms in object order from 0.0
@@ -452,7 +457,7 @@ def engine_feature_weights(values, assignments, centroids):
     """The M rows of one engine refresh where cluster j (every one nonempty)
     holds the objects assigned to it and has centroid ``centroids[j]``."""
     centroids = np.asarray(centroids, dtype=np.float64)
-    rows = FeatureClusterMatrix.uniform(*centroids.shape).entries
+    rows = uniform_rows(*centroids.shape).entries
     engine_refresh(values, assignments, make_state(centroids), rows)
     return rows
 

@@ -10,7 +10,7 @@ import pytest
 
 from fedhire.cli import cmd_run, ExperimentSpec
 from fedhire.client import run_fcpl
-from fedhire.core import AffiliationMatrix, DataMatrix, FeatureClusterMatrix
+from fedhire.core import AffiliationMatrix, DataMatrix
 from fedhire.federation import FederationConfig, client_seeds, run_one_shot
 from fedhire.metrics import acc, ari, nmi, purity
 from fedhire.server import Hierarchy, encode_hierarchy, run_mcpl, ward_merges
@@ -25,6 +25,7 @@ from oracles import (
     make_state,
     present_one,
     scalar_feature_weights,
+    uniform_rows,
 )
 from test_metrics import acc_bf, ari_bf, nmi_bf, purity_bf, random_pairs
 
@@ -59,12 +60,12 @@ def test_formula_unit_suite():
 
     # relative winning possibility, as the engine's epoch fixes it
     state = make_state([[0.0], [10.0]], wins=[3, 1])
-    run, _ = engine_epoch([[0.0]], state, FeatureClusterMatrix.uniform(2, 1))
+    run, _ = engine_epoch([[0.0]], state, uniform_rows(2, 1))
     np.testing.assert_allclose(run.gamma, [0.25, 0.75])
 
     # winner reward, one presentation through the engine's epoch loop
     state = make_state([[0.0], [10.0]], raw=[-5.0, 0.0], wins=[7, 1])
-    assert present_one([0.0], state, FeatureClusterMatrix.uniform(2, 1)) == 0
+    assert present_one([0.0], state, uniform_rows(2, 1)) == 0
     assert state.raw_weights[0] == pytest.approx(-4.95)
     assert state.win_counts[0] == 8
     assert abs(state.weights[0] - 0.62246) <= 1e-5
@@ -73,7 +74,7 @@ def test_formula_unit_suite():
     dv = 0.3
     dr = math.sqrt(dv**2 + math.log(2.0))
     state = make_state([[dv], [dr]])
-    assert present_one([0.0], state, FeatureClusterMatrix.uniform(2, 1)) == 0
+    assert present_one([0.0], state, uniform_rows(2, 1)) == 0
     assert state.raw_weights[1] == pytest.approx(-0.025, abs=1e-12)
 
     # sigmoid squash

@@ -105,7 +105,7 @@ class TestAffiliationMatrix:
 
 class TestFeatureClusterMatrix:
     def test_uniform_rows(self):
-        m = FeatureClusterMatrix.uniform(3, 4)
+        m = FeatureClusterMatrix(np.full((3, 4), 0.25))
         np.testing.assert_allclose(m.entries.sum(axis=1), 1.0)
 
     def test_rejects_unnormalized_rows(self):

@@ -41,6 +41,7 @@ from oracles import (
     run_cpl_loop,
     similarity_columns,
     squash,
+    uniform_rows,
 )
 
 
@@ -140,7 +141,7 @@ def engine_gamma(wins):
     """
     wins = np.array(wins, dtype=np.int64)
     state = make_state(100.0 * np.arange(wins.size)[:, None], wins=wins.copy())
-    run, _ = engine_epoch([[0.0]], state, FeatureClusterMatrix.uniform(wins.size, 1))
+    run, _ = engine_epoch([[0.0]], state, uniform_rows(wins.size, 1))
     np.testing.assert_array_equal(bits(run.gamma), bits(compute_gamma(wins)))
     return run.gamma
 
@@ -177,7 +178,7 @@ class TestSelectWinnerAndRival:
 
     def test_object_at_centroid_wins(self):
         state = make_state([[0.5, 0.5], [0.9, 0.9]])
-        m = FeatureClusterMatrix.uniform(2, 2)
+        m = uniform_rows(2, 2)
         assert present([0.5, 0.5], state, m) == (0, [1])
 
     def test_matches_brute_force_on_random_instances(self):
@@ -201,12 +202,12 @@ class TestSelectWinnerAndRival:
         target = np.array([0.2, 0.5, 0.4]) / sim
         raw = np.log(target / (1 - target)) / 10.0 - 5.0
         state = make_state([[0.3], [0.3], [0.3]], raw=raw)
-        m = FeatureClusterMatrix.uniform(3, 1)
+        m = uniform_rows(3, 1)
         assert present([0.0], state, m) == (1, [2])
 
     def test_exact_tie_breaks_to_lowest_index(self):
         state = make_state([[0.2, 0.2], [0.9, 0.9], [0.2, 0.2]])
-        m = FeatureClusterMatrix.uniform(3, 2)
+        m = uniform_rows(3, 2)
         assert present([0.2, 0.2], state, m) == (0, [2])
 
     def test_requires_two_active(self):
@@ -215,7 +216,7 @@ class TestSelectWinnerAndRival:
         # the epoch gives the counts [3, 0, 2] and leaves every weight doomed
         state = make_state([[0.0], [10.0], [20.0]], raw=[-8.0, -7.5, -7.9])
         values = [[0.0]] * 3 + [[20.0]] * 2
-        run, _ = engine_epoch(values, state, FeatureClusterMatrix.uniform(3, 1))
+        run, _ = engine_epoch(values, state, uniform_rows(3, 1))
         np.testing.assert_array_equal(run.counts, [3, 0, 2])
         assert (state.weights < ELIMINATION_THRESHOLD).all()
         assert state.weights[1] > state.weights[2]
@@ -225,30 +226,30 @@ class TestSelectWinnerAndRival:
         state = make_state(
             [[0.5, 0.5], [0.5, 0.5], [0.9, 0.9]], active=[False, True, True]
         )
-        assert present([0.5, 0.5], state, FeatureClusterMatrix.uniform(3, 2)) == (1, [2])
+        assert present([0.5, 0.5], state, uniform_rows(3, 2)) == (1, [2])
 
 
 class TestRewardWinner:
     def test_raw_weight_step(self):
         state = make_state([[0.0], [1.0]])
-        present([0.0], state, FeatureClusterMatrix.uniform(2, 1))
+        present([0.0], state, uniform_rows(2, 1))
         assert state.raw_weights[0] == 0.05
 
     def test_win_count_increment(self):
         state = make_state([[0.0], [10.0]], wins=[7, 1])
-        present([0.0], state, FeatureClusterMatrix.uniform(2, 1))
+        present([0.0], state, uniform_rows(2, 1))
         np.testing.assert_array_equal(state.win_counts, [8, 1])
 
     def test_weight_recomputed(self):
         state = make_state([[0.0], [10.0]], raw=[-5.0, 0.0])
-        present([0.0], state, FeatureClusterMatrix.uniform(2, 1))
+        present([0.0], state, uniform_rows(2, 1))
         assert state.weights[0] == pytest.approx(1 / (1 + math.exp(-0.5)), abs=1e-5)
         assert state.weights[0] == pytest.approx(0.62246, abs=1e-5)
 
     def test_inactive_rejected(self):
         # an inactive clusterlet on top of the object is never rewarded
         state = make_state([[0.0], [1.0], [2.0]], active=[False, True, True])
-        present([0.0], state, FeatureClusterMatrix.uniform(3, 1))
+        present([0.0], state, uniform_rows(3, 1))
         assert state.raw_weights[0] == 0.0 and state.win_counts[0] == 0
         assert state.win_counts[1] == 1
 
@@ -256,7 +257,7 @@ class TestRewardWinner:
 class TestPenalizeRival:
     def test_equal_similarity_full_step(self):
         state = make_state([[0.3, 0.3], [0.3, 0.3]])
-        present([0.1, 0.2], state, FeatureClusterMatrix.uniform(2, 2))
+        present([0.1, 0.2], state, uniform_rows(2, 2))
         assert state.raw_weights[1] == pytest.approx(-0.05, abs=1e-15)
 
     def test_half_similarity_ratio(self):
@@ -264,18 +265,18 @@ class TestPenalizeRival:
         dv = 0.3
         dr = math.sqrt(dv**2 + math.log(2.0))
         state = make_state([[dv], [dr]])
-        present([0.0], state, FeatureClusterMatrix.uniform(2, 1))
+        present([0.0], state, uniform_rows(2, 1))
         assert state.raw_weights[1] == pytest.approx(-0.025, abs=1e-12)
 
     def test_far_rival_barely_touched(self):
         state = make_state([[0.0, 0.0], [50.0, 50.0]])
-        present(np.zeros(2), state, FeatureClusterMatrix.uniform(2, 2))
+        present(np.zeros(2), state, uniform_rows(2, 2))
         assert -1e-12 < state.raw_weights[1] <= 0.0
 
     def test_same_index_rejected(self):
         # on an exact tie the rival is the other clusterlet, never the winner
         state = make_state([[0.0], [0.0]])
-        assert present([0.0], state, FeatureClusterMatrix.uniform(2, 1)) == (0, [1])
+        assert present([0.0], state, uniform_rows(2, 1)) == (0, [1])
         np.testing.assert_array_equal(state.raw_weights, [0.05, -0.05])
 
 
@@ -283,7 +284,7 @@ class TestPresentationBookkeeping:
     def test_one_presentation_updates_one_g_and_two_raw_weights(self):
         rng = np.random.default_rng(2)
         state = make_state(rng.normal(size=(5, 2)))
-        m = FeatureClusterMatrix.uniform(5, 2)
+        m = uniform_rows(5, 2)
         x = rng.normal(size=2)
         g_before = state.win_counts.copy()
         raw_before = state.raw_weights.copy()
@@ -522,7 +523,7 @@ class TestEpochOracle:
         )
         state.centroids[:] = 100.0 * np.arange(k)[:, None]
         values = state.centroids[[0, 2, 4]].copy()
-        m = FeatureClusterMatrix.uniform(k, 1)
+        m = uniform_rows(k, 1)
         run = _assert_whole_epochs_match((values, state, m, streaks), epochs=1)
         np.testing.assert_array_equal(run.counts, [1, 0, 1, 0, 1])
         assert state.weights[0] == state.weights[2] == state.weights[4]
@@ -580,7 +581,7 @@ class TestEpochOracle:
         state = make_state([[0.0], [1.0], [2.0]], active=[False, True, False])
         before = copy.deepcopy(state)
         with pytest.raises(ValueError, match="at least two active"):
-            engine_epoch([[0.0], [1.0]], state, FeatureClusterMatrix.uniform(3, 1))
+            engine_epoch([[0.0], [1.0]], state, uniform_rows(3, 1))
         np.testing.assert_array_equal(state.raw_weights, before.raw_weights)
         np.testing.assert_array_equal(state.win_counts, before.win_counts)
 
@@ -742,7 +743,7 @@ class TestEliminateClusterlets:
         k = len(raw)
         state = make_state(100.0 * np.arange(k)[:, None], raw=raw)
         run, _ = engine_epoch(
-            state.centroids.copy(), state, FeatureClusterMatrix.uniform(k, 1), eta=1e-9
+            state.centroids.copy(), state, uniform_rows(k, 1), eta=1e-9
         )
         np.testing.assert_array_equal(run.counts, 1)
         return state.active
