@@ -256,13 +256,16 @@ class TestFinalClustering:
         if clusters.size < k_star:
             leaf, centres, weights = np.arange(n), values, np.ones(n)
         else:
-            assert np.unique(np.column_stack([finest, got.assignments]), axis=0).shape[0] == clusters.size
+            pairs = np.unique(np.column_stack([finest, got.assignments]), axis=0)
+            assert pairs.shape[0] == clusters.size
             weights = counts.astype(np.float64)
             centres = np.array([values[finest == c].mean(axis=0) for c in clusters])
         heights, partitions = oracles.ward_greedy(centres, weights)
         m = weights.size
         # where the cut does not fall inside a tie, it is the greedy Ward's
-        if k_star == m or not np.isclose(heights[m - k_star - 1], heights[m - k_star], rtol=1e-9, atol=0):
+        if k_star == m or not np.isclose(
+            heights[m - k_star - 1], heights[m - k_star], rtol=1e-9, atol=0
+        ):
             np.testing.assert_array_equal(got.assignments, partitions[k_star][leaf])
 
 
@@ -283,12 +286,15 @@ class TestWard:
         if duplicates:
             centres = centres[rng.integers(0, max(1, m // 2), size=m)]
         weights = rng.integers(1, 20, size=m).astype(np.float64)
+        given_weights = weights.copy()
         merges, heights = ward_merges(np.ascontiguousarray(centres), weights)
-        assert (weights >= 1).all()
+        np.testing.assert_array_equal(weights, given_weights)
         want_heights, partitions = oracles.ward_greedy(centres, weights)
         assert (merges[:, 0] < merges[:, 1]).all()
         ordered = np.sort(heights)
-        np.testing.assert_allclose(ordered, want_heights, rtol=1e-12, atol=1e-12 * ordered.max(initial=0.0))
+        np.testing.assert_allclose(
+            ordered, want_heights, rtol=1e-12, atol=1e-12 * ordered.max(initial=0.0)
+        )
         for k in range(1, m + 1):
             got = cut(merges, heights, k)
             assert np.bincount(got).size == k and (np.bincount(got) > 0).all()
@@ -307,7 +313,10 @@ class TestWard:
         merges, heights = ward_merges(values, np.ones(25))
         for k in range(1, 25):
             labels = cut(merges, heights, k)
-            sse = sum(((values[labels == j] - values[labels == j].mean(axis=0)) ** 2).sum() for j in range(k))
+            sse = sum(
+                ((values[labels == j] - values[labels == j].mean(axis=0)) ** 2).sum()
+                for j in range(k)
+            )
             assert sse == pytest.approx(np.sort(heights)[: 25 - k].sum(), rel=1e-9)
 
 
