@@ -227,9 +227,7 @@ def final_clustering(stacked: DataMatrix, hierarchy: Hierarchy, k_star: int) -> 
         leaf, centres, weights = np.arange(n), values, np.ones(n)
     else:
         weights = counts.astype(np.float64)
-        centres = np.zeros((clusters.size, values.shape[1]))
-        np.add.at(centres, leaf, values)
-        centres /= weights[:, None]
+        centres = np.column_stack([np.bincount(leaf, v) for v in values.T]) / weights[:, None]
     merges, heights = ward_merges(np.ascontiguousarray(centres), weights)
     labels = cut(merges, heights, k_star)[leaf]
     return GlobalClustering(
