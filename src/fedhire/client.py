@@ -59,7 +59,7 @@ class ClientPayload:
 def fcpl_k0(n: int, k0_fraction: float) -> int:
     """Initial clusterlet count over n objects: min(n, max(2, ceil(fraction * n))).
 
-    Clients and the first server stage both start from this count.
+    Clients and server stage 0 start from it, and a Ward level from k's.
     """
     return min(n, max(2, math.ceil(k0_fraction * n)))
 

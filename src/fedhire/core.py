@@ -136,7 +136,3 @@ class ClusterletState:
     raw_weights: np.ndarray
     weights: np.ndarray
     active: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]

@@ -1,7 +1,7 @@
 """Competitive penalized learning engine.
 
-The same engine drives client-side clusterlet discovery and each server-side
-aggregation stage: an over-provisioned set of clusterlets competes for
+The same engine drives client-side clusterlet discovery and the server's
+finest level (stage 0): an over-provisioned set of clusterlets competes for
 objects, the winner of each presentation is rewarded, its nearest rival is
 penalized, and clusterlets that collapse (by weight) or go unclaimed (no
 members) are eliminated. The surviving clusterlet count is how the model

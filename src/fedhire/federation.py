@@ -6,9 +6,9 @@ client sees incomplete pieces of the global clusters. The k-means runs its
 whole Lloyd loop in one call of the C kernel (``_kernel.c``) and gives the
 results of the numpy loop in ``tests/oracles.py`` bit for bit. The
 orchestrator then runs the whole pipeline with exactly one upload per
-client: local clusterlet discovery, centroid stacking, hierarchy
-construction, and the final partition, Ward's cut over the hierarchy's
-finest level, with labels propagated back to original objects.
+client: local clusterlet discovery, centroid stacking, the hierarchy's
+finest level, Ward's cuts over it into the coarser levels and the final
+partition, with labels propagated back to original objects.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ logger = logging.getLogger(__name__)
 UNASSIGNED = -1
 # most Lloyd iterations of the fragmentation k-means
 KMEANS_MAX_ITERS = 100
-# derive_seed key of the hierarchy's seed, whose stage s spawns key s, and
+# derive_seed key of the seed of the hierarchy's stage 0 (its child 0), and
 # the child key whose state words seed the clients (client_seeds)
 MCPL_SEED_KEY = 0x6D63
 CLIENT_SEED_KEY = 0x636C
@@ -276,8 +276,8 @@ class ExperimentResult:
         return json.dumps(
             {
                 "levels": [
-                    {"k": k, "assignments": q.assignments.tolist()}
-                    for k, q in self.hierarchy.levels
+                    {"k": k, "height": height, "assignments": q.assignments.tolist()}
+                    for (k, q), height in zip(self.hierarchy.levels, self.hierarchy.heights)
                 ],
                 "codes": encode_hierarchy(self.hierarchy).tolist(),
                 "server_assignments": gc.server_assignments.assignments.tolist(),
@@ -297,9 +297,9 @@ def run_one_shot(
     """Run the whole pipeline with exactly one upload per client.
 
     Partitions the data (unless a plan is supplied), runs each client's
-    local clustering exactly once, stacks the uploaded centroids and drives
-    the server stages. Client seeds derive from the master seed, so repeat
-    runs are identical.
+    local clustering exactly once, stacks the uploaded centroids and builds
+    the server's hierarchy and final partition. Client seeds derive from the
+    master seed, so repeat runs are identical.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -362,7 +362,7 @@ def run_one_shot(
             f"clusterlet centroids"
         )
     t0 = time.perf_counter()
-    global_clustering = final_clustering(stacked, hierarchy, k_star=config.k_star)
+    global_clustering = final_clustering(stacked, hierarchy, config.k_star, config.k0_fraction)
     timings["final"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -376,7 +376,7 @@ def run_one_shot(
 
     return ExperimentResult(
         plan=plan,
-        hierarchy=hierarchy,
+        hierarchy=global_clustering.hierarchy,
         global_clustering=global_clustering,
         object_labels=object_labels,
         payload_count=len(payloads),

@@ -1,10 +1,10 @@
-"""Server side: stack payloads, build the multi-granular hierarchy, and cut
-the final k*-way partition of the stacked clusterlet centroids from Ward's
-dendrogram over the hierarchy's finest level.
+"""Server side: stack payloads, find the finest clusters of the stacked
+clusterlet centroids, and cut Ward's dendrogram over them into the nested
+coarser levels and the final k*-way partition.
 
 The server never sees client objects. Its only inputs are the uploaded
 centroid payloads; everything downstream (hierarchy levels, the dendrogram,
-its cut) operates on those centroids, and object-level labels are recovered
+its cuts) operates on those centroids, and object-level labels are recovered
 by composing the server partition with each client's local affiliation.
 """
 
@@ -29,15 +29,20 @@ class Hierarchy:
 
     ``levels`` runs finest to coarsest with strictly decreasing cluster
     counts; single-cluster levels are never stored (a constant level carries
-    no information). The levels that ``run_mcpl`` builds nest: rows that
-    share a cluster at one level share one at every coarser level.
+    no information). ``run_mcpl`` builds the finest level alone, and
+    ``final_clustering`` the nested levels above it, cuts of one Ward
+    dendrogram. ``heights`` holds each level's height, that of the last
+    merge applied to reach it, 0.0 where none was (the default).
     """
 
     levels: list[tuple[int, AffiliationMatrix]]
+    heights: list[float] | None = None
 
     def __post_init__(self):
         if not self.levels:
             raise ValueError("hierarchy must contain at least one level")
+        if self.heights is None:
+            self.heights = [0.0] * len(self.levels)
         n = self.levels[0][1].object_count
         prev_k = None
         for k, q in self.levels:
@@ -62,11 +67,12 @@ class Hierarchy:
 
 @dataclass
 class GlobalClustering:
-    """Final k*-way partition of the stacked centroids, and the number of
-    dendrogram merges its cut applied."""
+    """Final k*-way partition of the stacked centroids, the number of merges
+    its cut applied, and the nested hierarchy whose k* level it is."""
 
     server_assignments: AffiliationMatrix
     iterations_used: int
+    hierarchy: Hierarchy
 
 
 def stack_payloads(payloads: list[ClientPayload]) -> DataMatrix:
@@ -97,22 +103,16 @@ def run_mcpl(
     max_epochs: int = DEFAULT_MAX_EPOCHS,
     min_finest: int | None = None,
 ) -> Hierarchy:
-    """Build the multi-granular hierarchy by nested competitive learning.
-
-    Stage 0 runs over the stacked centroids with k0 = ``fcpl_k0(n,
-    k0_fraction)``. Each later stage s runs over the k centroids that stage
-    s − 1 kept, with k0 = min(k − 1, max(``fcpl_k0(k, k0_fraction)``, 2,
-    k*)) and seed ``derive_seed(seed, s)``, k* being ``min_finest``. A
-    stacked row's cluster at level s is the stage-s cluster of its level
-    s − 1 cluster, so every level nests in the next. Since k0 < k, the
-    cluster count strictly falls; the loop stops at k = 2 or when a stage
-    collapses below 2 clusters.
+    """The finest level of the hierarchy: server stage 0's competitive
+    learning over the stacked centroids, with k0 = ``fcpl_k0(n,
+    k0_fraction)`` and seed ``derive_seed(seed, 0)``. The coarser levels are
+    Ward cuts over its clusters (``final_clustering``).
 
     ``min_finest`` is the granularity the finest level must be able to
     express (the orchestrator passes the target cluster count): on small
-    stacks where ceil(k0_fraction * n) cannot reach it, or when the finest
-    stage collapses to a single cluster, stage 0 is retried once fully
-    provisioned (k0 = n).
+    stacks where ceil(k0_fraction * n) cannot reach it, or when the stage
+    collapses to a single cluster, it is retried once fully provisioned
+    (k0 = n).
     """
     n = stacked.object_count
     if n < 2:
@@ -132,22 +132,7 @@ def run_mcpl(
         k = result.converged_k
     if k < 2:
         raise EmptyClusterError("stacked centroids show no multi-cluster structure")
-    levels = [(k, result.affiliation)]
-    assignments = result.affiliation.assignments
-    stage = 1
-    while k > 2:
-        config = CplConfig(
-            eta=eta, k0=min(k - 1, max(fcpl_k0(k, k0_fraction), floor)),
-            max_epochs=max_epochs, rng_seed=derive_seed(seed, stage),
-        )
-        result = run_cpl(DataMatrix(result.clusterlets.centroids), config)
-        k = result.converged_k
-        if k < 2:
-            break
-        assignments = result.affiliation.assignments[assignments]
-        levels.append((k, AffiliationMatrix(assignments, k=k)))
-        stage += 1
-    return Hierarchy(levels=levels)
+    return Hierarchy(levels=[(k, result.affiliation)])
 
 
 def encode_hierarchy(hierarchy: Hierarchy) -> np.ndarray:
@@ -183,56 +168,73 @@ def ward_merges(centres: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     return merges, heights
 
 
-def cut(merges: np.ndarray, heights: np.ndarray, k: int) -> np.ndarray:
-    """The k-cluster cut of a dendrogram of m leaves, each leaf's cluster.
-
-    The m − k lowest merges apply, ties in the order given; each points its
-    merged index at the kept one, and the roots are resolved by pointer
-    jumping. The kept index is the lower, so a root is its cluster's smallest
-    leaf, and the clusters are numbered in ascending order of it.
+def cuts(merges: np.ndarray, heights: np.ndarray, ks: list[int]) -> list[tuple[np.ndarray, float]]:
+    """Per descending cluster count k of ``ks``, the k cut of a dendrogram of
+    m leaves: each leaf's cluster, and the height of the last merge applied
+    (0.0 if none). The merges are sorted once by height, stably, and the k
+    cut applies the m − k lowest, so each cut nests in the next. A merge
+    points its merged index at the kept, lower one, and pointer jumping
+    resolves the roots, so a root is its cluster's smallest leaf; the
+    clusters are numbered in ascending order of it.
     """
     m = merges.shape[0] + 1
-    applied = merges[np.argsort(heights, kind="stable")[: m - k]]
-    root = np.arange(m)
-    root[applied[:, 1]] = applied[:, 0]
-    while not np.array_equal(jumped := root[root], root):
-        root = jumped
-    rank = np.cumsum(root == np.arange(m)) - 1
-    return rank[root]
+    order = np.argsort(heights, kind="stable")
+    applied, rising = merges[order], np.concatenate([[0.0], heights[order]])
+    root, out = np.arange(m), []
+    for k in ks:
+        root[applied[: m - k, 1]] = applied[: m - k, 0]
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+        rank = np.cumsum(root == np.arange(m)) - 1
+        out.append((rank[root], float(rising[m - k])))
+    return out
 
 
-def final_clustering(stacked: DataMatrix, hierarchy: Hierarchy, k_star: int) -> GlobalClustering:
-    """The k*-way cut of Ward's dendrogram over the hierarchy's finest level.
+def final_clustering(
+    stacked: DataMatrix, hierarchy: Hierarchy, k_star: int, k0_fraction: float,
+) -> GlobalClustering:
+    """The nested levels that Ward's dendrogram (``ward_merges``) over the
+    hierarchy's finest level adds to it, and their k* level as the final
+    partition. This replaces the paper's categorical clustering of levels.
 
     The leaves are the finest level's nonempty clusters, each the mean of
-    its stacked rows, weighted by its row count; when that level has fewer
-    than k* nonempty clusters, the leaves are the stacked rows themselves,
-    each of weight 1. A stacked row's label is its leaf's cluster in the
-    ``cut`` of the dendrogram (``ward_merges``) at k*. This replaces the
-    paper's weighted categorical clustering of the encoded levels.
+    its stacked rows weighted by its row count, or, when it has fewer than
+    k* of them, the stacked rows, each of weight 1; then the hierarchy
+    starts at the k* cut. From the leaf count k down to 2, each next level
+    is the cut at k' = min(k − 1, max(``fcpl_k0(k, k0_fraction)``, k*)).
     """
     values = stacked.values
     n = stacked.object_count
     if not 2 <= k_star <= n:
         raise ValueError(f"k_star must be in [2, {n}], got {k_star}")
-    finest = hierarchy.levels[0][1].assignments
-    if finest.size != n:
-        raise ValueError(f"the hierarchy covers {finest.size} rows, the stack has {n}")
-    clusters, leaf, counts = np.unique(finest, return_inverse=True, return_counts=True)
+    finest_k, finest = hierarchy.levels[0]
+    if finest.object_count != n:
+        raise ValueError(f"the hierarchy covers {finest.object_count} rows, the stack has {n}")
+    clusters, leaf, counts = np.unique(finest.assignments, return_inverse=True, return_counts=True)
     if clusters.size < k_star:
         logger.info(
             "final clustering cuts over the %d stacked rows: the finest level has "
             "%d clusters, fewer than k*=%d", n, clusters.size, k_star,
         )
         leaf, centres, weights = np.arange(n), values, np.ones(n)
+        levels, ks = [], [k_star]
     else:
         weights = counts.astype(np.float64)
         centres = np.column_stack([np.bincount(leaf, v) for v in values.T]) / weights[:, None]
+        levels, ks = [(finest_k, finest)], [clusters.size]
+    while ks[-1] > 2:
+        ks.append(min(ks[-1] - 1, max(fcpl_k0(ks[-1], k0_fraction), k_star)))
+    # the cut at the finest level's own count is that level
+    ks = [k for k in ks if not levels or k < finest_k]
     merges, heights = ward_merges(np.ascontiguousarray(centres), weights)
-    labels = cut(merges, heights, k_star)[leaf]
+    level_heights = [0.0] * len(levels)
+    for k, (labels, height) in zip(ks, cuts(merges, heights, ks)):
+        levels.append((k, AffiliationMatrix(labels[leaf], k=k)))
+        level_heights.append(height)
     return GlobalClustering(
-        server_assignments=AffiliationMatrix(labels, k=k_star),
-        iterations_used=centres.shape[0] - k_star,
+        server_assignments=dict(levels)[k_star],
+        iterations_used=weights.size - k_star,
+        hierarchy=Hierarchy(levels, level_heights),
     )
 
 

@@ -113,7 +113,7 @@ class StepRun(_Run):
 
     def __init__(self, values, state, rows, lib=None):
         n, d = np.shape(values)
-        k0 = state.k
+        k0 = len(state.centroids)
         handed = {
             "centroids": (state.centroids, np.float64, (k0, d)),
             "win_counts": (state.win_counts, np.int64, (k0,)),
@@ -181,7 +181,7 @@ class StepRun(_Run):
         succeeded; the rows whose members and centroid are unchanged since
         then are kept. ``None`` recomputes every live row.
         """
-        n, k0 = self.values.shape[0], self.state.k
+        n, k0 = self.values.shape[0], len(self.state.centroids)
         if previous is not None:
             # the kernel marks the clusterlet of each previous[i]
             address = _kernel.address("previous", previous, np.int64, (n,))

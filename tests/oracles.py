@@ -134,7 +134,7 @@ def presentation_epoch(values, state, m, eta):
     raw = state.raw_weights
     weights = state.weights
     win_counts = state.win_counts
-    scores = np.empty(state.k)
+    scores = np.empty(len(state.centroids))
     for i in range(n):
         np.multiply(gamma, weights, out=scores)
         scores *= sims[i]
@@ -192,7 +192,7 @@ def epoch(values, state, m, eta, streaks):
     them the epoch deactivated (the orphans).
     """
     winners = presentation_epoch(values, state, m, eta)
-    counts = np.bincount(winners, minlength=state.k)
+    counts = np.bincount(winners, minlength=len(state.centroids))
     nonempty = (counts > 0) & state.active
     sums = np.zeros_like(state.centroids)
     np.add.at(sums, winners, values)
@@ -260,13 +260,13 @@ def compact(state, rows, assignments):
     first of them become active and the rest inactive. Mutates ``state`` and
     ``rows``; returns the assignments remapped onto the survivors and the
     survivors' indices before the move."""
-    counts = np.bincount(assignments, minlength=state.k)
+    counts = np.bincount(assignments, minlength=len(state.centroids))
     survivors = np.flatnonzero((counts > 0) & state.active)
     k = survivors.size
     for array in (state.centroids, state.win_counts, state.raw_weights, state.weights, rows):
         array[:k] = array[survivors]
-    state.active[:] = np.arange(state.k) < k
-    remap = np.full(state.k, -1, dtype=np.int64)
+    state.active[:] = np.arange(len(state.centroids)) < k
+    remap = np.full(len(state.centroids), -1, dtype=np.int64)
     remap[survivors] = np.arange(k)
     return remap[assignments], survivors
 
@@ -434,9 +434,9 @@ def refresh_feature_weights(values, assignments, state, rows):
     """The numpy form of one engine refresh, in ``rows``: the rows of the
     nonempty active clusterlets become ``feature_cluster_matrix_client`` of
     the affiliation re-indexed onto them; the others keep theirs."""
-    counts = np.bincount(assignments, minlength=state.k)
+    counts = np.bincount(assignments, minlength=len(state.centroids))
     live = np.flatnonzero((counts > 0) & state.active)
-    remap = np.full(state.k, -1, dtype=np.int64)
+    remap = np.full(len(state.centroids), -1, dtype=np.int64)
     remap[live] = np.arange(live.size)
     m = feature_cluster_matrix_client(
         DataMatrix(values), AffiliationMatrix(remap[assignments], k=live.size),

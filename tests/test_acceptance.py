@@ -13,7 +13,7 @@ from fedhire.client import run_fcpl
 from fedhire.core import AffiliationMatrix, DataMatrix
 from fedhire.federation import FederationConfig, client_seeds, run_one_shot
 from fedhire.metrics import acc, ari, nmi, purity
-from fedhire.server import Hierarchy, encode_hierarchy, run_mcpl, ward_merges
+from fedhire.server import Hierarchy, encode_hierarchy, final_clustering, run_mcpl, ward_merges
 from fedhire.synth import gaussian_mixture
 
 from conftest import blob_data
@@ -164,8 +164,8 @@ def test_mcpl_recovers_nested_granularities():
         offs = np.array([[-0.10, -0.10], [-0.10, 0.10], [0.10, -0.10], [0.10, 0.10]])
         points = [rng.normal(s + o, 0.005, size=(25, 2)) for s in supers for o in offs]
         stacked = DataMatrix(np.vstack(points))
-        hierarchy = run_mcpl(stacked, eta=0.05, k0_fraction=0.5, seed=seed)
-        ks = hierarchy.level_ks
+        finest = run_mcpl(stacked, eta=0.05, k0_fraction=0.5, seed=seed)
+        ks = final_clustering(stacked, finest, 2, 0.5).hierarchy.level_ks
         assert all(a > b for a, b in zip(ks, ks[1:])), "levels must strictly decrease"
         hits += (8 in ks) and (2 in ks)
     elapsed = time.perf_counter() - start

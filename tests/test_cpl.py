@@ -846,7 +846,7 @@ class TestRunCpl:
 
     def test_result_is_compacted(self, four_blob_data):
         result = run_cpl(four_blob_data, CplConfig(eta=0.05, k0=60, rng_seed=1))
-        assert result.converged_k == result.clusterlets.k
+        assert result.converged_k == len(result.clusterlets.centroids)
         assert result.converged_k <= 60
         seen = np.unique(result.affiliation.assignments)
         np.testing.assert_array_equal(seen, np.arange(result.converged_k))
@@ -1007,7 +1007,7 @@ def assert_run_cpl_matches_the_loop(values, config, result=None):
     loop = run_cpl_loop(values, state, rows, config.eta, config.max_epochs, streaks)
     k = loop.survivors.size
     assert (result.epochs_used, result.converged) == (loop.epochs, loop.converged)
-    assert result.converged_k == result.clusterlets.k == result.affiliation.k == k
+    assert result.converged_k == len(result.clusterlets.centroids) == result.affiliation.k == k
     got = result.clusterlets
     for name in ("centroids", "raw_weights", "weights"):
         np.testing.assert_array_equal(bits(getattr(got, name)), bits(getattr(state, name)[:k]))
@@ -1375,7 +1375,7 @@ class RefreshSequence:
 
     def recomputed(self) -> list[int]:
         """The live clusterlets whose rows the last refresh recomputed."""
-        live = np.bincount(self.previous, minlength=self.state.k) > 0
+        live = np.bincount(self.previous, minlength=len(self.state.centroids)) > 0
         return np.flatnonzero(live & (self.run.redo > 0)).tolist()
 
 

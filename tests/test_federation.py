@@ -292,7 +292,7 @@ class TestRunOneShot:
     def test_fully_provisioned_retry_builds_coarser_levels(self):
         # stage 0 at k0 = ceil(0.1 * 73) = 8 gives fewer than k* = 8 clusters,
         # so it is retried with every stacked centroid as a clusterlet; the
-        # later stages must still build coarser levels over its survivors
+        # Ward cuts must still build coarser levels over its survivors
         data = gaussian_mixture(6000, 4, 8, seed=0)
         config = FederationConfig(client_count=8, k_star=8, k0_fraction=0.1, seed=0)
         result = run_one_shot(data, config)
@@ -323,7 +323,7 @@ class TestRunOneShot:
             stacked, eta=config.eta, k0_fraction=config.k0_fraction,
             seed=derive_seed(config.seed, MCPL_SEED_KEY), min_finest=config.k_star,
         )
-        partition = final_clustering(stacked, hierarchy, config.k_star)
+        partition = final_clustering(stacked, hierarchy, config.k_star, config.k0_fraction)
         labels = propagate_labels(partition, {0: result})[0]
         np.testing.assert_array_equal(federated.object_labels, labels)
 
@@ -400,6 +400,10 @@ class TestRunOneShot:
         }
         assert len(report["codes"]) == len(report["server_assignments"])
         assert [lvl["k"] for lvl in report["levels"]] == result.hierarchy_ks
+        # each level's Ward height: none for the finest, then rising
+        heights = [lvl["height"] for lvl in report["levels"]]
+        assert heights[0] == 0.0 and heights == sorted(heights)
+        assert heights == result.hierarchy.heights
         total = sum(len(v) for v in report["object_assignments"].values())
         assert total == three_cluster_data.object_count - result.unassigned_count
 

@@ -76,8 +76,8 @@ CPL_GOLDEN = {
 }
 
 ONE_SHOT_GOLDEN = {
-    "d2_fraction": "199913e5ec7f4ec0327850506e0a5158cf694fefd9ea2c9cd2769882176c7dfa",
-    "d4_absolute": "65dae5675a9d0d15179b6f0f0fe952886899a96ed00c64562289050b93b57bb7",
+    "d2_fraction": "6b76ca6fff4b2895a80ff74dae1762f1ef942aae493c76b1515b2811793a486c",
+    "d4_absolute": "a413b04e3041d7aa87e16df657c86c891f70f842847cca319d57815d86a81349",
 }
 
 
@@ -91,7 +91,7 @@ def test_run_one_shot_digest(name):
     assert one_shot_digest(name) == ONE_SHOT_GOLDEN[name]
 
 
-# the report's bytes: hierarchy levels, codes and both label sets, on the one-shot specs and on a run whose client 8 gets no object
+# the report's bytes: hierarchy levels and their heights, codes and both label sets, on the one-shot specs and on a run whose client 8 gets no object
 REPORT_SPECS = {
     **ONE_SHOT_SPECS,
     "skipped_client": (
@@ -101,9 +101,9 @@ REPORT_SPECS = {
 }
 
 REPORT_GOLDEN = {
-    "d2_fraction": "680b7b6176c9a26c7fdf674da73e2a676106a927dac35e9c6a300de0e471cd57",
-    "d4_absolute": "d68264aa6fe776d764527af6a5a481f63330cbeed03151ef91514ba8726b0f34",
-    "skipped_client": "971f104e95a7623cca7edfad3343630ed26ae95a5c596a977d7cb1d700c9086a",
+    "d2_fraction": "7892377b6ebf84a2eaa8877a5f556c0b8fe204c77191b020490492270a063917",
+    "d4_absolute": "de2a22e4ada27681d45ef055d4626b7232fa96ee2607947c95be984ab83bcb88",
+    "skipped_client": "adeaa667870f4fbcade8affeac427f7b145a8e50b504d7ee32ab414b748e30f6",
 }
 
 

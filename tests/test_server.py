@@ -9,7 +9,7 @@ from fedhire.client import ClientPayload
 from fedhire.core import AffiliationMatrix, DataMatrix, EmptyClusterError
 from fedhire.server import (
     Hierarchy,
-    cut,
+    cuts,
     encode_hierarchy,
     final_clustering,
     propagate_labels,
@@ -30,6 +30,14 @@ def nested_centroids(seed, offset=0.10, sigma=0.005, per_group=20):
         for o in offs:
             points.append(rng.normal(s + o, sigma, size=(per_group, 2)))
     return DataMatrix(np.vstack(points))
+
+
+def full_hierarchy(stacked, k_star, k0_fraction=0.5, seed=0):
+    """Stage 0 over ``stacked`` and the Ward levels cut over its clusters."""
+    finest = run_mcpl(
+        stacked, eta=0.05, k0_fraction=k0_fraction, seed=seed, min_finest=k_star,
+    )
+    return final_clustering(stacked, finest, k_star, k0_fraction).hierarchy
 
 
 class TestStackPayloads:
@@ -63,8 +71,7 @@ class TestStackPayloads:
 
 class TestRunMcpl:
     def test_recovers_nested_granularities(self):
-        hierarchy = run_mcpl(nested_centroids(600), eta=0.05, k0_fraction=0.5, seed=0)
-        ks = hierarchy.level_ks
+        ks = full_hierarchy(nested_centroids(600), k_star=2).level_ks
         assert 8 in ks and 2 in ks
         assert all(a > b for a, b in zip(ks, ks[1:]))
 
@@ -72,9 +79,8 @@ class TestRunMcpl:
         rng = np.random.default_rng(0)
         data = DataMatrix(rng.normal(0.5, 0.15, size=(40, 2)))
         hierarchy = run_mcpl(data, eta=0.05, k0_fraction=0.5, seed=3)
-        assert hierarchy.depth >= 1
-        ks = hierarchy.level_ks
-        assert all(a > b for a, b in zip(ks, ks[1:]))
+        assert hierarchy.depth == 1 and hierarchy.heights == [0.0]
+        assert hierarchy.level_ks[0] >= 2
 
     def test_identical_centroids_rejected(self):
         data = DataMatrix(np.full((10, 2), 0.5))
@@ -97,9 +103,8 @@ class TestNestedHierarchy:
         [(0, None, 0.5), (1, 4, 0.5), (2, 8, 0.5), (3, 4, 1.0)],
     )
     def test_levels_nest(self, seed, min_finest, k0_fraction):
-        hierarchy = run_mcpl(
-            nested_centroids(610 + seed), eta=0.05, k0_fraction=k0_fraction,
-            seed=seed, min_finest=min_finest,
+        hierarchy = full_hierarchy(
+            nested_centroids(610 + seed), min_finest or 2, k0_fraction, seed,
         )
         assert hierarchy.depth >= 2
         for (_, fine), (_, coarse) in zip(hierarchy.levels, hierarchy.levels[1:]):
@@ -110,16 +115,15 @@ class TestNestedHierarchy:
             np.testing.assert_array_equal(pairs[:, 0], np.arange(fine.k))
 
     def test_final_clustering_returns_a_level_of_k_star_clusters(self):
-        # the 8 tight groups in 2 super-groups: Ward's cut at each level's k
-        # is that level
+        # the 8 tight groups in 2 super-groups: the final partition at each
+        # level's k is that level, bit for bit
         stacked = nested_centroids(600)
-        hierarchy = run_mcpl(stacked, eta=0.05, k0_fraction=0.5, seed=0)
+        finest = run_mcpl(stacked, eta=0.05, k0_fraction=0.5, seed=0)
+        hierarchy = final_clustering(stacked, finest, 2, 0.5).hierarchy
+        assert hierarchy.depth >= 3
         for k, level in hierarchy.levels:
-            got = final_clustering(stacked, hierarchy, k_star=k).server_assignments
-            pairs = np.unique(np.column_stack([level.assignments, got.assignments]), axis=0)
-            # one to one: the level's partition up to relabelling
-            assert pairs.shape[0] == k
-            assert np.unique(pairs[:, 1]).size == k
+            got = final_clustering(stacked, finest, k, 0.5).server_assignments
+            np.testing.assert_array_equal(got.assignments, level.assignments)
 
     def test_final_clustering_logs_its_start(self, caplog):
         # 6 finest clusters over 30 rows, in 3 pairs of near ones: the cut at
@@ -128,8 +132,8 @@ class TestNestedHierarchy:
         stacked = DataMatrix(np.column_stack([fine // 2 * 10.0 + fine % 2, np.zeros(30)]))
         hierarchy = Hierarchy(levels=[(6, AffiliationMatrix(fine, k=6))])
         with caplog.at_level("INFO", logger="fedhire.server"):
-            result = final_clustering(stacked, hierarchy, k_star=3)
-            final_clustering(stacked, hierarchy, k_star=7)
+            result = final_clustering(stacked, hierarchy, 3, 0.5)
+            final_clustering(stacked, hierarchy, 7, 0.5)
         assert result.iterations_used == 3
         np.testing.assert_array_equal(result.server_assignments.assignments, fine // 2)
         assert [r.getMessage() for r in caplog.records] == [
@@ -142,10 +146,10 @@ class TestNestedHierarchy:
         finest = AffiliationMatrix(np.array([0, 1, 3, 0, 1, 3]), k=5)
         stacked = DataMatrix(np.array([[0.0], [5.0], [9.0], [0.5], [5.5], [9.5]]))
         hierarchy = Hierarchy(levels=[(5, finest)])
-        at_four = final_clustering(stacked, hierarchy, k_star=4)
+        at_four = final_clustering(stacked, hierarchy, 4, 0.5)
         assert at_four.iterations_used == 2
         np.testing.assert_array_equal(at_four.server_assignments.assignments, [0, 1, 2, 0, 1, 3])
-        at_three = final_clustering(stacked, hierarchy, k_star=3)
+        at_three = final_clustering(stacked, hierarchy, 3, 0.5)
         assert at_three.iterations_used == 0
         np.testing.assert_array_equal(at_three.server_assignments.assignments, [0, 1, 2, 0, 1, 2])
 
@@ -194,21 +198,21 @@ class TestFinalClustering:
         codes = np.array([0, 1, 2, 0, 1, 2, 0, 1])
         stacked = DataMatrix(np.column_stack([codes * 3.0 + 0.01 * np.arange(8), codes]))
         hierarchy = Hierarchy(levels=[(3, AffiliationMatrix(codes, k=3))])
-        result = final_clustering(stacked, hierarchy, k_star=3)
+        result = final_clustering(stacked, hierarchy, 3, 0.5)
         np.testing.assert_array_equal(result.server_assignments.assignments, codes)
         assert result.iterations_used == 0
 
     def test_every_object_its_own_cluster(self):
         stacked = DataMatrix(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]]))
-        result = final_clustering(stacked, singletons(4), k_star=4)
+        result = final_clustering(stacked, singletons(4), 4, 0.5)
         np.testing.assert_array_equal(result.server_assignments.assignments, np.arange(4))
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         stacked = DataMatrix(rng.random((30, 3)))
         hierarchy = Hierarchy(levels=[(8, AffiliationMatrix(np.arange(30) % 8, k=8))])
-        r1 = final_clustering(stacked, hierarchy, k_star=4)
-        r2 = final_clustering(stacked, hierarchy, k_star=4)
+        r1 = final_clustering(stacked, hierarchy, 4, 0.5)
+        r2 = final_clustering(stacked, hierarchy, 4, 0.5)
         np.testing.assert_array_equal(
             r1.server_assignments.assignments, r2.server_assignments.assignments
         )
@@ -216,17 +220,17 @@ class TestFinalClustering:
     def test_k_star_bounds(self):
         stacked = DataMatrix(np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError, match=r"k_star must be in \[2, 2\], got 3"):
-            final_clustering(stacked, singletons(2), k_star=3)
+            final_clustering(stacked, singletons(2), 3, 0.5)
         with pytest.raises(ValueError, match=r"k_star must be in \[2, 2\], got 1"):
-            final_clustering(stacked, singletons(2), k_star=1)
+            final_clustering(stacked, singletons(2), 1, 0.5)
         with pytest.raises(ValueError, match="the hierarchy covers 3 rows, the stack has 2"):
-            final_clustering(stacked, singletons(3), k_star=2)
+            final_clustering(stacked, singletons(3), 2, 0.5)
 
     def test_no_empty_clusters(self):
         rng = np.random.default_rng(5)
         stacked = DataMatrix(rng.random((40, 2)))
         hierarchy = Hierarchy(levels=[(9, AffiliationMatrix(rng.integers(0, 9, size=40), k=9))])
-        result = final_clustering(stacked, hierarchy, k_star=5)
+        result = final_clustering(stacked, hierarchy, 5, 0.5)
         counts = np.bincount(result.server_assignments.assignments, minlength=5)
         assert (counts > 0).all()
 
@@ -249,7 +253,7 @@ class TestFinalClustering:
             values = values[rng.integers(0, max(1, n // 3), size=n)]
         finest = rng.integers(0, min(level_k, n), size=n)
         hierarchy = Hierarchy(levels=[(level_k, AffiliationMatrix(finest, k=level_k))])
-        got = final_clustering(DataMatrix(values), hierarchy, k_star).server_assignments
+        got = final_clustering(DataMatrix(values), hierarchy, k_star, 0.5).server_assignments
         assert got.k == k_star
         assert (np.bincount(got.assignments, minlength=k_star) > 0).all()
         clusters, leaf, counts = np.unique(finest, return_inverse=True, return_counts=True)
@@ -267,6 +271,41 @@ class TestFinalClustering:
             heights[m - k_star - 1], heights[m - k_star], rtol=1e-9, atol=0
         ):
             np.testing.assert_array_equal(got.assignments, partitions[k_star][leaf])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 60), d=st.integers(1, 6), level_k=st.integers(2, 30),
+        k_star=st.integers(2, 12), k0_fraction=st.sampled_from([0.25, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the cut over the rows, and a finest level of exactly k* clusters
+    @example(n=12, d=2, level_k=3, k_star=5, k0_fraction=0.5, seed=0)
+    @example(n=40, d=2, level_k=4, k_star=4, k0_fraction=0.5, seed=2)
+    def test_levels_nest_down_to_two_through_k_star(self, n, d, level_k, k_star, k0_fraction, seed):
+        rng = np.random.default_rng(seed)
+        k_star = min(k_star, n)
+        finest = rng.integers(0, min(level_k, n), size=n)
+        given_level = AffiliationMatrix(finest, k=level_k)
+        result = final_clustering(
+            DataMatrix(rng.random((n, d))), Hierarchy(levels=[(level_k, given_level)]),
+            k_star, k0_fraction,
+        )
+        hierarchy = result.hierarchy
+        ks = hierarchy.level_ks
+        assert ks[-1] == 2 and all(a > b for a, b in zip(ks, ks[1:]))
+        at_k_star = hierarchy.levels[ks.index(k_star)][1]
+        np.testing.assert_array_equal(at_k_star.assignments, result.server_assignments.assignments)
+        if np.unique(finest).size < k_star:
+            # over the rows, the hierarchy starts at the k* cut
+            assert ks[0] == k_star
+        else:
+            assert hierarchy.levels[0][1] is given_level and hierarchy.heights[0] == 0.0
+        for (_, fine), (k, coarse) in zip(hierarchy.levels, hierarchy.levels[1:]):
+            assert (np.bincount(coarse.assignments, minlength=k) > 0).all()
+            pairs = np.unique(np.column_stack([fine.assignments, coarse.assignments]), axis=0)
+            # each finer cluster lies inside one coarser cluster
+            assert np.unique(pairs[:, 0]).size == pairs.shape[0]
+        assert all(a <= b for a, b in zip(hierarchy.heights, hierarchy.heights[1:]))
 
 
 class TestWard:
@@ -295,8 +334,7 @@ class TestWard:
         np.testing.assert_allclose(
             ordered, want_heights, rtol=1e-12, atol=1e-12 * ordered.max(initial=0.0)
         )
-        for k in range(1, m + 1):
-            got = cut(merges, heights, k)
+        for k, (got, _) in zip(range(m, 0, -1), cuts(merges, heights, list(range(m, 0, -1)))):
             assert np.bincount(got).size == k and (np.bincount(got) > 0).all()
             # a cut inside a tie (duplicate rows merge at height 0 in any
             # order) is one of several equal ones
@@ -311,13 +349,15 @@ class TestWard:
         rng = np.random.default_rng(4)
         values = rng.random((25, 3))
         merges, heights = ward_merges(values, np.ones(25))
-        for k in range(1, 25):
-            labels = cut(merges, heights, k)
+        rising = np.sort(heights)
+        for k, (labels, height) in zip(range(25, 0, -1), cuts(merges, heights, list(range(25, 0, -1)))):
             sse = sum(
                 ((values[labels == j] - values[labels == j].mean(axis=0)) ** 2).sum()
                 for j in range(k)
             )
-            assert sse == pytest.approx(np.sort(heights)[: 25 - k].sum(), rel=1e-9)
+            assert sse == pytest.approx(rising[: 25 - k].sum(), rel=1e-9)
+            # a cut's height is that of the last merge it applied
+            assert height == (rising[24 - k] if k < 25 else 0.0)
 
 
 class TestPropagateLabels:
@@ -377,6 +417,7 @@ def _fake_global(server_labels, k):
     return GlobalClustering(
         server_assignments=AffiliationMatrix(np.asarray(server_labels), k=k),
         iterations_used=1,
+        hierarchy=None,
     )
 
 
