@@ -39,7 +39,9 @@
  * that loop is slower than its default code. Every clone gives the same
  * bits. The kernel allocates nothing: its scratch is numpy's too. The
  * package calls fh_cpl, fh_kmeans, fh_ward and fh_choice, the seeded draw of
- * the objects that start a run or a k-means; every other function is static.
+ * the objects that start a run or a k-means (a partial Fisher-Yates shuffle
+ * on SplitMix64, all 64-bit integer code, which tests/oracles.py repeats);
+ * every other function is static.
  */
 #include <math.h>
 #include <stdint.h>
@@ -881,191 +883,33 @@ void fh_ward(int64_t m, int64_t d, const double *centres, double *weights,
     }
 }
 
-/* The seeded draw of the initial centroids: what numpy 2's
- * np.random.default_rng(seed).choice(n, size=k, replace=False) gives, drawn
- * the same way, integer operation for integer operation. NEP 19 fixes
- * numpy's SeedSequence and PCG64 streams but not Generator.choice, so the
- * draw is the kernel's own from here on, pinned against numpy's in the
- * tests. */
-
-/* numpy's SeedSequence constants (a pool of 4 32-bit words) and PCG64's
- * 128-bit multiplier. */
-#define SEED_POOL 4
-#define SEED_INIT_A 0x43b0d7e5u
-#define SEED_MULT_A 0x931e8875u
-#define SEED_INIT_B 0x8b51f9ddu
-#define SEED_MULT_B 0x58f38dedu
-#define SEED_MIX_L 0xca01f9ddu
-#define SEED_MIX_R 0x4973f715u
-#define PCG_MULT \
-    (((unsigned __int128)0x2360ed051fc65da4u << 64) | 0x4385df649fccf645u)
-
-/* A PCG64 generator and the upper half of its last 64-bit output, which
- * the next 32-bit draw returns. */
-struct pcg64 {
-    unsigned __int128 state, inc;
-    int has_half;
-    uint32_t half;
-};
-
-static uint32_t seed_hashmix(uint32_t value, uint32_t *hash)
+/* k distinct indices of 0..n-1, 1 <= k <= n, into out: the first k places
+ * of a partial Fisher-Yates shuffle of 0..n-1 laid out in scratch (n
+ * entries). Each swap place is drawn from SplitMix64 (Steele, Lea & Flood,
+ * OOPSLA 2014), whose stream starts at the first output of a SplitMix64
+ * seeded with seed, so that seeds one golden-gamma step apart do not draw
+ * one stream shifted by a step. A draw below span redraws while its output
+ * is below 2^64 mod span, so each place is equally likely. */
+static uint64_t splitmix64(uint64_t *state)
 {
-    value ^= *hash;
-    *hash *= SEED_MULT_A;
-    value *= *hash;
-    return value ^ value >> 16;
+    uint64_t z = *state += 0x9e3779b97f4a7c15u;
+    z = (z ^ z >> 30) * 0xbf58476d1ce4e5b9u;
+    z = (z ^ z >> 27) * 0x94d049bb133111ebu;
+    return z ^ z >> 31;
 }
 
-static uint32_t seed_mix(uint32_t x, uint32_t y)
+void fh_choice(uint64_t seed, int64_t n, int64_t k, int64_t *out, int64_t *scratch)
 {
-    uint32_t result = SEED_MIX_L * x - SEED_MIX_R * y;
-    return result ^ result >> 16;
-}
-
-/* Word i of the seed, the non-negative integer whose little-endian bytes
- * are seed. */
-static uint32_t seed_word(const unsigned char *seed, int64_t i)
-{
-    const unsigned char *b = seed + 4 * i;
-    return (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
-        | (uint32_t)b[3] << 24;
-}
-
-/* PCG64(SeedSequence(seed)) for a seed of words 32-bit words: the words
- * mixed into the pool, then each of the pool's first 8 output words hashed
- * once more, as the 128-bit state seed and stream of pcg64_set_seed. */
-static void pcg64_seed(struct pcg64 *g, const unsigned char *seed, int64_t words)
-{
-    uint32_t pool[SEED_POOL], hash = SEED_INIT_A, out[8];
-    for (int i = 0; i < SEED_POOL; i++)
-        pool[i] = seed_hashmix(i < words ? seed_word(seed, i) : 0, &hash);
-    for (int src = 0; src < SEED_POOL; src++)
-        for (int dst = 0; dst < SEED_POOL; dst++)
-            if (src != dst)
-                pool[dst] = seed_mix(pool[dst], seed_hashmix(pool[src], &hash));
-    for (int64_t src = SEED_POOL; src < words; src++)
-        for (int dst = 0; dst < SEED_POOL; dst++)
-            pool[dst] = seed_mix(pool[dst], seed_hashmix(seed_word(seed, src), &hash));
-    hash = SEED_INIT_B;
-    for (int i = 0; i < 8; i++) {
-        uint32_t value = pool[i % SEED_POOL] ^ hash;
-        hash *= SEED_MULT_B;
-        value *= hash;
-        out[i] = value ^ value >> 16;
+    uint64_t state = splitmix64(&seed);
+    for (int64_t i = 0; i < n; i++)
+        scratch[i] = i;
+    for (int64_t i = 0; i < k; i++) {
+        uint64_t span = (uint64_t)(n - i), x = splitmix64(&state);
+        while (x < -span % span)
+            x = splitmix64(&state);
+        int64_t j = i + (int64_t)(x % span), kept = scratch[j];
+        scratch[j] = scratch[i];
+        scratch[i] = kept;
     }
-    unsigned __int128 word[4];
-    for (int i = 0; i < 4; i++)
-        word[i] = (uint64_t)out[2 * i] | (uint64_t)out[2 * i + 1] << 32;
-    g->inc = (word[2] << 64 | word[3]) << 1 | 1;
-    g->state = g->inc;
-    g->state = g->state + (word[0] << 64 | word[1]);
-    g->state = g->state * PCG_MULT + g->inc;
-    g->has_half = 0;
-}
-
-/* The next 64-bit output: a step, then the xor of the state's halves
- * rotated right by its top 6 bits. */
-static uint64_t pcg64_next64(struct pcg64 *g)
-{
-    g->state = g->state * PCG_MULT + g->inc;
-    uint64_t value = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
-    unsigned rot = (unsigned)(g->state >> 122);
-    return value >> rot | value << (-rot & 63);
-}
-
-/* The next 32-bit output: the low half of a fresh 64-bit output, then its
- * high half. */
-static uint32_t pcg64_next32(struct pcg64 *g)
-{
-    if (g->has_half) {
-        g->has_half = 0;
-        return g->half;
-    }
-    uint64_t next = pcg64_next64(g);
-    g->has_half = 1;
-    g->half = (uint32_t)(next >> 32);
-    return (uint32_t)next;
-}
-
-/* A draw from 0..top: Lemire's multiply-and-reject on 32-bit outputs below
- * 2^32 - 1, one 32-bit output at 2^32 - 1, and Lemire's on 64-bit outputs
- * above (numpy's random_bounded_uint64, unmasked). */
-static uint64_t draw_below(struct pcg64 *g, uint64_t top)
-{
-    if (top == 0)
-        return 0;
-    if (top < 0xffffffffu) {
-        uint32_t span = (uint32_t)top + 1;
-        uint64_t m = (uint64_t)pcg64_next32(g) * span;
-        if ((uint32_t)m < span) {
-            uint32_t threshold = (uint32_t)(0xffffffffu - top) % span;
-            while ((uint32_t)m < threshold)
-                m = (uint64_t)pcg64_next32(g) * span;
-        }
-        return m >> 32;
-    }
-    if (top == 0xffffffffu)
-        return pcg64_next32(g);
-    if (top == UINT64_MAX)
-        return pcg64_next64(g);
-    uint64_t span = top + 1;
-    unsigned __int128 m = (unsigned __int128)pcg64_next64(g) * span;
-    if ((uint64_t)m < span) {
-        uint64_t threshold = (UINT64_MAX - top) % span;
-        while ((uint64_t)m < threshold)
-            m = (unsigned __int128)pcg64_next64(g) * span;
-    }
-    return (uint64_t)(m >> 64);
-}
-
-/* k distinct indices of 0..n-1, 1 <= k <= n, into out, drawn from
- * PCG64(SeedSequence(seed)) as Generator.choice draws them; seed is given
- * as the little-endian bytes of its words 32-bit words. For n > 10000 and
- * k > n / 50, a
- * Fisher-Yates shuffle of the last k places of 0..n-1 laid out in scratch
- * (n entries). Otherwise Floyd's algorithm: for j from n - k to n - 1, a
- * draw from 0..j, or j itself if that draw was picked before, found in an
- * open-addressing table in scratch of the least power of two above
- * (uint64)(1.2 k) entries; then a Fisher-Yates shuffle of the k picks. */
-void fh_choice(const unsigned char *seed, int64_t words, int64_t n, int64_t k,
-               int64_t *out, uint64_t *scratch)
-{
-    struct pcg64 g;
-    pcg64_seed(&g, seed, words);
-    if (n > 10000 && k > n / 50) {
-        int64_t *places = (int64_t *)scratch;
-        for (int64_t i = 0; i < n; i++)
-            places[i] = i;
-        for (int64_t i = n - 1; i >= (n - k > 1 ? n - k : 1); i--) {
-            int64_t j = (int64_t)draw_below(&g, (uint64_t)i), kept = places[j];
-            places[j] = places[i];
-            places[i] = kept;
-        }
-        memcpy(out, places + n - k, (size_t)k * sizeof *out);
-        return;
-    }
-    uint64_t mask = (uint64_t)(1.2 * (double)k);
-    for (int shift = 1; shift < 64; shift *= 2)
-        mask |= mask >> shift;
-    for (uint64_t i = 0; i <= mask; i++)
-        scratch[i] = UINT64_MAX;
-    for (int64_t j = n - k; j < n; j++) {
-        uint64_t pick = draw_below(&g, (uint64_t)j), at = pick & mask;
-        while (scratch[at] != UINT64_MAX && scratch[at] != pick)
-            at = (at + 1) & mask;
-        if (scratch[at] == UINT64_MAX) {
-            scratch[at] = pick;
-        } else {
-            pick = (uint64_t)j;
-            for (at = pick & mask; scratch[at] != UINT64_MAX; at = (at + 1) & mask)
-                ;
-            scratch[at] = pick;
-        }
-        out[j - n + k] = (int64_t)pick;
-    }
-    for (int64_t i = k - 1; i >= 1; i--) {
-        int64_t j = (int64_t)draw_below(&g, (uint64_t)i), kept = out[j];
-        out[j] = out[i];
-        out[i] = kept;
-    }
+    memcpy(out, scratch, (size_t)k * sizeof *out);
 }

@@ -132,10 +132,10 @@ def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # m and d, then the buffers by the addresses that ``address`` checked
     lib.fh_ward.argtypes = [*(ctypes.c_int64,) * 2, *(ctypes.c_void_p,) * 6]
     lib.fh_ward.restype = None
-    # the seed's little-endian bytes, its count of 32-bit words, n, k, and
-    # the addresses of the k int64 draws and of the int64 scratch
+    # the seed, n, k, and the addresses of the k int64 draws and of the n
+    # int64 entries of scratch
     lib.fh_choice.argtypes = [
-        ctypes.c_char_p, *(ctypes.c_int64,) * 3, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_uint64, *(ctypes.c_int64,) * 2, ctypes.c_void_p, ctypes.c_void_p,
     ]
     lib.fh_choice.restype = None
     return lib

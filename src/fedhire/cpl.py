@@ -35,8 +35,8 @@ Scoring details, fixed across the package:
   only on its object and those two rows, so a reused column is bitwise the
   column a recomputation would give.
 - A run is one kernel call, ``fh_cpl``, given the values and the indices of
-  the seed objects, which the kernel's ``fh_choice`` draws as numpy's
-  ``Generator.choice`` would (``draw_distinct``). It seeds the initial state
+  the seed objects, which the kernel's ``fh_choice`` draws from a SplitMix64
+  stream keyed by ``rng_seed`` (``draw_distinct``). It seeds the initial state
   in the run's arenas, runs every epoch: the similarity columns (``fh_columns`` writes the floored
   ``exp(-D)`` of the changed columns into the cache), the epoch itself
   (``fh_epoch``: gamma, the presentation loop, the win counts, the centroid
@@ -126,32 +126,21 @@ def derive_seed(seed: int, key: int) -> int:
 
 
 def draw_distinct(seed: int, n: int, k: int) -> np.ndarray:
-    """k distinct indices of range(n), 1 <= k <= n: those of
-    ``np.random.default_rng(seed).choice(n, size=k, replace=False)``, drawn
-    by ``fh_choice`` in the kernel the same way, without numpy's Generator.
-    ``seed`` is refused as numpy refuses it: a negative one with a
-    ValueError, one that is not an integer with a TypeError."""
+    """k distinct indices of range(n), 1 <= k <= n, drawn by the kernel's
+    ``fh_choice``: the first k places of a partial Fisher-Yates shuffle of
+    range(n) on a SplitMix64 stream keyed by ``seed``, an integer in
+    [0, 2**64). ``tests/oracles.py`` repeats the draw in Python."""
     if not 1 <= k <= n:
         raise ValueError(f"cannot draw {k} distinct indices of {n}")
     if not isinstance(seed, numbers.Integral):
-        raise TypeError(f"SeedSequence expects int or sequence of ints for entropy not {seed}")
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    seed = int(seed)
-    words = max(1, -(-seed.bit_length() // 32))
-    # numpy shuffles the tail of all n indices when k is a large share of a
-    # large n, and otherwise keeps Floyd's picks in a table of the least
-    # power of two above int(1.2 k) entries
-    tail = n > 10000 and k > n // 50
-    scratch = np.empty(n if tail else 1 << int(1.2 * k).bit_length(), np.int64)
-    out = np.empty(k, np.int64)
-    out_address, scratch_address = (
-        ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (out, scratch)
-    )
-    _kernel.library().fh_choice(
-        seed.to_bytes(4 * words, "little"), words, n, k, out_address, scratch_address
-    )
-    return out
+        raise TypeError(f"the seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"the seed must lie in [0, 2**64), got {seed}")
+    # the k draws, then the n entries of the shuffle
+    buffer = np.empty(n + k, np.int64)
+    address = ctypes.addressof(ctypes.c_char.from_buffer(buffer))
+    _kernel.library().fh_choice(int(seed), n, k, address, address + 8 * k)
+    return buffer[:k]
 
 
 @dataclass
@@ -174,6 +163,8 @@ class CplConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.rng_seed >= 2**64:
+            raise ValueError(f"rng_seed must be < 2**64, got {self.rng_seed}")
 
 
 @dataclass

@@ -529,6 +529,33 @@ def scalar_feature_weights(values, assignments, centroids, k):
     return out
 
 
+MASK64 = 2**64 - 1
+
+
+def splitmix64(state):
+    """(next state, output) of SplitMix64, as ``splitmix64`` of _kernel.c."""
+    state = (state + 0x9E3779B97F4A7C15) & MASK64
+    z = ((state ^ state >> 30) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ z >> 27) * 0x94D049BB133111EB) & MASK64
+    return state, z ^ z >> 31
+
+
+def draw_distinct(seed, n, k):
+    """The kernel's ``fh_choice`` in Python: a partial Fisher-Yates shuffle of
+    range(n) whose swap places come from the SplitMix64 stream that starts
+    at the seed's first output, each redrawn below 2**64 mod span."""
+    state = splitmix64(seed)[1]
+    places = list(range(n))
+    for i in range(k):
+        span = n - i
+        state, x = splitmix64(state)
+        while x < 2**64 % span:
+            state, x = splitmix64(state)
+        j = i + x % span
+        places[i], places[j] = places[j], places[i]
+    return np.array(places[:k], dtype=np.int64)
+
+
 def kmeans(data, k, seed, max_iters=KMEANS_MAX_ITERS):
     """The numpy form of the fragmentation k-means, Lloyd's loop in numpy.
 
@@ -543,8 +570,7 @@ def kmeans(data, k, seed, max_iters=KMEANS_MAX_ITERS):
     n, d = values.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.default_rng(seed)
-    centroids = values[rng.choice(n, size=k, replace=False)].copy()
+    centroids = values[draw_distinct(seed, n, k)].copy()
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
         dists = np.zeros((n, k))

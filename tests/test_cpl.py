@@ -797,6 +797,13 @@ class TestCplConfig:
         with pytest.raises(ValueError, match="rng_seed must be >= 0, got -1"):
             CplConfig(eta=0.05, k0=5, rng_seed=-1)
 
+    def test_rng_seed_beyond_64_bits_names_the_setting(self):
+        # the seed keys a 64-bit generator: 2**64 - 1 is the last seed
+        assert CplConfig(eta=0.05, k0=5, rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+        for seed in (2**64, 2**100):
+            with pytest.raises(ValueError, match=rf"^rng_seed must be < 2\*\*64, got {seed}$"):
+                CplConfig(eta=0.05, k0=5, rng_seed=seed)
+
     def test_numpy_integers_accepted(self):
         config = CplConfig(
             eta=1e-9, k0=np.int64(5), max_epochs=np.int32(1), rng_seed=np.uint32(0)
@@ -902,7 +909,7 @@ class TestRunCpl:
         )
         for k0, stop in [(10, FIXED_POINT), (40, TWO_CYCLE)]:
             stop = stop if max_epochs == 100 else CAP
-            config = CplConfig(eta=0.05, k0=k0, max_epochs=max_epochs, rng_seed=2)
+            config = CplConfig(eta=0.05, k0=k0, max_epochs=max_epochs, rng_seed=4)
             result = run_cpl(four_blob_data, config)
             assert result.converged is (stop != CAP)
             calls.clear()
@@ -991,7 +998,7 @@ def seeded_state(values, config):
     """(state, M rows, empty streaks) as ``fh_cpl`` seeds a run of ``run_cpl``
     over ``values`` with ``config``."""
     n, d = values.shape
-    seeds = np.random.default_rng(config.rng_seed).choice(n, size=config.k0, replace=False)
+    seeds = oracles.draw_distinct(config.rng_seed, n, config.k0)
     state, rows = make_state(values[seeds]), np.full((config.k0, d), 1.0 / d)
     return state, rows, np.zeros(config.k0, dtype=np.int64)
 
@@ -1041,7 +1048,7 @@ def fixed_point_epochs(values, config):
 # fairness factor handing each epoch to the one that won less. A stop on a
 # fixed point alone runs it to the 100-epoch cap; the two-cycle stop ends it
 # at its third epoch, whose assignments repeat the first's
-TWO_CYCLE_CASE = (np.array([[0.0], [0.0], [0.5], [0.5]]), CplConfig(eta=0.05, k0=2))
+TWO_CYCLE_CASE = (np.array([[0.5], [0.0], [0.0], [0.5]]), CplConfig(eta=0.05, k0=2))
 
 
 # (values, config) of runs at the edges of the compaction: pairs of equal
@@ -1221,9 +1228,7 @@ class TestCplLoop:
         # row already holds the assignments of its epoch 1 runs on as one
         # whose row holds the arena's fill
         values, config = TWO_CYCLE_CASE
-        seeds = np.random.default_rng(config.rng_seed).choice(
-            values.shape[0], size=config.k0, replace=False
-        )
+        seeds = oracles.draw_distinct(config.rng_seed, values.shape[0], config.k0)
         runs = [kernel_steps.seeded_run(values, seeds) for _ in range(2)]
         lib = _kernel.library()
         assert lib.fh_cpl(runs[0].ref, None, config.eta, 3, runs[0].info_address) == 0

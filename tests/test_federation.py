@@ -551,30 +551,51 @@ class TestReplacedForms:
             run_one_shot(data, config, plan=plan)
 
 
-# (n, k): below and above numpy's switch to a tail shuffle (n > 10000 and
-# k > n // 50), every k of small n, and draws from beyond 2^32
-CHOICE_GRID = [
-    (1, 1), (2, 2), (5, 1), (5, 3), (5, 5), (64, 32), (250, 125), (998, 499),
-    (2000, 64), (10000, 5000), (10001, 200), (10001, 201), (20000, 300),
-    (20000, 20000), (2**33, 3),
-]
-CHOICE_SEEDS = [0, 1, 7, 4096, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 77]
+GAMMA = 0x9E3779B97F4A7C15
 
 
-@pytest.mark.parametrize("n, k", CHOICE_GRID)
-def test_draw_distinct_pins_numpys_choice(n, k):
-    for seed in CHOICE_SEEDS:
-        want = np.random.default_rng(seed).choice(n, size=k, replace=False)
-        np.testing.assert_array_equal(cpl.draw_distinct(seed, n, k), want)
+@settings(max_examples=200, deadline=None)
+@given(
+    cell=st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+)
+@example((1, 1), 0)
+@example((5, 5), 2**32 - 1)
+@example((20000, 300), 2**64 - 1)
+@example((20000, 20000), 7)
+def test_draw_distinct_is_the_oracles_draw(cell, seed):
+    n, k = cell
+    got = cpl.draw_distinct(seed, n, k)
+    np.testing.assert_array_equal(got, oracles.draw_distinct(seed, n, k))
+    assert got.dtype == np.int64 and got.shape == (k,)
+    assert np.unique(got).size == k and 0 <= got.min() and got.max() < n
 
 
-def test_draw_distinct_refuses_the_seeds_numpy_refuses():
-    for seed in (-1, 1.5, "3"):
-        with pytest.raises(Exception) as want:
-            np.random.default_rng(seed)
-        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+@pytest.mark.parametrize("seed", [0, 1, 4096, 2**32 - 1, 2**64 - 2 - GAMMA])
+def test_seeds_a_step_or_a_gamma_apart_draw_unrelated_indices(seed):
+    # 200 of 10^4 indices: two unrelated draws share about 4. Seeds GAMMA
+    # apart would start one stream a step apart if the key were not mixed
+    # first, so the draw of (n - 1, k - 1), shifted up by one, would repeat
+    # the first's last k - 1 places
+    n, k = 10**4, 200
+    first = set(cpl.draw_distinct(seed, n, k).tolist())
+    for other in (seed + 1, seed + GAMMA):
+        assert len(first & set(cpl.draw_distinct(other, n, k).tolist())) <= 20
+        shifted = set((cpl.draw_distinct(other, n - 1, k - 1) + 1).tolist())
+        assert len(first & shifted) <= 20
+
+
+def test_draw_distinct_refuses_seeds_and_sizes_out_of_range():
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(ValueError, match=rf"^the seed must lie in \[0, 2\*\*64\), got {seed}$"):
+            cpl.draw_distinct(seed, 4, 2)
+    for seed in (1.5, "3", None):
+        with pytest.raises(TypeError, match=f"^the seed must be an integer, got {re.escape(repr(seed))}$"):
             cpl.draw_distinct(seed, 4, 2)
     np.testing.assert_array_equal(cpl.draw_distinct(np.int64(9), 7, 3), cpl.draw_distinct(9, 7, 3))
+    np.testing.assert_array_equal(
+        cpl.draw_distinct(np.uint64(2**64 - 1), 7, 3), cpl.draw_distinct(2**64 - 1, 7, 3)
+    )
     for n, k in ((5, 6), (20000, 20001), (5, 0), (0, 0)):
         with pytest.raises(ValueError, match=f"^cannot draw {k} distinct indices of {n}$"):
             cpl.draw_distinct(0, n, k)
