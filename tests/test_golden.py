@@ -67,17 +67,17 @@ def one_shot_digest(name: str) -> str:
 
 
 CPL_GOLDEN = {
-    (2, "fraction"): "0468e6e591fd1d2c7c6a4176717bfe834f3a8689999fe73af5df5f4e65e7f7fd",
-    (2, "absolute"): "51d7acada6272f4b02e8cc1c4742ebbcdf5a7222c972bdcf7b5fa7cb1ebb7dc5",
-    (4, "fraction"): "f6613959cdfff56afc5f1baf6dc4f03a1e2df3337325cd46bb44b37f85dc4e77",
-    (4, "absolute"): "b7730ccd3d13407a9f31e08b85229220d1c13d260ff26d00c31254fc9753dbfa",
-    (16, "fraction"): "b12c8ca41698efc9e13381c1ca279832813cc06d8f9230fab6403c3add0ed7bf",
-    (16, "absolute"): "e75464783cbaf8b99ef3e8b032dc72beb633f5ddf5550d901093230b746bcbff",
+    (2, "fraction"): "937a3c63b02d46e468ebeda60cf657b06c494f773d59e69eca484d61a99e411e",
+    (2, "absolute"): "a12de4b7da81b6ceebe257f62eaced83550053a3dd23d3f0ea9342507df89654",
+    (4, "fraction"): "d5487702f7df77dd6ef65b239107c0ecb902dba67abe1a34312fdc14580c04f5",
+    (4, "absolute"): "b15f209a51c1af4c543bb4e9e04981b3bce5a7d7037b49de24b1ebdcf3483a70",
+    (16, "fraction"): "419014262d209f5b0155e790ffe17c725eb536d2849ced7608c956663c3aff5e",
+    (16, "absolute"): "90440e3571912f2ff778989eb22c3ab3dc9f569dc3cd8c3b335ba526cc68768b",
 }
 
 ONE_SHOT_GOLDEN = {
-    "d2_fraction": "6b76ca6fff4b2895a80ff74dae1762f1ef942aae493c76b1515b2811793a486c",
-    "d4_absolute": "a413b04e3041d7aa87e16df657c86c891f70f842847cca319d57815d86a81349",
+    "d2_fraction": "1852a6932641501eed7f6e40f224b39f6ab7463a1b09387af7ce983110da8fe5",
+    "d4_absolute": "4913448ea155639a7526c55ff7827b953ee56aa0214a211c40bf056537575c8b",
 }
 
 
@@ -101,9 +101,9 @@ REPORT_SPECS = {
 }
 
 REPORT_GOLDEN = {
-    "d2_fraction": "7892377b6ebf84a2eaa8877a5f556c0b8fe204c77191b020490492270a063917",
-    "d4_absolute": "de2a22e4ada27681d45ef055d4626b7232fa96ee2607947c95be984ab83bcb88",
-    "skipped_client": "adeaa667870f4fbcade8affeac427f7b145a8e50b504d7ee32ab414b748e30f6",
+    "d2_fraction": "08b66aadd2dd788745c2e3867256e71285feaeab00ef6755d7cb81f6ff2a8a8f",
+    "d4_absolute": "2daf4d5c0cd69bf8477309fd24a493fdeec28892a29f01ca1a80fa88e458142c",
+    "skipped_client": "b7d432e9bb608a4a9999ad0dc3d34c21da745ebf33ca6dfce5fa7125cefe58f4",
 }
 
 
@@ -121,7 +121,7 @@ CLI_SPEC = {
     "fragments": 2, "repeats": 2, "seed": 4,
 }
 
-CLI_GOLDEN = "221fc2fbd3bb0ae1390dbd62132492c3aa326d7ccdc4d7315886df83d0e663b4"
+CLI_GOLDEN = "13371062b823975849d7e88d9c826583c9f5484b5e2b4e0bbcad49e639c7772c"
 
 
 def test_cli_run_determinism_hash(tmp_path, monkeypatch):
