@@ -345,6 +345,11 @@ def run_one_shot(
     timings["upload"] = time.perf_counter() - t0
     communicated = sum(p.centroids.size for p in payloads)
 
+    if config.k_star > stacked.object_count:
+        raise ExperimentError(
+            f"k_star={config.k_star} exceeds the {stacked.object_count} stacked "
+            f"clusterlet centroids"
+        )
     t0 = time.perf_counter()
     hierarchy = run_mcpl(
         stacked,
@@ -356,11 +361,6 @@ def run_one_shot(
     )
     timings["mcpl"] = time.perf_counter() - t0
 
-    if config.k_star > stacked.object_count:
-        raise ExperimentError(
-            f"k_star={config.k_star} exceeds the {stacked.object_count} stacked "
-            f"clusterlet centroids"
-        )
     t0 = time.perf_counter()
     global_clustering = final_clustering(stacked, hierarchy, config.k_star, config.k0_fraction)
     timings["final"] = time.perf_counter() - t0

@@ -353,6 +353,21 @@ class TestRunOneShot:
         with pytest.raises(ExperimentError):
             run_one_shot(data, config)
 
+    def test_k_star_above_the_stacked_rows_fails_before_the_server(self, monkeypatch):
+        # each client holds one point mass and uploads one clusterlet, so two
+        # stacked rows cannot make three clusters: no server stage is run
+        values = np.repeat([[0.0, 0.0], [1.0, 1.0]], 10, axis=0)
+        plan = PartitionPlan(client_indices=[np.arange(10), np.arange(10, 20)])
+        calls = []
+        monkeypatch.setattr(federation, "run_mcpl", lambda *a, **kw: calls.append(a))
+        with pytest.raises(
+            ExperimentError, match=r"^k_star=3 exceeds the 2 stacked clusterlet centroids$"
+        ):
+            run_one_shot(
+                DataMatrix(values), FederationConfig(client_count=2, k_star=3), plan=plan
+            )
+        assert calls == []
+
     def test_each_skipped_client_is_warned_once(self, caplog):
         # client 1 holds no object and client 2 too few; each is warned about
         # by the client step, once
