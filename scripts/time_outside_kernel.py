@@ -72,8 +72,8 @@ def outside_ms(n: int, d: int, k0_absolute: int | None) -> dict[str, float]:
 
         return call
 
-    # the kernel library with the KERNELS timed; the seeded draw, fh_choice,
-    # stands in for numpy's and counts as time outside them
+    # the kernel library with the KERNELS timed; the seeded SplitMix64 draw,
+    # fh_choice, is untimed and counts as time outside them
     timed = types.SimpleNamespace(
         fh_choice=lib.fh_choice, **{name: timed_kernel(name) for name in KERNELS}
     )

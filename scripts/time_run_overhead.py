@@ -4,8 +4,9 @@
 For each (n, k0, d) below, runs ``run_cpl`` ``REPEATS`` times on one table of
 uniform random values, with the kernel library's ``fh_cpl`` timed around
 each call, and prints the median microseconds of a call outside its
-``fh_cpl`` call: the seed indices (``fh_choice`` included), the run's
-buffers, the address checks, the result and its validation. Run from anywhere:
+``fh_cpl`` call: the seed indices (the SplitMix64 draw, ``fh_choice``,
+included), the run's buffers, the address checks, the result and its
+validation. Run from anywhere:
 
     python3 scripts/time_run_overhead.py
 """

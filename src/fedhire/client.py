@@ -23,7 +23,7 @@ class ClientPayload:
 
     Affiliation rows and clusterlet sizes never leave the client. Raw objects
     can: a clusterlet with a single member has that member's row as its
-    centroid, and uploads it unchanged (428 of the 998 uploaded rows on the
+    centroid, and uploads it unchanged (436 of the 999 uploaded rows on the
     ``wide_d16`` benchmark workload, data seed 0). ROADMAP item 5 plans to
     fold such clusterlets into their nearest survivor before upload.
     """
