@@ -568,6 +568,23 @@ class TestReplacedForms:
 
 GAMMA = 0x9E3779B97F4A7C15
 
+# (n, k): the cells that pinned the draw when it was numpy's Generator.choice
+# (below and above its switch to a tail shuffle at n > 10000 and k > n // 50,
+# every k of small n), now pinned to the oracle's draw. The shuffle lays out
+# all n places, so n stays within memory.
+CHOICE_GRID = [
+    (1, 1), (2, 2), (5, 1), (5, 3), (5, 5), (64, 32), (250, 125), (998, 499),
+    (2000, 64), (10000, 5000), (10001, 200), (10001, 201), (20000, 300),
+    (20000, 20000),
+]
+CHOICE_SEEDS = [0, 1, 7, 4096, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("n, k", CHOICE_GRID)
+def test_draw_distinct_pins_numpys_choice(n, k):
+    for seed in CHOICE_SEEDS:
+        np.testing.assert_array_equal(cpl.draw_distinct(seed, n, k), oracles.draw_distinct(seed, n, k))
+
 
 @settings(max_examples=200, deadline=None)
 @given(
