@@ -17,9 +17,11 @@
  * assignments are compared with those of the two epochs before, and unless
  * they repeat either, fh_refresh recomputes the feature weights of the
  * clusterlets whose members or centroid changed since the last refresh.
- * Last, compact packs the surviving clusterlets to the front of the state
- * arrays and remaps the final assignments onto them, so run_cpl only copies
- * the result out.
+ * After the last epoch, a client's run folds each clusterlet with fewer
+ * members than its floor into the nearest other (fold), so each centroid it
+ * uploads is the mean of at least that many objects; then compact packs the surviving clusterlets
+ * to the front of the state arrays and remaps the final assignments onto
+ * them, so run_cpl only copies the result out.
  *
  * The arithmetic is fixed, and the scalar forms kept as oracles in
  * tests/oracles.py repeat it bit for bit: every distance adds its feature
@@ -212,6 +214,7 @@ struct fh_run {
     double variance_floor;      /* VARIANCE_FLOOR */
     double entry_tolerance;     /* ENTRY_TOLERANCE */
     double row_sum_tolerance;   /* ROW_SUM_TOLERANCE */
+    int64_t min_members;        /* the fold's member floor; 1 skips the fold */
     const double *values;       /* n x d */
     double *sims;               /* n x k0, the floored exp(-D) columns */
     double *stored_centroids;   /* k0 x d, the rows each column was made from */
@@ -607,8 +610,10 @@ static int64_t fh_refresh(struct fh_run *r, const int64_t *assignments,
  * nearest active one, scanned in ascending index: the distance adds the terms
  * (d m_jz (x_iz - c_jz))^2 in feature order from 0.0, as fh_dissimilarities
  * does, and the first index of the smallest wins, a NaN first (argmin's
- * rule). */
-static void reassign_orphans(const struct fh_run *r, int64_t *assignments)
+ * rule). Each clusterlet that receives an object is marked in received,
+ * unless it is NULL. */
+static void reassign_orphans(const struct fh_run *r, int64_t *assignments,
+                             uint8_t *received)
 {
     int64_t n = r->n, d = r->d, k0 = r->k0;
     for (int64_t i = 0; i < n; i++) {
@@ -630,7 +635,67 @@ static void reassign_orphans(const struct fh_run *r, int64_t *assignments)
             }
         }
         assignments[i] = best;
+        if (received != NULL)
+            received[best] = 1;
     }
+}
+
+/* The fold of a run's final assignments row, after its last epoch: every
+ * active clusterlet with fewer than r->min_members members is deactivated,
+ * and the objects of those that own any go to the nearest active clusterlet
+ * (reassign_orphans). If no clusterlet has that many members, the first
+ * active one stays active and every object goes to it instead. Each
+ * clusterlet that received an object gets its centroid recomputed as the
+ * mean of its members, added in object order from 0.0; its other state and
+ * its M row stay those of the last epoch. Returns how many clusterlets that
+ * owned an object were folded into another. */
+static int64_t fold(struct fh_run *r, int64_t *row)
+{
+    int64_t n = r->n, d = r->d, k0 = r->k0, first = -1, kept = 0, folded = 0;
+    uint8_t *received = r->redo;
+    memset(r->counts, 0, (size_t)k0 * sizeof *r->counts);
+    memset(received, 0, (size_t)k0);
+    for (int64_t i = 0; i < n; i++)
+        r->counts[row[i]] += 1;
+    for (int64_t j = 0; j < k0; j++) {
+        if (!r->active[j])
+            continue;
+        if (first < 0)
+            first = j;
+        if (r->counts[j] >= r->min_members)
+            kept++;
+        else {
+            r->active[j] = 0;
+            folded += r->counts[j] > 0;
+        }
+    }
+    if (kept == 0) {
+        r->active[first] = 1;
+        folded -= r->counts[first] > 0;
+        for (int64_t i = 0; i < n; i++)
+            if (row[i] != first) {
+                row[i] = first;
+                received[first] = 1;
+            }
+    } else
+        reassign_orphans(r, row, received);
+    for (int64_t j = 0; j < k0; j++)
+        if (received[j]) {
+            r->counts[j] = 0;
+            memset(r->sums + j * d, 0, (size_t)d * sizeof *r->sums);
+        }
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = row[i];
+        if (!received[a])
+            continue;
+        r->counts[a] += 1;
+        for (int64_t z = 0; z < d; z++)
+            r->sums[a * d + z] += r->values[i * d + z];
+    }
+    for (int64_t j = 0; j < k0; j++)
+        for (int64_t z = 0; received[j] && z < d; z++)
+            r->centroids[j * d + z] = r->sums[j * d + z] / (double)r->counts[j];
+    return folded;
 }
 
 /* The initial state of a run from the indices of its k0 seed objects:
@@ -705,10 +770,12 @@ static int64_t compact(struct fh_run *r, int64_t *row)
  * Otherwise it refreshes the feature weights (fh_refresh), against the
  * previous row from epoch 1 on: that row is the last refresh's, since every
  * epoch that does not stop refreshes. So the M rows at the end are those the
- * final epoch scored with. Last, the survivors are compacted into the front
- * of the state (compact). info gets the epochs used, the stop (0 at the cap,
- * 1 at a fixed point, 2 at a two-cycle), the final row, the fallback rows of
- * every refresh, summed, and the survivor count. Returns 0; or, when a step
+ * final epoch scored with. Last, a run whose member floor r->min_members is
+ * above 1 folds the clusterlets below it into others (fold), and the
+ * survivors are compacted into the front of the state (compact). info gets
+ * the epochs used, the stop (0 at the cap, 1 at a fixed point, 2 at a
+ * two-cycle), the final row, the fallback rows of every refresh, summed, the
+ * survivor count and the folded clusterlets. Returns 0; or, when a step
  * fails, a negative code, with nothing compacted: fh_refresh's -1, -2 or -3,
  * or -4 if an epoch starts with fewer than two active clusterlets. */
 int64_t fh_cpl(struct fh_run *r, const int64_t *seeds, double eta,
@@ -726,7 +793,7 @@ int64_t fh_cpl(struct fh_run *r, const int64_t *seeds, double eta,
         if (orphans < 0)
             return -4;
         if (orphans > 0)
-            reassign_orphans(r, row);
+            reassign_orphans(r, row, NULL);
         /* the rows of epochs e - 1 and e - 2 */
         const int64_t *previous = r->assignments + ((epoch + 2) % 3) * n;
         const int64_t *before = r->assignments + ((epoch + 1) % 3) * n;
@@ -741,11 +808,13 @@ int64_t fh_cpl(struct fh_run *r, const int64_t *seeds, double eta,
             fallbacks += count;
         }
     }
+    int64_t *last = r->assignments + ((epoch - 1) % 3) * n;
     info[0] = epoch;
     info[1] = stop;
     info[2] = (epoch - 1) % 3;
     info[3] = fallbacks;
-    info[4] = compact(r, r->assignments + info[2] * n);
+    info[5] = r->min_members > 1 ? fold(r, last) : 0;
+    info[4] = compact(r, last);
     return 0;
 }
 
@@ -884,12 +953,16 @@ void fh_ward(int64_t m, int64_t d, const double *centres, double *weights,
 }
 
 /* k distinct indices of 0..n-1, 1 <= k <= n, into out: the first k places
- * of a partial Fisher-Yates shuffle of 0..n-1 laid out in scratch (n
- * entries). Each swap place is drawn from SplitMix64 (Steele, Lea & Flood,
- * OOPSLA 2014), whose stream starts at the first output of a SplitMix64
- * seeded with seed, so that seeds one golden-gamma step apart do not draw
- * one stream shifted by a step. A draw below span redraws while its output
- * is below 2^64 mod span, so each place is equally likely. */
+ * of a partial Fisher-Yates shuffle of 0..n-1. Each swap place is drawn from
+ * SplitMix64 (Steele, Lea & Flood, OOPSLA 2014), whose stream starts at the
+ * first output of a SplitMix64 seeded with seed, so that seeds one
+ * golden-gamma step apart do not draw one stream shifted by a step. A draw
+ * below span redraws while its output is below 2^64 mod span, so each place
+ * is equally likely. The shuffle is sparse: a place holds its own index
+ * until a swap moves another there, and only the moved places are stored,
+ * as (place, entry) pairs in table, an open-addressing hash table of slots
+ * pairs (a power of two >= 2k, so at most half fill), probed linearly from
+ * a multiplicative hash of the place. So the memory is O(k) whatever n. */
 static uint64_t splitmix64(uint64_t *state)
 {
     uint64_t z = *state += 0x9e3779b97f4a7c15u;
@@ -898,18 +971,32 @@ static uint64_t splitmix64(uint64_t *state)
     return z ^ z >> 31;
 }
 
-void fh_choice(uint64_t seed, int64_t n, int64_t k, int64_t *out, int64_t *scratch)
+/* The pair of place in table: the one that stores it, or the empty pair
+ * (place -1) where it would go. */
+static int64_t *moved(int64_t *table, uint64_t mask, int64_t place)
 {
-    uint64_t state = splitmix64(&seed);
-    for (int64_t i = 0; i < n; i++)
-        scratch[i] = i;
+    uint64_t h = (uint64_t)place * 0x9e3779b97f4a7c15u, s = (h ^ h >> 32) & mask;
+    while (table[2 * s] != place && table[2 * s] >= 0)
+        s = (s + 1) & mask;
+    return table + 2 * s;
+}
+
+void fh_choice(uint64_t seed, int64_t n, int64_t k, int64_t *out, int64_t *table,
+               int64_t slots)
+{
+    uint64_t state = splitmix64(&seed), mask = (uint64_t)slots - 1;
+    for (int64_t s = 0; s < 2 * slots; s++)
+        table[s] = -1;
     for (int64_t i = 0; i < k; i++) {
         uint64_t span = (uint64_t)(n - i), x = splitmix64(&state);
         while (x < -span % span)
             x = splitmix64(&state);
-        int64_t j = i + (int64_t)(x % span), kept = scratch[j];
-        scratch[j] = scratch[i];
-        scratch[i] = kept;
+        int64_t j = i + (int64_t)(x % span), *at = moved(table, mask, i);
+        /* place i is never read again, so only place j takes its entry */
+        int64_t entry = at[0] == i ? at[1] : i;
+        at = moved(table, mask, j);
+        out[i] = at[0] == j ? at[1] : j;
+        at[0] = j;
+        at[1] = entry;
     }
-    memcpy(out, scratch, (size_t)k * sizeof *out);
 }

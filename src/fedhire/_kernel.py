@@ -68,6 +68,7 @@ class Run(ctypes.Structure):
             (name, ctypes.c_double)
             for name in ("variance_floor", "entry_tolerance", "row_sum_tolerance")
         ),
+        ("min_members", ctypes.c_int64),
         *(
             (name, ctypes.c_void_p)
             for name in (
@@ -132,10 +133,11 @@ def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     # m and d, then the buffers by the addresses that ``address`` checked
     lib.fh_ward.argtypes = [*(ctypes.c_int64,) * 2, *(ctypes.c_void_p,) * 6]
     lib.fh_ward.restype = None
-    # the seed, n, k, and the addresses of the k int64 draws and of the n
-    # int64 entries of scratch
+    # the seed, n, k, the addresses of the k int64 draws and of the table's
+    # 2 slots int64 entries, and slots
     lib.fh_choice.argtypes = [
         ctypes.c_uint64, *(ctypes.c_int64,) * 2, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_int64,
     ]
     lib.fh_choice.restype = None
     return lib

@@ -15,17 +15,22 @@ from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, run_cpl
 logger = logging.getLogger(__name__)
 
 MIN_CLIENT_OBJECTS = 4
+# the fewest members of an uploaded clusterlet: a client's run folds each
+# smaller clusterlet into its nearest other before upload (CplConfig)
+MIN_UPLOAD_MEMBERS = 2
 
 
 @dataclass
 class ClientPayload:
     """The one thing a client uploads: its surviving clusterlet centroids.
 
-    Affiliation rows and clusterlet sizes never leave the client. Raw objects
-    can: a clusterlet with a single member has that member's row as its
-    centroid, and uploads it unchanged (436 of the 999 uploaded rows on the
-    ``wide_d16`` benchmark workload, data seed 0). ROADMAP item 5 plans to
-    fold such clusterlets into their nearest survivor before upload.
+    Affiliation rows and clusterlet sizes never leave the client. Each
+    centroid is the mean of at least ``MIN_UPLOAD_MEMBERS`` objects: the
+    client's run folds every smaller clusterlet into its nearest other
+    before upload (before the fold, 436 of the 999 uploaded rows on the
+    ``wide_d16`` benchmark workload, data seed 0, were single members'
+    rows). A mean of equal rows is still that row, so a clusterlet whose
+    members are all one repeated object uploads it unchanged.
     """
 
     client_id: int
@@ -81,6 +86,9 @@ def run_fcpl(
 
     ``k0_override`` forces an absolute initial clusterlet count (used by
     perfbench's ``client_loop``); otherwise k0 = ``fcpl_k0(n, k0_fraction)``.
+    The run folds each clusterlet of fewer than ``MIN_UPLOAD_MEMBERS``
+    members into its nearest other before the upload, and the affiliation
+    follows the fold.
     """
     n = local_data.object_count
     if n < MIN_CLIENT_OBJECTS:
@@ -92,8 +100,16 @@ def run_fcpl(
         )
         return None
     k0 = min(n, k0_override) if k0_override is not None else fcpl_k0(n, k0_fraction)
-    config = CplConfig(eta=eta, k0=k0, max_epochs=max_epochs, rng_seed=seed)
+    config = CplConfig(
+        eta=eta, k0=k0, max_epochs=max_epochs, rng_seed=seed,
+        min_members=MIN_UPLOAD_MEMBERS,
+    )
     result = run_cpl(local_data, config)
+    if result.folded:
+        logger.info(
+            "client %d folded %d clusterlet(s) of fewer than %d members before upload",
+            client_id, result.folded, MIN_UPLOAD_MEMBERS,
+        )
     payload = ClientPayload(
         client_id=client_id, centroids=result.clusterlets.centroids.copy()
     )

@@ -129,34 +129,43 @@ def draw_distinct(seed: int, n: int, k: int) -> np.ndarray:
     """k distinct indices of range(n), 1 <= k <= n, drawn by the kernel's
     ``fh_choice``: the first k places of a partial Fisher-Yates shuffle of
     range(n) on a SplitMix64 stream keyed by ``seed``, an integer in
-    [0, 2**64). ``tests/oracles.py`` repeats the draw in Python."""
+    [0, 2**64). The shuffle stores only the places it moved, so its memory
+    is O(k) whatever n. ``tests/oracles.py`` repeats the draw in Python."""
     if not 1 <= k <= n:
         raise ValueError(f"cannot draw {k} distinct indices of {n}")
     if not isinstance(seed, numbers.Integral):
         raise TypeError(f"the seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"the seed must lie in [0, 2**64), got {seed}")
-    # the k draws, then the n entries of the shuffle
-    buffer = np.empty(n + k, np.int64)
+    # the k draws, then the (place, entry) pairs of the shuffle's moved
+    # places: a power of two of at least 2k slots
+    slots = 1 << (2 * k - 1).bit_length()
+    buffer = np.empty(k + 2 * slots, np.int64)
     address = ctypes.addressof(ctypes.c_char.from_buffer(buffer))
-    _kernel.library().fh_choice(int(seed), n, k, address, address + 8 * k)
+    _kernel.library().fh_choice(int(seed), n, k, address, address + 8 * k, slots)
     return buffer[:k]
 
 
 @dataclass
 class CplConfig:
-    """Hyperparameters of a single competitive learning run."""
+    """Hyperparameters of a single competitive learning run.
+
+    ``min_members`` is the member floor of the fold after the last epoch:
+    each clusterlet with fewer members is folded into the nearest other
+    (see ``run_cpl``). The default, 1, folds nothing.
+    """
 
     eta: float
     k0: int
     max_epochs: int = DEFAULT_MAX_EPOCHS
     rng_seed: int = 0
+    min_members: int = 1
 
     def __post_init__(self):
         require_numbers(self, numbers.Real, "eta")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be finite and positive, got {self.eta}")
-        require_numbers(self, numbers.Integral, "k0", "max_epochs", "rng_seed")
+        require_numbers(self, numbers.Integral, "k0", "max_epochs", "rng_seed", "min_members")
         if self.k0 < 2:
             raise ValueError(f"k0 must be >= 2, got {self.k0}")
         if self.max_epochs < 1:
@@ -165,6 +174,8 @@ class CplConfig:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.rng_seed >= 2**64:
             raise ValueError(f"rng_seed must be < 2**64, got {self.rng_seed}")
+        if not 1 <= self.min_members < 2**63:
+            raise ValueError(f"min_members must lie in [1, 2**63), got {self.min_members}")
 
 
 @dataclass
@@ -174,6 +185,8 @@ class CplResult:
     ``converged`` is true when the run stopped before its epoch cap, on a
     fixed point or on a two-cycle. ``feature_weights`` are the M rows the
     final epoch scored with: no refresh follows the epoch that stops a run.
+    ``folded`` counts the clusterlets with members that the fold (a member
+    floor above 1) merged into others.
     """
 
     clusterlets: ClusterletState
@@ -182,6 +195,7 @@ class CplResult:
     epochs_used: int
     converged: bool = True
     feature_weights: FeatureClusterMatrix | None = None
+    folded: int = 0
 
 
 # the arenas of a run: one of its own for the n x k0 similarity cache (with
@@ -191,8 +205,8 @@ SIMS, SMALL = 0, 1
 F8, I8, U1 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint8)
 # the int64 slots that fh_cpl reports: the epochs used, the stop, the final
 # row of the assignment ring, the uniform-row fallbacks of every refresh,
-# summed, and the survivor count
-INFO_SLOTS = 5
+# summed, the survivor count and the clusterlets folded into others
+INFO_SLOTS = 6
 # the stops of fh_cpl (info[1]): at the epoch cap, on assignments that repeat
 # the previous epoch's, or on assignments that repeat those of two epochs before
 CAP, FIXED_POINT, TWO_CYCLE = 0, 1, 2
@@ -278,7 +292,7 @@ class _Run:
     everything, so the first epoch computes every active column.
     """
 
-    def __init__(self, values: np.ndarray, k0: int):
+    def __init__(self, values: np.ndarray, k0: int, min_members: int = 1):
         n, d = values.shape
         self.values = np.ascontiguousarray(values)
         address = _kernel.address("values", self.values, np.float64, (n, d))
@@ -296,7 +310,8 @@ class _Run:
         *addresses, self.info_address = [small + start for start in starts[1:]]
         self.buffers = _kernel.Run(
             n, d, k0, SIMILARITY_FLOOR, ELIMINATION_THRESHOLD, DEAD_UNIT_EPOCHS,
-            VARIANCE_FLOOR, ENTRY_TOLERANCE, ROW_SUM_TOLERANCE, address, sims, *addresses,
+            VARIANCE_FLOOR, ENTRY_TOLERANCE, ROW_SUM_TOLERANCE, min_members, address, sims,
+            *addresses,
         )
         self.ref = ctypes.byref(self.buffers)
         self.info = self._items("info", INFO_SLOTS)
@@ -353,6 +368,14 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
     whole loop is one call of ``fh_cpl`` in ``_kernel.c``, which seeds the
     run from the sampled indices.
 
+    With a member floor above 1 (``config.min_members``), the run then
+    folds every active clusterlet with fewer members: its objects go to the
+    nearest clusterlet that has enough, by the orphans' distance and tie
+    rule, and each clusterlet that received objects gets its centroid
+    recomputed as the mean of its members. If none has enough, every object
+    goes to the first active clusterlet, whose centroid becomes the mean of
+    all objects.
+
     The result is compacted, by ``fh_cpl`` too: only clusterlets that remain
     active *and* own at least one object are reported, in ascending index,
     and the affiliation is re-indexed onto them. The result copies them out
@@ -366,7 +389,7 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
         raise ValueError(f"k0={config.k0} exceeds object count {n}")
 
     seeds = draw_distinct(config.rng_seed, n, config.k0)
-    run = _Run(values, config.k0)
+    run = _Run(values, config.k0, config.min_members)
     code = _kernel.library().fh_cpl(
         run.ref, _kernel.address("seeds", seeds, np.int64, (config.k0,)),
         config.eta, config.max_epochs, run.info_address,
@@ -374,7 +397,7 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
     if code < 0:
         error, message = CPL_ERRORS[code]
         raise error(message)
-    epochs_used, stop, row, fallbacks, k = run.info.tolist()
+    epochs_used, stop, row, fallbacks, k, folded = run.info.tolist()
     if stop == CAP:
         logger.info(
             "competitive learning did not converge within %d epochs",
@@ -403,6 +426,7 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
         epochs_used=epochs_used,
         converged=stop != CAP,
         feature_weights=FeatureClusterMatrix(entries=run.head("rows", (k, d))),
+        folded=folded,
     )
 
 

@@ -27,7 +27,7 @@ int64_t step_epoch(struct fh_run *r, double eta, int64_t out)
 
 void step_orphans(const struct fh_run *r, int64_t *assignments)
 {
-    reassign_orphans(r, assignments);
+    reassign_orphans(r, assignments, NULL);
 }
 
 void step_totals(struct fh_run *r)

@@ -109,9 +109,10 @@ class StepRun(_Run):
     ``fh_cpl``'s seeding leaves it: NaN stored rows and row centroids, no
     empty epoch and no fallback. The column totals are added once, at
     construction, as ``fh_cpl`` adds them before its first epoch. The steps
-    are those of ``lib``, by default the session's shim."""
+    are those of ``lib``, by default the session's shim; ``fh_cpl`` folds
+    with the member floor ``min_members``."""
 
-    def __init__(self, values, state, rows, lib=None):
+    def __init__(self, values, state, rows, lib=None, min_members=1):
         n, d = np.shape(values)
         k0 = len(state.centroids)
         handed = {
@@ -123,7 +124,7 @@ class StepRun(_Run):
             "rows": (rows, np.float64, (k0, d)),
         }
         checked = {name: _kernel.address(name, *spec) for name, spec in handed.items()}
-        super().__init__(values, k0)
+        super().__init__(values, k0, min_members)
         for name, address in checked.items():
             setattr(self.buffers, name, address)
         # held here, so that none is freed while the run lives even if

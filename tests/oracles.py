@@ -229,6 +229,34 @@ def reassign_orphans(values, assignments, state, rows):
     assignments[orphaned] = active_idx[np.argmin(dist, axis=1)]
 
 
+def fold(values, assignments, state, rows, min_members):
+    """The numpy form of the kernel's ``fold``, in place: every active
+    clusterlet with fewer than ``min_members`` members is deactivated and its
+    objects go to the nearest active one by ``reassign_orphans``; if none
+    has that many, the first active clusterlet stays active and takes every
+    object. Each clusterlet that received an object gets the mean of its
+    members as its centroid, added in object order from 0.0 by ``np.add.at``.
+    Returns how many clusterlets that owned an object were folded."""
+    counts = np.bincount(assignments, minlength=len(state.centroids))
+    active = np.flatnonzero(state.active)
+    below = active[counts[active] < min_members]
+    state.active[below] = False
+    folded = int((counts[below] > 0).sum())
+    before = assignments.copy()
+    if state.active.any():
+        reassign_orphans(values, assignments, state, rows)
+    else:
+        state.active[active[0]] = True
+        folded -= int(counts[active[0]] > 0)
+        assignments[:] = active[0]
+    received = np.unique(assignments[assignments != before])
+    sums = np.zeros_like(state.centroids)
+    np.add.at(sums, assignments, values)
+    counts = np.bincount(assignments, minlength=len(state.centroids))
+    state.centroids[received] = sums[received] / counts[received, None]
+    return folded
+
+
 @dataclass
 class Loop:
     """What ``run_cpl_loop`` returns: the final assignments, remapped onto
@@ -236,7 +264,8 @@ class Loop:
     (``cpl.CAP``, ``cpl.FIXED_POINT`` or ``cpl.TWO_CYCLE``); the last epoch's
     similarity columns with the mask of the clusterlets active when they were
     taken; how many orphans were reassigned; the active mask at the end,
-    before the compaction; and the survivors, by their indices before it."""
+    before the compaction; the survivors, by their indices before it; and
+    how many clusterlets the fold merged into others."""
 
     assignments: np.ndarray
     epochs: int
@@ -246,6 +275,7 @@ class Loop:
     orphans: int
     active: np.ndarray
     survivors: np.ndarray
+    folded: int = 0
 
     @property
     def converged(self) -> bool:
@@ -271,13 +301,14 @@ def compact(state, rows, assignments):
     return remap[assignments], survivors
 
 
-def run_cpl_loop(values, state, rows, eta, max_epochs, streaks):
+def run_cpl_loop(values, state, rows, eta, max_epochs, streaks, min_members=1):
     """The loop of ``run_cpl`` in numpy, which ``fh_cpl`` must repeat bit for
     bit: each epoch ``epoch``; ``reassign_orphans`` when it deactivated the
     clusterlet of an object; a stop from the second epoch on if
     ``np.array_equal`` finds the previous epoch's assignments repeated, and
     from the third on if it finds those of two epochs before repeated; and
-    otherwise ``refresh_feature_weights``; then ``compact``.
+    otherwise ``refresh_feature_weights``; then, with a member floor
+    ``min_members`` above 1, ``fold``; then ``compact``.
 
     Mutates ``state``, ``rows`` and ``streaks``; returns a ``Loop``.
     """
@@ -301,10 +332,12 @@ def run_cpl_loop(values, state, rows, eta, max_epochs, streaks):
             break
         refresh_feature_weights(values, assignments, state, rows)
         previous, before = assignments, previous
+    folded = fold(values, assignments, state, rows, min_members) if min_members > 1 else 0
     active = state.active.copy()
     assignments, survivors = compact(state, rows, assignments)
     return Loop(
-        assignments, epochs_used, stop, sims, scored, orphan_total, active, survivors
+        assignments, epochs_used, stop, sims, scored, orphan_total, active, survivors,
+        folded,
     )
 
 
@@ -543,17 +576,19 @@ def splitmix64(state):
 def draw_distinct(seed, n, k):
     """The kernel's ``fh_choice`` in Python: a partial Fisher-Yates shuffle of
     range(n) whose swap places come from the SplitMix64 stream that starts
-    at the seed's first output, each redrawn below 2**64 mod span."""
+    at the seed's first output, each redrawn below 2**64 mod span. The
+    places a swap moved are kept in a dict, so memory is O(k)."""
     state = splitmix64(seed)[1]
-    places = list(range(n))
+    moved, out = {}, []
     for i in range(k):
         span = n - i
         state, x = splitmix64(state)
         while x < 2**64 % span:
             state, x = splitmix64(state)
         j = i + x % span
-        places[i], places[j] = places[j], places[i]
-    return np.array(places[:k], dtype=np.int64)
+        out.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(out, dtype=np.int64)
 
 
 def kmeans(data, k, seed, max_iters=KMEANS_MAX_ITERS):

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from fedhire.client import ClientPayload, fcpl_k0, run_fcpl
+from fedhire.client import MIN_UPLOAD_MEMBERS, ClientPayload, fcpl_k0, run_fcpl
 from fedhire.core import DataMatrix
+from fedhire.cpl import CplConfig, run_cpl
+from fedhire.synth import gaussian_mixture
 
 
 def separable_blobs(seed=3, per=50, sigma=0.02):
@@ -88,3 +90,41 @@ class TestRunFcpl:
         data, _, _ = separable_blobs(seed=5)
         result, _ = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0, k0_override=10)
         assert result.converged_k <= 10
+
+
+def raw_rows(rows, values):
+    """How many of ``rows`` equal a row of ``values`` exactly."""
+    raw = {row.tobytes() for row in values}
+    return sum(row.tobytes() in raw for row in rows)
+
+
+class TestFold:
+    def test_no_uploaded_clusterlet_has_fewer_than_the_floor(self):
+        # unfolded, 69 of the 150 surviving clusterlets have one member and
+        # upload that object's row; folded, 81 clusterlets of 2 or more remain
+        data = gaussian_mixture(n=300, d=16, k=8, seed=0)
+        unfolded = run_cpl(data, CplConfig(eta=0.05, k0=150, rng_seed=0))
+        assert raw_rows(unfolded.clusterlets.centroids, data.values) == 69
+        result, payload = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0)
+        assert raw_rows(payload.centroids, data.values) == 0
+        assert (result.folded, payload.clusterlet_count, result.converged_k) == (69, 81, 81)
+        members = np.bincount(result.affiliation.assignments, minlength=result.converged_k)
+        assert members.min() >= MIN_UPLOAD_MEMBERS
+
+    def test_the_fold_is_logged(self, caplog):
+        data = gaussian_mixture(n=300, d=16, k=8, seed=0)
+        with caplog.at_level("INFO", logger="fedhire.client"):
+            run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0, client_id=5)
+        assert "client 5 folded 69 clusterlet(s) of fewer than 2 members" in caplog.text
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_a_client_of_single_member_clusterlets_uploads_its_mean(self, n):
+        # every object keeps its own seed, far from the others, so no
+        # clusterlet reaches the floor: one centroid, the mean of the objects
+        values = np.arange(n)[:, None] * np.array([[1.0, -2.0, 0.5]])
+        result, payload = run_fcpl(
+            DataMatrix(values), eta=0.05, k0_fraction=0.5, seed=0, k0_override=n
+        )
+        assert (payload.clusterlet_count, result.converged_k, result.folded) == (1, 1, n - 1)
+        np.testing.assert_array_equal(payload.centroids[0], sum(values) / n)
+        np.testing.assert_array_equal(result.affiliation.assignments, np.zeros(n))

@@ -783,6 +783,8 @@ class TestCplConfig:
             {"eta": 0.05, "k0": 5, "rng_seed": True},
             {"eta": True, "k0": 3},
             {"eta": "0.05", "k0": 5},
+            {"eta": 0.05, "k0": 5, "min_members": 2.0},
+            {"eta": 0.05, "k0": 5, "min_members": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -803,6 +805,20 @@ class TestCplConfig:
         for seed in (2**64, 2**100):
             with pytest.raises(ValueError, match=rf"^rng_seed must be < 2\*\*64, got {seed}$"):
                 CplConfig(eta=0.05, k0=5, rng_seed=seed)
+
+    def test_member_floor_outside_the_int64_range_names_the_setting(self):
+        # the floor is an int64 of the kernel's run: 2**63 would wrap
+        assert CplConfig(eta=0.05, k0=5, min_members=2**63 - 1).min_members == 2**63 - 1
+        for floor in (0, -1, 2**63):
+            with pytest.raises(
+                ValueError, match=rf"^min_members must lie in \[1, 2\*\*63\), got {floor}$"
+            ):
+                CplConfig(eta=0.05, k0=5, min_members=floor)
+        # and the largest floor pools every object into one clusterlet
+        values = np.random.default_rng(0).normal(size=(12, 2))
+        config = CplConfig(eta=0.05, k0=5, min_members=2**63 - 1)
+        result = run_cpl(DataMatrix(values), config)
+        assert result.converged_k == 1 and not result.affiliation.assignments.any()
 
     def test_numpy_integers_accepted(self):
         config = CplConfig(
@@ -1069,10 +1085,11 @@ COMPACTION_EDGES = {
 }
 
 
-def kernel_loop(values, state, rows, eta, max_epochs, streaks):
+def kernel_loop(values, state, rows, eta, max_epochs, streaks, min_members=1):
     """``fh_cpl`` on the arrays of ``state`` and ``rows`` in place, from the
-    given empty streaks; returns the run, or raises its error."""
-    run = StepRun(values, state, rows)
+    given empty streaks, with the member floor ``min_members``; returns the
+    run, or raises its error."""
+    run = StepRun(values, state, rows, min_members=min_members)
     run.streaks[:] = streaks
     code = run.cpl(_kernel.library(), eta, max_epochs)
     if code < 0:
@@ -1122,28 +1139,31 @@ def assert_states_equal(state, rows, oracle, oracle_rows):
     np.testing.assert_array_equal(state.active, oracle.active)
 
 
-def assert_loops_match(values, state, rows, eta, max_epochs, streaks):
-    """``fh_cpl`` and ``run_cpl_loop`` from copies of one state: the same
-    error, or bitwise the same compacted assignments, state and M rows, the
-    same last similarity columns, streaks, epochs used, stop and survivor
-    count. Returns the oracle's ``Loop``, or None on an error."""
+def assert_loops_match(values, state, rows, eta, max_epochs, streaks, min_members=1):
+    """``fh_cpl`` and ``run_cpl_loop`` from copies of one state, with the
+    member floor ``min_members``: the same error, or bitwise the same
+    compacted assignments, state and M rows, the same last similarity
+    columns, streaks, epochs used, stop, survivor count and folded count.
+    Returns the oracle's ``Loop``, or None on an error."""
     oracle, oracle_rows, oracle_streaks = copy.deepcopy(state), rows.copy(), streaks.copy()
     with np.errstate(invalid="ignore", over="ignore"):
         try:
             want = run_cpl_loop(
-                values, oracle, oracle_rows, eta, max_epochs, oracle_streaks
+                values, oracle, oracle_rows, eta, max_epochs, oracle_streaks, min_members
             )
         except ValueError as exc:
             with pytest.raises(ValueError, match=re.escape(str(exc))):
-                kernel_loop(values, state, rows, eta, max_epochs, streaks)
+                kernel_loop(values, state, rows, eta, max_epochs, streaks, min_members)
             want = None
         else:
-            run = kernel_loop(values, state, rows, eta, max_epochs, streaks)
+            run = kernel_loop(values, state, rows, eta, max_epochs, streaks, min_members)
     assert_states_equal(state, rows, oracle, oracle_rows)
     if want is None:
         return None
-    epochs, stop, row, _, k = run.info
-    assert (epochs, stop, k) == (want.epochs, want.stop, want.survivors.size)
+    epochs, stop, row, _, k, folded = run.info
+    assert (epochs, stop, k, folded) == (
+        want.epochs, want.stop, want.survivors.size, want.folded
+    )
     np.testing.assert_array_equal(run.assignments[row], want.assignments)
     np.testing.assert_array_equal(run.streaks, oracle_streaks)
     np.testing.assert_array_equal(
@@ -1222,6 +1242,51 @@ class TestCplLoop:
         check()
         assert sum(count > 0 for count in orphans) >= 4
         assert stops == {CAP, FIXED_POINT, TWO_CYCLE}
+
+    def test_matches_the_loop_oracle_with_a_member_floor(self):
+        folds = []
+
+        @settings(max_examples=150, deadline=None)
+        @given(
+            shape=st.integers(2, 8).flatmap(
+                lambda k: st.tuples(st.just(k), st.integers(2, k))
+            ),
+            n=st.integers(2, 30),
+            d=st.integers(1, 4),
+            max_epochs=st.sampled_from([1, 2, 5, 100]),
+            spread=st.sampled_from([1.0, 10.0]),
+            tied=st.booleans(),
+            min_members=st.sampled_from([2, 3]),
+            seed=st.integers(0, 2**32 - 1),
+        )
+        # folds at distinct and tied distances
+        @example((8, 8), 10, 2, 1, 10.0, False, 2, 0)
+        @example((8, 8), 30, 2, 100, 10.0, True, 2, 0)
+        @example((8, 8), 12, 3, 1, 10.0, True, 2, 3)
+        def check(shape, n, d, max_epochs, spread, tied, min_members, seed):
+            values, state, rows, streaks = loop_case(*shape, n, d, spread, tied, False, seed)
+            loop = assert_loops_match(
+                values, state, rows, 0.05, max_epochs, streaks, min_members
+            )
+            if loop is not None:
+                counts = np.bincount(loop.assignments, minlength=loop.survivors.size)
+                assert counts.min() >= min(min_members, n)
+                folds.append(loop.folded)
+
+        check()
+        assert sum(folded > 0 for folded in folds) >= 10
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_the_fold_pools_every_object_when_none_reaches_the_floor(self, n):
+        # each object wins its own seed, n apart from the others, so every
+        # clusterlet has one member: the first takes every object, and its
+        # centroid becomes their mean
+        values = np.arange(n, dtype=np.float64)[:, None] * [10.0, -3.0]
+        state, rows = make_state(values), np.full((n, 2), 0.5)
+        loop = assert_loops_match(values, state, rows, 0.05, 1, np.zeros(n, np.int64), 2)
+        assert (loop.folded, loop.survivors.tolist()) == (n - 1, [0])
+        np.testing.assert_array_equal(loop.assignments, np.zeros(n, np.int64))
+        np.testing.assert_array_equal(state.centroids[0], sum(values) / n)
 
     def test_the_two_back_check_never_fires_at_epoch_1(self):
         # at epoch 1 the ring's third row holds no epoch yet: a run whose third

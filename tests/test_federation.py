@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fedhire import cpl, federation
+from fedhire import client, cpl, federation, server
 from fedhire.core import DataMatrix
 from fedhire.cpl import derive_seed
 from fedhire.federation import (
@@ -344,6 +344,40 @@ class TestRunOneShot:
             for row in raw[indices]:
                 assert not any(np.array_equal(row, c) for c in payload.centroids)
 
+    def test_folded_objects_take_their_receivers_server_label(self):
+        # at d = 16 and the default k0, about half of each client's
+        # clusterlets have one member and fold into their nearest other
+        data = gaussian_mixture(n=600, d=16, k=8, seed=0)
+        config = FederationConfig(client_count=4, k_star=8, seed=0)
+        result = run_one_shot(data, config)
+        seeds = client_seeds(config.seed, config.client_count)
+        server_labels = result.global_clustering.server_assignments.assignments
+        row = folded = 0
+        for cid in sorted(result.client_ks):
+            indices = result.plan.client_indices[cid]
+            local, _ = run_fcpl(
+                data.subset(indices), eta=config.eta, k0_fraction=config.k0_fraction,
+                seed=seeds[cid], client_id=cid,
+            )
+            lut = server_labels[row : row + local.converged_k]
+            np.testing.assert_array_equal(
+                result.object_labels[indices], lut[local.affiliation.assignments]
+            )
+            row, folded = row + local.converged_k, folded + local.folded
+        assert row == server_labels.size and folded > 0
+
+    def test_only_the_clients_fold(self, three_cluster_data, config, monkeypatch):
+        floors = set()
+        for module in (client, server):
+            def recorded(data, cpl_config, module=module, real=module.run_cpl):
+                floors.add((module.__name__, cpl_config.min_members))
+                return real(data, cpl_config)
+
+            monkeypatch.setattr(module, "run_cpl", recorded)
+        run_one_shot(three_cluster_data, config)
+        assert floors == {("fedhire.client", client.MIN_UPLOAD_MEMBERS), ("fedhire.server", 1)}
+        assert client.MIN_UPLOAD_MEMBERS == 2
+
     def test_all_clients_skipped_raises(self):
         values = np.random.default_rng(0).normal(size=(3, 2))
         data = DataMatrix(values, np.array([0, 0, 1]))
@@ -570,12 +604,13 @@ GAMMA = 0x9E3779B97F4A7C15
 
 # (n, k): the cells that pinned the draw when it was numpy's Generator.choice
 # (below and above its switch to a tail shuffle at n > 10000 and k > n // 50,
-# every k of small n), now pinned to the oracle's draw. The shuffle lays out
-# all n places, so n stays within memory.
+# every k of small n, and an n past 32 bits), now pinned to the oracle's
+# draw. The shuffle stores only the places it moved, so n = 2**33 needs
+# O(k) memory.
 CHOICE_GRID = [
     (1, 1), (2, 2), (5, 1), (5, 3), (5, 5), (64, 32), (250, 125), (998, 499),
     (2000, 64), (10000, 5000), (10001, 200), (10001, 201), (20000, 300),
-    (20000, 20000),
+    (20000, 20000), (2**33, 3),
 ]
 CHOICE_SEEDS = [0, 1, 7, 4096, 2**32 - 1, 2**32, 2**64 - 1]
 

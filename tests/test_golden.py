@@ -77,7 +77,7 @@ CPL_GOLDEN = {
 
 ONE_SHOT_GOLDEN = {
     "d2_fraction": "1852a6932641501eed7f6e40f224b39f6ab7463a1b09387af7ce983110da8fe5",
-    "d4_absolute": "4913448ea155639a7526c55ff7827b953ee56aa0214a211c40bf056537575c8b",
+    "d4_absolute": "cec24e1e678227abe1c0ab38054cf6f14e1a65ef58966d74ad40162ed003242f",
 }
 
 
@@ -102,7 +102,7 @@ REPORT_SPECS = {
 
 REPORT_GOLDEN = {
     "d2_fraction": "08b66aadd2dd788745c2e3867256e71285feaeab00ef6755d7cb81f6ff2a8a8f",
-    "d4_absolute": "2daf4d5c0cd69bf8477309fd24a493fdeec28892a29f01ca1a80fa88e458142c",
+    "d4_absolute": "4ff9fd39ade7369f044eb2dc243252bdf226c787ec5acb5726d0d1759f25770d",
     "skipped_client": "b7d432e9bb608a4a9999ad0dc3d34c21da745ebf33ca6dfce5fa7125cefe58f4",
 }
 
