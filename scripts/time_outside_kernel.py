@@ -9,7 +9,9 @@ call and the layer functions that ``run_one_shot`` looks up timed too. It
 prints, per layer, the median milliseconds per call spent outside the
 kernel: ``fragment_partition``, ``run_fcpl`` (every client), ``run_mcpl``,
 ``final_clustering``, and the rest of the call (the plan's range check,
-stacking and label propagation). Every name it wraps is put back.
+stacking and label propagation); and the rows stacked for the server, the
+uploaded clusterlet centroids of every client, which sizes the server's
+work. Every name it wraps is put back.
 Run from anywhere:
 
     python3 scripts/time_outside_kernel.py
@@ -35,9 +37,10 @@ LAYERS = ("fragment_partition", "run_fcpl", "run_mcpl", "final_clustering")
 KERNELS = ("fh_cpl", "fh_kmeans", "fh_ward")
 
 
-def outside_ms(n: int, d: int, k0_absolute: int | None) -> dict[str, float]:
+def outside_ms(n: int, d: int, k0_absolute: int | None) -> tuple[dict[str, float], int]:
     """Per layer and in total, the median milliseconds of a ``run_one_shot``
-    call spent outside the ``KERNELS``, over ``REPEATS`` calls."""
+    call spent outside the ``KERNELS``, over ``REPEATS`` calls; and the rows
+    stacked for the server, the same in every call."""
     data = gaussian_mixture(n, d, K_STAR, seed=0)
     config = federation.FederationConfig(
         client_count=CLIENTS, k_star=K_STAR, k0_absolute=k0_absolute,
@@ -87,7 +90,7 @@ def outside_ms(n: int, d: int, k0_absolute: int | None) -> dict[str, float]:
         for _ in range(REPEATS):
             spent.update(dict.fromkeys((*LAYERS, "rest"), 0))
             start = time.perf_counter_ns()
-            federation.run_one_shot(data, config)
+            result = federation.run_one_shot(data, config)
             spent["rest"] += time.perf_counter_ns() - start
             for name, ns in (*spent.items(), ("total", sum(spent.values()))):
                 samples[name].append(ns / 1e6)
@@ -95,17 +98,20 @@ def outside_ms(n: int, d: int, k0_absolute: int | None) -> dict[str, float]:
         _kernel.library = library
         for name, fn in originals.items():
             setattr(federation, name, fn)
-    return {name: statistics.median(values) for name, values in samples.items()}
+    rows = sum(result.client_ks.values())
+    return {name: statistics.median(values) for name, values in samples.items()}, rows
 
 
 def main() -> int:
     columns = (*LAYERS, "rest", "total")
-    print(f"{'n':>5} {'d':>3} {'k0':>7}  " + " ".join(f"{c:>18}" for c in columns))
+    print(f"{'n':>5} {'d':>3} {'k0':>7} {'stacked':>7}  "
+          + " ".join(f"{c:>18}" for c in columns))
     for n, d, k0 in SHAPES:
-        ms = outside_ms(n, d, k0)
-        print(f"{n:>5} {d:>3} {k0 or 'default':>7}  "
+        ms, rows = outside_ms(n, d, k0)
+        print(f"{n:>5} {d:>3} {k0 or 'default':>7} {rows:>7}  "
               + " ".join(f"{ms[c]:>18.3f}" for c in columns))
-    print(f"milliseconds per call outside {', '.join(KERNELS)} (medians)")
+    print(f"milliseconds per call outside {', '.join(KERNELS)} (medians); "
+          "stacked: the rows uploaded to the server")
     return 0
 
 

@@ -19,9 +19,9 @@
  * clusterlets whose members or centroid changed since the last refresh.
  * After the last epoch, a client's run folds each clusterlet with fewer
  * members than its floor into the nearest other (fold), so each centroid it
- * uploads is the mean of at least that many objects; then compact packs the surviving clusterlets
- * to the front of the state arrays and remaps the final assignments onto
- * them, so run_cpl only copies the result out.
+ * uploads is the mean of at least that many objects; then compact packs the
+ * surviving clusterlets to the front of the state arrays and remaps the
+ * final assignments onto them, so run_cpl only copies the result out.
  *
  * The arithmetic is fixed, and the scalar forms kept as oracles in
  * tests/oracles.py repeat it bit for bit: every distance adds its feature
@@ -240,7 +240,8 @@ struct fh_run {
     double *pad;                /* d (LANE + 2 k0), the columns' scratch */
     double *row_centroids;      /* k0 x d, the centroid each M row was made from */
     uint8_t *fell_back;         /* k0, whether each M row last fell back to 1/d */
-    uint8_t *redo;              /* k0, the refresh's rows to recompute */
+    uint8_t *redo;              /* k0, the refresh's rows to recompute and the
+                                   centroids that means recomputes */
 };
 
 /* Recompute the similarity columns whose rows changed: the active columns
@@ -314,6 +315,27 @@ static int outranks(const struct fh_run *r, int64_t a, int64_t b)
     return wa > wb;
 }
 
+/* The centroid of each clusterlet j with mark[j] set becomes the mean of its
+ * members in the n assignments row: their values added in object order from
+ * 0.0 into r->sums, over their count, which r->counts must hold. */
+static void means(struct fh_run *r, const int64_t *row, const uint8_t *mark)
+{
+    int64_t n = r->n, d = r->d, k0 = r->k0;
+    for (int64_t j = 0; j < k0; j++)
+        if (mark[j])
+            memset(r->sums + j * d, 0, (size_t)d * sizeof *r->sums);
+    for (int64_t i = 0; i < n; i++) {
+        if (!mark[row[i]])
+            continue;
+        double *sum = r->sums + row[i] * d;
+        for (int64_t z = 0; z < d; z++)
+            sum[z] += r->values[i * d + z];
+    }
+    for (int64_t j = 0; j < k0; j++)
+        for (int64_t z = 0; mark[j] && z < d; z++)
+            r->centroids[j * d + z] = r->sums[j * d + z] / (double)r->counts[j];
+}
+
 /* One epoch after the similarity columns are fresh, into row out of
  * r->assignments. Returns how many objects were won by a clusterlet that the
  * epoch then deactivated, or -1 if fewer than two clusterlets are active.
@@ -330,7 +352,7 @@ static int outranks(const struct fh_run *r, int64_t a, int64_t b)
  * two first in floor order (outranks, then the lower index) stay instead. */
 static int64_t fh_epoch(struct fh_run *r, double eta, int64_t out)
 {
-    int64_t n = r->n, d = r->d, k0 = r->k0, na = 0, total = 0;
+    int64_t n = r->n, k0 = r->k0, na = 0, total = 0;
     int64_t *act = r->act, *assignments = r->assignments + out * n;
     double *gw = r->gw;
     for (int64_t j = 0; j < k0; j++) {
@@ -380,23 +402,15 @@ static int64_t fh_epoch(struct fh_run *r, double eta, int64_t out)
     memset(r->counts, 0, (size_t)k0 * sizeof *r->counts);
     for (int64_t i = 0; i < n; i++)
         r->counts[assignments[i]] += 1;
-    for (int64_t j = 0; j < k0; j++)
-        if (r->counts[j] > 0)
-            memset(r->sums + j * d, 0, (size_t)d * sizeof *r->sums);
-    for (int64_t i = 0; i < n; i++) {
-        double *sum = r->sums + assignments[i] * d;
-        for (int64_t z = 0; z < d; z++)
-            sum[z] += r->values[i * d + z];
-    }
+    /* every winner is active */
     for (int64_t j = 0; j < k0; j++) {
-        if (r->counts[j] > 0 && r->active[j])
-            for (int64_t z = 0; z < d; z++)
-                r->centroids[j * d + z] = r->sums[j * d + z] / (double)r->counts[j];
+        r->redo[j] = r->counts[j] > 0;
         if (r->counts[j] > 0)
             r->streaks[j] = 0;
         else if (r->active[j])
             r->streaks[j] += 1;
     }
+    means(r, assignments, r->redo);
 
     int64_t survivors = 0;
     for (int64_t t = 0; t < na; t++) {
@@ -651,7 +665,7 @@ static void reassign_orphans(const struct fh_run *r, int64_t *assignments,
  * owned an object were folded into another. */
 static int64_t fold(struct fh_run *r, int64_t *row)
 {
-    int64_t n = r->n, d = r->d, k0 = r->k0, first = -1, kept = 0, folded = 0;
+    int64_t n = r->n, k0 = r->k0, first = -1, kept = 0, folded = 0;
     uint8_t *received = r->redo;
     memset(r->counts, 0, (size_t)k0 * sizeof *r->counts);
     memset(received, 0, (size_t)k0);
@@ -679,22 +693,10 @@ static int64_t fold(struct fh_run *r, int64_t *row)
             }
     } else
         reassign_orphans(r, row, received);
-    for (int64_t j = 0; j < k0; j++)
-        if (received[j]) {
-            r->counts[j] = 0;
-            memset(r->sums + j * d, 0, (size_t)d * sizeof *r->sums);
-        }
-    for (int64_t i = 0; i < n; i++) {
-        int64_t a = row[i];
-        if (!received[a])
-            continue;
-        r->counts[a] += 1;
-        for (int64_t z = 0; z < d; z++)
-            r->sums[a * d + z] += r->values[i * d + z];
-    }
-    for (int64_t j = 0; j < k0; j++)
-        for (int64_t z = 0; received[j] && z < d; z++)
-            r->centroids[j * d + z] = r->sums[j * d + z] / (double)r->counts[j];
+    memset(r->counts, 0, (size_t)k0 * sizeof *r->counts);
+    for (int64_t i = 0; i < n; i++)
+        r->counts[row[i]] += 1;
+    means(r, row, received);
     return folded;
 }
 

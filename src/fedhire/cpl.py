@@ -278,7 +278,9 @@ class _Run:
     feature-weight refresh; ``pad``, the similarity columns' scratch; and,
     for the refresh, ``row_centroids``, the centroid each M row was made
     from, ``fell_back``, whether each row fell back to uniform, which a kept
-    row counts again, and ``redo``, the rows it recomputes. ``info`` receives what ``fh_cpl`` reports (``INFO_SLOTS``).
+    row counts again, and ``redo``, the rows it recomputes (after the last
+    epoch, the clusterlets that the fold's moved objects joined). ``info``
+    receives what ``fh_cpl`` reports (``INFO_SLOTS``).
     Besides ``sims`` every buffer is O(n d + k0 d). A buffer is viewed by its
     name (``run.sims``), made anew each time; ``run_cpl`` views only
     ``info`` and copies out the result (``head``).

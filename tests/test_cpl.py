@@ -1259,10 +1259,12 @@ class TestCplLoop:
             min_members=st.sampled_from([2, 3]),
             seed=st.integers(0, 2**32 - 1),
         )
-        # folds at distinct and tied distances
+        # folds at distinct and tied distances, and one with no clusterlet
+        # at the floor, which pools every object
         @example((8, 8), 10, 2, 1, 10.0, False, 2, 0)
         @example((8, 8), 30, 2, 100, 10.0, True, 2, 0)
         @example((8, 8), 12, 3, 1, 10.0, True, 2, 3)
+        @example((2, 2), 2, 2, 5, 10.0, True, 2, 0)
         def check(shape, n, d, max_epochs, spread, tied, min_members, seed):
             values, state, rows, streaks = loop_case(*shape, n, d, spread, tied, False, seed)
             loop = assert_loops_match(
@@ -1275,6 +1277,18 @@ class TestCplLoop:
 
         check()
         assert sum(folded > 0 for folded in folds) >= 10
+
+    def test_the_fold_takes_the_first_of_tied_nearest_clusterlets(self):
+        # the lone object at 0 lies 1 from both pairs: it joins clusterlet
+        # 0, whose centroid becomes the mean of its three members
+        values = np.array([[-1.0], [-1.0], [1.0], [1.0], [0.0]])
+        state = make_state([[-1.0], [1.0], [0.0]])
+        loop = assert_loops_match(
+            values, state, np.ones((3, 1)), 0.05, 100, np.zeros(3, np.int64), 2
+        )
+        assert (loop.folded, loop.survivors.tolist()) == (1, [0, 1])
+        np.testing.assert_array_equal(loop.assignments, [0, 0, 1, 1, 0])
+        np.testing.assert_array_equal(state.centroids[:2], [[-2.0 / 3.0], [1.0]])
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_the_fold_pools_every_object_when_none_reaches_the_floor(self, n):
