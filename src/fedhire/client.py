@@ -25,12 +25,10 @@ class ClientPayload:
     """The one thing a client uploads: its surviving clusterlet centroids.
 
     Affiliation rows and clusterlet sizes never leave the client. Each
-    centroid is the mean of at least ``MIN_UPLOAD_MEMBERS`` objects: the
-    client's run folds every smaller clusterlet into its nearest other
-    before upload (before the fold, 436 of the 999 uploaded rows on the
-    ``wide_d16`` benchmark workload, data seed 0, were single members'
-    rows). A mean of equal rows is still that row, so a clusterlet whose
-    members are all one repeated object uploads it unchanged.
+    centroid is the mean of at least ``MIN_UPLOAD_MEMBERS`` objects, since
+    the client's run folds every smaller clusterlet into its nearest other
+    before upload; so no centroid is one object's row, unless every member
+    of its clusterlet is a copy of that row.
     """
 
     client_id: int

@@ -42,11 +42,12 @@ Scoring details, fixed across the package:
   (``fh_epoch``: gamma, the presentation loop, the win counts, the centroid
   means, the empty streaks and the deactivation), the reassignment of
   orphaned objects, the stop test and the feature-weight refresh
-  (``fh_refresh``); and compacts the survivors to the front of the state,
-  so that ``run_cpl`` only copies the result out. A run stops, without a
-  refresh, when an epoch's assignments repeat those of the previous epoch
-  (a fixed point) or of the epoch before that (a two-cycle, which would
-  otherwise oscillate on to the epoch cap).
+  (``fh_refresh``); folds, on a client, each clusterlet below its member
+  floor into its nearest other; and compacts the survivors to the front of
+  the state, so that ``run_cpl`` only copies the result out. A run stops,
+  without a refresh, when an epoch's assignments repeat those of the
+  previous epoch (a fixed point) or of the epoch before that (a two-cycle,
+  which would otherwise oscillate on to the epoch cap).
 - A clusterlet's M row depends only on its members in object order, its
   centroid and the column totals of the values, which ``fh_cpl`` adds once
   per run. So each refresh after the first recomputes only the rows of the
@@ -278,9 +279,9 @@ class _Run:
     feature-weight refresh; ``pad``, the similarity columns' scratch; and,
     for the refresh, ``row_centroids``, the centroid each M row was made
     from, ``fell_back``, whether each row fell back to uniform, which a kept
-    row counts again, and ``redo``, the rows it recomputes (after the last
-    epoch, the clusterlets that the fold's moved objects joined). ``info``
-    receives what ``fh_cpl`` reports (``INFO_SLOTS``).
+    row counts again, and ``redo``, the rows it recomputes (and the marks of
+    the centroids that an epoch or the fold recomputes). ``info`` receives
+    what ``fh_cpl`` reports (``INFO_SLOTS``).
     Besides ``sims`` every buffer is O(n d + k0 d). A buffer is viewed by its
     name (``run.sims``), made anew each time; ``run_cpl`` views only
     ``info`` and copies out the result (``head``).

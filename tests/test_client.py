@@ -99,22 +99,18 @@ def raw_rows(rows, values):
 
 
 class TestFold:
-    def test_no_uploaded_clusterlet_has_fewer_than_the_floor(self):
+    def test_no_uploaded_clusterlet_has_fewer_than_the_floor(self, caplog):
         # unfolded, 69 of the 150 surviving clusterlets have one member and
         # upload that object's row; folded, 81 clusterlets of 2 or more remain
         data = gaussian_mixture(n=300, d=16, k=8, seed=0)
         unfolded = run_cpl(data, CplConfig(eta=0.05, k0=150, rng_seed=0))
         assert raw_rows(unfolded.clusterlets.centroids, data.values) == 69
-        result, payload = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0)
+        with caplog.at_level("INFO", logger="fedhire.client"):
+            result, payload = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0, client_id=5)
         assert raw_rows(payload.centroids, data.values) == 0
         assert (result.folded, payload.clusterlet_count, result.converged_k) == (69, 81, 81)
         members = np.bincount(result.affiliation.assignments, minlength=result.converged_k)
         assert members.min() >= MIN_UPLOAD_MEMBERS
-
-    def test_the_fold_is_logged(self, caplog):
-        data = gaussian_mixture(n=300, d=16, k=8, seed=0)
-        with caplog.at_level("INFO", logger="fedhire.client"):
-            run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0, client_id=5)
         assert "client 5 folded 69 clusterlet(s) of fewer than 2 members" in caplog.text
 
     @pytest.mark.parametrize("n", [4, 5, 6])
