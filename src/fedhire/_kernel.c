@@ -1,18 +1,21 @@
 /* The compiled steps of competitive penalized learning: the weighted
  * distances, the squash, the epoch bookkeeping and the feature-weight
- * refresh of run_cpl; and fh_kmeans, the whole Lloyd loop of the k-means
- * that fragments each ground-truth cluster (federation.kmeans); and fh_ward,
- * the Ward agglomeration that gives the server's final partition.
+ * refresh of run_cpl; fh_fragments, the draws and the whole Lloyd loops of
+ * the k-means that fragments the ground-truth clusters
+ * (federation.kmeans_clusters), on as many threads as call it at once; and
+ * fh_ward, the Ward agglomeration that gives the server's final partition.
  *
  * A run_cpl run is one kernel call, fh_cpl, on the buffers of struct fh_run:
  * besides the values, two numpy arenas that run_cpl lays out (cpl._Run), one
  * for the similarity cache and one for every other buffer. fh_cpl seeds the
  * run's initial state from the indices of its seed objects (seed_run; the
  * indices come from fh_choice below), adds the column totals once
- * (column_totals), and runs the epochs. Each epoch, fh_columns recomputes the similarity columns
- * whose rows changed and writes their floored exp(-D) into the n x k0 cache,
- * fh_epoch does the rest of the epoch (gamma, the presentation loop, the win
- * counts, the centroid means, the empty streaks and the deactivation),
+ * (column_totals), transposes the values into blocks of LANE objects once
+ * (blocks), and runs the epochs. Each epoch, fh_columns recomputes the
+ * similarity columns whose rows changed from those blocks and writes their
+ * floored exp(-D) into the n x k0 cache, fh_epoch does the rest of the epoch
+ * (gamma, the presentation loop, the win counts, the centroid means, the
+ * empty streaks and the deactivation),
  * reassign_orphans moves the objects of deactivated clusterlets, the
  * assignments are compared with those of the two epochs before, and unless
  * they repeat either, fh_refresh recomputes the feature weights of the
@@ -39,11 +42,13 @@
  * exps for x86-64-v4, v3 and the default level, and the distance tiles
  * (tile_terms) for v3 and the default level only, since GCC's v4 code for
  * that loop is slower than its default code. Every clone gives the same
- * bits. The kernel allocates nothing: its scratch is numpy's too. The
- * package calls fh_cpl, fh_kmeans, fh_ward and fh_choice, the seeded draw of
- * the objects that start a run or a k-means (a partial Fisher-Yates shuffle
- * on SplitMix64, all 64-bit integer code, which tests/oracles.py repeats);
- * every other function is static.
+ * bits. The kernel allocates nothing and keeps no state between calls: its
+ * scratch is numpy's too, so calls on disjoint buffers, and fh_fragments
+ * calls that share one counter, may run at once on several threads. The
+ * package calls fh_cpl, fh_fragments, fh_ward and fh_choice, the seeded draw
+ * of the objects that start a run or a k-means (a partial Fisher-Yates
+ * shuffle on SplitMix64, all 64-bit integer code, which tests/oracles.py
+ * repeats); every other function is static.
  */
 #include <math.h>
 #include <stdint.h>
@@ -159,30 +164,32 @@ TILE_CLONES static void tile_terms(const double *restrict x,
         }
 }
 
-/* The block of the m <= LANE objects from lo of the n x d values x,
- * transposed into the d x LANE pad; the entries past the m objects are 0.0. */
-static void block(const double *x, int64_t d, int64_t lo, int64_t m,
-                  double *pad)
+/* The n x d values x in blocks of LANE objects, each transposed into d x
+ * LANE entries of out: the block of the objects from lo (a multiple of
+ * LANE) starts at out + lo d, and its entries past the n objects are 0.0.
+ * The distances read only this copy, made once per run or k-means. */
+static void blocks(const double *x, int64_t n, int64_t d, double *out)
 {
-    for (int64_t z = 0; z < d; z++)
-        for (int64_t b = 0; b < LANE; b++)
-            pad[z * LANE + b] = b < m ? x[(lo + b) * d + z] : 0.0;
+    for (int64_t lo = 0; lo < n; lo += LANE, out += d * LANE)
+        for (int64_t z = 0; z < d; z++)
+            for (int64_t b = 0; b < LANE; b++)
+                out[z * LANE + b] = lo + b < n ? x[(lo + b) * d + z] : 0.0;
 }
 
 /* out[i][j] = sum_z (scaled[j][z] * (x[i][z] - centroids[j][z]))^2 for the
- * n x d values x, the k x d rows centroids and scaled, and the n x k out: the
- * distances of the k-means. pad holds the d x LANE block of objects. */
-static void fh_dissimilarities(const double *x, int64_t n, int64_t d,
+ * n x d values x, given as their blocks (blocks), the k x d rows centroids
+ * and scaled, and the n x k out: the distances of the k-means. */
+static void fh_dissimilarities(const double *blocked, int64_t n, int64_t d,
                                const double *centroids, const double *scaled,
-                               int64_t k, double *out, double *pad)
+                               int64_t k, double *out)
 {
     double acc[TILE][LANE];
     for (int64_t lo = 0; lo < n; lo += LANE) {
         int64_t m = n - lo < LANE ? n - lo : LANE;
-        block(x, d, lo, m, pad);
         for (int64_t j0 = 0; j0 < k; j0 += TILE) {
             int64_t width = k - j0 < TILE ? k - j0 : TILE;
-            tile_terms(pad, centroids + j0 * d, scaled + j0 * d, d, width, acc);
+            tile_terms(blocked + lo * d, centroids + j0 * d, scaled + j0 * d, d, width,
+                       acc);
             for (int64_t b = 0; b < m; b++)
                 for (int64_t t = 0; t < width; t++)
                     out[(lo + b) * k + j0 + t] = acc[t][b];
@@ -237,7 +244,8 @@ struct fh_run {
     double *sum_xx;             /* k0 x d, the member sums of x^2 */
     double *sum_compact;        /* k0 x d, the member sums of exp(-(x - c)^2 / 2) */
     double *terms;              /* n x d, the objects' exp(-(x - c)^2 / 2) */
-    double *pad;                /* d (LANE + 2 k0), the columns' scratch */
+    double *blocked;            /* d LANE per LANE objects, the values' blocks */
+    double *pad;                /* 2 k0 d, the columns' scratch */
     double *row_centroids;      /* k0 x d, the centroid each M row was made from */
     uint8_t *fell_back;         /* k0, whether each M row last fell back to 1/d */
     uint8_t *redo;              /* k0, the refresh's rows to recompute and the
@@ -250,10 +258,10 @@ struct fh_run {
  * r->sims gets exp(-D_ij) floored at r->floor, as np.maximum floors (NaN
  * stays NaN), where D_ij is the distance of object i to centroid row j with
  * the scaled row d * m_j. The centroid rows and scaled rows of the stale
- * columns are gathered first, into r->pad after its d x LANE block of
- * objects; then each block of objects is transposed once and its distances
- * to each tile of those rows turn into floored exps in place, one row of
- * LANE at a time. Returns how many columns were recomputed.
+ * columns are gathered first, into r->pad; then the distances of each block
+ * of objects of r->blocked, made once per run, to each tile of those rows
+ * turn into floored exps in place, one row of LANE at a time. Returns how
+ * many columns were recomputed.
  * NaN compares unequal to everything, so the NaN rows stored at the start
  * make every column stale once. */
 static int64_t fh_columns(struct fh_run *r)
@@ -275,8 +283,8 @@ static int64_t fh_columns(struct fh_run *r)
     }
     if (count == 0)
         return 0;
-    double acc[TILE][LANE], *pad = r->pad;
-    double *c = pad + d * LANE, *s = c + d * count;
+    double acc[TILE][LANE];
+    double *c = r->pad, *s = c + d * count;
     for (int64_t t = 0; t < count; t++)
         for (int64_t z = 0; z < d; z++) {
             c[t * d + z] = r->centroids[r->stale[t] * d + z];
@@ -284,11 +292,10 @@ static int64_t fh_columns(struct fh_run *r)
         }
     for (int64_t lo = 0; lo < n; lo += LANE) {
         int64_t m = n - lo < LANE ? n - lo : LANE;
-        block(r->values, d, lo, m, pad);
         for (int64_t j0 = 0; j0 < count; j0 += TILE) {
             const int64_t *cols = r->stale + j0;
             int64_t width = count - j0 < TILE ? count - j0 : TILE;
-            tile_terms(pad, c + j0 * d, s + j0 * d, d, width, acc);
+            tile_terms(r->blocked + lo * d, c + j0 * d, s + j0 * d, d, width, acc);
             for (int64_t t = 0; t < width; t++)
                 exps(acc[t], LANE, r->floor);
             for (int64_t b = 0; b < m; b++) {
@@ -763,7 +770,8 @@ static int64_t compact(struct fh_run *r, int64_t *row)
 /* The whole competitive-learning loop of run_cpl, for at most max_epochs
  * epochs (at least one). A run with seeds starts from the state seed_run
  * makes of them; a run without (NULL) from the state already in its
- * buffers. Then the column totals (column_totals) and the epochs: epoch e
+ * buffers. Then the column totals (column_totals), the blocks of the values
+ * that every fh_columns reads (blocks) and the epochs: epoch e
  * runs fh_columns and fh_epoch into row e % 3 of the assignment ring,
  * reassigns the objects of deactivated clusterlets (reassign_orphans), and
  * stops, without a refresh, from epoch 1 on if the row repeats the previous
@@ -788,6 +796,7 @@ int64_t fh_cpl(struct fh_run *r, const int64_t *seeds, double eta,
     if (seeds != NULL)
         seed_run(r, seeds);
     column_totals(r);
+    blocks(r->values, n, r->d, r->blocked);
     for (; epoch < max_epochs && !stop; epoch++) {
         int64_t *row = r->assignments + (epoch % 3) * n;
         fh_columns(r);
@@ -820,11 +829,11 @@ int64_t fh_cpl(struct fh_run *r, const int64_t *seeds, double eta,
     return 0;
 }
 
-/* Lloyd k-means of the n x d values from the k x d centroids, updated in
- * place, for at most max_iters iterations; the final assignments go to
- * assignments. ones is a k x d block of 1.0, so each distance is
- * fh_dissimilarities with unit scale, (1.0 * (x - c))^2 = (x - c)^2, with pad
- * its d x LANE block of objects. Each iteration: the first index of the
+/* Lloyd k-means of the n x d values x, given also as their blocks
+ * (blocks), from the k x d centroids, updated in place, for at most
+ * max_iters iterations; the final assignments go to assignments. ones is a
+ * k x d block of 1.0, so each distance is fh_dissimilarities with unit scale,
+ * (1.0 * (x - c))^2 = (x - c)^2. Each iteration: the first index of the
  * smallest distance (NaN first, as argmin) into next; each empty cluster,
  * ascending, takes the first object of the largest own distance (NaN first,
  * as argmax) among the clusters with more than one member, and the counts
@@ -832,15 +841,15 @@ int64_t fh_cpl(struct fh_run *r, const int64_t *seeds, double eta,
  * next repeats the assignments; then each nonempty cluster's mean, its
  * members added in object order from 0.0 and divided by the count, an empty
  * one keeping its centroid. */
-void fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
-               const double *values, double *centroids, const double *ones,
-               double *dists, int64_t *assignments, int64_t *next,
-               int64_t *counts, double *own, double *pad)
+static void lloyd(int64_t n, int64_t d, int64_t k, int64_t max_iters,
+                  const double *x, const double *blocked, double *centroids,
+                  const double *ones, double *dists, int64_t *assignments,
+                  int64_t *next, int64_t *counts, double *own)
 {
     for (int64_t i = 0; i < n; i++)
         assignments[i] = -1;
     for (int64_t iter = 0; iter < max_iters; iter++) {
-        fh_dissimilarities(values, n, d, centroids, ones, k, dists, pad);
+        fh_dissimilarities(blocked, n, d, centroids, ones, k, dists);
         memset(counts, 0, (size_t)k * sizeof *counts);
         for (int64_t i = 0; i < n; i++) {
             const double *row = dists + i * k;
@@ -874,7 +883,7 @@ void fh_kmeans(int64_t n, int64_t d, int64_t k, int64_t max_iters,
         for (int64_t i = 0; i < n; i++) {
             double *sum = centroids + assignments[i] * d;
             for (int64_t z = 0; z < d; z++)
-                sum[z] += values[i * d + z];
+                sum[z] += x[i * d + z];
         }
         for (int64_t j = 0; j < k; j++)
             for (int64_t z = 0; counts[j] > 0 && z < d; z++)
@@ -1000,5 +1009,57 @@ void fh_choice(uint64_t seed, int64_t n, int64_t k, int64_t *out, int64_t *table
         out[i] = at[0] == j ? at[1] : j;
         at[0] = j;
         at[1] = entry;
+    }
+}
+
+/* The slots of fh_choice's table for k draws: the least power of two >= 2k. */
+static int64_t choice_slots(int64_t k)
+{
+    int64_t slots = 1;
+    while (slots < 2 * k)
+        slots <<= 1;
+    return slots;
+}
+
+/* The fragmentation k-means of count clusters, taken one at a time from
+ * order, at the next place of the shared counter *taken, until none is left;
+ * calls on other threads take from the same order and counter, so every
+ * cluster is split once, by whichever call takes it first. Cluster c is the
+ * objects bounds[c] to bounds[c + 1] - 1 of the values, its fragment count k
+ * = firsts[c + 1] - firsts[c], 1 <= k <= its objects, and its k-means seed
+ * seeds[c]. Its start centroids are copies of the objects that fh_choice
+ * draws with that seed, in draw order, written to rows firsts[c] on of
+ * centroids; its values are blocked once (blocks), and lloyd moves those
+ * centroids to the final means and writes the objects' fragments, 0 to k -
+ * 1, from bounds[c] on of assignments. The rest is the call's own scratch,
+ * for clusters of at most most_objects objects and most_k fragments: floats
+ * holds most_k d ones, the most_objects most_k distances, the most_objects
+ * own distances and the blocks of most_objects objects (d LANE per LANE
+ * objects, rounded up); ints holds the most_objects next assignments, the
+ * most_k counts, the most_k draws and the table of 2 choice_slots(most_k)
+ * entries. */
+void fh_fragments(int64_t count, int64_t d, int64_t max_iters, int64_t most_objects,
+                  int64_t most_k, const int64_t *order, int64_t *taken,
+                  const double *values, const int64_t *bounds, const int64_t *firsts,
+                  const uint64_t *seeds, double *centroids, int64_t *assignments,
+                  double *floats, int64_t *ints)
+{
+    double *ones = floats, *dists = ones + most_k * d;
+    double *own = dists + most_objects * most_k, *blocked = own + most_objects;
+    int64_t *next = ints, *counts = next + most_objects, *draws = counts + most_k;
+    int64_t *table = draws + most_k;
+    for (int64_t i = 0; i < most_k * d; i++)
+        ones[i] = 1.0;
+    for (int64_t t; (t = __atomic_fetch_add(taken, 1, __ATOMIC_RELAXED)) < count;) {
+        int64_t c = order[t], lo = bounds[c], n = bounds[c + 1] - lo;
+        int64_t k = firsts[c + 1] - firsts[c];
+        const double *x = values + lo * d;
+        double *start = centroids + firsts[c] * d;
+        fh_choice(seeds[c], n, k, draws, table, choice_slots(k));
+        for (int64_t j = 0; j < k; j++)
+            memcpy(start + j * d, x + draws[j] * d, (size_t)d * sizeof *start);
+        blocks(x, n, d, blocked);
+        lloyd(n, d, k, max_iters, x, blocked, start, ones, dists, assignments + lo, next,
+              counts, own);
     }
 }

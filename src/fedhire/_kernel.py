@@ -10,7 +10,8 @@ fresh temporary directory, deleted at exit. A build writes to a temporary
 name of its own process and thread and then renames it into place, so
 concurrent first uses never load a half-written file, and then deletes the
 cached builds of other sources.
-Once cached, loading compiles nothing.
+Once cached, loading compiles nothing. Within a process, ``library`` builds
+and loads at most once, however many threads call it first at the same time.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class Run(ctypes.Structure):
                 "values", "sims", "stored_centroids", "stored_rows", "centroids",
                 "win_counts", "raw_weights", "weights", "active", "rows", "act",
                 "stale", "assignments", "counts", "sums", "streaks", "gamma", "gw",
-                "totals", "sum_xx", "sum_compact", "terms", "pad",
+                "totals", "sum_xx", "sum_compact", "terms", "blocked", "pad",
                 "row_centroids", "fell_back", "redo",
             )
         ),
@@ -127,9 +128,10 @@ def bind(lib: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_void_p,
     ]
     lib.fh_cpl.restype = ctypes.c_int64
-    # four sizes, then the buffers by the addresses that ``address`` checked
-    lib.fh_kmeans.argtypes = [*(ctypes.c_int64,) * 4, *(ctypes.c_void_p,) * 9]
-    lib.fh_kmeans.restype = None
+    # the cluster count, d, the iteration cap and the most objects and
+    # fragments of a cluster, then the buffers by address
+    lib.fh_fragments.argtypes = [*(ctypes.c_int64,) * 5, *(ctypes.c_void_p,) * 10]
+    lib.fh_fragments.restype = None
     # m and d, then the buffers by the addresses that ``address`` checked
     lib.fh_ward.argtypes = [*(ctypes.c_int64,) * 2, *(ctypes.c_void_p,) * 6]
     lib.fh_ward.restype = None
@@ -198,9 +200,19 @@ def _user_cache() -> Path | None:
     return cache
 
 
-@functools.cache
+# held while the library is first built and loaded
+_loading = threading.Lock()
+
+
 def library() -> ctypes.CDLL:
-    """The process's kernel library, from the first usable cache."""
+    """The process's kernel library, from the first usable cache. Threads
+    that call it first at the same time wait for one build and one load."""
+    with _loading:
+        return _loaded()
+
+
+@functools.cache
+def _loaded() -> ctypes.CDLL:
     if _library_path(PACKAGE_CACHE).exists() or _writable(PACKAGE_CACHE):
         return load(PACKAGE_CACHE)
     cache = _user_cache()

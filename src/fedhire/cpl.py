@@ -37,7 +37,8 @@ Scoring details, fixed across the package:
 - A run is one kernel call, ``fh_cpl``, given the values and the indices of
   the seed objects, which the kernel's ``fh_choice`` draws from a SplitMix64
   stream keyed by ``rng_seed`` (``draw_distinct``). It seeds the initial state
-  in the run's arenas, runs every epoch: the similarity columns (``fh_columns`` writes the floored
+  in the run's arenas, transposes the values into blocks of objects once, and
+  runs every epoch: the similarity columns (``fh_columns`` writes the floored
   ``exp(-D)`` of the changed columns into the cache), the epoch itself
   (``fh_epoch``: gamma, the presentation loop, the win counts, the centroid
   means, the empty streaks and the deactivation), the reassignment of
@@ -241,9 +242,11 @@ def _layout(n: int, d: int, k0: int) -> tuple:
         ("sum_xx", F8, kd),
         ("sum_compact", F8, kd),
         ("terms", F8, (n, d)),
-        # a d x LANE block of objects, then the centroid and scaled rows of
-        # up to k0 stale columns
-        ("pad", F8, (d * (_kernel.LANE + 2 * k0),)),
+        # the values in blocks of LANE objects, each d x LANE, the last one
+        # padded
+        ("blocked", F8, (-(-n // _kernel.LANE) * _kernel.LANE * d,)),
+        # the centroid and scaled rows of up to k0 stale columns
+        ("pad", F8, (2 * k0 * d,)),
         ("row_centroids", F8, kd),
         ("fell_back", U1, k),
         ("redo", U1, k),
@@ -276,7 +279,9 @@ class _Run:
     epochs before stay readable for the stop test, and the previous epoch's
     as the previous assignments of the refresh; the scratch of the epoch;
     the column totals, k0 x d member sums and n x d compactness terms of the
-    feature-weight refresh; ``pad``, the similarity columns' scratch; and,
+    feature-weight refresh; ``blocked``, the values transposed into blocks of
+    ``_kernel.LANE`` objects once per run, which every similarity column
+    reads; ``pad``, the similarity columns' scratch; and,
     for the refresh, ``row_centroids``, the centroid each M row was made
     from, ``fell_back``, whether each row fell back to uniform, which a kept
     row counts again, and ``redo``, the rows it recomputes (and the marks of

@@ -2,9 +2,10 @@
 
 The fragmentation protocol splits every ground-truth cluster into several
 clusterlets with k-means and scatters them randomly across clients, so each
-client sees incomplete pieces of the global clusters. The k-means runs its
-whole Lloyd loop in one call of the C kernel (``_kernel.c``) and gives the
-results of the numpy loop in ``tests/oracles.py`` bit for bit. The
+client sees incomplete pieces of the global clusters. The k-means of every
+cluster runs in the C kernel (``_kernel.c``), one call per worker thread, the
+workers taking the clusters in turn, and gives the results of the numpy loop
+in ``tests/oracles.py`` bit for bit on any number of workers. The
 orchestrator then runs the whole pipeline with exactly one upload per
 client: local clusterlet discovery, centroid stacking, the hierarchy's
 finest level, Ward's cuts over it into the coarser levels and the final
@@ -13,11 +14,13 @@ partition, with labels propagated back to original objects.
 
 from __future__ import annotations
 
+import _thread
 import ctypes
 import json
 import logging
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -25,8 +28,8 @@ import numpy as np
 
 from . import _kernel
 from .client import ClientPayload, run_fcpl
-from .core import AffiliationMatrix, DataMatrix
-from .cpl import DEFAULT_MAX_EPOCHS, CplResult, derive_seed, draw_distinct, require_numbers
+from .core import DataMatrix
+from .cpl import DEFAULT_MAX_EPOCHS, CplResult, derive_seed, require_numbers
 from .server import (
     GlobalClustering,
     Hierarchy,
@@ -136,52 +139,122 @@ class PartitionPlan:
         )
 
 
-def kmeans(data: DataMatrix, k: int, seed: int) -> tuple[np.ndarray, AffiliationMatrix]:
-    """Plain Lloyd k-means with distinct-object initialization.
+def kmeans_clusters(
+    values: np.ndarray, bounds: np.ndarray, ks: np.ndarray, seeds: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fragmentation k-means of every cluster: plain Lloyd k-means with
+    distinct-object initialization.
 
-    Each empty cluster is re-seeded from the object farthest from its
-    centroid among the clusters with more than one member, so no cluster is
-    returned empty. The Lloyd loop runs in the C kernel (see ``_lloyd``).
+    Cluster c is the rows ``bounds[c]`` to ``bounds[c + 1] - 1`` of the n x d
+    ``values``, and it is split into ``ks[c]`` fragments, 1 <= ks[c] <= its
+    rows, from the objects that ``cpl.draw_distinct`` draws with ``seeds[c]``,
+    an integer in [0, 2**64). ``values`` must be C-contiguous float64: the
+    kernel reads the caller's array, and any other is refused rather than
+    copied. Each empty cluster is re-seeded from the object
+    farthest from its centroid among the clusters with more than one member,
+    so no fragment is empty. Returns each row's fragment, 0 to ks[c] - 1, and
+    the final centroids, cluster c's ks[c] rows after those of the clusters
+    before it.
+
+    ``fh_fragments`` of ``_kernel.c`` draws the start objects, transposes each
+    cluster's values into blocks once and runs at most ``KMEANS_MAX_ITERS``
+    Lloyd iterations. Its results are bitwise those of the numpy loop kept as
+    ``kmeans`` in ``tests/oracles.py``: distances whose feature terms add in
+    sequence from 0.0, argmin's first-index ties, empty clusters re-seeded in
+    ascending order with the counts updated, the stop on repeated assignments
+    before the means move, and means that add the members in object order
+    from 0.0. There is one worker per core this process may run on, at most
+    one per cluster. Each makes one kernel call, with a numpy arena of its
+    own for the scratch, on a thread of its own but the first, which runs on
+    the calling thread; ctypes releases the GIL for each call. The workers
+    take the clusters by size, largest first, each the next one as soon as
+    it is free. No worker calls anything but the kernel, and a cluster's
+    k-means reads and writes only its own rows, so the results do not
+    depend on the workers.
     """
-    values = np.ascontiguousarray(data.values)
-    n = values.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    centroids = values[draw_distinct(seed, n, k)]
-    return centroids, AffiliationMatrix(_lloyd(values, centroids), k=k)
+    n, d = np.shape(values)
+    values_address = _kernel.address("values", values, np.float64, (n, d))
+    bounds, ks = np.array(bounds, np.int64), np.array(ks, np.int64)
+    seeds = np.array(seeds, np.uint64)
+    sizes = np.diff(bounds)
+    if not (bounds.ndim == 1 and bounds.size and 0 <= bounds[0] and bounds[-1] <= n):
+        raise ValueError(f"the bounds must run from 0 or more to at most {n}")
+    if not ks.shape == seeds.shape == sizes.shape:
+        raise ValueError(
+            f"{sizes.size} clusters need as many ks and seeds, got {ks.size} and {seeds.size}"
+        )
+    if not ((1 <= ks) & (ks <= sizes)).all():
+        raise ValueError(f"each k must lie in [1, its cluster's objects], got {ks.tolist()}")
+    firsts = np.zeros(ks.size + 1, np.int64)
+    np.cumsum(ks, out=firsts[1:])
+    assignments = np.empty(n, np.int64)
+    centroids = np.empty((int(firsts[-1]), d))
+    if not ks.size:
+        return assignments, centroids
+    workers = min(ks.size, len(os.sched_getaffinity(0)))
+    # the clusters by size, largest first, and the count of those taken
+    order = np.argsort(-sizes, kind="stable")
+    taken = np.zeros(1, np.int64)
+    most_objects, most_k = int(sizes.max()), int(ks.max())
+    # the scratch of one worker: most_k d ones, the distances, the own
+    # distances and the padded blocks; then the next assignments, the
+    # counts, the draws and fh_choice's table
+    floats = (
+        most_k * d + most_objects * most_k + most_objects
+        + -(-most_objects // _kernel.LANE) * _kernel.LANE * d
+    )
+    ints = most_objects + 2 * most_k + 2 * (1 << (2 * most_k - 1).bit_length())
+    arenas = [np.empty(floats + ints) for _ in range(workers)]
+    lib = _kernel.library()
+    shared = (
+        ks.size, d, KMEANS_MAX_ITERS, most_objects, most_k, _address(order),
+        _address(taken), values_address,
+        *map(_address, (bounds, firsts, seeds, centroids, assignments)),
+    )
+    calls = [(*shared, start, start + 8 * floats) for start in map(_address, arenas)]
+    # every array a call reads or writes, which each worker holds until its
+    # call returns, even if this call ends first by an exception
+    buffers = (values, order, taken, bounds, firsts, seeds, centroids, assignments, arenas)
+    # _thread starts a thread without waiting for it to run, as
+    # threading.Thread.start does; each worker releases its lock when done
+    finished = []
+    for call in calls[1:]:
+        done = _thread.allocate_lock()
+        done.acquire()
+        _thread.start_new_thread(_call_then_release, (lib.fh_fragments, call, buffers, done))
+        finished.append(done)
+    lib.fh_fragments(*calls[0])
+    for done in finished:
+        done.acquire()
+    return assignments, centroids
 
 
-def _lloyd(values: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """The assignments of at most ``KMEANS_MAX_ITERS`` Lloyd iterations.
+def _call_then_release(kernel, args: tuple, buffers: tuple, done) -> None:
+    """A worker thread's whole work: one kernel call on the ``buffers``, then
+    ``done`` released."""
+    try:
+        kernel(*args)
+    finally:
+        done.release()
 
-    ``fh_kmeans`` of ``_kernel.c`` runs the whole loop and moves the k x d
-    ``centroids`` to the final means in place. Its results are bitwise those
-    of the numpy loop kept as ``kmeans`` in ``tests/oracles.py``: distances
-    whose feature terms add in sequence from 0.0, argmin's first-index ties,
-    empty clusters re-seeded in ascending order with the counts updated, the
-    stop on repeated assignments before the means move, and means that add
-    the members in object order from 0.0. ``values`` and ``centroids`` must
-    be C-contiguous float64; anything else is refused rather than copied.
-    Every buffer, the distances' d x LANE block of objects too, is numpy's.
-    """
-    n, d = values.shape
-    k = centroids.shape[0]
-    addresses = [
-        _kernel.address("values", values, np.float64, (n, d)),
-        _kernel.address("centroids", centroids, np.float64, (k, d)),
-    ]
-    # the other buffers, in the order of fh_kmeans's arguments: ones, the
-    # n x k distances, the assignments, the next assignments, the counts,
-    # each object's distance to its centroid and the pad, in one float64
-    # and one int64 arena
-    floats = np.empty(k * d + n * k + n + d * _kernel.LANE)
-    floats[: k * d] = 1.0
-    ints = np.empty(2 * n + k, np.int64)
-    pad = _kernel.address("pad", floats[k * d + n * k + n :], np.float64, (d * _kernel.LANE,))
-    f, i = (ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in (floats, ints))
-    addresses += [f, f + 8 * k * d, i, i + 8 * n, i + 16 * n, f + 8 * (k * d + n * k), pad]
-    _kernel.library().fh_kmeans(n, d, k, KMEANS_MAX_ITERS, *addresses)
-    return ints[:n]
+
+def _address(array: np.ndarray) -> int:
+    # a ctypes view, faster to make than the array's ``ctypes`` attribute,
+    # needs a byte to view (d = 0 leaves the centroids empty)
+    if not array.size:
+        return array.ctypes.data
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable argsort of the integers ``keys``. When they span fewer
+    than 2**16 values, it sorts their offsets from the least on 16 bits,
+    where numpy sorts by radix, several times faster."""
+    if keys.size:
+        low = int(keys.min())
+        if int(keys.max()) - low < 1 << 16:
+            return np.argsort((keys - low).astype(np.uint16), kind="stable")
+    return np.argsort(keys, kind="stable")
 
 
 def _auto_fragments(cluster_size: int, client_count: int) -> int:
@@ -194,51 +267,60 @@ def fragment_partition(data: DataMatrix, config: FederationConfig) -> PartitionP
     Each cluster is fragmented with k-means (``fragments_per_cluster``
     pieces, clipped to the cluster size; 'auto' picks
     max(2, min(L, size // 20))), and every fragment lands on one uniformly
-    random client.
+    random client. Every draw comes first, from one generator seeded with
+    the config's seed: for each cluster in ascending label, its k-means seed
+    and then the clients of its fragments. Then one gather copies the values
+    in label order, and ``kmeans_clusters`` splits every cluster at once.
     """
     if data.labels is None:
         raise ValueError("fragmentation needs ground-truth labels")
-    rng = np.random.default_rng(config.seed)
-    per_client: list[list[np.ndarray]] = [[] for _ in range(config.client_count)]
-    provenance: list[dict] = []
     # a stable sort lists each cluster's objects in index order, the
     # clusters in ascending label
-    order = np.argsort(data.labels, kind="stable")
+    order = _stable_order(data.labels)
     ranked = data.labels[order]
-    bounds = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
-    starts, ends = [0, *bounds][: order.size], [*bounds, order.size]
-    for label, start, end in zip(ranked[starts].tolist(), starts, ends):
-        cluster_idx = order[start:end]
+    cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    bounds = np.concatenate([[0], cuts, [order.size]]) if order.size else np.zeros(1, np.int64)
+    sizes = np.diff(bounds)
+    rng = np.random.default_rng(config.seed)
+    ks, seeds, clients = [], [], []
+    for size in sizes.tolist():
         if config.fragments_per_cluster == "auto":
-            k = _auto_fragments(cluster_idx.size, config.client_count)
+            k = _auto_fragments(size, config.client_count)
         else:
             k = int(config.fragments_per_cluster)
-        k = min(k, cluster_idx.size)
-        _, affil = kmeans(
-            DataMatrix(data.values[cluster_idx]), k, seed=int(rng.integers(2**32))
-        )
-        # each fragment's members, in index order, one after the other, and
-        # its client: k draws at once are the k single draws, in order
-        fragments = cluster_idx[np.argsort(affil.assignments, kind="stable")]
-        listed = fragments.tolist()
-        sizes = np.bincount(affil.assignments, minlength=k).tolist()
-        clients = rng.integers(config.client_count, size=k).tolist()
-        at = 0
-        for fragment, (size, client) in enumerate(zip(sizes, clients)):
-            per_client[client].append(fragments[at : at + size])
+        k = min(k, size)
+        ks.append(k)
+        seeds.append(int(rng.integers(2**32)))
+        # k draws at once are the k single draws, in order
+        clients.append(rng.integers(config.client_count, size=k))
+    assignments, _ = kmeans_clusters(np.ascontiguousarray(data.values[order]), bounds, ks, seeds)
+    # each gathered object's fragment, numbered on across the clusters
+    counts = np.array(ks, np.int64)
+    fragment = assignments + np.repeat(np.cumsum(counts) - counts, sizes)
+    # every fragment's members, in index order, one fragment after the other
+    listed = order[_stable_order(fragment)].tolist()
+    fragment_sizes = np.bincount(fragment, minlength=sum(ks)).tolist()
+    owners = np.concatenate([np.empty(0, np.int64), *clients])
+    client_of = np.empty(order.size, np.int64)
+    client_of[order] = owners[fragment]
+    # each client's objects in index order, one client after the other
+    by_client = _stable_order(client_of)
+    ends = np.cumsum(np.bincount(client_of, minlength=config.client_count)).tolist()
+    client_indices = [by_client[start:end] for start, end in zip([0, *ends], ends)]
+    provenance: list[dict] = []
+    at = 0
+    for label, cluster_clients in zip(ranked[bounds[:-1]].tolist(), clients):
+        for fragment_no, client in enumerate(cluster_clients.tolist()):
+            size = fragment_sizes[len(provenance)]
             provenance.append(
                 {
                     "cluster_label": label,
-                    "fragment": fragment,
+                    "fragment": fragment_no,
                     "client_id": client,
                     "object_indices": listed[at : at + size],
                 }
             )
             at += size
-    client_indices = [
-        np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-        for parts in per_client
-    ]
     return PartitionPlan(client_indices=client_indices, provenance=provenance)
 
 

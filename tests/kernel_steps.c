@@ -35,15 +35,22 @@ void step_totals(struct fh_run *r)
     column_totals(r);
 }
 
+void step_blocks(struct fh_run *r)
+{
+    blocks(r->values, r->n, r->d, r->blocked);
+}
+
 int64_t step_refresh(struct fh_run *r, const int64_t *assignments,
                      const int64_t *previous)
 {
     return fh_refresh(r, assignments, previous);
 }
 
+/* the distances of the n x d values x, blocked into pad first */
 void step_dissimilarities(const double *x, int64_t n, int64_t d,
                           const double *centroids, const double *scaled,
                           int64_t k, double *out, double *pad)
 {
-    fh_dissimilarities(x, n, d, centroids, scaled, k, out, pad);
+    blocks(x, n, d, pad);
+    fh_dissimilarities(pad, n, d, centroids, scaled, k, out);
 }

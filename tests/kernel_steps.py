@@ -2,8 +2,8 @@
 
 ``fh_cpl`` runs a whole competitive-learning run in one call; its steps
 (the seeding, the squash, the similarity columns, the epoch, the orphan
-reassignment, the column totals, the feature-weight refresh and the
-distances) are static in the kernel. ``kernel_steps.c`` includes the
+reassignment, the column totals, the blocks of the values, the
+feature-weight refresh and the distances) are static in the kernel. ``kernel_steps.c`` includes the
 kernel's source and exports each of them, and ``library`` builds it once per
 test session with the package's compiler and flags, into a directory of the
 session's ``tmp_path_factory`` (set by ``conftest.py``). ``kernel_levels.c``
@@ -51,6 +51,8 @@ def build(directory: Path, source: Path = SOURCE, flags: tuple = ()) -> ctypes.C
     lib.step_orphans.restype = None
     lib.step_totals.argtypes = [run]
     lib.step_totals.restype = None
+    lib.step_blocks.argtypes = [run]
+    lib.step_blocks.restype = None
     lib.step_refresh.argtypes = [run, ctypes.c_void_p, ctypes.c_void_p]
     lib.step_refresh.restype = ctypes.c_int64
     # ndpointer refuses a wrong dtype, rank or layout instead of copying
@@ -94,7 +96,8 @@ def dissimilarities(values, centroids, scaled):
     n, d = values.shape
     k = centroids.shape[0]
     out = np.empty((n, k))
-    pad = np.empty(d * _kernel.LANE)
+    # the values' blocks, each d x LANE
+    pad = np.empty(-(-n // _kernel.LANE) * _kernel.LANE * d)
     library().step_dissimilarities(values, n, d, centroids, scaled, k, out, pad)
     return out
 
@@ -107,8 +110,9 @@ class StepRun(_Run):
     of the run's own, each checked by ``_kernel.address``; ``fh_cpl`` on the
     run, given no seeds, starts from them. The rest of the run starts as
     ``fh_cpl``'s seeding leaves it: NaN stored rows and row centroids, no
-    empty epoch and no fallback. The column totals are added once, at
-    construction, as ``fh_cpl`` adds them before its first epoch. The steps
+    empty epoch and no fallback. The column totals are added and the values
+    blocked once, at construction, as ``fh_cpl`` does before its first
+    epoch. The steps
     are those of ``lib``, by default the session's shim; ``fh_cpl`` folds
     with the member floor ``min_members``."""
 
@@ -138,6 +142,7 @@ class StepRun(_Run):
         self.lib = lib or library()
         self.epochs = 0
         self.lib.step_totals(self.ref)
+        self.lib.step_blocks(self.ref)
 
     def cpl(self, lib, eta: float, max_epochs: int) -> int:
         """``fh_cpl`` of ``lib`` on the run from its state, without seeds;

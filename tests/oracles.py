@@ -594,8 +594,9 @@ def draw_distinct(seed, n, k):
 def kmeans(data, k, seed, max_iters=KMEANS_MAX_ITERS):
     """The numpy form of the fragmentation k-means, Lloyd's loop in numpy.
 
-    The engine's ``federation.kmeans``, which runs the loop in ``fh_kmeans``
-    of ``_kernel.c``, must give these centroids and assignments bit for bit:
+    Each cluster of the engine's ``federation.kmeans_clusters``, which runs
+    the loop in ``fh_fragments`` of ``_kernel.c``, must get these centroids
+    and assignments bit for bit:
     distance terms added in sequence by a loop over the features, each empty
     cluster re-seeded from the object farthest from its centroid among the
     clusters with more than one member, and means that add the members by
@@ -691,8 +692,9 @@ def is_number(value, kind):
 def fragment_groups(data, config, kmeans):
     """The first form of ``federation.fragment_partition``'s grouping, with
     ``kmeans`` the fragmentation k-means: each label of ``np.unique``, its
-    objects by ``flatnonzero``, each fragment's members by a mask, the same
-    draws in the same order. Returns (client_indices, provenance)."""
+    objects by ``flatnonzero``, its k-means and then its fragments' clients
+    drawn one cluster at a time, each fragment's members by a mask. Returns
+    (client_indices, provenance)."""
     rng = np.random.default_rng(config.seed)
     per_client = [[] for _ in range(config.client_count)]
     provenance = []

@@ -1,5 +1,7 @@
+import _thread
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from fedhire import client, cpl, federation, server
-from fedhire.core import DataMatrix
+from fedhire.core import AffiliationMatrix, DataMatrix
 from fedhire.cpl import derive_seed
 from fedhire.federation import (
     KMEANS_MAX_ITERS,
@@ -18,7 +20,7 @@ from fedhire.federation import (
     PartitionPlan,
     client_seeds,
     fragment_partition,
-    kmeans,
+    kmeans_clusters,
     run_one_shot,
 )
 from fedhire.client import run_fcpl
@@ -30,6 +32,31 @@ from fedhire.server import (
     stack_payloads,
 )
 from fedhire.synth import gaussian_mixture
+
+
+def kmeans(data, k, seed):
+    """The fragmentation k-means of one cluster, every row of ``data``, by
+    ``kmeans_clusters``: its centroids and its affiliation."""
+    assignments, centroids = kmeans_clusters(data.values, [0, data.object_count], [k], [seed])
+    return centroids, AffiliationMatrix(assignments, k=k)
+
+
+def on_cores(patch, cores):
+    """Let ``kmeans_clusters`` see ``cores`` cores, and count the threads it
+    starts: the returned list gets one entry per thread."""
+    started, start = [], _thread.start_new_thread
+
+    def counted(function, args):
+        started.append(function)
+        return start(function, args)
+
+    patch.setattr(federation.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    patch.setattr(federation._thread, "start_new_thread", counted)
+    return started
+
+
+# one worker, two, and more cores than any case below has clusters
+CORES = [1, 2, 64]
 
 
 class TestKmeans:
@@ -80,8 +107,9 @@ class TestKmeans:
 
 
 class TestKmeansOracle:
-    """``kmeans`` runs Lloyd's loop in ``fh_kmeans`` of ``_kernel.c``; its
-    centroids and assignments must be those of the numpy loop, bit for bit."""
+    """``kmeans_clusters`` runs Lloyd's loop in ``fh_fragments`` of
+    ``_kernel.c``; its centroids and assignments must be those of the numpy
+    loop, bit for bit."""
 
     @staticmethod
     def draw(n, d, kind, data_seed):
@@ -163,13 +191,90 @@ class TestKmeansOracle:
         assert (np.bincount(first.assignments, minlength=12) > 0).sum() > distinct
 
     def test_non_contiguous_values_are_accepted(self):
+        # fragment_partition's gather copies any layout into the C order that
+        # kmeans_clusters insists on
         values = np.asfortranarray(np.random.default_rng(5).normal(size=(30, 3)))
-        centroids, affil = kmeans(DataMatrix(values), 4, seed=1)
-        want_centroids, want = oracles.kmeans(DataMatrix(values), 4, seed=1)
-        np.testing.assert_array_equal(affil.assignments, want.assignments)
-        np.testing.assert_array_equal(
-            centroids.view(np.uint64), want_centroids.view(np.uint64)
-        )
+        data = DataMatrix(values, np.zeros(30, np.int64))
+        assert not data.values.flags.c_contiguous
+        config = FederationConfig(client_count=2, k_star=2, seed=1, fragments_per_cluster=4)
+        plan = fragment_partition(data, config)
+        assert plan.provenance == oracles.fragment_groups(data, config, oracles.kmeans)[1]
+
+
+class TestKmeansClusters:
+    """Every cluster of one ``kmeans_clusters`` call is split as the numpy
+    loop splits it alone, bit for bit, whatever the number of workers, which
+    is one per core up to one per cluster."""
+
+    @pytest.mark.parametrize("cores", CORES)
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "duplicates"])
+    def test_every_cluster_matches_the_numpy_loop(self, cores, kind):
+        # a one-object cluster, clusters on and across block edges, k = n
+        sizes = [130, 1, 7, 64, 65, 20, 3]
+        ks = [9, 1, 7, 3, 12, 2, 3]
+        rng = np.random.default_rng(len(kind))
+        bounds = np.cumsum([0, *sizes])
+        values = TestKmeansOracle.draw(bounds[-1], 5, kind, len(kind))
+        seeds = rng.integers(0, 2**32, size=len(sizes)).tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            started = on_cores(patch, cores)
+            assignments, centroids = kmeans_clusters(values, bounds, ks, seeds)
+        assert len(started) == min(cores, len(sizes)) - 1
+        first = 0
+        for lo, hi, k, seed in zip(bounds[:-1], bounds[1:], ks, seeds):
+            want_centroids, want = oracles.kmeans(DataMatrix(values[lo:hi]), k, seed)
+            np.testing.assert_array_equal(assignments[lo:hi], want.assignments)
+            np.testing.assert_array_equal(
+                centroids[first : first + k].view(np.uint64), want_centroids.view(np.uint64)
+            )
+            first += k
+        assert first == len(centroids)
+
+    def test_many_workers_take_every_cluster_once(self):
+        # more workers than cores, on many small clusters, with the
+        # interpreter switching threads often: a cluster that no worker took
+        # would leave its rows as np.empty made them
+        rng = np.random.default_rng(21)
+        sizes = rng.integers(1, 30, size=300)
+        ks = [int(rng.integers(1, size + 1)) for size in sizes]
+        bounds = np.cumsum([0, *sizes])
+        values = rng.normal(size=(bounds[-1], 3))
+        seeds = rng.integers(0, 2**32, size=sizes.size).tolist()
+        with pytest.MonkeyPatch.context() as patch:
+            on_cores(patch, 1)
+            want = kmeans_clusters(values, bounds, ks, seeds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                with pytest.MonkeyPatch.context() as patch:
+                    started = on_cores(patch, 16)
+                    got = kmeans_clusters(values, bounds, ks, seeds)
+                assert len(started) == 15
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_clusters(self):
+        assignments, centroids = kmeans_clusters(np.empty((0, 3)), [0], [], [])
+        assert assignments.shape == (0,) and centroids.shape == (0, 3)
+
+    @pytest.mark.parametrize("bounds", [[], [-1, 2, 5], [0, 3, 6], [[0, 3, 5]]])
+    def test_bounds_outside_the_values_are_refused(self, bounds):
+        with pytest.raises(ValueError, match="the bounds must run from 0 or more to at most 5"):
+            kmeans_clusters(np.zeros((5, 2)), bounds, [1, 1], [0, 1])
+
+    @pytest.mark.parametrize("ks, seeds, message", [
+        ([0, 2], [0, 1], "each k must lie in"),
+        ([3, 3], [0, 1], "each k must lie in"),
+        ([2], [0, 1], "2 clusters need as many ks and seeds, got 1 and 2"),
+        ([2, 2], [0], "2 clusters need as many ks and seeds, got 2 and 1"),
+    ])
+    def test_ks_and_seeds_must_fit_the_clusters(self, ks, seeds, message):
+        # clusters of 3 and 2 rows
+        with pytest.raises(ValueError, match=message):
+            kmeans_clusters(np.zeros((5, 2)), [0, 3, 5], ks, seeds)
 
 
 class TestFragmentPartition:
@@ -218,6 +323,23 @@ class TestFragmentPartition:
         plan = fragment_partition(data, config)
         sizes = [len(record["object_indices"]) for record in plan.provenance]
         assert sizes == [1] * 12
+
+    @pytest.mark.parametrize("low, span", [
+        (0, 1), (0, 300), (-70, 300), (5, 1 << 16), (5, (1 << 16) + 1), (-(1 << 40), 1 << 41),
+        (-(1 << 63), (1 << 64) - 1), ((1 << 63) - 1000, 1000), (0, 0),
+    ])
+    def test_stable_order_is_a_stable_argsort(self, low, span):
+        # keys spanning fewer than 2**16 values sort as 16-bit offsets, any
+        # others as they are; span 0 is no key at all
+        fractions = np.random.default_rng(span % 97).random(500 if span else 0)
+        # the least and the greatest key, then keys anywhere between
+        keys = np.array(
+            [low, low + span - 1] * 3 + [low + int(f * (span - 1)) for f in fractions[6:]],
+            dtype=np.int64,
+        ) if span else np.empty(0, np.int64)
+        np.testing.assert_array_equal(
+            federation._stable_order(keys), np.argsort(keys, kind="stable")
+        )
 
     def test_auto_heuristic(self):
         from fedhire.federation import _auto_fragments
@@ -547,25 +669,51 @@ class TestReplacedForms:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 120), labels=st.integers(1, 6), clients=st.integers(1, 5),
-        fragments=st.sampled_from(["auto", 1, 3, 7]), seed=st.integers(0, 2**32 - 1),
+        fragments=st.sampled_from(["auto", 1, 3, 7, 200]), seed=st.integers(0, 2**32 - 1),
+        cores=st.sampled_from(CORES),
     )
-    @example(n=1, labels=1, clients=1, fragments="auto", seed=0)
-    @example(n=90, labels=3, clients=4, fragments=7, seed=5)
-    def test_fragment_partition_matches_its_first_form(self, n, labels, clients, fragments, seed):
+    @example(n=1, labels=1, clients=1, fragments="auto", seed=0, cores=2)
+    @example(n=90, labels=3, clients=4, fragments=7, seed=5, cores=1)
+    @example(n=90, labels=3, clients=4, fragments=7, seed=5, cores=2)
+    @example(n=90, labels=3, clients=4, fragments=7, seed=5, cores=64)
+    # fragments at and above every cluster's size: each object its own fragment
+    @example(n=40, labels=6, clients=3, fragments=200, seed=8, cores=2)
+    def test_fragment_partition_matches_its_first_form(
+        self, n, labels, clients, fragments, seed, cores
+    ):
         # labels drawn anywhere in a wide range, negative ones too
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(n, 2))
         names = rng.choice(np.arange(-50, 50), size=labels, replace=False)
         data = DataMatrix(values, names[rng.integers(0, labels, size=n)])
-        config = FederationConfig(
+        self.check_plan(data, FederationConfig(
             client_count=clients, k_star=2, seed=seed % 1000, fragments_per_cluster=fragments
-        )
-        plan = fragment_partition(data, config)
-        want_indices, want_provenance = oracles.fragment_groups(data, config, kmeans)
+        ), cores)
+
+    @staticmethod
+    def check_plan(data, config, cores):
+        """The plan of ``fragment_partition`` on ``cores`` cores is that of
+        the per-cluster form with the numpy k-means."""
+        with pytest.MonkeyPatch.context() as patch:
+            on_cores(patch, cores)
+            plan = fragment_partition(data, config)
+        want_indices, want_provenance = oracles.fragment_groups(data, config, oracles.kmeans)
         assert len(plan.client_indices) == len(want_indices)
         for got, want in zip(plan.client_indices, want_indices):
             np.testing.assert_array_equal(got, want)
         assert plan.provenance == want_provenance
+
+    @pytest.mark.parametrize("cores", CORES)
+    @pytest.mark.parametrize("fragments", ["auto", 3, 4, 50])
+    def test_a_one_object_cluster_is_one_fragment(self, cores, fragments):
+        # labels 2 and 9 have one object each; 3 and 4 fragments are at and
+        # above the size of label 5's cluster, 50 above every cluster's
+        rng = np.random.default_rng(11)
+        labels = np.array([5] * 3 + [2] + [0] * 45 + [9] + [7] * 30)
+        rng.shuffle(labels)
+        data = DataMatrix(rng.normal(size=(labels.size, 3)), labels)
+        config = FederationConfig(client_count=4, k_star=2, seed=3, fragments_per_cluster=fragments)
+        self.check_plan(data, config, cores)
 
     def test_fragment_partition_of_no_objects(self):
         data = DataMatrix(np.empty((0, 2)), np.empty(0, np.int64))

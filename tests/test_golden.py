@@ -7,13 +7,15 @@ re-baselines the digests once and says so in CHANGES.md.
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+import oracles
 from conftest import blob_data
-from fedhire import FederationConfig, gaussian_mixture, run_one_shot
-from fedhire.cli import main
+from fedhire import FederationConfig, PartitionPlan, gaussian_mixture, run_one_shot
+from fedhire.cli import load_csv, main
 from fedhire.client import fcpl_k0
 from fedhire.cpl import CplConfig, run_cpl
 
@@ -124,17 +126,47 @@ CLI_SPEC = {
 CLI_GOLDEN = "13371062b823975849d7e88d9c826583c9f5484b5e2b4e0bbcad49e639c7772c"
 
 
-def test_cli_run_determinism_hash(tmp_path, monkeypatch):
-    # the hashed spec block holds the data path, so the CSV is named relative
-    # to a working directory of its own
-    monkeypatch.chdir(tmp_path)
+def write_blobs() -> None:
+    """The CSV of the CLI pins, in the working directory."""
     data = blob_data([[0.05, 0.05], [0.95, 0.05], [0.5, 0.95]], 40, 0.03, seed=77)
     with open("blobs.csv", "w") as fh:
         fh.write("f0,f1,cls\n")
         for (x, y), label in zip(data.values, data.labels):
             fh.write(f"{x:.6f},{y:.6f},c{label}\n")
+
+
+def test_cli_run_determinism_hash(tmp_path, monkeypatch):
+    # the hashed spec block holds the data path, so the CSV is named relative
+    # to a working directory of its own
+    monkeypatch.chdir(tmp_path)
+    write_blobs()
     with open("spec.json", "w") as fh:
         json.dump(CLI_SPEC, fh)
     assert main(["run", "--spec", "spec.json"]) == 0
     with open("results.json") as fh:
         assert json.load(fh)["determinism_hash"] == CLI_GOLDEN
+
+
+@pytest.mark.parametrize("cores", [1, 2, 64])
+def test_cli_partition_is_the_first_form_on_any_cores(tmp_path, monkeypatch, cores):
+    # the plans of the CLI_GOLDEN runs, seeds 4 and 5, written by the CLI's
+    # partition command on 1, 2 and more cores than clusters, are those of the
+    # per-cluster form with the numpy k-means, byte for byte
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    write_blobs()
+    data = load_csv("blobs.csv", CLI_SPEC["labels"])
+    for seed in (CLI_SPEC["seed"], CLI_SPEC["seed"] + 1):
+        assert main([
+            "partition", "--data", "blobs.csv", "--labels", CLI_SPEC["labels"],
+            "--clients", str(CLI_SPEC["clients"]), "--k-star", str(CLI_SPEC["k_star"]),
+            "--fragments", str(CLI_SPEC["fragments"]), "--seed", str(seed),
+            "--out", "plan.json",
+        ]) == 0
+        config = FederationConfig(
+            client_count=CLI_SPEC["clients"], k_star=CLI_SPEC["k_star"], seed=seed,
+            fragments_per_cluster=CLI_SPEC["fragments"],
+        )
+        want = PartitionPlan(*oracles.fragment_groups(data, config, oracles.kmeans))
+        with open("plan.json") as fh:
+            assert fh.read() == want.to_json()

@@ -45,15 +45,18 @@ def _run(lib, seed=0, epochs=3):
 
 
 def _kmeans(lib, d=5, seed=0):
-    """One fragmentation k-means through ``lib``: 50 clusters over 131 rows
-    with 40 distinct values, so empty clusters are re-seeded and n ends on a
-    partial block of the distances; returns the centroids and assignments."""
+    """The fragmentation k-means of two clusters through ``lib``: 50
+    fragments of 131 rows with 40 distinct values, so empty clusters are
+    re-seeded and n ends on a partial block of the distances, and 3 of 9
+    rows; returns the centroids and assignments."""
     rng = np.random.default_rng(seed)
-    values = rng.normal(size=(40, d))[rng.integers(0, 40, size=131)]
+    values = rng.normal(size=(40, d))[rng.integers(0, 40, size=140)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_kernel, "library", lambda: lib)
-        centroids, affil = federation.kmeans(DataMatrix(values), 50, seed)
-    return centroids, affil.assignments
+        assignments, centroids = federation.kmeans_clusters(
+            values, [0, 131, 140], [50, 3], [seed, seed + 1]
+        )
+    return centroids, assignments
 
 
 def test_fresh_build_loads_and_matches_the_cached_library(tmp_path):
@@ -114,9 +117,9 @@ def unwritable_package_cache(tmp_path, monkeypatch):
         build(target)
 
     monkeypatch.setattr(_kernel, "_build", counted)
-    _kernel.library.cache_clear()
+    _kernel._loaded.cache_clear()
     yield builds, temporary
-    _kernel.library.cache_clear()
+    _kernel._loaded.cache_clear()
 
 
 def test_an_unwritable_package_falls_back_to_the_user_cache(
@@ -128,7 +131,7 @@ def test_an_unwritable_package_falls_back_to_the_user_cache(
     cache = tmp_path / "xdg" / "fedhire"
     assert builds == [_kernel._library_path(cache)] and first._name == str(builds[0])
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
-    _kernel.library.cache_clear()
+    _kernel._loaded.cache_clear()
     assert _kernel.library()._name == first._name
     assert len(builds) == 1 and list(temporary.iterdir()) == []
 
@@ -238,6 +241,47 @@ def test_two_threads_build_into_one_empty_cache(tmp_path, monkeypatch):
             np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+def test_threads_that_load_first_at_once_share_one_build_and_one_load(
+    tmp_path, monkeypatch
+):
+    # several threads make the process's first library() call together on an
+    # empty cache: one of them builds and loads, and every one gets that library
+    monkeypatch.setattr(_kernel, "PACKAGE_CACHE", tmp_path / "__pycache__")
+    builds, loads = [], []
+    build, load = _kernel._build, _kernel.load
+
+    def counted_build(target):
+        builds.append(target)
+        build(target)
+
+    def counted_load(cache):
+        loads.append(cache)
+        return load(cache)
+
+    monkeypatch.setattr(_kernel, "_build", counted_build)
+    monkeypatch.setattr(_kernel, "load", counted_load)
+    together = threading.Barrier(4, timeout=120)
+    libraries = []
+
+    def first_use():
+        together.wait()
+        libraries.append(_kernel.library())
+
+    threads = [threading.Thread(target=first_use) for _ in range(4)]
+    _kernel._loaded.cache_clear()
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+            assert not thread.is_alive()
+    finally:
+        _kernel._loaded.cache_clear()
+    assert builds == [_kernel._library_path(tmp_path / "__pycache__")]
+    assert loads == [tmp_path / "__pycache__"]
+    assert len(libraries) == 4 and all(lib is libraries[0] for lib in libraries)
+
+
 @pytest.mark.parametrize("argument, position", [(0, 1), (1, 4), (2, 5)])
 @pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
 def test_distances_refuse_an_array_they_would_have_to_copy(argument, position, layout):
@@ -275,19 +319,17 @@ def test_run_buffers_are_refused_rather_than_copied(layout):
     assert peak < a.nbytes // 100
 
 
-@pytest.mark.parametrize("name", ["values", "centroids"])
+@pytest.mark.parametrize("name", ["values"])
 @pytest.mark.parametrize("layout", ["fortran", "strided", "float32"])
 def test_kmeans_refuses_a_buffer_it_would_have_to_copy(name, layout):
-    rng = np.random.default_rng(4)
-    arrays = {"values": rng.normal(size=(40, 3)), "centroids": rng.normal(size=(5, 3))}
-    a = arrays[name]
-    arrays[name] = {
+    a = np.random.default_rng(4).normal(size=(40, 3))
+    bad = {
         "fortran": np.asfortranarray(a),
         "strided": np.hstack([a, a])[:, ::2],
         "float32": a.astype(np.float32),
     }[layout]
     with pytest.raises(ValueError, match=f"^{name} must be"):
-        federation._lloyd(arrays["values"], arrays["centroids"])
+        federation.kmeans_clusters(bad, [0, 40], [5], [0])
 
 
 def checked_buffers(monkeypatch) -> dict:
@@ -303,13 +345,22 @@ def checked_buffers(monkeypatch) -> dict:
     return checked
 
 
-def test_kmeans_checks_its_pad(monkeypatch):
-    # the distances' d x LANE block of objects is numpy's, not the kernel's;
-    # KERNEL_LANE is read from _kernel.c, so the pad tests pin _kernel.LANE
-    checked = checked_buffers(monkeypatch)
-    values = np.random.default_rng(5).normal(size=(10, 3))
-    federation.kmeans(DataMatrix(values), 2, seed=0)
-    assert checked["pad"] == (np.dtype(np.float64), (3 * KERNEL_LANE,))
+def test_kmeans_scratch_is_one_numpy_arena():
+    # the kernel allocates nothing: a worker's scratch, the padded blocks of
+    # its largest cluster too, is one numpy arena, which tracemalloc sees.
+    # KERNEL_LANE is read from _kernel.c, so the arena test pins _kernel.LANE
+    n, d, k = KERNEL_LANE + 1, 3, 1
+    values = np.random.default_rng(5).normal(size=(n, d))
+    blocked = -(-n // KERNEL_LANE) * KERNEL_LANE * d
+    floats = k * d + n * k + n + blocked
+    ints = n + 2 * k + 2 * 2
+    tracemalloc.start()
+    try:
+        federation.kmeans_clusters(values, [0, n], [k], [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak >= 8 * (floats + ints)
 
 
 def run_layouts(n: int, d: int, k0: int) -> dict:
@@ -340,9 +391,10 @@ def run_layouts(n: int, d: int, k0: int) -> dict:
         "sum_xx": (f8, (k0, d)),
         "sum_compact": (f8, (k0, d)),
         "terms": (f8, (n, d)),
-        # a d x LANE block of objects, then the centroid and scaled rows of up
-        # to k0 stale columns
-        "pad": (f8, (d * (KERNEL_LANE + 2 * k0),)),
+        # the values' blocks of LANE objects, the last one padded
+        "blocked": (f8, (-(-n // KERNEL_LANE) * KERNEL_LANE * d,)),
+        # the centroid and scaled rows of up to k0 stale columns
+        "pad": (f8, (2 * k0 * d,)),
         "row_centroids": (f8, (k0, d)),
         "fell_back": (u1, (k0,)),
         "redo": (u1, (k0,)),
@@ -442,7 +494,7 @@ def test_every_exported_function_is_bound_and_called():
         name for name in sorted(exported)
         if not any(re.search(rf"\.{name}\(", text) for text in callers)
     ]
-    assert exported == {"fh_cpl", "fh_kmeans", "fh_ward", "fh_choice"} and uncalled == []
+    assert exported == {"fh_cpl", "fh_fragments", "fh_ward", "fh_choice"} and uncalled == []
 
 
 LEVELS = ["x86-64", "x86-64-v3", "x86-64-v4"]
