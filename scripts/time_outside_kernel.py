@@ -9,11 +9,11 @@ each call and the layer functions that ``run_one_shot`` looks up timed too.
 ``fragment_partition`` runs its ``fh_fragments`` calls on several threads at
 once, so the kernel's time is the wall time during which at least one of
 those calls runs. It prints, per layer, the median milliseconds per call
-spent outside the kernel: ``fragment_partition``, ``run_fcpl`` (every client), ``run_mcpl``,
-``final_clustering``, and the rest of the call (the plan's range check,
-stacking and label propagation); and the rows stacked for the server, the
-uploaded clusterlet centroids of every client, which sizes the server's
-work. Every name it wraps is put back.
+spent outside the kernel: ``fragment_partition``, ``run_fcpl`` (every
+client), ``run_mcpl``, ``final_clustering``, and the rest of the call (the
+plan's range check, stacking and label propagation); and the rows stacked
+for the server, the uploaded clusterlet centroids of every client, which
+sizes the server's work. Every name it wraps is put back.
 Run from anywhere:
 
     python3 scripts/time_outside_kernel.py
