@@ -191,7 +191,7 @@ def kmeans_clusters(
     centroids = np.empty((int(firsts[-1]), d))
     if not ks.size:
         return assignments, centroids
-    workers = min(ks.size, len(os.sched_getaffinity(0)))
+    workers = min(ks.size, _cores())
     # the clusters by size, largest first, and the count of those taken
     order = np.argsort(-sizes, kind="stable")
     taken = np.zeros(1, np.int64)
@@ -227,6 +227,14 @@ def kmeans_clusters(
     for done in finished:
         done.acquire()
     return assignments, centroids
+
+
+def _cores() -> int:
+    """The cores this process may run on; where the platform cannot say
+    (there is no ``os.sched_getaffinity`` on macOS), the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _call_then_release(kernel, args: tuple, buffers: tuple, done) -> None:

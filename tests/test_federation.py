@@ -256,6 +256,13 @@ class TestKmeansClusters:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_without_an_affinity_mask_every_core_of_the_machine_works(self, monkeypatch):
+        monkeypatch.delattr(federation.os, "sched_getaffinity")
+        monkeypatch.setattr(federation.os, "cpu_count", lambda: 3)
+        assert federation._cores() == 3
+        monkeypatch.setattr(federation.os, "cpu_count", lambda: None)
+        assert federation._cores() == 1
+
     def test_no_clusters(self):
         assignments, centroids = kmeans_clusters(np.empty((0, 3)), [0], [], [])
         assert assignments.shape == (0,) and centroids.shape == (0, 3)
