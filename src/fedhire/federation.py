@@ -57,7 +57,11 @@ class ExperimentError(RuntimeError):
 
 @dataclass
 class FederationConfig:
-    """Knobs of one simulated federated experiment."""
+    """Knobs of one simulated federated experiment.
+
+    ``max_epochs`` caps server stage 0's competitive learning (``run_mcpl``)
+    only; every client runs ``client.CLIENT_EPOCHS`` epochs whatever it is.
+    """
 
     client_count: int
     k_star: int
@@ -109,9 +113,8 @@ class PartitionPlan:
         self.client_indices = [
             np.asarray(ix, dtype=np.int64) for ix in self.client_indices
         ]
-        # sorted, a repeated index sits next to itself
-        flat = np.sort(np.concatenate([np.empty(0, np.int64), *self.client_indices]))
-        if (flat[1:] == flat[:-1]).any():
+        flat = np.concatenate([np.empty(0, np.int64), *self.client_indices])
+        if flat.size and _repeats(flat):
             raise ValueError("client index lists must be disjoint")
 
     @property
@@ -137,6 +140,16 @@ class PartitionPlan:
             client_indices=[np.asarray(c["object_indices"], np.int64) for c in clients],
             provenance=obj.get("provenance", []),
         )
+
+
+def _repeats(indices: np.ndarray) -> bool:
+    """Whether an index of the nonempty ``indices`` occurs twice. Indices in
+    [0, 2 * their count), as those of a plan that covers its data are, are
+    counted in one pass; any others are sorted by ``np.unique``, so a
+    negative or far index costs no memory."""
+    if 0 <= indices.min() and indices.max() < 2 * indices.size:
+        return bool(np.bincount(indices).max() > 1)
+    return np.unique(indices).size < indices.size
 
 
 def kmeans_clusters(
@@ -418,7 +431,6 @@ def run_one_shot(
             k0_fraction=config.k0_fraction,
             seed=seeds[cid],
             client_id=cid,
-            max_epochs=config.max_epochs,
             k0_override=config.k0_absolute,
         )
         if outcome is None:

@@ -112,7 +112,9 @@ def run_mcpl(
     express (the orchestrator passes the target cluster count): on small
     stacks where ceil(k0_fraction * n) cannot reach it, or when the stage
     collapses to a single cluster, it is retried once fully provisioned
-    (k0 = n).
+    (k0 = n). A stage that reaches ``max_epochs`` unconverged is logged at
+    info level; the clients' runs, which stop at their epoch budget by
+    design, are not.
     """
     n = stacked.object_count
     if n < 2:
@@ -130,6 +132,8 @@ def run_mcpl(
         logger.info("finest stage gave k=%d < %d; retrying with k0=%d", k, floor, n)
         result = run_cpl(stacked, replace(config, k0=n))
         k = result.converged_k
+    if not result.converged:
+        logger.info("competitive learning did not converge within %d epochs", max_epochs)
     if k < 2:
         raise EmptyClusterError("stacked centroids show no multi-cluster structure")
     return Hierarchy(levels=[(k, result.affiliation)])

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from fedhire.cli import cmd_run, ExperimentSpec
-from fedhire.client import run_fcpl
+from fedhire.client import fcpl_k0, run_fcpl
 from fedhire.core import AffiliationMatrix, DataMatrix
+from fedhire.cpl import CplConfig, run_cpl
 from fedhire.federation import FederationConfig, client_seeds, run_one_shot
 from fedhire.metrics import acc, ari, nmi, purity
 from fedhire.server import Hierarchy, encode_hierarchy, final_clustering, run_mcpl, ward_merges
@@ -137,6 +138,9 @@ def test_formula_unit_suite():
 
 
 def test_fcpl_adaptivity_recovers_four_blobs():
+    # the engine, run to convergence from a client's k0, estimates k; a
+    # client stops at its epoch budget, over-segmented, with no clusterlet
+    # across two blobs
     start = time.perf_counter()
     hits = 0
     for seed in range(10):
@@ -144,12 +148,14 @@ def test_fcpl_adaptivity_recovers_four_blobs():
             [[0.2, 0.2], [0.2, 0.8], [0.8, 0.2], [0.8, 0.8]], 100, 0.02,
             seed=1000 + seed,
         )
-        outcome = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=seed)
-        result, _ = outcome
-        hits += result.converged_k == 4
+        config = CplConfig(eta=0.05, k0=fcpl_k0(data.object_count, 0.5), rng_seed=seed)
+        hits += run_cpl(data, config).converged_k == 4
+        local, _ = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=seed)
+        assert local.converged_k > 4
+        assert purity(local.affiliation.assignments, data.labels) == 1.0
     elapsed = time.perf_counter() - start
     report(
-        "FCPL adaptivity (k=4 on >=8/10 seeds)",
+        "CPL adaptivity (k=4 on >=8/10 seeds, client clusterlets pure)",
         hits >= 8 and elapsed < 10.0,
         f"{hits}/10 seeds, {elapsed:.1f}s",
     )
@@ -200,6 +206,49 @@ def test_end_to_end_recovery():
         "end-to-end recovery (median ARI >= 0.9)",
         median >= 0.9 and elapsed < 30.0,
         f"median {median:.3f}, {elapsed:.1f}s",
+    )
+
+
+def _nested_instance(seed, d):
+    """9 fine clusters nested 3 by 3: coarse centres uniform in [0.2, 0.8]^d,
+    fine centres at N(0, 0.06) offsets from them, 200 points at N(0, 0.008)
+    around each, labelled by fine cluster."""
+    rng = np.random.default_rng([0x9E57, seed])
+    coarse = rng.uniform(0.2, 0.8, size=(3, d))
+    fine = (coarse[:, None] + rng.normal(0, 0.06, size=(3, 3, d))).reshape(9, d)
+    values = np.vstack([rng.normal(c, 0.008, size=(200, d)) for c in fine])
+    return DataMatrix(values, np.repeat(np.arange(9), 200))
+
+
+# (instances, mean floor, case floor). Measured: nested, mean 0.987 and
+# least 0.941 (0.678 and 0.285 with the clients run to convergence); the
+# floors are k-FED's mean on these instances and that least less 0.04.
+# Blobs, 1600 objects from 8 of gaussian_mixture's blobs, which overlap at
+# d = 3: mean 0.958 and least 0.862; the floors are 0.03 and 0.02 below.
+QUALITY_MATRIX = {
+    "nested": (
+        [(_nested_instance(s, d), FederationConfig(client_count=L, k_star=9, seed=s))
+         for s in range(3) for d in (2, 8) for L in (4, 8)],
+        0.93, 0.90,
+    ),
+    "blobs": (
+        [(gaussian_mixture(1600, d, 8, seed=s), FederationConfig(client_count=L, k_star=8, seed=s))
+         for s in range(3) for d in (3, 8) for L in (4, 8)],
+        0.93, 0.84,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUALITY_MATRIX))
+def test_quality_matrix(name):
+    start = time.perf_counter()
+    cases, mean_floor, case_floor = QUALITY_MATRIX[name]
+    aris = [ari(run_one_shot(data, config).object_labels, data.labels) for data, config in cases]
+    elapsed = time.perf_counter() - start
+    report(
+        f"{name} quality matrix (mean ARI >= {mean_floor}, each >= {case_floor})",
+        np.mean(aris) >= mean_floor and min(aris) >= case_floor and elapsed < 10.0,
+        f"mean {np.mean(aris):.3f}, least {min(aris):.3f}, {elapsed:.1f}s",
     )
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from fedhire.client import MIN_UPLOAD_MEMBERS, ClientPayload, fcpl_k0, run_fcpl
+from fedhire.client import (
+    CLIENT_EPOCHS, MIN_UPLOAD_MEMBERS, ClientPayload, fcpl_k0, run_fcpl,
+)
 from fedhire.core import DataMatrix
 from fedhire.cpl import CplConfig, run_cpl
 from fedhire.synth import gaussian_mixture
@@ -51,14 +53,19 @@ class TestRunFcpl:
         assert run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0) is None
 
     def test_separable_blobs_payload(self):
+        # the budgeted run over-segments: 17 clusterlets, each within one blob
         data, mean_a, mean_b = separable_blobs()
         outcome = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0, client_id=2)
         assert outcome is not None
         result, payload = outcome
         assert payload.client_id == 2
-        assert payload.clusterlet_count == result.converged_k == 2
-        for mean in (mean_a, mean_b):
-            assert np.linalg.norm(payload.centroids - mean, axis=1).min() < 0.1
+        assert payload.clusterlet_count == result.converged_k == 17
+        assert result.epochs_used == CLIENT_EPOCHS and not result.converged
+        near = np.linalg.norm(payload.centroids[:, None] - [mean_a, mean_b], axis=2) < 0.1
+        assert (near.sum(axis=1) == 1).all() and near.any(axis=0).all()
+        blob = np.arange(100) >= 50
+        for clusterlet in range(result.converged_k):
+            assert np.unique(blob[result.affiliation.assignments == clusterlet]).size == 1
 
     def test_payload_bounded_by_k0(self):
         rng = np.random.default_rng(9)

@@ -1,7 +1,9 @@
 import _thread
 import json
+import logging
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -507,6 +509,47 @@ class TestRunOneShot:
         assert floors == {("fedhire.client", client.MIN_UPLOAD_MEMBERS), ("fedhire.server", 1)}
         assert client.MIN_UPLOAD_MEMBERS == 2
 
+    @pytest.mark.parametrize("max_epochs", [1, 100])
+    def test_each_epoch_budget_goes_to_its_stage(
+        self, three_cluster_data, config, monkeypatch, max_epochs
+    ):
+        # every client run gets the clients' budget whatever the config's
+        # cap, which caps server stage 0 only
+        caps = []
+        for module in (client, server):
+            def recorded(data, cpl_config, module=module, real=module.run_cpl):
+                caps.append((module.__name__, cpl_config.max_epochs))
+                return real(data, cpl_config)
+
+            monkeypatch.setattr(module, "run_cpl", recorded)
+        result = run_one_shot(three_cluster_data, replace(config, max_epochs=max_epochs))
+        assert caps == [("fedhire.client", client.CLIENT_EPOCHS)] * len(result.client_ks) + [
+            ("fedhire.server", max_epochs)
+        ]
+        assert client.CLIENT_EPOCHS == 3
+
+    @pytest.mark.parametrize("max_epochs", [2, 100])
+    def test_only_an_unconverged_stage_0_logs_its_cap(
+        self, three_cluster_data, config, monkeypatch, caplog, max_epochs
+    ):
+        # every client run stops at its budget unconverged and logs no cap;
+        # stage 0 logs one when its cap of 2 epochs stops it, none at 100
+        results = []
+
+        def recorded(data, cpl_config, real=client.run_cpl):
+            results.append(real(data, cpl_config))
+            return results[-1]
+
+        monkeypatch.setattr(client, "run_cpl", recorded)
+        with caplog.at_level(logging.DEBUG):
+            run_one_shot(three_cluster_data, replace(config, max_epochs=max_epochs))
+        assert results and not any(r.converged for r in results)
+        capped = [(r.name, r.getMessage()) for r in caplog.records if "converge" in r.getMessage()]
+        assert capped == (
+            [("fedhire.server", "competitive learning did not converge within 2 epochs")]
+            if max_epochs == 2 else []
+        )
+
     def test_all_clients_skipped_raises(self):
         values = np.random.default_rng(0).normal(size=(3, 2))
         data = DataMatrix(values, np.array([0, 0, 1]))
@@ -727,14 +770,30 @@ class TestReplacedForms:
         plan = fragment_partition(data, FederationConfig(client_count=3, k_star=2))
         assert [ix.size for ix in plan.client_indices] == [0, 0, 0] and plan.provenance == []
 
+    @pytest.mark.parametrize(
+        "lists", [[[0, 3, 0]], [[0, 1], [2, 1]], [[5, -1], [-1]], [[2**62, 0], [2**62]]]
+    )
+    def test_a_repeated_index_is_refused(self, lists):
+        # a repeat within one client and across two, each among indices that
+        # are counted and among a negative or far one, which are sorted
+        with pytest.raises(ValueError, match="^client index lists must be disjoint$"):
+            PartitionPlan([np.array(ix, np.int64) for ix in lists])
+
     @settings(max_examples=300, deadline=None)
     @given(
-        lists=st.lists(st.lists(st.integers(-3, 12), max_size=6), max_size=4),
+        lists=st.lists(
+            st.lists(
+                st.integers(-3, 12) | st.sampled_from([-(2**63), 2**40, 2**63 - 1]),
+                max_size=6,
+            ),
+            max_size=4,
+        ),
     )
     @example(lists=[])
     @example(lists=[[], []])
     @example(lists=[[1, 2], [2]])
     @example(lists=[[-1, 0], [4]])
+    @example(lists=[[0, 2**63 - 1], [-(2**63)]])
     def test_plan_checks_keep_their_accept_sets(self, lists):
         # duplicates are refused; negative or out-of-range indices pass the
         # plan and are refused by run_one_shot's range check

@@ -78,8 +78,8 @@ CPL_GOLDEN = {
 }
 
 ONE_SHOT_GOLDEN = {
-    "d2_fraction": "1852a6932641501eed7f6e40f224b39f6ab7463a1b09387af7ce983110da8fe5",
-    "d4_absolute": "cec24e1e678227abe1c0ab38054cf6f14e1a65ef58966d74ad40162ed003242f",
+    "d2_fraction": "dcf1a52a95aa2b04d03aecbb3c1fc8d56c785d88ed99e0f8d15d569a63e25b30",
+    "d4_absolute": "05148b2e74b2cf7da5edbfa64c1c477c2f8f7aa47a2d8ed48e60c73e90da8769",
 }
 
 
@@ -103,9 +103,9 @@ REPORT_SPECS = {
 }
 
 REPORT_GOLDEN = {
-    "d2_fraction": "08b66aadd2dd788745c2e3867256e71285feaeab00ef6755d7cb81f6ff2a8a8f",
-    "d4_absolute": "4ff9fd39ade7369f044eb2dc243252bdf226c787ec5acb5726d0d1759f25770d",
-    "skipped_client": "b7d432e9bb608a4a9999ad0dc3d34c21da745ebf33ca6dfce5fa7125cefe58f4",
+    "d2_fraction": "db8c1856b188aca1e065b6216238f74759d356ae87d96b54ec8cd635efa98329",
+    "d4_absolute": "b0e848af4ca049c45b195421ec22c812df2ab44bf0e3fa6c8bf29395afdbcd22",
+    "skipped_client": "dcb78fd33b1c28b46b57fd2e48bfe89d92d5b16dada4eeeae3831f0759e8ad1e",
 }
 
 
@@ -123,7 +123,7 @@ CLI_SPEC = {
     "fragments": 2, "repeats": 2, "seed": 4,
 }
 
-CLI_GOLDEN = "13371062b823975849d7e88d9c826583c9f5484b5e2b4e0bbcad49e639c7772c"
+CLI_GOLDEN = "b765e503fc355c02a81f246019dace5b1db67d94b374a9da8545282bd2a2a14b"
 
 
 def write_blobs() -> None:

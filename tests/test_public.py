@@ -46,9 +46,9 @@ def test_readme_quick_start_runs_on_the_exports(capsys):
     namespace = {}
     exec(compile(source, "README.md", "exec"), namespace)
     assert "ARI:" in capsys.readouterr().out
-    # three well-separated blobs: the nested hierarchy's 3-cluster level is
-    # the ground truth, and the final partition is that level
+    # three well-separated blobs: stage 0's 3-cluster level is the ground
+    # truth, and the final partition is that level
     result, data = namespace["result"], namespace["data"]
     mask = result.object_labels >= 0
     assert fedhire.ari(result.object_labels[mask], data.labels[mask]) == 1.0
-    assert result.hierarchy_ks == [4, 3, 2]
+    assert result.hierarchy_ks == [3, 2]
