@@ -668,7 +668,7 @@ static void reassign_orphans(const struct fh_run *r, int64_t *assignments,
  * active one stays active and every object goes to it instead. Each
  * clusterlet that received an object gets its centroid recomputed as the
  * mean of its members, added in object order from 0.0; its other state and
- * its M row stay those of the last epoch. Returns how many clusterlets that
+ * its M row stay as the loop left them. Returns how many clusterlets that
  * owned an object were folded into another. */
 static int64_t fold(struct fh_run *r, int64_t *row)
 {
@@ -780,7 +780,8 @@ static int64_t compact(struct fh_run *r, int64_t *row)
  * Otherwise it refreshes the feature weights (fh_refresh), against the
  * previous row from epoch 1 on: that row is the last refresh's, since every
  * epoch that does not stop refreshes. So the M rows at the end are those the
- * final epoch scored with. Last, a run whose member floor r->min_members is
+ * final epoch scored with after a stop, but after the cap a refresh's, which
+ * no epoch scored with. Last, a run whose member floor r->min_members is
  * above 1 folds the clusterlets below it into others (fold), and the
  * survivors are compacted into the front of the state (compact). info gets
  * the epochs used, the stop (0 at the cap, 1 at a fixed point, 2 at a

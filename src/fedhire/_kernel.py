@@ -97,6 +97,14 @@ def address(name: str, array: np.ndarray, dtype, shape: tuple) -> int:
     return array.ctypes.data
 
 
+def unchecked_address(array: np.ndarray) -> int:
+    """The data address of ``array``, unchecked: a ctypes view, faster to
+    make than the ``ctypes`` attribute, which an empty array needs."""
+    if not array.size:
+        return array.ctypes.data
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
 def cache_key(source: bytes) -> str:
     """Hash of what the built library depends on: source, command, ABI tag."""
     digest = hashlib.sha256(source)

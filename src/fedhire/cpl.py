@@ -143,7 +143,7 @@ def draw_distinct(seed: int, n: int, k: int) -> np.ndarray:
     # places: a power of two of at least 2k slots
     slots = 1 << (2 * k - 1).bit_length()
     buffer = np.empty(k + 2 * slots, np.int64)
-    address = ctypes.addressof(ctypes.c_char.from_buffer(buffer))
+    address = _kernel.unchecked_address(buffer)
     _kernel.library().fh_choice(int(seed), n, k, address, address + 8 * k, slots)
     return buffer[:k]
 
@@ -182,18 +182,19 @@ class CplConfig:
 
 @dataclass
 class CplResult:
-    """Converged clusterlets (nonempty survivors only) and their affiliation.
+    """The clusterlets a run ends with (nonempty survivors only, counted by
+    ``affiliation.k``) and their affiliation.
 
     ``converged`` is true when the run stopped before its epoch cap, on a
     fixed point or on a two-cycle. ``feature_weights`` are the M rows the
-    final epoch scored with: no refresh follows the epoch that stops a run.
+    final epoch scored with after such a stop, but after the cap those of a
+    refresh that follows the last epoch, with which no epoch scored.
     ``folded`` counts the clusterlets with members that the fold (a member
     floor above 1) merged into others.
     """
 
     clusterlets: ClusterletState
     affiliation: AffiliationMatrix
-    converged_k: int
     epochs_used: int
     converged: bool = True
     feature_weights: FeatureClusterMatrix | None = None
@@ -312,9 +313,7 @@ class _Run:
             starts.append(end)
             end += (math.prod(shape) * dtype.itemsize + 7) & -8
         self.arenas = (np.empty(8 * n * k0, np.uint8), np.empty(end, np.uint8))
-        # the arenas' addresses; a ctypes view of each is faster to make
-        # than its ``ctypes`` attribute
-        sims, small = (ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in self.arenas)
+        sims, small = map(_kernel.unchecked_address, self.arenas)
         *addresses, self.info_address = [small + start for start in starts[1:]]
         self.buffers = _kernel.Run(
             n, d, k0, SIMILARITY_FLOOR, ELIMINATION_THRESHOLD, DEAD_UNIT_EPOCHS,
@@ -372,7 +371,8 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
     stops as soon as the affiliation repeats that of the previous epoch (a
     fixed point) or of the epoch before it (a two-cycle, logged at debug
     level); otherwise the feature-cluster matrix is refreshed. So the
-    result's feature weights are the M rows its final epoch scored with. The
+    result's feature weights are the M rows its final epoch scored with
+    after a stop, but after the cap a refresh's, which no epoch scored with. The
     whole loop is one call of ``fh_cpl`` in ``_kernel.c``, which seeds the
     run from the sampled indices.
 
@@ -425,7 +425,6 @@ def run_cpl(data: DataMatrix, config: CplConfig) -> CplResult:
             active=np.ones(k, dtype=bool),
         ),
         affiliation=AffiliationMatrix(run.head("assignments", (n,), row * n), k=k),
-        converged_k=k,
         epochs_used=epochs_used,
         converged=stop != CAP,
         feature_weights=FeatureClusterMatrix(entries=run.head("rows", (k, d))),

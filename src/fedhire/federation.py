@@ -15,7 +15,6 @@ partition, with labels propagated back to original objects.
 from __future__ import annotations
 
 import _thread
-import ctypes
 import json
 import logging
 import math
@@ -218,13 +217,12 @@ def kmeans_clusters(
     )
     ints = most_objects + 2 * most_k + 2 * (1 << (2 * most_k - 1).bit_length())
     arenas = [np.empty(floats + ints) for _ in range(workers)]
-    lib = _kernel.library()
+    lib, address = _kernel.library(), _kernel.unchecked_address
     shared = (
-        ks.size, d, KMEANS_MAX_ITERS, most_objects, most_k, _address(order),
-        _address(taken), values_address,
-        *map(_address, (bounds, firsts, seeds, centroids, assignments)),
+        ks.size, d, KMEANS_MAX_ITERS, most_objects, most_k, address(order), address(taken),
+        values_address, *map(address, (bounds, firsts, seeds, centroids, assignments)),
     )
-    calls = [(*shared, start, start + 8 * floats) for start in map(_address, arenas)]
+    calls = [(*shared, start, start + 8 * floats) for start in map(address, arenas)]
     # every array a call reads or writes, which each worker holds until its
     # call returns, even if this call ends first by an exception
     buffers = (values, order, taken, bounds, firsts, seeds, centroids, assignments, arenas)
@@ -257,14 +255,6 @@ def _call_then_release(kernel, args: tuple, buffers: tuple, done) -> None:
         kernel(*args)
     finally:
         done.release()
-
-
-def _address(array: np.ndarray) -> int:
-    # a ctypes view, faster to make than the array's ``ctypes`` attribute,
-    # needs a byte to view (d = 0 leaves the centroids empty)
-    if not array.size:
-        return array.ctypes.data
-    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -483,7 +473,7 @@ def run_one_shot(
         object_labels=object_labels,
         payload_count=len(payloads),
         communicated_values=communicated,
-        client_ks={cid: r.converged_k for cid, r in client_results.items()},
+        client_ks={cid: r.affiliation.k for cid, r in client_results.items()},
         skipped_clients=skipped,
         unassigned_count=unassigned,
         timings=timings,

@@ -11,7 +11,7 @@ by composing the server partition with each client's local affiliation.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,12 +109,13 @@ def run_mcpl(
     Ward cuts over its clusters (``final_clustering``).
 
     ``min_finest`` is the granularity the finest level must be able to
-    express (the orchestrator passes the target cluster count): on small
-    stacks where ceil(k0_fraction * n) cannot reach it, or when the stage
-    collapses to a single cluster, it is retried once fully provisioned
-    (k0 = n). A stage that reaches ``max_epochs`` unconverged is logged at
-    info level; the clients' runs, which stop at their epoch budget by
-    design, are not.
+    express (the orchestrator passes the target cluster count): when stage 0
+    keeps fewer than max(2, ``min_finest``) clusters, as on small stacks
+    where ceil(k0_fraction * n) cannot reach it, the finest level is the n
+    stacked rows, each a cluster of its own (logged at info level). Stage 0
+    runs once either way. A stage that reaches ``max_epochs`` unconverged is
+    logged at info level; the clients' runs, which stop at their epoch
+    budget by design, are not.
     """
     n = stacked.object_count
     if n < 2:
@@ -125,17 +126,12 @@ def run_mcpl(
         rng_seed=derive_seed(seed, 0),
     )
     result = run_cpl(stacked, config)
-    k = result.converged_k
-    if k < floor and config.k0 < n:
-        # a sparse stack can get swept too coarse (or into one cluster) when
-        # under-provisioned; retry fully provisioned
-        logger.info("finest stage gave k=%d < %d; retrying with k0=%d", k, floor, n)
-        result = run_cpl(stacked, replace(config, k0=n))
-        k = result.converged_k
     if not result.converged:
         logger.info("competitive learning did not converge within %d epochs", max_epochs)
-    if k < 2:
-        raise EmptyClusterError("stacked centroids show no multi-cluster structure")
+    k = result.affiliation.k
+    if k < floor:
+        logger.info("stage 0 kept %d < %d clusters; the finest level is the %d rows", k, floor, n)
+        return Hierarchy(levels=[(n, AffiliationMatrix(np.arange(n), k=n))])
     return Hierarchy(levels=[(k, result.affiliation)])
 
 
@@ -202,10 +198,11 @@ def final_clustering(
     partition. This replaces the paper's categorical clustering of levels.
 
     The leaves are the finest level's nonempty clusters, each the mean of
-    its stacked rows weighted by its row count, or, when it has fewer than
-    k* of them, the stacked rows, each of weight 1; then the hierarchy
-    starts at the k* cut. From the leaf count k down to 2, each next level
-    is the cut at k' = min(k − 1, max(``fcpl_k0(k, k0_fraction)``, k*)).
+    its stacked rows weighted by its row count; a finest level with fewer
+    than k* of them is refused (``ValueError``), and so are leaves that all
+    coincide, every merge at height 0 (``EmptyClusterError``: the stack shows
+    no multi-cluster structure). From the leaf count k down to 2, each next
+    level is the cut at k' = min(k − 1, max(``fcpl_k0(k, k0_fraction)``, k*)).
     """
     values = stacked.values
     n = stacked.object_count
@@ -216,22 +213,20 @@ def final_clustering(
         raise ValueError(f"the hierarchy covers {finest.object_count} rows, the stack has {n}")
     clusters, leaf, counts = np.unique(finest.assignments, return_inverse=True, return_counts=True)
     if clusters.size < k_star:
-        logger.info(
-            "final clustering cuts over the %d stacked rows: the finest level has "
-            "%d clusters, fewer than k*=%d", n, clusters.size, k_star,
+        raise ValueError(
+            f"the finest level has {clusters.size} nonempty clusters, fewer than k*={k_star}"
         )
-        leaf, centres, weights = np.arange(n), values, np.ones(n)
-        levels, ks = [], [k_star]
-    else:
-        weights = counts.astype(np.float64)
-        centres = np.column_stack([np.bincount(leaf, v) for v in values.T]) / weights[:, None]
-        levels, ks = [(finest_k, finest)], [clusters.size]
+    weights = counts.astype(np.float64)
+    centres = np.column_stack([np.bincount(leaf, v) for v in values.T]) / weights[:, None]
+    merges, heights = ward_merges(np.ascontiguousarray(centres), weights)
+    if not heights.any():
+        raise EmptyClusterError("stacked centroids show no multi-cluster structure")
+    ks = [clusters.size]
     while ks[-1] > 2:
         ks.append(min(ks[-1] - 1, max(fcpl_k0(ks[-1], k0_fraction), k_star)))
     # the cut at the finest level's own count is that level
-    ks = [k for k in ks if not levels or k < finest_k]
-    merges, heights = ward_merges(np.ascontiguousarray(centres), weights)
-    level_heights = [0.0] * len(levels)
+    ks = [k for k in ks if k < finest_k]
+    levels, level_heights = [(finest_k, finest)], [0.0]
     for k, (labels, height) in zip(ks, cuts(merges, heights, ks)):
         levels.append((k, AffiliationMatrix(labels[leaf], k=k)))
         level_heights.append(height)
@@ -250,11 +245,11 @@ def propagate_labels(
 
     The server rows are stacked in ascending client id, then clusterlet
     index (``stack_payloads``), so each client's clusterlets hold the next
-    ``converged_k`` rows in that order. An object gets the global label of
+    ``affiliation.k`` rows in that order. An object gets the global label of
     the clusterlet it belongs to in its client's local affiliation.
     """
     server_labels = global_clustering.server_assignments.assignments
-    total = sum(result.converged_k for result in client_results.values())
+    total = sum(result.affiliation.k for result in client_results.values())
     if total != server_labels.size:
         raise ValueError(
             f"the clients have {total} clusterlets, the server labelled "
@@ -264,7 +259,7 @@ def propagate_labels(
     row = 0
     for cid in sorted(client_results):
         result = client_results[cid]
-        lut = server_labels[row:row + result.converged_k]
-        out[cid] = lut[result.affiliation.assignments]
-        row += result.converged_k
+        k = result.affiliation.k
+        out[cid] = server_labels[row:row + k][result.affiliation.assignments]
+        row += k
     return out

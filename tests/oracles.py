@@ -636,8 +636,10 @@ def ward_greedy(centres, weights):
     least Ward cost w_a w_b / (w_a + w_b) ||c_a - c_b||^2 (the first in row
     order on a tie), the lower index keeping the union, and the merged
     cluster's costs follow the Lance-Williams update. Returns the m - 1
-    heights in merge order and, for each k from m down to 1, every leaf's
-    cluster numbered in ascending order of the cluster's smallest leaf."""
+    heights in merge order; for each k from m down to 1, every leaf's
+    cluster numbered in ascending order of the cluster's smallest leaf; and
+    for each step whether it met two least costs equal to a relative 1e-9,
+    a tie that the chain of ``fh_ward`` may break the other way."""
     centres = np.asarray(centres, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64).copy()
     m = weights.size
@@ -648,13 +650,15 @@ def ward_greedy(centres, weights):
             cost[a, b] = weights[a] * weights[b] / (weights[a] + weights[b]) * sq
     live = list(range(m))
     owner = np.arange(m)
-    heights = []
+    heights, ties = [], []
     partitions = {m: np.arange(m)}
     while len(live) > 1:
         pairs = [(a, b) for i, a in enumerate(live) for b in live[i + 1:]]
         a, b = min(pairs, key=lambda pair: cost[pair])
         height = cost[a, b]
         heights.append(height)
+        costs = np.array([cost[pair] for pair in pairs])
+        ties.append(np.isclose(costs, height, rtol=1e-9, atol=0).sum() > 1)
         for x in live:
             if x in (a, b):
                 continue
@@ -667,7 +671,7 @@ def ward_greedy(centres, weights):
         live.remove(b)
         owner[owner == b] = a
         partitions[len(live)] = np.unique(owner, return_inverse=True)[1]
-    return np.array(heights), partitions
+    return np.array(heights), partitions, np.array(ties, dtype=bool)
 
 
 def disjoint(client_indices):

@@ -149,9 +149,9 @@ def test_fcpl_adaptivity_recovers_four_blobs():
             seed=1000 + seed,
         )
         config = CplConfig(eta=0.05, k0=fcpl_k0(data.object_count, 0.5), rng_seed=seed)
-        hits += run_cpl(data, config).converged_k == 4
+        hits += run_cpl(data, config).affiliation.k == 4
         local, _ = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=seed)
-        assert local.converged_k > 4
+        assert local.affiliation.k > 4
         assert purity(local.affiliation.assignments, data.labels) == 1.0
     elapsed = time.perf_counter() - start
     report(

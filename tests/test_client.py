@@ -59,12 +59,12 @@ class TestRunFcpl:
         assert outcome is not None
         result, payload = outcome
         assert payload.client_id == 2
-        assert payload.clusterlet_count == result.converged_k == 17
+        assert payload.clusterlet_count == result.affiliation.k == 17
         assert result.epochs_used == CLIENT_EPOCHS and not result.converged
         near = np.linalg.norm(payload.centroids[:, None] - [mean_a, mean_b], axis=2) < 0.1
         assert (near.sum(axis=1) == 1).all() and near.any(axis=0).all()
         blob = np.arange(100) >= 50
-        for clusterlet in range(result.converged_k):
+        for clusterlet in range(result.affiliation.k):
             assert np.unique(blob[result.affiliation.assignments == clusterlet]).size == 1
 
     def test_payload_bounded_by_k0(self):
@@ -96,7 +96,7 @@ class TestRunFcpl:
     def test_k0_override(self):
         data, _, _ = separable_blobs(seed=5)
         result, _ = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0, k0_override=10)
-        assert result.converged_k <= 10
+        assert result.affiliation.k <= 10
 
 
 def raw_rows(rows, values):
@@ -115,8 +115,8 @@ class TestFold:
         with caplog.at_level("INFO", logger="fedhire.client"):
             result, payload = run_fcpl(data, eta=0.05, k0_fraction=0.5, seed=0, client_id=5)
         assert raw_rows(payload.centroids, data.values) == 0
-        assert (result.folded, payload.clusterlet_count, result.converged_k) == (69, 81, 81)
-        members = np.bincount(result.affiliation.assignments, minlength=result.converged_k)
+        assert (result.folded, payload.clusterlet_count, result.affiliation.k) == (69, 81, 81)
+        members = np.bincount(result.affiliation.assignments, minlength=result.affiliation.k)
         assert members.min() >= MIN_UPLOAD_MEMBERS
         assert "client 5 folded 69 clusterlet(s) of fewer than 2 members" in caplog.text
 
@@ -128,6 +128,6 @@ class TestFold:
         result, payload = run_fcpl(
             DataMatrix(values), eta=0.05, k0_fraction=0.5, seed=0, k0_override=n
         )
-        assert (payload.clusterlet_count, result.converged_k, result.folded) == (1, 1, n - 1)
+        assert (payload.clusterlet_count, result.affiliation.k, result.folded) == (1, 1, n - 1)
         np.testing.assert_array_equal(payload.centroids[0], sum(values) / n)
         np.testing.assert_array_equal(result.affiliation.assignments, np.zeros(n))

@@ -818,7 +818,7 @@ class TestCplConfig:
         values = np.random.default_rng(0).normal(size=(12, 2))
         config = CplConfig(eta=0.05, k0=5, min_members=2**63 - 1)
         result = run_cpl(DataMatrix(values), config)
-        assert result.converged_k == 1 and not result.affiliation.assignments.any()
+        assert result.affiliation.k == 1 and not result.affiliation.assignments.any()
 
     def test_numpy_integers_accepted(self):
         config = CplConfig(
@@ -832,7 +832,7 @@ class TestRunCpl:
         # oracle: any exact 2-means separates the masses perfectly
         values = np.vstack([np.zeros((100, 2)), np.full((100, 2), 10.0)])
         result = run_cpl(DataMatrix(values), CplConfig(eta=0.05, k0=20, rng_seed=7))
-        assert result.converged_k == 2
+        assert result.affiliation.k == 2
         first = result.affiliation.assignments[:100]
         second = result.affiliation.assignments[100:]
         assert len(set(first)) == 1 and len(set(second)) == 1
@@ -844,13 +844,13 @@ class TestRunCpl:
         values = np.vstack([np.zeros((20, 2)), np.full((20, 2), 50.0)])
         result = run_cpl(DataMatrix(values), CplConfig(eta=0.05, k0=10, rng_seed=1))
         assert np.isfinite(result.clusterlets.raw_weights).all()
-        assert result.converged_k == 2
+        assert result.affiliation.k == 2
         assert len(set(result.affiliation.assignments[:20])) == 1
 
     def test_identical_objects_collapse_to_one(self):
         values = np.full((50, 2), 0.3)
         result = run_cpl(DataMatrix(values), CplConfig(eta=0.05, k0=20, rng_seed=7))
-        assert result.converged_k == 1
+        assert result.affiliation.k == 1
 
     def test_deterministic_rerun(self, four_blob_data):
         config = CplConfig(eta=0.05, k0=50, rng_seed=5)
@@ -869,10 +869,10 @@ class TestRunCpl:
 
     def test_result_is_compacted(self, four_blob_data):
         result = run_cpl(four_blob_data, CplConfig(eta=0.05, k0=60, rng_seed=1))
-        assert result.converged_k == len(result.clusterlets.centroids)
-        assert result.converged_k <= 60
+        assert result.affiliation.k == len(result.clusterlets.centroids)
+        assert result.affiliation.k <= 60
         seen = np.unique(result.affiliation.assignments)
-        np.testing.assert_array_equal(seen, np.arange(result.converged_k))
+        np.testing.assert_array_equal(seen, np.arange(result.affiliation.k))
         assert result.clusterlets.active.all()
 
     def test_separable_blobs_centroids_near_means(self):
@@ -881,7 +881,7 @@ class TestRunCpl:
         b = rng.normal([0.8, 0.8], 0.02, size=(50, 2))
         data = DataMatrix(np.vstack([a, b]))
         result = run_cpl(data, CplConfig(eta=0.05, k0=25, rng_seed=0))
-        assert result.converged_k == 2
+        assert result.affiliation.k == 2
         found = result.clusterlets.centroids
         for mean in (a.mean(axis=0), b.mean(axis=0)):
             assert np.linalg.norm(found - mean, axis=1).min() < 0.1
@@ -1030,7 +1030,7 @@ def assert_run_cpl_matches_the_loop(values, config, result=None):
     loop = run_cpl_loop(values, state, rows, config.eta, config.max_epochs, streaks)
     k = loop.survivors.size
     assert (result.epochs_used, result.converged) == (loop.epochs, loop.converged)
-    assert result.converged_k == len(result.clusterlets.centroids) == result.affiliation.k == k
+    assert len(result.clusterlets.centroids) == result.affiliation.k == k
     got = result.clusterlets
     for name in ("centroids", "raw_weights", "weights"):
         np.testing.assert_array_equal(bits(getattr(got, name)), bits(getattr(state, name)[:k]))

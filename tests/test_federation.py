@@ -11,8 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from test_acceptance import _nested_instance
 from fedhire import client, cpl, federation, server
-from fedhire.core import AffiliationMatrix, DataMatrix
+from fedhire.core import AffiliationMatrix, DataMatrix, EmptyClusterError
 from fedhire.cpl import derive_seed
 from fedhire.federation import (
     KMEANS_MAX_ITERS,
@@ -420,15 +421,26 @@ class TestRunOneShot:
         np.testing.assert_array_equal(first.object_labels, second.object_labels)
         assert first.hierarchy_ks == second.hierarchy_ks
 
-    def test_fully_provisioned_retry_builds_coarser_levels(self):
-        # stage 0 at k0 = ceil(0.1 * 73) = 8 gives fewer than k* = 8 clusters,
-        # so it is retried with every stacked centroid as a clusterlet; the
-        # Ward cuts must still build coarser levels over its survivors
-        data = gaussian_mixture(6000, 4, 8, seed=0)
-        config = FederationConfig(client_count=8, k_star=8, k0_fraction=0.1, seed=0)
-        result = run_one_shot(data, config)
-        assert len(result.hierarchy_ks) >= 2
-        assert ari(result.object_labels, data.labels) >= 0.2
+    def test_a_stage_0_short_of_k_star_cuts_over_the_rows(self):
+        # 9 fine clusters nested 3 by 3 (the quality matrix's first nested
+        # case): stage 0 keeps 8 clusters, fewer than k* = 9, so the finest
+        # level is the stacked rows and the Ward cuts build every coarser
+        # level over them
+        data = _nested_instance(0, 2)
+        result = run_one_shot(data, FederationConfig(client_count=4, k_star=9, seed=0))
+        rows = sum(result.client_ks.values())
+        assert result.hierarchy_ks[0] == rows and 9 in result.hierarchy_ks
+        np.testing.assert_array_equal(result.hierarchy.levels[0][1].assignments, np.arange(rows))
+        assert ari(result.object_labels, data.labels) >= 0.99
+
+    def test_identical_objects_fail_loudly(self):
+        # every uploaded centroid is the same point, so every Ward merge of
+        # the rows level is at height 0
+        values = np.full((40, 2), 0.5)
+        plan = PartitionPlan(client_indices=[np.arange(20), np.arange(20, 40)])
+        with pytest.raises(EmptyClusterError, match="no multi-cluster structure") as raised:
+            run_one_shot(DataMatrix(values), FederationConfig(client_count=2, k_star=2), plan=plan)
+        assert raised.traceback[-1].name == "final_clustering"
 
     def test_replay_from_saved_plan(self, three_cluster_data, config):
         first = run_one_shot(three_cluster_data, config)
@@ -490,11 +502,11 @@ class TestRunOneShot:
                 data.subset(indices), eta=config.eta, k0_fraction=config.k0_fraction,
                 seed=seeds[cid], client_id=cid,
             )
-            lut = server_labels[row : row + local.converged_k]
+            lut = server_labels[row : row + local.affiliation.k]
             np.testing.assert_array_equal(
                 result.object_labels[indices], lut[local.affiliation.assignments]
             )
-            row, folded = row + local.converged_k, folded + local.folded
+            row, folded = row + local.affiliation.k, folded + local.folded
         assert row == server_labels.size and folded > 0
 
     def test_only_the_clients_fold(self, three_cluster_data, config, monkeypatch):

@@ -44,7 +44,7 @@ def cpl_digest(d: int, k0_mode: str) -> str:
         c.weights,
         c.win_counts,
         result.feature_weights.entries,
-        np.array([result.converged_k, result.epochs_used, result.converged]),
+        np.array([result.affiliation.k, result.epochs_used, result.converged]),
     )
 
 

@@ -5,7 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fedhire.client import ClientPayload
+from fedhire import server
+from fedhire.client import ClientPayload, fcpl_k0
 from fedhire.core import AffiliationMatrix, DataMatrix, EmptyClusterError
 from fedhire.server import (
     Hierarchy,
@@ -83,9 +84,42 @@ class TestRunMcpl:
         assert hierarchy.level_ks[0] >= 2
 
     def test_identical_centroids_rejected(self):
+        # stage 0 keeps one cluster of ten equal rows, so the finest level is
+        # the rows, and Ward merges them all at height 0
         data = DataMatrix(np.full((10, 2), 0.5))
-        with pytest.raises(EmptyClusterError):
-            run_mcpl(data, eta=0.05, k0_fraction=0.5, seed=0)
+        finest = run_mcpl(data, eta=0.05, k0_fraction=0.5, seed=0)
+        np.testing.assert_array_equal(finest.levels[0][1].assignments, np.arange(10))
+        with pytest.raises(EmptyClusterError, match="no multi-cluster structure"):
+            final_clustering(data, finest, 2, 0.5)
+
+    def test_a_stage_0_short_of_k_star_gives_the_rows_level(self):
+        # k0 = ceil(0.25 * 40) = 10 clusterlets cannot make k* = 12 clusters:
+        # the finest level is the 40 rows, and the final partition is the
+        # greedy Ward's 12 cut over them
+        stacked = nested_centroids(602, per_group=5)
+        finest = run_mcpl(stacked, eta=0.05, k0_fraction=0.25, seed=0, min_finest=12)
+        assert finest.level_ks == [40] and finest.heights == [0.0]
+        np.testing.assert_array_equal(finest.levels[0][1].assignments, np.arange(40))
+        result = final_clustering(stacked, finest, 12, 0.25)
+        _, partitions, _ = oracles.ward_greedy(stacked.values, np.ones(40))
+        np.testing.assert_array_equal(result.server_assignments.assignments, partitions[12])
+        assert result.hierarchy.levels[0][1] is finest.levels[0][1]
+
+    @pytest.mark.parametrize("min_finest, rows", [(None, False), (12, True)])
+    def test_stage_0_runs_once(self, monkeypatch, min_finest, rows):
+        # whether stage 0 reaches the floor or falls short of it, it is the
+        # one run_cpl call, at k0 = fcpl_k0(n, k0_fraction)
+        calls = []
+
+        def recorded(data, config, real=server.run_cpl):
+            calls.append(config.k0)
+            return real(data, config)
+
+        monkeypatch.setattr(server, "run_cpl", recorded)
+        stacked = nested_centroids(602, per_group=5)
+        finest = run_mcpl(stacked, eta=0.05, k0_fraction=0.25, seed=0, min_finest=min_finest)
+        assert calls == [fcpl_k0(40, 0.25)] == [10]
+        assert (finest.level_ks == [40]) is rows
 
     def test_deterministic(self):
         data = nested_centroids(601)
@@ -125,30 +159,33 @@ class TestNestedHierarchy:
             got = final_clustering(stacked, finest, k, 0.5).server_assignments
             np.testing.assert_array_equal(got.assignments, level.assignments)
 
-    def test_final_clustering_logs_its_start(self, caplog):
+    def test_a_start_from_the_rows_is_logged_once(self, caplog):
         # 6 finest clusters over 30 rows, in 3 pairs of near ones: the cut at
-        # k* = 3 joins each pair; at k* = 7 it starts from the rows
+        # k* = 3 joins each pair and logs nothing. Stage 0 with k0 = 3 falls
+        # short of k* = 7, and logs that the finest level is the rows
         fine = np.random.default_rng(8).permutation(np.arange(30) % 6)
         stacked = DataMatrix(np.column_stack([fine // 2 * 10.0 + fine % 2, np.zeros(30)]))
         hierarchy = Hierarchy(levels=[(6, AffiliationMatrix(fine, k=6))])
         with caplog.at_level("INFO", logger="fedhire.server"):
             result = final_clustering(stacked, hierarchy, 3, 0.5)
-            final_clustering(stacked, hierarchy, 7, 0.5)
+            assert caplog.records == []
+            short = run_mcpl(stacked, eta=0.05, k0_fraction=0.1, seed=0, min_finest=7)
         assert result.iterations_used == 3
         np.testing.assert_array_equal(result.server_assignments.assignments, fine // 2)
+        assert short.level_ks == [30]
         assert [r.getMessage() for r in caplog.records] == [
-            "final clustering cuts over the 30 stacked rows: the finest level has "
-            "6 clusters, fewer than k*=7",
+            "stage 0 kept 3 < 7 clusters; the finest level is the 30 rows",
         ]
 
-    def test_a_level_short_of_k_star_nonempty_clusters_is_passed_over(self):
+    def test_a_level_short_of_k_star_nonempty_clusters_is_refused(self):
         # the finest level declares 5 clusters but uses 3 of them
         finest = AffiliationMatrix(np.array([0, 1, 3, 0, 1, 3]), k=5)
         stacked = DataMatrix(np.array([[0.0], [5.0], [9.0], [0.5], [5.5], [9.5]]))
         hierarchy = Hierarchy(levels=[(5, finest)])
-        at_four = final_clustering(stacked, hierarchy, 4, 0.5)
-        assert at_four.iterations_used == 2
-        np.testing.assert_array_equal(at_four.server_assignments.assignments, [0, 1, 2, 0, 1, 3])
+        with pytest.raises(
+            ValueError, match=r"^the finest level has 3 nonempty clusters, fewer than k\*=4$"
+        ):
+            final_clustering(stacked, hierarchy, 4, 0.5)
         at_three = final_clustering(stacked, hierarchy, 3, 0.5)
         assert at_three.iterations_used == 0
         np.testing.assert_array_equal(at_three.server_assignments.assignments, [0, 1, 2, 0, 1, 2])
@@ -239,13 +276,16 @@ class TestFinalClustering:
         n=st.integers(2, 40), d=st.integers(1, 6), level_k=st.integers(2, 12),
         k_star=st.integers(2, 12), duplicates=st.booleans(), seed=st.integers(0, 2**32 - 1),
     )
-    # a finest level short of k* (the cut over the rows), and duplicate rows
+    # a finest level short of k*, duplicate rows, and two equal finest
+    # clusters whose tied first merge the chain and the greedy Ward break
+    # differently, far below the cut
     @example(n=12, d=2, level_k=3, k_star=5, duplicates=False, seed=0)
     @example(n=20, d=3, level_k=8, k_star=4, duplicates=True, seed=1)
+    @example(n=29, d=6, level_k=9, k_star=3, duplicates=True, seed=4294967294)
     def test_cut_keeps_the_finest_clusters_whole(self, n, d, level_k, k_star, duplicates, seed):
         # exactly k* nonempty clusters; each finest cluster lies inside one;
-        # and the leaves are the finest clusters' weighted means, or the rows
-        # when that level has fewer than k* nonempty clusters
+        # the leaves are the finest clusters' weighted means; and a finest
+        # level with fewer than k* nonempty clusters is refused
         rng = np.random.default_rng(seed)
         k_star = min(k_star, n)
         values = rng.random((n, d))
@@ -253,53 +293,79 @@ class TestFinalClustering:
             values = values[rng.integers(0, max(1, n // 3), size=n)]
         finest = rng.integers(0, min(level_k, n), size=n)
         hierarchy = Hierarchy(levels=[(level_k, AffiliationMatrix(finest, k=level_k))])
-        got = final_clustering(DataMatrix(values), hierarchy, k_star, 0.5).server_assignments
-        assert got.k == k_star
-        assert (np.bincount(got.assignments, minlength=k_star) > 0).all()
         clusters, leaf, counts = np.unique(finest, return_inverse=True, return_counts=True)
         if clusters.size < k_star:
-            leaf, centres, weights = np.arange(n), values, np.ones(n)
-        else:
-            pairs = np.unique(np.column_stack([finest, got.assignments]), axis=0)
-            assert pairs.shape[0] == clusters.size
-            weights = counts.astype(np.float64)
-            centres = np.array([values[finest == c].mean(axis=0) for c in clusters])
-        heights, partitions = oracles.ward_greedy(centres, weights)
+            with pytest.raises(ValueError, match=r"nonempty clusters, fewer than k\*"):
+                final_clustering(DataMatrix(values), hierarchy, k_star, 0.5)
+            return
+        weights = counts.astype(np.float64)
+        centres = np.array([values[finest == c].mean(axis=0) for c in clusters])
+        try:
+            got = final_clustering(DataMatrix(values), hierarchy, k_star, 0.5).server_assignments
+        except EmptyClusterError:
+            # only leaves that all coincide leave nothing to cut
+            assert (centres == centres[0]).all()
+            return
+        assert got.k == k_star
+        assert (np.bincount(got.assignments, minlength=k_star) > 0).all()
+        pairs = np.unique(np.column_stack([finest, got.assignments]), axis=0)
+        assert pairs.shape[0] == clusters.size
+        # the cut's weighted within-cluster sum of squares over the leaves is
+        # the sum of the merge heights it applied
         m = weights.size
-        # where the cut does not fall inside a tie, it is the greedy Ward's
-        if k_star == m or not np.isclose(
+        _, chain_heights = ward_merges(np.ascontiguousarray(centres), weights)
+        applied = np.sort(chain_heights)[: m - k_star].sum()
+        labels = np.empty(m, np.int64)
+        labels[leaf] = got.assignments
+        means = np.array([
+            np.average(centres[labels == j], axis=0, weights=weights[labels == j])
+            for j in range(k_star)
+        ])
+        sse = (weights * ((centres - means[labels]) ** 2).sum(axis=1)).sum()
+        assert sse == pytest.approx(applied, rel=1e-9, abs=1e-12)
+        heights, partitions, ties = oracles.ward_greedy(centres, weights)
+        # where no step up to the cut met a tie, and the cut does not fall
+        # between equal heights, it is the greedy Ward's
+        if not ties[: m - k_star].any() and (k_star == m or not np.isclose(
             heights[m - k_star - 1], heights[m - k_star], rtol=1e-9, atol=0
-        ):
+        )):
             np.testing.assert_array_equal(got.assignments, partitions[k_star][leaf])
 
     @settings(max_examples=150, deadline=None)
     @given(
         n=st.integers(2, 60), d=st.integers(1, 6), level_k=st.integers(2, 30),
         k_star=st.integers(2, 12), k0_fraction=st.sampled_from([0.25, 0.5, 1.0]),
-        seed=st.integers(0, 2**32 - 1),
+        rows=st.booleans(), seed=st.integers(0, 2**32 - 1),
     )
-    # the cut over the rows, and a finest level of exactly k* clusters
-    @example(n=12, d=2, level_k=3, k_star=5, k0_fraction=0.5, seed=0)
-    @example(n=40, d=2, level_k=4, k_star=4, k0_fraction=0.5, seed=2)
-    def test_levels_nest_down_to_two_through_k_star(self, n, d, level_k, k_star, k0_fraction, seed):
+    # a finest level short of k*, one of exactly k* clusters, and the rows
+    # level that run_mcpl gives when stage 0 falls short of k*
+    @example(n=12, d=2, level_k=3, k_star=5, k0_fraction=0.5, rows=False, seed=0)
+    @example(n=40, d=2, level_k=4, k_star=4, k0_fraction=0.5, rows=False, seed=2)
+    @example(n=12, d=2, level_k=3, k_star=5, k0_fraction=0.5, rows=True, seed=0)
+    def test_levels_nest_down_to_two_through_k_star(
+        self, n, d, level_k, k_star, k0_fraction, rows, seed
+    ):
         rng = np.random.default_rng(seed)
         k_star = min(k_star, n)
-        finest = rng.integers(0, min(level_k, n), size=n)
+        if rows:
+            level_k, finest = n, np.arange(n)
+        else:
+            finest = rng.integers(0, min(level_k, n), size=n)
         given_level = AffiliationMatrix(finest, k=level_k)
-        result = final_clustering(
-            DataMatrix(rng.random((n, d))), Hierarchy(levels=[(level_k, given_level)]),
-            k_star, k0_fraction,
-        )
+        stacked = DataMatrix(rng.random((n, d)))
+        hierarchy = Hierarchy(levels=[(level_k, given_level)])
+        if np.unique(finest).size < k_star:
+            with pytest.raises(ValueError, match=r"nonempty clusters, fewer than k\*"):
+                final_clustering(stacked, hierarchy, k_star, k0_fraction)
+            return
+        result = final_clustering(stacked, hierarchy, k_star, k0_fraction)
         hierarchy = result.hierarchy
         ks = hierarchy.level_ks
         assert ks[-1] == 2 and all(a > b for a, b in zip(ks, ks[1:]))
         at_k_star = hierarchy.levels[ks.index(k_star)][1]
         np.testing.assert_array_equal(at_k_star.assignments, result.server_assignments.assignments)
-        if np.unique(finest).size < k_star:
-            # over the rows, the hierarchy starts at the k* cut
-            assert ks[0] == k_star
-        else:
-            assert hierarchy.levels[0][1] is given_level and hierarchy.heights[0] == 0.0
+        # the hierarchy starts at the given level, the rows' too
+        assert hierarchy.levels[0][1] is given_level and hierarchy.heights[0] == 0.0
         for (_, fine), (k, coarse) in zip(hierarchy.levels, hierarchy.levels[1:]):
             assert (np.bincount(coarse.assignments, minlength=k) > 0).all()
             pairs = np.unique(np.column_stack([fine.assignments, coarse.assignments]), axis=0)
@@ -328,7 +394,7 @@ class TestWard:
         given_weights = weights.copy()
         merges, heights = ward_merges(np.ascontiguousarray(centres), weights)
         np.testing.assert_array_equal(weights, given_weights)
-        want_heights, partitions = oracles.ward_greedy(centres, weights)
+        want_heights, partitions, _ = oracles.ward_greedy(centres, weights)
         assert (merges[:, 0] < merges[:, 1]).all()
         ordered = np.sort(heights)
         np.testing.assert_allclose(
@@ -367,7 +433,6 @@ class TestPropagateLabels:
         return CplResult(
             clusterlets=oracles.make_state(np.zeros((k, 2))),
             affiliation=AffiliationMatrix(np.asarray(assignments), k=k),
-            converged_k=k,
             epochs_used=1,
         )
 
@@ -397,7 +462,7 @@ class TestPropagateLabels:
         labels = propagate_labels(gc, results)
         row = 0
         for cid in (0, 3, 5):
-            k = results[cid].converged_k
+            k = results[cid].affiliation.k
             lut = {j: server_labels[row + j] for j in range(k)}
             expected = [lut[a] for a in results[cid].affiliation.assignments]
             np.testing.assert_array_equal(labels[cid], expected)
